@@ -1,19 +1,21 @@
-//! Ablations of the PR-6 engine work at the E7 shoot-out sizes:
+//! Ablations of the engine work at the E7 shoot-out sizes:
 //!
-//! * **row vs columnar** — the same `SchedulePlan` executed through the
-//!   legacy row engine (`EngineKind::Row`) and the columnar engine
-//!   (arena-allocated phase buffers, contiguous per-arc slices, u64-bitset
-//!   window passes). Outcomes are asserted byte-identical before anything
-//!   is timed; the table reports rounds/sec and the speedup factor.
-//! * **sweep-cache on vs off** — planning a sched-seed sweep from one
+//! * **row vs batched** (C1, C1b) — the same `SchedulePlan` executed
+//!   through the row test oracle (`EngineKind::Row`) and the production
+//!   loop (`EngineKind::ColumnarBatched`: arena-allocated per-arc queues
+//!   drained as contiguous slices, u64-bitset window passes, slab
+//!   construction via `BlackBoxAlgorithm::create_nodes` plus node-block
+//!   `step_block` dispatch, one virtual call per same-algorithm run).
+//!   Outcomes are asserted byte-identical before anything is timed; the
+//!   tables report rounds/sec and the speedup factor.
+//! * **sweep-cache on vs off** (C2) — planning a sched-seed sweep from one
 //!   shared [`das_bench::SweepPlanner`] artifact vs calling the
 //!   scheduler's full `plan()` per seed. Plans are asserted
 //!   byte-identical before timing.
-//! * **row vs columnar vs batched** (C3) — the PR-7 batched engine
-//!   (`EngineKind::ColumnarBatched`: slab construction via
-//!   `BlackBoxAlgorithm::create_nodes` plus node-block `step_block`
-//!   dispatch, one virtual call per same-algorithm run) against both
-//!   predecessors, outcomes asserted byte-identical before timing.
+//!
+//! (C3, the three-way table with the intermediate per-step columnar
+//! engine, went away with that engine: it was the batched loop with run
+//! length 1.)
 //!
 //! `--quick` (or `CRITERION_QUICK=1`) shrinks both the table budgets and
 //! the criterion sampling so CI can run this on every PR.
@@ -55,71 +57,83 @@ fn secs_per_iter<F: FnMut()>(mut f: F, budget: Duration) -> f64 {
     t.elapsed().as_secs_f64() / reps as f64
 }
 
-fn row_vs_columnar() {
-    println!("\n=== C1: row vs columnar engine, rounds/sec at E7 sizes ===");
+/// Times `plan` on the row oracle and on the production loop (outcomes
+/// asserted byte-identical first) and returns the batched outcome plus
+/// seconds per run for `(row, batched)`.
+fn time_row_and_batched(
+    problem: &das_core::DasProblem<'_>,
+    plan: &das_core::SchedulePlan,
+    k: usize,
+) -> (das_core::ScheduleOutcome, f64, f64) {
+    let row_cfg = ExecutorConfig::default().with_engine(EngineKind::Row);
+    let bat_cfg = ExecutorConfig::default().with_engine(EngineKind::ColumnarBatched);
+    let row_out = execute_plan_with(problem, plan, &row_cfg).expect("row run");
+    let bat_out = execute_plan_with(problem, plan, &bat_cfg).expect("batched run");
+    assert_eq!(
+        format!("{row_out:?}"),
+        format!("{bat_out:?}"),
+        "engines must agree at k={k} before anything is timed"
+    );
+    let b = budget();
+    let row_s = secs_per_iter(
+        || {
+            black_box(execute_plan_with(problem, plan, &row_cfg).expect("row run"));
+        },
+        b,
+    );
+    let bat_s = secs_per_iter(
+        || {
+            black_box(execute_plan_with(problem, plan, &bat_cfg).expect("batched run"));
+        },
+        b,
+    );
+    (bat_out, row_s, bat_s)
+}
+
+/// C1: the production loop against the row oracle. The oracle pays one
+/// virtual call and one `Vec<AlgoSend>` allocation per black-box step and
+/// one queue visit per arc per engine round; the production loop
+/// dispatches each same-algorithm run of a big-round as a single
+/// `step_block` call into a node-contiguous slab writing one flat
+/// [`das_core::BatchedSends`] arena, and drains each arc once per
+/// big-round.
+fn row_vs_batched() {
+    println!("\n=== C1: row oracle vs batched engine, rounds/sec at E7 sizes ===");
     let g = generators::path(100);
-    let mut t = Table::new(&[
-        "k",
-        "rounds",
-        "row rounds/s",
-        "columnar rounds/s",
-        "speedup",
-    ]);
+    let mut t = Table::new(&["k", "rounds", "row rounds/s", "batched rounds/s", "speedup"]);
     for k in E7_KS {
         let problem = workloads::segment_relays(&g, k, 14, 1, 5);
         let plan = UniformScheduler::default()
             .plan(&problem, 7)
             .expect("model-valid workload");
-        let base = ExecutorConfig::default().with_phase_len(plan.phase_len);
-        let row_cfg = base.clone().with_engine(EngineKind::Row);
-        let col_cfg = base.with_engine(EngineKind::Columnar);
-        let row_out = execute_plan_with(&problem, &plan, &row_cfg).expect("row run");
-        let col_out = execute_plan_with(&problem, &plan, &col_cfg).expect("columnar run");
-        assert_eq!(
-            format!("{row_out:?}"),
-            format!("{col_out:?}"),
-            "engines must agree at k={k} before anything is timed"
-        );
-        let rounds = col_out.schedule_rounds();
-        let b = budget();
-        let row_s = secs_per_iter(
-            || {
-                black_box(execute_plan_with(&problem, &plan, &row_cfg).expect("row run"));
-            },
-            b,
-        );
-        let col_s = secs_per_iter(
-            || {
-                black_box(execute_plan_with(&problem, &plan, &col_cfg).expect("columnar run"));
-            },
-            b,
-        );
+        let (out, row_s, bat_s) = time_row_and_batched(&problem, &plan, k);
+        let rounds = out.schedule_rounds();
         t.row_owned(vec![
             k.to_string(),
             rounds.to_string(),
             format!("{:.0}", rounds as f64 / row_s),
-            format!("{:.0}", rounds as f64 / col_s),
-            format!("{:.1}x", row_s / col_s),
+            format!("{:.0}", rounds as f64 / bat_s),
+            format!("{:.1}x", row_s / bat_s),
         ]);
     }
     t.print();
     println!(
-        "(the columnar engine batches per-arc delivery into contiguous slices and replaces\n per-message tag-window checks with u64-bitset word passes; outcomes are byte-identical)\n"
+        "(the batched engine drains per-arc queues as contiguous slices, replaces per-message\n tag-window checks with u64-bitset word passes, and removes the per-step virtual-call/alloc\n floor with one step_block call per same-algorithm run; outcomes are byte-identical)\n"
     );
 }
 
-/// The message-dense complement of [`row_vs_columnar`]: floods on a
+/// The message-dense complement of [`row_vs_batched`]: floods on a
 /// complete graph, where delivered messages outnumber black-box steps
-/// ~20:1 and the engines' messaging layers — not the shared per-step
-/// virtual-call floor — dominate the wall clock.
-fn row_vs_columnar_message_dense() {
-    println!("=== C1b: row vs columnar engine, message-dense floods on complete(64) ===");
+/// ~20:1 and the engines' messaging layers — not step dispatch —
+/// dominate the wall clock.
+fn row_vs_batched_message_dense() {
+    println!("=== C1b: row oracle vs batched engine, message-dense floods on complete(64) ===");
     let g = generators::complete(64);
     let mut t = Table::new(&[
         "k",
         "msgs/steps",
         "row rounds/s",
-        "columnar rounds/s",
+        "batched rounds/s",
         "speedup",
     ]);
     for k in [4usize, 8, 16] {
@@ -127,118 +141,25 @@ fn row_vs_columnar_message_dense() {
         let plan = UniformScheduler::default()
             .plan(&problem, 7)
             .expect("model-valid workload");
-        let base = ExecutorConfig::default().with_phase_len(plan.phase_len);
-        let row_cfg = base.clone().with_engine(EngineKind::Row);
-        let col_cfg = base.with_engine(EngineKind::Columnar);
-        let row_out = execute_plan_with(&problem, &plan, &row_cfg).expect("row run");
-        let col_out = execute_plan_with(&problem, &plan, &col_cfg).expect("columnar run");
-        assert_eq!(
-            format!("{row_out:?}"),
-            format!("{col_out:?}"),
-            "engines must agree at k={k} before anything is timed"
-        );
-        let rounds = col_out.schedule_rounds();
+        let (out, row_s, bat_s) = time_row_and_batched(&problem, &plan, k);
+        let rounds = out.schedule_rounds();
         let steps: u32 = problem
             .algorithms()
             .iter()
             .map(|a| a.rounds() * g.node_count() as u32)
             .sum();
-        let density = col_out.stats.delivered as f64 / steps as f64;
-        let b = budget();
-        let row_s = secs_per_iter(
-            || {
-                black_box(execute_plan_with(&problem, &plan, &row_cfg).expect("row run"));
-            },
-            b,
-        );
-        let col_s = secs_per_iter(
-            || {
-                black_box(execute_plan_with(&problem, &plan, &col_cfg).expect("columnar run"));
-            },
-            b,
-        );
+        let density = out.stats.delivered as f64 / steps as f64;
         t.row_owned(vec![
             k.to_string(),
             format!("{density:.0}"),
             format!("{:.0}", rounds as f64 / row_s),
-            format!("{:.0}", rounds as f64 / col_s),
-            format!("{:.1}x", row_s / col_s),
-        ]);
-    }
-    t.print();
-    println!(
-        "(every black-box step here costs one virtual call in both engines — a shared floor\n the engine cannot remove; this table isolates the messaging layer the columnar\n rewrite targets)\n"
-    );
-}
-
-/// C3: the batched engine against both predecessors. The row engine pays
-/// one virtual call and one `Vec<AlgoSend>` allocation per black-box
-/// step; the batched engine dispatches each same-algorithm run of a
-/// big-round as a single `step_block` call into a node-contiguous slab
-/// writing one flat [`das_core::BatchedSends`] arena.
-fn row_vs_columnar_vs_batched() {
-    println!("=== C3: row vs columnar vs batched engine, rounds/sec at E7 sizes ===");
-    let g = generators::path(100);
-    let mut t = Table::new(&[
-        "k",
-        "rounds",
-        "row rounds/s",
-        "columnar rounds/s",
-        "batched rounds/s",
-        "batched/row",
-        "batched/columnar",
-    ]);
-    for k in E7_KS {
-        let problem = workloads::segment_relays(&g, k, 14, 1, 5);
-        let plan = UniformScheduler::default()
-            .plan(&problem, 7)
-            .expect("model-valid workload");
-        let base = ExecutorConfig::default().with_phase_len(plan.phase_len);
-        let row_cfg = base.clone().with_engine(EngineKind::Row);
-        let col_cfg = base.clone().with_engine(EngineKind::Columnar);
-        let bat_cfg = base.with_engine(EngineKind::ColumnarBatched);
-        let row_out = execute_plan_with(&problem, &plan, &row_cfg).expect("row run");
-        let bat_out = execute_plan_with(&problem, &plan, &bat_cfg).expect("batched run");
-        assert_eq!(
-            format!("{row_out:?}"),
-            format!("{bat_out:?}"),
-            "batched engine must agree with row at k={k} before anything is timed"
-        );
-        let rounds = bat_out.schedule_rounds();
-        let b = budget();
-        let row_s = secs_per_iter(
-            || {
-                black_box(execute_plan_with(&problem, &plan, &row_cfg).expect("row run"));
-            },
-            b,
-        );
-        let col_s = secs_per_iter(
-            || {
-                black_box(execute_plan_with(&problem, &plan, &col_cfg).expect("columnar run"));
-            },
-            b,
-        );
-        let bat_s = secs_per_iter(
-            || {
-                black_box(execute_plan_with(&problem, &plan, &bat_cfg).expect("batched run"));
-            },
-            b,
-        );
-        t.row_owned(vec![
-            k.to_string(),
-            rounds.to_string(),
-            format!("{:.0}", rounds as f64 / row_s),
-            format!("{:.0}", rounds as f64 / col_s),
             format!("{:.0}", rounds as f64 / bat_s),
             format!("{:.1}x", row_s / bat_s),
-            format!("{:.1}x", col_s / bat_s),
         ]);
     }
     t.print();
     println!(
-        "(the batched engine removes the per-step virtual-call/alloc floor: machines live in
- node-contiguous slabs and each same-algorithm run of a big-round dispatches as one
- step_block call writing a flat send arena; outcomes are byte-identical)\n"
+        "(this table isolates the messaging layer: arena queues, batched per-arc delivery,\n bitset windows)\n"
     );
 }
 
@@ -293,9 +214,8 @@ fn sweep_cache_ablation() {
 }
 
 fn bench(c: &mut Criterion) {
-    row_vs_columnar();
-    row_vs_columnar_message_dense();
-    row_vs_columnar_vs_batched();
+    row_vs_batched();
+    row_vs_batched_message_dense();
     sweep_cache_ablation();
 
     // criterion samples at the E7 midpoint (k = 64) for trend tracking
@@ -304,21 +224,12 @@ fn bench(c: &mut Criterion) {
     let plan = UniformScheduler::default()
         .plan(&problem, 7)
         .expect("model-valid workload");
-    let base = ExecutorConfig::default().with_phase_len(plan.phase_len);
-    let row_cfg = base.clone().with_engine(EngineKind::Row);
-    let bat_cfg = base.clone().with_engine(EngineKind::ColumnarBatched);
-    let col_cfg = base.with_engine(EngineKind::Columnar);
+    let row_cfg = ExecutorConfig::default().with_engine(EngineKind::Row);
+    let bat_cfg = ExecutorConfig::default().with_engine(EngineKind::ColumnarBatched);
     c.bench_function("columnar/e07_k64_row_engine", |b| {
         b.iter(|| {
             execute_plan_with(&problem, &plan, &row_cfg)
                 .expect("row run")
-                .schedule_rounds()
-        })
-    });
-    c.bench_function("columnar/e07_k64_columnar_engine", |b| {
-        b.iter(|| {
-            execute_plan_with(&problem, &plan, &col_cfg)
-                .expect("columnar run")
                 .schedule_rounds()
         })
     });

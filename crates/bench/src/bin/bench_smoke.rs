@@ -5,17 +5,18 @@
 //! sharded-vs-fused wall-clock comparison.
 //!
 //! Usage: `bench_smoke [trials] [base_seed] [--obs off|metrics|full]
-//! [--engine row|columnar|batched] [--dump-outcome FILE] [--wall]
-//! [--serve [ADDR]]` (defaults: 8 trials, seed 42, obs off, columnar
+//! [--engine row|batched] [--dump-outcome FILE] [--wall]
+//! [--serve [ADDR]]` (defaults: 8 trials, seed 42, obs off, batched
 //! engine). `--serve` binds a live [`das_obs::ObsServer`] console (an OS
 //! port when ADDR is omitted, advertised on the `listening on ADDR`
 //! stdout line) that streams each leg's phase and, on the legs that carry
 //! a hub, per-shard load and doubling attempts — without perturbing any
 //! printed or persisted output.
 //!
-//! `--engine` selects the execution engine for the fused trials and the
-//! outcome dumps; schedule statistics are byte-identical across engines
-//! (CI diffs the dumps), only wall-clock may move.
+//! `--engine` selects the production loop (`batched`) or the row test
+//! oracle for the fused trials and the outcome dumps; schedule statistics
+//! are byte-identical across the two (CI diffs the dumps), only wall-clock
+//! may move. The sharded and networked legs always run the production loop.
 //!
 //! `--obs` sets the observability level for the fused trials; their
 //! per-trial [`das_obs::ObsSummary`] is persisted into the BENCH artifact.
@@ -48,7 +49,7 @@ const SMOKE_SHARDS: usize = 4;
 const SMOKE_WORKERS: usize = 3;
 
 const USAGE: &str = "usage: bench_smoke [trials] [base_seed] \
-                     [--obs off|metrics|full] [--engine row|columnar|batched] \
+                     [--obs off|metrics|full] [--engine row|batched] \
                      [--dump-outcome FILE] [--plan-cache on|off] \
                      [--dump-doubling FILE] [--wall] [--serve [ADDR]]";
 
@@ -75,7 +76,7 @@ fn parse_args() -> Args {
         trials: 8,
         base_seed: 42,
         obs: ObsConfig::off(),
-        engine: EngineKind::Columnar,
+        engine: EngineKind::ColumnarBatched,
         dump_outcome: None,
         plan_cache: true,
         dump_doubling: None,
@@ -95,9 +96,8 @@ fn parse_args() -> Args {
                 let v = it.next().unwrap_or_else(|| fail("--engine needs a value"));
                 args.engine = match v.as_str() {
                     "row" => EngineKind::Row,
-                    "columnar" => EngineKind::Columnar,
                     "batched" => EngineKind::ColumnarBatched,
-                    _ => fail("--engine must be row, columnar, or batched"),
+                    _ => fail("--engine must be row or batched"),
                 };
             }
             "--dump-outcome" => {
@@ -229,8 +229,7 @@ fn main() {
             println!("listening on {}", srv.local_addr());
             let engine = match args.engine {
                 EngineKind::Row => "row",
-                EngineKind::Columnar => "columnar",
-                EngineKind::ColumnarBatched => "batched",
+                _ => "batched",
             };
             hub.set_run_info(engine, 1);
             Some(srv)

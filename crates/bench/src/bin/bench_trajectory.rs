@@ -1,7 +1,7 @@
 //! Benchmark-trajectory point for the CI `bench-trajectory` job: runs the
-//! pinned E1 and E7 configurations through the columnar and batched
-//! engines, measures throughput (rounds/sec), sweep plan-cache hits, and
-//! peak RSS, and appends one point per (configuration, engine) to
+//! pinned E1 and E7 configurations through the production (batched)
+//! engine, measures throughput (rounds/sec), sweep plan-cache hits, and
+//! peak RSS, and appends one point per configuration to
 //! `BENCH_trajectory.json` (an ever-growing JSON array — the trajectory
 //! CI plots across commits).
 //!
@@ -22,8 +22,8 @@
 
 use das_bench::{workloads, SweepPlanner};
 use das_core::{
-    execute_plan_with, run_loadgen, serve, DasProblem, EngineKind, ExecutorConfig, LoadgenConfig,
-    NetConfig, Scheduler, ServeConfig, UniformScheduler,
+    execute_plan, run_loadgen, serve, DasProblem, LoadgenConfig, NetConfig, Scheduler, ServeConfig,
+    UniformScheduler,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -140,24 +140,15 @@ fn peak_rss_kb() -> u64 {
         .unwrap_or(0)
 }
 
-/// The stable engine name recorded in trajectory rows and matched by the
-/// baseline gate.
-fn engine_name(engine: EngineKind) -> &'static str {
-    match engine {
-        EngineKind::Row => "row",
-        EngineKind::Columnar => "columnar",
-        EngineKind::ColumnarBatched => "batched",
-    }
-}
-
-/// Measures one pinned configuration: throughput on the selected engine
-/// plus the sweep-cache counters for a [`SWEEP_SEEDS`]-seed plan sweep.
+/// Measures one pinned configuration: throughput on the production engine
+/// (recorded under the stable name `batched`, which the baseline gate
+/// matches) plus the sweep-cache counters for a [`SWEEP_SEEDS`]-seed plan
+/// sweep.
 fn measure(
     label: &str,
     problem: &DasProblem<'_>,
     budget: Duration,
     tag: &Option<String>,
-    engine: EngineKind,
 ) -> TrajectoryPoint {
     let sched = UniformScheduler::default();
     let planner = SweepPlanner::new(&sched, problem);
@@ -171,26 +162,23 @@ fn measure(
         );
     }
     let plan = planner.plan(problem, 7);
-    let cfg = ExecutorConfig::default()
-        .with_phase_len(plan.phase_len)
-        .with_engine(engine);
 
     // One calibration run sizes a repetition count that fills the budget,
     // then the batch is timed as a whole.
     let t = Instant::now();
-    let out = execute_plan_with(problem, &plan, &cfg).expect("trajectory run");
+    let out = execute_plan(problem, &plan).expect("trajectory run");
     let once = t.elapsed().max(Duration::from_nanos(1));
     let sched_rounds = out.schedule_rounds();
     let reps = (budget.as_nanos() / once.as_nanos()).clamp(1, 100_000) as u64;
     let t = Instant::now();
     for _ in 0..reps {
-        std::hint::black_box(execute_plan_with(problem, &plan, &cfg).expect("trajectory run"));
+        std::hint::black_box(execute_plan(problem, &plan).expect("trajectory run"));
     }
     let secs = t.elapsed().as_secs_f64() / reps as f64;
 
     TrajectoryPoint {
         label: label.to_string(),
-        engine: engine_name(engine).to_string(),
+        engine: "batched".to_string(),
         rounds: sched_rounds,
         rounds_per_sec: sched_rounds as f64 / secs,
         plan_cache_hits: planner.cache_hits(),
@@ -331,34 +319,8 @@ fn main() {
     let e01 = workloads::segment_relays(&g1, 40, 16, 2, 7);
     let e07 = workloads::segment_relays(&g7, 64, 14, 1, 5);
     let points = vec![
-        measure(
-            "e01_path120_relays40",
-            &e01,
-            args.budget,
-            &args.tag,
-            EngineKind::Columnar,
-        ),
-        measure(
-            "e01_path120_relays40",
-            &e01,
-            args.budget,
-            &args.tag,
-            EngineKind::ColumnarBatched,
-        ),
-        measure(
-            "e07_path100_relays64",
-            &e07,
-            args.budget,
-            &args.tag,
-            EngineKind::Columnar,
-        ),
-        measure(
-            "e07_path100_relays64",
-            &e07,
-            args.budget,
-            &args.tag,
-            EngineKind::ColumnarBatched,
-        ),
+        measure("e01_path120_relays40", &e01, args.budget, &args.tag),
+        measure("e07_path100_relays64", &e07, args.budget, &args.tag),
         measure_serve(&args.tag),
     ];
 

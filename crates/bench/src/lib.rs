@@ -134,7 +134,7 @@ pub fn run_trial(
     finish_trial(problem, &plan, sched_seed, result)
 }
 
-/// [`run_trial`] on an explicit engine (`row`, `columnar`, or `batched`).
+/// [`run_trial`] on an explicit engine (`row` or `batched`).
 /// The engine choice is a pure execution detail: every recorded
 /// schedule-quality field is byte-identical across engines.
 ///

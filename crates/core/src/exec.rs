@@ -22,18 +22,22 @@
 //!   [`crate::verify`]. "With high probability" claims become measured
 //!   failure rates.
 
+mod big_round;
 mod columnar;
+
+pub(crate) use big_round::{
+    big_round_loop, merge_shards, read_flight, Exchange, FlightGroup, ShardCtx, ShardOutput,
+};
+pub(crate) use columnar::FlatSteps;
 
 use crate::algorithm::BlackBoxAlgorithm;
 use crate::schedule::ScheduleOutcome;
 use crate::shard::Partition;
+use big_round::{InProcess, InProcessShared, Local};
 use das_graph::{Graph, NodeId};
 use das_obs::{ExecObs, ObsConfig, ObsReport};
 use das_pattern::{SimulationMap, TimedArc};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
-use std::time::Instant;
 
 /// Ways an execution can fail outright (as opposed to producing wrong
 /// outputs, which [`crate::verify`] catches after the fact).
@@ -104,9 +108,16 @@ pub enum ExecError {
         /// The configured deadline in milliseconds.
         ms: u64,
     },
+    /// [`EngineKind::Row`] was asked to run sharded. The row loop is the
+    /// fused test oracle and has no sharded or networked form; declaring
+    /// that beats silently running a different engine.
+    RowIsFusedOnly {
+        /// The shard count that was asked for.
+        shards: usize,
+    },
     /// The run was aborted deliberately: the coordinator was interrupted
     /// (Ctrl-C) or told this worker to stand down after another worker
-    /// failed.
+    /// failed, or a shard worker of an in-process run panicked.
     Aborted {
         /// Why the run was torn down.
         detail: String,
@@ -163,6 +174,11 @@ impl std::fmt::Display for ExecError {
             ExecError::NetTimeout { during, ms } => {
                 write!(f, "network wait timed out after {ms} ms during {during}")
             }
+            ExecError::RowIsFusedOnly { shards } => write!(
+                f,
+                "the row engine is the fused test oracle and cannot run on \
+                 {shards} shards; use the batched engine"
+            ),
             ExecError::Aborted { detail } => write!(f, "run aborted: {detail}"),
             ExecError::Net { detail } => write!(f, "network error: {detail}"),
         }
@@ -202,30 +218,32 @@ impl Unit {
     }
 }
 
-/// Which implementation drives the engine's hot loop. Both produce
-/// byte-identical [`ScheduleOutcome`]s for every plan, shard count, and
+/// Which loop executes a plan: the production loop or the test oracle.
+/// Both produce byte-identical [`ScheduleOutcome`]s for every plan and
 /// observability setting (enforced by `tests/shard_equivalence.rs`,
-/// `tests/obs_neutrality.rs`, and the `columnar-equivalence` CI job); they
-/// differ only in throughput.
+/// `tests/obs_neutrality.rs`, `tests/net_equivalence.rs` and the
+/// `engine-equivalence` CI job); they differ only in throughput.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EngineKind {
     /// The row-at-a-time reference loop: one message per active arc per
     /// engine round, heap-allocated payloads, per-message departure
-    /// inserts. Kept as the executable specification the columnar engine
-    /// is checked against.
+    /// inserts. Kept as the executable specification every suite compares
+    /// the production loop against. Fused only: asking for it sharded is
+    /// [`ExecError::RowIsFusedOnly`].
     Row,
-    /// The columnar hot path (default): per-arc arena queues drained in
-    /// contiguous per-big-round batches, bitset-indexed tag windows, and
-    /// deferred departure recording. See `exec/columnar.rs`.
-    #[default]
+    /// Kept for source compatibility with `benchmark/src/probes.rs`; runs
+    /// the production loop, exactly as [`EngineKind::ColumnarBatched`]
+    /// does. Nothing else selects it.
     Columnar,
-    /// The columnar engine plus the batched black-box tier: machines are
-    /// built as node-contiguous [`crate::NodeBatch`] slabs, each
-    /// big-round's step table is grouped into maximal same-algorithm runs,
-    /// and every run dispatches as **one** virtual
-    /// [`crate::AlgoSlab::step_block`] call with sends landing in a flat
-    /// arena. Sends are still validated and enqueued in per-step order,
-    /// which keeps the outcome byte-identical to the other engines.
+    /// The production loop (default), on every topology — fused, sharded,
+    /// networked: per-arc arena queues drained in contiguous per-big-round
+    /// batches, bitset-indexed tag windows, deferred departure recording,
+    /// machines built as node-contiguous [`crate::NodeBatch`] slabs, and
+    /// every maximal same-algorithm run of a big-round dispatched as
+    /// **one** virtual [`crate::AlgoSlab::step_block`] call. Sends are
+    /// validated and enqueued in per-step order, which keeps the outcome
+    /// byte-identical to the oracle. See `exec/big_round.rs`.
+    #[default]
     ColumnarBatched,
 }
 
@@ -246,8 +264,8 @@ pub struct ExecutorConfig {
     /// count; [`Executor::run`] ignores it). The outcome is byte-identical
     /// for every shard count — sharding changes only the parallel layout.
     pub shards: usize,
-    /// Which engine implementation to run; outcomes are byte-identical
-    /// either way (see [`EngineKind`]).
+    /// Which loop to run; outcomes are byte-identical either way (see
+    /// [`EngineKind`]).
     pub engine: EngineKind,
     /// Live observability hub, if the run is being served. Probes publish
     /// write-only snapshots into it at big-round boundaries; execution
@@ -402,20 +420,20 @@ impl StepPlan {
     }
 }
 
-/// A message in flight.
-pub(crate) struct Flight {
-    pub(crate) dst: NodeId,
-    pub(crate) algo: u32,
-    pub(crate) round: u32,
-    pub(crate) from: NodeId,
-    pub(crate) payload: Vec<u8>,
+/// A message in flight (row oracle).
+struct Flight {
+    dst: NodeId,
+    algo: u32,
+    round: u32,
+    from: NodeId,
+    payload: Vec<u8>,
 }
 
 /// Per-arc FIFO of in-flight messages: a two-stack queue over plain `Vec`s
 /// (push onto `back`, pop from `front`, refill by reversing), keeping the
 /// hot path on flat storage whose allocations persist across big-rounds.
 #[derive(Default)]
-pub(crate) struct ArcFifo {
+struct ArcFifo {
     /// Pop end, stored in reverse arrival order.
     front: Vec<Flight>,
     /// Push end, in arrival order.
@@ -424,22 +442,22 @@ pub(crate) struct ArcFifo {
 
 impl ArcFifo {
     #[inline]
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.front.len() + self.back.len()
     }
 
     #[inline]
-    pub(crate) fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.front.is_empty() && self.back.is_empty()
     }
 
     #[inline]
-    pub(crate) fn push_back(&mut self, f: Flight) {
+    fn push_back(&mut self, f: Flight) {
         self.back.push(f);
     }
 
     #[inline]
-    pub(crate) fn pop_front(&mut self) -> Option<Flight> {
+    fn pop_front(&mut self) -> Option<Flight> {
         if self.front.is_empty() {
             self.front.extend(self.back.drain(..).rev());
         }
@@ -454,7 +472,7 @@ impl ArcFifo {
 /// a power-of-two array of buckets therefore replaces a `BTreeMap`, with
 /// the bucket vectors reused across rounds.
 #[derive(Default)]
-pub(crate) struct TagWindow {
+struct TagWindow {
     /// Smallest tag the window can currently hold.
     base: u32,
     /// Ring position of `base`'s bucket.
@@ -466,7 +484,7 @@ pub(crate) struct TagWindow {
 impl TagWindow {
     /// Files one arrival under `tag`. Requires `tag >= base`, which the
     /// executor's late-drop check guarantees.
-    pub(crate) fn push(&mut self, tag: u32, from: NodeId, payload: Vec<u8>) {
+    fn push(&mut self, tag: u32, from: NodeId, payload: Vec<u8>) {
         debug_assert!(tag >= self.base, "arrival below the live window");
         let offset = (tag - self.base) as usize;
         if offset >= self.buckets.len() {
@@ -479,7 +497,7 @@ impl TagWindow {
     /// Moves the bucket for `tag` into `into` (clearing it first) and
     /// advances the window past `tag`. Buckets below `tag` must already be
     /// empty — the executor consumes tags strictly in order.
-    pub(crate) fn take(&mut self, tag: u32, into: &mut Vec<(NodeId, Vec<u8>)>) {
+    fn take(&mut self, tag: u32, into: &mut Vec<(NodeId, Vec<u8>)>) {
         into.clear();
         debug_assert!(tag >= self.base, "tags are consumed in order");
         if self.buckets.is_empty() {
@@ -575,11 +593,12 @@ impl Executor {
         Ok((outcome, probe.finish()))
     }
 
-    /// The fused executor loop; `obs` hooks are self-guarded no-ops when
-    /// recording is off, so this is also [`Executor::run`]'s body. The body
-    /// below is the **row** engine — the executable specification; the
-    /// default [`EngineKind::Columnar`] dispatches to the batched loop in
-    /// `exec/columnar.rs`, which must match it byte-for-byte.
+    /// The fused executor; `obs` hooks are self-guarded no-ops when
+    /// recording is off, so this is also [`Executor::run`]'s body. The
+    /// production engines run the shared big-round loop as one shard that
+    /// owns every node ([`Local`] exchange). The body below is the **row**
+    /// engine — the executable specification the production loop must match
+    /// byte-for-byte.
     fn run_with(
         g: &Graph,
         algos: &[Box<dyn BlackBoxAlgorithm>],
@@ -588,14 +607,21 @@ impl Executor {
         config: &ExecutorConfig,
         obs: &mut ExecObs,
     ) -> Result<ScheduleOutcome, ExecError> {
-        match config.engine {
-            EngineKind::Columnar => {
-                return columnar::run_fused(g, algos, seeds, units, config, obs)
-            }
-            EngineKind::ColumnarBatched => {
-                return columnar::run_fused_batched(g, algos, seeds, units, config, obs)
-            }
-            EngineKind::Row => {}
+        if config.engine != EngineKind::Row {
+            let n = g.node_count();
+            let flat = FlatSteps::build(n, algos, units);
+            let ctx = ShardCtx {
+                g,
+                algos,
+                seeds,
+                config,
+                flat: &flat,
+                of_node: &vec![0; n],
+                shards: 1,
+            };
+            let whole = big_round_loop(&ctx, 0, &mut Local, obs)?;
+            let merged = merge_shards(n, algos.len(), config, flat.last_step_round, vec![whole]);
+            return Ok(merged.0);
         }
         let n = g.node_count();
         let k = algos.len();
@@ -763,33 +789,34 @@ impl Executor {
 
     /// Executes `units` sharded: nodes are partitioned into
     /// `config.shards` degree-balanced shards (see [`Partition`]), each
-    /// driven by its own worker thread. Workers step their own nodes and
-    /// drain the arcs they own (an arc belongs to the shard of its
-    /// *destination* node) freely within a big-round; cross-shard messages
-    /// travel through per-(shard, shard) outboxes and enter the owner's
-    /// queues only at the big-round boundary.
+    /// driven by its own worker thread running the production big-round
+    /// loop. Workers step their own nodes and drain the arcs they own (an
+    /// arc belongs to the shard of its *destination* node) freely within a
+    /// big-round; cross-shard messages travel through per-(shard, shard)
+    /// outboxes and enter the owner's queues only at the big-round
+    /// boundary.
     ///
     /// The returned [`ScheduleOutcome`] is **byte-identical** to
-    /// [`Executor::run`] for every plan and shard count: per-arc FIFO order
-    /// is preserved (each arc has a unique source node, and each worker
-    /// steps its nodes in the same order the sequential executor does),
-    /// lateness checks read only owner-local progress, inboxes are sorted
-    /// before every machine step, and departures merge into an ordered map.
-    /// Wall-clock and traffic measurements that *do* depend on the
-    /// partition are returned separately in the [`ShardReport`].
+    /// [`Executor::run`] for every plan and shard count (see
+    /// `exec/big_round.rs` for why). Wall-clock and traffic measurements
+    /// that *do* depend on the partition are returned separately in the
+    /// [`ShardReport`].
     ///
     /// One dedicated thread per shard is spawned (independent of any rayon
     /// pool and of `RAYON_NUM_THREADS`), so big-round barriers cannot
     /// starve.
     ///
     /// # Errors
-    /// Returns [`ExecError::RoundCapExceeded`] if the queues have not
-    /// drained by `config.max_engine_rounds` — all workers observe the
-    /// identical engine-round counter, so they abandon the run in lockstep.
+    /// [`ExecError::RoundCapExceeded`] if the queues have not drained by
+    /// `config.max_engine_rounds` — all workers observe the identical
+    /// engine-round counter, so they abandon the run in lockstep;
+    /// [`ExecError::RowIsFusedOnly`] for [`EngineKind::Row`];
+    /// [`ExecError::Aborted`] if a worker (a black-box machine) panics —
+    /// its peers leave their barriers instead of waiting forever.
     ///
     /// # Panics
     /// Panics if the plan is malformed (missized vectors, zero stride,
-    /// unknown algorithm) or a worker thread panics.
+    /// unknown algorithm).
     pub fn run_sharded(
         g: &Graph,
         algos: &[Box<dyn BlackBoxAlgorithm>],
@@ -810,12 +837,10 @@ impl Executor {
     /// Returns `None` for the report when recording is disabled.
     ///
     /// # Errors
-    /// Returns [`ExecError::RoundCapExceeded`] exactly as
-    /// [`Executor::run_sharded`] does.
+    /// Exactly as [`Executor::run_sharded`].
     ///
     /// # Panics
-    /// Panics on malformed plans or a worker panic, as
-    /// [`Executor::run_sharded`] does.
+    /// Panics on malformed plans, as [`Executor::run_sharded`] does.
     pub fn run_sharded_observed(
         g: &Graph,
         algos: &[Box<dyn BlackBoxAlgorithm>],
@@ -824,124 +849,76 @@ impl Executor {
         config: &ExecutorConfig,
         obs: &ObsConfig,
     ) -> Result<(ScheduleOutcome, ShardReport, Option<ObsReport>), ExecError> {
+        if config.engine == EngineKind::Row {
+            return Err(ExecError::RowIsFusedOnly {
+                shards: config.shards,
+            });
+        }
         let n = g.node_count();
-        let k = algos.len();
-        assert_eq!(seeds.len(), k, "one seed per algorithm");
         let part = Partition::degree_balanced(g, config.shards);
         let s = part.shards();
-        let plan = StepPlan::build(g, algos, units);
-        let last_step_round = plan.last_big_round().unwrap_or(0);
-        let mut by_big_round: Vec<Vec<(u32, u32, u32)>> =
-            vec![Vec::new(); last_step_round as usize + 1];
-        for a in 0..k {
-            for v in 0..n {
-                for (r, &b) in plan.plan[a][v].iter().enumerate() {
-                    by_big_round[b as usize].push((a as u32, v as u32, r as u32));
-                }
-            }
-        }
-        // An arc is owned by the shard of its destination node: deliveries
-        // and lateness checks then touch only owner-local state.
-        let arc_owner: Vec<u32> = (0..g.arc_count())
-            .map(|i| {
-                let (_, dst) = g.arc_endpoints(das_graph::Arc::from_index(i));
-                part.of_node()[dst.index()]
-            })
-            .collect();
-        let outboxes: Vec<Mutex<Vec<(usize, Flight)>>> =
-            (0..s * s).map(|_| Mutex::new(Vec::new())).collect();
+        let flat = FlatSteps::build(n, algos, units);
         let ctx = ShardCtx {
             g,
             algos,
             seeds,
             config,
-            by_big_round: &by_big_round,
-            last_step_round,
-            part: &part,
-            arc_owner: &arc_owner,
-            outboxes: &outboxes,
-            barrier: &Barrier::new(s),
-            active_workers: &AtomicU64::new(0),
-            obs,
+            flat: &flat,
+            of_node: part.of_node(),
+            shards: s,
         };
-        let results: Vec<Result<ShardOutput, ExecError>> = std::thread::scope(|scope| {
+        let shared = InProcessShared::new(s);
+        let joined: Vec<_> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..s)
                 .map(|me| {
-                    let ctx = &ctx;
-                    scope.spawn(move || shard_worker(me, ctx))
+                    let (ctx, shared) = (&ctx, &shared);
+                    scope.spawn(move || {
+                        let mut probe = ExecObs::new(obs, me as u32);
+                        probe.attach_live(config.live.clone());
+                        let mut x = InProcess::new(me, shared, probe.wall_enabled());
+                        let out = big_round_loop(ctx, me, &mut x, &mut probe)?;
+                        probe.on_barrier_wait_ns(x.waited_ns.unwrap_or(0));
+                        Ok::<_, ExecError>((out, probe.finish()))
+                    })
                 })
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect()
+            handles.into_iter().map(|h| h.join()).collect()
         });
+        // Workers are consumed in shard order, so the merged reports are
+        // deterministic for a fixed shard count.
         let mut workers = Vec::with_capacity(s);
-        for r in results {
-            workers.push(r?);
-        }
-
-        let mut outputs: Vec<Vec<Option<Vec<u8>>>> = vec![vec![None; n]; k];
-        let mut departures: Vec<SimulationMap> = vec![SimulationMap::new(); k];
-        let mut stats = ExecStats {
-            phase_len: config.phase_len,
-            ..ExecStats::default()
-        };
-        let mut last_activity_round = 0u64;
-        let mut report = ShardReport {
-            shards: s,
-            cross_shard_messages: 0,
-            per_shard: Vec::with_capacity(s),
-        };
-        let mut merged_obs: Option<ObsReport> = None;
-        for w in workers {
-            let ShardOutput {
-                own,
-                outputs: w_outputs,
-                departures: w_departures,
-                stats: w_stats,
-                last_activity_round: w_last,
-                big_rounds,
-                shard,
-                obs: w_obs,
-            } = w;
-            // Workers are consumed in shard order, so the merged report is
-            // deterministic for a fixed shard count.
-            if let Some(r) = w_obs {
-                match &mut merged_obs {
-                    Some(m) => m.merge(&r),
-                    None => merged_obs = Some(r),
+        let mut recordings = Vec::with_capacity(s);
+        let mut failed = None;
+        for (me, worked) in joined.into_iter().enumerate() {
+            match worked {
+                // the panicked worker names the cause; its peers only know
+                // that their barrier was poisoned
+                Err(panic) => {
+                    let why = panic
+                        .downcast_ref::<&str>()
+                        .map(|s| s.to_string())
+                        .or_else(|| panic.downcast_ref::<String>().cloned())
+                        .unwrap_or_default();
+                    return Err(ExecError::Aborted {
+                        detail: format!("shard {me} panicked: {why}"),
+                    });
+                }
+                Ok(Err(e)) => failed = failed.or(Some(e)),
+                Ok(Ok((out, recording))) => {
+                    workers.push(out);
+                    recordings.extend(recording);
                 }
             }
-            stats.delivered += w_stats.delivered;
-            stats.late_messages += w_stats.late_messages;
-            stats.invalid_sends += w_stats.invalid_sends;
-            stats.max_arc_queue = stats.max_arc_queue.max(w_stats.max_arc_queue);
-            // every worker leaves the lockstep loop at the same big-round
-            stats.big_rounds = big_rounds;
-            last_activity_round = last_activity_round.max(w_last);
-            for (a, (outs, maps)) in w_outputs.into_iter().zip(w_departures).enumerate() {
-                for (li, out) in outs.into_iter().enumerate() {
-                    outputs[a][own[li]] = out;
-                }
-                departures[a].extend(maps);
-            }
-            report.cross_shard_messages += shard.cross_sent;
-            report.per_shard.push(shard);
         }
-        stats.engine_rounds = (last_step_round + 1)
-            .saturating_mul(config.phase_len)
-            .max(last_activity_round);
-        Ok((
-            ScheduleOutcome {
-                outputs,
-                stats,
-                departures: config.record_departures.then_some(departures),
-                precompute_rounds: 0,
-            },
-            report,
-            merged_obs,
-        ))
+        if let Some(e) = failed {
+            return Err(e);
+        }
+        let merged_obs = recordings.into_iter().reduce(|mut merged, r| {
+            merged.merge(&r);
+            merged
+        });
+        let (outcome, report) = merge_shards(n, algos.len(), config, flat.last_step_round, workers);
+        Ok((outcome, report, merged_obs))
     }
 }
 
@@ -983,297 +960,6 @@ pub struct ShardReport {
     pub cross_shard_messages: u64,
     /// Per-shard measurements, in shard order.
     pub per_shard: Vec<ShardStats>,
-}
-
-/// Read-only state shared by all shard workers.
-struct ShardCtx<'e> {
-    g: &'e Graph,
-    algos: &'e [Box<dyn BlackBoxAlgorithm>],
-    seeds: &'e [u64],
-    config: &'e ExecutorConfig,
-    by_big_round: &'e [Vec<(u32, u32, u32)>],
-    last_step_round: u64,
-    part: &'e Partition,
-    arc_owner: &'e [u32],
-    /// `outboxes[src * shards + dst]`: messages from shard `src` to arcs
-    /// owned by shard `dst`, staged during the step phase of a big-round.
-    outboxes: &'e [Mutex<Vec<(usize, Flight)>>],
-    barrier: &'e Barrier,
-    /// How many workers still have active arcs after the current
-    /// big-round's drain (reset by worker 0 between rounds).
-    active_workers: &'e AtomicU64,
-    /// Observability level; each worker builds its own probe from this.
-    obs: &'e ObsConfig,
-}
-
-/// What one shard worker hands back to be merged.
-struct ShardOutput {
-    /// Owned nodes, ascending (the local index space).
-    own: Vec<usize>,
-    /// `outputs[a][local]` for the owned nodes.
-    outputs: Vec<Vec<Option<Vec<u8>>>>,
-    departures: Vec<SimulationMap>,
-    stats: ExecStats,
-    last_activity_round: u64,
-    big_rounds: u64,
-    shard: ShardStats,
-    obs: Option<ObsReport>,
-}
-
-/// Waits on a shard barrier, sampling the wall-clock wait into the probe's
-/// side channel when enabled.
-#[inline]
-fn barrier_wait(barrier: &Barrier, obs: &mut ExecObs) {
-    if obs.wall_enabled() {
-        let t = Instant::now();
-        barrier.wait();
-        obs.on_barrier_wait_ns(t.elapsed().as_nanos() as u64);
-    } else {
-        barrier.wait();
-    }
-}
-
-/// The big-round-synchronous shard worker: mirrors [`Executor::run`]'s
-/// loop restricted to one shard's nodes and owned arcs, with three barriers
-/// per big-round (outboxes complete / activity posted / decision read).
-/// This body is the row engine; [`EngineKind::Columnar`] dispatches to the
-/// batched worker in `exec/columnar.rs`, which follows the same protocol.
-fn shard_worker(me: usize, ctx: &ShardCtx<'_>) -> Result<ShardOutput, ExecError> {
-    match ctx.config.engine {
-        EngineKind::Columnar => return columnar::shard_worker(me, ctx),
-        EngineKind::ColumnarBatched => return columnar::shard_worker_batched(me, ctx),
-        EngineKind::Row => {}
-    }
-    let g = ctx.g;
-    let config = ctx.config;
-    let n = g.node_count();
-    let k = ctx.algos.len();
-    let s = ctx.part.shards();
-    let own: Vec<usize> = (0..n)
-        .filter(|&v| ctx.part.of_node()[v] == me as u32)
-        .collect();
-    let own_n = own.len();
-    let mut local_of = vec![usize::MAX; n];
-    for (li, &v) in own.iter().enumerate() {
-        local_of[v] = li;
-    }
-    // Machines get the same per-node seed mix as the sequential path, so
-    // machine state is independent of the partition.
-    let mut machines: Vec<Vec<Box<dyn crate::algorithm::AlgoNode>>> = (0..k)
-        .map(|a| {
-            own.iter()
-                .map(|&v| {
-                    ctx.algos[a].create_node(
-                        NodeId(v as u32),
-                        n,
-                        das_congest::util::seed_mix(ctx.seeds[a], v as u64),
-                    )
-                })
-                .collect()
-        })
-        .collect();
-    let mut steps_done = vec![vec![0u32; own_n]; k];
-    let mut buffers: Vec<TagWindow> = Vec::with_capacity(k * own_n);
-    buffers.resize_with(k * own_n, TagWindow::default);
-    let mut inbox: Vec<(NodeId, Vec<u8>)> = Vec::new();
-    // Full-width arc array for global indexing; this worker only ever
-    // touches the arcs it owns.
-    let mut queues: Vec<ArcFifo> = Vec::with_capacity(g.arc_count());
-    queues.resize_with(g.arc_count(), ArcFifo::default);
-    let mut active_arcs: Vec<usize> = Vec::new();
-    let mut obs = ExecObs::new(ctx.obs, me as u32);
-    obs.attach_live(config.live.clone());
-    obs.init(g.arc_count(), config.phase_len);
-    let mut stats = ExecStats {
-        phase_len: config.phase_len,
-        ..ExecStats::default()
-    };
-    let mut departures: Vec<SimulationMap> = vec![SimulationMap::new(); k];
-    let mut shard = ShardStats {
-        shard: me,
-        nodes: own_n,
-        degree: own.iter().map(|&v| g.degree(NodeId(v as u32))).sum(),
-        ..ShardStats::default()
-    };
-    let mut engine_round: u64 = 0;
-    let mut last_activity_round: u64 = 0;
-    let mut b: u64 = 0;
-    loop {
-        // 1. Step phase: this shard's share of big-round b's steps, in the
-        // same (algorithm, node, round) order the sequential executor uses
-        // — per-arc push order is therefore identical (each arc has one
-        // source node, owned by one shard).
-        let t_step = Instant::now();
-        if let Some(steps) = ctx.by_big_round.get(b as usize) {
-            for &(a, v, r) in steps {
-                let (a, v) = (a as usize, v as usize);
-                let li = local_of[v];
-                if li == usize::MAX {
-                    continue;
-                }
-                debug_assert_eq!(steps_done[a][li], r, "steps execute in order");
-                if r == 0 {
-                    inbox.clear();
-                } else {
-                    buffers[a * own_n + li].take(r - 1, &mut inbox);
-                }
-                // canonical inbox order, matching the reference runner
-                inbox.sort();
-                obs.on_step(inbox.len());
-                let sends = machines[a][li].step(&inbox);
-                steps_done[a][li] = r + 1;
-                shard.steps += 1;
-                let me_node = NodeId(v as u32);
-                let mut sent_to: Vec<NodeId> = Vec::new();
-                for snd in sends {
-                    let valid = g.find_edge(me_node, snd.to).is_some()
-                        && snd.payload.len() <= config.message_bytes
-                        && !sent_to.contains(&snd.to);
-                    if !valid {
-                        stats.invalid_sends += 1;
-                        obs.on_invalid_send();
-                        continue;
-                    }
-                    sent_to.push(snd.to);
-                    let edge = g.find_edge(me_node, snd.to).expect("validated");
-                    let arc = g.arc_from(edge, me_node);
-                    let idx = arc.index();
-                    let flight = Flight {
-                        dst: snd.to,
-                        algo: a as u32,
-                        round: r,
-                        from: me_node,
-                        payload: snd.payload,
-                    };
-                    let owner = ctx.arc_owner[idx] as usize;
-                    if owner == me {
-                        let q = &mut queues[idx];
-                        if q.is_empty() {
-                            active_arcs.push(idx);
-                        }
-                        q.push_back(flight);
-                        stats.max_arc_queue = stats.max_arc_queue.max(q.len());
-                        obs.on_inject(idx, q.len());
-                    } else {
-                        shard.cross_sent += 1;
-                        obs.on_cross_send();
-                        ctx.outboxes[me * s + owner]
-                            .lock()
-                            .expect("outbox lock")
-                            .push((idx, flight));
-                    }
-                }
-            }
-        }
-        shard.step_nanos += t_step.elapsed().as_nanos() as u64;
-
-        // All outboxes for big-round b are complete.
-        barrier_wait(ctx.barrier, &mut obs);
-
-        let t_drain = Instant::now();
-        // 2. Merge cross-shard arrivals into the owned queues — the shard
-        // boundary crossing, once per big-round. Within a big-round the
-        // queue's push set (and per-arc order) equals the sequential one.
-        for src in 0..s {
-            if src == me {
-                continue;
-            }
-            let incoming =
-                std::mem::take(&mut *ctx.outboxes[src * s + me].lock().expect("outbox lock"));
-            for (idx, flight) in incoming {
-                let q = &mut queues[idx];
-                if q.is_empty() {
-                    active_arcs.push(idx);
-                }
-                q.push_back(flight);
-                stats.max_arc_queue = stats.max_arc_queue.max(q.len());
-                obs.on_inject(idx, q.len());
-            }
-        }
-
-        // 3. Drain the owned queues for phase_len engine rounds, exactly as
-        // the sequential executor does. Lateness checks read steps_done of
-        // the destination node, which this shard owns — no cross-shard
-        // progress is ever consulted.
-        for _ in 0..config.phase_len {
-            let arcs = std::mem::take(&mut active_arcs);
-            for arc_idx in arcs {
-                let Some(f) = queues[arc_idx].pop_front() else {
-                    continue;
-                };
-                if !queues[arc_idx].is_empty() {
-                    active_arcs.push(arc_idx);
-                }
-                let (a, li) = (f.algo as usize, local_of[f.dst.index()]);
-                debug_assert_ne!(li, usize::MAX, "arc delivered to a foreign shard");
-                if config.record_departures {
-                    departures[a].insert(
-                        TimedArc {
-                            round: f.round,
-                            arc: das_graph::Arc::from_index(arc_idx),
-                        },
-                        engine_round as u32,
-                    );
-                }
-                let late = steps_done[a][li] >= f.round + 2;
-                if late {
-                    stats.late_messages += 1;
-                } else {
-                    buffers[a * own_n + li].push(f.round, f.from, f.payload);
-                    stats.delivered += 1;
-                }
-                obs.on_deliver(engine_round, late);
-                last_activity_round = engine_round + 1;
-            }
-            engine_round += 1;
-            if engine_round > config.max_engine_rounds {
-                // every worker's engine-round counter is identical, so all
-                // workers take this branch in lockstep — nobody is left
-                // waiting at a barrier
-                return Err(ExecError::RoundCapExceeded {
-                    cap: config.max_engine_rounds,
-                    big_round: b,
-                });
-            }
-        }
-        shard.drain_nanos += t_drain.elapsed().as_nanos() as u64;
-        obs.end_big_round(b);
-
-        // 4. Termination: post activity, agree on it, and let worker 0
-        // reset the counter strictly after everyone has read it (barrier)
-        // and strictly before anyone can post again (the next step-phase
-        // barrier).
-        if !active_arcs.is_empty() {
-            ctx.active_workers.fetch_add(1, Ordering::SeqCst);
-        }
-        barrier_wait(ctx.barrier, &mut obs);
-        let any_active = ctx.active_workers.load(Ordering::SeqCst) > 0;
-        b += 1;
-        let done = b > ctx.last_step_round && !any_active;
-        barrier_wait(ctx.barrier, &mut obs);
-        if me == 0 {
-            ctx.active_workers.store(0, Ordering::SeqCst);
-        }
-        if done {
-            break;
-        }
-    }
-
-    shard.delivered = stats.delivered;
-    let outputs = machines
-        .iter()
-        .map(|per_node| per_node.iter().map(|m| m.output()).collect())
-        .collect();
-    Ok(ShardOutput {
-        own,
-        outputs,
-        departures,
-        stats,
-        last_activity_round,
-        big_rounds: b,
-        shard,
-        obs: obs.finish(),
-    })
 }
 
 #[cfg(test)]
@@ -1546,19 +1232,6 @@ mod tests {
                 &base.clone().with_engine(EngineKind::Row),
             )
             .unwrap();
-            let col = Executor::run(
-                &g,
-                p.algorithms(),
-                &seeds,
-                &units,
-                &base.clone().with_engine(EngineKind::Columnar),
-            )
-            .unwrap();
-            assert_eq!(
-                format!("{row:?}"),
-                format!("{col:?}"),
-                "phase_len = {phase_len}"
-            );
             let batched = Executor::run(
                 &g,
                 p.algorithms(),
@@ -1600,15 +1273,6 @@ mod tests {
             &config.clone().with_engine(EngineKind::Row),
         )
         .unwrap_err();
-        let col = Executor::run(
-            &g,
-            p.algorithms(),
-            &seeds,
-            &units,
-            &config.clone().with_engine(EngineKind::Columnar),
-        )
-        .unwrap_err();
-        assert_eq!(row, col);
         let batched = Executor::run(
             &g,
             p.algorithms(),

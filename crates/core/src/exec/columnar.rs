@@ -1,6 +1,7 @@
-//! The columnar hot path: the default engine behind [`super::Executor`].
+//! The columnar data structures the production big-round loop
+//! (`exec/big_round.rs`) runs on.
 //!
-//! Semantics are identical to the row engine in `exec.rs` — same big-round
+//! Semantics are identical to the row oracle in `exec.rs` — same big-round
 //! clock, same per-arc FIFO order, same lateness rule — but the data layout
 //! is columnar and deliveries are batched:
 //!
@@ -8,48 +9,48 @@
 //!   bytes live in two flat, cache-line-aligned arenas per arc instead of a
 //!   `Vec<Flight>` of heap payloads. Pushes are appends; pops advance a
 //!   head index; arenas are recycled when the queue drains.
-//! * **Batched per-arc delivery**: the row engine touches every active arc
-//!   once per *engine* round; this engine touches it once per *big* round
-//!   and delivers `min(phase_len, queue_len)` messages as one contiguous
-//!   slice. Message `j` of the batch departs at engine round
-//!   `phase_start + j` — exactly the round the row engine would assign it,
+//! * **Batched per-arc delivery**: the row oracle touches every active arc
+//!   once per *engine* round; the production loop touches it once per
+//!   *big* round and delivers `min(phase_len, queue_len)` messages as one
+//!   contiguous slice. Message `j` of the batch departs at engine round
+//!   `phase_start + j` — exactly the round the row oracle would assign it,
 //!   because an arc delivers at most one message per engine round and
 //!   `steps_done` never changes during a drain (steps happen only in the
 //!   step phase). The deterministic clock is therefore preserved.
 //! * **Bitset tag windows** ([`ColWindow`]): per-(algorithm, node) arrival
-//!   buffers keep the row engine's live-tag ring discipline but store
+//!   buffers keep the row oracle's live-tag ring discipline but store
 //!   arrivals columnar (from/len metadata plus a byte arena) and track
 //!   bucket occupancy in u64 bitset words, so the common "nothing buffered
 //!   for this tag" check is a single word test that never touches bucket
 //!   memory.
-//! * **Deferred departure recording**: the row engine pays a `BTreeMap`
-//!   insert per delivered message inside the hot loop; this engine appends
-//!   flat `(algo, round, arc, engine_round)` tuples and bulk-inserts them
-//!   after the run. Keys are unique (one canonical machine per (algorithm,
-//!   node), deduplicated sends), so insertion order cannot matter.
+//! * **Deferred departure recording** ([`build_departures`]): the row
+//!   oracle pays a `BTreeMap` insert per delivered message inside the hot
+//!   loop; the production loop appends flat `(algo, round, arc,
+//!   engine_round)` tuples and bulk-inserts them after the run. Keys are
+//!   unique (one canonical machine per (algorithm, node), deduplicated
+//!   sends), so insertion order cannot matter.
+//! * **Flat step table** ([`FlatSteps`]) and **machine slabs**
+//!   ([`build_batches`]): steps grouped by big-round through a counting
+//!   sort, machines built as one [`NodeBatch`] per algorithm so a whole
+//!   same-algorithm run dispatches as one virtual call.
 //!
-//! Outcome equivalence with the row engine is enforced property-style by
-//! `tests/shard_equivalence.rs` and `tests/obs_neutrality.rs`, and
-//! end-to-end by the `columnar-equivalence` CI job.
+//! Outcome equivalence with the row oracle is enforced property-style by
+//! `tests/shard_equivalence.rs`, `tests/obs_neutrality.rs` and
+//! `tests/net_equivalence.rs`, and end-to-end by the `engine-equivalence`
+//! CI job.
 
-use super::{
-    barrier_wait, ExecError, ExecStats, ExecutorConfig, ShardCtx, ShardOutput, ShardStats, Unit,
-};
-use crate::algorithm::{BatchedSends, BlackBoxAlgorithm, BlockStep, NodeBatch};
-use crate::schedule::ScheduleOutcome;
+use super::Unit;
+use crate::algorithm::{BlackBoxAlgorithm, NodeBatch};
 use das_graph::{Graph, NodeId};
-use das_obs::ExecObs;
 use das_pattern::{SimulationMap, TimedArc};
-use std::sync::atomic::Ordering;
-use std::time::Instant;
 
 /// Metadata for one queued message; its payload occupies the next `len`
 /// bytes of the owning queue's byte arena.
 #[derive(Clone, Copy)]
-struct ColMsg {
-    algo: u32,
-    round: u32,
-    len: u32,
+pub(super) struct ColMsg {
+    pub(super) algo: u32,
+    pub(super) round: u32,
+    pub(super) len: u32,
 }
 
 /// Per-arc columnar FIFO: metadata and payload bytes in two flat arenas,
@@ -57,29 +58,29 @@ struct ColMsg {
 /// splits a queue header across lines.
 #[derive(Default)]
 #[repr(align(64))]
-struct ColFifo {
+pub(super) struct ColFifo {
     /// Message metadata in arrival order; `meta[head..]` is live.
-    meta: Vec<ColMsg>,
-    head: usize,
+    pub(super) meta: Vec<ColMsg>,
+    pub(super) head: usize,
     /// Concatenated payloads in arrival order; `bytes[bytes_head..]` is
     /// live.
-    bytes: Vec<u8>,
-    bytes_head: usize,
+    pub(super) bytes: Vec<u8>,
+    pub(super) bytes_head: usize,
 }
 
 impl ColFifo {
     #[inline]
-    fn len(&self) -> usize {
+    pub(super) fn len(&self) -> usize {
         self.meta.len() - self.head
     }
 
     #[inline]
-    fn is_empty(&self) -> bool {
+    pub(super) fn is_empty(&self) -> bool {
         self.head == self.meta.len()
     }
 
     #[inline]
-    fn push(&mut self, algo: u32, round: u32, payload: &[u8]) {
+    pub(super) fn push(&mut self, algo: u32, round: u32, payload: &[u8]) {
         self.meta.push(ColMsg {
             algo,
             round,
@@ -92,7 +93,7 @@ impl ColFifo {
     /// compaction when the dead prefix dominates a long-lived backlog, so
     /// arena growth stays proportional to the live queue.
     #[inline]
-    fn reclaim(&mut self) {
+    pub(super) fn reclaim(&mut self) {
         if self.head == self.meta.len() {
             self.meta.clear();
             self.bytes.clear();
@@ -125,7 +126,7 @@ struct ColBucket {
 /// consumed strictly in order; the window starts at the consumer's next
 /// tag), with bucket occupancy mirrored into u64 bitset words.
 #[derive(Default)]
-struct ColWindow {
+pub(super) struct ColWindow {
     /// Smallest tag the window can currently hold.
     base: u32,
     /// Ring position of `base`'s bucket.
@@ -144,7 +145,7 @@ impl ColWindow {
     /// using the consumer's next tag as the new base. The late-drop check
     /// guarantees every accepted arrival's tag is `>=` that next tag.
     #[inline]
-    fn reset_to(&mut self, base: u32) {
+    pub(super) fn reset_to(&mut self, base: u32) {
         debug_assert!(self.occupied.iter().all(|w| *w == 0), "window not empty");
         self.base = base;
         self.head = 0;
@@ -152,7 +153,7 @@ impl ColWindow {
 
     /// Files one arrival under `tag`. Requires `tag >= base`, which the
     /// executor's late-drop check guarantees.
-    fn push(&mut self, tag: u32, from: u32, payload: &[u8]) {
+    pub(super) fn push(&mut self, tag: u32, from: u32, payload: &[u8]) {
         debug_assert!(tag >= self.base, "arrival below the live window");
         let offset = (tag - self.base) as usize;
         if offset >= self.buckets.len() {
@@ -175,7 +176,7 @@ impl ColWindow {
     /// senders are unique per tag (a machine sends at most one message per
     /// round to a given target), so this is exactly the canonical
     /// `(NodeId, payload)` order without ever comparing payload bytes.
-    fn take(
+    pub(super) fn take(
         &mut self,
         tag: u32,
         into: &mut Vec<(NodeId, Vec<u8>)>,
@@ -252,7 +253,7 @@ impl ColWindow {
 /// Returns an inbox's payload allocations to the pool instead of dropping
 /// them — the columnar engine's replacement for `inbox.clear()`.
 #[inline]
-fn recycle(inbox: &mut Vec<(NodeId, Vec<u8>)>, pool: &mut Vec<Vec<u8>>) {
+pub(super) fn recycle(inbox: &mut Vec<(NodeId, Vec<u8>)>, pool: &mut Vec<Vec<u8>>) {
     for (_, buf) in inbox.drain(..) {
         pool.push(buf);
     }
@@ -269,17 +270,17 @@ fn recycle(inbox: &mut Vec<(NodeId, Vec<u8>)>, pool: &mut Vec<Vec<u8>>) {
 /// only the contiguous prefix of scheduled rounds is kept, the same
 /// malformed-plan panics fire, and triples within a big-round appear in
 /// the same ascending `(a, v, r)` order (the counting sort is stable).
-struct FlatSteps {
+pub(crate) struct FlatSteps {
     /// All step triples, grouped by big-round.
     steps: Vec<(u32, u32, u32)>,
     /// `steps[offsets[b]..offsets[b + 1]]` holds big-round `b`'s triples.
     offsets: Vec<usize>,
     /// The last big-round with any step (0 for an empty plan).
-    last_step_round: u64,
+    pub(crate) last_step_round: u64,
 }
 
 impl FlatSteps {
-    fn build(n: usize, algos: &[Box<dyn BlackBoxAlgorithm>], units: &[Unit]) -> Self {
+    pub(crate) fn build(n: usize, algos: &[Box<dyn BlackBoxAlgorithm>], units: &[Unit]) -> Self {
         let k = algos.len();
         let mut unit_of = vec![usize::MAX; k];
         let mut single = true;
@@ -478,7 +479,7 @@ impl FlatSteps {
 
     /// Big-round `b`'s step triples (empty past the last step round).
     #[inline]
-    fn at(&self, b: u64) -> &[(u32, u32, u32)] {
+    pub(super) fn at(&self, b: u64) -> &[(u32, u32, u32)] {
         let b = b as usize;
         if b + 1 >= self.offsets.len() {
             &[]
@@ -493,7 +494,7 @@ impl FlatSteps {
 /// bulk-builds each tree bottom-up — far cheaper than the row engine's
 /// per-message tree insert, and exact because departure keys are unique
 /// (one canonical machine per (algorithm, node), deduplicated sends).
-fn build_departures(k: usize, deferred: &[(u32, u32, u32, u32)]) -> Vec<SimulationMap> {
+pub(super) fn build_departures(k: usize, deferred: &[(u32, u32, u32, u32)]) -> Vec<SimulationMap> {
     let mut per_algo: Vec<Vec<(TimedArc, u32)>> = vec![Vec::new(); k];
     for &(a, round, arc, eng) in deferred {
         per_algo[a as usize].push((
@@ -512,7 +513,7 @@ fn build_departures(k: usize, deferred: &[(u32, u32, u32, u32)]) -> Vec<Simulati
 
 /// Flat `(src, dst)` node indices per arc, precomputed once so the drain
 /// loop never consults the graph.
-fn arc_endpoint_table(g: &Graph) -> (Vec<u32>, Vec<u32>) {
+pub(super) fn arc_endpoint_table(g: &Graph) -> (Vec<u32>, Vec<u32>) {
     let arcs = g.arc_count();
     let mut src = vec![0u32; arcs];
     let mut dst = vec![0u32; arcs];
@@ -524,203 +525,11 @@ fn arc_endpoint_table(g: &Graph) -> (Vec<u32>, Vec<u32>) {
     (src, dst)
 }
 
-/// The columnar fused executor loop; mirrors the row engine's `run_with`
-/// byte-for-byte in observable outcome.
-pub(super) fn run_fused(
-    g: &Graph,
-    algos: &[Box<dyn BlackBoxAlgorithm>],
-    seeds: &[u64],
-    units: &[Unit],
-    config: &ExecutorConfig,
-    obs: &mut ExecObs,
-) -> Result<ScheduleOutcome, ExecError> {
-    let n = g.node_count();
-    let k = algos.len();
-    assert_eq!(seeds.len(), k, "one seed per algorithm");
-    let flat = FlatSteps::build(n, algos, units);
-
-    // All hot-loop per-machine state is flat and indexed `a * n + v`: one
-    // contiguous machine array, one steps-done array, one buffered-arrival
-    // counter per window so machines with nothing buffered never touch
-    // window memory at all.
-    let mut machines: Vec<Box<dyn crate::algorithm::AlgoNode>> = Vec::with_capacity(k * n);
-    for (a, algo) in algos.iter().enumerate() {
-        for v in 0..n {
-            machines.push(algo.create_node(
-                NodeId(v as u32),
-                n,
-                das_congest::util::seed_mix(seeds[a], v as u64),
-            ));
-        }
-    }
-    let mut steps_done = vec![0u32; k * n];
-    let mut windows: Vec<ColWindow> = Vec::with_capacity(k * n);
-    windows.resize_with(k * n, ColWindow::default);
-    let mut buffered = vec![0u32; k * n];
-    let mut inbox: Vec<(NodeId, Vec<u8>)> = Vec::new();
-    let mut pool: Vec<Vec<u8>> = Vec::new();
-    let mut sort_scratch: Vec<(u32, u32, u32)> = Vec::new();
-    // Duplicate-send detection via generation stamps: O(1) per send where
-    // the row engine scans its sent-to list, which is quadratic in the
-    // fan-out of a broadcast step.
-    let mut sent_gen = vec![0u64; n];
-    let mut gen: u64 = 0;
-
-    let last_step_round = flat.last_step_round;
-
-    let (arc_src, arc_dst) = arc_endpoint_table(g);
-    let mut queues: Vec<ColFifo> = Vec::with_capacity(g.arc_count());
-    queues.resize_with(g.arc_count(), ColFifo::default);
-    let mut active_arcs: Vec<usize> = Vec::new();
-    let mut scratch_arcs: Vec<usize> = Vec::new();
-    obs.init(g.arc_count(), config.phase_len);
-    let mut stats = ExecStats {
-        phase_len: config.phase_len,
-        ..ExecStats::default()
-    };
-    // Departures deferred as flat tuples; bulk-inserted after the run.
-    let mut deferred: Vec<(u32, u32, u32, u32)> = Vec::new();
-    let mut engine_round: u64 = 0;
-    let mut last_activity_round: u64 = 0;
-
-    let mut b: u64 = 0;
-    loop {
-        // 1. Execute the steps scheduled at big-round b (identical to the
-        // row engine, with pooled inbox payloads). A machine with zero
-        // buffered arrivals skips its window entirely — `reset_to` on the
-        // next push restores the ring discipline.
-        for &(a, v, r) in flat.at(b) {
-            let idx = a as usize * n + v as usize;
-            debug_assert_eq!(steps_done[idx], r, "steps execute in order");
-            if r > 0 && buffered[idx] > 0 {
-                // take() materializes the inbox already in canonical
-                // sender-sorted order
-                windows[idx].take(r - 1, &mut inbox, &mut pool, &mut sort_scratch);
-                buffered[idx] -= inbox.len() as u32;
-            } else if !inbox.is_empty() {
-                recycle(&mut inbox, &mut pool);
-            }
-            obs.on_step(inbox.len());
-            let sends = machines[idx].step(&inbox);
-            steps_done[idx] = r + 1;
-            let me = NodeId(v);
-            gen += 1;
-            for s in sends {
-                let Some(edge) = g.find_edge(me, s.to) else {
-                    stats.invalid_sends += 1;
-                    obs.on_invalid_send();
-                    continue;
-                };
-                if s.payload.len() > config.message_bytes || sent_gen[s.to.index()] == gen {
-                    stats.invalid_sends += 1;
-                    obs.on_invalid_send();
-                    continue;
-                }
-                sent_gen[s.to.index()] = gen;
-                let arc = g.arc_from(edge, me).index();
-                let q = &mut queues[arc];
-                if q.is_empty() {
-                    active_arcs.push(arc);
-                }
-                q.push(a, r, &s.payload);
-                stats.max_arc_queue = stats.max_arc_queue.max(q.len());
-                obs.on_inject(arc, q.len());
-            }
-        }
-
-        // 2. Columnar drain: each active arc is visited once per big-round
-        // and delivers up to phase_len queued messages as one contiguous
-        // batch; message j of the batch departs at engine round
-        // `phase_start + j`, exactly the round the row engine assigns it.
-        let phase_start = engine_round;
-        std::mem::swap(&mut active_arcs, &mut scratch_arcs);
-        for &arc_idx in &scratch_arcs {
-            let q = &mut queues[arc_idx];
-            let cnt = (q.len() as u64).min(config.phase_len) as usize;
-            if cnt == 0 {
-                continue;
-            }
-            let from = arc_src[arc_idx];
-            let dst = arc_dst[arc_idx] as usize;
-            let mut off = q.bytes_head;
-            for j in 0..cnt {
-                let m = q.meta[q.head + j];
-                let payload = &q.bytes[off..off + m.len as usize];
-                off += m.len as usize;
-                let eng = phase_start + j as u64;
-                let a = m.algo as usize;
-                if config.record_departures {
-                    deferred.push((m.algo, m.round, arc_idx as u32, eng as u32));
-                }
-                let idx = a * n + dst;
-                let late = steps_done[idx] >= m.round + 2;
-                if late {
-                    stats.late_messages += 1;
-                } else {
-                    if buffered[idx] == 0 {
-                        // first arrival since the window went idle: re-base
-                        // at the consumer's next tag (late-drop guarantees
-                        // m.round >= that tag)
-                        windows[idx].reset_to(steps_done[idx].max(1) - 1);
-                    }
-                    windows[idx].push(m.round, from, payload);
-                    buffered[idx] += 1;
-                    stats.delivered += 1;
-                }
-                obs.on_deliver(eng, late);
-            }
-            q.head += cnt;
-            q.bytes_head = off;
-            q.reclaim();
-            if !q.is_empty() {
-                active_arcs.push(arc_idx);
-            }
-            last_activity_round = last_activity_round.max(phase_start + cnt as u64);
-        }
-        scratch_arcs.clear();
-        engine_round += config.phase_len;
-        if engine_round > config.max_engine_rounds {
-            return Err(ExecError::RoundCapExceeded {
-                cap: config.max_engine_rounds,
-                big_round: b,
-            });
-        }
-
-        obs.end_big_round(b);
-        b += 1;
-        if b > last_step_round && active_arcs.is_empty() {
-            break;
-        }
-    }
-
-    stats.big_rounds = b;
-    stats.engine_rounds = (last_step_round + 1)
-        .saturating_mul(config.phase_len)
-        .max(last_activity_round);
-
-    let departures = build_departures(k, &deferred);
-
-    let outputs = (0..k)
-        .map(|a| {
-            machines[a * n..(a + 1) * n]
-                .iter()
-                .map(|m| m.output())
-                .collect()
-        })
-        .collect();
-    Ok(ScheduleOutcome {
-        outputs,
-        stats,
-        departures: config.record_departures.then_some(departures),
-        precompute_rounds: 0,
-    })
-}
-
 /// Builds one [`NodeBatch`] slab per algorithm over `nodes`, deriving each
 /// machine's seed with the same per-(algorithm, node) mix every engine
 /// uses — machine state is therefore independent of the engine and of the
 /// partition.
-fn build_batches(
+pub(super) fn build_batches(
     algos: &[Box<dyn BlackBoxAlgorithm>],
     seeds: &[u64],
     nodes: &[NodeId],
@@ -737,767 +546,4 @@ fn build_batches(
             algo.create_nodes(nodes, n, &node_seeds)
         })
         .collect()
-}
-
-/// The batched fused executor loop ([`super::EngineKind::ColumnarBatched`]):
-/// the columnar engine with the black-box batched tier on top. Machines
-/// live in one [`NodeBatch`] slab per algorithm, each big-round's step
-/// triples are grouped into maximal same-algorithm runs (triples are in
-/// ascending `(a, v, r)` order, so runs are contiguous and every machine
-/// appears at most once per run — the step plan is strictly increasing),
-/// and each run executes as **one** virtual [`NodeBatch::step_block`] call.
-///
-/// Byte-identity with the per-step engines holds by construction: inboxes
-/// are only filled during drain phases, so taking a whole run's inboxes
-/// before executing any of its steps cannot change their contents; sends
-/// are validated and enqueued segment-by-segment in the run's step order,
-/// which is exactly the columnar per-step order; and the drain phase is
-/// the columnar drain verbatim.
-pub(super) fn run_fused_batched(
-    g: &Graph,
-    algos: &[Box<dyn BlackBoxAlgorithm>],
-    seeds: &[u64],
-    units: &[Unit],
-    config: &ExecutorConfig,
-    obs: &mut ExecObs,
-) -> Result<ScheduleOutcome, ExecError> {
-    let n = g.node_count();
-    let k = algos.len();
-    assert_eq!(seeds.len(), k, "one seed per algorithm");
-    let flat = FlatSteps::build(n, algos, units);
-
-    // One slab per algorithm over all nodes in id order, so the slab-local
-    // machine index of node v is exactly v.
-    let nodes: Vec<NodeId> = (0..n).map(|v| NodeId(v as u32)).collect();
-    let mut batches = build_batches(algos, seeds, &nodes, n);
-    let mut steps_done = vec![0u32; k * n];
-    let mut windows: Vec<ColWindow> = Vec::with_capacity(k * n);
-    windows.resize_with(k * n, ColWindow::default);
-    let mut buffered = vec![0u32; k * n];
-    let mut inbox: Vec<(NodeId, Vec<u8>)> = Vec::new();
-    let mut pool: Vec<Vec<u8>> = Vec::new();
-    let mut sort_scratch: Vec<(u32, u32, u32)> = Vec::new();
-    let mut sent_gen = vec![0u64; n];
-    let mut gen: u64 = 0;
-    // Per-run scratch: the concatenated inboxes of the run's steps, their
-    // [`BlockStep`] descriptors, and the flat send arena.
-    let mut run_inbox: Vec<(NodeId, Vec<u8>)> = Vec::new();
-    let mut run_steps: Vec<BlockStep> = Vec::new();
-    let mut sends_buf = BatchedSends::new();
-
-    let last_step_round = flat.last_step_round;
-
-    let (arc_src, arc_dst) = arc_endpoint_table(g);
-    let mut queues: Vec<ColFifo> = Vec::with_capacity(g.arc_count());
-    queues.resize_with(g.arc_count(), ColFifo::default);
-    let mut active_arcs: Vec<usize> = Vec::new();
-    let mut scratch_arcs: Vec<usize> = Vec::new();
-    obs.init(g.arc_count(), config.phase_len);
-    let mut stats = ExecStats {
-        phase_len: config.phase_len,
-        ..ExecStats::default()
-    };
-    let mut deferred: Vec<(u32, u32, u32, u32)> = Vec::new();
-    let mut engine_round: u64 = 0;
-    let mut last_activity_round: u64 = 0;
-
-    let mut b: u64 = 0;
-    loop {
-        // 1. Step phase, one batched dispatch per same-algorithm run.
-        let steps_b = flat.at(b);
-        let mut i = 0usize;
-        while i < steps_b.len() {
-            let a = steps_b[i].0;
-            let mut j = i + 1;
-            while j < steps_b.len() && steps_b[j].0 == a {
-                j += 1;
-            }
-            // Materialize the run's inboxes up front. This is safe because
-            // no send of this big-round can reach an inbox before the next
-            // drain phase — window contents are frozen during step phases.
-            run_steps.clear();
-            debug_assert!(run_inbox.is_empty());
-            for &(_, v, r) in &steps_b[i..j] {
-                let idx = a as usize * n + v as usize;
-                debug_assert_eq!(steps_done[idx], r, "steps execute in order");
-                let start = run_inbox.len() as u32;
-                if r > 0 && buffered[idx] > 0 {
-                    // take() materializes the inbox already in canonical
-                    // sender-sorted order
-                    windows[idx].take(r - 1, &mut inbox, &mut pool, &mut sort_scratch);
-                    buffered[idx] -= inbox.len() as u32;
-                    run_inbox.append(&mut inbox);
-                }
-                let len = run_inbox.len() as u32 - start;
-                obs.on_step(len as usize);
-                steps_done[idx] = r + 1;
-                run_steps.push(BlockStep {
-                    node: v,
-                    round: r,
-                    inbox_start: start,
-                    inbox_len: len,
-                });
-            }
-            sends_buf.clear();
-            batches[a as usize].step_block(&run_steps, &run_inbox, &mut sends_buf);
-            debug_assert_eq!(
-                sends_buf.segments(),
-                run_steps.len(),
-                "one send segment per executed step"
-            );
-            // Validate and enqueue segment-by-segment, in the run's step
-            // order — exactly the columnar per-step order. Send-free
-            // segments are skipped outright: `gen` is consulted only by the
-            // duplicate-send check, so it need only be distinct per
-            // *non-empty* segment, and the plans here are send-sparse.
-            for (si, bs) in run_steps.iter().enumerate() {
-                if sends_buf.segment_is_empty(si) {
-                    continue;
-                }
-                let me = NodeId(bs.node);
-                gen += 1;
-                for (to, payload) in sends_buf.segment(si) {
-                    let Some(edge) = g.find_edge(me, to) else {
-                        stats.invalid_sends += 1;
-                        obs.on_invalid_send();
-                        continue;
-                    };
-                    if payload.len() > config.message_bytes || sent_gen[to.index()] == gen {
-                        stats.invalid_sends += 1;
-                        obs.on_invalid_send();
-                        continue;
-                    }
-                    sent_gen[to.index()] = gen;
-                    let arc = g.arc_from(edge, me).index();
-                    let q = &mut queues[arc];
-                    if q.is_empty() {
-                        active_arcs.push(arc);
-                    }
-                    q.push(a, bs.round, payload);
-                    stats.max_arc_queue = stats.max_arc_queue.max(q.len());
-                    obs.on_inject(arc, q.len());
-                }
-            }
-            recycle(&mut run_inbox, &mut pool);
-            i = j;
-        }
-
-        // 2. Columnar drain, verbatim.
-        let phase_start = engine_round;
-        std::mem::swap(&mut active_arcs, &mut scratch_arcs);
-        for &arc_idx in &scratch_arcs {
-            let q = &mut queues[arc_idx];
-            let cnt = (q.len() as u64).min(config.phase_len) as usize;
-            if cnt == 0 {
-                continue;
-            }
-            let from = arc_src[arc_idx];
-            let dst = arc_dst[arc_idx] as usize;
-            let mut off = q.bytes_head;
-            for j in 0..cnt {
-                let m = q.meta[q.head + j];
-                let payload = &q.bytes[off..off + m.len as usize];
-                off += m.len as usize;
-                let eng = phase_start + j as u64;
-                let a = m.algo as usize;
-                if config.record_departures {
-                    deferred.push((m.algo, m.round, arc_idx as u32, eng as u32));
-                }
-                let idx = a * n + dst;
-                let late = steps_done[idx] >= m.round + 2;
-                if late {
-                    stats.late_messages += 1;
-                } else {
-                    if buffered[idx] == 0 {
-                        windows[idx].reset_to(steps_done[idx].max(1) - 1);
-                    }
-                    windows[idx].push(m.round, from, payload);
-                    buffered[idx] += 1;
-                    stats.delivered += 1;
-                }
-                obs.on_deliver(eng, late);
-            }
-            q.head += cnt;
-            q.bytes_head = off;
-            q.reclaim();
-            if !q.is_empty() {
-                active_arcs.push(arc_idx);
-            }
-            last_activity_round = last_activity_round.max(phase_start + cnt as u64);
-        }
-        scratch_arcs.clear();
-        engine_round += config.phase_len;
-        if engine_round > config.max_engine_rounds {
-            return Err(ExecError::RoundCapExceeded {
-                cap: config.max_engine_rounds,
-                big_round: b,
-            });
-        }
-
-        obs.end_big_round(b);
-        b += 1;
-        if b > last_step_round && active_arcs.is_empty() {
-            break;
-        }
-    }
-
-    stats.big_rounds = b;
-    stats.engine_rounds = (last_step_round + 1)
-        .saturating_mul(config.phase_len)
-        .max(last_activity_round);
-
-    let departures = build_departures(k, &deferred);
-
-    let outputs = batches
-        .iter()
-        .map(|batch| (0..n).map(|v| batch.output(v)).collect())
-        .collect();
-    Ok(ScheduleOutcome {
-        outputs,
-        stats,
-        departures: config.record_departures.then_some(departures),
-        precompute_rounds: 0,
-    })
-}
-
-/// The columnar shard worker: the row `shard_worker` with columnar queues,
-/// windows, and batched drains. Protocol (three barriers per big-round) and
-/// every deterministic output are identical.
-pub(super) fn shard_worker(me: usize, ctx: &ShardCtx<'_>) -> Result<ShardOutput, ExecError> {
-    let g = ctx.g;
-    let config = ctx.config;
-    let n = g.node_count();
-    let k = ctx.algos.len();
-    let s = ctx.part.shards();
-    let own: Vec<usize> = (0..n)
-        .filter(|&v| ctx.part.of_node()[v] == me as u32)
-        .collect();
-    let own_n = own.len();
-    let mut local_of = vec![usize::MAX; n];
-    for (li, &v) in own.iter().enumerate() {
-        local_of[v] = li;
-    }
-    // Flat per-machine state indexed `a * own_n + li`, mirroring the fused
-    // engine's layout on this shard's local node indices.
-    let mut machines: Vec<Box<dyn crate::algorithm::AlgoNode>> = Vec::with_capacity(k * own_n);
-    for (a, algo) in ctx.algos.iter().enumerate() {
-        for &v in &own {
-            machines.push(algo.create_node(
-                NodeId(v as u32),
-                n,
-                das_congest::util::seed_mix(ctx.seeds[a], v as u64),
-            ));
-        }
-    }
-    let mut steps_done = vec![0u32; k * own_n];
-    let mut windows: Vec<ColWindow> = Vec::with_capacity(k * own_n);
-    windows.resize_with(k * own_n, ColWindow::default);
-    let mut buffered = vec![0u32; k * own_n];
-    let mut inbox: Vec<(NodeId, Vec<u8>)> = Vec::new();
-    let mut pool: Vec<Vec<u8>> = Vec::new();
-    let mut sort_scratch: Vec<(u32, u32, u32)> = Vec::new();
-    let mut sent_gen = vec![0u64; n];
-    let mut gen: u64 = 0;
-    let (arc_src, arc_dst) = arc_endpoint_table(g);
-    // Full-width arc array for global indexing; this worker only ever
-    // touches the arcs it owns.
-    let mut queues: Vec<ColFifo> = Vec::with_capacity(g.arc_count());
-    queues.resize_with(g.arc_count(), ColFifo::default);
-    let mut active_arcs: Vec<usize> = Vec::new();
-    let mut scratch_arcs: Vec<usize> = Vec::new();
-    let mut obs = ExecObs::new(ctx.obs, me as u32);
-    obs.attach_live(config.live.clone());
-    obs.init(g.arc_count(), config.phase_len);
-    let mut stats = ExecStats {
-        phase_len: config.phase_len,
-        ..ExecStats::default()
-    };
-    let mut deferred: Vec<(u32, u32, u32, u32)> = Vec::new();
-    let mut shard = ShardStats {
-        shard: me,
-        nodes: own_n,
-        degree: own.iter().map(|&v| g.degree(NodeId(v as u32))).sum(),
-        ..ShardStats::default()
-    };
-    let mut engine_round: u64 = 0;
-    let mut last_activity_round: u64 = 0;
-    let mut b: u64 = 0;
-    loop {
-        // 1. Step phase: this shard's share of big-round b's steps, in the
-        // same (algorithm, node, round) order the sequential executor uses.
-        let t_step = Instant::now();
-        if let Some(steps) = ctx.by_big_round.get(b as usize) {
-            for &(a, v, r) in steps {
-                let li = local_of[v as usize];
-                if li == usize::MAX {
-                    continue;
-                }
-                let idx = a as usize * own_n + li;
-                debug_assert_eq!(steps_done[idx], r, "steps execute in order");
-                if r > 0 && buffered[idx] > 0 {
-                    // take() materializes the inbox already in canonical
-                    // sender-sorted order
-                    windows[idx].take(r - 1, &mut inbox, &mut pool, &mut sort_scratch);
-                    buffered[idx] -= inbox.len() as u32;
-                } else if !inbox.is_empty() {
-                    recycle(&mut inbox, &mut pool);
-                }
-                obs.on_step(inbox.len());
-                let sends = machines[idx].step(&inbox);
-                steps_done[idx] = r + 1;
-                shard.steps += 1;
-                let me_node = NodeId(v);
-                gen += 1;
-                for snd in sends {
-                    let Some(edge) = g.find_edge(me_node, snd.to) else {
-                        stats.invalid_sends += 1;
-                        obs.on_invalid_send();
-                        continue;
-                    };
-                    if snd.payload.len() > config.message_bytes || sent_gen[snd.to.index()] == gen {
-                        stats.invalid_sends += 1;
-                        obs.on_invalid_send();
-                        continue;
-                    }
-                    sent_gen[snd.to.index()] = gen;
-                    let idx = g.arc_from(edge, me_node).index();
-                    let owner = ctx.arc_owner[idx] as usize;
-                    if owner == me {
-                        let q = &mut queues[idx];
-                        if q.is_empty() {
-                            active_arcs.push(idx);
-                        }
-                        q.push(a, r, &snd.payload);
-                        stats.max_arc_queue = stats.max_arc_queue.max(q.len());
-                        obs.on_inject(idx, q.len());
-                    } else {
-                        shard.cross_sent += 1;
-                        obs.on_cross_send();
-                        ctx.outboxes[me * s + owner]
-                            .lock()
-                            .expect("outbox lock")
-                            .push((
-                                idx,
-                                super::Flight {
-                                    dst: snd.to,
-                                    algo: a,
-                                    round: r,
-                                    from: me_node,
-                                    payload: snd.payload,
-                                },
-                            ));
-                    }
-                }
-            }
-        }
-        shard.step_nanos += t_step.elapsed().as_nanos() as u64;
-
-        // All outboxes for big-round b are complete.
-        barrier_wait(ctx.barrier, &mut obs);
-
-        let t_drain = Instant::now();
-        // 2. Merge cross-shard arrivals into the owned queues, in source-
-        // shard order — per-arc order equals the sequential one because
-        // each arc's source node lives on exactly one shard.
-        for src in 0..s {
-            if src == me {
-                continue;
-            }
-            let incoming =
-                std::mem::take(&mut *ctx.outboxes[src * s + me].lock().expect("outbox lock"));
-            for (idx, flight) in incoming {
-                let q = &mut queues[idx];
-                if q.is_empty() {
-                    active_arcs.push(idx);
-                }
-                q.push(flight.algo, flight.round, &flight.payload);
-                stats.max_arc_queue = stats.max_arc_queue.max(q.len());
-                obs.on_inject(idx, q.len());
-            }
-        }
-
-        // 3. Columnar drain of the owned queues: one batched visit per
-        // active arc, up to phase_len messages at engine rounds
-        // `phase_start + j` — the rounds the row engine assigns.
-        let phase_start = engine_round;
-        std::mem::swap(&mut active_arcs, &mut scratch_arcs);
-        for &arc_idx in &scratch_arcs {
-            let q = &mut queues[arc_idx];
-            let cnt = (q.len() as u64).min(config.phase_len) as usize;
-            if cnt == 0 {
-                continue;
-            }
-            let from = arc_src[arc_idx];
-            let li = local_of[arc_dst[arc_idx] as usize];
-            debug_assert_ne!(li, usize::MAX, "arc delivered to a foreign shard");
-            let mut off = q.bytes_head;
-            for j in 0..cnt {
-                let m = q.meta[q.head + j];
-                let payload = &q.bytes[off..off + m.len as usize];
-                off += m.len as usize;
-                let eng = phase_start + j as u64;
-                let a = m.algo as usize;
-                if config.record_departures {
-                    deferred.push((m.algo, m.round, arc_idx as u32, eng as u32));
-                }
-                let idx = a * own_n + li;
-                let late = steps_done[idx] >= m.round + 2;
-                if late {
-                    stats.late_messages += 1;
-                } else {
-                    if buffered[idx] == 0 {
-                        windows[idx].reset_to(steps_done[idx].max(1) - 1);
-                    }
-                    windows[idx].push(m.round, from, payload);
-                    buffered[idx] += 1;
-                    stats.delivered += 1;
-                }
-                obs.on_deliver(eng, late);
-            }
-            q.head += cnt;
-            q.bytes_head = off;
-            q.reclaim();
-            if !q.is_empty() {
-                active_arcs.push(arc_idx);
-            }
-            last_activity_round = last_activity_round.max(phase_start + cnt as u64);
-        }
-        scratch_arcs.clear();
-        engine_round += config.phase_len;
-        if engine_round > config.max_engine_rounds {
-            // every worker's engine-round counter is identical, so all
-            // workers take this branch in lockstep — nobody is left
-            // waiting at a barrier
-            return Err(ExecError::RoundCapExceeded {
-                cap: config.max_engine_rounds,
-                big_round: b,
-            });
-        }
-        shard.drain_nanos += t_drain.elapsed().as_nanos() as u64;
-        obs.end_big_round(b);
-
-        // 4. Termination: post activity, agree on it, and let worker 0
-        // reset the counter strictly after everyone has read it (barrier)
-        // and strictly before anyone can post again.
-        if !active_arcs.is_empty() {
-            ctx.active_workers.fetch_add(1, Ordering::SeqCst);
-        }
-        barrier_wait(ctx.barrier, &mut obs);
-        let any_active = ctx.active_workers.load(Ordering::SeqCst) > 0;
-        b += 1;
-        let done = b > ctx.last_step_round && !any_active;
-        barrier_wait(ctx.barrier, &mut obs);
-        if me == 0 {
-            ctx.active_workers.store(0, Ordering::SeqCst);
-        }
-        if done {
-            break;
-        }
-    }
-
-    shard.delivered = stats.delivered;
-    let departures = build_departures(k, &deferred);
-    let outputs = (0..k)
-        .map(|a| {
-            machines[a * own_n..(a + 1) * own_n]
-                .iter()
-                .map(|m| m.output())
-                .collect()
-        })
-        .collect();
-    Ok(ShardOutput {
-        own,
-        outputs,
-        departures,
-        stats,
-        last_activity_round,
-        big_rounds: b,
-        shard,
-        obs: obs.finish(),
-    })
-}
-
-/// The batched shard worker: [`run_fused_batched`]'s step phase restricted
-/// to one shard's nodes, on the columnar worker's protocol (three barriers
-/// per big-round). Runs still span the *global* step table — triples of
-/// one algorithm are contiguous whether or not this shard owns their nodes
-/// — so a run here is the owned subset of a fused run, stepped in the same
-/// relative order.
-pub(super) fn shard_worker_batched(
-    me: usize,
-    ctx: &ShardCtx<'_>,
-) -> Result<ShardOutput, ExecError> {
-    let g = ctx.g;
-    let config = ctx.config;
-    let n = g.node_count();
-    let k = ctx.algos.len();
-    let s = ctx.part.shards();
-    let own: Vec<usize> = (0..n)
-        .filter(|&v| ctx.part.of_node()[v] == me as u32)
-        .collect();
-    let own_n = own.len();
-    let mut local_of = vec![usize::MAX; n];
-    for (li, &v) in own.iter().enumerate() {
-        local_of[v] = li;
-    }
-    // One slab per algorithm over the owned nodes in id order: slab-local
-    // machine index == local node index `li`. Seeds mix exactly as in the
-    // fused engines, so machine state is partition-independent.
-    let own_nodes: Vec<NodeId> = own.iter().map(|&v| NodeId(v as u32)).collect();
-    let mut batches = build_batches(ctx.algos, ctx.seeds, &own_nodes, n);
-    let mut steps_done = vec![0u32; k * own_n];
-    let mut windows: Vec<ColWindow> = Vec::with_capacity(k * own_n);
-    windows.resize_with(k * own_n, ColWindow::default);
-    let mut buffered = vec![0u32; k * own_n];
-    let mut inbox: Vec<(NodeId, Vec<u8>)> = Vec::new();
-    let mut pool: Vec<Vec<u8>> = Vec::new();
-    let mut sort_scratch: Vec<(u32, u32, u32)> = Vec::new();
-    let mut sent_gen = vec![0u64; n];
-    let mut gen: u64 = 0;
-    let mut run_inbox: Vec<(NodeId, Vec<u8>)> = Vec::new();
-    let mut run_steps: Vec<BlockStep> = Vec::new();
-    let mut sends_buf = BatchedSends::new();
-    let (arc_src, arc_dst) = arc_endpoint_table(g);
-    // Full-width arc array for global indexing; this worker only ever
-    // touches the arcs it owns.
-    let mut queues: Vec<ColFifo> = Vec::with_capacity(g.arc_count());
-    queues.resize_with(g.arc_count(), ColFifo::default);
-    let mut active_arcs: Vec<usize> = Vec::new();
-    let mut scratch_arcs: Vec<usize> = Vec::new();
-    let mut obs = ExecObs::new(ctx.obs, me as u32);
-    obs.attach_live(config.live.clone());
-    obs.init(g.arc_count(), config.phase_len);
-    let mut stats = ExecStats {
-        phase_len: config.phase_len,
-        ..ExecStats::default()
-    };
-    let mut deferred: Vec<(u32, u32, u32, u32)> = Vec::new();
-    let mut shard = ShardStats {
-        shard: me,
-        nodes: own_n,
-        degree: own.iter().map(|&v| g.degree(NodeId(v as u32))).sum(),
-        ..ShardStats::default()
-    };
-    let mut engine_round: u64 = 0;
-    let mut last_activity_round: u64 = 0;
-    let mut b: u64 = 0;
-    loop {
-        // 1. Step phase: this shard's share of each same-algorithm run, in
-        // the same (algorithm, node, round) order the fused engines use.
-        let t_step = Instant::now();
-        if let Some(steps) = ctx.by_big_round.get(b as usize) {
-            let mut i = 0usize;
-            while i < steps.len() {
-                let a = steps[i].0;
-                let mut j = i + 1;
-                while j < steps.len() && steps[j].0 == a {
-                    j += 1;
-                }
-                run_steps.clear();
-                debug_assert!(run_inbox.is_empty());
-                for &(_, v, r) in &steps[i..j] {
-                    let li = local_of[v as usize];
-                    if li == usize::MAX {
-                        continue;
-                    }
-                    let idx = a as usize * own_n + li;
-                    debug_assert_eq!(steps_done[idx], r, "steps execute in order");
-                    let start = run_inbox.len() as u32;
-                    if r > 0 && buffered[idx] > 0 {
-                        // take() materializes the inbox already in
-                        // canonical sender-sorted order
-                        windows[idx].take(r - 1, &mut inbox, &mut pool, &mut sort_scratch);
-                        buffered[idx] -= inbox.len() as u32;
-                        run_inbox.append(&mut inbox);
-                    }
-                    let len = run_inbox.len() as u32 - start;
-                    obs.on_step(len as usize);
-                    steps_done[idx] = r + 1;
-                    shard.steps += 1;
-                    run_steps.push(BlockStep {
-                        node: li as u32,
-                        round: r,
-                        inbox_start: start,
-                        inbox_len: len,
-                    });
-                }
-                if !run_steps.is_empty() {
-                    sends_buf.clear();
-                    batches[a as usize].step_block(&run_steps, &run_inbox, &mut sends_buf);
-                    debug_assert_eq!(
-                        sends_buf.segments(),
-                        run_steps.len(),
-                        "one send segment per executed step"
-                    );
-                    for (si, bs) in run_steps.iter().enumerate() {
-                        if sends_buf.segment_is_empty(si) {
-                            continue;
-                        }
-                        let me_node = NodeId(own[bs.node as usize] as u32);
-                        gen += 1;
-                        for (to, payload) in sends_buf.segment(si) {
-                            let Some(edge) = g.find_edge(me_node, to) else {
-                                stats.invalid_sends += 1;
-                                obs.on_invalid_send();
-                                continue;
-                            };
-                            if payload.len() > config.message_bytes || sent_gen[to.index()] == gen {
-                                stats.invalid_sends += 1;
-                                obs.on_invalid_send();
-                                continue;
-                            }
-                            sent_gen[to.index()] = gen;
-                            let idx = g.arc_from(edge, me_node).index();
-                            let owner = ctx.arc_owner[idx] as usize;
-                            if owner == me {
-                                let q = &mut queues[idx];
-                                if q.is_empty() {
-                                    active_arcs.push(idx);
-                                }
-                                q.push(a, bs.round, payload);
-                                stats.max_arc_queue = stats.max_arc_queue.max(q.len());
-                                obs.on_inject(idx, q.len());
-                            } else {
-                                shard.cross_sent += 1;
-                                obs.on_cross_send();
-                                ctx.outboxes[me * s + owner]
-                                    .lock()
-                                    .expect("outbox lock")
-                                    .push((
-                                        idx,
-                                        super::Flight {
-                                            dst: to,
-                                            algo: a,
-                                            round: bs.round,
-                                            from: me_node,
-                                            payload: payload.to_vec(),
-                                        },
-                                    ));
-                            }
-                        }
-                    }
-                    recycle(&mut run_inbox, &mut pool);
-                }
-                i = j;
-            }
-        }
-        shard.step_nanos += t_step.elapsed().as_nanos() as u64;
-
-        // All outboxes for big-round b are complete.
-        barrier_wait(ctx.barrier, &mut obs);
-
-        let t_drain = Instant::now();
-        // 2. Merge cross-shard arrivals into the owned queues, in source-
-        // shard order — per-arc order equals the sequential one because
-        // each arc's source node lives on exactly one shard.
-        for src in 0..s {
-            if src == me {
-                continue;
-            }
-            let incoming =
-                std::mem::take(&mut *ctx.outboxes[src * s + me].lock().expect("outbox lock"));
-            for (idx, flight) in incoming {
-                let q = &mut queues[idx];
-                if q.is_empty() {
-                    active_arcs.push(idx);
-                }
-                q.push(flight.algo, flight.round, &flight.payload);
-                stats.max_arc_queue = stats.max_arc_queue.max(q.len());
-                obs.on_inject(idx, q.len());
-            }
-        }
-
-        // 3. Columnar drain of the owned queues, verbatim.
-        let phase_start = engine_round;
-        std::mem::swap(&mut active_arcs, &mut scratch_arcs);
-        for &arc_idx in &scratch_arcs {
-            let q = &mut queues[arc_idx];
-            let cnt = (q.len() as u64).min(config.phase_len) as usize;
-            if cnt == 0 {
-                continue;
-            }
-            let from = arc_src[arc_idx];
-            let li = local_of[arc_dst[arc_idx] as usize];
-            debug_assert_ne!(li, usize::MAX, "arc delivered to a foreign shard");
-            let mut off = q.bytes_head;
-            for j in 0..cnt {
-                let m = q.meta[q.head + j];
-                let payload = &q.bytes[off..off + m.len as usize];
-                off += m.len as usize;
-                let eng = phase_start + j as u64;
-                let a = m.algo as usize;
-                if config.record_departures {
-                    deferred.push((m.algo, m.round, arc_idx as u32, eng as u32));
-                }
-                let idx = a * own_n + li;
-                let late = steps_done[idx] >= m.round + 2;
-                if late {
-                    stats.late_messages += 1;
-                } else {
-                    if buffered[idx] == 0 {
-                        windows[idx].reset_to(steps_done[idx].max(1) - 1);
-                    }
-                    windows[idx].push(m.round, from, payload);
-                    buffered[idx] += 1;
-                    stats.delivered += 1;
-                }
-                obs.on_deliver(eng, late);
-            }
-            q.head += cnt;
-            q.bytes_head = off;
-            q.reclaim();
-            if !q.is_empty() {
-                active_arcs.push(arc_idx);
-            }
-            last_activity_round = last_activity_round.max(phase_start + cnt as u64);
-        }
-        scratch_arcs.clear();
-        engine_round += config.phase_len;
-        if engine_round > config.max_engine_rounds {
-            // every worker's engine-round counter is identical, so all
-            // workers take this branch in lockstep — nobody is left
-            // waiting at a barrier
-            return Err(ExecError::RoundCapExceeded {
-                cap: config.max_engine_rounds,
-                big_round: b,
-            });
-        }
-        shard.drain_nanos += t_drain.elapsed().as_nanos() as u64;
-        obs.end_big_round(b);
-
-        // 4. Termination: post activity, agree on it, and let worker 0
-        // reset the counter strictly after everyone has read it (barrier)
-        // and strictly before anyone can post again.
-        if !active_arcs.is_empty() {
-            ctx.active_workers.fetch_add(1, Ordering::SeqCst);
-        }
-        barrier_wait(ctx.barrier, &mut obs);
-        let any_active = ctx.active_workers.load(Ordering::SeqCst) > 0;
-        b += 1;
-        let done = b > ctx.last_step_round && !any_active;
-        barrier_wait(ctx.barrier, &mut obs);
-        if me == 0 {
-            ctx.active_workers.store(0, Ordering::SeqCst);
-        }
-        if done {
-            break;
-        }
-    }
-
-    shard.delivered = stats.delivered;
-    let departures = build_departures(k, &deferred);
-    let outputs = batches
-        .iter()
-        .map(|batch| (0..own_n).map(|li| batch.output(li)).collect())
-        .collect();
-    Ok(ShardOutput {
-        own,
-        outputs,
-        departures,
-        stats,
-        last_activity_round,
-        big_rounds: b,
-        shard,
-        obs: obs.finish(),
-    })
 }

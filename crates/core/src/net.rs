@@ -17,28 +17,24 @@
 //!   ([`ExecError::LateJoin`]).
 //! * A **worker** builds the identical problem locally (same graph,
 //!   workload, and tape seed — enforced by the fingerprint), recomputes the
-//!   same degree-balanced [`Partition`], and runs the row-engine shard loop
-//!   verbatim, with the three in-process barriers replaced by two framed
-//!   round-trips (OUTBOX → INBOX, ACTIVITY → DECISION).
+//!   same degree-balanced [`Partition`], and runs the production big-round
+//!   loop (`exec/big_round.rs`) over the `Wire` exchange: the three
+//!   in-process barriers become two framed round-trips (OUTBOX → INBOX,
+//!   ACTIVITY → DECISION).
 //!
 //! ## The network-barrier invariant
 //!
 //! Byte-identity of the [`ScheduleOutcome`] extends verbatim from the
-//! threaded path because the wire protocol preserves exactly the state the
-//! in-process barriers preserve — and nothing else crosses a shard
-//! boundary:
+//! threaded path because the worker runs the *same loop* and the wire
+//! preserves exactly what an exchange must (see `exec/big_round.rs`):
 //!
-//! * each worker steps its nodes in the same global `(algorithm, node,
-//!   round)` order the fused executor uses, so per-arc push order within a
-//!   big-round is the sequential order (every arc has a unique source
-//!   node, owned by exactly one worker);
 //! * the coordinator routes each destination's INBOX by **ascending source
-//!   shard**, each group in send order — the exact merge order of the
-//!   in-process outbox sweep (`for src in 0..s`);
-//! * lateness checks read only the destination worker's own `steps_done`,
-//!   which never crosses the wire;
+//!   shard**, each group in send order — the merge order of the
+//!   in-process outbox sweep;
 //! * the termination decision is computed from the same `(big_round,
-//!   any_active)` pair the in-process 3-barrier protocol agrees on.
+//!   any_active)` pair the in-process protocol agrees on, against the
+//!   *full* plan's last step round (a worker only holds its slice);
+//! * nothing else crosses a shard boundary.
 //!
 //! ## Robustness
 //!
@@ -50,14 +46,14 @@
 //! Ctrl-C aborts the process.
 
 use crate::exec::{
-    ArcFifo, ExecError, ExecStats, ExecutorConfig, Flight, ShardReport, ShardStats, StepPlan,
-    TagWindow,
+    big_round_loop, merge_shards, read_flight, Exchange, ExecError, ExecStats, ExecutorConfig,
+    FlatSteps, FlightGroup, ShardCtx, ShardOutput, ShardReport, ShardStats, StepPlan,
 };
-use crate::plan::{SchedError, SchedulePlan};
+use crate::plan::{execute, SchedError, SchedulePlan, Topology};
 use crate::problem::DasProblem;
 use crate::schedule::ScheduleOutcome;
 use crate::shard::Partition;
-use das_graph::NodeId;
+use das_obs::{ExecObs, ObsConfig};
 use das_pattern::{SimulationMap, TimedArc};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
@@ -632,15 +628,33 @@ pub fn execute_plan_networked(
     listener: TcpListener,
     net: &NetConfig,
 ) -> Result<(ScheduleOutcome, NetReport), SchedError> {
-    plan.validate(problem)?;
-    let (mut outcome, report) = run_coordinator(problem, plan, workers, listener, net)?;
-    outcome.precompute_rounds = plan.precompute_rounds;
-    Ok((outcome, report))
+    let topology = Topology::Networked {
+        workers,
+        listener,
+        net,
+    };
+    execute(
+        problem,
+        plan,
+        &ExecutorConfig::default(),
+        &ObsConfig::off(),
+        topology,
+    )
+    .map(|e| {
+        (
+            e.outcome,
+            NetReport {
+                shard: e.shard,
+                traffic: e.traffic,
+            },
+        )
+    })
 }
 
-fn run_coordinator(
+pub(crate) fn run_coordinator(
     problem: &DasProblem<'_>,
     plan: &SchedulePlan,
+    config: &ExecutorConfig,
     workers: usize,
     listener: TcpListener,
     net: &NetConfig,
@@ -659,7 +673,7 @@ fn run_coordinator(
     // connection-refused (late-JOIN doorman).
     let doorman_stop = Arc::new(AtomicBool::new(false));
     let doorman = spawn_doorman(listener, s, net.clone(), doorman_stop.clone());
-    let result = coordinator_protocol(problem, plan, &part, &mut conns, net);
+    let result = coordinator_protocol(problem, plan, config, &part, &mut conns, net);
     if let Err(ref e) = result {
         // best-effort teardown so surviving workers fail fast with a
         // typed Aborted instead of waiting out their own deadlines
@@ -672,25 +686,11 @@ fn run_coordinator(
     doorman_stop.store(true, Ordering::SeqCst);
     let _ = doorman.join();
     let outcome = result?;
+    // final authoritative snapshot: includes the DECISION and DONE
+    // frames the mid-run barrier snapshots have not seen yet
+    publish_links(net, &conns);
     let traffic: Vec<LinkTraffic> = conns.iter().map(|c| c.traffic.clone()).collect();
     debug_assert_eq!(traffic.len(), s);
-    if let Some(hub) = &net.live {
-        // final authoritative snapshot: includes the DECISION and DONE
-        // frames the mid-run barrier snapshots have not seen yet
-        hub.publish_links(
-            traffic
-                .iter()
-                .enumerate()
-                .map(|(shard, t)| das_obs::LinkLive {
-                    shard,
-                    frames_sent: t.frames_sent,
-                    bytes_sent: t.bytes_sent,
-                    frames_received: t.frames_received,
-                    bytes_received: t.bytes_received,
-                })
-                .collect(),
-        );
-    }
     let (outcome, shard) = outcome;
     Ok((outcome, NetReport { shard, traffic }))
 }
@@ -860,25 +860,13 @@ fn handshake_worker(
         .map_err(|e| for_worker(e, shard))
 }
 
-/// Everything a finished worker ships back in its DONE frame.
-struct ShardDone {
-    outputs: Vec<Vec<Option<Vec<u8>>>>,
-    departures: Vec<SimulationMap>,
-    delivered: u64,
-    late_messages: u64,
-    invalid_sends: u64,
-    max_arc_queue: usize,
-    last_activity_round: u64,
-    big_rounds: u64,
-    shard: ShardStats,
-}
-
 /// The coordinator's relay loop plus the final merge. Mirrors
 /// [`crate::Executor::run_sharded`]'s merge exactly — the outcome is
 /// byte-identical.
 fn coordinator_protocol(
     problem: &DasProblem<'_>,
     plan: &SchedulePlan,
+    config: &ExecutorConfig,
     part: &Partition,
     conns: &mut [FramedConn],
     net: &NetConfig,
@@ -887,7 +875,6 @@ fn coordinator_protocol(
     let n = g.node_count();
     let k = problem.k();
     let s = part.shards();
-    let phase_len = plan.phase_len.max(1);
     let steps = StepPlan::build(g, problem.algorithms(), &plan.units);
     let last_step_round = steps.last_big_round().unwrap_or(0);
 
@@ -905,25 +892,9 @@ fn coordinator_protocol(
         let mut routed_bodies: Vec<Vec<u8>> = vec![Vec::new(); s];
         let mut routed_counts: Vec<u32> = vec![0; s];
         for (src, conn) in conns.iter_mut().enumerate() {
-            let (kind, body) = conn
-                .recv("collecting outboxes")
-                .map_err(|e| for_worker(e, src))?;
-            match kind {
-                wire::OUTBOX => {}
-                wire::ERROR => return Err(decode_worker_error(&body)?),
-                other => {
-                    return Err(ExecError::Net {
-                        detail: format!("expected OUTBOX from shard {src}, got kind {other}"),
-                    })
-                }
-            }
+            let body = recv_from_worker(conn, src, wire::OUTBOX, "OUTBOX", "collecting outboxes")?;
             let mut r = ByteReader::new(&body);
-            let round = r.u64("OUTBOX big-round")?;
-            if round != b {
-                return Err(ExecError::Net {
-                    detail: format!("shard {src} sent OUTBOX for big-round {round}, expected {b}"),
-                });
-            }
+            expect_round(&mut r, "OUTBOX", b)?;
             let groups = r.u32("OUTBOX group count")?;
             for _ in 0..groups {
                 let dst = r.u32("OUTBOX group shard")? as usize;
@@ -935,7 +906,7 @@ fn coordinator_protocol(
                 let count = r.u32("OUTBOX group size")?;
                 let start = r.pos;
                 for _ in 0..count {
-                    skip_flight(&mut r)?;
+                    read_flight(&mut r)?;
                 }
                 routed_bodies[dst].extend_from_slice(&body[start..r.pos]);
                 routed_counts[dst] += count;
@@ -954,27 +925,10 @@ fn coordinator_protocol(
         // 3. Collect post-drain activity.
         let mut any_active = false;
         for (src, conn) in conns.iter_mut().enumerate() {
-            let (kind, body) = conn
-                .recv("collecting activity")
-                .map_err(|e| for_worker(e, src))?;
-            match kind {
-                wire::ACTIVITY => {}
-                wire::ERROR => return Err(decode_worker_error(&body)?),
-                other => {
-                    return Err(ExecError::Net {
-                        detail: format!("expected ACTIVITY from shard {src}, got kind {other}"),
-                    })
-                }
-            }
+            let body =
+                recv_from_worker(conn, src, wire::ACTIVITY, "ACTIVITY", "collecting activity")?;
             let mut r = ByteReader::new(&body);
-            let round = r.u64("ACTIVITY big-round")?;
-            if round != b {
-                return Err(ExecError::Net {
-                    detail: format!(
-                        "shard {src} sent ACTIVITY for big-round {round}, expected {b}"
-                    ),
-                });
-            }
+            expect_round(&mut r, "ACTIVITY", b)?;
             any_active |= r.u8("ACTIVITY flag")? != 0;
             // Workers piggyback cumulative totals after the flag; a bare
             // flag (older worker) is still valid, so only read the tail if
@@ -989,21 +943,7 @@ fn coordinator_protocol(
                 }
             }
         }
-        if let Some(hub) = &net.live {
-            hub.publish_links(
-                conns
-                    .iter()
-                    .enumerate()
-                    .map(|(shard, c)| das_obs::LinkLive {
-                        shard,
-                        frames_sent: c.traffic.frames_sent,
-                        bytes_sent: c.traffic.bytes_sent,
-                        frames_received: c.traffic.frames_received,
-                        bytes_received: c.traffic.bytes_received,
-                    })
-                    .collect(),
-            );
-        }
+        publish_links(net, conns);
         // 4. Broadcast the termination decision — the same predicate the
         // in-process path evaluates after its post-increment (`b + 1` here
         // is the worker's incremented big-round counter).
@@ -1021,76 +961,52 @@ fn coordinator_protocol(
         }
     }
 
-    // Collect DONE frames and merge in shard order, exactly as
-    // run_sharded_observed merges its ShardOutputs.
-    let mut outputs: Vec<Vec<Option<Vec<u8>>>> = vec![vec![None; n]; k];
-    let mut departures: Vec<SimulationMap> = vec![SimulationMap::new(); k];
-    let mut stats = ExecStats {
-        phase_len,
-        ..ExecStats::default()
-    };
-    let mut last_activity_round = 0u64;
-    let mut report = ShardReport {
-        shards: s,
-        cross_shard_messages: 0,
-        per_shard: Vec::with_capacity(s),
-    };
+    // Collect DONE frames and merge in shard order, exactly as the
+    // in-process sharded executor merges its workers.
+    let mut shards = Vec::with_capacity(s);
     for (src, conn) in conns.iter_mut().enumerate() {
-        let (kind, body) = conn
-            .recv("collecting results")
-            .map_err(|e| for_worker(e, src))?;
-        match kind {
-            wire::DONE => {}
-            wire::ERROR => return Err(decode_worker_error(&body)?),
-            other => {
-                return Err(ExecError::Net {
-                    detail: format!("expected DONE from shard {src}, got kind {other}"),
-                })
-            }
-        }
-        let own: Vec<usize> = (0..n)
-            .filter(|&v| part.of_node()[v] == src as u32)
-            .collect();
-        let done = decode_done(&body, k, own.len())?;
-        stats.delivered += done.delivered;
-        stats.late_messages += done.late_messages;
-        stats.invalid_sends += done.invalid_sends;
-        stats.max_arc_queue = stats.max_arc_queue.max(done.max_arc_queue);
-        // every worker leaves the lockstep loop at the same big-round
-        stats.big_rounds = done.big_rounds;
-        last_activity_round = last_activity_round.max(done.last_activity_round);
-        for (a, (outs, maps)) in done.outputs.into_iter().zip(done.departures).enumerate() {
-            for (li, out) in outs.into_iter().enumerate() {
-                outputs[a][own[li]] = out;
-            }
-            departures[a].extend(maps);
-        }
-        report.cross_shard_messages += done.shard.cross_sent;
-        report.per_shard.push(done.shard);
+        let body = recv_from_worker(conn, src, wire::DONE, "DONE", "collecting results")?;
+        shards.push(decode_done(&body, k, part.nodes_of(src))?);
     }
-    stats.engine_rounds = (last_step_round + 1)
-        .saturating_mul(phase_len)
-        .max(last_activity_round);
-    Ok((
-        ScheduleOutcome {
-            outputs,
-            stats,
-            departures: Some(departures),
-            precompute_rounds: 0,
-        },
-        report,
-    ))
+    Ok(merge_shards(n, k, config, last_step_round, shards))
 }
 
-/// Advances a reader past one encoded flight.
-fn skip_flight(r: &mut ByteReader<'_>) -> Result<(), ExecError> {
-    r.u32("flight arc")?;
-    r.u32("flight dst")?;
-    r.u32("flight algo")?;
-    r.u32("flight round")?;
-    r.u32("flight from")?;
-    r.bytes("flight payload")?;
-    Ok(())
+/// Receives worker `src`'s next protocol frame: the body of a `want`
+/// frame, or the typed error an ERROR frame reports in its place.
+fn recv_from_worker(
+    conn: &mut FramedConn,
+    src: usize,
+    want: u8,
+    name: &str,
+    during: &str,
+) -> Result<Vec<u8>, ExecError> {
+    let (kind, body) = conn.recv(during).map_err(|e| for_worker(e, src))?;
+    if kind == want {
+        Ok(body)
+    } else if kind == wire::ERROR {
+        Err(decode_worker_error(&body)?)
+    } else {
+        Err(ExecError::Net {
+            detail: format!("expected {name} from shard {src}, got kind {kind}"),
+        })
+    }
+}
+
+/// Mirrors the per-link traffic counters into the live hub, if any.
+fn publish_links(net: &NetConfig, conns: &[FramedConn]) {
+    if let Some(hub) = &net.live {
+        let links = conns
+            .iter()
+            .enumerate()
+            .map(|(shard, c)| das_obs::LinkLive {
+                shard,
+                frames_sent: c.traffic.frames_sent,
+                bytes_sent: c.traffic.bytes_sent,
+                frames_received: c.traffic.frames_received,
+                bytes_received: c.traffic.bytes_received,
+            });
+        hub.publish_links(links.collect());
+    }
 }
 
 /// Decodes an ERROR frame into the [`ExecError`] the worker hit — today
@@ -1102,14 +1018,24 @@ fn decode_worker_error(body: &[u8]) -> Result<ExecError, ExecError> {
     Ok(ExecError::RoundCapExceeded { cap, big_round })
 }
 
-fn decode_done(body: &[u8], k: usize, own_n: usize) -> Result<ShardDone, ExecError> {
+/// Decodes a DONE frame into the [`ShardOutput`] the worker's loop
+/// returned (`own` is the shard's node list, which never crosses the
+/// wire).
+fn decode_done(
+    body: &[u8],
+    k: usize,
+    own: Vec<das_graph::NodeId>,
+) -> Result<ShardOutput, ExecError> {
     let mut r = ByteReader::new(body);
     let big_rounds = r.u64("DONE big-rounds")?;
     let last_activity_round = r.u64("DONE last activity")?;
-    let delivered = r.u64("DONE delivered")?;
-    let late_messages = r.u64("DONE late")?;
-    let invalid_sends = r.u64("DONE invalid sends")?;
-    let max_arc_queue = r.u64("DONE max arc queue")? as usize;
+    let stats = ExecStats {
+        delivered: r.u64("DONE delivered")?,
+        late_messages: r.u64("DONE late")?,
+        invalid_sends: r.u64("DONE invalid sends")?,
+        max_arc_queue: r.u64("DONE max arc queue")? as usize,
+        ..ExecStats::default()
+    };
     let shard = ShardStats {
         shard: r.u64("DONE shard index")? as usize,
         nodes: r.u64("DONE shard nodes")? as usize,
@@ -1122,8 +1048,8 @@ fn decode_done(body: &[u8], k: usize, own_n: usize) -> Result<ShardDone, ExecErr
     };
     let mut outputs: Vec<Vec<Option<Vec<u8>>>> = Vec::with_capacity(k);
     for _ in 0..k {
-        let mut per_node = Vec::with_capacity(own_n);
-        for _ in 0..own_n {
+        let mut per_node = Vec::with_capacity(own.len());
+        for _ in 0..own.len() {
             let some = r.u8("DONE output tag")? != 0;
             per_node.push(if some {
                 Some(r.bytes("DONE output")?.to_vec())
@@ -1151,17 +1077,52 @@ fn decode_done(body: &[u8], k: usize, own_n: usize) -> Result<ShardDone, ExecErr
         }
         departures.push(map);
     }
-    Ok(ShardDone {
+    Ok(ShardOutput {
+        own,
         outputs,
         departures,
-        delivered,
-        late_messages,
-        invalid_sends,
-        max_arc_queue,
+        stats,
         last_activity_round,
         big_rounds,
         shard,
     })
+}
+
+/// Encodes a finished shard as the DONE frame body [`decode_done`] reads.
+fn encode_done(out: &ShardOutput) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.u64(out.big_rounds);
+    w.u64(out.last_activity_round);
+    w.u64(out.stats.delivered);
+    w.u64(out.stats.late_messages);
+    w.u64(out.stats.invalid_sends);
+    w.u64(out.stats.max_arc_queue as u64);
+    w.u64(out.shard.shard as u64);
+    w.u64(out.shard.nodes as u64);
+    w.u64(out.shard.degree as u64);
+    w.u64(out.shard.steps);
+    w.u64(out.shard.delivered);
+    w.u64(out.shard.cross_sent);
+    w.u64(out.shard.step_nanos);
+    w.u64(out.shard.drain_nanos);
+    for output in out.outputs.iter().flatten() {
+        match output {
+            Some(bytes) => {
+                w.u8(1);
+                w.bytes(bytes);
+            }
+            None => w.u8(0),
+        }
+    }
+    for map in &out.departures {
+        w.u64(map.len() as u64);
+        for (ta, &er) in map {
+            w.u32(ta.round);
+            w.u32(ta.arc.index() as u32);
+            w.u32(er);
+        }
+    }
+    w.buf
 }
 
 // ---------------------------------------------------------------- worker
@@ -1186,40 +1147,24 @@ pub fn run_worker(
     connect: &str,
     net: &NetConfig,
 ) -> Result<WorkerOutcome, SchedError> {
-    let stream = connect_with_retry(connect, net).map_err(SchedError::Exec)?;
-    let mut conn = FramedConn::new(stream, net).map_err(SchedError::Exec)?;
+    let mut conn = FramedConn::new(connect_with_retry(connect, net)?, net)?;
 
     // JOIN → ASSIGN (or REJECT / ABORT)
     let mut w = ByteWriter::new();
     w.u32(PROTOCOL_VERSION);
     w.u64(problem_fingerprint(problem));
-    conn.send(wire::JOIN, &w.buf, "handshake (JOIN)")
-        .map_err(SchedError::Exec)?;
-    let (kind, body) = conn
-        .recv("handshake (waiting for ASSIGN)")
-        .map_err(SchedError::Exec)?;
-    let mut r = ByteReader::new(&body);
-    match kind {
-        wire::ASSIGN => {}
-        wire::REJECT => return Err(SchedError::Exec(decode_reject(&body)?)),
-        wire::ABORT => {
-            return Err(SchedError::Exec(ExecError::Aborted {
-                detail: decode_abort(&body),
-            }))
-        }
-        other => {
-            return Err(SchedError::Exec(ExecError::Net {
-                detail: format!("expected ASSIGN, got frame kind {other}"),
-            }))
-        }
+    conn.send(wire::JOIN, &w.buf, "handshake (JOIN)")?;
+    let (kind, body) = conn.recv("handshake (waiting for ASSIGN)")?;
+    if kind == wire::REJECT {
+        return Err(decode_reject(&body)?.into());
     }
-    let shard = r.u32("ASSIGN shard").map_err(SchedError::Exec)? as usize;
-    let shards = r.u32("ASSIGN shard count").map_err(SchedError::Exec)? as usize;
-    let _full_plan_hash = r.u64("ASSIGN plan hash").map_err(SchedError::Exec)?;
-    let announced_hash = r.u64("ASSIGN slice hash").map_err(SchedError::Exec)?;
-    let plan_bytes = r
-        .bytes("ASSIGN plan slice JSON")
-        .map_err(SchedError::Exec)?;
+    let body = worker_reply(kind, body, wire::ASSIGN, "ASSIGN")?;
+    let mut r = ByteReader::new(&body);
+    let shard = r.u32("ASSIGN shard")? as usize;
+    let shards = r.u32("ASSIGN shard count")? as usize;
+    let _full_plan_hash = r.u64("ASSIGN plan hash")?;
+    let announced_hash = r.u64("ASSIGN slice hash")?;
+    let plan_bytes = r.bytes("ASSIGN plan slice JSON")?;
     let got_hash = fnv1a(plan_bytes);
     if got_hash != announced_hash {
         return Err(SchedError::Exec(ExecError::PlanHashMismatch {
@@ -1240,10 +1185,10 @@ pub fn run_worker(
     // received plans are untrusted, exactly like plans loaded from disk
     plan.validate(problem)?;
     let part = Partition::degree_balanced(problem.graph(), shards);
-    let of_len = r.u32("ASSIGN partition length").map_err(SchedError::Exec)? as usize;
+    let of_len = r.u32("ASSIGN partition length")? as usize;
     let mut shipped = Vec::with_capacity(of_len);
     for _ in 0..of_len {
-        shipped.push(r.u32("ASSIGN partition entry").map_err(SchedError::Exec)?);
+        shipped.push(r.u32("ASSIGN partition entry")?);
     }
     if part.shards() != shards || shipped != part.of_node() {
         return Err(SchedError::Exec(ExecError::Net {
@@ -1265,7 +1210,36 @@ pub fn run_worker(
             detail: "received plan slice schedules nodes outside the assigned shard".to_string(),
         }));
     }
-    worker_loop(problem, &plan, shard, &part, &mut conn).map_err(SchedError::Exec)
+    // the production loop over the wire exchange; the plan slice's own
+    // phase length is part of its semantics
+    let g = problem.graph();
+    let config = ExecutorConfig::default().with_phase_len(plan.phase_len);
+    let seeds: Vec<u64> = (0..problem.k()).map(|i| problem.algo_seed(i)).collect();
+    let flat = FlatSteps::build(g.node_count(), problem.algorithms(), &plan.units);
+    let ctx = ShardCtx {
+        g,
+        algos: problem.algorithms(),
+        seeds: &seeds,
+        config: &config,
+        flat: &flat,
+        of_node: part.of_node(),
+        shards,
+    };
+    let mut exchange = Wire {
+        conn: &mut conn,
+        inbox: FlightGroup::default(),
+    };
+    let out = big_round_loop(&ctx, shard, &mut exchange, &mut ExecObs::disabled())?;
+    conn.send(wire::DONE, &encode_done(&out), "reporting results")?;
+    Ok(WorkerOutcome {
+        shard,
+        shards,
+        steps: out.shard.steps,
+        delivered: out.stats.delivered,
+        cross_sent: out.shard.cross_sent,
+        big_rounds: out.big_rounds,
+        traffic: conn.traffic.clone(),
+    })
 }
 
 pub(crate) fn connect_with_retry(connect: &str, net: &NetConfig) -> Result<TcpStream, ExecError> {
@@ -1329,284 +1303,85 @@ pub(crate) fn decode_abort(body: &[u8]) -> String {
         .unwrap_or_else(|| "coordinator aborted the run".to_string())
 }
 
-/// The worker's big-round loop: the row-engine shard worker with the
-/// in-process barriers replaced by framed round-trips. Every stateful
-/// detail — step order, send validation, arc ownership, lateness checks,
-/// drain behaviour, the round cap, the termination predicate — matches
-/// [`crate::Executor::run_sharded`]'s row worker line for line, which is
-/// what makes the outcome byte-identical.
-fn worker_loop(
-    problem: &DasProblem<'_>,
-    plan: &SchedulePlan,
-    me: usize,
-    part: &Partition,
-    conn: &mut FramedConn,
-) -> Result<WorkerOutcome, ExecError> {
-    let g = problem.graph();
-    let algos = problem.algorithms();
-    let config = ExecutorConfig::default().with_phase_len(plan.phase_len);
-    let n = g.node_count();
-    let k = algos.len();
-    let s = part.shards();
-    let seeds: Vec<u64> = (0..k).map(|i| problem.algo_seed(i)).collect();
-    let steps_plan = StepPlan::build(g, algos, &plan.units);
-    let last_step_round = steps_plan.last_big_round().unwrap_or(0);
-    let mut by_big_round: Vec<Vec<(u32, u32, u32)>> =
-        vec![Vec::new(); last_step_round as usize + 1];
-    for a in 0..k {
-        for v in 0..n {
-            for (r, &bb) in steps_plan.plan[a][v].iter().enumerate() {
-                by_big_round[bb as usize].push((a as u32, v as u32, r as u32));
-            }
-        }
-    }
-    let arc_owner: Vec<u32> = (0..g.arc_count())
-        .map(|i| {
-            let (_, dst) = g.arc_endpoints(das_graph::Arc::from_index(i));
-            part.of_node()[dst.index()]
-        })
-        .collect();
+/// The networked exchange: the in-process barriers as framed round-trips
+/// through the coordinator. Frame layouts are [`wire`]'s.
+struct Wire<'c> {
+    conn: &'c mut FramedConn,
+    /// This big-round's INBOX, already merged in ascending source-shard
+    /// order by the coordinator.
+    inbox: FlightGroup,
+}
 
-    let own: Vec<usize> = (0..n).filter(|&v| part.of_node()[v] == me as u32).collect();
-    let own_n = own.len();
-    let mut local_of = vec![usize::MAX; n];
-    for (li, &v) in own.iter().enumerate() {
-        local_of[v] = li;
-    }
-    let mut machines: Vec<Vec<Box<dyn crate::algorithm::AlgoNode>>> = (0..k)
-        .map(|a| {
-            own.iter()
-                .map(|&v| {
-                    algos[a].create_node(
-                        NodeId(v as u32),
-                        n,
-                        das_congest::util::seed_mix(seeds[a], v as u64),
-                    )
-                })
-                .collect()
+/// Classifies a frame a worker received while waiting for a `want` frame:
+/// its body, an ABORT that tears the run down, or a protocol error.
+fn worker_reply(kind: u8, body: Vec<u8>, want: u8, name: &str) -> Result<Vec<u8>, ExecError> {
+    if kind == want {
+        Ok(body)
+    } else if kind == wire::ABORT {
+        Err(ExecError::Aborted {
+            detail: decode_abort(&body),
         })
-        .collect();
-    let mut steps_done = vec![vec![0u32; own_n]; k];
-    let mut buffers: Vec<TagWindow> = Vec::with_capacity(k * own_n);
-    buffers.resize_with(k * own_n, TagWindow::default);
-    let mut inbox: Vec<(NodeId, Vec<u8>)> = Vec::new();
-    let mut queues: Vec<ArcFifo> = Vec::with_capacity(g.arc_count());
-    queues.resize_with(g.arc_count(), ArcFifo::default);
-    let mut active_arcs: Vec<usize> = Vec::new();
-    let mut stats = ExecStats {
-        phase_len: config.phase_len,
-        ..ExecStats::default()
-    };
-    let mut departures: Vec<SimulationMap> = vec![SimulationMap::new(); k];
-    let mut shard = ShardStats {
-        shard: me,
-        nodes: own_n,
-        degree: own.iter().map(|&v| g.degree(NodeId(v as u32))).sum(),
-        ..ShardStats::default()
-    };
-    let mut engine_round: u64 = 0;
-    let mut last_activity_round: u64 = 0;
-    let mut b: u64 = 0;
-    // per-destination staging for the OUTBOX frame, reused across rounds
-    let mut out_groups: Vec<Vec<u8>> = vec![Vec::new(); s];
-    let mut out_counts: Vec<u32> = vec![0; s];
-    loop {
-        // 1. Step phase: identical to the in-process row worker, except
-        // that cross-shard flights are encoded into per-destination
-        // staging buffers instead of in-memory outboxes.
-        let t_step = Instant::now();
-        if let Some(steps) = by_big_round.get(b as usize) {
-            for &(a, v, r) in steps {
-                let (a, v) = (a as usize, v as usize);
-                let li = local_of[v];
-                if li == usize::MAX {
-                    continue;
-                }
-                debug_assert_eq!(steps_done[a][li], r, "steps execute in order");
-                if r == 0 {
-                    inbox.clear();
-                } else {
-                    buffers[a * own_n + li].take(r - 1, &mut inbox);
-                }
-                // canonical inbox order, matching the reference runner
-                inbox.sort();
-                let sends = machines[a][li].step(&inbox);
-                steps_done[a][li] = r + 1;
-                shard.steps += 1;
-                let me_node = NodeId(v as u32);
-                let mut sent_to: Vec<NodeId> = Vec::new();
-                for snd in sends {
-                    let valid = g.find_edge(me_node, snd.to).is_some()
-                        && snd.payload.len() <= config.message_bytes
-                        && !sent_to.contains(&snd.to);
-                    if !valid {
-                        stats.invalid_sends += 1;
-                        continue;
-                    }
-                    sent_to.push(snd.to);
-                    let edge = g.find_edge(me_node, snd.to).expect("validated");
-                    let arc = g.arc_from(edge, me_node);
-                    let idx = arc.index();
-                    let owner = arc_owner[idx] as usize;
-                    if owner == me {
-                        let q = &mut queues[idx];
-                        if q.is_empty() {
-                            active_arcs.push(idx);
-                        }
-                        q.push_back(Flight {
-                            dst: snd.to,
-                            algo: a as u32,
-                            round: r,
-                            from: me_node,
-                            payload: snd.payload,
-                        });
-                        stats.max_arc_queue = stats.max_arc_queue.max(q.len());
-                    } else {
-                        shard.cross_sent += 1;
-                        let grp = &mut out_groups[owner];
-                        grp.extend_from_slice(&(idx as u32).to_le_bytes());
-                        grp.extend_from_slice(&snd.to.0.to_le_bytes());
-                        grp.extend_from_slice(&(a as u32).to_le_bytes());
-                        grp.extend_from_slice(&r.to_le_bytes());
-                        grp.extend_from_slice(&me_node.0.to_le_bytes());
-                        grp.extend_from_slice(&(snd.payload.len() as u32).to_le_bytes());
-                        grp.extend_from_slice(&snd.payload);
-                        out_counts[owner] += 1;
-                    }
-                }
-            }
-        }
-        shard.step_nanos += t_step.elapsed().as_nanos() as u64;
+    } else {
+        Err(ExecError::Net {
+            detail: format!("expected {name}, got frame kind {kind}"),
+        })
+    }
+}
 
-        // All outboxes for big-round b are complete: the first network
-        // barrier (OUTBOX up, INBOX down).
+/// Checks that a barrier frame belongs to big-round `b`.
+fn expect_round(r: &mut ByteReader<'_>, name: &str, b: u64) -> Result<(), ExecError> {
+    let round = r.u64(name)?;
+    if round == b {
+        Ok(())
+    } else {
+        Err(ExecError::Net {
+            detail: format!("{name} for big-round {round}, expected {b}"),
+        })
+    }
+}
+
+impl Exchange for Wire<'_> {
+    /// The first network barrier: OUTBOX up, INBOX down.
+    fn exchange(
+        &mut self,
+        b: u64,
+        staged: &mut [FlightGroup],
+    ) -> Result<&[FlightGroup], ExecError> {
         let mut w = ByteWriter::new();
         w.u64(b);
-        let groups = out_counts.iter().filter(|&&c| c > 0).count();
-        w.u32(groups as u32);
-        for dst in 0..s {
-            if out_counts[dst] == 0 {
-                continue;
+        w.u32(staged.iter().filter(|g| g.count > 0).count() as u32);
+        for (dst, group) in staged.iter_mut().enumerate() {
+            if group.count > 0 {
+                w.u32(dst as u32);
+                w.u32(group.count);
+                w.buf.extend_from_slice(&group.bytes);
+                group.clear();
             }
-            w.u32(dst as u32);
-            w.u32(out_counts[dst]);
-            w.buf.extend_from_slice(&out_groups[dst]);
-            out_groups[dst].clear();
-            out_counts[dst] = 0;
         }
-        conn.send(wire::OUTBOX, &w.buf, "sending outbox")?;
+        self.conn.send(wire::OUTBOX, &w.buf, "sending outbox")?;
+        let (kind, body) = self.conn.recv("waiting for inbox")?;
+        let body = worker_reply(kind, body, wire::INBOX, "INBOX")?;
+        let mut r = ByteReader::new(&body);
+        expect_round(&mut r, "INBOX", b)?;
+        self.inbox.clear();
+        self.inbox.count = r.u32("INBOX count")?;
+        self.inbox.bytes.extend_from_slice(&body[r.pos..]);
+        Ok(std::slice::from_ref(&self.inbox))
+    }
 
-        let (kind, body) = conn.recv("waiting for inbox")?;
-        match kind {
-            wire::INBOX => {}
-            wire::ABORT => {
-                return Err(ExecError::Aborted {
-                    detail: decode_abort(&body),
-                })
-            }
-            other => {
-                return Err(ExecError::Net {
-                    detail: format!("expected INBOX, got frame kind {other}"),
-                })
-            }
-        }
-        let t_drain = Instant::now();
-        // 2. Merge cross-shard arrivals into the owned queues — the shard
-        // boundary crossing, once per big-round, already ordered by
-        // ascending source shard by the coordinator.
-        {
-            let mut r = ByteReader::new(&body);
-            let round = r.u64("INBOX big-round")?;
-            if round != b {
-                return Err(ExecError::Net {
-                    detail: format!("INBOX for big-round {round}, expected {b}"),
-                });
-            }
-            let count = r.u32("INBOX count")?;
-            for _ in 0..count {
-                let idx = r.u32("flight arc")? as usize;
-                let dst = NodeId(r.u32("flight dst")?);
-                let algo = r.u32("flight algo")?;
-                let round = r.u32("flight round")?;
-                let from = NodeId(r.u32("flight from")?);
-                let payload = r.bytes("flight payload")?.to_vec();
-                if idx >= queues.len() || arc_owner[idx] as usize != me {
-                    return Err(ExecError::Net {
-                        detail: format!("INBOX delivered arc {idx} this shard does not own"),
-                    });
-                }
-                let q = &mut queues[idx];
-                if q.is_empty() {
-                    active_arcs.push(idx);
-                }
-                q.push_back(Flight {
-                    dst,
-                    algo,
-                    round,
-                    from,
-                    payload,
-                });
-                stats.max_arc_queue = stats.max_arc_queue.max(q.len());
-            }
-        }
-
-        // 3. Drain the owned queues for phase_len engine rounds, exactly
-        // as the in-process worker does.
-        let mut capped = None;
-        'drain: for _ in 0..config.phase_len {
-            let arcs = std::mem::take(&mut active_arcs);
-            for arc_idx in arcs {
-                let Some(f) = queues[arc_idx].pop_front() else {
-                    continue;
-                };
-                if !queues[arc_idx].is_empty() {
-                    active_arcs.push(arc_idx);
-                }
-                let (a, li) = (f.algo as usize, local_of[f.dst.index()]);
-                debug_assert_ne!(li, usize::MAX, "arc delivered to a foreign shard");
-                departures[a].insert(
-                    TimedArc {
-                        round: f.round,
-                        arc: das_graph::Arc::from_index(arc_idx),
-                    },
-                    engine_round as u32,
-                );
-                let late = steps_done[a][li] >= f.round + 2;
-                if late {
-                    stats.late_messages += 1;
-                } else {
-                    buffers[a * own_n + li].push(f.round, f.from, f.payload);
-                    stats.delivered += 1;
-                }
-                last_activity_round = engine_round + 1;
-            }
-            engine_round += 1;
-            if engine_round > config.max_engine_rounds {
-                // every worker's engine-round counter is identical, so all
-                // workers reach this in lockstep; each tells the
-                // coordinator and exits with the same typed error
-                capped = Some(ExecError::RoundCapExceeded {
-                    cap: config.max_engine_rounds,
-                    big_round: b,
-                });
-                break 'drain;
-            }
-        }
-        shard.drain_nanos += t_drain.elapsed().as_nanos() as u64;
-        if let Some(err) = capped {
-            let mut w = ByteWriter::new();
-            w.u64(config.max_engine_rounds);
-            w.u64(b);
-            let _ = conn.send(wire::ERROR, &w.buf, "reporting round cap");
-            return Err(err);
-        }
-
-        // 4. Termination: the second network barrier (ACTIVITY up,
-        // DECISION down) replaces the in-process activity counter and its
-        // two barriers.
+    /// The second network barrier: ACTIVITY up, DECISION down. The
+    /// coordinator decides against the full plan's last step round, so
+    /// "not done" stands in for "some shard still has work".
+    fn any_active(
+        &mut self,
+        b: u64,
+        active: bool,
+        shard: &ShardStats,
+        stats: &ExecStats,
+    ) -> Result<bool, ExecError> {
         let mut w = ByteWriter::new();
         w.u64(b);
-        w.u8(!active_arcs.is_empty() as u8);
+        w.u8(active as u8);
         // Cumulative telemetry totals ride along for free: coordinators
         // that predate them ignore the tail (ByteReader never over-reads),
         // so the protocol version is unchanged.
@@ -1614,81 +1389,22 @@ fn worker_loop(
         w.u64(stats.delivered);
         w.u64(stats.late_messages);
         w.u64(shard.cross_sent);
-        conn.send(wire::ACTIVITY, &w.buf, "posting activity")?;
-        let (kind, body) = conn.recv("waiting for decision")?;
-        match kind {
-            wire::DECISION => {}
-            wire::ABORT => {
-                return Err(ExecError::Aborted {
-                    detail: decode_abort(&body),
-                })
-            }
-            other => {
-                return Err(ExecError::Net {
-                    detail: format!("expected DECISION, got frame kind {other}"),
-                })
-            }
-        }
+        self.conn.send(wire::ACTIVITY, &w.buf, "posting activity")?;
+        let (kind, body) = self.conn.recv("waiting for decision")?;
+        let body = worker_reply(kind, body, wire::DECISION, "DECISION")?;
         let mut r = ByteReader::new(&body);
-        let round = r.u64("DECISION big-round")?;
-        if round != b {
-            return Err(ExecError::Net {
-                detail: format!("DECISION for big-round {round}, expected {b}"),
-            });
-        }
-        let done = r.u8("DECISION flag")? != 0;
-        b += 1;
-        if done {
-            break;
-        }
+        expect_round(&mut r, "DECISION", b)?;
+        Ok(r.u8("DECISION flag")? == 0)
     }
 
-    shard.delivered = stats.delivered;
-    // DONE: outputs, departures, and stats, in one frame.
-    let mut w = ByteWriter::new();
-    w.u64(b);
-    w.u64(last_activity_round);
-    w.u64(stats.delivered);
-    w.u64(stats.late_messages);
-    w.u64(stats.invalid_sends);
-    w.u64(stats.max_arc_queue as u64);
-    w.u64(shard.shard as u64);
-    w.u64(shard.nodes as u64);
-    w.u64(shard.degree as u64);
-    w.u64(shard.steps);
-    w.u64(shard.delivered);
-    w.u64(shard.cross_sent);
-    w.u64(shard.step_nanos);
-    w.u64(shard.drain_nanos);
-    for per_node in &machines {
-        for m in per_node {
-            match m.output() {
-                Some(out) => {
-                    w.u8(1);
-                    w.bytes(&out);
-                }
-                None => w.u8(0),
-            }
-        }
+    /// Every worker reaches the cap in the same big-round; each tells the
+    /// coordinator and exits with the same typed error.
+    fn abandon(&mut self, cap: u64, b: u64) {
+        let mut w = ByteWriter::new();
+        w.u64(cap);
+        w.u64(b);
+        let _ = self.conn.send(wire::ERROR, &w.buf, "reporting round cap");
     }
-    for map in &departures {
-        w.u64(map.len() as u64);
-        for (ta, &er) in map {
-            w.u32(ta.round);
-            w.u32(ta.arc.index() as u32);
-            w.u32(er);
-        }
-    }
-    conn.send(wire::DONE, &w.buf, "reporting results")?;
-    Ok(WorkerOutcome {
-        shard: me,
-        shards: s,
-        steps: shard.steps,
-        delivered: stats.delivered,
-        cross_sent: shard.cross_sent,
-        big_rounds: b,
-        traffic: conn.traffic.clone(),
-    })
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@ use crate::problem::DasProblem;
 use crate::schedule::ScheduleOutcome;
 use crate::schedulers::Scheduler;
 use crate::verify::{self, VerifyReport};
-use crate::{EngineKind, ShardReport};
+use crate::ShardReport;
 use das_obs::{LiveHub, ObsConfig, ObsReport, Stage, TraceEvent};
 use std::sync::Arc;
 use std::time::Instant;
@@ -74,12 +74,7 @@ pub fn run_traced_live(
     live: Option<Arc<LiveHub>>,
 ) -> Result<TracedRun, SchedError> {
     if let Some(hub) = &live {
-        let engine = match ExecutorConfig::default().engine {
-            EngineKind::Row => "row",
-            EngineKind::Columnar => "columnar",
-            EngineKind::ColumnarBatched => "batched",
-        };
-        hub.set_run_info(engine, shards.max(1));
+        hub.set_run_info("batched", shards.max(1));
         hub.set_phase("plan");
     }
     let t_plan = Instant::now();

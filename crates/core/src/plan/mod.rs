@@ -26,12 +26,14 @@ pub mod cache;
 pub mod diff;
 
 use crate::exec::{ExecError, Executor, ExecutorConfig, ShardReport, StepPlan, Unit};
+use crate::net::{run_coordinator, LinkTraffic, NetConfig};
 use crate::problem::DasProblem;
 use crate::reference::ReferenceError;
 use crate::schedule::ScheduleOutcome;
 use das_obs::{ObsConfig, ObsReport};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::net::TcpListener;
 
 /// Ways a [`SchedulePlan`] can be malformed for a given problem. Plans
 /// produced by the in-crate schedulers are valid by construction; this
@@ -350,6 +352,82 @@ impl SchedulePlan {
     }
 }
 
+/// Where a plan's shards run.
+pub(crate) enum Topology<'a> {
+    /// One shard owning every node, on the calling thread.
+    Fused,
+    /// `config.shards` in-process worker threads.
+    Sharded,
+    /// One worker process per shard, joined over `listener`.
+    Networked {
+        /// Requested worker count (clamped to the node count).
+        workers: usize,
+        /// Where the workers connect.
+        listener: TcpListener,
+        /// Deadlines, frame limits, stop flag, live hub.
+        net: &'a NetConfig,
+    },
+}
+
+/// Everything one execution produced; each public entry point returns the
+/// parts it promises.
+pub(crate) struct Executed {
+    pub(crate) outcome: ScheduleOutcome,
+    /// Partition-dependent measurements (empty for [`Topology::Fused`]).
+    pub(crate) shard: ShardReport,
+    /// The merged recording, `None` when `obs` is off.
+    pub(crate) obs: Option<ObsReport>,
+    /// Coordinator-side per-worker traffic ([`Topology::Networked`] only).
+    pub(crate) traffic: Vec<LinkTraffic>,
+}
+
+/// The one way a plan gets executed: validate (plans are untrusted input),
+/// derive the per-algorithm seeds, run on the requested topology with the
+/// plan's own `phase_len` — part of the plan's semantics, so it always
+/// overrides `config.phase_len` — and stamp the plan's pre-computation
+/// charge on the outcome.
+pub(crate) fn execute(
+    problem: &DasProblem<'_>,
+    plan: &SchedulePlan,
+    config: &ExecutorConfig,
+    obs: &ObsConfig,
+    topology: Topology<'_>,
+) -> Result<Executed, SchedError> {
+    plan.validate(problem)?;
+    let seeds: Vec<u64> = (0..problem.k()).map(|i| problem.algo_seed(i)).collect();
+    let config = config.clone().with_phase_len(plan.phase_len);
+    let (g, algos) = (problem.graph(), problem.algorithms());
+    let units = &plan.units;
+    let (outcome, shard, obs, traffic) = match topology {
+        Topology::Fused => {
+            let (outcome, obs) = Executor::run_observed(g, algos, &seeds, units, &config, obs)?;
+            (outcome, ShardReport::default(), obs, Vec::new())
+        }
+        Topology::Sharded => {
+            let (outcome, shard, obs) =
+                Executor::run_sharded_observed(g, algos, &seeds, units, &config, obs)?;
+            (outcome, shard, obs, Vec::new())
+        }
+        Topology::Networked {
+            workers,
+            listener,
+            net,
+        } => {
+            let (outcome, report) =
+                run_coordinator(problem, plan, &config, workers, listener, net)?;
+            (outcome, report.shard, None, report.traffic)
+        }
+    };
+    let mut done = Executed {
+        outcome,
+        shard,
+        obs,
+        traffic,
+    };
+    done.outcome.precompute_rounds = plan.precompute_rounds;
+    Ok(done)
+}
+
 /// Executes a plan on the problem's algorithms: the single shared stage 2
 /// of the plan → execute → verify pipeline.
 ///
@@ -366,15 +444,13 @@ pub fn execute_plan(
     problem: &DasProblem<'_>,
     plan: &SchedulePlan,
 ) -> Result<ScheduleOutcome, SchedError> {
-    execute_plan_with(
-        problem,
-        plan,
-        &ExecutorConfig::default().with_phase_len(plan.phase_len),
-    )
+    execute_plan_with(problem, plan, &ExecutorConfig::default())
 }
 
-/// [`execute_plan`] with an explicit executor configuration (custom round
-/// budget, message size, departure recording).
+/// [`execute_plan`] with an explicit executor configuration (engine
+/// selection, custom round budget, message size, departure recording).
+/// The phase length always comes from the plan; `config.shards` is
+/// ignored — this is the fused entry.
 ///
 /// # Errors
 /// As [`execute_plan`].
@@ -383,17 +459,7 @@ pub fn execute_plan_with(
     plan: &SchedulePlan,
     config: &ExecutorConfig,
 ) -> Result<ScheduleOutcome, SchedError> {
-    plan.validate(problem)?;
-    let seeds: Vec<u64> = (0..problem.k()).map(|i| problem.algo_seed(i)).collect();
-    let mut outcome = Executor::run(
-        problem.graph(),
-        problem.algorithms(),
-        &seeds,
-        &plan.units,
-        config,
-    )?;
-    outcome.precompute_rounds = plan.precompute_rounds;
-    Ok(outcome)
+    execute(problem, plan, config, &ObsConfig::off(), Topology::Fused).map(|e| e.outcome)
 }
 
 /// [`execute_plan`] with observability: records metrics, load profiles,
@@ -409,24 +475,11 @@ pub fn execute_plan_observed(
     plan: &SchedulePlan,
     obs: &ObsConfig,
 ) -> Result<(ScheduleOutcome, Option<ObsReport>), SchedError> {
-    plan.validate(problem)?;
-    let seeds: Vec<u64> = (0..problem.k()).map(|i| problem.algo_seed(i)).collect();
-    let (mut outcome, report) = Executor::run_observed(
-        problem.graph(),
-        problem.algorithms(),
-        &seeds,
-        &plan.units,
-        &ExecutorConfig::default().with_phase_len(plan.phase_len),
-        obs,
-    )?;
-    outcome.precompute_rounds = plan.precompute_rounds;
-    Ok((outcome, report))
+    execute_plan_observed_with(problem, plan, obs, &ExecutorConfig::default())
 }
 
 /// [`execute_plan_observed`] with an explicit executor configuration
-/// (engine selection, custom round budget). `config.phase_len` is
-/// overridden by the plan's own phase length, which the plan semantics
-/// require.
+/// (engine selection, custom round budget).
 ///
 /// # Errors
 /// As [`execute_plan`].
@@ -436,18 +489,7 @@ pub fn execute_plan_observed_with(
     obs: &ObsConfig,
     config: &ExecutorConfig,
 ) -> Result<(ScheduleOutcome, Option<ObsReport>), SchedError> {
-    plan.validate(problem)?;
-    let seeds: Vec<u64> = (0..problem.k()).map(|i| problem.algo_seed(i)).collect();
-    let (mut outcome, report) = Executor::run_observed(
-        problem.graph(),
-        problem.algorithms(),
-        &seeds,
-        &plan.units,
-        &config.clone().with_phase_len(plan.phase_len),
-        obs,
-    )?;
-    outcome.precompute_rounds = plan.precompute_rounds;
-    Ok((outcome, report))
+    execute(problem, plan, config, obs, Topology::Fused).map(|e| (e.outcome, e.obs))
 }
 
 /// Executes a plan on the sharded executor with `shards` worker threads
@@ -463,24 +505,17 @@ pub fn execute_plan_sharded(
     plan: &SchedulePlan,
     shards: usize,
 ) -> Result<(ScheduleOutcome, ShardReport), SchedError> {
-    plan.validate(problem)?;
-    let seeds: Vec<u64> = (0..problem.k()).map(|i| problem.algo_seed(i)).collect();
-    let (mut outcome, report) = Executor::run_sharded(
-        problem.graph(),
-        problem.algorithms(),
-        &seeds,
-        &plan.units,
-        &ExecutorConfig::default()
-            .with_phase_len(plan.phase_len)
-            .with_shards(shards),
-    )?;
-    outcome.precompute_rounds = plan.precompute_rounds;
-    Ok((outcome, report))
+    execute_plan_sharded_with(
+        problem,
+        plan,
+        &ExecutorConfig::default().with_shards(shards),
+    )
 }
 
 /// [`execute_plan_sharded`] with an explicit executor configuration
-/// (engine selection, custom round budget); the shard count comes from
-/// `config.shards` and the phase length from the plan.
+/// (custom round budget); the shard count comes from `config.shards`.
+/// [`crate::EngineKind::Row`] has no sharded form and is refused with
+/// [`ExecError::RowIsFusedOnly`].
 ///
 /// # Errors
 /// As [`execute_plan`].
@@ -489,17 +524,8 @@ pub fn execute_plan_sharded_with(
     plan: &SchedulePlan,
     config: &ExecutorConfig,
 ) -> Result<(ScheduleOutcome, ShardReport), SchedError> {
-    plan.validate(problem)?;
-    let seeds: Vec<u64> = (0..problem.k()).map(|i| problem.algo_seed(i)).collect();
-    let (mut outcome, report) = Executor::run_sharded(
-        problem.graph(),
-        problem.algorithms(),
-        &seeds,
-        &plan.units,
-        &config.clone().with_phase_len(plan.phase_len),
-    )?;
-    outcome.precompute_rounds = plan.precompute_rounds;
-    Ok((outcome, report))
+    execute(problem, plan, config, &ObsConfig::off(), Topology::Sharded)
+        .map(|e| (e.outcome, e.shard))
 }
 
 /// [`execute_plan_sharded`] with observability: each shard records on its
@@ -515,45 +541,22 @@ pub fn execute_plan_sharded_observed(
     shards: usize,
     obs: &ObsConfig,
 ) -> Result<(ScheduleOutcome, ShardReport, Option<ObsReport>), SchedError> {
-    plan.validate(problem)?;
-    let seeds: Vec<u64> = (0..problem.k()).map(|i| problem.algo_seed(i)).collect();
-    let (mut outcome, report, obs_report) = Executor::run_sharded_observed(
-        problem.graph(),
-        problem.algorithms(),
-        &seeds,
-        &plan.units,
-        &ExecutorConfig::default()
-            .with_phase_len(plan.phase_len)
-            .with_shards(shards),
-        obs,
-    )?;
-    outcome.precompute_rounds = plan.precompute_rounds;
-    Ok((outcome, report, obs_report))
+    let config = ExecutorConfig::default().with_shards(shards);
+    execute_plan_sharded_observed_with(problem, plan, obs, &config)
 }
 
 /// [`execute_plan_sharded_observed`] with an explicit executor
-/// configuration (custom engine, shard count, round budget).
+/// configuration (shard count, round budget).
 ///
 /// # Errors
-/// As [`execute_plan`].
+/// As [`execute_plan_sharded_with`].
 pub fn execute_plan_sharded_observed_with(
     problem: &DasProblem<'_>,
     plan: &SchedulePlan,
     obs: &ObsConfig,
     config: &ExecutorConfig,
 ) -> Result<(ScheduleOutcome, ShardReport, Option<ObsReport>), SchedError> {
-    plan.validate(problem)?;
-    let seeds: Vec<u64> = (0..problem.k()).map(|i| problem.algo_seed(i)).collect();
-    let (mut outcome, report, obs_report) = Executor::run_sharded_observed(
-        problem.graph(),
-        problem.algorithms(),
-        &seeds,
-        &plan.units,
-        &config.clone().with_phase_len(plan.phase_len),
-        obs,
-    )?;
-    outcome.precompute_rounds = plan.precompute_rounds;
-    Ok((outcome, report, obs_report))
+    execute(problem, plan, config, obs, Topology::Sharded).map(|e| (e.outcome, e.shard, e.obs))
 }
 
 #[cfg(test)]
@@ -801,6 +804,24 @@ mod tests {
                 assert_eq!(report.shards, shards.min(g.node_count()));
             }
         }
+    }
+
+    #[test]
+    fn the_plans_phase_len_wins_over_the_configs_on_every_entry() {
+        let g = generators::path(10);
+        let p = mixed_problem(&g);
+        let plan = UniformScheduler::default().plan(&p, 3).unwrap();
+        let expected = format!("{:?}", execute_plan(&p, &plan).unwrap());
+        let off = ObsConfig::off();
+        let other = ExecutorConfig::default()
+            .with_phase_len(plan.phase_len + 5)
+            .with_shards(2);
+        let fused = execute_plan_with(&p, &plan, &other).unwrap();
+        assert_eq!(expected, format!("{fused:?}"));
+        let (observed, _) = execute_plan_observed_with(&p, &plan, &off, &other).unwrap();
+        assert_eq!(expected, format!("{observed:?}"));
+        let (sharded, _) = execute_plan_sharded_with(&p, &plan, &other).unwrap();
+        assert_eq!(expected, format!("{sharded:?}"));
     }
 
     #[test]

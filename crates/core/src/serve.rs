@@ -38,7 +38,7 @@
 //! to assert the byte-identity end-to-end, and report sustained jobs/sec
 //! with p50/p95/p99 latency.
 
-use crate::exec::{EngineKind, ExecError, ExecutorConfig};
+use crate::exec::{ExecError, ExecutorConfig};
 use crate::net::{
     connect_with_retry, decode_reject, graph_fingerprint, wire, ByteReader, ByteWriter, FramedConn,
     NetConfig, PROTOCOL_VERSION,
@@ -46,6 +46,7 @@ use crate::net::{
 use crate::plan::{execute_plan_sharded_with, SchedError};
 use crate::problem::DasProblem;
 use crate::reference::run_alone;
+use crate::schedule::ScheduleOutcome;
 use crate::schedulers::Scheduler;
 use crate::synthetic::{FloodBall, RelayChain};
 use crate::verify;
@@ -251,8 +252,6 @@ pub struct ServeConfig {
     pub tape_seed: u64,
     /// The scheduler seed every batch is planned with.
     pub sched_seed: u64,
-    /// Execution engine for the pool.
-    pub engine: EngineKind,
     /// Network tunables; `net.stop` is the daemon's shutdown signal and
     /// `net.live` its optional telemetry hub.
     pub net: NetConfig,
@@ -267,7 +266,6 @@ impl Default for ServeConfig {
             capacity: Capacity::default(),
             tape_seed: 42,
             sched_seed: 0,
-            engine: EngineKind::ColumnarBatched,
             net: NetConfig::default(),
         }
     }
@@ -299,6 +297,8 @@ struct Counters {
     completed: AtomicU64,
     failed: AtomicU64,
     batches: AtomicU64,
+    /// Display form of the error behind the most recent failed batch.
+    last_error: Mutex<String>,
 }
 
 impl Counters {
@@ -311,6 +311,11 @@ impl Counters {
                 completed: self.completed.load(Ordering::SeqCst),
                 failed: self.failed.load(Ordering::SeqCst),
                 batches: self.batches.load(Ordering::SeqCst),
+                last_error: self
+                    .last_error
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .clone(),
             });
         }
     }
@@ -592,12 +597,17 @@ fn executor_loop(
                 q = guard;
             }
             // linger for stragglers until the batch fills, the wait
-            // expires, or the daemon stops
+            // expires, or the daemon stops; every wake (a straggler's
+            // arrival notifies) waits only for the *remainder* of the
+            // linger, never a fresh one
             let first_seen = Instant::now();
-            while q.len() < batch_max && first_seen.elapsed() < linger && !cfg.net.stopped() {
+            while q.len() < batch_max && !cfg.net.stopped() {
+                let Some(left) = linger.checked_sub(first_seen.elapsed()) else {
+                    break;
+                };
                 let (guard, _) = queue
                     .ready
-                    .wait_timeout(q, linger.min(STOP_POLL))
+                    .wait_timeout(q, left.min(STOP_POLL))
                     .unwrap_or_else(|e| e.into_inner());
                 q = guard;
             }
@@ -644,7 +654,6 @@ fn execute_batch(
     let algos: Vec<Box<dyn crate::BlackBoxAlgorithm>> =
         batch.iter().map(|j| instantiate(&j.spec, g)).collect();
     let problem = DasProblem::new(g, algos, cfg.tape_seed);
-    let k = batch.len();
 
     let run = problem
         .references()
@@ -652,19 +661,34 @@ fn execute_batch(
         .and_then(|_| {
             let artifact = scheduler.build_sweep_artifact(&problem)?;
             let plan = scheduler.plan_swept(&problem, &artifact, cfg.sched_seed)?;
-            let exec_cfg = ExecutorConfig::default()
-                .with_shards(cfg.pool_shards.max(1))
-                .with_engine(cfg.engine);
+            let exec_cfg = ExecutorConfig::default().with_shards(cfg.pool_shards.max(1));
             let (outcome, _report) = execute_plan_sharded_with(&problem, &plan, &exec_cfg)?;
             let report = verify::against_references(&problem, &outcome)?;
             Ok((outcome, report))
         });
+    answer_batch(&problem, &batch, run, counters);
+}
 
+/// Answers every job of an executed batch from the pipeline's result: a
+/// per-job verdict when it ran, [`JobStatus::ExecFailed`] for all of them
+/// (with the reason logged and kept for `GET /jobs`) when it did not.
+fn answer_batch(
+    problem: &DasProblem<'_>,
+    batch: &[PendingJob],
+    run: Result<(ScheduleOutcome, verify::VerifyReport), SchedError>,
+    counters: &Counters,
+) {
+    let k = batch.len();
     match run {
-        Err(_) => {
+        Err(e) => {
             // the whole batch failed to plan or execute: typed ExecFailed
             // per job, and the daemon keeps serving
-            for job in &batch {
+            eprintln!("serve: batch of {k} job(s) failed: {e}");
+            *counters
+                .last_error
+                .lock()
+                .unwrap_or_else(|e| e.into_inner()) = e.to_string();
+            for job in batch {
                 let mut w = ByteWriter::new();
                 w.u64(job.spec.job_id);
                 w.u8(JobStatus::ExecFailed.to_wire());
@@ -1155,5 +1179,58 @@ mod tests {
             assert_eq!(spec.source, expected);
             assert_eq!(spec.depth, 3);
         }
+    }
+
+    /// The failure branch is a function of the pipeline's `Result`: every
+    /// job of the batch is answered `ExecFailed`, each counts as failed,
+    /// and the reason survives for `GET /jobs` instead of being dropped.
+    #[test]
+    fn failed_batch_answers_every_job_and_keeps_the_error() {
+        let g = das_graph::generators::path(6);
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut client = FramedConn::new(
+            TcpStream::connect(listener.local_addr().expect("addr")).expect("connect"),
+            &NetConfig::default(),
+        )
+        .expect("client conn");
+        let (server_side, _) = listener.accept().expect("accept");
+        let writer = Arc::new(Mutex::new(
+            FramedConn::new(server_side, &NetConfig::default()).expect("server conn"),
+        ));
+        let batch: Vec<PendingJob> = [11u64, 12, 13]
+            .iter()
+            .map(|&job_id| PendingJob {
+                spec: JobSpec {
+                    job_id,
+                    ..spec(3, 4, 8)
+                },
+                writer: writer.clone(),
+            })
+            .collect();
+        let algos = batch.iter().map(|j| instantiate(&j.spec, &g)).collect();
+        let problem = DasProblem::new(&g, algos, 42);
+        let counters = Counters::default();
+        let err = SchedError::Exec(ExecError::Aborted {
+            detail: "shard 1 panicked: boom".to_string(),
+        });
+        answer_batch(&problem, &batch, Err(err.clone()), &counters);
+
+        for job in &batch {
+            let (kind, body) = client.recv("test RESULT").expect("one RESULT per job");
+            assert_eq!(kind, wire::RESULT);
+            let mut r = ByteReader::new(&body);
+            assert_eq!(r.u64("job id").unwrap(), job.spec.job_id);
+            assert_eq!(
+                JobStatus::from_wire(r.u8("status").unwrap()),
+                JobStatus::ExecFailed
+            );
+        }
+        assert_eq!(counters.failed.load(Ordering::SeqCst), 3);
+        assert_eq!(counters.completed.load(Ordering::SeqCst), 0);
+        assert_eq!(*counters.last_error.lock().unwrap(), err.to_string());
+        // ... and the published snapshot carries it
+        let hub = Arc::new(das_obs::LiveHub::new());
+        counters.publish(&NetConfig::default().with_live(Some(hub.clone())));
+        assert!(hub.render_jobs().contains("shard 1 panicked: boom"));
     }
 }

@@ -104,3 +104,86 @@ fn departures_can_be_disabled() {
     .unwrap();
     assert!(outcome.departures.is_none());
 }
+
+/// A black box whose node 0 panics in its second step; every other
+/// machine is silent.
+struct PanicsAtNodeZero;
+
+struct Fuse {
+    armed: bool,
+    stepped: u32,
+}
+
+impl das_core::AlgoNode for Fuse {
+    fn step(&mut self, _inbox: &[(NodeId, Vec<u8>)]) -> Vec<das_core::AlgoSend> {
+        self.stepped += 1;
+        assert!(!(self.armed && self.stepped == 2), "fuse blown at node 0");
+        Vec::new()
+    }
+
+    fn output(&self) -> Option<Vec<u8>> {
+        None
+    }
+}
+
+impl BlackBoxAlgorithm for PanicsAtNodeZero {
+    fn aid(&self) -> das_core::Aid {
+        das_core::Aid(0)
+    }
+
+    fn rounds(&self) -> u32 {
+        3
+    }
+
+    fn create_node(&self, v: NodeId, _n: usize, _seed: u64) -> Box<dyn das_core::AlgoNode> {
+        Box::new(Fuse {
+            armed: v == NodeId(0),
+            stepped: 0,
+        })
+    }
+}
+
+/// A panicking machine must not wedge the sharded executor: the surviving
+/// workers leave their barriers and the run returns a typed error. The
+/// run happens on a helper thread so a regression fails by deadline
+/// instead of hanging the suite.
+#[test]
+fn panicking_machine_aborts_a_sharded_run_instead_of_hanging() {
+    use das_core::{execute_plan_sharded_with, ExecError, SchedError, SchedulePlan};
+    use std::time::Duration;
+
+    for shards in [2usize, 3] {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let g = generators::path(8);
+            let p = DasProblem::new(&g, vec![Box::new(PanicsAtNodeZero)], 1);
+            let units = vec![Unit::global(0, 0, 8)];
+            let config = ExecutorConfig::default().with_shards(shards);
+            let direct =
+                Executor::run_sharded(&g, p.algorithms(), &[p.algo_seed(0)], &units, &config)
+                    .map(|_| ());
+            let plan = SchedulePlan::assemble("hand-built", 0, 1, 0, &p, units);
+            let staged = execute_plan_sharded_with(&p, &plan, &config).map(|_| ());
+            let _ = tx.send((direct, staged));
+        });
+        let (direct, staged) = rx
+            .recv_timeout(Duration::from_secs(2))
+            .unwrap_or_else(|_| panic!("{shards}-shard run did not return within 2 s"));
+        let staged = match staged.unwrap_err() {
+            SchedError::Exec(e) => e,
+            other => panic!("expected an execution error, got {other:?}"),
+        };
+        for err in [direct.unwrap_err(), staged] {
+            match err {
+                ExecError::Aborted { detail } => {
+                    assert!(detail.contains("shard "), "{detail}");
+                    assert!(
+                        detail.contains("panicked: fuse blown at node 0"),
+                        "{detail}"
+                    );
+                }
+                other => panic!("expected Aborted, got {other:?}"),
+            }
+        }
+    }
+}

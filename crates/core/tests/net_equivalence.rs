@@ -6,14 +6,21 @@
 //!
 //! A pinned-seed matrix (rather than proptest) keeps the socket churn
 //! bounded; the seeds sweep both graph randomness and workload randomness.
+//!
+//! The conformance table at the bottom drives one plan through every
+//! exchange of the production loop — `Local`, `InProcess` × {1, 2, 3, 7}
+//! shards, `Wire` × {1, 3} workers — against the row oracle.
 
 use das_core::synthetic::{FloodBall, Prescribed, RelayChain};
 use das_core::{
-    execute_plan, execute_plan_networked, execute_plan_sharded, run_worker, BlackBoxAlgorithm,
-    DasProblem, InterleaveScheduler, NetConfig, PrivateScheduler, Scheduler, SequentialScheduler,
-    TunedUniformScheduler, UniformScheduler,
+    execute_plan, execute_plan_networked, execute_plan_observed_with, execute_plan_sharded,
+    execute_plan_sharded_observed_with, execute_plan_sharded_with, execute_plan_with, run_worker,
+    BlackBoxAlgorithm, DasProblem, EngineKind, ExecError, ExecutorConfig, InterleaveScheduler,
+    NetConfig, NetReport, PrivateScheduler, SchedError, ScheduleOutcome, SchedulePlan, Scheduler,
+    SequentialScheduler, TunedUniformScheduler, UniformScheduler, Unit, WorkerOutcome,
 };
 use das_graph::{generators, Graph, NodeId};
+use das_obs::ObsConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::net::TcpListener;
@@ -64,14 +71,18 @@ fn all_schedulers() -> Vec<Box<dyn Scheduler>> {
     ]
 }
 
+/// The coordinator's result of one networked run.
+type Coordinated = Result<(ScheduleOutcome, NetReport), SchedError>;
+
 /// Runs the plan over localhost TCP: a coordinator thread (this one) plus
 /// `workers` worker threads sharing the same in-memory problem, exactly as
-/// separate processes would rebuild it from identical flags.
-fn run_networked(
+/// separate processes would rebuild it from identical flags. Returns the
+/// coordinator's result and every worker's.
+fn try_networked(
     p: &DasProblem<'_>,
-    plan: &das_core::SchedulePlan,
+    plan: &SchedulePlan,
     workers: usize,
-) -> (das_core::ScheduleOutcome, das_core::NetReport) {
+) -> (Coordinated, Vec<Result<WorkerOutcome, SchedError>>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind localhost");
     let addr = listener.local_addr().expect("local addr").to_string();
     let net = NetConfig::default().with_io_timeout_ms(20_000);
@@ -83,13 +94,26 @@ fn run_networked(
             let net = net.clone();
             handles.push(scope.spawn(move || run_worker(p, &addr, &net)));
         }
-        let result =
-            execute_plan_networked(p, plan, workers, listener, &net).expect("networked execution");
-        for h in handles {
-            h.join().expect("worker thread").expect("worker outcome");
-        }
-        result
+        let result = execute_plan_networked(p, plan, workers, listener, &net);
+        let joined = handles
+            .into_iter()
+            .map(|h| h.join().expect("worker thread"))
+            .collect();
+        (result, joined)
     })
+}
+
+/// [`try_networked`] for runs that must succeed on both sides.
+fn run_networked(
+    p: &DasProblem<'_>,
+    plan: &SchedulePlan,
+    workers: usize,
+) -> (ScheduleOutcome, NetReport) {
+    let (result, joined) = try_networked(p, plan, workers);
+    for w in joined {
+        w.expect("worker outcome");
+    }
+    result.expect("networked execution")
 }
 
 /// Zeroes the wall-clock fields of a shard report so the deterministic
@@ -173,4 +197,169 @@ fn networked_clamps_workers_to_node_count() {
     let (networked, report) = run_networked(&p, &plan, n + 10);
     assert_eq!(format!("{fused:?}"), format!("{networked:?}"));
     assert_eq!(report.shard.shards, n);
+}
+
+// ------------------------------------------------- exchange conformance
+
+/// One way of reaching the production big-round loop, named by the
+/// exchange it runs on.
+#[derive(Clone, Copy, Debug)]
+enum Via {
+    /// Fused: one shard, no peer.
+    Local,
+    /// In-process worker threads.
+    InProcess(usize),
+    /// Worker threads over localhost TCP.
+    Wire(usize),
+}
+
+const EXCHANGES: [Via; 7] = [
+    Via::Local,
+    Via::InProcess(1),
+    Via::InProcess(2),
+    Via::InProcess(3),
+    Via::InProcess(7),
+    Via::Wire(1),
+    Via::Wire(3),
+];
+
+/// Executes `plan` through `via` under `config`. The wire has no
+/// configuration surface, so `Wire` runs under the defaults whatever
+/// `config` says; every worker must fail exactly as the coordinator does.
+fn execute_via(
+    via: Via,
+    p: &DasProblem<'_>,
+    plan: &SchedulePlan,
+    config: &ExecutorConfig,
+) -> Result<ScheduleOutcome, SchedError> {
+    match via {
+        Via::Local => execute_plan_with(p, plan, config),
+        Via::InProcess(shards) => {
+            execute_plan_sharded_with(p, plan, &config.clone().with_shards(shards))
+                .map(|(outcome, _)| outcome)
+        }
+        Via::Wire(workers) => {
+            let (result, joined) = try_networked(p, plan, workers);
+            if let Err(e) = &result {
+                for w in joined {
+                    assert_eq!(w.as_ref().unwrap_err(), e, "{via:?}: worker vs coordinator");
+                }
+            }
+            result.map(|(outcome, _)| outcome)
+        }
+    }
+}
+
+/// Same plan, every exchange: the row oracle's bytes, and — where a probe
+/// can be attached — the same merged load profile.
+#[test]
+fn every_exchange_reproduces_the_row_oracle() {
+    let g = generators::gnp_connected(12, 2.5 / 12.0, 17);
+    let p = DasProblem::new(&g, build_algos(&g, 3, 99), 99);
+    let defaults = ExecutorConfig::default();
+    for sched in all_schedulers() {
+        let plan = sched.plan(&p, 99).expect("model-valid workload");
+        let oracle = execute_plan_with(&p, &plan, &defaults.clone().with_engine(EngineKind::Row))
+            .expect("row oracle");
+        let oracle_bytes = format!("{oracle:?}");
+        let mut profiles = Vec::new();
+        for via in EXCHANGES {
+            let outcome = execute_via(via, &p, &plan, &defaults).expect("execution");
+            assert_eq!(
+                oracle_bytes,
+                format!("{outcome:?}"),
+                "scheduler {}: {via:?} diverged from the row oracle",
+                sched.name()
+            );
+            let obs = ObsConfig::full();
+            let observed = match via {
+                Via::Local => execute_plan_observed_with(&p, &plan, &obs, &defaults),
+                Via::InProcess(shards) => execute_plan_sharded_observed_with(
+                    &p,
+                    &plan,
+                    &obs,
+                    &defaults.clone().with_shards(shards),
+                )
+                .map(|(outcome, _, report)| (outcome, report)),
+                Via::Wire(_) => continue, // workers carry no probe
+            };
+            let (outcome, report) = observed.expect("observed execution");
+            assert_eq!(oracle_bytes, format!("{outcome:?}"), "{via:?} under obs");
+            profiles.push((
+                via,
+                format!("{:?}", report.expect("recording is on").profile),
+            ));
+        }
+        for (via, profile) in &profiles[1..] {
+            assert_eq!(
+                &profiles[0].1,
+                profile,
+                "scheduler {}: {via:?} merged a different load profile",
+                sched.name()
+            );
+        }
+    }
+}
+
+/// The lockstep-abandon rule lives in one place now: when the engine-round
+/// cap fires, every exchange reports the *same* `RoundCapExceeded { cap,
+/// big_round }` as the row oracle.
+#[test]
+fn every_exchange_abandons_on_the_same_round_cap() {
+    let g = generators::path(6);
+    let relays: Vec<Box<dyn BlackBoxAlgorithm>> = (0..2)
+        .map(|i| Box::new(RelayChain::new(i, &g)) as Box<dyn BlackBoxAlgorithm>)
+        .collect();
+    let p = DasProblem::new(&g, relays, 3);
+    let row = |config: &ExecutorConfig, plan: &SchedulePlan| {
+        execute_plan_with(&p, plan, &config.clone().with_engine(EngineKind::Row)).unwrap_err()
+    };
+
+    // Overloaded: two relays collide on every edge with zero delays and
+    // need ~10 engine rounds; the cap allows 3. A cap is an executor
+    // setting, so this leg covers the exchanges that take one.
+    let units = vec![Unit::global(0, 0, 6), Unit::global(1, 0, 6)];
+    let overloaded = SchedulePlan::assemble("hand-built", 0, 1, 0, &p, units);
+    let tight = ExecutorConfig {
+        max_engine_rounds: 3,
+        ..ExecutorConfig::default()
+    };
+    let expected = row(&tight, &overloaded);
+    assert_eq!(
+        expected,
+        SchedError::Exec(ExecError::RoundCapExceeded {
+            cap: 3,
+            big_round: 3
+        })
+    );
+    for via in EXCHANGES {
+        if !matches!(via, Via::Wire(_)) {
+            let err = execute_via(via, &p, &overloaded, &tight).unwrap_err();
+            assert_eq!(expected, err, "{via:?}");
+        }
+    }
+
+    // Over the wire the cap is the default budget. A plan that schedules
+    // no step passes validation with any phase length, so one big-round
+    // longer than the budget trips the cap on every exchange — including
+    // each worker's ERROR frame and the coordinator's decode of it.
+    let idle = vec![Unit {
+        trunc: vec![0; 6],
+        ..Unit::global(0, 0, 6)
+    }];
+    let defaults = ExecutorConfig::default();
+    let too_long =
+        SchedulePlan::assemble("hand-built", 0, defaults.max_engine_rounds + 1, 0, &p, idle);
+    let expected = row(&defaults, &too_long);
+    assert_eq!(
+        expected,
+        SchedError::Exec(ExecError::RoundCapExceeded {
+            cap: defaults.max_engine_rounds,
+            big_round: 0
+        })
+    );
+    for via in EXCHANGES {
+        let err = execute_via(via, &p, &too_long, &defaults).unwrap_err();
+        assert_eq!(expected, err, "{via:?}");
+    }
 }

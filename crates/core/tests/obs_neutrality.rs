@@ -1,6 +1,6 @@
 //! The observability neutrality property: recording must NEVER perturb
-//! outcomes. For every scheduler, every shard count, every engine
-//! (legacy row, columnar default, and batched), and every obs level, the
+//! outcomes. For every scheduler, every shard count, both engines (the
+//! batched default and the row oracle), and every obs level, the
 //! `ScheduleOutcome` must be byte-identical to the unobserved fused
 //! execution — instrumentation reads the deterministic big-round clock and
 //! never feeds anything back into the engine.
@@ -12,9 +12,8 @@
 use das_core::synthetic::{FloodBall, Prescribed, RelayChain};
 use das_core::{
     execute_plan, execute_plan_observed, execute_plan_observed_with, execute_plan_sharded_observed,
-    execute_plan_sharded_observed_with, BlackBoxAlgorithm, DasProblem, EngineKind, ExecutorConfig,
-    InterleaveScheduler, PrivateScheduler, Scheduler, SequentialScheduler, TunedUniformScheduler,
-    UniformScheduler,
+    BlackBoxAlgorithm, DasProblem, EngineKind, ExecutorConfig, InterleaveScheduler,
+    PrivateScheduler, Scheduler, SequentialScheduler, TunedUniformScheduler, UniformScheduler,
 };
 use das_graph::{generators, Graph, NodeId};
 use das_obs::ObsConfig;
@@ -87,8 +86,8 @@ fn assert_obs_neutral(g: &Graph, k: usize, seed: u64) {
                 sched.name(),
                 obs.mode
             );
-            // The legacy row engine must match the columnar baseline under
-            // every obs level too.
+            // The row oracle must match the batched baseline under every
+            // obs level too.
             let row_cfg = ExecutorConfig::default().with_engine(EngineKind::Row);
             let (row, _) =
                 execute_plan_observed_with(&p, &plan, &obs, &row_cfg).expect("observed row");
@@ -99,18 +98,6 @@ fn assert_obs_neutral(g: &Graph, k: usize, seed: u64) {
                 sched.name(),
                 obs.mode
             );
-            // Probes in the batched engine count block-dispatched steps, so
-            // the batched outcome must stay neutral under every obs level.
-            let batched_cfg = ExecutorConfig::default().with_engine(EngineKind::ColumnarBatched);
-            let (batched, _) = execute_plan_observed_with(&p, &plan, &obs, &batched_cfg)
-                .expect("observed batched");
-            assert_eq!(
-                baseline,
-                format!("{batched:?}"),
-                "scheduler {} batched engine diverged under fused obs {:?}",
-                sched.name(),
-                obs.mode
-            );
             for shards in SHARD_COUNTS {
                 let (sharded, _, _) = execute_plan_sharded_observed(&p, &plan, shards, &obs)
                     .expect("observed sharded");
@@ -118,20 +105,6 @@ fn assert_obs_neutral(g: &Graph, k: usize, seed: u64) {
                     baseline,
                     format!("{sharded:?}"),
                     "scheduler {} diverged under obs {:?} at {} shards",
-                    sched.name(),
-                    obs.mode,
-                    shards
-                );
-                let batched_shard_cfg = ExecutorConfig::default()
-                    .with_shards(shards)
-                    .with_engine(EngineKind::ColumnarBatched);
-                let (batched_sharded, _, _) =
-                    execute_plan_sharded_observed_with(&p, &plan, &obs, &batched_shard_cfg)
-                        .expect("observed batched sharded");
-                assert_eq!(
-                    baseline,
-                    format!("{batched_sharded:?}"),
-                    "scheduler {} batched engine diverged under obs {:?} at {} shards",
                     sched.name(),
                     obs.mode,
                     shards

@@ -292,3 +292,44 @@ fn version_mismatch_is_rejected_at_hello() {
     assert_eq!(daemon.admitted, 0);
     assert!(started.elapsed() < Duration::from_secs(30));
 }
+
+/// The linger is a deadline from the batch's first job, not a timer that
+/// restarts on every arrival: with two jobs 80 ms apart under a 100 ms
+/// linger (and a batch of 4 that never fills), both RESULTs arrive within
+/// 1.5 × linger of the first SUBMIT. A wait re-armed by the second
+/// arrival would hold the batch until ≈ 1.8 ×.
+#[test]
+fn linger_is_measured_from_the_first_job_not_the_latest_wake() {
+    let g = small_graph();
+    let linger = Duration::from_millis(100);
+    let cfg = ServeConfig {
+        batch_wait_ms: linger.as_millis() as u64,
+        ..ServeConfig::default()
+    };
+    assert_eq!(cfg.batch_max, 4, "the batch must not fill with two jobs");
+    let (addr, stop, handle) = spawn_daemon(&g, cfg);
+    let (mut s, _) = handshake(&addr, &g);
+    let first_submit = Instant::now();
+    send_frame(&mut s, wire::SUBMIT, &submit_body(0, 0, 0, 2, 3, 4, 8));
+    std::thread::sleep(Duration::from_millis(80));
+    send_frame(&mut s, wire::SUBMIT, &submit_body(1, 0, 1, 2, 3, 4, 8));
+    let mut results = 0;
+    while results < 2 {
+        let (kind, body) = recv_frame(&mut s);
+        if kind == wire::RESULT {
+            assert_eq!(JobStatus::from_wire(body[8]), JobStatus::Ok);
+            results += 1;
+        } else {
+            assert_eq!(kind, wire::ACCEPTED);
+        }
+    }
+    let took = first_submit.elapsed();
+    assert!(
+        took < linger.mul_f64(1.5),
+        "both results took {took:?}; the linger overshot"
+    );
+    drop(s);
+    let daemon = stop_and_join(&stop, handle);
+    assert_eq!(daemon.completed, 2);
+    assert_eq!(daemon.batches, 1, "both jobs share the one lingering batch");
+}

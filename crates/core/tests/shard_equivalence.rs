@@ -1,8 +1,8 @@
 //! Property-based equivalence: the sharded big-round-synchronous executor
 //! must produce the *byte-identical* outcome of the sequential (fused)
 //! `execute_plan`, for every plan, every scheduler, and every shard count —
-//! and the legacy row engine and the batched engine must both agree with
-//! the columnar default, fused and sharded.
+//! and the production (batched) loop, the default everywhere, must agree
+//! with the row test oracle.
 //!
 //! CI runs this file under `RAYON_NUM_THREADS=1` and `=8`; the sharded
 //! executor uses one dedicated thread per shard, so the equality must hold
@@ -10,9 +10,9 @@
 
 use das_core::synthetic::{FloodBall, Prescribed, RelayChain};
 use das_core::{
-    execute_plan, execute_plan_sharded, execute_plan_sharded_with, execute_plan_with,
-    BlackBoxAlgorithm, DasProblem, EngineKind, ExecutorConfig, InterleaveScheduler,
-    PrivateScheduler, Scheduler, SequentialScheduler, TunedUniformScheduler, UniformScheduler,
+    execute_plan, execute_plan_sharded, execute_plan_with, BlackBoxAlgorithm, DasProblem,
+    EngineKind, ExecutorConfig, InterleaveScheduler, PrivateScheduler, Scheduler,
+    SequentialScheduler, TunedUniformScheduler, UniformScheduler,
 };
 use das_graph::{generators, Graph, NodeId};
 use proptest::prelude::*;
@@ -116,7 +116,7 @@ fn assert_shard_report_consistent(
     }
 }
 
-/// Asserts row == columnar == sharded bytes for every scheduler and shard
+/// Asserts row == batched == sharded bytes for every scheduler and shard
 /// count on the given graph.
 fn assert_equivalent(g: &Graph, k: usize, seed: u64) {
     let p = DasProblem::new(g, build_algos(g, k, seed), seed);
@@ -124,27 +124,13 @@ fn assert_equivalent(g: &Graph, k: usize, seed: u64) {
         let plan = sched.plan(&p, seed).expect("model-valid workload");
         let fused = execute_plan(&p, &plan).expect("fused execution");
         let fused_bytes = format!("{fused:?}");
-        // The legacy row engine is the reference semantics: the columnar
-        // default must reproduce it byte for byte.
-        let row_cfg = ExecutorConfig::default()
-            .with_phase_len(plan.phase_len)
-            .with_engine(EngineKind::Row);
+        // The row engine is the reference semantics: the production loop
+        // (the default) must reproduce it byte for byte.
+        let row_cfg = ExecutorConfig::default().with_engine(EngineKind::Row);
         let row = execute_plan_with(&p, &plan, &row_cfg).expect("row execution");
         assert_eq!(
             fused_bytes,
             format!("{row:?}"),
-            "scheduler {}: columnar fused diverged from the row engine",
-            sched.name()
-        );
-        // The batched engine (node-block step_block dispatch over slabs)
-        // must also reproduce the row reference byte for byte.
-        let batched_cfg = ExecutorConfig::default()
-            .with_phase_len(plan.phase_len)
-            .with_engine(EngineKind::ColumnarBatched);
-        let batched = execute_plan_with(&p, &plan, &batched_cfg).expect("batched execution");
-        assert_eq!(
-            fused_bytes,
-            format!("{batched:?}"),
             "scheduler {}: batched fused diverged from the row engine",
             sched.name()
         );
@@ -159,32 +145,6 @@ fn assert_equivalent(g: &Graph, k: usize, seed: u64) {
                 shards
             );
             assert_shard_report_consistent(g, &fused, &report, shards, sched.name());
-            // Sharded execution through the row engine must also agree.
-            let row_shard_cfg = ExecutorConfig::default()
-                .with_shards(shards)
-                .with_engine(EngineKind::Row);
-            let (row_sharded, _) =
-                execute_plan_sharded_with(&p, &plan, &row_shard_cfg).expect("row sharded");
-            assert_eq!(
-                fused_bytes,
-                format!("{row_sharded:?}"),
-                "scheduler {} row engine diverged at {} shards",
-                sched.name(),
-                shards
-            );
-            // ... as must batched shard workers.
-            let batched_shard_cfg = ExecutorConfig::default()
-                .with_shards(shards)
-                .with_engine(EngineKind::ColumnarBatched);
-            let (batched_sharded, _) =
-                execute_plan_sharded_with(&p, &plan, &batched_shard_cfg).expect("batched sharded");
-            assert_eq!(
-                fused_bytes,
-                format!("{batched_sharded:?}"),
-                "scheduler {} batched engine diverged at {} shards",
-                sched.name(),
-                shards
-            );
         }
     }
 }

@@ -299,7 +299,7 @@ mod tests {
     #[test]
     fn serves_every_endpoint() {
         let (server, hub) = test_server();
-        hub.set_run_info("columnar", 2);
+        hub.set_run_info("batched", 2);
         hub.set_phase("execute");
         hub.merge_metrics(&{
             let mut m = crate::MetricsRegistry::new();
@@ -396,6 +396,7 @@ mod tests {
             completed: 4,
             failed: 0,
             batches: 2,
+            ..Default::default()
         });
         let (code, _, body) = get(server.local_addr(), "/jobs");
         assert_eq!(code, 200);

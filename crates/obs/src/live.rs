@@ -95,6 +95,9 @@ pub struct JobsLive {
     pub failed: u64,
     /// Batches executed (cumulative).
     pub batches: u64,
+    /// Why the most recent failed batch failed to plan or execute (the
+    /// error's display form); empty while no batch has failed.
+    pub last_error: String,
 }
 
 /// Cumulative per-lane counters, keyed by lane (shard) index.
@@ -467,6 +470,7 @@ impl LiveHub {
             ("completed".into(), Value::U64(s.jobs.completed)),
             ("failed".into(), Value::U64(s.jobs.failed)),
             ("batches".into(), Value::U64(s.jobs.batches)),
+            ("last_error".into(), Value::Str(s.jobs.last_error.clone())),
         ]);
         serde_json::to_string(&doc).expect("jobs view is finite")
     }
@@ -504,7 +508,7 @@ mod tests {
     #[test]
     fn status_reflects_phase_and_round() {
         let hub = LiveHub::new();
-        hub.set_run_info("columnar", 3);
+        hub.set_run_info("batched", 3);
         hub.set_phase("execute");
         hub.publish_big_round(
             1,
@@ -517,7 +521,7 @@ mod tests {
         );
         let v: Value = serde_json::from_str(&hub.render_status()).unwrap();
         assert_eq!(v.get("phase").and_then(Value::as_str), Some("execute"));
-        assert_eq!(v.get("engine").and_then(Value::as_str), Some("columnar"));
+        assert_eq!(v.get("engine").and_then(Value::as_str), Some("batched"));
         assert_eq!(v.get("shards").and_then(Value::as_u64), Some(3));
         assert_eq!(v.get("big_round").and_then(Value::as_u64), Some(5));
     }
@@ -657,6 +661,7 @@ mod tests {
             completed: 7,
             failed: 1,
             batches: 4,
+            last_error: "execution failed: boom".to_string(),
         });
         let v: Value = serde_json::from_str(&hub.render_jobs()).unwrap();
         assert_eq!(v.get("queued").and_then(Value::as_u64), Some(2));
@@ -664,6 +669,10 @@ mod tests {
         assert_eq!(v.get("rejected").and_then(Value::as_u64), Some(3));
         assert_eq!(v.get("completed").and_then(Value::as_u64), Some(7));
         assert_eq!(v.get("batches").and_then(Value::as_u64), Some(4));
+        assert_eq!(
+            v.get("last_error").and_then(Value::as_str),
+            Some("execution failed: boom")
+        );
     }
 
     #[test]

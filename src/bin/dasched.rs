@@ -3,7 +3,7 @@
 //! ```text
 //! dasched run        --graph grid:8x8 --workload mixed:18 --scheduler private [--seed 42]
 //! dasched plan       --graph grid:8x8 --workload mixed:18 --scheduler uniform [--sched-seed 7] [--out plan.json]
-//!                    [--in plan.json] [--execute] [--shards N] [--engine row|columnar|batched]
+//!                    [--in plan.json] [--execute] [--shards N] [--engine row|batched]
 //!                    [--dump-outcome FILE] [--reuse-artifact]
 //! dasched plan       --graph grid:8x8 --workload mixed:18 --diff a.json b.json
 //! dasched trace      --graph grid:8x8 --workload mixed:18 --scheduler uniform [--sched-seed 7]
@@ -19,7 +19,7 @@
 //! dasched worker     --graph grid:8x8 --workload mixed:18 --connect HOST:PORT [--seed 42]
 //!                    [--timeout-ms 30000]
 //! dasched serve      --graph grid:8x8 [--scheduler uniform] [--seed 42] [--listen 127.0.0.1:0]
-//!                    [--batch 4] [--batch-wait-ms 50] [--pool 2] [--engine row|columnar|batched]
+//!                    [--batch 4] [--batch-wait-ms 50] [--pool 2]
 //!                    [--max-dilation N] [--max-congestion N] [--max-payload N]
 //!                    [--serve-obs ADDR] [--timeout-ms 30000]
 //! dasched loadgen    --graph grid:8x8 --connect HOST:PORT [--seed 42] [--clients 2] [--jobs 8]
@@ -84,7 +84,7 @@ fn main() -> ExitCode {
 const USAGE: &str = "usage:
   dasched run        --graph SPEC --workload SPEC --scheduler NAME [--seed N]
   dasched plan       --graph SPEC --workload SPEC --scheduler NAME [--seed N] [--sched-seed N] [--out FILE]
-                     [--in FILE] [--execute] [--shards N] [--engine row|columnar|batched]
+                     [--in FILE] [--execute] [--shards N] [--engine row|batched]
                      [--dump-outcome FILE] [--reuse-artifact]
   dasched plan       --graph SPEC --workload SPEC --diff A.json B.json
   dasched trace      --graph SPEC --workload SPEC --scheduler NAME [--seed N] [--sched-seed N]
@@ -99,7 +99,7 @@ const USAGE: &str = "usage:
                      [--serve-obs ADDR] [--keep-open]
   dasched worker     --graph SPEC --workload SPEC --connect HOST:PORT [--seed N] [--timeout-ms N]
   dasched serve      --graph SPEC [--scheduler NAME] [--seed N] [--listen ADDR] [--batch N]
-                     [--batch-wait-ms N] [--pool N] [--engine row|columnar|batched]
+                     [--batch-wait-ms N] [--pool N]
                      [--max-dilation N] [--max-congestion N] [--max-payload N]
                      [--serve-obs ADDR] [--timeout-ms N]
   dasched loadgen    --graph SPEC --connect HOST:PORT [--seed N] [--clients N] [--jobs N]
@@ -378,6 +378,8 @@ fn cmd_run(opts: &HashMap<String, String>, seed: u64) -> Result<(), String> {
 }
 
 fn cmd_plan(opts: &HashMap<String, String>, seed: u64) -> Result<(), String> {
+    // usage errors surface before any planning work
+    let (engine, shards) = parse_engine_and_shards(opts)?;
     let g = parse_graph(req(opts, "graph")?, seed)?;
     let algos = parse_workload(req(opts, "workload")?, &g, seed)?;
     let problem = DasProblem::new(&g, algos, seed);
@@ -456,7 +458,7 @@ fn cmd_plan(opts: &HashMap<String, String>, seed: u64) -> Result<(), String> {
         }
     );
     if opts.contains_key("execute") {
-        execute_planned(opts, &problem, &plan)?;
+        execute_planned(opts, engine, shards, &problem, &plan)?;
     }
     match opts.get("out") {
         Some(path) => {
@@ -485,19 +487,17 @@ fn diff_plans(problem: &DasProblem<'_>, path_a: &str, path_b: &str) -> Result<()
 
 /// The `plan --execute` tail: run the plan (sharded when `--shards N > 1`,
 /// with a fused-identity check and per-shard report) on the selected
-/// engine (`--engine row|columnar|batched`, columnar by default), verify, and
-/// honor `--dump-outcome`.
+/// engine (`--engine row|batched`, batched by default), verify, and honor
+/// `--dump-outcome`.
 fn execute_planned(
     opts: &HashMap<String, String>,
+    engine: EngineKind,
+    shards: usize,
     problem: &DasProblem<'_>,
     plan: &dasched::core::SchedulePlan,
 ) -> Result<(), String> {
-    let shards = opt_count(opts, "shards")?.unwrap_or(1);
     note_clamped("shards", shards, problem.graph().node_count());
-    let engine = parse_engine(opts, EngineKind::Columnar)?;
-    let config = ExecutorConfig::default()
-        .with_engine(engine)
-        .with_phase_len(plan.phase_len);
+    let config = ExecutorConfig::default().with_engine(engine);
     let t0 = std::time::Instant::now();
     let fused = execute_plan_with(problem, plan, &config).map_err(|e| e.to_string())?;
     let fused_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -558,18 +558,28 @@ fn execute_planned(
     Ok(())
 }
 
-/// Parses `--engine row|columnar|batched` (shared by `plan --execute` and
-/// `serve`), falling back to `default` when absent.
-fn parse_engine(opts: &HashMap<String, String>, default: EngineKind) -> Result<EngineKind, String> {
-    match opts.get("engine").map(String::as_str) {
-        None => Ok(default),
-        Some("columnar") => Ok(EngineKind::Columnar),
-        Some("batched") => Ok(EngineKind::ColumnarBatched),
-        Some("row") => Ok(EngineKind::Row),
-        Some(other) => Err(format!(
-            "unknown engine `{other}` (row, columnar, or batched)"
-        )),
-    }
+/// Parses `--engine row|batched` and `--shards N` for `plan --execute`.
+/// `batched` is the production loop on every topology; `row` is the fused
+/// test oracle, so combining it with `--shards N > 1` is a usage error —
+/// there is no silent fallback to another engine.
+fn parse_engine_and_shards(opts: &HashMap<String, String>) -> Result<(EngineKind, usize), String> {
+    let shards = opt_count(opts, "shards")?.unwrap_or(1);
+    let engine = match opts.get("engine").map(String::as_str) {
+        None | Some("batched") => EngineKind::ColumnarBatched,
+        Some("row") if shards > 1 => {
+            return Err(format!(
+                "--engine row is the fused test oracle and cannot run with --shards {shards}"
+            ))
+        }
+        Some("row") => EngineKind::Row,
+        Some("columnar") => {
+            return Err(
+                "the columnar engine was folded into batched; use --engine row or batched".into(),
+            )
+        }
+        Some(other) => return Err(format!("unknown engine `{other}` (row or batched)")),
+    };
+    Ok((engine, shards))
 }
 
 /// Canonical per-job output dump: one line per `(job, node)` pair, keyed
@@ -969,7 +979,6 @@ fn cmd_serve(opts: &HashMap<String, String>, seed: u64) -> Result<(), String> {
         capacity,
         tape_seed: seed,
         sched_seed,
-        engine: parse_engine(opts, defaults.engine)?,
         net,
     };
     println!(
@@ -1297,6 +1306,40 @@ mod tests {
         for f in [plan_file, fused_dump, sharded_dump] {
             std::fs::remove_file(f).unwrap();
         }
+    }
+
+    #[test]
+    fn engine_flag_has_two_values_and_the_oracle_is_fused_only() {
+        let plan_with = |extra: &[&str]| -> Result<(), String> {
+            let args: Vec<String> = [
+                "plan",
+                "--graph",
+                "path:14",
+                "--workload",
+                "relays:4",
+                "--scheduler",
+                "uniform",
+                "--execute",
+            ]
+            .iter()
+            .chain(extra)
+            .map(|s| s.to_string())
+            .collect();
+            run(&args)
+        };
+        let err = plan_with(&["--engine", "row", "--shards", "3"]).unwrap_err();
+        assert!(err.contains("cannot run with --shards 3"), "{err}");
+        let err = plan_with(&["--engine", "columnar"]).unwrap_err();
+        assert!(err.contains("folded into batched"), "{err}");
+        let err = plan_with(&["--engine", "quantum"]).unwrap_err();
+        assert!(err.contains("unknown engine"), "{err}");
+        // both remaining values run, the oracle fused only
+        plan_with(&["--engine", "row"]).unwrap();
+        plan_with(&["--engine", "batched", "--shards", "3"]).unwrap();
+        // the serve daemon has one engine and no flag for it
+        let serve_usage = USAGE.split("dasched serve").nth(1).unwrap();
+        let serve_usage = serve_usage.split("dasched loadgen").next().unwrap();
+        assert!(!serve_usage.contains("--engine"), "{serve_usage}");
     }
 
     #[test]
@@ -1748,11 +1791,6 @@ mod tests {
             .map(|s| s.to_string())
             .collect();
         assert!(run(&args).unwrap_err().contains("--pool must be >= 1"));
-        let args: Vec<String> = ["serve", "--graph", "path:8", "--engine", "quantum"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert!(run(&args).unwrap_err().contains("unknown engine"));
     }
 
     #[test]
