@@ -30,6 +30,8 @@ fn table() {
         ("gnp", generators::gnp_connected(150, 0.035, 4), 3),
         ("tree", generators::balanced_tree(127, 2), 4),
         ("grid", generators::grid(14, 14), 5),
+        // the standalone benchmark's `oneshot_private` instance
+        ("grid", generators::grid(48, 48), 6),
     ] {
         let cfg = CarveConfig::for_dilation(&g, dilation);
         let cl = Clustering::carve_centralized(&g, &cfg, 31);
@@ -60,6 +62,13 @@ fn bench(c: &mut Criterion) {
     let cfg = CarveConfig::for_dilation(&g, 3).with_num_layers(8);
     c.bench_function("e04/carve_centralized_8layers_n100", |b| {
         b.iter(|| Clustering::carve_centralized(&g, &cfg, 31).precompute_rounds())
+    });
+    // one layer of the benchmark's `oneshot_private` carve: the pruned
+    // BFS makes this near-linear in n (it was n × ball size)
+    let big = generators::grid(48, 48);
+    let cfg_big = CarveConfig::for_dilation(&big, 6).with_num_layers(1);
+    c.bench_function("e04/carve_centralized_1layer_n2304", |b| {
+        b.iter(|| Clustering::carve_centralized(&big, &cfg_big, 31).precompute_rounds())
     });
     let small = generators::grid(6, 6);
     let cfg_small = CarveConfig::for_dilation(&small, 2).with_num_layers(4);

@@ -27,11 +27,14 @@ fn table() {
     ]);
     let path = generators::path(80);
     let grid = generators::grid(9, 9);
+    // the standalone benchmark's `oneshot_private` shape
+    let big = generators::grid(48, 48);
     for (name, g, k, seg) in [
         ("segments", &path, 16usize, true),
         ("segments", &path, 48, true),
         ("mixed", &grid, 12, false),
         ("mixed", &grid, 36, false),
+        ("mixed", &big, 48, false),
     ] {
         let problem = if seg {
             workloads::segment_relays(g, k, 12, 2, 3)

@@ -52,34 +52,45 @@ impl LayerParams {
 /// `dist(v, w) ≤ r(w)`. Returns the center of each node.
 ///
 /// Every node is always assigned (its own ball contains it).
+///
+/// Balls are grown in `(label, id)` order, so the first ball to touch a
+/// node wins it, and each BFS is **pruned** by what earlier balls already
+/// cover: `reach[v]` is 1 + the largest remaining radius any earlier ball
+/// had at `v` (0 = untouched). A ball arriving at `v` with no more
+/// remaining radius than that can claim nothing through `v` — everything
+/// it could still reach from there lies in an earlier, smaller-labeled
+/// ball — so it is not expanded; a center whose own `reach` exceeds its
+/// radius is skipped outright. The result is exact: an unclaimed node of
+/// the current ball has a shortest path from the center free of pruned
+/// nodes (a pruned node on it would put the node inside an earlier ball),
+/// so it is still reached. `reach` doubles as the visited mark, because a
+/// BFS reaches a node first at its largest remainder. Total work is
+/// near-linear instead of `n ×` ball size.
 pub fn carve_layer_centralized(g: &Graph, params: &LayerParams) -> Vec<NodeId> {
     let n = g.node_count();
     assert_eq!(params.radius.len(), n, "params sized for a different graph");
     let mut order: Vec<NodeId> = g.nodes().collect();
     order.sort_unstable_by_key(|&u| params.key(u));
     let mut center: Vec<Option<NodeId>> = vec![None; n];
-    let mut dist = vec![u32::MAX; n];
-    let mut stamp = vec![u32::MAX; n]; // last BFS that touched the node
-    for (run, &w) in order.iter().enumerate() {
-        let run = run as u32;
+    let mut reach = vec![0u32; n];
+    let mut queue = VecDeque::new();
+    for &w in &order {
         let r = params.radius[w.index()];
-        let mut queue = VecDeque::new();
-        dist[w.index()] = 0;
-        stamp[w.index()] = run;
-        queue.push_back(w);
-        while let Some(v) = queue.pop_front() {
+        if reach[w.index()] > r {
+            continue;
+        }
+        reach[w.index()] = r.saturating_add(1);
+        queue.push_back((w, r));
+        while let Some((v, rem)) = queue.pop_front() {
             if center[v.index()].is_none() {
                 center[v.index()] = Some(w);
             }
-            let d = dist[v.index()];
-            if d == r {
-                continue;
-            }
+            // arriving at `u` leaves `rem − 1`, which beats `reach[u]`
+            // exactly when `rem > reach[u]`
             for &(u, _) in g.neighbors(v) {
-                if stamp[u.index()] != run {
-                    stamp[u.index()] = run;
-                    dist[u.index()] = d + 1;
-                    queue.push_back(u);
+                if reach[u.index()] < rem {
+                    reach[u.index()] = rem;
+                    queue.push_back((u, rem - 1));
                 }
             }
         }
@@ -227,6 +238,87 @@ mod tests {
     fn params_for(g: &Graph, rate: f64, horizon: u32, seed: u64) -> LayerParams {
         let law = TruncatedExponential::new(rate, horizon);
         LayerParams::generate(g.node_count(), &law, horizon, seed)
+    }
+
+    /// The unpruned carving — a full BFS of every node's ball, first ball
+    /// to touch a node wins it. The oracle the pruned production carve
+    /// must match exactly.
+    fn carve_layer_full_bfs(g: &Graph, params: &LayerParams) -> Vec<NodeId> {
+        let n = g.node_count();
+        let mut order: Vec<NodeId> = g.nodes().collect();
+        order.sort_unstable_by_key(|&u| params.key(u));
+        let mut center: Vec<Option<NodeId>> = vec![None; n];
+        let mut dist = vec![u32::MAX; n];
+        let mut stamp = vec![u32::MAX; n]; // last BFS that touched the node
+        for (run, &w) in order.iter().enumerate() {
+            let run = run as u32;
+            let r = params.radius[w.index()];
+            let mut queue = VecDeque::new();
+            dist[w.index()] = 0;
+            stamp[w.index()] = run;
+            queue.push_back(w);
+            while let Some(v) = queue.pop_front() {
+                if center[v.index()].is_none() {
+                    center[v.index()] = Some(w);
+                }
+                let d = dist[v.index()];
+                if d == r {
+                    continue;
+                }
+                for &(u, _) in g.neighbors(v) {
+                    if stamp[u.index()] != run {
+                        stamp[u.index()] = run;
+                        dist[u.index()] = d + 1;
+                        queue.push_back(u);
+                    }
+                }
+            }
+        }
+        center.into_iter().map(|c| c.unwrap()).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+        #[test]
+        fn pruned_carve_equals_full_ball_bfs(
+            family in 0usize..4,
+            size in 2usize..40,
+            seed: u64,
+            rate in 0.5f64..12.0,
+            horizon in 1u32..30,
+            shape in 0usize..5,
+        ) {
+            let g = match family {
+                0 => generators::path(size),
+                1 => generators::grid(size.min(7), 2 + size % 6),
+                2 => generators::gnp_connected(size, 0.12, seed),
+                _ => generators::star(size),
+            };
+            let n = g.node_count();
+            let mut params = params_for(&g, rate, horizon, seed);
+            match shape {
+                // the law's own draws
+                0 | 1 => {}
+                // all singletons
+                2 => params.radius = vec![0; n],
+                // radii at and past the horizon (the reference never clamps)
+                3 => {
+                    for (v, r) in params.radius.iter_mut().enumerate() {
+                        *r = horizon + (v as u32 % 3);
+                    }
+                }
+                // one smallest-labeled ball covering everything
+                _ => {
+                    let w = (seed % n as u64) as usize;
+                    params.label[w] = 0;
+                    params.radius[w] = u32::MAX;
+                }
+            }
+            proptest::prop_assert_eq!(
+                carve_layer_centralized(&g, &params),
+                carve_layer_full_bfs(&g, &params)
+            );
+        }
     }
 
     #[test]

@@ -56,6 +56,10 @@ impl CarveConfig {
 }
 
 /// One clustering layer: a node-disjoint family of clusters.
+///
+/// Built by [`Clustering`]'s carve, which also derives the dense cluster
+/// index ([`Layer::centers`], [`Layer::cluster_of`]) from `center` once;
+/// treat the public vectors as read-only or the index goes stale.
 #[derive(Clone, Debug)]
 pub struct Layer {
     /// Per-node cluster center.
@@ -68,9 +72,39 @@ pub struct Layer {
     /// The random draws that produced this layer (centers need their radii
     /// again for the randomness-sharing flood).
     pub params: LayerParams,
+    /// The distinct centers, ascending — cluster `i` is `centers[i]`'s.
+    centers: Vec<NodeId>,
+    /// Per-node cluster index into `centers`.
+    cluster_of: Vec<u32>,
 }
 
 impl Layer {
+    fn new(center: Vec<NodeId>, contained_radius: Vec<u32>, params: LayerParams) -> Self {
+        // mark the nodes that are somebody's center, then number the
+        // marked ones in ascending id order
+        let mut rank = vec![u32::MAX; center.len()];
+        for c in &center {
+            rank[c.index()] = 0;
+        }
+        let mut centers = Vec::new();
+        for (v, slot) in rank.iter_mut().enumerate() {
+            if *slot == 0 {
+                *slot = centers.len() as u32;
+                centers.push(NodeId(v as u32));
+            }
+        }
+        let cluster_of = center.iter().map(|c| rank[c.index()]).collect();
+        let label = center.iter().map(|c| params.label[c.index()]).collect();
+        Layer {
+            center,
+            label,
+            contained_radius,
+            params,
+            centers,
+            cluster_of,
+        }
+    }
+
     /// Whether node `v` is the center of some cluster in this layer.
     ///
     /// Note that a center does not necessarily belong to its own cluster:
@@ -78,15 +112,18 @@ impl Layer {
     /// smallest-labeled ball covering it, which for `v` itself may be a
     /// ball other than `B(v)`.
     pub fn is_center(&self, v: NodeId) -> bool {
-        self.center.contains(&v)
+        self.centers.binary_search(&v).is_ok()
     }
 
-    /// The distinct cluster centers of this layer.
-    pub fn centers(&self) -> Vec<NodeId> {
-        let mut cs: Vec<NodeId> = self.center.clone();
-        cs.sort_unstable();
-        cs.dedup();
-        cs
+    /// The distinct cluster centers of this layer, ascending by id.
+    pub fn centers(&self) -> &[NodeId] {
+        &self.centers
+    }
+
+    /// Per-node dense cluster index: `centers()[cluster_of()[v]]` is
+    /// `center[v]`.
+    pub fn cluster_of(&self) -> &[u32] {
+        &self.cluster_of
     }
 }
 
@@ -140,13 +177,7 @@ impl Clustering {
                 )
             };
             rounds += carve_rounds + boundary_rounds;
-            let label = center.iter().map(|c| params.label[c.index()]).collect();
-            layers.push(Layer {
-                center,
-                label,
-                contained_radius: contained,
-                params,
-            });
+            layers.push(Layer::new(center, contained, params));
         }
         Clustering {
             config: config.clone(),
@@ -209,6 +240,15 @@ mod tests {
                 let c = layer.center[v.index()];
                 assert!(layer.is_center(c));
                 assert_eq!(layer.label[v.index()], layer.params.label[c.index()]);
+                assert_eq!(layer.centers()[layer.cluster_of()[v.index()] as usize], c);
+            }
+            // the index is the sorted distinct set of `center`, and nothing else
+            let mut want = layer.center.clone();
+            want.sort_unstable();
+            want.dedup();
+            assert_eq!(layer.centers(), want);
+            for v in g.nodes() {
+                assert_eq!(layer.is_center(v), want.contains(&v));
             }
         }
     }

@@ -32,7 +32,7 @@ pub fn measure(g: &Graph, clustering: &Clustering, dilation: u32) -> ClusterQual
     for layer in layers {
         let centers = layer.centers();
         total_clusters += centers.len();
-        for &c in &centers {
+        for &c in centers {
             let dist = traversal::bfs_distances(g, c);
             for v in g.nodes() {
                 if layer.center[v.index()] == c {

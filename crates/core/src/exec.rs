@@ -28,7 +28,7 @@ mod columnar;
 pub(crate) use big_round::{
     big_round_loop, merge_shards, read_flight, Exchange, FlightGroup, ShardCtx, ShardOutput,
 };
-pub(crate) use columnar::FlatSteps;
+pub(crate) use columnar::{FlatSteps, StepExtent};
 
 use crate::algorithm::BlackBoxAlgorithm;
 use crate::schedule::ScheduleOutcome;
@@ -343,6 +343,11 @@ pub struct ExecStats {
 /// The per-(algorithm, node) step plan: `plan[a][v]` lists the big-round of
 /// each algorithm round `0, 1, 2, …` (a prefix of the rounds; truncation
 /// can cut it short).
+///
+/// This nested table is the **row oracle's** structure and
+/// [`StepPlan::build`]'s only caller in the crate is the row oracle:
+/// production code lays steps out with the flat `FlatSteps` table and asks
+/// `StepExtent` when it only needs the schedule's length.
 #[derive(Clone, Debug)]
 pub struct StepPlan {
     pub(crate) plan: Vec<Vec<Vec<u64>>>,
@@ -1305,5 +1310,89 @@ mod tests {
         )
         .unwrap();
         assert_eq!(outcome.outputs[0], p.references().unwrap()[0].outputs);
+    }
+
+    /// `k` floods of random depth on `g` and a random unit list over them:
+    /// empty plans, several units per algorithm, `trunc = 0`, strides > 1.
+    fn random_multi_unit_plan(g: &Graph, seed: u64) -> (DasProblem<'_>, Vec<Unit>) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let n = g.node_count();
+        let k = rng.gen_range(1..4usize);
+        let algos = (0..k)
+            .map(|i| {
+                let depth = rng.gen_range(1..5u32);
+                Box::new(FloodBall::new(i as u64, g, NodeId(0), depth))
+                    as Box<dyn BlackBoxAlgorithm>
+            })
+            .collect();
+        let units = (0..rng.gen_range(0..7usize))
+            .map(|_| Unit {
+                algo: rng.gen_range(0..k),
+                delay: (0..n).map(|_| rng.gen_range(0..12u64)).collect(),
+                stride: rng.gen_range(1..4u64),
+                trunc: (0..n)
+                    .map(|_| match rng.gen_range(0..4u32) {
+                        0 => 0,
+                        1 => u32::MAX,
+                        _ => rng.gen_range(1..7u32),
+                    })
+                    .collect(),
+            })
+            .collect();
+        (DasProblem::new(g, algos, seed), units)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+        #[test]
+        fn extent_and_flat_table_match_the_row_step_plan(seed: u64, n in 1usize..9) {
+            let g = generators::path(n);
+            let (p, units) = random_multi_unit_plan(&g, seed);
+            let row = StepPlan::build(&g, p.algorithms(), &units);
+            proptest::prop_assert_eq!(
+                StepExtent::of(n, p.algorithms(), &units).last,
+                row.last_big_round()
+            );
+            let flat = FlatSteps::build(n, p.algorithms(), &units);
+            proptest::prop_assert_eq!(flat.is_empty(), row.last_big_round().is_none());
+            for b in 0..=flat.last_step_round + 1 {
+                let mut want = Vec::new();
+                for (a, per_node) in row.plan.iter().enumerate() {
+                    for (v, rounds) in per_node.iter().enumerate() {
+                        if let Some(r) = rounds.iter().position(|&at| at == b) {
+                            want.push((a as u32, v as u32, r as u32));
+                        }
+                    }
+                }
+                proptest::prop_assert_eq!(flat.at(b), &want[..]);
+            }
+        }
+    }
+
+    #[test]
+    fn extent_rejects_a_non_increasing_plan_like_the_row_builder() {
+        // stride 0 is the only way a unit list can repeat a big-round
+        let g = generators::path(3);
+        let p = DasProblem::new(&g, vec![Box::new(RelayChain::new(0, &g))], 2);
+        let units = vec![Unit {
+            algo: 0,
+            delay: vec![1; 3],
+            stride: 0,
+            trunc: vec![u32::MAX; 3],
+        }];
+        let message = |f: &dyn Fn()| {
+            let err =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).expect_err("must panic");
+            err.downcast_ref::<&str>().map(|s| s.to_string())
+        };
+        let row = message(&|| {
+            StepPlan::build(&g, p.algorithms(), &units);
+        });
+        let extent = message(&|| {
+            StepExtent::of(3, p.algorithms(), &units);
+        });
+        assert_eq!(row.as_deref(), Some("stride must be at least 1"));
+        assert_eq!(extent, row);
     }
 }

@@ -259,6 +259,114 @@ pub(super) fn recycle(inbox: &mut Vec<(NodeId, Vec<u8>)>, pool: &mut Vec<Vec<u8>
     }
 }
 
+/// Checks a unit list against the problem's shape and, when no algorithm
+/// has two units — the dominant case: every shared-randomness scheduler
+/// emits at most one — returns each algorithm's unit index
+/// (`usize::MAX` = none).
+///
+/// # Panics
+/// Panics if units reference out-of-range algorithms, are missized, or
+/// have a zero stride: the row oracle's [`super::StepPlan::build`] checks.
+fn validate_units(
+    n: usize,
+    algos: &[Box<dyn BlackBoxAlgorithm>],
+    units: &[Unit],
+) -> Option<Vec<usize>> {
+    let mut unit_of = vec![usize::MAX; algos.len()];
+    let mut single = true;
+    for (i, u) in units.iter().enumerate() {
+        assert!(u.algo < algos.len(), "unit for unknown algorithm");
+        assert_eq!(u.delay.len(), n, "delay vector missized");
+        assert_eq!(u.trunc.len(), n, "truncation vector missized");
+        assert!(u.stride >= 1, "stride must be at least 1");
+        if unit_of[u.algo] != usize::MAX {
+            single = false;
+        }
+        unit_of[u.algo] = i;
+    }
+    single.then_some(unit_of)
+}
+
+/// How far the merged step schedule of a unit list reaches, computed
+/// without materialising a single step — all that
+/// `SchedulePlan::assemble`'s `predicted_rounds` and the networked
+/// coordinator's termination round need.
+///
+/// Round `r` of algorithm `a` at node `v` executes at the earliest
+/// big-round over all eligible units, and a unit covers the round *prefix*
+/// `[0, min(rounds, trunc[v]))`. So the merged schedule at `(a, v)` has no
+/// holes, its length is the longest unit prefix, it is strictly increasing
+/// (`earliest[r] ≤ delay + r·stride < delay + (r+1)·stride` for every unit
+/// still eligible at `r + 1`, strides being ≥ 1), and it ends at the
+/// smallest `delay + (len − 1)·stride` among the units reaching that
+/// length — `O(units · n)` work, no per-round table.
+pub(crate) struct StepExtent {
+    /// The last big-round with any step; `None` for a step-free plan.
+    pub(crate) last: Option<u64>,
+    /// Steps in the merged schedule.
+    total: usize,
+}
+
+impl StepExtent {
+    /// # Panics
+    /// Panics on a malformed unit list, exactly as [`FlatSteps::build`]
+    /// and the row oracle's [`super::StepPlan::build`] do.
+    pub(crate) fn of(n: usize, algos: &[Box<dyn BlackBoxAlgorithm>], units: &[Unit]) -> Self {
+        if validate_units(n, algos, units).is_some() {
+            return Self::of_single_units(n, algos, units);
+        }
+        let k = algos.len();
+        let mut len_at = vec![0u32; k * n];
+        let mut end_at = vec![0u64; k * n];
+        for u in units {
+            let rounds = algos[u.algo].rounds();
+            let lens = &mut len_at[u.algo * n..][..n];
+            let ends = &mut end_at[u.algo * n..][..n];
+            for v in 0..n {
+                let len = rounds.min(u.trunc[v]);
+                if len == 0 {
+                    continue;
+                }
+                let e = u.delay[v] + u64::from(len - 1) * u.stride;
+                if len > lens[v] || (len == lens[v] && e < ends[v]) {
+                    lens[v] = len;
+                    ends[v] = e;
+                }
+            }
+        }
+        let mut extent = StepExtent {
+            last: None,
+            total: 0,
+        };
+        for (&len, &e) in len_at.iter().zip(&end_at) {
+            if len > 0 {
+                extent.last = extent.last.max(Some(e));
+                extent.total += len as usize;
+            }
+        }
+        extent
+    }
+
+    /// The at-most-one-unit-per-algorithm case: no merging, no scratch.
+    fn of_single_units(n: usize, algos: &[Box<dyn BlackBoxAlgorithm>], units: &[Unit]) -> Self {
+        let mut extent = StepExtent {
+            last: None,
+            total: 0,
+        };
+        for u in units {
+            let rounds = algos[u.algo].rounds();
+            for v in 0..n {
+                let len = rounds.min(u.trunc[v]) as u64;
+                if len > 0 {
+                    extent.last = extent.last.max(Some(u.delay[v] + (len - 1) * u.stride));
+                    extent.total += len as usize;
+                }
+            }
+        }
+        extent
+    }
+}
+
 /// The flat step table: `(algo, node, round)` triples grouped by big-round
 /// through a counting sort over two flat arrays — the columnar replacement
 /// for [`super::StepPlan::build`] plus the per-engine `by_big_round`
@@ -267,9 +375,11 @@ pub(super) fn recycle(inbox: &mut Vec<(NodeId, Vec<u8>)>, pool: &mut Vec<Vec<u8>
 ///
 /// Semantics are identical to the row builder: round `r` of algorithm `a`
 /// at node `v` executes at the earliest big-round over all eligible units,
-/// only the contiguous prefix of scheduled rounds is kept, the same
-/// malformed-plan panics fire, and triples within a big-round appear in
-/// the same ascending `(a, v, r)` order (the counting sort is stable).
+/// the same malformed-plan panics fire, and triples within a big-round
+/// appear in the same ascending `(a, v, r)` order (the counting sort is
+/// stable). The merged schedule at `(a, v)` is hole-free and strictly
+/// increasing by construction (see [`StepExtent`]), so its length is
+/// simply the longest unit prefix.
 pub(crate) struct FlatSteps {
     /// All step triples, grouped by big-round.
     steps: Vec<(u32, u32, u32)>,
@@ -281,40 +391,30 @@ pub(crate) struct FlatSteps {
 
 impl FlatSteps {
     pub(crate) fn build(n: usize, algos: &[Box<dyn BlackBoxAlgorithm>], units: &[Unit]) -> Self {
-        let k = algos.len();
-        let mut unit_of = vec![usize::MAX; k];
-        let mut single = true;
-        for (i, u) in units.iter().enumerate() {
-            assert!(u.algo < k, "unit for unknown algorithm");
-            assert_eq!(u.delay.len(), n, "delay vector missized");
-            assert_eq!(u.trunc.len(), n, "truncation vector missized");
-            assert!(u.stride >= 1, "stride must be at least 1");
-            if unit_of[u.algo] != usize::MAX {
-                single = false;
-            }
-            unit_of[u.algo] = i;
-        }
-        if single {
-            // Fast path for the dominant case (every scheduler here emits
-            // at most one unit per algorithm): `earliest` is just
-            // `delay[v] + r * stride`, always strictly increasing, with a
-            // hole-free prefix of length `min(rounds, trunc[v])` — no
+        if let Some(unit_of) = validate_units(n, algos, units) {
+            // Fast path: `earliest` is just `delay[v] + r * stride` — no
             // per-(a, v, r) scratch array needed.
-            return Self::build_single_unit(n, algos, units, &unit_of);
+            let extent = StepExtent::of_single_units(n, algos, units);
+            return Self::build_single_unit(n, algos, units, &unit_of, &extent);
         }
-        // earliest[algo_off[a] + v * rounds_a + r] = earliest big-round
+        let k = algos.len();
+        // earliest[algo_off[a] + v * rounds_a + r] = earliest big-round;
+        // prefix_len[a * n + v] = the longest unit prefix there
         let mut algo_off = vec![0usize; k + 1];
         for a in 0..k {
             algo_off[a + 1] = algo_off[a] + n * algos[a].rounds() as usize;
         }
         let mut earliest = vec![u64::MAX; algo_off[k]];
+        let mut prefix_len = vec![0u32; k * n];
         for u in units {
             let rounds = algos[u.algo].rounds() as usize;
             let base = algo_off[u.algo];
             for v in 0..n {
-                let lim = (rounds as u32).min(u.trunc[v]) as usize;
+                let lim = (rounds as u32).min(u.trunc[v]);
+                let len = &mut prefix_len[u.algo * n + v];
+                *len = (*len).max(lim);
                 let row = &mut earliest[base + v * rounds..][..rounds];
-                for (r, slot) in row.iter_mut().take(lim).enumerate() {
+                for (r, slot) in row.iter_mut().take(lim as usize).enumerate() {
                     let b = u.delay[v] + r as u64 * u.stride;
                     if b < *slot {
                         *slot = b;
@@ -322,28 +422,15 @@ impl FlatSteps {
                 }
             }
         }
-        // Contiguous-prefix scan per (a, v): length, monotonicity, extent.
-        let mut prefix_len = vec![0u32; k * n];
         let mut last_step_round = 0u64;
         let mut total = 0usize;
         for a in 0..k {
             let rounds = algos[a].rounds() as usize;
-            let base = algo_off[a];
             for v in 0..n {
-                let row = &earliest[base + v * rounds..][..rounds];
-                let mut prev = 0u64;
-                let mut len = 0usize;
-                for (r, &b) in row.iter().enumerate() {
-                    if b == u64::MAX {
-                        break;
-                    }
-                    assert!(r == 0 || b > prev, "step plan must be strictly increasing");
-                    prev = b;
-                    len = r + 1;
-                }
-                prefix_len[a * n + v] = len as u32;
+                let len = prefix_len[a * n + v] as usize;
                 if len > 0 {
-                    last_step_round = last_step_round.max(prev);
+                    let end = earliest[algo_off[a] + v * rounds + len - 1];
+                    last_step_round = last_step_round.max(end);
                     total += len;
                 }
             }
@@ -390,24 +477,11 @@ impl FlatSteps {
         algos: &[Box<dyn BlackBoxAlgorithm>],
         units: &[Unit],
         unit_of: &[usize],
+        extent: &StepExtent,
     ) -> Self {
         let k = algos.len();
-        let mut last_step_round = 0u64;
-        let mut total = 0usize;
-        for a in 0..k {
-            if unit_of[a] == usize::MAX {
-                continue;
-            }
-            let u = &units[unit_of[a]];
-            let rounds = algos[a].rounds();
-            for v in 0..n {
-                let len = rounds.min(u.trunc[v]) as u64;
-                if len > 0 {
-                    last_step_round = last_step_round.max(u.delay[v] + (len - 1) * u.stride);
-                    total += len as usize;
-                }
-            }
-        }
+        let last_step_round = extent.last.unwrap_or(0);
+        let total = extent.total;
         let mut offsets = vec![0usize; last_step_round as usize + 2];
         if units.iter().all(|u| u.stride == 1) {
             // Stride-1 counting via a difference array: each (a, v)
@@ -477,9 +551,14 @@ impl FlatSteps {
         }
     }
 
+    /// Whether the plan schedules no step at all.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.steps.is_empty()
+    }
+
     /// Big-round `b`'s step triples (empty past the last step round).
     #[inline]
-    pub(super) fn at(&self, b: u64) -> &[(u32, u32, u32)] {
+    pub(crate) fn at(&self, b: u64) -> &[(u32, u32, u32)] {
         let b = b as usize;
         if b + 1 >= self.offsets.len() {
             &[]

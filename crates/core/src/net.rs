@@ -47,7 +47,7 @@
 
 use crate::exec::{
     big_round_loop, merge_shards, read_flight, Exchange, ExecError, ExecStats, ExecutorConfig,
-    FlatSteps, FlightGroup, ShardCtx, ShardOutput, ShardReport, ShardStats, StepPlan,
+    FlatSteps, FlightGroup, ShardCtx, ShardOutput, ShardReport, ShardStats, StepExtent,
 };
 use crate::plan::{execute, SchedError, SchedulePlan, Topology};
 use crate::problem::DasProblem;
@@ -875,8 +875,9 @@ fn coordinator_protocol(
     let n = g.node_count();
     let k = problem.k();
     let s = part.shards();
-    let steps = StepPlan::build(g, problem.algorithms(), &plan.units);
-    let last_step_round = steps.last_big_round().unwrap_or(0);
+    let last_step_round = StepExtent::of(n, problem.algorithms(), &plan.units)
+        .last
+        .unwrap_or(0);
 
     let mut b: u64 = 0;
     loop {

@@ -19,7 +19,7 @@
 //! [`crate::doubling`] needs to reject an infeasible congestion guess
 //! without paying for the engine.
 
-use crate::exec::StepPlan;
+use crate::exec::FlatSteps;
 use crate::plan::SchedulePlan;
 use crate::problem::DasProblem;
 use crate::reference::ReferenceError;
@@ -87,7 +87,7 @@ pub fn predict(
     let n = g.node_count();
     let k = problem.k();
     let refs = problem.references()?;
-    let steps = StepPlan::build(g, problem.algorithms(), &plan.units);
+    let steps = FlatSteps::build(n, problem.algorithms(), &plan.units);
     let phase_len = plan.phase_len.max(1);
 
     // Reference sends grouped per (algorithm, source): (round, arc, dst),
@@ -104,7 +104,7 @@ pub fn predict(
     }
     let mut cursor = vec![vec![0usize; n]; k];
 
-    let Some(last_step_round) = steps.last_big_round() else {
+    if steps.is_empty() {
         return Ok(LoadPrediction {
             phase_len,
             arc_load: vec![0; g.arc_count()],
@@ -115,22 +115,8 @@ pub fn predict(
             predicted_engine_rounds: 0,
             predicted_max_arc_queue: 0,
         });
-    };
-
-    // Steps grouped by big-round in the executor's (a, v, r) order.
-    let mut by_big_round: Vec<Vec<(u32, u32, u32)>> =
-        vec![Vec::new(); last_step_round as usize + 1];
-    for a in 0..k {
-        for v in 0..n {
-            for (r, &b) in steps
-                .steps(a, das_graph::NodeId(v as u32))
-                .iter()
-                .enumerate()
-            {
-                by_big_round[b as usize].push((a as u32, v as u32, r as u32));
-            }
-        }
     }
+    let last_step_round = steps.last_step_round;
 
     let mut steps_done = vec![vec![0u32; n]; k];
     let mut queues: Vec<std::collections::VecDeque<Tag>> = Vec::with_capacity(g.arc_count());
@@ -148,38 +134,37 @@ pub fn predict(
 
     let mut b: u64 = 0;
     loop {
-        if let Some(step_list) = by_big_round.get(b as usize) {
-            let mut touched: Vec<usize> = Vec::new();
-            for &(a, v, r) in step_list {
-                let (a, v) = (a as usize, v as usize);
-                steps_done[a][v] = r + 1;
-                let per_node = &sends[a][v];
-                let c = &mut cursor[a][v];
-                while *c < per_node.len() && per_node[*c].0 == r {
-                    let (_, arc, dst) = per_node[*c];
-                    *c += 1;
-                    let q = &mut queues[arc as usize];
-                    if q.is_empty() {
-                        active_arcs.push(arc as usize);
-                    }
-                    q.push_back(Tag {
-                        algo: a as u32,
-                        round: r,
-                        dst,
-                    });
-                    predicted_max_arc_queue = predicted_max_arc_queue.max(q.len());
-                    arc_load[arc as usize] += 1;
-                    big_round_load[b as usize] += 1;
-                    if round_injections[arc as usize] == 0 {
-                        touched.push(arc as usize);
-                    }
-                    round_injections[arc as usize] += 1;
+        // big-round `b`'s steps, in the executor's (a, v, r) order
+        let mut touched: Vec<usize> = Vec::new();
+        for &(a, v, r) in steps.at(b) {
+            let (a, v) = (a as usize, v as usize);
+            steps_done[a][v] = r + 1;
+            let per_node = &sends[a][v];
+            let c = &mut cursor[a][v];
+            while *c < per_node.len() && per_node[*c].0 == r {
+                let (_, arc, dst) = per_node[*c];
+                *c += 1;
+                let q = &mut queues[arc as usize];
+                if q.is_empty() {
+                    active_arcs.push(arc as usize);
                 }
+                q.push_back(Tag {
+                    algo: a as u32,
+                    round: r,
+                    dst,
+                });
+                predicted_max_arc_queue = predicted_max_arc_queue.max(q.len());
+                arc_load[arc as usize] += 1;
+                big_round_load[b as usize] += 1;
+                if round_injections[arc as usize] == 0 {
+                    touched.push(arc as usize);
+                }
+                round_injections[arc as usize] += 1;
             }
-            for arc in touched {
-                peak_big_round_arc_load = peak_big_round_arc_load.max(round_injections[arc]);
-                round_injections[arc] = 0;
-            }
+        }
+        for arc in touched {
+            peak_big_round_arc_load = peak_big_round_arc_load.max(round_injections[arc]);
+            round_injections[arc] = 0;
         }
 
         for _ in 0..phase_len {

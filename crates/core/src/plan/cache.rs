@@ -24,11 +24,12 @@
 //!
 //! Per-scheduler contents:
 //!
-//! * **private** — the [`Clustering`]-derived truncations, the charged
-//!   `precompute_rounds`, and the raw per-`(layer, algorithm, node)`
-//!   generator word pairs (drawn over the fixed Mersenne field, so they
-//!   are guess-independent); sizing only re-derives the delay law and
-//!   reduces the cached pairs.
+//! * **private** — the [`Clustering`]-derived truncations and cluster
+//!   index, the charged `precompute_rounds`, and the raw
+//!   per-`(layer, cluster, algorithm)` generator word pairs (drawn over the
+//!   fixed Mersenne field, so they are guess-independent); sizing only
+//!   re-derives the delay law, reduces the cached pairs once per cluster
+//!   and scatters them to the nodes.
 //! * **uniform** — the phase length plus the shared [`KWiseGenerator`]
 //!   and per-algorithm bucket draws at the scheduler's own default range.
 //!   The uniform generator's modulus is the *prime delay span itself*
@@ -143,13 +144,23 @@ pub(crate) struct PrivateArtifact {
     pub(crate) phase_len: u64,
     /// Carve + share rounds, charged once across all sized plans.
     pub(crate) precompute_rounds: u64,
-    /// Number of clustering layers (fixes the block-decay law's shape).
-    pub(crate) num_layers: usize,
-    /// Per-layer contained radii — each sized unit's truncation vector.
-    pub(crate) trunc: Vec<Vec<u32>>,
-    /// Raw generator word pairs per layer, indexed `algo · n + node`,
-    /// drawn over the fixed Mersenne field (guess-independent).
-    pub(crate) draws: Vec<Vec<(u64, u64)>>,
+    /// One entry per clustering layer (their count fixes the block-decay
+    /// law's shape).
+    pub(crate) layers: Vec<PrivateLayer>,
+}
+
+/// One clustering layer of a [`PrivateArtifact`], in cluster space: a
+/// delay is a function of (layer, cluster, algorithm), so the raw words
+/// are cached per cluster and scattered to nodes at sizing time.
+#[derive(Clone, Debug)]
+pub(crate) struct PrivateLayer {
+    /// Per-node contained radii — each sized unit's truncation vector.
+    pub(crate) trunc: Vec<u32>,
+    /// Per-node dense cluster index (see [`das_cluster::Layer::cluster_of`]).
+    pub(crate) cluster_of: Vec<u32>,
+    /// Raw generator word pairs, indexed `algo · clusters + cluster`, drawn
+    /// over the fixed Mersenne field (guess-independent).
+    pub(crate) draws: Vec<(u64, u64)>,
 }
 
 /// The *seed-independent* prefix of one scheduler's planning work for a

@@ -25,7 +25,7 @@ pub mod analysis;
 pub mod cache;
 pub mod diff;
 
-use crate::exec::{ExecError, Executor, ExecutorConfig, ShardReport, StepPlan, Unit};
+use crate::exec::{ExecError, Executor, ExecutorConfig, ShardReport, StepExtent, Unit};
 use crate::net::{run_coordinator, LinkTraffic, NetConfig};
 use crate::problem::DasProblem;
 use crate::reference::ReferenceError;
@@ -215,9 +215,9 @@ impl SchedulePlan {
         units: Vec<Unit>,
     ) -> Self {
         let phase_len = phase_len.max(1);
-        let steps = StepPlan::build(problem.graph(), problem.algorithms(), &units);
-        let predicted_rounds = steps
-            .last_big_round()
+        let n = problem.graph().node_count();
+        let predicted_rounds = StepExtent::of(n, problem.algorithms(), &units)
+            .last
             .map_or(0, |b| (b + 1).saturating_mul(phase_len));
         SchedulePlan {
             scheduler: scheduler.to_string(),

@@ -22,14 +22,16 @@
 
 use crate::exec::Unit;
 use crate::plan::cache::{
-    ArtifactData, PlanArtifact, PrivateArtifact, PrivateSweep, SweepArtifact, SweepData,
+    ArtifactData, PlanArtifact, PrivateArtifact, PrivateLayer, PrivateSweep, SweepArtifact,
+    SweepData,
 };
 use crate::plan::SchedulePlan;
 use crate::problem::DasProblem;
 use crate::reference::ReferenceError;
 use crate::schedulers::Scheduler;
-use das_cluster::{share_layer_centralized, CarveConfig, Clustering, Layer, ShareConfig};
+use das_cluster::{CarveConfig, Clustering, ShareConfig};
 use das_congest::util::seed_mix;
+use das_graph::NodeId;
 use das_prg::{BlockDecay, DelayLaw, KWiseGenerator};
 
 /// 2^61 − 1 (Mersenne prime): the PRG field. Delay draws reduce PRG values
@@ -99,8 +101,9 @@ impl Default for PrivateScheduler {
     }
 }
 
-/// Per-layer, per-cluster shared seed words from the Lemma 4.3 sharing
-/// step: `layer_seeds[layer][cluster]` is that cluster's seed vector.
+/// The shared seed words of the Lemma 4.3 sharing step, in cluster space:
+/// `layer_seeds[layer][cluster]` keys that cluster's generator, with
+/// clusters indexed as in [`das_cluster::Layer::centers`].
 type LayerSeeds = Vec<Vec<Vec<u64>>>;
 
 /// Carved clustering, per-layer shared seeds, and the charged
@@ -176,10 +179,17 @@ impl PrivateScheduler {
         let share_cfg = ShareConfig::for_graph(g, self.carve_config(g, params.dilation).horizon);
         let chunk_seed = seed_mix(sched_seed, 0xC0FFEE);
         let chunks = das_cluster::share::center_chunks(n, share_cfg.chunks, chunk_seed);
-        let mut layer_seeds: Vec<Vec<Vec<u64>>> = Vec::with_capacity(clustering.layers().len());
+        // A cluster's generator is keyed from the seed *held at its center
+        // `c`*: the seed of the cluster `c` itself belongs to,
+        // `chunks[center[c]]`, which is `chunks[c]` only when `c` sits in
+        // its own cluster (it need not — see `Layer::is_center`). All
+        // members evaluate the same words either way, which is what the
+        // schedule needs; keying from `chunks[c]` would be the faithful
+        // Lemma 4.3 reading but moves every private plan (ROADMAP).
+        let mut layer_seeds: LayerSeeds = Vec::with_capacity(clustering.layers().len());
         for layer in clustering.layers() {
             let seeds = if self.distributed_precompute {
-                let (seeds, rounds, delivered) = das_cluster::share::share_layer_distributed(
+                let (held, rounds, delivered) = das_cluster::share::share_layer_distributed(
                     g,
                     layer,
                     &chunks,
@@ -188,10 +198,12 @@ impl PrivateScheduler {
                 );
                 assert!(delivered, "sharing under-provisioned: raise the slack");
                 precompute_rounds += rounds;
-                seeds
+                let at = |c: &NodeId| held[c.index()].clone();
+                layer.centers().iter().map(at).collect()
             } else {
                 precompute_rounds += share_cfg.rounds_needed();
-                share_layer_centralized(layer, &chunks)
+                let at = |c: &NodeId| chunks[layer.center[c.index()].index()].clone();
+                layer.centers().iter().map(at).collect()
             };
             layer_seeds.push(seeds);
         }
@@ -220,7 +232,7 @@ impl PrivateScheduler {
         &self,
         problem: &DasProblem<'_>,
         clustering: &Clustering,
-        layer_seeds: &[Vec<Vec<u64>>],
+        layer_seeds: &LayerSeeds,
         precompute_rounds: u64,
         sched_seed: u64,
     ) -> Result<SchedulePlan, ReferenceError> {
@@ -237,14 +249,12 @@ impl PrivateScheduler {
         // cluster's shared seed, per-node truncation at the contained
         // radius.
         let mut units = Vec::with_capacity(num_layers * problem.k());
-        for (l, layer) in clustering.layers().iter().enumerate() {
-            let draws = layer_draws(problem, layer, &layer_seeds[l]);
+        for (layer, seeds) in clustering.layers().iter().zip(layer_seeds) {
             layer_units(
-                &draws,
+                &cluster_draws(problem, seeds),
+                layer.cluster_of(),
                 &layer.contained_radius,
                 law.as_ref(),
-                problem.k(),
-                n,
                 &mut units,
             );
         }
@@ -311,58 +321,57 @@ impl PrivateScheduler {
     }
 }
 
-/// The raw `(r1, r2)` generator words of one layer, indexed
-/// `algo · n + node`: each cluster's shared seed feeds a `Θ(log n)`-wise
-/// generator over the fixed Mersenne field, so these words are the same
-/// for every congestion guess — the cacheable half of step 3/4.
-fn layer_draws(problem: &DasProblem<'_>, layer: &Layer, seeds: &[Vec<u64>]) -> Vec<(u64, u64)> {
+/// The raw `(r1, r2)` generator words of one layer in cluster space,
+/// indexed `algo · clusters + cluster`: each cluster's shared seed feeds a
+/// `Θ(log n)`-wise generator over the fixed Mersenne field, evaluated once
+/// per (cluster, algorithm) — every member holds the same seed bytes, that
+/// is what sharing bought us. The words are the same for every congestion
+/// guess: the cacheable half of step 3/4.
+fn cluster_draws(problem: &DasProblem<'_>, seeds: &[Vec<u64>]) -> Vec<(u64, u64)> {
     let n = problem.graph().node_count();
-    // Build each cluster's generator once (every member holds the same
-    // seed bytes — that is what sharing bought us).
-    let mut gens: std::collections::HashMap<das_graph::NodeId, KWiseGenerator> =
-        std::collections::HashMap::new();
-    for &c in &layer.centers() {
-        let bytes: Vec<u8> = seeds[c.index()]
-            .iter()
-            .flat_map(|w| w.to_le_bytes())
-            .collect();
-        let kk = (2.0 * (n.max(2) as f64).log2()).ceil() as usize;
-        gens.insert(c, KWiseGenerator::from_seed_bytes(&bytes, kk, PRG_PRIME));
-    }
-    let mut draws = Vec::with_capacity(problem.k() * n);
+    let kk = (2.0 * (n.max(2) as f64).log2()).ceil() as usize;
+    let gens: Vec<KWiseGenerator> = seeds
+        .iter()
+        .map(|words| {
+            let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+            KWiseGenerator::from_seed_bytes(&bytes, kk, PRG_PRIME)
+        })
+        .collect();
+    let mut draws = Vec::with_capacity(problem.k() * gens.len());
     for algo in problem.algorithms() {
         let aid = algo.aid().0;
-        for v in 0..n {
-            let gen = &gens[&layer.center[v]];
-            draws.push((
+        draws.extend(gens.iter().map(|gen| {
+            (
                 gen.bucket_value(aid, 0, BUCKET_WIDTH),
                 gen.bucket_value(aid, 1, BUCKET_WIDTH),
-            ));
-        }
+            )
+        }));
     }
     draws
 }
 
-/// Reduces one layer's cached raw draws into per-(algorithm) units under
-/// the sized delay law.
+/// Reduces one layer's raw per-cluster draws into one unit per algorithm
+/// under the sized delay law: the law is sampled once per (cluster,
+/// algorithm) and scattered to the nodes through `cluster_of`.
 fn layer_units(
     draws: &[(u64, u64)],
+    cluster_of: &[u32],
     trunc: &[u32],
     law: &dyn DelayLaw,
-    k: usize,
-    n: usize,
     units: &mut Vec<Unit>,
 ) {
-    for i in 0..k {
-        let delay: Vec<u64> = (0..n)
-            .map(|v| {
-                let (r1, r2) = draws[i * n + v];
-                law.sample_from_pair(r1, r2)
-            })
-            .collect();
+    let clusters = cluster_of.iter().max().map_or(0, |&c| c as usize + 1);
+    let mut cluster_delay = vec![0u64; clusters];
+    for (algo, words) in draws.chunks_exact(clusters.max(1)).enumerate() {
+        for (slot, &(r1, r2)) in cluster_delay.iter_mut().zip(words) {
+            *slot = law.sample_from_pair(r1, r2);
+        }
         units.push(Unit {
-            algo: i,
-            delay,
+            algo,
+            delay: cluster_of
+                .iter()
+                .map(|&c| cluster_delay[c as usize])
+                .collect(),
             stride: 1,
             trunc: trunc.to_vec(),
         });
@@ -403,16 +412,15 @@ impl Scheduler for PrivateScheduler {
         let n = problem.graph().node_count();
         let ln_n = (n.max(2) as f64).ln();
         let (clustering, layer_seeds, precompute_rounds) = self.precompute(problem, sched_seed)?;
-        let trunc: Vec<Vec<u32>> = clustering
+        let layers = clustering
             .layers()
             .iter()
-            .map(|layer| layer.contained_radius.clone())
-            .collect();
-        let draws: Vec<Vec<(u64, u64)>> = clustering
-            .layers()
-            .iter()
-            .enumerate()
-            .map(|(l, layer)| layer_draws(problem, layer, &layer_seeds[l]))
+            .zip(&layer_seeds)
+            .map(|(layer, seeds)| PrivateLayer {
+                trunc: layer.contained_radius.clone(),
+                cluster_of: layer.cluster_of().to_vec(),
+                draws: cluster_draws(problem, seeds),
+            })
             .collect();
         Ok(PlanArtifact::new(
             self.name(),
@@ -420,9 +428,7 @@ impl Scheduler for PrivateScheduler {
             ArtifactData::Private(PrivateArtifact {
                 phase_len: (self.phase_factor * ln_n).ceil().max(1.0) as u64,
                 precompute_rounds,
-                num_layers: clustering.layers().len(),
-                trunc,
-                draws,
+                layers,
             }),
         ))
     }
@@ -443,17 +449,16 @@ impl Scheduler for PrivateScheduler {
         let law = self.sized_delay_law(
             params.congestion,
             ln_n,
-            art.num_layers,
+            art.layers.len(),
             guess.or(self.block_override),
         );
-        let mut units = Vec::with_capacity(art.num_layers * problem.k());
-        for l in 0..art.num_layers {
+        let mut units = Vec::with_capacity(art.layers.len() * problem.k());
+        for layer in &art.layers {
             layer_units(
-                &art.draws[l],
-                &art.trunc[l],
+                &layer.draws,
+                &layer.cluster_of,
+                &layer.trunc,
                 law.as_ref(),
-                problem.k(),
-                n,
                 &mut units,
             );
         }
@@ -585,6 +590,66 @@ mod tests {
                 .any(|u| u.trunc.iter().any(|&t| t != u32::MAX)),
             "layers truncate at contained radii"
         );
+    }
+
+    #[test]
+    fn a_cluster_is_keyed_from_the_seed_held_at_its_center() {
+        // Pins today's keying on a center that sits outside its own
+        // cluster: the generator is fed `chunks[center[c]]` (the seed `c`
+        // holds), not `chunks[c]` (the seed `c` published).
+        let g = generators::grid(6, 6);
+        let n = g.node_count();
+        let algos: Vec<Box<dyn crate::BlackBoxAlgorithm>> = (0..3)
+            .map(|i| {
+                Box::new(FloodBall::new(i, &g, NodeId(5 * i as u32), 3))
+                    as Box<dyn crate::BlackBoxAlgorithm>
+            })
+            .collect();
+        let p = DasProblem::new(&g, algos, 3);
+        let sched = PrivateScheduler::default();
+        let sched_seed = 77;
+        let clustering = sched.carve(&p).unwrap();
+        let (l, c) = clustering
+            .layers()
+            .iter()
+            .enumerate()
+            .find_map(|(l, layer)| {
+                let outside = |c: &&NodeId| layer.center[c.index()] != **c;
+                layer.centers().iter().find(outside).map(|&c| (l, c))
+            })
+            .expect("some center lies outside its own cluster");
+        let layer = &clustering.layers()[l];
+        let held_at_c = layer.center[c.index()];
+
+        let params = p.parameters().unwrap();
+        let horizon = sched.carve_config(&g, params.dilation).horizon;
+        let chunks = das_cluster::share::center_chunks(
+            n,
+            ShareConfig::for_graph(&g, horizon).chunks,
+            seed_mix(sched_seed, 0xC0FFEE),
+        );
+        assert_ne!(chunks[held_at_c.index()], chunks[c.index()]);
+        let bytes: Vec<u8> = chunks[held_at_c.index()]
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .collect();
+        let kk = (2.0 * (n as f64).log2()).ceil() as usize;
+        let gen = KWiseGenerator::from_seed_bytes(&bytes, kk, PRG_PRIME);
+        let ln_n = (n as f64).ln();
+        let law = sched.sized_delay_law(params.congestion, ln_n, clustering.layers().len(), None);
+
+        let plan = sched.plan(&p, sched_seed).unwrap();
+        let member = (0..n)
+            .find(|&v| layer.center[v] == c)
+            .expect("a center has members");
+        for (a, algo) in p.algorithms().iter().enumerate() {
+            let aid = algo.aid().0;
+            let want = law.sample_from_pair(
+                gen.bucket_value(aid, 0, BUCKET_WIDTH),
+                gen.bucket_value(aid, 1, BUCKET_WIDTH),
+            );
+            assert_eq!(plan.units[l * p.k() + a].delay[member], want);
+        }
     }
 
     #[test]
