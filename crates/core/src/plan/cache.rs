@@ -1,56 +1,51 @@
-//! Guess-independent planning artifacts: reuse the expensive part of
-//! [`plan()`](crate::Scheduler::plan) across doubling attempts.
+//! Planning artifacts: the two reusable prefixes of the planning chain.
 //!
-//! The doubling search of [`crate::doubling`] re-sizes the same scheduler
-//! for a sequence of congestion guesses. Most of what `plan()` computes
-//! never looks at the guess: the private scheduler's carve/share
-//! pre-computation (Lemmas 4.2/4.3) and its per-cluster `Θ(log n)`-wise
-//! generators live over the fixed PRG field, and the raw generator words
-//! each `(layer, cluster, algorithm)` draws are the same no matter how the
-//! delay law is sized. Only the *law* — and the reduction of those words
-//! into concrete delays — depends on the guess. This is exactly the
-//! paper's "charge the pre-computation once" argument for standard
-//! doubling: the instance-level decomposition is built once, and each
-//! budget guess pays only for re-sampling.
+//! Planning is a chain of narrowing dependence — the carve depends on the
+//! problem only (Lemma 4.2), the sharing on the seed (Lemma 4.3), the
+//! delay law on the congestion guess (Lemma 4.4) — and every scheduler
+//! writes it as exactly three stages:
 //!
-//! A [`PlanArtifact`] freezes that guess-independent prefix for one
-//! `(problem, sched_seed)` pair. [`crate::Scheduler::build_artifact`]
-//! constructs it and [`crate::Scheduler::size_plan`] turns it into a
-//! [`SchedulePlan`] for a concrete guess. The split is **provably
-//! invisible**: a plan sized from the artifact is byte-identical
-//! (canonical JSON) to a from-scratch `plan()` with the corresponding
-//! override — `tests/plan_cache_equivalence.rs` and the CI dump-diff
-//! enforce it.
+//! 1. [`crate::Scheduler::build_sweep_artifact`]`(problem)` — everything
+//!    that ignores the `sched_seed`: a [`SweepArtifact`], shared by a whole
+//!    seed sweep;
+//! 2. [`crate::Scheduler::seed_artifact`]`(problem, &sweep, sched_seed)` —
+//!    everything that ignores the congestion guess: a [`PlanArtifact`],
+//!    shared by every attempt of a doubling search (the paper's "charge the
+//!    pre-computation once" argument, computed once too);
+//! 3. [`crate::Scheduler::size_plan`]`(problem, &artifact, guess)` — the
+//!    delay law and the reduction of the cached draws into delays: a
+//!    [`SchedulePlan`].
 //!
-//! Per-scheduler contents:
+//! [`crate::Scheduler::plan`], [`crate::Scheduler::plan_swept`] and
+//! [`crate::Scheduler::build_artifact`] are compositions of those stages,
+//! so a plan sized from a reused artifact is the plan a fresh chain gives
+//! *by construction*; what `tests/plan_cache_equivalence.rs` still checks
+//! is that an explicit guess equals the scheduler's own span override and
+//! that no stage mutates what it reuses.
 //!
-//! * **private** — the [`Clustering`]-derived truncations and cluster
-//!   index, the charged `precompute_rounds`, and the raw
-//!   per-`(layer, cluster, algorithm)` generator word pairs (drawn over the
-//!   fixed Mersenne field, so they are guess-independent); sizing only
-//!   re-derives the delay law, reduces the cached pairs once per cluster
-//!   and scatters them to the nodes.
-//! * **uniform** — the phase length plus the shared [`KWiseGenerator`]
-//!   and per-algorithm bucket draws at the scheduler's own default range.
-//!   The uniform generator's modulus is the *prime delay span itself*
-//!   (footnote 6), so draws at a different guess cannot be reused without
-//!   breaking byte-identity — sizing reuses the cached draws when the
-//!   guess maps to the cached modulus and rebuilds the (cheap,
-//!   `Θ(log n)`-coefficient) generator otherwise. The congestion /
-//!   dilation measurement feeding the default sizing is cached on the
-//!   [`crate::DasProblem`] either way.
-//! * **tuned / sequential / interleave** — nothing in these plans depends
-//!   on a guess, so the artifact is the finished [`SchedulePlan`] itself
-//!   and sizing is a clone.
+//! What each scheduler caches where:
+//!
+//! | scheduler | stage 1 (sweep) | stage 2 (seeded) | stage 3 (sized) |
+//! |---|---|---|---|
+//! | sequential / interleave | the finished plan (the seed is pure provenance) | the plan, re-tagged | a clone |
+//! | uniform / tuned | phase length and delay range | the shared generator at that range's prime, and its per-algorithm draws | the law; the draws reduced to delays |
+//! | private | the carved [`Clustering`] (drawn from the scheduler's *own* seed) | the shared seeds' raw per-(layer, cluster, algorithm) generator words over the fixed Mersenne field, truncations, cluster index, the charged `precompute_rounds` | the law; the words reduced once per cluster and scattered to the nodes |
+//!
+//! The uniform generator's modulus is the *prime delay span itself*
+//! (footnote 6), so its draws transfer to a guess only when the guess maps
+//! to the cached prime; otherwise sizing rebuilds the (cheap,
+//! `Θ(log n)`-coefficient) generator. Tuned has no span override and
+//! ignores the guess.
 
 use crate::plan::SchedulePlan;
 use das_cluster::Clustering;
 use das_prg::KWiseGenerator;
 
 /// The cached, guess-independent prefix of one scheduler's planning work
-/// for a fixed `(problem, sched_seed)` pair.
+/// for a fixed `(problem, sched_seed)` pair (stage 2 of the chain).
 ///
-/// Build with [`crate::Scheduler::build_artifact`]; turn into plans with
+/// Build with [`crate::Scheduler::seed_artifact`] (or, from nothing,
+/// [`crate::Scheduler::build_artifact`]); turn into plans with
 /// [`crate::Scheduler::size_plan`]. An artifact is only meaningful for
 /// the scheduler value (and problem) it was built from — sizing it with a
 /// different scheduler panics.
@@ -58,24 +53,18 @@ use das_prg::KWiseGenerator;
 pub struct PlanArtifact {
     scheduler: &'static str,
     sched_seed: u64,
-    pub(crate) data: ArtifactData,
+    data: ArtifactData,
 }
 
 impl PlanArtifact {
     /// Wraps scheduler-specific artifact data (crate-internal: scheduler
-    /// impls construct artifacts through `build_artifact`).
+    /// impls construct artifacts through `seed_artifact`).
     pub(crate) fn new(scheduler: &'static str, sched_seed: u64, data: ArtifactData) -> Self {
         PlanArtifact {
             scheduler,
             sched_seed,
             data,
         }
-    }
-
-    /// An artifact holding a finished plan outright — the correct cache
-    /// for schedulers with nothing guess-dependent to re-size.
-    pub(crate) fn fixed(scheduler: &'static str, sched_seed: u64, plan: SchedulePlan) -> Self {
-        PlanArtifact::new(scheduler, sched_seed, ArtifactData::Fixed(plan))
     }
 
     /// Name of the scheduler this artifact was built by.
@@ -99,14 +88,18 @@ impl PlanArtifact {
         }
     }
 
+    /// The payload, for the scheduler `name` that built it.
+    ///
+    /// # Panics
     /// Panics with a uniform message when a scheduler is handed an
     /// artifact it did not build.
-    pub(crate) fn expect_scheduler(&self, name: &str) {
+    pub(crate) fn payload(&self, name: &str) -> &ArtifactData {
         assert_eq!(
             self.scheduler, name,
             "PlanArtifact built by `{}` cannot size plans for `{}`",
             self.scheduler, name
         );
+        &self.data
     }
 }
 
@@ -126,8 +119,8 @@ pub(crate) enum ArtifactData {
 pub(crate) struct UniformArtifact {
     /// `⌈phase_factor · ln n⌉` big-round length.
     pub(crate) phase_len: u64,
-    /// The shared generator at the scheduler's *default* delay span. Its
-    /// modulus is that span's prime, so draws transfer to a guess only
+    /// The shared generator at the swept (scheduler's own) delay range. Its
+    /// modulus is that range's prime, so draws transfer to a guess only
     /// when the guess maps to the same prime.
     pub(crate) gen: KWiseGenerator,
     /// Per-algorithm `(r1, r2)` bucket draws from [`UniformArtifact::gen`],
@@ -164,33 +157,18 @@ pub(crate) struct PrivateLayer {
 }
 
 /// The *seed-independent* prefix of one scheduler's planning work for a
-/// fixed problem, shared across a whole **sched-seed sweep**.
+/// fixed problem (stage 1 of the chain), shared across a whole
+/// **sched-seed sweep**.
 ///
-/// Where [`PlanArtifact`] freezes the guess-independent prefix for one
-/// `(problem, sched_seed)` pair, a `SweepArtifact` freezes the part of
-/// planning that does not depend on the seed at all. A trial sweep builds
-/// it once per `(problem, scheduler)` via
+/// A trial sweep builds it once per `(problem, scheduler)` via
 /// [`crate::Scheduler::build_sweep_artifact`] and derives every per-seed
-/// plan via [`crate::Scheduler::plan_swept`]. The split is byte-invisible:
-/// `plan_swept(problem, art, s)` equals `plan(problem, s)` in canonical
-/// JSON for every seed `s` — `tests/plan_cache_equivalence.rs` enforces it
-/// for all five schedulers.
-///
-/// Per-scheduler contents:
-///
-/// * **sequential / interleave** — the finished plan; the seed is pure
-///   provenance, so re-seeding rewrites the `sched_seed` tag.
-/// * **uniform / tuned** — the phase length and the delay range; the
-///   `Θ(log n)`-coefficient generator and its draws are seed-dependent and
-///   cheap, so each seed rebuilds them.
-/// * **private** — the carved [`Clustering`] (Lemma 4.2), which draws from
-///   the scheduler's *own* seed and is therefore sched-seed-independent;
-///   each seed redoes only the in-cluster sharing (Lemma 4.3) and the
-///   delay draws.
+/// plan via [`crate::Scheduler::plan_swept`] (or, for a doubling search per
+/// seed, every per-seed [`PlanArtifact`] via
+/// [`crate::Scheduler::seed_artifact`]).
 #[derive(Clone, Debug)]
 pub struct SweepArtifact {
     scheduler: &'static str,
-    pub(crate) data: SweepData,
+    data: SweepData,
 }
 
 impl SweepArtifact {
@@ -206,39 +184,32 @@ impl SweepArtifact {
         SweepArtifact::new(scheduler, SweepData::SeedTagged(plan))
     }
 
-    /// The conservative no-cache artifact: `plan_swept` re-plans from
-    /// scratch per seed, which is trivially byte-identical.
-    pub(crate) fn replan(scheduler: &'static str) -> Self {
-        SweepArtifact::new(scheduler, SweepData::Replan)
-    }
-
     /// Name of the scheduler this artifact was built by.
     pub fn scheduler(&self) -> &'static str {
         self.scheduler
     }
 
-    /// Whether the artifact actually carries shared planning work (`false`
-    /// for the conservative replan form) — what a sweep harness should
-    /// count as a cache hit per derived plan.
-    pub fn shares_planning(&self) -> bool {
-        !matches!(self.data, SweepData::Replan)
-    }
-
+    /// The payload, for the scheduler `name` that built it.
+    ///
+    /// # Panics
     /// Panics with a uniform message when a scheduler is handed a sweep
     /// artifact it did not build.
-    pub(crate) fn expect_scheduler(&self, name: &str) {
+    pub(crate) fn payload(&self, name: &str) -> &SweepData {
         assert_eq!(
             self.scheduler, name,
             "SweepArtifact built by `{}` cannot derive plans for `{}`",
             self.scheduler, name
         );
+        &self.data
     }
 }
 
 /// Scheduler-specific sweep-artifact payloads.
 #[derive(Clone, Debug)]
 pub(crate) enum SweepData {
-    /// Nothing cached: derive each seed's plan from scratch.
+    /// Nothing cached: the scheduler overrides [`crate::Scheduler::plan`]
+    /// instead of writing stages (none in this crate does), and seeding
+    /// calls that.
     Replan,
     /// A finished plan whose `sched_seed` is pure provenance.
     SeedTagged(SchedulePlan),

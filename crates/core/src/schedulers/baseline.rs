@@ -19,11 +19,10 @@ impl Scheduler for SequentialScheduler {
         "sequential"
     }
 
-    fn plan(
+    fn build_sweep_artifact(
         &self,
         problem: &DasProblem<'_>,
-        sched_seed: u64,
-    ) -> Result<SchedulePlan, ReferenceError> {
+    ) -> Result<SweepArtifact, ReferenceError> {
         let n = problem.graph().node_count();
         let mut units = Vec::with_capacity(problem.k());
         let mut start = 0u64;
@@ -31,25 +30,11 @@ impl Scheduler for SequentialScheduler {
             units.push(Unit::global(i, start, n));
             start += algo.rounds() as u64;
         }
-        Ok(SchedulePlan::assemble(
-            self.name(),
-            sched_seed,
-            1,
-            0,
-            problem,
-            units,
-        ))
-    }
-
-    fn build_sweep_artifact(
-        &self,
-        problem: &DasProblem<'_>,
-    ) -> Result<SweepArtifact, ReferenceError> {
         // The plan ignores `sched_seed` except as provenance: cache it
-        // finished and let re-seeding rewrite the tag.
+        // finished and let seeding rewrite the tag.
         Ok(SweepArtifact::seed_tagged(
             self.name(),
-            self.plan(problem, self.default_sched_seed())?,
+            SchedulePlan::assemble(self.name(), 0, 1, 0, problem, units),
         ))
     }
 }
@@ -65,11 +50,10 @@ impl Scheduler for InterleaveScheduler {
         "interleave"
     }
 
-    fn plan(
+    fn build_sweep_artifact(
         &self,
         problem: &DasProblem<'_>,
-        sched_seed: u64,
-    ) -> Result<SchedulePlan, ReferenceError> {
+    ) -> Result<SweepArtifact, ReferenceError> {
         let n = problem.graph().node_count();
         let k = problem.k() as u64;
         let units = (0..problem.k())
@@ -80,23 +64,9 @@ impl Scheduler for InterleaveScheduler {
                 trunc: vec![u32::MAX; n],
             })
             .collect::<Vec<_>>();
-        Ok(SchedulePlan::assemble(
-            self.name(),
-            sched_seed,
-            1,
-            0,
-            problem,
-            units,
-        ))
-    }
-
-    fn build_sweep_artifact(
-        &self,
-        problem: &DasProblem<'_>,
-    ) -> Result<SweepArtifact, ReferenceError> {
         Ok(SweepArtifact::seed_tagged(
             self.name(),
-            self.plan(problem, self.default_sched_seed())?,
+            SchedulePlan::assemble(self.name(), 0, 1, 0, problem, units),
         ))
     }
 }

@@ -6,6 +6,11 @@
 //! [`crate::plan::execute_plan`] realizes any plan on the engine.
 //! [`Scheduler::run`] is the fused convenience path — plan with the
 //! scheduler's default seed, then execute.
+//!
+//! A scheduler *writes* planning once, as the three stages of
+//! [`crate::plan::cache`] (`build_sweep_artifact → seed_artifact →
+//! size_plan`); `plan`, `plan_swept` and `build_artifact` are compositions
+//! the trait provides.
 
 mod baseline;
 mod private;
@@ -26,6 +31,12 @@ use crate::schedule::ScheduleOutcome;
 /// A DAS scheduler: turns a problem instance into a [`SchedulePlan`] (and,
 /// through [`Scheduler::run`], into a scheduled execution).
 ///
+/// The schedulers of this crate implement the three stages and inherit
+/// every composition. A scheduler from outside the crate cannot construct
+/// artifacts; it overrides [`Scheduler::plan`] instead, and the default
+/// stages route every composition to that. (Implementing neither leaves
+/// `plan` and the default stages calling each other.)
+///
 /// Schedulers are `Send + Sync` so a trial harness can share one across
 /// worker threads.
 pub trait Scheduler: Send + Sync {
@@ -40,54 +51,73 @@ pub trait Scheduler: Send + Sync {
         0
     }
 
-    /// Plans the schedule: delays, truncations, and phase length for all
-    /// algorithms of `problem`, drawing any scheduler randomness from
-    /// `sched_seed`. Pure: same `(problem, sched_seed)`, same plan.
+    /// Stage 1 — everything planning computes that does not depend on
+    /// `sched_seed`. A trial sweep builds this once per
+    /// `(problem, scheduler)` and derives each seed's plan with
+    /// [`Scheduler::plan_swept`].
     ///
     /// # Errors
     /// Propagates a [`ReferenceError`] if an algorithm violates the
     /// CONGEST model in its alone run (the measured congestion/dilation
     /// parameters come from there).
-    fn plan(
+    fn build_sweep_artifact(
         &self,
         problem: &DasProblem<'_>,
-        sched_seed: u64,
-    ) -> Result<SchedulePlan, ReferenceError>;
+    ) -> Result<SweepArtifact, ReferenceError> {
+        let _ = problem;
+        Ok(SweepArtifact::new(self.name(), SweepData::Replan))
+    }
 
-    /// Builds the cached, guess-independent planning artifact for
-    /// `(problem, sched_seed)` — everything [`Scheduler::plan`] computes
-    /// that does not depend on a congestion guess. [`crate::doubling`]
-    /// builds it once and re-sizes it per guess via
+    /// Stage 2 — everything planning computes for one `sched_seed` that
+    /// does not depend on a congestion guess. [`crate::doubling`] builds it
+    /// once per search and re-sizes it per attempt via
     /// [`Scheduler::size_plan`].
     ///
-    /// The default implementation caches the finished plan outright,
-    /// which is exact for schedulers whose plans ignore the guess
-    /// entirely (sequential, interleave, tuned).
+    /// The default implementation serves the schedulers whose seed is pure
+    /// provenance (sequential, interleave): the swept plan, re-tagged.
     ///
     /// # Errors
-    /// Propagates a [`ReferenceError`], as [`Scheduler::plan`] does.
-    fn build_artifact(
+    /// Propagates a [`ReferenceError`], as stage 1 does.
+    ///
+    /// # Panics
+    /// Panics if `sweep` was built by a different scheduler.
+    fn seed_artifact(
         &self,
         problem: &DasProblem<'_>,
+        sweep: &SweepArtifact,
         sched_seed: u64,
     ) -> Result<PlanArtifact, ReferenceError> {
-        Ok(PlanArtifact::fixed(
+        let plan = match sweep.payload(self.name()) {
+            SweepData::SeedTagged(plan) => {
+                let mut plan = plan.clone();
+                plan.sched_seed = sched_seed;
+                plan
+            }
+            SweepData::Replan => self.plan(problem, sched_seed)?,
+            _ => unreachable!(
+                "scheduler `{}` must write seed_artifact for its sweep payload",
+                self.name()
+            ),
+        };
+        Ok(PlanArtifact::new(
             self.name(),
             sched_seed,
-            self.plan(problem, sched_seed)?,
+            ArtifactData::Fixed(plan),
         ))
     }
 
-    /// Sizes a [`SchedulePlan`] from a cached artifact for a concrete
-    /// congestion `guess` (an exact delay-span override in big-rounds;
-    /// `None` keeps the scheduler's own default sizing). The result is
-    /// **byte-identical** to [`Scheduler::plan`] run from scratch with
-    /// the corresponding override set — the artifact split must be
-    /// invisible in the plan bytes. Schedulers without a span override
-    /// (sequential, interleave, tuned) ignore `guess`.
+    /// Stage 3 — sizes a [`SchedulePlan`] from a seeded artifact for a
+    /// concrete congestion `guess` (an exact delay-span override in
+    /// big-rounds; `None` keeps the scheduler's own sizing). An explicit
+    /// guess gives the plan the scheduler's own span override
+    /// ([`crate::UniformScheduler::delay_range`] /
+    /// [`crate::PrivateScheduler::block_override`]) would, byte for byte.
+    ///
+    /// The default implementation serves the schedulers with no span
+    /// override, whose stage 2 is the finished plan.
     ///
     /// # Errors
-    /// Propagates a [`ReferenceError`], as [`Scheduler::plan`] does.
+    /// Propagates a [`ReferenceError`], as stage 1 does.
     ///
     /// # Panics
     /// Panics if `artifact` was built by a different scheduler.
@@ -98,45 +128,33 @@ pub trait Scheduler: Send + Sync {
         guess: Option<u64>,
     ) -> Result<SchedulePlan, ReferenceError> {
         let _ = (problem, guess);
-        artifact.expect_scheduler(self.name());
-        match &artifact.data {
+        match artifact.payload(self.name()) {
             ArtifactData::Fixed(plan) => Ok(plan.clone()),
             _ => unreachable!(
-                "scheduler `{}` uses the default fixed-plan artifact",
+                "scheduler `{}` must write size_plan for its artifact payload",
                 self.name()
             ),
         }
     }
 
-    /// Builds the *seed-sweep* artifact for `problem` — everything
-    /// [`Scheduler::plan`] computes that does not depend on `sched_seed`.
-    /// A trial sweep builds this once per `(problem, scheduler)` and
-    /// derives each seed's plan with [`Scheduler::plan_swept`].
-    ///
-    /// The default implementation caches nothing (the replan form of
-    /// [`SweepArtifact`]): `plan_swept` then falls back to a from-scratch
-    /// [`Scheduler::plan`], which is trivially byte-identical. Schedulers
-    /// override this when part of their planning is genuinely
-    /// seed-independent — all five built-ins do.
+    /// Stages 1–2 from nothing: the guess-independent artifact for
+    /// `(problem, sched_seed)`.
     ///
     /// # Errors
-    /// Propagates a [`ReferenceError`], as [`Scheduler::plan`] does.
-    fn build_sweep_artifact(
+    /// Propagates a [`ReferenceError`], as stage 1 does.
+    fn build_artifact(
         &self,
         problem: &DasProblem<'_>,
-    ) -> Result<SweepArtifact, ReferenceError> {
-        let _ = problem;
-        Ok(SweepArtifact::replan(self.name()))
+        sched_seed: u64,
+    ) -> Result<PlanArtifact, ReferenceError> {
+        self.seed_artifact(problem, &self.build_sweep_artifact(problem)?, sched_seed)
     }
 
-    /// Derives the plan for one `sched_seed` of a sweep from a cached
-    /// [`SweepArtifact`]. The result is **byte-identical** to
-    /// [`Scheduler::plan`]`(problem, sched_seed)` run from scratch — the
-    /// sweep split must be invisible in the plan bytes
-    /// (`tests/plan_cache_equivalence.rs` enforces it).
+    /// Stages 2–3 from a cached [`SweepArtifact`]: the plan for one
+    /// `sched_seed` of a sweep, at the scheduler's own sizing.
     ///
     /// # Errors
-    /// Propagates a [`ReferenceError`], as [`Scheduler::plan`] does.
+    /// Propagates a [`ReferenceError`], as stage 1 does.
     ///
     /// # Panics
     /// Panics if `artifact` was built by a different scheduler.
@@ -146,19 +164,26 @@ pub trait Scheduler: Send + Sync {
         artifact: &SweepArtifact,
         sched_seed: u64,
     ) -> Result<SchedulePlan, ReferenceError> {
-        artifact.expect_scheduler(self.name());
-        match &artifact.data {
-            SweepData::Replan => self.plan(problem, sched_seed),
-            SweepData::SeedTagged(plan) => {
-                let mut plan = plan.clone();
-                plan.sched_seed = sched_seed;
-                Ok(plan)
-            }
-            _ => unreachable!(
-                "scheduler `{}` must override plan_swept for its sweep payload",
-                self.name()
-            ),
-        }
+        self.size_plan(
+            problem,
+            &self.seed_artifact(problem, artifact, sched_seed)?,
+            None,
+        )
+    }
+
+    /// Plans the schedule — the whole chain from nothing: delays,
+    /// truncations, and phase length for all algorithms of `problem`,
+    /// drawing any scheduler randomness from `sched_seed`. Pure: same
+    /// `(problem, sched_seed)`, same plan.
+    ///
+    /// # Errors
+    /// Propagates a [`ReferenceError`], as stage 1 does.
+    fn plan(
+        &self,
+        problem: &DasProblem<'_>,
+        sched_seed: u64,
+    ) -> Result<SchedulePlan, ReferenceError> {
+        self.plan_swept(problem, &self.build_sweep_artifact(problem)?, sched_seed)
     }
 
     /// Schedules and executes all algorithms of `problem`: plans with

@@ -106,10 +106,6 @@ impl Default for PrivateScheduler {
 /// clusters indexed as in [`das_cluster::Layer::centers`].
 type LayerSeeds = Vec<Vec<Vec<u64>>>;
 
-/// Carved clustering, per-layer shared seeds, and the charged
-/// pre-computation rounds — the guess-independent prefix of planning.
-type Precomputed = (Clustering, LayerSeeds, u64);
-
 impl PrivateScheduler {
     /// Sets the base seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
@@ -208,66 +204,6 @@ impl PrivateScheduler {
             layer_seeds.push(seeds);
         }
         Ok((layer_seeds, precompute_rounds))
-    }
-
-    /// Steps 1–2 of the pipeline — carving (Lemma 4.2) and in-cluster
-    /// randomness sharing (Lemma 4.3). Nothing here depends on a
-    /// congestion guess, which is why the doubling search can charge it
-    /// once; the carve half depends on the scheduler value only, which is
-    /// why a seed sweep can share it (see [`PrivateScheduler::carve`]).
-    fn precompute(
-        &self,
-        problem: &DasProblem<'_>,
-        sched_seed: u64,
-    ) -> Result<Precomputed, ReferenceError> {
-        let clustering = self.carve(problem)?;
-        let (layer_seeds, precompute_rounds) = self.share(problem, &clustering, sched_seed)?;
-        Ok((clustering, layer_seeds, precompute_rounds))
-    }
-
-    /// Steps 3–4 — size the delay law and reduce each layer's shared
-    /// seeds into per-(layer, algorithm) units. Shared tail of
-    /// [`Scheduler::plan`] and [`Scheduler::plan_swept`].
-    fn finish_plan(
-        &self,
-        problem: &DasProblem<'_>,
-        clustering: &Clustering,
-        layer_seeds: &LayerSeeds,
-        precompute_rounds: u64,
-        sched_seed: u64,
-    ) -> Result<SchedulePlan, ReferenceError> {
-        let n = problem.graph().node_count();
-        let params = problem.parameters()?;
-        let ln_n = (n.max(2) as f64).ln();
-
-        // 3. The delay law: Lemma 4.4's block-decay, or (ablation) the
-        // "simpler solution" uniform over Theta(congestion) big-rounds.
-        let num_layers = clustering.layers().len();
-        let law = self.sized_delay_law(params.congestion, ln_n, num_layers, self.block_override);
-
-        // 4. One unit per (layer, algorithm): per-cluster delays from the
-        // cluster's shared seed, per-node truncation at the contained
-        // radius.
-        let mut units = Vec::with_capacity(num_layers * problem.k());
-        for (layer, seeds) in clustering.layers().iter().zip(layer_seeds) {
-            layer_units(
-                &cluster_draws(problem, seeds),
-                layer.cluster_of(),
-                &layer.contained_radius,
-                law.as_ref(),
-                &mut units,
-            );
-        }
-
-        let phase_len = (self.phase_factor * ln_n).ceil().max(1.0) as u64;
-        Ok(SchedulePlan::assemble(
-            self.name(),
-            sched_seed,
-            phase_len,
-            precompute_rounds,
-            problem,
-            units,
-        ))
     }
 
     /// Step 3 — the delay law sized for `override_` (an exact first-block
@@ -387,32 +323,36 @@ impl Scheduler for PrivateScheduler {
         self.seed
     }
 
-    fn plan(
+    fn build_sweep_artifact(
         &self,
         problem: &DasProblem<'_>,
-        sched_seed: u64,
-    ) -> Result<SchedulePlan, ReferenceError> {
-        // 1–2. Carving (Lemma 4.2) + in-cluster sharing (Lemma 4.3).
-        let (clustering, layer_seeds, precompute_rounds) = self.precompute(problem, sched_seed)?;
-        // 3–4. Delay law + per-(layer, algorithm) units.
-        self.finish_plan(
-            problem,
-            &clustering,
-            &layer_seeds,
-            precompute_rounds,
-            sched_seed,
-        )
+    ) -> Result<SweepArtifact, ReferenceError> {
+        // 1. Only the carve is seed-independent; sharing, the chunk split,
+        // and every generator draw move with the sched_seed.
+        Ok(SweepArtifact::new(
+            self.name(),
+            SweepData::Private(PrivateSweep {
+                clustering: self.carve(problem)?,
+            }),
+        ))
     }
 
-    fn build_artifact(
+    fn seed_artifact(
         &self,
         problem: &DasProblem<'_>,
+        sweep: &SweepArtifact,
         sched_seed: u64,
     ) -> Result<PlanArtifact, ReferenceError> {
-        let n = problem.graph().node_count();
-        let ln_n = (n.max(2) as f64).ln();
-        let (clustering, layer_seeds, precompute_rounds) = self.precompute(problem, sched_seed)?;
-        let layers = clustering
+        let SweepData::Private(sweep) = sweep.payload(self.name()) else {
+            unreachable!("private sweep artifacts carry SweepData::Private")
+        };
+        // 2. In-cluster sharing (Lemma 4.3), then each cluster's raw
+        // generator words: nothing here depends on a congestion guess,
+        // which is why the doubling search can charge it once.
+        let (layer_seeds, precompute_rounds) =
+            self.share(problem, &sweep.clustering, sched_seed)?;
+        let layers = sweep
+            .clustering
             .layers()
             .iter()
             .zip(&layer_seeds)
@@ -422,6 +362,7 @@ impl Scheduler for PrivateScheduler {
                 draws: cluster_draws(problem, seeds),
             })
             .collect();
+        let ln_n = (problem.graph().node_count().max(2) as f64).ln();
         Ok(PlanArtifact::new(
             self.name(),
             sched_seed,
@@ -439,10 +380,11 @@ impl Scheduler for PrivateScheduler {
         artifact: &PlanArtifact,
         guess: Option<u64>,
     ) -> Result<SchedulePlan, ReferenceError> {
-        artifact.expect_scheduler(self.name());
-        let ArtifactData::Private(art) = &artifact.data else {
+        let ArtifactData::Private(art) = artifact.payload(self.name()) else {
             unreachable!("private artifacts carry ArtifactData::Private")
         };
+        // 3. The delay law: Lemma 4.4's block-decay, or (ablation) the
+        // "simpler solution" uniform over Theta(congestion) big-rounds.
         let n = problem.graph().node_count();
         let params = problem.parameters()?;
         let ln_n = (n.max(2) as f64).ln();
@@ -452,6 +394,9 @@ impl Scheduler for PrivateScheduler {
             art.layers.len(),
             guess.or(self.block_override),
         );
+        // 4. One unit per (layer, algorithm): per-cluster delays from the
+        // cluster's cached words, per-node truncation at the contained
+        // radius.
         let mut units = Vec::with_capacity(art.layers.len() * problem.k());
         for layer in &art.layers {
             layer_units(
@@ -470,41 +415,6 @@ impl Scheduler for PrivateScheduler {
             problem,
             units,
         ))
-    }
-
-    fn build_sweep_artifact(
-        &self,
-        problem: &DasProblem<'_>,
-    ) -> Result<SweepArtifact, ReferenceError> {
-        // Only the carve is seed-independent; sharing, the chunk split,
-        // and every generator draw move with the sched_seed.
-        Ok(SweepArtifact::new(
-            self.name(),
-            SweepData::Private(PrivateSweep {
-                clustering: self.carve(problem)?,
-            }),
-        ))
-    }
-
-    fn plan_swept(
-        &self,
-        problem: &DasProblem<'_>,
-        artifact: &SweepArtifact,
-        sched_seed: u64,
-    ) -> Result<SchedulePlan, ReferenceError> {
-        artifact.expect_scheduler(self.name());
-        let SweepData::Private(sweep) = &artifact.data else {
-            unreachable!("private sweep artifacts carry SweepData::Private")
-        };
-        let (layer_seeds, precompute_rounds) =
-            self.share(problem, &sweep.clustering, sched_seed)?;
-        self.finish_plan(
-            problem,
-            &sweep.clustering,
-            &layer_seeds,
-            precompute_rounds,
-            sched_seed,
-        )
     }
 }
 

@@ -61,17 +61,6 @@ impl UniformScheduler {
         self.shared_seed = seed;
         self
     }
-
-    /// The delay range an attempt actually sizes for: an explicit `guess`
-    /// wins, then the configured [`UniformScheduler::delay_range`]
-    /// override, then the `range_factor`-derived default.
-    fn effective_range(&self, guess: Option<u64>, congestion: u64, ln_n: f64) -> u64 {
-        guess.or(self.delay_range).unwrap_or_else(|| {
-            ((self.range_factor * congestion as f64) / ln_n)
-                .ceil()
-                .max(1.0) as u64
-        })
-    }
 }
 
 fn kwise_from_shared(seed: u64, n: usize, p: u64) -> KWiseGenerator {
@@ -80,8 +69,7 @@ fn kwise_from_shared(seed: u64, n: usize, p: u64) -> KWiseGenerator {
 }
 
 /// The per-algorithm `(r1, r2)` bucket draws, in algorithm order — the
-/// raw generator words both the direct plan path and the artifact cache
-/// reduce into delays.
+/// raw generator words sizing reduces into delays.
 fn bucket_pairs(problem: &DasProblem<'_>, gen: &KWiseGenerator) -> Vec<(u64, u64)> {
     problem
         .algorithms()
@@ -94,18 +82,76 @@ fn bucket_pairs(problem: &DasProblem<'_>, gen: &KWiseGenerator) -> Vec<(u64, u64
         .collect()
 }
 
-/// Reduces raw bucket draws into one globally-delayed unit per algorithm.
-fn units_from_pairs(pairs: &[(u64, u64)], law: &Uniform, n: usize) -> Vec<Unit> {
-    pairs
+/// A real-valued sizing rounded up to a whole, positive count.
+fn ceil_positive(x: f64) -> u64 {
+    x.ceil().max(1.0) as u64
+}
+
+/// Stage 2 of both shared-randomness schedulers: the shared generator at
+/// the swept range's prime and its per-algorithm draws. The generator has
+/// `Θ(log n)` coefficients, so this is cheap.
+fn seed_draws(
+    name: &'static str,
+    problem: &DasProblem<'_>,
+    sweep: &SweepArtifact,
+    sched_seed: u64,
+) -> PlanArtifact {
+    let SweepData::Uniform(sweep) = sweep.payload(name) else {
+        unreachable!("shared-randomness sweep artifacts carry SweepData::Uniform")
+    };
+    let n = problem.graph().node_count();
+    let modulus = Uniform::prime_at_least(sweep.range).range();
+    let gen = kwise_from_shared(sched_seed, n, modulus);
+    let draws = bucket_pairs(problem, &gen);
+    PlanArtifact::new(
+        name,
+        sched_seed,
+        ArtifactData::Uniform(UniformArtifact {
+            phase_len: sweep.phase_len,
+            gen,
+            draws,
+        }),
+    )
+}
+
+/// Stage 3 of both shared-randomness schedulers: one globally-delayed unit
+/// per algorithm, uniform over the prime at least `range` (`None`: the
+/// swept range, whose prime is the cached generator's modulus).
+fn size_draws(
+    name: &'static str,
+    problem: &DasProblem<'_>,
+    artifact: &PlanArtifact,
+    range: Option<u64>,
+) -> SchedulePlan {
+    let ArtifactData::Uniform(art) = artifact.payload(name) else {
+        unreachable!("shared-randomness artifacts carry ArtifactData::Uniform")
+    };
+    let n = problem.graph().node_count();
+    let law = Uniform::prime_at_least(range.unwrap_or(art.gen.modulus()));
+    // The uniform law's modulus *is* the prime span (footnote 6), so the
+    // cached draws transfer only when the range lands on the cached prime;
+    // otherwise rebuild the generator and redraw.
+    let redrawn;
+    let draws = if law.range() == art.gen.modulus() {
+        &art.draws
+    } else {
+        let gen = kwise_from_shared(artifact.sched_seed(), n, law.range());
+        redrawn = bucket_pairs(problem, &gen);
+        &redrawn
+    };
+    let units = draws
         .iter()
         .enumerate()
         .map(|(i, &(r1, r2))| Unit::global(i, law.sample_from_pair(r1, r2), n))
-        .collect()
-}
-
-fn delayed_units(problem: &DasProblem<'_>, gen: &KWiseGenerator, law: &Uniform) -> Vec<Unit> {
-    let n = problem.graph().node_count();
-    units_from_pairs(&bucket_pairs(problem, gen), law, n)
+        .collect();
+    SchedulePlan::assemble(
+        name,
+        artifact.sched_seed(),
+        art.phase_len,
+        0,
+        problem,
+        units,
+    )
 }
 
 impl Scheduler for UniformScheduler {
@@ -117,54 +163,29 @@ impl Scheduler for UniformScheduler {
         self.shared_seed
     }
 
-    fn plan(
+    fn build_sweep_artifact(
         &self,
         problem: &DasProblem<'_>,
-        sched_seed: u64,
-    ) -> Result<SchedulePlan, ReferenceError> {
-        let params = problem.parameters()?;
-        let n = problem.graph().node_count();
-        let ln_n = (n.max(2) as f64).ln();
-        let phase_len = (self.phase_factor * ln_n).ceil().max(1.0) as u64;
-        let range = self.effective_range(None, params.congestion, ln_n);
-        let law = Uniform::prime_at_least(range);
-        let gen = kwise_from_shared(sched_seed, n, law.range());
-        let units = delayed_units(problem, &gen, &law);
-        Ok(SchedulePlan::assemble(
-            self.name(),
-            sched_seed,
-            phase_len,
-            0,
-            problem,
-            units,
-        ))
+    ) -> Result<SweepArtifact, ReferenceError> {
+        // Only the sizing ignores the seed.
+        let congestion = problem.parameters()?.congestion as f64;
+        let ln_n = (problem.graph().node_count().max(2) as f64).ln();
+        let sizing = UniformSweep {
+            phase_len: ceil_positive(self.phase_factor * ln_n),
+            range: self
+                .delay_range
+                .unwrap_or_else(|| ceil_positive(self.range_factor * congestion / ln_n)),
+        };
+        Ok(SweepArtifact::new(self.name(), SweepData::Uniform(sizing)))
     }
 
-    fn build_artifact(
+    fn seed_artifact(
         &self,
         problem: &DasProblem<'_>,
+        sweep: &SweepArtifact,
         sched_seed: u64,
     ) -> Result<PlanArtifact, ReferenceError> {
-        let params = problem.parameters()?;
-        let n = problem.graph().node_count();
-        let ln_n = (n.max(2) as f64).ln();
-        let phase_len = (self.phase_factor * ln_n).ceil().max(1.0) as u64;
-        // The generator and its draws are cached at the scheduler's own
-        // default span; sizing transfers them whenever a guess maps to
-        // the same prime modulus.
-        let range = self.effective_range(None, params.congestion, ln_n);
-        let law = Uniform::prime_at_least(range);
-        let gen = kwise_from_shared(sched_seed, n, law.range());
-        let draws = bucket_pairs(problem, &gen);
-        Ok(PlanArtifact::new(
-            self.name(),
-            sched_seed,
-            ArtifactData::Uniform(UniformArtifact {
-                phase_len,
-                gen,
-                draws,
-            }),
-        ))
+        Ok(seed_draws(self.name(), problem, sweep, sched_seed))
     }
 
     fn size_plan(
@@ -173,75 +194,7 @@ impl Scheduler for UniformScheduler {
         artifact: &PlanArtifact,
         guess: Option<u64>,
     ) -> Result<SchedulePlan, ReferenceError> {
-        artifact.expect_scheduler(self.name());
-        let ArtifactData::Uniform(art) = &artifact.data else {
-            unreachable!("uniform artifacts carry ArtifactData::Uniform")
-        };
-        let params = problem.parameters()?;
-        let n = problem.graph().node_count();
-        let ln_n = (n.max(2) as f64).ln();
-        let range = self.effective_range(guess, params.congestion, ln_n);
-        let law = Uniform::prime_at_least(range);
-        // The uniform law's modulus *is* the prime span (footnote 6), so
-        // the cached draws transfer only when the guess lands on the
-        // cached prime; otherwise rebuild the Θ(log n)-coefficient
-        // generator — the cheap part — and redraw.
-        let units = if law.range() == art.gen.modulus() {
-            units_from_pairs(&art.draws, &law, n)
-        } else {
-            let gen = kwise_from_shared(artifact.sched_seed(), n, law.range());
-            units_from_pairs(&bucket_pairs(problem, &gen), &law, n)
-        };
-        Ok(SchedulePlan::assemble(
-            self.name(),
-            artifact.sched_seed(),
-            art.phase_len,
-            0,
-            problem,
-            units,
-        ))
-    }
-
-    fn build_sweep_artifact(
-        &self,
-        problem: &DasProblem<'_>,
-    ) -> Result<SweepArtifact, ReferenceError> {
-        // Only the sizing is seed-independent; the Θ(log n)-coefficient
-        // generator and its draws are cheap and rebuilt per seed.
-        let params = problem.parameters()?;
-        let n = problem.graph().node_count();
-        let ln_n = (n.max(2) as f64).ln();
-        Ok(SweepArtifact::new(
-            self.name(),
-            SweepData::Uniform(UniformSweep {
-                phase_len: (self.phase_factor * ln_n).ceil().max(1.0) as u64,
-                range: self.effective_range(None, params.congestion, ln_n),
-            }),
-        ))
-    }
-
-    fn plan_swept(
-        &self,
-        problem: &DasProblem<'_>,
-        artifact: &SweepArtifact,
-        sched_seed: u64,
-    ) -> Result<SchedulePlan, ReferenceError> {
-        artifact.expect_scheduler(self.name());
-        let SweepData::Uniform(sweep) = &artifact.data else {
-            unreachable!("uniform sweep artifacts carry SweepData::Uniform")
-        };
-        let n = problem.graph().node_count();
-        let law = Uniform::prime_at_least(sweep.range);
-        let gen = kwise_from_shared(sched_seed, n, law.range());
-        let units = delayed_units(problem, &gen, &law);
-        Ok(SchedulePlan::assemble(
-            self.name(),
-            sched_seed,
-            sweep.phase_len,
-            0,
-            problem,
-            units,
-        ))
+        Ok(size_draws(self.name(), problem, artifact, guess))
     }
 }
 
@@ -282,73 +235,37 @@ impl Scheduler for TunedUniformScheduler {
         self.shared_seed
     }
 
-    fn plan(
-        &self,
-        problem: &DasProblem<'_>,
-        sched_seed: u64,
-    ) -> Result<SchedulePlan, ReferenceError> {
-        let params = problem.parameters()?;
-        let n = problem.graph().node_count();
-        let ln_n = (n.max(3) as f64).ln();
-        let lnln = ln_n.ln().max(1.0);
-        let phase_len = (self.phase_factor * ln_n / lnln).ceil().max(1.0) as u64;
-        let range = (self.range_factor * params.congestion as f64)
-            .ceil()
-            .max(1.0) as u64;
-        let law = Uniform::prime_at_least(range);
-        let gen = kwise_from_shared(sched_seed, n, law.range());
-        let units = delayed_units(problem, &gen, &law);
-        Ok(SchedulePlan::assemble(
-            self.name(),
-            sched_seed,
-            phase_len,
-            0,
-            problem,
-            units,
-        ))
-    }
-
     fn build_sweep_artifact(
         &self,
         problem: &DasProblem<'_>,
     ) -> Result<SweepArtifact, ReferenceError> {
-        let params = problem.parameters()?;
-        let n = problem.graph().node_count();
-        let ln_n = (n.max(3) as f64).ln();
+        let congestion = problem.parameters()?.congestion as f64;
+        let ln_n = (problem.graph().node_count().max(3) as f64).ln();
         let lnln = ln_n.ln().max(1.0);
-        Ok(SweepArtifact::new(
-            self.name(),
-            SweepData::Uniform(UniformSweep {
-                phase_len: (self.phase_factor * ln_n / lnln).ceil().max(1.0) as u64,
-                range: (self.range_factor * params.congestion as f64)
-                    .ceil()
-                    .max(1.0) as u64,
-            }),
-        ))
+        let sizing = UniformSweep {
+            phase_len: ceil_positive(self.phase_factor * ln_n / lnln),
+            range: ceil_positive(self.range_factor * congestion),
+        };
+        Ok(SweepArtifact::new(self.name(), SweepData::Uniform(sizing)))
     }
 
-    fn plan_swept(
+    fn seed_artifact(
         &self,
         problem: &DasProblem<'_>,
-        artifact: &SweepArtifact,
+        sweep: &SweepArtifact,
         sched_seed: u64,
+    ) -> Result<PlanArtifact, ReferenceError> {
+        Ok(seed_draws(self.name(), problem, sweep, sched_seed))
+    }
+
+    /// Tuned has no span override: the guess is ignored.
+    fn size_plan(
+        &self,
+        problem: &DasProblem<'_>,
+        artifact: &PlanArtifact,
+        _guess: Option<u64>,
     ) -> Result<SchedulePlan, ReferenceError> {
-        artifact.expect_scheduler(self.name());
-        let SweepData::Uniform(sweep) = &artifact.data else {
-            unreachable!("tuned sweep artifacts carry SweepData::Uniform")
-        };
-        let n = problem.graph().node_count();
-        let law = Uniform::prime_at_least(sweep.range);
-        let gen = kwise_from_shared(sched_seed, n, law.range());
-        let units = delayed_units(problem, &gen, &law);
-        Ok(SchedulePlan::assemble(
-            self.name(),
-            sched_seed,
-            sweep.phase_len,
-            0,
-            problem,
-            units,
-        ))
+        Ok(size_draws(self.name(), problem, artifact, None))
     }
 }
 

@@ -21,8 +21,8 @@
 //!   `k` jobs becomes one [`DasProblem`] (the job id is the algorithm id,
 //!   so each job's random tape — and therefore its outputs — is
 //!   independent of which other jobs share its batch). The batch is
-//!   planned through the scheduler's sweep-artifact cache and executed on
-//!   the bounded in-process sharded pool.
+//!   planned from scratch (every batch is a different problem) and
+//!   executed on the bounded in-process sharded pool.
 //! * **Trust, then verify**: declared budgets are *not* trusted beyond
 //!   admission. After execution the server measures each job's real
 //!   dilation and congestion from its reference run and cross-checks the
@@ -638,9 +638,10 @@ pub fn instantiate(spec: &JobSpec, g: &Graph) -> Box<dyn crate::BlackBoxAlgorith
     }
 }
 
-/// One batch: build the [`DasProblem`], plan through the sweep-artifact
-/// cache, execute on the sharded pool, verify against references,
-/// cross-check measured budgets, and answer every job.
+/// One batch: build the [`DasProblem`], plan it (a batch is a problem of
+/// its own, so no planning stage of an earlier batch applies to it),
+/// execute on the sharded pool, verify against references, cross-check
+/// measured budgets, and answer every job.
 fn execute_batch(
     g: &Graph,
     scheduler: &dyn Scheduler,
@@ -659,8 +660,7 @@ fn execute_batch(
         .references()
         .map_err(SchedError::from)
         .and_then(|_| {
-            let artifact = scheduler.build_sweep_artifact(&problem)?;
-            let plan = scheduler.plan_swept(&problem, &artifact, cfg.sched_seed)?;
+            let plan = scheduler.plan(&problem, cfg.sched_seed)?;
             let exec_cfg = ExecutorConfig::default().with_shards(cfg.pool_shards.max(1));
             let (outcome, _report) = execute_plan_sharded_with(&problem, &plan, &exec_cfg)?;
             let report = verify::against_references(&problem, &outcome)?;

@@ -1,26 +1,29 @@
-//! Property-based neutrality of the plan-artifact split: sizing a plan
-//! from a cached, guess-independent [`das_core::PlanArtifact`] must be
-//! **byte-identical** (canonical JSON) to running the scheduler's full
-//! `plan()` with the corresponding override — for every scheduler, graph,
-//! workload, and congestion guess. The doubling searches ride on this
-//! split, so the file also checks that a search with the artifact cache on
-//! reports exactly what the replan-from-scratch path reports.
+//! Property-based neutrality of the planning stages: a plan sized from a
+//! *reused* [`das_core::PlanArtifact`] / [`das_core::SweepArtifact`] must
+//! be **byte-identical** (canonical JSON) to a fresh chain — the
+//! scheduler's full `plan()` with the corresponding override set on the
+//! scheduler — for every scheduler, graph, workload, congestion guess and
+//! sched-seed. `plan()` is a composition of the same stages, so what this
+//! pins is that an explicit guess equals the scheduler's own span
+//! override, and — by sizing/seeding one artifact for shuffled lists with
+//! repeats — that no stage mutates what it reuses. (What the doubling
+//! searches make of the split is pinned in `plan_golden.rs`.)
 
 use das_core::synthetic::{FloodBall, Prescribed, RelayChain};
 use das_core::{
-    doubling, BlackBoxAlgorithm, DasProblem, DoublingConfig, DoublingOutcome, InterleaveScheduler,
-    PrivateScheduler, Scheduler, SequentialScheduler, TunedUniformScheduler, UniformScheduler,
+    BlackBoxAlgorithm, DasProblem, InterleaveScheduler, PrivateScheduler, Scheduler,
+    SequentialScheduler, TunedUniformScheduler, UniformScheduler,
 };
 use das_graph::{generators, Graph, NodeId};
-use das_obs::ObsConfig;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Congestion guesses the override sweep tries: small spans around the
 /// doubling search's early attempts (including 5, a prime the uniform
-/// artifact may have cached draws for) and one far past the default.
-const GUESSES: [u64; 4] = [2, 5, 8, 64];
+/// artifact may have cached draws for) and one far past the default —
+/// out of order and with repeats, all sized from one artifact.
+const GUESSES: [u64; 7] = [8, 2, 64, 5, 2, 8, 5];
 
 /// A random mixed workload (prescribed / flood / relay) on `g` — the same
 /// generator the shard-equivalence property uses.
@@ -117,19 +120,18 @@ fn assert_sizing_matches_scratch(g: &Graph, k: usize, seed: u64) {
 /// seeds, zero byte drift (the seed-sweep half of the cache contract).
 fn assert_sweep_matches_scratch(g: &Graph, k: usize, seed: u64) {
     let p = DasProblem::new(g, build_algos(g, k, seed), seed);
+    // out of order and with repeats, all seeded from one artifact
     let sweep_seeds = [
+        u64::MAX,
         seed,
         seed ^ 0x5EED,
         seed.wrapping_mul(31).wrapping_add(7),
+        seed,
         0,
         u64::MAX,
     ];
     for sched in all_schedulers() {
         let artifact = sched.build_sweep_artifact(&p).expect("sweep artifact");
-        assert!(
-            artifact.shares_planning(),
-            "all built-in schedulers share planning work across a sweep"
-        );
         for &s in &sweep_seeds {
             let scratch = sched.plan(&p, s).expect("model-valid workload");
             let swept = sched.plan_swept(&p, &artifact, s).expect("swept plan");
@@ -209,101 +211,10 @@ fn sweep_covers_distributed_precompute_and_overrides() {
     }
 }
 
-/// Asserts two doubling searches reported the same thing, ignoring only
-/// the [`das_core::PlanCacheStats`] accounting (which is *supposed* to
-/// differ between cache-on and cache-off).
-fn assert_same_search(on: &DoublingOutcome, off: &DoublingOutcome, ctx: &str) {
-    assert_eq!(
-        format!("{:?}", on.outcome),
-        format!("{:?}", off.outcome),
-        "{ctx}: the final schedule must be byte-identical"
-    );
-    assert_eq!(on.final_guess, off.final_guess, "{ctx}");
-    assert_eq!(on.attempts, off.attempts, "{ctx}");
-    assert_eq!(on.rejected_by_precheck, off.rejected_by_precheck, "{ctx}");
-    assert_eq!(on.wasted_rounds, off.wasted_rounds, "{ctx}");
-    assert_eq!(on.attempted_ranges, off.attempted_ranges, "{ctx}");
-    assert_eq!(on.fell_back, off.fell_back, "{ctx}");
-}
-
 /// A path instance congested enough to force several doubling attempts.
 fn congested_problem(g: &Graph) -> DasProblem<'_> {
     let algos: Vec<Box<dyn BlackBoxAlgorithm>> = (0..16)
         .map(|i| Box::new(RelayChain::new(i, g)) as Box<dyn BlackBoxAlgorithm>)
         .collect();
     DasProblem::new(g, algos, 3)
-}
-
-#[test]
-fn doubling_with_cache_matches_doubling_without() {
-    let g = generators::path(12);
-    let p = congested_problem(&g);
-    let on_cfg = DoublingConfig::default();
-    let off_cfg = DoublingConfig {
-        reuse_artifact: false,
-        ..DoublingConfig::default()
-    };
-    let obs = ObsConfig::off();
-
-    let (on, _) =
-        doubling::uniform_with_doubling_configured(&p, &UniformScheduler::default(), &obs, &on_cfg)
-            .unwrap();
-    let (off, _) = doubling::uniform_with_doubling_configured(
-        &p,
-        &UniformScheduler::default(),
-        &obs,
-        &off_cfg,
-    )
-    .unwrap();
-    assert!(
-        on.attempts > 1,
-        "instance must force a multi-attempt search"
-    );
-    assert_same_search(&on, &off, "uniform");
-    assert_eq!(on.cache.artifact_builds, 1);
-    assert_eq!(on.cache.replan_cache_hits, u64::from(on.attempts) - 1);
-    assert_eq!(off.cache.artifact_builds, 0);
-    assert_eq!(off.cache.replan_cache_hits, 0);
-
-    let (on, _) =
-        doubling::private_with_doubling_configured(&p, &PrivateScheduler::default(), &obs, &on_cfg)
-            .unwrap();
-    let (off, _) = doubling::private_with_doubling_configured(
-        &p,
-        &PrivateScheduler::default(),
-        &obs,
-        &off_cfg,
-    )
-    .unwrap();
-    assert_same_search(&on, &off, "private");
-    assert_eq!(on.cache.artifact_builds, 1);
-    assert_eq!(off.cache.replan_cache_hits, 0);
-}
-
-#[test]
-fn doubling_fallback_path_matches_too() {
-    let g = generators::path(12);
-    let p = congested_problem(&g);
-    let obs = ObsConfig::off();
-    let on_cfg = DoublingConfig {
-        cap_override: Some(1),
-        ..DoublingConfig::default()
-    };
-    let off_cfg = DoublingConfig {
-        reuse_artifact: false,
-        cap_override: Some(1),
-        ..DoublingConfig::default()
-    };
-    let (on, _) =
-        doubling::uniform_with_doubling_configured(&p, &UniformScheduler::default(), &obs, &on_cfg)
-            .unwrap();
-    let (off, _) = doubling::uniform_with_doubling_configured(
-        &p,
-        &UniformScheduler::default(),
-        &obs,
-        &off_cfg,
-    )
-    .unwrap();
-    assert!(on.fell_back, "a cap of 1 must force the fallback");
-    assert_same_search(&on, &off, "uniform fallback");
 }

@@ -6,10 +6,10 @@
 //! planning moved to cluster space (per-cluster draws, pruned carving,
 //! table-free `predicted_rounds`), so they prove that move changed no plan
 //! byte. The rest — and the doubling golden, generated from the
-//! replan-from-scratch reference path (`reuse_artifact: false`) — were
-//! computed at the commit *before* planning became one three-stage chain,
-//! so they prove that the from-scratch, sized and swept paths it folded
-//! together agreed. Any later planning change that moves bytes fails here,
+//! replan-from-scratch reference path that commit still had
+//! (`DoublingConfig::reuse_artifact: false`) — were computed at the commit
+//! *before* planning became one three-stage chain, so they prove that
+//! folding the from-scratch, sized and swept paths together moved nothing. Any later planning change that moves bytes fails here,
 //! by name, instead of silently moving `quality_ratio`. To re-pin after an
 //! *intended* plan change, run with `--nocapture`: the failure message
 //! lists every `(case, actual)` pair.
@@ -166,13 +166,10 @@ fn doubling_searches_are_pinned() {
         .collect();
     let p = DasProblem::new(&g, algos, 3);
     let obs = ObsConfig::off();
-    let search = DoublingConfig {
-        reuse_artifact: false,
-        ..DoublingConfig::default()
-    };
+    let search = DoublingConfig::default();
     let forced_fallback = DoublingConfig {
         cap_override: Some(1),
-        ..search.clone()
+        ..DoublingConfig::default()
     };
     let uniform = |cfg| {
         let sched = UniformScheduler::default();

@@ -4,7 +4,7 @@
 //! dasched run        --graph grid:8x8 --workload mixed:18 --scheduler private [--seed 42]
 //! dasched plan       --graph grid:8x8 --workload mixed:18 --scheduler uniform [--sched-seed 7] [--out plan.json]
 //!                    [--in plan.json] [--execute] [--shards N] [--engine row|batched]
-//!                    [--dump-outcome FILE] [--reuse-artifact]
+//!                    [--dump-outcome FILE]
 //! dasched plan       --graph grid:8x8 --workload mixed:18 --diff a.json b.json
 //! dasched trace      --graph grid:8x8 --workload mixed:18 --scheduler uniform [--sched-seed 7]
 //!                    [--shards N] [--export chrome|jsonl|text] [--top K] [--out trace.json]
@@ -85,7 +85,7 @@ const USAGE: &str = "usage:
   dasched run        --graph SPEC --workload SPEC --scheduler NAME [--seed N]
   dasched plan       --graph SPEC --workload SPEC --scheduler NAME [--seed N] [--sched-seed N] [--out FILE]
                      [--in FILE] [--execute] [--shards N] [--engine row|batched]
-                     [--dump-outcome FILE] [--reuse-artifact]
+                     [--dump-outcome FILE]
   dasched plan       --graph SPEC --workload SPEC --diff A.json B.json
   dasched trace      --graph SPEC --workload SPEC --scheduler NAME [--seed N] [--sched-seed N]
                      [--shards N] [--export chrome|jsonl|text] [--top K] [--out FILE]
@@ -135,7 +135,7 @@ fn run(args: &[String]) -> Result<(), String> {
 // ---------------------------------------------------------------- parsing
 
 /// Flags that take no value (present = set).
-const BOOLEAN_FLAGS: &[&str] = &["execute", "reuse-artifact", "keep-open", "check"];
+const BOOLEAN_FLAGS: &[&str] = &["execute", "keep-open", "check"];
 
 fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
     let mut out = HashMap::new();
@@ -400,38 +400,9 @@ fn cmd_plan(opts: &HashMap<String, String>, seed: u64) -> Result<(), String> {
             let sched = parse_scheduler(req(opts, "scheduler")?)?;
             let sched_seed =
                 opt_u64(opts, "sched-seed")?.unwrap_or_else(|| sched.default_sched_seed());
-            if opts.contains_key("reuse-artifact") {
-                // the doubling path: build the guess-independent artifact
-                // once, size the plan from it, and prove the split is
-                // invisible against a from-scratch plan()
-                let t = std::time::Instant::now();
-                let artifact = sched
-                    .build_artifact(&problem, sched_seed)
-                    .map_err(|e| e.to_string())?;
-                let build_us = t.elapsed().as_secs_f64() * 1e6;
-                let t = std::time::Instant::now();
-                let plan = sched
-                    .size_plan(&problem, &artifact, None)
-                    .map_err(|e| e.to_string())?;
-                let size_us = t.elapsed().as_secs_f64() * 1e6;
-                let scratch = sched
-                    .plan(&problem, sched_seed)
-                    .map_err(|e| e.to_string())?;
-                if plan.to_json() != scratch.to_json() {
-                    return Err(
-                        "artifact-sized plan diverged from plan() — plan cache bug".to_string()
-                    );
-                }
-                println!(
-                    "artifact: built in {build_us:.1} µs, plan sized in {size_us:.1} µs \
-                     (byte-identical to plan())"
-                );
-                plan
-            } else {
-                sched
-                    .plan(&problem, sched_seed)
-                    .map_err(|e| e.to_string())?
-            }
+            sched
+                .plan(&problem, sched_seed)
+                .map_err(|e| e.to_string())?
         }
     };
     println!("{}", describe(&problem)?);
@@ -1211,39 +1182,6 @@ mod tests {
             .unwrap();
         assert_eq!(format!("{replayed:?}"), format!("{fused:?}"));
         std::fs::remove_file(out).unwrap();
-    }
-
-    #[test]
-    fn plan_reuse_artifact_emits_the_same_plan_bytes() {
-        use dasched::core::SchedulePlan;
-        let dir = std::env::temp_dir().join("dasched_artifact_plan_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let direct = dir.join("direct.json");
-        let via_artifact = dir.join("artifact.json");
-        for (out, extra) in [(&direct, None), (&via_artifact, Some("--reuse-artifact"))] {
-            let mut args = vec![
-                "plan",
-                "--graph",
-                "path:16",
-                "--workload",
-                "relays:3",
-                "--scheduler",
-                "private",
-                "--sched-seed",
-                "9",
-                "--out",
-                out.to_str().unwrap(),
-            ];
-            args.extend(extra);
-            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-            run(&args).unwrap();
-        }
-        let a = std::fs::read_to_string(&direct).unwrap();
-        let b = std::fs::read_to_string(&via_artifact).unwrap();
-        assert_eq!(a, b, "--reuse-artifact must not change the plan bytes");
-        assert!(SchedulePlan::from_json(&a).is_ok());
-        std::fs::remove_file(direct).unwrap();
-        std::fs::remove_file(via_artifact).unwrap();
     }
 
     #[test]
