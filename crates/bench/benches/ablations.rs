@@ -9,9 +9,14 @@
 //!   of Theorem 1.1).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use das_bench::{measure, workloads, Table};
+use das_bench::{run_trial, workloads, Table, TrialRecord, TrialSpec};
 use das_core::{PrivateDelayLaw, PrivateScheduler, Scheduler, UniformScheduler};
 use das_graph::generators;
+
+/// One trial of `sched` on its own default seed.
+fn default_trial(sched: &dyn Scheduler, problem: &das_core::DasProblem<'_>) -> TrialRecord {
+    run_trial(&TrialSpec::new(sched, problem, sched.default_sched_seed())).record
+}
 
 fn delay_law_ablation() {
     println!("\n=== A1: block-decay vs uniform-wide delays (private scheduler) ===");
@@ -21,11 +26,11 @@ fn delay_law_ablation() {
         // all relays on the same 12-hop segment: congestion = k, dilation 12
         let problem = workloads::segment_relays(&g, k, 12, 0, 3);
         let params = problem.parameters().unwrap();
-        let (bd, _, _) = measure(
+        let bd = default_trial(
             &PrivateScheduler::default().with_delay_law(PrivateDelayLaw::BlockDecay),
             &problem,
         );
-        let (uw, _, _) = measure(
+        let uw = default_trial(
             &PrivateScheduler::default().with_delay_law(PrivateDelayLaw::UniformWide),
             &problem,
         );
@@ -96,7 +101,7 @@ fn phase_factor_ablation() {
             range_factor: 1.0,
             delay_range: None,
         };
-        let (m, _, _) = measure(&sched, &problem);
+        let m = default_trial(&sched, &problem);
         t.row_owned(vec![
             format!("{pf}"),
             format!("{:.1}%", m.correctness * 100.0),

@@ -5,7 +5,7 @@
 //! rate over random shared seeds.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use das_bench::{measure, run_trial, workloads, Table, TrialRunner};
+use das_bench::{run_trial, workloads, Table, TrialRunner, TrialSpec};
 use das_core::{uniform_length_bound, Scheduler, UniformScheduler};
 use das_graph::generators;
 use std::path::Path;
@@ -30,14 +30,16 @@ fn table() {
             workloads::mixed_bundle(g, k, 8, 7)
         };
         let params = problem.parameters().unwrap();
-        let (m, _, _) = measure(&UniformScheduler::default(), &problem);
+        let sched = UniformScheduler::default();
+        let spec = TrialSpec::new(&sched, &problem, sched.default_sched_seed());
+        let m = run_trial(&spec).record;
         let bound = uniform_length_bound(params.congestion, params.dilation, g.node_count());
         // 10 seeds fanned across threads; results identical per base seed
         // regardless of thread count
         let agg = TrialRunner::new(71, 10).aggregate(
             &format!("e01_uniform_{name}_k{k}"),
             "uniform",
-            |seed| run_trial(&UniformScheduler::default(), &problem, seed),
+            |sched_seed| run_trial(&TrialSpec { sched_seed, ..spec }).record,
         );
         let success = agg.success_rate;
         agg.write(Path::new(".")).expect("write BENCH artifact");

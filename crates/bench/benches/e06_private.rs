@@ -5,7 +5,7 @@
 //! seeds.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use das_bench::{measure, run_trial, workloads, Table, TrialRunner};
+use das_bench::{run_trial, workloads, Table, TrialRunner, TrialSpec};
 use das_core::{uniform_length_bound, PrivateScheduler, Scheduler};
 use das_graph::generators;
 use std::path::Path;
@@ -42,7 +42,9 @@ fn table() {
             workloads::mixed_bundle(g, k, 6, 3)
         };
         let params = problem.parameters().unwrap();
-        let (m, _, _) = measure(&PrivateScheduler::default(), &problem);
+        let sched = PrivateScheduler::default();
+        let spec = TrialSpec::new(&sched, &problem, sched.default_sched_seed());
+        let m = run_trial(&spec).record;
         let n = g.node_count() as f64;
         let bound = uniform_length_bound(params.congestion, params.dilation, g.node_count());
         let pre_budget = (params.dilation as f64 * n.ln() * n.ln()).ceil();
@@ -50,7 +52,7 @@ fn table() {
         let agg = TrialRunner::new(31, 5).aggregate(
             &format!("e06_private_{name}_k{k}"),
             "private",
-            |seed| run_trial(&PrivateScheduler::default(), &problem, seed),
+            |sched_seed| run_trial(&TrialSpec { sched_seed, ..spec }).record,
         );
         let success = agg.success_rate;
         agg.write(Path::new(".")).expect("write BENCH artifact");

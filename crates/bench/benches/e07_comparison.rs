@@ -6,7 +6,7 @@
 //! like `congestion + dilation · log n`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use das_bench::{measure, workloads, Table};
+use das_bench::{run_trial, workloads, Table, TrialSpec};
 use das_core::{
     InterleaveScheduler, PrivateScheduler, Scheduler, SequentialScheduler, TunedUniformScheduler,
     UniformScheduler,
@@ -44,7 +44,8 @@ fn table() {
             params.dilation.to_string(),
         ];
         for s in schedulers {
-            let (m, _, _) = measure(s.as_ref(), &problem);
+            let seed = s.default_sched_seed();
+            let m = run_trial(&TrialSpec::new(s.as_ref(), &problem, seed)).record;
             let mark = if m.correctness == 1.0 { "" } else { "!" };
             if m.precompute > 0 {
                 cells.push(format!("{}{} (+{})", m.schedule, mark, m.precompute));

@@ -1,27 +1,28 @@
 //! Reduced-trial smoke experiment for CI: E1's representative
-//! configuration with a handful of seeds through [`TrialRunner`], writing
-//! `BENCH_e01_smoke.json` (fused) and `BENCH_e01_smoke_sharded.json`
-//! (sharded executor) into the current directory, and printing a
-//! sharded-vs-fused wall-clock comparison.
+//! configuration with a handful of seeds through [`TrialRunner`], once per
+//! way of saying the same trial (fused, swept, sharded, networked) plus a
+//! doubling leg, writing one `BENCH_e01_smoke*.json` per leg into the
+//! current directory.
 //!
 //! Usage: `bench_smoke [trials] [base_seed] [--obs off|metrics|full]
 //! [--engine row|batched] [--dump-outcome FILE] [--dump-doubling FILE]
 //! [--wall] [--serve [ADDR]]` (defaults: 8 trials, seed 42, obs off, batched
 //! engine). `--serve` binds a live [`das_obs::ObsServer`] console (an OS
 //! port when ADDR is omitted, advertised on the `listening on ADDR`
-//! stdout line) that streams each leg's phase and, on the legs that carry
-//! a hub, per-shard load and doubling attempts — without perturbing any
-//! printed or persisted output.
+//! stdout line) that streams each leg's phase and the doubling leg's
+//! attempts and per-shard load — without perturbing any printed or
+//! persisted output.
 //!
 //! `--engine` selects the production loop (`batched`) or the row test
-//! oracle for the fused trials and the outcome dumps; schedule statistics
-//! are byte-identical across the two (CI diffs the dumps), only wall-clock
-//! may move. The sharded and networked legs always run the production loop.
+//! oracle for the fused trials; schedule statistics and the outcome dumps
+//! are byte-identical across the two, only wall-clock may move. The
+//! sharded and networked legs always run the production loop.
 //!
 //! `--obs` sets the observability level for the fused trials; their
 //! per-trial [`das_obs::ObsSummary`] is persisted into the BENCH artifact.
 //! `--dump-outcome` writes every fused trial's `ScheduleOutcome` debug
-//! dump to FILE — CI diffs those dumps between `--obs full` and
+//! dump (the outcome its record was made from) to FILE — CI diffs those
+//! dumps between `--obs full` and
 //! `--obs off` runs to enforce that recording never perturbs outcomes.
 //! `--wall` opts into wall-clock reporting (the `ObsConfig::wall_clock`
 //! side channel plus the printed timing splits); without it every line
@@ -29,13 +30,9 @@
 //! without flaking on timing noise.
 
 use das_bench::{
-    run_trial_doubling, run_trial_networked, run_trial_observed_with_engine, run_trial_sharded,
-    run_trial_swept, workloads, SweepPlanner, TrialRunner,
+    run_trial, run_trial_doubling, workloads, TrialAggregate, TrialExecutor, TrialRunner, TrialSpec,
 };
-use das_core::{
-    doubling, execute_plan_observed_with, DasProblem, DoublingConfig, EngineKind, ExecutorConfig,
-    Scheduler, UniformScheduler,
-};
+use das_core::{doubling, DasProblem, DoublingConfig, Scheduler, UniformScheduler};
 use das_obs::{LiveHub, ObsConfig, ObsServer};
 use std::path::Path;
 use std::sync::Arc;
@@ -63,7 +60,7 @@ struct Args {
     trials: u64,
     base_seed: u64,
     obs: ObsConfig,
-    engine: EngineKind,
+    engine: TrialExecutor,
     dump_outcome: Option<String>,
     dump_doubling: Option<String>,
     wall: bool,
@@ -75,7 +72,7 @@ fn parse_args() -> Args {
         trials: 8,
         base_seed: 42,
         obs: ObsConfig::off(),
-        engine: EngineKind::ColumnarBatched,
+        engine: TrialExecutor::Fused,
         dump_outcome: None,
         dump_doubling: None,
         wall: false,
@@ -93,8 +90,8 @@ fn parse_args() -> Args {
             "--engine" => {
                 let v = it.next().unwrap_or_else(|| fail("--engine needs a value"));
                 args.engine = match v.as_str() {
-                    "row" => EngineKind::Row,
-                    "batched" => EngineKind::ColumnarBatched,
+                    "row" => TrialExecutor::Oracle,
+                    "batched" => TrialExecutor::Fused,
                     _ => fail("--engine must be row or batched"),
                 };
             }
@@ -140,31 +137,44 @@ fn parse_args() -> Args {
     args
 }
 
-/// Executes every fused trial once more and writes the concatenated
-/// `ScheduleOutcome` debug dumps — the artifact the obs-neutrality CI job
-/// diffs between `--obs full` and `--obs off`.
-fn dump_outcomes(
-    path: &str,
-    runner: &TrialRunner,
-    problem: &DasProblem<'_>,
-    obs: &ObsConfig,
-    engine: EngineKind,
-    live: Option<Arc<LiveHub>>,
-) {
-    let sched = UniformScheduler::default();
-    let cfg = ExecutorConfig::default()
-        .with_engine(engine)
-        .with_live(live);
-    let mut dump = String::new();
-    for t in 0..runner.trials() {
-        let seed = runner.trial_seed(t);
-        let plan = sched.plan(problem, seed).expect("workload is model-valid");
-        let (outcome, _) = execute_plan_observed_with(problem, &plan, obs, &cfg)
-            .expect("smoke trials stay under the cap");
-        dump.push_str(&format!("{outcome:?}\n"));
+/// The deterministic clause of one leg's `wrote FILE (…)` line: what this
+/// way of running the trial adds to the plain one.
+fn describe(spec: &TrialSpec<'_>, agg: &TrialAggregate) -> String {
+    match (spec.executor, spec.sweep) {
+        (TrialExecutor::Sharded(shards), _) => format!("{shards} shards"),
+        (TrialExecutor::Networked(workers), _) => {
+            let traffic = agg.records[0]
+                .net
+                .as_ref()
+                .expect("networked trials carry traffic");
+            assert_eq!(traffic.workers, workers);
+            format!(
+                "{workers} workers, trial-0 traffic tx {} frames / {} B, rx {} frames / {} B",
+                traffic.frames_sent,
+                traffic.bytes_sent,
+                traffic.frames_received,
+                traffic.bytes_received,
+            )
+        }
+        (_, Some(_)) => format!("one shared sweep artifact over {} trials", agg.trials),
+        (_, None) => {
+            let predicted = agg
+                .predicted_schedule
+                .as_ref()
+                .expect("staged trials carry predictions");
+            format!(
+                "{} trials, success {:.0}%, schedule mean {:.1} / p50 {} / p95 {} / max {}, predicted mean {:.1} / max {}",
+                agg.trials,
+                agg.success_rate * 100.0,
+                agg.schedule.mean,
+                agg.schedule.p50,
+                agg.schedule.p95,
+                agg.schedule.max,
+                predicted.mean,
+                predicted.max,
+            )
+        }
     }
-    std::fs::write(path, dump).expect("write outcome dump");
-    println!("wrote outcome dumps to {path}");
 }
 
 /// Runs every doubling trial once more and writes the search's full
@@ -216,7 +226,7 @@ fn main() {
                 .unwrap_or_else(|e| fail(&format!("bind {addr}: {e}")));
             println!("listening on {}", srv.local_addr());
             let engine = match args.engine {
-                EngineKind::Row => "row",
+                TrialExecutor::Oracle => "row",
                 _ => "batched",
             };
             hub.set_run_info(engine, 1);
@@ -230,170 +240,105 @@ fn main() {
         }
     };
 
+    // One trial said four ways: the schedule-quality numbers must not move
+    // (byte-identical outcomes), only wall-clock and the per-leg summaries
+    // may differ. The swept leg derives every plan from one shared
+    // seed-independent artifact; the networked leg's frame and byte counts
+    // are a pure function of the plan, so its printed line stays
+    // CI-diffable.
     let runner = TrialRunner::new(args.base_seed, args.trials);
-    phase("fused trials");
-    let fused_clock = Instant::now();
-    let agg = runner.aggregate("e01_smoke", "uniform", |seed| {
-        run_trial_observed_with_engine(
-            &UniformScheduler::default(),
-            &problem,
-            seed,
-            &args.obs,
-            args.engine,
-        )
-        .0
-    });
-    let fused_ms = fused_clock.elapsed().as_secs_f64() * 1e3;
-    let path = agg.write(Path::new(".")).expect("write BENCH artifact");
-    let predicted = agg
-        .predicted_schedule
-        .as_ref()
-        .expect("staged trials carry predictions");
-    println!(
-        "wrote {} ({} trials, success {:.0}%, schedule mean {:.1} / p50 {} / p95 {} / max {}, predicted mean {:.1} / max {})",
-        path.display(),
-        agg.trials,
-        agg.success_rate * 100.0,
-        agg.schedule.mean,
-        agg.schedule.p50,
-        agg.schedule.p95,
-        agg.schedule.max,
-        predicted.mean,
-        predicted.max,
-    );
-    if let Some(obs) = agg.records.first().and_then(|r| r.obs.as_ref()) {
-        println!(
-            "obs (trial 0): {} messages, peak round {} ({} msgs), max arc load {}, congestion p95 {}, {} events",
-            obs.messages,
-            obs.peak_round,
-            obs.peak_round_messages,
-            obs.max_arc_load,
-            obs.congestion_p95,
-            obs.events,
-        );
-    }
-    assert!(
-        agg.mean_correctness > 0.99,
-        "smoke run produced wrong outputs (correctness {})",
-        agg.mean_correctness
-    );
-
-    if let Some(dump) = &args.dump_outcome {
-        phase("outcome dumps");
-        dump_outcomes(
-            dump,
-            &runner,
-            &problem,
-            &args.obs,
-            args.engine,
-            live.clone(),
-        );
-    }
-
-    // Same trials again from one shared sweep artifact: the scheduler plans
-    // its seed-independent prefix once, every trial re-derives only the
-    // seed-dependent tail, and the schedule-quality numbers must not move.
-    phase("swept trials");
-    let sweep_sched = UniformScheduler::default();
-    let planner = SweepPlanner::new(&sweep_sched, &problem);
-    let swept = runner.aggregate("e01_smoke_swept", "uniform", |seed| {
-        run_trial_swept(&planner, &problem, seed)
-    });
-    let swept_path = swept
-        .write(Path::new("."))
-        .expect("write swept BENCH artifact");
-    assert_eq!(
-        (agg.schedule.max, agg.late.max, agg.success_rate),
-        (swept.schedule.max, swept.late.max, swept.success_rate),
-        "sweep-shared planning changed schedule statistics"
-    );
-    println!(
-        "wrote {} (sweep cache: {} plan-cache hits over {} trials)",
-        swept_path.display(),
-        planner.cache_hits(),
-        swept.trials,
-    );
-
-    // Same trials again through the sharded executor: the schedule-quality
-    // numbers must not move (byte-identical outcomes), only wall-clock and
-    // the per-shard fields may differ.
-    phase("sharded trials");
-    let sharded_clock = Instant::now();
-    let sharded = runner.aggregate("e01_smoke_sharded", "uniform", |seed| {
-        run_trial_sharded(&UniformScheduler::default(), &problem, seed, SMOKE_SHARDS)
-    });
-    let sharded_ms = sharded_clock.elapsed().as_secs_f64() * 1e3;
-    let sharded_path = sharded
-        .write(Path::new("."))
-        .expect("write sharded BENCH artifact");
-    assert_eq!(
-        (agg.schedule.max, agg.late.max, agg.success_rate),
-        (sharded.schedule.max, sharded.late.max, sharded.success_rate),
-        "sharded execution changed schedule statistics"
-    );
-    if args.wall {
-        println!(
-            "wrote {} ({} shards, sharded wall {:.1} ms vs fused {:.1} ms, ratio {:.2}x)",
-            sharded_path.display(),
-            SMOKE_SHARDS,
-            sharded_ms,
-            fused_ms,
-            sharded_ms / fused_ms.max(f64::EPSILON),
-        );
-    } else {
-        println!("wrote {} ({} shards)", sharded_path.display(), SMOKE_SHARDS);
-    }
-
-    // Same trials again over the networked coordinator/worker path on
-    // localhost: schedule-quality numbers must not move, and the artifact
-    // additionally records per-worker coordinator-side traffic. Frame and
-    // byte counts are a pure function of the plan, so this leg's printed
-    // line stays CI-diffable.
-    phase("networked trials");
-    let networked_clock = Instant::now();
-    let networked = runner.aggregate("e01_smoke_networked", "uniform", |seed| {
-        run_trial_networked(&UniformScheduler::default(), &problem, seed, SMOKE_WORKERS)
-    });
-    let networked_ms = networked_clock.elapsed().as_secs_f64() * 1e3;
-    let networked_path = networked
-        .write(Path::new("."))
-        .expect("write networked BENCH artifact");
-    assert_eq!(
-        (agg.schedule.max, agg.late.max, agg.success_rate),
+    let sched = UniformScheduler::default();
+    let artifact = sched
+        .build_sweep_artifact(&problem)
+        .expect("workload is model-valid");
+    // `sched_seed` is set per trial
+    let plain = TrialSpec::new(&sched, &problem, 0);
+    let legs = [
         (
-            networked.schedule.max,
-            networked.late.max,
-            networked.success_rate
+            "fused trials",
+            "e01_smoke",
+            TrialSpec {
+                executor: args.engine,
+                obs: args.obs,
+                ..plain
+            },
         ),
-        "networked execution changed schedule statistics"
-    );
-    let traffic = networked
-        .records
-        .first()
-        .and_then(|r| r.net.as_ref())
-        .expect("networked trials carry traffic");
-    assert_eq!(traffic.workers, SMOKE_WORKERS);
-    if args.wall {
-        println!(
-            "wrote {} ({} workers, trial-0 traffic tx {} frames / {} B, rx {} frames / {} B, wall {:.1} ms)",
-            networked_path.display(),
-            SMOKE_WORKERS,
-            traffic.frames_sent,
-            traffic.bytes_sent,
-            traffic.frames_received,
-            traffic.bytes_received,
-            networked_ms,
+        (
+            "swept trials",
+            "e01_smoke_swept",
+            TrialSpec {
+                sweep: Some(&artifact),
+                ..plain
+            },
+        ),
+        (
+            "sharded trials",
+            "e01_smoke_sharded",
+            TrialSpec {
+                executor: TrialExecutor::Sharded(SMOKE_SHARDS),
+                ..plain
+            },
+        ),
+        (
+            "networked trials",
+            "e01_smoke_networked",
+            TrialSpec {
+                executor: TrialExecutor::Networked(SMOKE_WORKERS),
+                ..plain
+            },
+        ),
+    ];
+    let mut fused_stats = None;
+    let mut fused_ms = None;
+    // the fused leg runs first and is the one `--dump-outcome` dumps
+    let mut dump_outcome = args.dump_outcome.as_deref();
+    for (phase_name, experiment, spec) in legs {
+        phase(phase_name);
+        let clock = Instant::now();
+        let trials = runner.run_trials(|sched_seed| run_trial(&TrialSpec { sched_seed, ..spec }));
+        let ms = clock.elapsed().as_secs_f64() * 1e3;
+        let (records, outcomes): (Vec<_>, Vec<_>) =
+            trials.into_iter().map(|t| (t.record, t.outcome)).unzip();
+        let agg = TrialAggregate::from_records(experiment, "uniform", args.base_seed, records);
+        let path = agg.write(Path::new(".")).expect("write BENCH artifact");
+        assert!(
+            agg.mean_correctness > 0.99,
+            "{experiment} produced wrong outputs (correctness {})",
+            agg.mean_correctness
         );
-    } else {
-        println!(
-            "wrote {} ({} workers, trial-0 traffic tx {} frames / {} B, rx {} frames / {} B)",
-            networked_path.display(),
-            SMOKE_WORKERS,
-            traffic.frames_sent,
-            traffic.bytes_sent,
-            traffic.frames_received,
-            traffic.bytes_received,
+        let stats = (agg.schedule.max, agg.late.max, agg.success_rate);
+        assert_eq!(
+            *fused_stats.get_or_insert(stats),
+            stats,
+            "{experiment} changed schedule statistics"
         );
+        let mut detail = describe(&spec, &agg);
+        if args.wall {
+            let fused: f64 = *fused_ms.get_or_insert(ms);
+            let ratio = ms / fused.max(f64::EPSILON);
+            detail += &format!(", wall {ms:.1} ms = {ratio:.2}x fused");
+        }
+        println!("wrote {} ({detail})", path.display());
+        if let Some(obs) = &agg.records[0].obs {
+            println!(
+                "obs (trial 0): {} messages, peak round {} ({} msgs), max arc load {}, congestion p95 {}, {} events",
+                obs.messages,
+                obs.peak_round,
+                obs.peak_round_messages,
+                obs.max_arc_load,
+                obs.congestion_p95,
+                obs.events,
+            );
+        }
+        if let Some(dump) = dump_outcome.take() {
+            let text: String = outcomes
+                .iter()
+                .map(|o| o.as_ref().expect("smoke trials stay under the cap"))
+                .map(|o| format!("{o:?}\n"))
+                .collect();
+            std::fs::write(dump, text).expect("write outcome dump");
+            println!("wrote outcome dumps to {dump}");
+        }
     }
 
     // Doubling leg: a congested instance (16 relays stacked on one short

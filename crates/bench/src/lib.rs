@@ -22,82 +22,231 @@ pub mod table;
 pub mod workloads;
 
 pub use runner::{
-    DoublingSummary, NetSummary, ShardSummary, SummaryStats, SweepSummary, TrialAggregate,
-    TrialRecord, TrialRunner,
+    DoublingSummary, NetSummary, ShardSummary, SummaryStats, TrialAggregate, TrialRecord,
+    TrialRunner,
 };
 pub use table::Table;
 
-use das_core::verify::{self, VerifyReport};
+use das_core::verify;
 use das_core::{
-    doubling, execute_plan, execute_plan_networked, execute_plan_observed,
-    execute_plan_observed_with, execute_plan_sharded, execute_plan_with, run_worker, DasProblem,
-    DoublingConfig, EngineKind, ExecError, ExecutorConfig, NetConfig, SchedError, ScheduleOutcome,
-    SchedulePlan, Scheduler, ShardReport, SweepArtifact, UniformScheduler,
+    doubling, execute_plan_networked, execute_plan_observed, execute_plan_observed_with,
+    execute_plan_sharded_observed, run_worker, DasProblem, DoublingConfig, EngineKind, ExecError,
+    ExecutorConfig, NetConfig, NetReport, SchedError, ScheduleOutcome, SchedulePlan, Scheduler,
+    SweepArtifact, UniformScheduler,
 };
 use das_obs::{ObsConfig, ObsReport};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// One measured scheduler run.
-#[derive(Clone, Debug)]
-pub struct Measured {
-    /// Scheduler name.
-    pub name: &'static str,
-    /// Schedule length (rounds).
-    pub schedule: u64,
-    /// Pre-computation rounds.
-    pub precompute: u64,
-    /// Late (dropped) messages.
-    pub late: u64,
-    /// Fraction of (algorithm, node) outputs matching the alone runs.
-    pub correctness: f64,
+/// Where a trial's plan executes. Every arm yields the byte-identical
+/// [`ScheduleOutcome`]; they differ in wall-clock and in which
+/// partition-dependent summaries the record carries.
+///
+/// The row oracle is an arm of its own rather than an engine flag beside
+/// a shard count: "row × sharded" is [`ExecError::RowIsFusedOnly`], so the
+/// spec cannot say it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TrialExecutor {
+    /// Fused, on the row test oracle.
+    Oracle,
+    /// Fused, on the production (batched) loop.
+    Fused,
+    /// This many in-process shard threads (0 clamps to 1).
+    Sharded(usize),
+    /// One coordinator (the calling thread) plus this many worker threads
+    /// (0 clamps to 1) speaking the framed TCP protocol on localhost,
+    /// exactly as separate processes would. Has no recording: `obs` is
+    /// ignored.
+    Networked(usize),
 }
 
-impl Measured {
-    /// Total rounds.
-    pub fn total(&self) -> u64 {
-        self.schedule + self.precompute
+/// Everything that defines one trial.
+#[derive(Clone, Copy)]
+pub struct TrialSpec<'a> {
+    /// The scheduler under test.
+    pub scheduler: &'a dyn Scheduler,
+    /// The problem; a sweep shares one, so its reference runs are computed
+    /// once.
+    pub problem: &'a DasProblem<'a>,
+    /// The scheduler randomness — the only thing a sweep varies.
+    pub sched_seed: u64,
+    /// The seed-independent planning prefix
+    /// ([`Scheduler::build_sweep_artifact`]) to derive the plan from, built
+    /// once per sweep; `None` plans from scratch. The plan is byte-identical
+    /// either way.
+    pub sweep: Option<&'a SweepArtifact>,
+    /// Where the plan executes.
+    pub executor: TrialExecutor,
+    /// Observability level of the execution; never moves an outcome.
+    pub obs: ObsConfig,
+}
+
+impl<'a> TrialSpec<'a> {
+    /// The plain trial: planned from scratch, executed fused on the
+    /// production loop, unobserved.
+    pub fn new(scheduler: &'a dyn Scheduler, problem: &'a DasProblem<'a>, sched_seed: u64) -> Self {
+        TrialSpec {
+            scheduler,
+            problem,
+            sched_seed,
+            sweep: None,
+            executor: TrialExecutor::Fused,
+            obs: ObsConfig::off(),
+        }
     }
 }
 
-/// Runs a scheduler on a problem and verifies it exactly once, returning
-/// the verification report alongside the outcome so callers can reuse it
-/// (e.g. to record a trial) instead of verifying again.
-///
-/// # Panics
-/// Panics if the workload violates the CONGEST model (a bug in the
-/// workload, not the scheduler).
-pub fn measure(
-    scheduler: &dyn Scheduler,
-    problem: &DasProblem<'_>,
-) -> (Measured, ScheduleOutcome, VerifyReport) {
-    let outcome = scheduler.run(problem).expect("workload is model-valid");
-    let report = verify::against_references(problem, &outcome).expect("references computable");
-    (
-        Measured {
-            name: scheduler.name(),
-            schedule: outcome.schedule_rounds(),
-            precompute: outcome.precompute_rounds,
-            late: outcome.stats.late_messages,
-            correctness: report.correctness_rate(),
-        },
-        outcome,
-        report,
-    )
+/// What one trial produced.
+#[derive(Debug)]
+pub struct Trial {
+    /// The artifact record.
+    pub record: TrialRecord,
+    /// The outcome the record was made from; `None` for a truncated trial.
+    pub outcome: Option<ScheduleOutcome>,
+    /// The execution's full recording, when `obs` recorded one (its
+    /// deterministic summary is in the record).
+    pub obs: Option<ObsReport>,
 }
 
-/// Builds the per-trial record from an outcome and the [`VerifyReport`]
-/// of its (single) verification. `predicted` is the plan's predicted
-/// schedule length when the trial went through the staged pipeline.
-pub fn record_trial(
-    seed: u64,
-    outcome: &ScheduleOutcome,
-    report: &VerifyReport,
-    predicted: Option<u64>,
-) -> TrialRecord {
+/// What the executor arms hand to [`finish_trial`].
+struct Executed {
+    outcome: ScheduleOutcome,
+    shard: Option<ShardSummary>,
+    net: Option<NetSummary>,
+    obs: Option<ObsReport>,
+}
+
+/// One full trial through the staged pipeline: plan with `sched_seed`,
+/// execute the plan on `executor`, verify exactly once, and record — with
+/// the plan's predicted length threaded into the record.
+///
+/// An execution that hits the engine-round cap is recorded as a
+/// `truncated` (failed) trial instead of crashing the sweep.
+///
+/// # Panics
+/// Panics if the workload violates the CONGEST model, or on a localhost
+/// networking failure (which, unlike the round cap, is an environment
+/// problem rather than a schedule property).
+pub fn run_trial(spec: &TrialSpec<'_>) -> Trial {
+    let problem = spec.problem;
+    let plan = match spec.sweep {
+        Some(artifact) => spec
+            .scheduler
+            .plan_swept(problem, artifact, spec.sched_seed),
+        None => spec.scheduler.plan(problem, spec.sched_seed),
+    }
+    .expect("workload is model-valid");
+    let fused = |(outcome, obs)| Executed {
+        outcome,
+        shard: None,
+        net: None,
+        obs,
+    };
+    let result = match spec.executor {
+        TrialExecutor::Oracle => {
+            let cfg = ExecutorConfig::default().with_engine(EngineKind::Row);
+            execute_plan_observed_with(problem, &plan, &spec.obs, &cfg).map(fused)
+        }
+        TrialExecutor::Fused => execute_plan_observed(problem, &plan, &spec.obs).map(fused),
+        TrialExecutor::Sharded(n) => {
+            execute_plan_sharded_observed(problem, &plan, n.max(1), &spec.obs).map(
+                |(outcome, shard, obs)| Executed {
+                    outcome,
+                    shard: Some(ShardSummary::of(&shard)),
+                    net: None,
+                    obs,
+                },
+            )
+        }
+        TrialExecutor::Networked(n) => {
+            execute_on_localhost(problem, &plan, n.max(1)).map(|(outcome, report)| Executed {
+                outcome,
+                shard: Some(ShardSummary::of(&report.shard)),
+                net: Some(NetSummary::of(&report)),
+                obs: None,
+            })
+        }
+    };
+    finish_trial(problem, &plan, spec.sched_seed, result)
+}
+
+/// Executes `plan` as a coordinator on this thread with `workers` worker
+/// threads connecting over an OS-assigned localhost port.
+fn execute_on_localhost(
+    problem: &DasProblem<'_>,
+    plan: &SchedulePlan,
+    workers: usize,
+) -> Result<(ScheduleOutcome, NetReport), SchedError> {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind localhost");
+    let addr = listener.local_addr().expect("local addr").to_string();
+    let net = NetConfig::default();
+    std::thread::scope(|scope| {
+        // the coordinator clamps to the node count and waits for exactly
+        // that many connections
+        let effective = workers.min(problem.graph().node_count());
+        let handles: Vec<_> = (0..effective)
+            .map(|_| scope.spawn(|| run_worker(problem, &addr, &net)))
+            .collect();
+        let result = execute_plan_networked(problem, plan, workers, listener, &net);
+        for h in handles {
+            // on a cap error both sides return the same typed error; only
+            // the coordinator's copy feeds the record
+            let _ = h.join().expect("worker thread");
+        }
+        result
+    })
+}
+
+/// Turns an execution result into the trial: verify-and-record on success,
+/// a `truncated` failure record when the engine-round cap was hit. Split
+/// out so the cap path is unit-testable without building a diverging
+/// schedule.
+fn finish_trial(
+    problem: &DasProblem<'_>,
+    plan: &SchedulePlan,
+    sched_seed: u64,
+    result: Result<Executed, SchedError>,
+) -> Trial {
+    match result {
+        Ok(done) => {
+            let mut record = record_trial(problem, sched_seed, &done.outcome);
+            record.predicted = Some(plan.predicted_rounds);
+            record.shard = done.shard;
+            record.net = done.net;
+            record.obs = done.obs.as_ref().map(|r| r.summary());
+            Trial {
+                record,
+                outcome: Some(done.outcome),
+                obs: done.obs,
+            }
+        }
+        Err(SchedError::Exec(ExecError::RoundCapExceeded { cap, .. })) => Trial {
+            record: TrialRecord {
+                seed: sched_seed,
+                schedule: cap,
+                predicted: Some(plan.predicted_rounds),
+                precompute: plan.precompute_rounds,
+                late: 0,
+                correctness: 0.0,
+                truncated: true,
+                shard: None,
+                obs: None,
+                doubling: None,
+                net: None,
+            },
+            outcome: None,
+            obs: None,
+        },
+        Err(e) => panic!("trial failed to execute: {e}"),
+    }
+}
+
+/// Verifies `outcome` against the problem's (cached) reference runs —
+/// the one verification of a trial — and records its outcome fields.
+fn record_trial(problem: &DasProblem<'_>, seed: u64, outcome: &ScheduleOutcome) -> TrialRecord {
+    let report = verify::against_references(problem, outcome).expect("references computable");
     TrialRecord {
         seed,
         schedule: outcome.schedule_rounds(),
-        predicted,
+        predicted: None,
         precompute: outcome.precompute_rounds,
         late: outcome.stats.late_messages,
         correctness: report.correctness_rate(),
@@ -105,110 +254,7 @@ pub fn record_trial(
         shard: None,
         obs: None,
         doubling: None,
-        sweep: None,
         net: None,
-    }
-}
-
-/// One full trial through the staged pipeline: plan with `sched_seed`,
-/// execute the plan, verify exactly once, and record — with the plan's
-/// predicted length threaded into the record.
-///
-/// An execution that hits the engine-round cap is recorded as a
-/// `truncated` (failed) trial instead of crashing the sweep.
-///
-/// All trials of a sweep share the problem's cached reference runs: only
-/// the scheduler randomness varies.
-///
-/// # Panics
-/// Panics if the workload violates the CONGEST model.
-pub fn run_trial(
-    scheduler: &dyn Scheduler,
-    problem: &DasProblem<'_>,
-    sched_seed: u64,
-) -> TrialRecord {
-    let plan = scheduler
-        .plan(problem, sched_seed)
-        .expect("workload is model-valid");
-    let result = execute_plan(problem, &plan).map(|o| (o, None));
-    finish_trial(problem, &plan, sched_seed, result)
-}
-
-/// [`run_trial`] on an explicit engine (`row` or `batched`).
-/// The engine choice is a pure execution detail: every recorded
-/// schedule-quality field is byte-identical across engines.
-///
-/// # Panics
-/// Panics if the workload violates the CONGEST model.
-pub fn run_trial_with_engine(
-    scheduler: &dyn Scheduler,
-    problem: &DasProblem<'_>,
-    sched_seed: u64,
-    engine: EngineKind,
-) -> TrialRecord {
-    let plan = scheduler
-        .plan(problem, sched_seed)
-        .expect("workload is model-valid");
-    let cfg = ExecutorConfig::default()
-        .with_phase_len(plan.phase_len)
-        .with_engine(engine);
-    let result = execute_plan_with(problem, &plan, &cfg).map(|o| (o, None));
-    finish_trial(problem, &plan, sched_seed, result)
-}
-
-/// [`run_trial`] with observability: the execution runs through
-/// [`execute_plan_observed`] at the level `obs` asks for, the record
-/// carries the deterministic [`das_obs::ObsSummary`] (persisted into the
-/// `BENCH_*.json` artifact), and the full [`ObsReport`] is returned for
-/// export. With `obs` off this is exactly [`run_trial`]: the recorded
-/// outcome fields are byte-identical either way.
-///
-/// # Panics
-/// Panics if the workload violates the CONGEST model.
-pub fn run_trial_observed(
-    scheduler: &dyn Scheduler,
-    problem: &DasProblem<'_>,
-    sched_seed: u64,
-    obs: &ObsConfig,
-) -> (TrialRecord, Option<ObsReport>) {
-    let plan = scheduler
-        .plan(problem, sched_seed)
-        .expect("workload is model-valid");
-    match execute_plan_observed(problem, &plan, obs) {
-        Ok((outcome, report)) => {
-            let mut rec = finish_trial(problem, &plan, sched_seed, Ok((outcome, None)));
-            rec.obs = report.as_ref().map(|r| r.summary());
-            (rec, report)
-        }
-        Err(e) => (finish_trial(problem, &plan, sched_seed, Err(e)), None),
-    }
-}
-
-/// [`run_trial_observed`] on an explicit engine — the combination
-/// `bench_smoke --engine` threads through: observed execution whose
-/// recorded outcome fields stay byte-identical across engines and obs
-/// levels.
-///
-/// # Panics
-/// Panics if the workload violates the CONGEST model.
-pub fn run_trial_observed_with_engine(
-    scheduler: &dyn Scheduler,
-    problem: &DasProblem<'_>,
-    sched_seed: u64,
-    obs: &ObsConfig,
-    engine: EngineKind,
-) -> (TrialRecord, Option<ObsReport>) {
-    let plan = scheduler
-        .plan(problem, sched_seed)
-        .expect("workload is model-valid");
-    let cfg = ExecutorConfig::default().with_engine(engine);
-    match execute_plan_observed_with(problem, &plan, obs, &cfg) {
-        Ok((outcome, report)) => {
-            let mut rec = finish_trial(problem, &plan, sched_seed, Ok((outcome, None)));
-            rec.obs = report.as_ref().map(|r| r.summary());
-            (rec, report)
-        }
-        Err(e) => (finish_trial(problem, &plan, sched_seed, Err(e)), None),
     }
 }
 
@@ -216,7 +262,8 @@ pub fn run_trial_observed_with_engine(
 /// scheduler through the doubling search (the trial's `sched_seed`
 /// becoming the shared seed), verify the final outcome exactly once, and
 /// record — with the search's [`DoublingSummary`] (attempts, fallback,
-/// plan-cache counters) threaded into the record.
+/// plan-cache counters) threaded into the record. A search over plans on
+/// a concrete scheduler, so not a [`TrialSpec`].
 ///
 /// # Panics
 /// Panics if the workload violates the CONGEST model.
@@ -230,208 +277,9 @@ pub fn run_trial_doubling(
     let (result, _) =
         doubling::uniform_with_doubling_configured(problem, &sched, &ObsConfig::off(), cfg)
             .expect("workload is model-valid");
-    let report =
-        verify::against_references(problem, &result.outcome).expect("references computable");
-    let mut rec = record_trial(sched_seed, &result.outcome, &report, None);
+    let mut rec = record_trial(problem, sched_seed, &result.outcome);
     rec.doubling = Some(DoublingSummary::of(&result));
     rec
-}
-
-/// Plans a whole seed sweep from **one** shared artifact: builds the
-/// scheduler's seed-independent planning prefix once per
-/// `(problem, scheduler)` ([`das_core::Scheduler::build_sweep_artifact`])
-/// and derives each trial's plan from it
-/// ([`das_core::Scheduler::plan_swept`]) — the stages a per-seed `plan()`
-/// is composed of, without repeating the shared one (for the private
-/// scheduler, the whole Lemma 4.2 carve).
-///
-/// The planner is `Sync`; [`TrialRunner`] closures can share one across
-/// the rayon pool. Cache hits are counted with a relaxed atomic — the
-/// total is thread-count-independent because every derived plan counts
-/// exactly once.
-pub struct SweepPlanner<'a> {
-    scheduler: &'a dyn Scheduler,
-    artifact: SweepArtifact,
-    hits: AtomicU64,
-}
-
-impl<'a> SweepPlanner<'a> {
-    /// Builds the shared artifact for `(problem, scheduler)` eagerly, so
-    /// every subsequent [`SweepPlanner::plan`] is a cache hit.
-    ///
-    /// # Panics
-    /// Panics if the workload violates the CONGEST model.
-    pub fn new(scheduler: &'a dyn Scheduler, problem: &DasProblem<'_>) -> Self {
-        let artifact = scheduler
-            .build_sweep_artifact(problem)
-            .expect("workload is model-valid");
-        SweepPlanner {
-            scheduler,
-            artifact,
-            hits: AtomicU64::new(0),
-        }
-    }
-
-    /// Derives the plan for one `sched_seed` from the shared artifact.
-    ///
-    /// # Panics
-    /// Panics if the workload violates the CONGEST model.
-    pub fn plan(&self, problem: &DasProblem<'_>, sched_seed: u64) -> SchedulePlan {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        self.scheduler
-            .plan_swept(problem, &self.artifact, sched_seed)
-            .expect("workload is model-valid")
-    }
-
-    /// The scheduler the sweep plans for.
-    pub fn scheduler(&self) -> &dyn Scheduler {
-        self.scheduler
-    }
-
-    /// Plans derived from the shared artifact so far.
-    pub fn cache_hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Folds the sweep-cache counters into an observability metrics
-    /// registry (`sweep.plan_cache_hits`, `sweep.shared_artifacts`), so
-    /// exported [`ObsReport`]s carry the plan-sharing stats next to the
-    /// engine's `exec.*` counters.
-    pub fn export_metrics(&self, metrics: &mut das_obs::MetricsRegistry) {
-        metrics.inc("sweep.plan_cache_hits", self.cache_hits());
-        metrics.inc("sweep.shared_artifacts", 1);
-    }
-}
-
-/// [`run_trial`], planned through a sweep-shared artifact: the scheduler's
-/// seed-independent planning prefix is built once by the
-/// [`SweepPlanner`] and only the per-seed remainder runs here. The
-/// recorded outcome fields are byte-identical to [`run_trial`]'s; the
-/// record additionally carries the [`SweepSummary`] marker.
-///
-/// # Panics
-/// Panics if the workload violates the CONGEST model.
-pub fn run_trial_swept(
-    planner: &SweepPlanner<'_>,
-    problem: &DasProblem<'_>,
-    sched_seed: u64,
-) -> TrialRecord {
-    let plan = planner.plan(problem, sched_seed);
-    let result = execute_plan(problem, &plan).map(|o| (o, None));
-    let mut rec = finish_trial(problem, &plan, sched_seed, result);
-    rec.sweep = Some(SweepSummary { shared: true });
-    rec
-}
-
-/// [`run_trial`], executed on the sharded executor with `shards` workers.
-/// The recorded outcome fields are byte-identical to [`run_trial`]'s; the
-/// record additionally carries the partition-dependent [`ShardSummary`]
-/// (per-shard wall-clock, cross-shard message counts).
-///
-/// # Panics
-/// Panics if the workload violates the CONGEST model.
-pub fn run_trial_sharded(
-    scheduler: &dyn Scheduler,
-    problem: &DasProblem<'_>,
-    sched_seed: u64,
-    shards: usize,
-) -> TrialRecord {
-    let plan = scheduler
-        .plan(problem, sched_seed)
-        .expect("workload is model-valid");
-    let result = execute_plan_sharded(problem, &plan, shards).map(|(o, r)| (o, Some(r)));
-    finish_trial(problem, &plan, sched_seed, result)
-}
-
-/// [`run_trial`], executed over the networked coordinator/worker path on
-/// localhost: one coordinator (this thread) plus `workers` worker threads
-/// speaking the framed TCP protocol, exactly as separate processes would.
-/// The recorded outcome fields are byte-identical to [`run_trial`]'s; the
-/// record additionally carries the [`ShardSummary`] and the per-worker
-/// coordinator-side traffic ([`NetSummary`]).
-///
-/// # Panics
-/// Panics if the workload violates the CONGEST model, or on a localhost
-/// networking failure (which, unlike the round cap, is an environment
-/// problem rather than a schedule property).
-pub fn run_trial_networked(
-    scheduler: &dyn Scheduler,
-    problem: &DasProblem<'_>,
-    sched_seed: u64,
-    workers: usize,
-) -> TrialRecord {
-    let plan = scheduler
-        .plan(problem, sched_seed)
-        .expect("workload is model-valid");
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind localhost");
-    let addr = listener.local_addr().expect("local addr").to_string();
-    let net = NetConfig::default();
-    let result = std::thread::scope(|scope| {
-        let effective = workers.min(problem.graph().node_count()).max(1);
-        let handles: Vec<_> = (0..effective)
-            .map(|_| {
-                let addr = addr.clone();
-                let net = net.clone();
-                scope.spawn(move || run_worker(problem, &addr, &net))
-            })
-            .collect();
-        let result = execute_plan_networked(problem, &plan, workers, listener, &net);
-        for h in handles {
-            // on a cap error both sides return the same typed error; only
-            // the coordinator's copy feeds the record
-            let _ = h.join().expect("worker thread");
-        }
-        result
-    });
-    match result {
-        Ok((outcome, report)) => {
-            let mut rec = finish_trial(
-                problem,
-                &plan,
-                sched_seed,
-                Ok((outcome, Some(report.shard.clone()))),
-            );
-            rec.net = Some(NetSummary::of(&report));
-            rec
-        }
-        Err(e) => finish_trial(problem, &plan, sched_seed, Err(e)),
-    }
-}
-
-/// Turns an execution result into the trial record: verify-and-record on
-/// success, a `truncated` failure record when the engine-round cap was
-/// hit. Split out so the cap path is unit-testable without building a
-/// diverging schedule.
-fn finish_trial(
-    problem: &DasProblem<'_>,
-    plan: &SchedulePlan,
-    sched_seed: u64,
-    result: Result<(ScheduleOutcome, Option<ShardReport>), SchedError>,
-) -> TrialRecord {
-    match result {
-        Ok((outcome, shard_report)) => {
-            let report =
-                verify::against_references(problem, &outcome).expect("references computable");
-            let mut rec = record_trial(sched_seed, &outcome, &report, Some(plan.predicted_rounds));
-            rec.shard = shard_report.map(|r| ShardSummary::of(&r));
-            rec
-        }
-        Err(SchedError::Exec(ExecError::RoundCapExceeded { cap, .. })) => TrialRecord {
-            seed: sched_seed,
-            schedule: cap,
-            predicted: Some(plan.predicted_rounds),
-            precompute: plan.precompute_rounds,
-            late: 0,
-            correctness: 0.0,
-            truncated: true,
-            shard: None,
-            obs: None,
-            doubling: None,
-            sweep: None,
-            net: None,
-        },
-        Err(e) => panic!("trial failed to execute: {e}"),
-    }
 }
 
 /// Success rate of a scheduler over repeated trials: the empirical version
@@ -458,100 +306,107 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use das_core::{SequentialScheduler, UniformScheduler};
+    use das_core::{PrivateScheduler, SequentialScheduler};
     use das_graph::generators;
-
-    #[test]
-    fn measure_reports_correct_run() {
-        let g = generators::path(8);
-        let p = workloads::stacked_relays(&g, 4, 1);
-        let (m, outcome, report) = measure(&SequentialScheduler, &p);
-        assert_eq!(m.name, "sequential");
-        assert_eq!(m.late, 0);
-        assert_eq!(m.correctness, 1.0);
-        assert_eq!(m.total(), m.schedule);
-        // the report is reusable without re-verifying
-        let rec = record_trial(0, &outcome, &report, None);
-        assert_eq!(rec.schedule, m.schedule);
-        assert_eq!(rec.predicted, None);
-    }
 
     #[test]
     fn run_trial_records_prediction_and_matches_fused_run() {
         let g = generators::path(12);
         let p = workloads::stacked_relays(&g, 6, 1);
-        let rec = run_trial(&UniformScheduler::default(), &p, 99);
-        let fused = UniformScheduler::default().with_seed(99).run(&p).unwrap();
-        assert_eq!(rec.schedule, fused.schedule_rounds());
-        assert_eq!(rec.late, fused.stats.late_messages);
+        let sched = UniformScheduler::default();
+        let trial = run_trial(&TrialSpec::new(&sched, &p, 99));
+        let fused = sched.with_seed(99).run(&p).unwrap();
+        assert_eq!(
+            format!("{:?}", trial.outcome),
+            format!("{:?}", Some(fused)),
+            "the trial hands back the outcome its record was made from"
+        );
+        let rec = trial.record;
         let predicted = rec.predicted.expect("staged trials carry a prediction");
         if rec.late == 0 {
             assert!(predicted <= rec.schedule, "prediction is the step boundary");
         }
+        assert_eq!(rec.correctness, 1.0);
     }
 
+    /// Every way to say "this trial" — executor × obs × sweep — is the same
+    /// trial: identical outcome bytes and deterministic record fields, with
+    /// the partition-, transport- and recording-dependent summaries present
+    /// exactly on the specs that produce them.
     #[test]
-    fn sharded_trial_matches_sequential_and_records_shard_fields() {
+    fn every_spec_agrees_on_the_outcome_and_the_deterministic_record() {
+        use TrialExecutor::{Fused, Networked, Oracle, Sharded};
         let g = generators::path(12);
         let p = workloads::stacked_relays(&g, 6, 1);
-        let seq = run_trial(&UniformScheduler::default(), &p, 7);
-        let sharded = run_trial_sharded(&UniformScheduler::default(), &p, 7, 3);
-        // outcome fields are partition-independent
-        assert_eq!(seq.schedule, sharded.schedule);
-        assert_eq!(seq.late, sharded.late);
-        assert_eq!(seq.correctness, sharded.correctness);
-        let summary = sharded.shard.expect("sharded trials carry shard data");
-        assert_eq!(summary.shards, 3);
-        assert_eq!(summary.per_shard_ms.len(), 3);
-        assert!(
-            summary.per_shard_delivered.iter().sum::<u64>() > 0,
-            "relays deliver messages"
-        );
-        assert!(seq.shard.is_none());
-    }
-
-    #[test]
-    fn networked_trial_matches_sequential_and_records_traffic() {
-        let g = generators::path(12);
-        let p = workloads::stacked_relays(&g, 6, 1);
-        let seq = run_trial(&UniformScheduler::default(), &p, 7);
-        let networked = run_trial_networked(&UniformScheduler::default(), &p, 7, 3);
-        // outcome fields are partition- and transport-independent
-        assert_eq!(seq.schedule, networked.schedule);
-        assert_eq!(seq.late, networked.late);
-        assert_eq!(seq.correctness, networked.correctness);
-        let shard = networked.shard.expect("networked trials carry shard data");
-        assert_eq!(shard.shards, 3);
-        let net = networked.net.expect("networked trials carry traffic");
-        assert_eq!(net.workers, 3);
-        assert_eq!(net.per_worker_bytes_sent.len(), 3);
-        assert!(net.frames_sent > 0 && net.frames_received > 0);
-        assert!(net.bytes_sent > 0 && net.bytes_received > 0);
-        assert!(seq.net.is_none());
-    }
-
-    #[test]
-    fn observed_trial_is_neutral_and_persists_the_summary() {
-        let g = generators::path(12);
-        let p = workloads::stacked_relays(&g, 6, 1);
-        let plain = run_trial(&UniformScheduler::default(), &p, 13);
-        let (off, off_report) =
-            run_trial_observed(&UniformScheduler::default(), &p, 13, &ObsConfig::off());
-        assert!(off_report.is_none());
-        assert_eq!(plain, off, "obs-off trials are exactly unobserved trials");
-        let (full, full_report) =
-            run_trial_observed(&UniformScheduler::default(), &p, 13, &ObsConfig::full());
-        // outcome fields never move; only the obs summary is added
-        assert_eq!(plain.schedule, full.schedule);
-        assert_eq!(plain.late, full.late);
-        assert_eq!(plain.correctness, full.correctness);
-        match full_report {
-            Some(r) => {
-                let summary = full.obs.expect("recording enabled");
-                assert_eq!(summary, r.summary());
-                assert!(summary.messages > 0, "relays deliver messages");
+        // executor, then the shard and worker counts its record must report
+        // (0 clamps to 1 on both multi-shard arms)
+        let executors = [
+            (Oracle, None, None),
+            (Fused, None, None),
+            (Sharded(3), Some(3), None),
+            (Sharded(0), Some(1), None),
+            (Networked(3), Some(3), Some(3)),
+            (Networked(0), Some(1), Some(1)),
+        ];
+        let schedulers: [&dyn Scheduler; 2] =
+            [&UniformScheduler::default(), &PrivateScheduler::default()];
+        for sched in schedulers {
+            let artifact = sched.build_sweep_artifact(&p).unwrap();
+            let plain = TrialSpec::new(sched, &p, 7);
+            let want = run_trial(&plain);
+            assert_eq!(want.record.correctness, 1.0);
+            for (executor, shards, workers) in executors {
+                for obs in [ObsConfig::off(), ObsConfig::full()] {
+                    for sweep in [None, Some(&artifact)] {
+                        let ctx = format!(
+                            "{} on {executor:?}, obs {:?}, swept {}",
+                            sched.name(),
+                            obs.mode,
+                            sweep.is_some()
+                        );
+                        let got = run_trial(&TrialSpec {
+                            sweep,
+                            executor,
+                            obs,
+                            ..plain
+                        });
+                        assert_eq!(
+                            format!("{:?}", got.outcome),
+                            format!("{:?}", want.outcome),
+                            "{ctx}"
+                        );
+                        let rec = got.record;
+                        let shard = rec.shard.as_ref();
+                        assert_eq!(shard.map(|s| s.shards), shards, "{ctx}");
+                        assert_eq!(shard.map(|s| s.per_shard_ms.len()), shards, "{ctx}");
+                        if let Some(s) = shard {
+                            let delivered: u64 = s.per_shard_delivered.iter().sum();
+                            assert!(delivered > 0, "{ctx}: relays deliver messages");
+                        }
+                        let net = rec.net.as_ref();
+                        assert_eq!(net.map(|n| n.workers), workers, "{ctx}");
+                        assert_eq!(net.map(|n| n.per_worker_bytes_sent.len()), workers);
+                        if let Some(n) = net {
+                            assert!(n.frames_sent > 0 && n.frames_received > 0, "{ctx}");
+                            assert!(n.bytes_sent > 0 && n.bytes_received > 0, "{ctx}");
+                        }
+                        // `enabled` is false when recording is compiled out
+                        let records = obs.enabled() && !matches!(executor, Networked(_));
+                        assert_eq!(rec.obs.is_some(), records, "{ctx}");
+                        assert_eq!(rec.obs, got.obs.as_ref().map(|r| r.summary()), "{ctx}");
+                        if let Some(o) = &rec.obs {
+                            assert!(o.messages > 0, "{ctx}: relays deliver messages");
+                        }
+                        let deterministic = TrialRecord {
+                            shard: None,
+                            net: None,
+                            obs: None,
+                            ..rec
+                        };
+                        assert_eq!(deterministic, want.record, "{ctx}");
+                    }
+                }
             }
-            None => assert!(full.obs.is_none(), "recording compiled out"),
         }
     }
 
@@ -586,61 +441,17 @@ mod tests {
                 artifact_builds: 1,
                 replan_cache_hits: 2,
             }),
-            sweep: None,
             net: None,
         };
         assert_eq!(rec, want);
     }
 
     #[test]
-    fn swept_trials_share_one_artifact_and_stay_byte_neutral() {
-        use das_core::PrivateScheduler;
-        let g = generators::path(16);
-        let p = workloads::stacked_relays(&g, 6, 1);
-        let schedulers: Vec<Box<dyn das_core::Scheduler>> = vec![
-            Box::new(UniformScheduler::default()),
-            Box::new(PrivateScheduler::default()),
-        ];
-        for sched in &schedulers {
-            let planner = SweepPlanner::new(sched.as_ref(), &p);
-            let runner = TrialRunner::new(42, 8);
-            let swept = runner.run_trials(|seed| run_trial_swept(&planner, &p, seed));
-            let plain = runner.run_trials(|seed| run_trial(sched.as_ref(), &p, seed));
-            assert_eq!(planner.cache_hits(), 8);
-            for (s, mut pl) in swept.into_iter().zip(plain) {
-                assert_eq!(s.sweep, Some(SweepSummary { shared: true }));
-                // the sweep marker is the ONLY field allowed to differ
-                pl.sweep = s.sweep;
-                assert_eq!(
-                    s,
-                    pl,
-                    "{}: sweep sharing moved an outcome field",
-                    sched.name()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sweep_planner_exports_cache_stats_into_obs_metrics() {
-        let g = generators::path(12);
-        let p = workloads::stacked_relays(&g, 4, 1);
-        let sched = UniformScheduler::default();
-        let planner = SweepPlanner::new(&sched, &p);
-        let _ = run_trial_swept(&planner, &p, 3);
-        let mut metrics = das_obs::MetricsRegistry::new();
-        planner.export_metrics(&mut metrics);
-        assert_eq!(metrics.counter("sweep.plan_cache_hits"), 1);
-        assert_eq!(metrics.counter("sweep.shared_artifacts"), 1);
-    }
-
-    #[test]
     fn round_cap_records_a_truncated_trial_instead_of_crashing() {
-        use das_core::{ExecError, SchedError, Scheduler};
         let g = generators::path(8);
         let p = workloads::stacked_relays(&g, 3, 1);
         let plan = SequentialScheduler.plan(&p, 0).unwrap();
-        let rec = finish_trial(
+        let trial = finish_trial(
             &p,
             &plan,
             5,
@@ -649,6 +460,8 @@ mod tests {
                 big_round: 4,
             })),
         );
+        assert!(trial.outcome.is_none() && trial.obs.is_none());
+        let rec = trial.record;
         assert!(rec.truncated);
         assert!(!rec.success());
         assert_eq!(rec.schedule, 4);
@@ -663,9 +476,10 @@ mod tests {
         // the k reference runs are computed exactly once
         let g = generators::path(16);
         let p = workloads::stacked_relays(&g, 5, 7);
+        let sched = UniformScheduler::default();
         let runner = TrialRunner::new(42, 12);
         let agg = runner.aggregate("reuse_check", "uniform", |seed| {
-            run_trial(&UniformScheduler::default(), &p, seed)
+            run_trial(&TrialSpec::new(&sched, &p, seed)).record
         });
         assert_eq!(agg.trials, 12);
         assert_eq!(

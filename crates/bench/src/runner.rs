@@ -134,11 +134,6 @@ pub struct TrialRecord {
     /// artifacts and in non-doubling trials.
     #[serde(default)]
     pub doubling: Option<DoublingSummary>,
-    /// Seed-sweep plan-sharing summary, when the trial's plan was derived
-    /// from a sweep-shared artifact ([`crate::SweepPlanner`]). Absent in
-    /// older artifacts and in trials planned from scratch.
-    #[serde(default)]
-    pub sweep: Option<SweepSummary>,
     /// Coordinator-side traffic totals, when the trial ran over the
     /// networked coordinator/worker path. Absent in older artifacts and in
     /// in-process trials.
@@ -192,17 +187,6 @@ impl DoublingSummary {
             replan_cache_hits: outcome.cache.replan_cache_hits,
         }
     }
-}
-
-/// Seed-sweep plan-sharing marker for one trial: set when the trial's plan
-/// was derived through a [`crate::SweepPlanner`] instead of a from-scratch
-/// `plan()`. Deterministic, so artifacts stay byte-identical across thread
-/// counts.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct SweepSummary {
-    /// Whether the sweep artifact carried shared planning work (every
-    /// scheduler's does; the field is kept for the artifact format).
-    pub shared: bool,
 }
 
 /// Partition-dependent measurements of one sharded execution, recorded
@@ -274,14 +258,17 @@ impl NetSummary {
     }
 }
 
-/// Summary of one integer-valued metric across trials.
+/// Summary of one integer-valued metric across trials. A quantile `q` is
+/// the sorted value at the rounded linear index `round((len − 1) · q)` —
+/// an observed value, never interpolated; of two middle values the median
+/// is the upper.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SummaryStats {
     /// Arithmetic mean.
     pub mean: f64,
-    /// Median (nearest-rank).
+    /// Median.
     pub p50: u64,
-    /// 95th percentile (nearest-rank).
+    /// 95th percentile.
     pub p95: u64,
     /// Maximum.
     pub max: u64,
@@ -329,7 +316,9 @@ pub struct TrialAggregate {
     pub predicted_schedule: Option<SummaryStats>,
     /// Late-message distribution.
     pub late: SummaryStats,
-    /// Fraction of trials with zero late messages.
+    /// Fraction of trials that succeeded ([`TrialRecord::success`]):
+    /// drained within the round budget (not truncated) with zero late
+    /// messages.
     pub success_rate: f64,
     /// Mean output-correctness fraction across trials.
     pub mean_correctness: f64,
@@ -417,7 +406,6 @@ mod tests {
             shard: None,
             obs: None,
             doubling: None,
-            sweep: None,
             net: None,
         }
     }
@@ -447,7 +435,7 @@ mod tests {
     fn summary_stats_of_known_values() {
         let s = SummaryStats::of(&[4, 1, 3, 2]);
         assert_eq!(s.mean, 2.5);
-        assert_eq!(s.p50, 3, "nearest-rank median of 4 values");
+        assert_eq!(s.p50, 3, "index round(1.5) = 2 of the 4 sorted values");
         assert_eq!(s.p95, 4);
         assert_eq!(s.max, 4);
         assert_eq!(SummaryStats::of(&[]).max, 0);
@@ -482,8 +470,23 @@ mod tests {
         assert!(r.shard.is_none());
         assert!(r.obs.is_none());
         assert!(r.doubling.is_none());
-        assert!(r.sweep.is_none());
         assert!(r.success());
+
+        // `bench_smoke 1 42`'s swept artifact as the last commit that wrote
+        // a per-record `sweep` marker wrote it: the key is ignored
+        let json = r#"{"experiment":"e01_smoke_swept","scheduler":"uniform","base_seed":42,
+            "trials":1,
+            "schedule":{"mean":240.0,"p50":240,"p95":240,"max":240},
+            "predicted_schedule":{"mean":240.0,"p50":240,"p95":240,"max":240},
+            "late":{"mean":0.0,"p50":0,"p95":0,"max":0},
+            "success_rate":1.0,"mean_correctness":1.0,
+            "records":[{"seed":13679457532755275413,"schedule":240,"predicted":240,
+                "precompute":0,"late":0,"correctness":1.0,"truncated":false,"shard":null,
+                "obs":null,"doubling":null,"sweep":{"shared":true},"net":null}]}"#;
+        let agg: TrialAggregate = serde_json::from_str(json).unwrap();
+        let rec = record(13679457532755275413, 240, 0);
+        let want = TrialAggregate::from_records("e01_smoke_swept", "uniform", 42, vec![rec]);
+        assert_eq!(agg, want);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! ⇒ byte-identical `ScheduleOutcome`s and aggregate JSON whether the
 //! sweep runs on one thread (`RAYON_NUM_THREADS=1`) or the full pool.
 
-use das_bench::{run_trial, workloads, TrialAggregate, TrialRunner};
+use das_bench::{run_trial, workloads, TrialAggregate, TrialRunner, TrialSpec};
 use das_core::{Scheduler, UniformScheduler};
 use das_graph::generators;
 use std::time::Instant;
@@ -14,16 +14,13 @@ fn sweep(trials: u64) -> (Vec<String>, TrialAggregate) {
     let problem = workloads::segment_relays(&g, 12, 10, 2, 7);
     problem.parameters().expect("workload is model-valid");
     let runner = TrialRunner::new(42, trials);
-    let outcomes = runner.run_trials(|seed| {
-        let out = UniformScheduler::default()
-            .with_seed(seed)
-            .run(&problem)
-            .expect("workload is model-valid");
-        format!("{out:?}")
-    });
-    let agg = runner.aggregate("determinism", "uniform", |seed| {
-        run_trial(&UniformScheduler::default(), &problem, seed)
-    });
+    let sched = UniformScheduler::default();
+    let (outcomes, records) = runner
+        .run_trials(|seed| run_trial(&TrialSpec::new(&sched, &problem, seed)))
+        .into_iter()
+        .map(|t| (format!("{:?}", t.outcome), t.record))
+        .unzip();
+    let agg = TrialAggregate::from_records("determinism", "uniform", 42, records);
     (outcomes, agg)
 }
 

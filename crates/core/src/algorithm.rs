@@ -3,15 +3,15 @@
 //! The contract has two tiers. The *specification tier* is
 //! [`AlgoNode::step`]: one virtual call per (algorithm, node, round),
 //! exactly the paper's format. The *batched tier* is opt-in and exists
-//! purely for throughput: [`AlgoNode::step_many`] delivers several
-//! consecutive rounds of one machine's inboxes in a single call, and
-//! [`BlackBoxAlgorithm::create_nodes`] builds a whole node-contiguous
-//! [`NodeBatch`] slab at once instead of one `Box<dyn AlgoNode>` per
-//! (algorithm, node). Every batched entry point has a default
-//! implementation that loops the specification tier, so an algorithm
-//! that only implements `step`/`create_node` keeps working unchanged —
-//! and the batched engine ([`crate::EngineKind::ColumnarBatched`]) stays
-//! byte-identical to the per-step engines by construction.
+//! purely for throughput: [`BlackBoxAlgorithm::create_nodes`] builds a
+//! whole node-contiguous [`NodeBatch`] slab at once instead of one
+//! `Box<dyn AlgoNode>` per (algorithm, node), and a block of its steps
+//! dispatches as one [`AlgoSlab::step_block`] call. Every batched entry
+//! point has a default implementation that loops the specification tier,
+//! so an algorithm that only implements `step`/`create_node` keeps working
+//! unchanged — and the batched engine
+//! ([`crate::EngineKind::ColumnarBatched`]) stays byte-identical to the
+//! per-step engines by construction.
 
 use das_graph::NodeId;
 use serde::{Deserialize, Serialize};
@@ -41,43 +41,6 @@ pub struct AlgoSend {
     pub to: NodeId,
     /// Contents (size-limited by the engine when actually transmitted).
     pub payload: Vec<u8>,
-}
-
-/// Several consecutive rounds' inboxes for **one** machine, in round
-/// order, as handed to [`AlgoNode::step_many`].
-///
-/// The batching caller must already know the full inbox of every round in
-/// the batch — i.e. no message that would land in one of these inboxes
-/// can still be produced by a step inside the batch. The paper's format
-/// makes this safe even for *mis-scheduled* (incomplete) inboxes: a
-/// machine cannot detect a missing message and simply computes on, so
-/// "the inboxes the caller has" is always a legal sequence to deliver.
-#[derive(Clone, Copy, Debug)]
-pub struct BatchedInboxes<'a> {
-    rounds: &'a [Vec<(NodeId, Vec<u8>)>],
-}
-
-impl<'a> BatchedInboxes<'a> {
-    /// Wraps per-round inboxes (`rounds[i]` is the inbox of the i-th
-    /// batched round, in the same sorted order `step` would see).
-    pub fn new(rounds: &'a [Vec<(NodeId, Vec<u8>)>]) -> Self {
-        BatchedInboxes { rounds }
-    }
-
-    /// Number of rounds in the batch.
-    pub fn rounds(&self) -> usize {
-        self.rounds.len()
-    }
-
-    /// True when the batch contains no rounds at all.
-    pub fn is_empty(&self) -> bool {
-        self.rounds.is_empty()
-    }
-
-    /// The inbox of the i-th batched round.
-    pub fn inbox(&self, i: usize) -> &'a [(NodeId, Vec<u8>)] {
-        &self.rounds[i]
-    }
 }
 
 /// Flat, reusable send arena filled by the batched tier: payload bytes
@@ -170,23 +133,6 @@ pub trait AlgoNode: Send {
     /// sends.
     fn step(&mut self, inbox: &[(NodeId, Vec<u8>)]) -> Vec<AlgoSend>;
 
-    /// Batched tier: executes the next `inboxes.rounds()` rounds in one
-    /// call, returning one [`BatchedSends`] segment per round, in round
-    /// order. Must be *extensionally equal* to folding [`AlgoNode::step`]
-    /// over the same inboxes — the `step_many_equivalence` proptest pins
-    /// this for every shipped family. A caller may only batch rounds
-    /// whose complete inboxes it already holds (see [`BatchedInboxes`]).
-    fn step_many(&mut self, inboxes: BatchedInboxes<'_>) -> BatchedSends {
-        let mut out = BatchedSends::new();
-        for i in 0..inboxes.rounds() {
-            for s in self.step(inboxes.inbox(i)) {
-                out.push(s.to, &s.payload);
-            }
-            out.end_segment();
-        }
-        out
-    }
-
     /// The node's output once all rounds have been stepped (`None` if this
     /// node produces no output for this algorithm).
     fn output(&self) -> Option<Vec<u8>>;
@@ -212,8 +158,8 @@ pub struct BlockStep {
 /// A node-contiguous slab of machines for one algorithm: the state of all
 /// machines in one place, stepped without per-node `Box<dyn>` dispatch.
 ///
-/// The slab is the engine-facing half of the batched tier. A whole block
-/// of steps (distinct machines, one step each) dispatches as **one**
+/// The slab is the batched tier the engine drives. A whole block of steps
+/// (distinct machines, one step each) dispatches as **one**
 /// virtual [`AlgoSlab::step_block`] call; sends land in a flat
 /// [`BatchedSends`] arena — one segment per step, in block order — so the
 /// caller can validate and enqueue them in exactly the per-step engines'
@@ -393,46 +339,5 @@ mod tests {
         out.clear();
         assert_eq!(out.segments(), 0);
         assert_eq!(out.total_sends(), 0);
-    }
-
-    /// A counter machine: sends its running inbox total to node 0 each
-    /// round. Exercises the default `step_many` path.
-    struct Counting {
-        total: u64,
-    }
-
-    impl AlgoNode for Counting {
-        fn step(&mut self, inbox: &[(NodeId, Vec<u8>)]) -> Vec<AlgoSend> {
-            self.total += inbox.len() as u64;
-            vec![AlgoSend {
-                to: NodeId(0),
-                payload: self.total.to_le_bytes().to_vec(),
-            }]
-        }
-
-        fn output(&self) -> Option<Vec<u8>> {
-            Some(self.total.to_le_bytes().to_vec())
-        }
-    }
-
-    #[test]
-    fn default_step_many_is_the_fold_of_step() {
-        let inboxes: Vec<Vec<(NodeId, Vec<u8>)>> = vec![
-            vec![(NodeId(1), vec![7]), (NodeId(2), vec![8])],
-            vec![],
-            vec![(NodeId(3), vec![9])],
-        ];
-        let mut batched = Counting { total: 0 };
-        let out = batched.step_many(BatchedInboxes::new(&inboxes));
-        assert_eq!(out.segments(), 3);
-
-        let mut stepped = Counting { total: 0 };
-        for (i, inbox) in inboxes.iter().enumerate() {
-            let sends = stepped.step(inbox);
-            let seg: Vec<_> = out.segment(i).map(|(to, p)| (to, p.to_vec())).collect();
-            let expect: Vec<_> = sends.into_iter().map(|s| (s.to, s.payload)).collect();
-            assert_eq!(seg, expect, "round {i}");
-        }
-        assert_eq!(batched.output(), stepped.output());
     }
 }

@@ -321,35 +321,13 @@ fn search(
 /// integer delay range until the planned schedule has no (predicted, hence
 /// actual) late messages. Gives up (falling back to the always-correct
 /// interleave baseline) once the implied congestion guess exceeds
-/// `k · dilation · max-degree` — a trivial congestion upper bound.
+/// `k · dilation · max-degree` — a trivial congestion upper bound — or
+/// [`DoublingConfig::cap_override`].
 ///
-/// # Errors
-/// Propagates a [`SchedError`] from planning or the final execution.
-pub fn uniform_with_doubling(
-    problem: &DasProblem<'_>,
-    base: &UniformScheduler,
-) -> Result<DoublingOutcome, SchedError> {
-    uniform_with_doubling_observed(problem, base, &ObsConfig::off()).map(|(o, _)| o)
-}
-
-/// [`uniform_with_doubling`] with observability: additionally returns an
-/// [`ObsReport`] (when recording is enabled) carrying
+/// When `obs` records, additionally returns an [`ObsReport`] carrying
 /// `doubling.*` accept/reject counters, one `Plan`-track span per attempt
 /// clocked on the cumulative charged rounds, and the final execution's
 /// recording.
-///
-/// # Errors
-/// Propagates a [`SchedError`] from planning or the final execution.
-pub fn uniform_with_doubling_observed(
-    problem: &DasProblem<'_>,
-    base: &UniformScheduler,
-    obs: &ObsConfig,
-) -> Result<(DoublingOutcome, Option<ObsReport>), SchedError> {
-    uniform_with_doubling_configured(problem, base, obs, &DoublingConfig::default())
-}
-
-/// [`uniform_with_doubling_observed`] with explicit [`DoublingConfig`]
-/// knobs (cap override, live hub).
 ///
 /// # Errors
 /// Propagates a [`SchedError`] from planning or the final execution.
@@ -378,30 +356,8 @@ pub fn uniform_with_doubling_configured(
 /// pre-computation is charged once — and, through the plan artifact,
 /// *computed* once too.
 ///
-/// # Errors
-/// Propagates a [`SchedError`] from planning or the final execution.
-pub fn private_with_doubling(
-    problem: &DasProblem<'_>,
-    base: &PrivateScheduler,
-) -> Result<DoublingOutcome, SchedError> {
-    private_with_doubling_observed(problem, base, &ObsConfig::off()).map(|(o, _)| o)
-}
-
-/// [`private_with_doubling`] with observability — same recording contract
-/// as [`uniform_with_doubling_observed`].
-///
-/// # Errors
-/// Propagates a [`SchedError`] from planning or the final execution.
-pub fn private_with_doubling_observed(
-    problem: &DasProblem<'_>,
-    base: &PrivateScheduler,
-    obs: &ObsConfig,
-) -> Result<(DoublingOutcome, Option<ObsReport>), SchedError> {
-    private_with_doubling_configured(problem, base, obs, &DoublingConfig::default())
-}
-
-/// [`private_with_doubling_observed`] with explicit [`DoublingConfig`]
-/// knobs (cap override, live hub).
+/// Same recording contract and [`DoublingConfig`] knobs as
+/// [`uniform_with_doubling_configured`].
 ///
 /// # Errors
 /// Propagates a [`SchedError`] from planning or the final execution.
@@ -454,6 +410,22 @@ mod tests {
         DasProblem::new(g, algos, 3)
     }
 
+    /// The uniform search with default schedulers and knobs, unobserved.
+    fn uniform(p: &DasProblem<'_>) -> DoublingOutcome {
+        let (cfg, obs) = (DoublingConfig::default(), ObsConfig::off());
+        uniform_with_doubling_configured(p, &UniformScheduler::default(), &obs, &cfg)
+            .unwrap()
+            .0
+    }
+
+    /// The private search with default schedulers and knobs, unobserved.
+    fn private(p: &DasProblem<'_>) -> DoublingOutcome {
+        let (cfg, obs) = (DoublingConfig::default(), ObsConfig::off());
+        private_with_doubling_configured(p, &PrivateScheduler::default(), &obs, &cfg)
+            .unwrap()
+            .0
+    }
+
     #[test]
     fn doubling_finds_a_working_guess() {
         let g = generators::path(10);
@@ -461,7 +433,7 @@ mod tests {
             .map(|i| Box::new(RelayChain::new(i, &g)) as Box<dyn crate::BlackBoxAlgorithm>)
             .collect();
         let p = DasProblem::new(&g, algos, 3);
-        let result = uniform_with_doubling(&p, &UniformScheduler::default()).unwrap();
+        let result = uniform(&p);
         let report = verify::against_references(&p, &result.outcome).unwrap();
         assert!(report.all_correct());
         assert!(result.attempts >= 1);
@@ -480,7 +452,7 @@ mod tests {
             .map(|i| Box::new(RelayChain::new(i, &g)) as Box<dyn crate::BlackBoxAlgorithm>)
             .collect();
         let p = DasProblem::new(&g, algos, 3);
-        let result = uniform_with_doubling(&p, &UniformScheduler::default()).unwrap();
+        let result = uniform(&p);
         // the successful attempt is the only one that executed: everything
         // before it was rejected on the plan alone, and the final outcome
         // is clean (the pre-check accepted it, exactly)
@@ -499,7 +471,7 @@ mod tests {
             .map(|i| Box::new(RelayChain::new(i, &g)) as Box<dyn crate::BlackBoxAlgorithm>)
             .collect();
         let p = DasProblem::new(&g, algos, 8);
-        let result = private_with_doubling(&p, &crate::PrivateScheduler::default()).unwrap();
+        let result = private(&p);
         let report = verify::against_references(&p, &result.outcome).unwrap();
         assert!(report.all_correct());
         assert!(result.outcome.precompute_rounds > 0);
@@ -514,7 +486,7 @@ mod tests {
             .map(|i| Box::new(RelayChain::new(i, &g)) as Box<dyn crate::BlackBoxAlgorithm>)
             .collect();
         let p = DasProblem::new(&g, algos, 3);
-        let result = uniform_with_doubling(&p, &UniformScheduler::default()).unwrap();
+        let result = uniform(&p);
         // geometric series: wasted <= O(final attempt + attempts * detection)
         let final_len = result.outcome.schedule_rounds();
         assert!(
@@ -528,10 +500,14 @@ mod tests {
     fn observed_doubling_matches_and_records_attempts() {
         let g = generators::path(12);
         let p = congested_problem(&g);
-        let plain = uniform_with_doubling(&p, &UniformScheduler::default()).unwrap();
-        let (observed, report) =
-            uniform_with_doubling_observed(&p, &UniformScheduler::default(), &ObsConfig::full())
-                .unwrap();
+        let plain = uniform(&p);
+        let (observed, report) = uniform_with_doubling_configured(
+            &p,
+            &UniformScheduler::default(),
+            &ObsConfig::full(),
+            &DoublingConfig::default(),
+        )
+        .unwrap();
         assert_eq!(
             format!("{:?}", plain.outcome),
             format!("{:?}", observed.outcome),
@@ -584,7 +560,7 @@ mod tests {
         // enough to force several attempts.
         let g = generators::path(12);
         let p = congested_problem(&g);
-        let result = uniform_with_doubling(&p, &UniformScheduler::default()).unwrap();
+        let result = uniform(&p);
         assert!(
             result.attempts > 1,
             "instance must force the search to actually double"
@@ -600,13 +576,13 @@ mod tests {
         let report = verify::against_references(&p, &result.outcome).unwrap();
         assert!(report.all_correct());
 
-        let private = private_with_doubling(&p, &crate::PrivateScheduler::default()).unwrap();
-        assert_eq!(private.attempted_ranges.len(), private.attempts as usize);
-        for w in private.attempted_ranges.windows(2) {
+        let prv = private(&p);
+        assert_eq!(prv.attempted_ranges.len(), prv.attempts as usize);
+        for w in prv.attempted_ranges.windows(2) {
             assert!(
                 w[1] > w[0],
                 "private attempt spans must strictly widen: {:?}",
-                private.attempted_ranges
+                prv.attempted_ranges
             );
         }
     }
@@ -619,7 +595,7 @@ mod tests {
         let g = generators::path(12);
         let p = congested_problem(&g);
         let ln_n = (g.node_count().max(2) as f64).ln();
-        let result = uniform_with_doubling(&p, &UniformScheduler::default()).unwrap();
+        let result = uniform(&p);
         assert!(result.attempts > 1, "need a doubled attempt");
         assert_eq!(
             result.attempted_ranges[1], 5,
@@ -677,7 +653,7 @@ mod tests {
     fn artifact_cache_hits_every_attempt_after_the_first() {
         let g = generators::path(12);
         let p = congested_problem(&g);
-        let uni = uniform_with_doubling(&p, &UniformScheduler::default()).unwrap();
+        let uni = uniform(&p);
         assert!(uni.attempts > 1);
         assert_eq!(uni.cache.artifact_builds, 1, "artifact built exactly once");
         assert_eq!(
@@ -685,7 +661,7 @@ mod tests {
             u64::from(uni.attempts) - 1,
             "every later attempt re-sizes the cached artifact"
         );
-        let prv = private_with_doubling(&p, &crate::PrivateScheduler::default()).unwrap();
+        let prv = private(&p);
         assert_eq!(prv.cache.artifact_builds, 1);
         assert_eq!(prv.cache.replan_cache_hits, u64::from(prv.attempts) - 1);
     }

@@ -78,8 +78,7 @@ pub mod synthetic;
 pub mod verify;
 
 pub use algorithm::{
-    Aid, AlgoNode, AlgoSend, AlgoSlab, BatchedInboxes, BatchedSends, BlackBoxAlgorithm, BlockStep,
-    NodeBatch,
+    Aid, AlgoNode, AlgoSend, AlgoSlab, BatchedSends, BlackBoxAlgorithm, BlockStep, NodeBatch,
 };
 pub use doubling::{DoublingConfig, DoublingOutcome, PlanCacheStats};
 pub use exec::{

@@ -5,7 +5,9 @@
 //! metadata tracks naming each pipeline stage and each shard lane.
 
 use das_core::synthetic::RelayChain;
-use das_core::{doubling, run_traced, BlackBoxAlgorithm, DasProblem, UniformScheduler};
+use das_core::{
+    doubling, run_traced, BlackBoxAlgorithm, DasProblem, DoublingConfig, UniformScheduler,
+};
 use das_graph::generators;
 use das_obs::{ObsConfig, Stage, TraceEvent};
 use serde_json::Value;
@@ -151,8 +153,10 @@ fn doubling_attempt_spans_cover_planning_only_once() {
         return; // recording compiled out
     }
 
+    let cfg = DoublingConfig::default();
     let (uni, report) =
-        doubling::uniform_with_doubling_observed(&p, &UniformScheduler::default(), &obs).unwrap();
+        doubling::uniform_with_doubling_configured(&p, &UniformScheduler::default(), &obs, &cfg)
+            .unwrap();
     let r = report.expect("recording enabled");
     let spans: Vec<&TraceEvent> = r.events.iter().filter(|e| e.stage == Stage::Plan).collect();
     assert!(uni.attempts > 1, "instance must force the search to double");
@@ -183,9 +187,13 @@ fn doubling_attempt_spans_cover_planning_only_once() {
     // the report still round-trips through the Chrome exporter
     check_chrome_schema(&r.to_chrome_trace());
 
-    let (prv, report) =
-        doubling::private_with_doubling_observed(&p, &das_core::PrivateScheduler::default(), &obs)
-            .unwrap();
+    let (prv, report) = doubling::private_with_doubling_configured(
+        &p,
+        &das_core::PrivateScheduler::default(),
+        &obs,
+        &cfg,
+    )
+    .unwrap();
     let r = report.expect("recording enabled");
     let spans: Vec<&TraceEvent> = r.events.iter().filter(|e| e.stage == Stage::Plan).collect();
     assert_eq!(spans.len(), prv.attempts as usize);

@@ -1,13 +1,10 @@
-//! The two-tier black-box contract, proven at the trait boundary:
-//!
-//! 1. [`AlgoNode::step_many`] over any inbox sequence must equal the fold
-//!    of [`AlgoNode::step`] over the same sequence — segment for segment,
-//!    byte for byte, and in the final output.
-//! 2. A slab built by [`BlackBoxAlgorithm::create_nodes`] must be
-//!    machine-for-machine indistinguishable from the per-node boxed
-//!    machines of `create_node`, both through `step_into` (one machine at
-//!    a time) and through `step_block` (the engine's node-block dispatch),
-//!    even when nodes are skipped in some rounds (truncation).
+//! The two-tier black-box contract, proven at the trait boundary: a slab
+//! built by [`BlackBoxAlgorithm::create_nodes`] must be machine-for-machine
+//! indistinguishable from the per-node boxed machines of `create_node` —
+//! segment for segment, byte for byte, and in the final output — both
+//! through `step_into` (one machine at a time) and through `step_block`
+//! (the engine's node-block dispatch), even when nodes are skipped in some
+//! rounds (truncation).
 //!
 //! Inbox sequences are adversarial in exactly the ways the paper's
 //! scheduler produces them: empty rounds, mis-scheduled/truncated subsets
@@ -16,9 +13,7 @@
 
 use das_congest::util::seed_mix;
 use das_core::synthetic::{FloodBall, Prescribed, RelayChain};
-use das_core::{
-    Aid, AlgoNode, AlgoSend, BatchedInboxes, BatchedSends, BlackBoxAlgorithm, BlockStep,
-};
+use das_core::{Aid, AlgoNode, AlgoSend, BatchedSends, BlackBoxAlgorithm, BlockStep};
 use das_graph::{generators, Graph, NodeId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -31,7 +26,7 @@ const MAX_PAYLOAD: usize = 40;
 /// A mixed pool of families on `g`: every vectorized slab override
 /// (relay CSR, prescribed binary-search, flood SoA) plus a family with no
 /// overrides at all, exercising the default `create_nodes` /
-/// `step_many` / `step_block` paths.
+/// `step_block` paths.
 fn build_algos(g: &Graph, seed: u64) -> Vec<Box<dyn BlackBoxAlgorithm>> {
     let mut rng = StdRng::seed_from_u64(seed);
     let n = g.node_count() as u32;
@@ -182,9 +177,9 @@ fn segments_of(b: &BatchedSends) -> Segments {
         .collect()
 }
 
-/// `step_many` ≡ fold of `step`, and the slab's `step_into` ≡ the boxed
-/// machine's `step`, per node, on the same adversarial inbox sequence.
-fn assert_step_many_is_fold(g: &Graph, algo: &dyn BlackBoxAlgorithm, seed: u64, ws: u64) {
+/// The slab's `step_into` ≡ the boxed machine's `step`, per node, on the
+/// same adversarial inbox sequence.
+fn assert_step_into_matches_per_node(g: &Graph, algo: &dyn BlackBoxAlgorithm, seed: u64, ws: u64) {
     let n = g.node_count();
     let nodes: Vec<NodeId> = (0..n).map(|v| NodeId(v as u32)).collect();
     let seeds: Vec<u64> = (0..n).map(|v| seed_mix(seed, v as u64)).collect();
@@ -197,23 +192,6 @@ fn assert_step_many_is_fold(g: &Graph, algo: &dyn BlackBoxAlgorithm, seed: u64, 
         let mut spec = algo.create_node(NodeId(v as u32), n, node_seed);
         let (expect, expect_out) = fold_of_step(spec.as_mut(), &rounds);
 
-        // tier 1: the multi-round batched entry point
-        let mut many = algo.create_node(NodeId(v as u32), n, node_seed);
-        let batched = many.step_many(BatchedInboxes::new(&rounds));
-        assert_eq!(
-            segments_of(&batched),
-            expect,
-            "aid {:?} node {v}: step_many diverged from the fold of step",
-            algo.aid()
-        );
-        assert_eq!(
-            many.output(),
-            expect_out,
-            "aid {:?} node {v}: output after step_many diverged",
-            algo.aid()
-        );
-
-        // tier 2: the slab, one machine at a time
         for (r, inbox) in rounds.iter().enumerate() {
             sends.clear();
             slab.step_into(v, inbox, &mut sends);
@@ -303,13 +281,13 @@ fn assert_step_block_matches_per_node(g: &Graph, algo: &dyn BlackBoxAlgorithm, s
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// `step_many` is the fold of `step`, and slabs match boxed machines
-    /// through `step_into`, for every family on random connected graphs.
+    /// Slabs match boxed machines through `step_into`, for every family on
+    /// random connected graphs.
     #[test]
-    fn step_many_equals_fold_of_step(gs in 0u64..200, ws in 0u64..200) {
+    fn step_into_equals_per_node_step(gs in 0u64..200, ws in 0u64..200) {
         let g = generators::gnp_connected(10, 3.0 / 10.0, gs);
         for algo in build_algos(&g, gs) {
-            assert_step_many_is_fold(&g, algo.as_ref(), gs.wrapping_add(11), ws);
+            assert_step_into_matches_per_node(&g, algo.as_ref(), gs.wrapping_add(11), ws);
         }
     }
 
@@ -320,26 +298,6 @@ proptest! {
         let g = generators::gnp_connected(10, 3.0 / 10.0, gs);
         for algo in build_algos(&g, gs) {
             assert_step_block_matches_per_node(&g, algo.as_ref(), gs.wrapping_add(13), ws);
-        }
-    }
-}
-
-/// The all-empty sequence: a machine that never hears anything must batch
-/// identically to the fold — the degenerate mis-scheduling case.
-#[test]
-fn step_many_on_all_empty_inboxes() {
-    let g = generators::path(7);
-    for algo in build_algos(&g, 3) {
-        let t = algo.rounds();
-        let empties: Vec<Vec<(NodeId, Vec<u8>)>> = vec![Vec::new(); t as usize];
-        for v in 0..g.node_count() {
-            let s = seed_mix(5, v as u64);
-            let mut spec = algo.create_node(NodeId(v as u32), g.node_count(), s);
-            let (expect, expect_out) = fold_of_step(spec.as_mut(), &empties);
-            let mut many = algo.create_node(NodeId(v as u32), g.node_count(), s);
-            let batched = many.step_many(BatchedInboxes::new(&empties));
-            assert_eq!(segments_of(&batched), expect);
-            assert_eq!(many.output(), expect_out);
         }
     }
 }
