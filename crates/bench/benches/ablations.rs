@@ -99,7 +99,6 @@ fn phase_factor_ablation() {
             shared_seed: 9,
             phase_factor: pf,
             range_factor: 1.0,
-            delay_range: None,
         };
         let m = default_trial(&sched, &problem);
         t.row_owned(vec![

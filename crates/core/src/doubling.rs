@@ -10,8 +10,7 @@
 //! the last, successful attempt, so the asymptotics are unchanged.
 //!
 //! The guess is applied as an exact **integer delay range in big-rounds**
-//! ([`UniformScheduler::delay_range`] / [`PrivateScheduler::block_override`]),
-//! not as a float multiplier of the true congestion: the float route
+//! ([`Scheduler::size_plan`]'s `guess`), not as a float multiplier of the true congestion: the float route
 //! rounded consecutive guesses to the same range on small instances (and
 //! leaked the true congestion into the sizing, which the doubling search
 //! is not supposed to know), so attempts were silently repeated instead of

@@ -25,9 +25,8 @@
 mod big_round;
 mod columnar;
 
-pub(crate) use big_round::{
-    big_round_loop, merge_shards, read_flight, Exchange, FlightGroup, ShardCtx, ShardOutput,
-};
+pub use big_round::ShardOutput;
+pub(crate) use big_round::{big_round_loop, merge_shards, Exchange, ShardCtx};
 pub(crate) use columnar::{FlatSteps, StepExtent};
 
 use crate::algorithm::BlackBoxAlgorithm;
@@ -70,7 +69,7 @@ pub enum ExecError {
     },
     /// Coordinator and worker speak different protocol versions.
     VersionMismatch {
-        /// The coordinator's [`crate::net::PROTOCOL_VERSION`].
+        /// The coordinator's [`crate::wire::PROTOCOL_VERSION`].
         coordinator: u32,
         /// The version the worker announced in its JOIN frame.
         worker: u32,
@@ -122,8 +121,20 @@ pub enum ExecError {
         /// Why the run was torn down.
         detail: String,
     },
+    /// A frame was about to be sent whose body exceeds the connection's
+    /// limit ([`crate::NetConfig::max_frame_bytes`]). Refused before the
+    /// first byte: the peer enforces the same limit by dropping the
+    /// connection, which would hide the cause.
+    FrameTooLarge {
+        /// The frame kind's protocol name (`"ASSIGN"`, …).
+        kind: &'static str,
+        /// Size of the refused body.
+        bytes: usize,
+        /// The configured limit.
+        limit: usize,
+    },
     /// Any other network-layer failure (bind, connect, malformed frame
-    /// kind, oversized frame, encode/decode error).
+    /// kind, oversized incoming frame, encode/decode error).
     Net {
         /// Description of the failure.
         detail: String,
@@ -180,6 +191,11 @@ impl std::fmt::Display for ExecError {
                  {shards} shards; use the batched engine"
             ),
             ExecError::Aborted { detail } => write!(f, "run aborted: {detail}"),
+            ExecError::FrameTooLarge { kind, bytes, limit } => write!(
+                f,
+                "{kind} frame of {bytes} bytes exceeds the {limit} byte frame \
+                 limit; not sent"
+            ),
             ExecError::Net { detail } => write!(f, "network error: {detail}"),
         }
     }

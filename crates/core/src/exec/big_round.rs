@@ -47,56 +47,14 @@ use super::columnar::{
 };
 use super::{ExecError, ExecStats, ExecutorConfig, ShardReport, ShardStats};
 use crate::algorithm::{BatchedSends, BlackBoxAlgorithm, BlockStep};
-use crate::net::ByteReader;
 use crate::schedule::ScheduleOutcome;
+use crate::wire::{Flight, FlightGroup};
 use das_graph::{Graph, NodeId};
 use das_obs::ExecObs;
 use das_pattern::SimulationMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
-
-/// Cross-shard flights bound for one shard, in the wire protocol's flight
-/// encoding: per flight `arc, dst, algo, round, from: u32` then the
-/// length-prefixed payload.
-#[derive(Default)]
-pub(crate) struct FlightGroup {
-    /// Flights encoded in `bytes`.
-    pub(crate) count: u32,
-    /// The encoded flights, in send order.
-    pub(crate) bytes: Vec<u8>,
-}
-
-impl FlightGroup {
-    #[inline]
-    fn push(&mut self, arc: u32, dst: u32, algo: u32, round: u32, from: u32, payload: &[u8]) {
-        for word in [arc, dst, algo, round, from, payload.len() as u32] {
-            self.bytes.extend_from_slice(&word.to_le_bytes());
-        }
-        self.bytes.extend_from_slice(payload);
-        self.count += 1;
-    }
-
-    /// Empties the group, keeping its allocation.
-    pub(crate) fn clear(&mut self) {
-        self.count = 0;
-        self.bytes.clear();
-    }
-}
-
-/// Decodes one flight, returning `(arc, algo, round, payload)` — the
-/// endpoints on the wire are implied by the arc.
-pub(crate) fn read_flight<'a>(
-    r: &mut ByteReader<'a>,
-) -> Result<(usize, u32, u32, &'a [u8]), ExecError> {
-    let arc = r.u32("flight arc")? as usize;
-    r.u32("flight dst")?;
-    let algo = r.u32("flight algo")?;
-    let round = r.u32("flight round")?;
-    r.u32("flight from")?;
-    let payload = r.bytes("flight payload")?;
-    Ok((arc, algo, round, payload))
-}
 
 /// How one shard of a run talks to the others; see the module docs for the
 /// three decisions an exchange owns and the ordering it must preserve.
@@ -290,7 +248,7 @@ impl Exchange for InProcess<'_> {
         // buffer its reader left there last round.
         let (me, shared) = (self.me, self.shared);
         for (dst, group) in staged.iter_mut().enumerate() {
-            if group.count > 0 {
+            if !group.is_empty() {
                 std::mem::swap(group, &mut *shared.outbox(me, dst));
             }
         }
@@ -343,19 +301,26 @@ pub(crate) struct ShardCtx<'e> {
     pub(crate) shards: usize,
 }
 
-/// What one shard hands back to be merged ([`merge_shards`]).
-pub(crate) struct ShardOutput {
+/// What one shard hands back to be merged — and, from a networked worker,
+/// the DONE frame ([`crate::wire::Done`]).
+#[derive(Clone, Debug, PartialEq)]
+pub struct ShardOutput {
     /// Owned nodes, ascending (the local index space).
-    pub(crate) own: Vec<NodeId>,
+    pub own: Vec<NodeId>,
     /// `outputs[a][local]` for the owned nodes.
-    pub(crate) outputs: Vec<Vec<Option<Vec<u8>>>>,
-    pub(crate) departures: Vec<SimulationMap>,
+    pub outputs: Vec<Vec<Option<Vec<u8>>>>,
+    /// Per algorithm, the engine round each message on an owned arc
+    /// departed in (empty unless departures are recorded).
+    pub departures: Vec<SimulationMap>,
     /// Counters only; the merged schedule length is derived from
     /// `last_activity_round`.
-    pub(crate) stats: ExecStats,
-    pub(crate) last_activity_round: u64,
-    pub(crate) big_rounds: u64,
-    pub(crate) shard: ShardStats,
+    pub stats: ExecStats,
+    /// The last engine round in which an owned arc delivered.
+    pub last_activity_round: u64,
+    /// Big-rounds executed (identical on every shard).
+    pub big_rounds: u64,
+    /// This shard's partition-dependent measurements.
+    pub shard: ShardStats,
 }
 
 /// Pushes one message onto an owned arc queue.
@@ -553,7 +518,14 @@ pub(crate) fn big_round_loop<X: Exchange>(
                     } else {
                         shard.cross_sent += 1;
                         obs.on_cross_send();
-                        staged[owner].push(arc as u32, to.0, a, bs.round, from.0, payload);
+                        staged[owner].push(Flight {
+                            arc: arc as u32,
+                            dst: to.0,
+                            algo: a,
+                            round: bs.round,
+                            from: from.0,
+                            payload,
+                        });
                     }
                 }
             }
@@ -567,9 +539,8 @@ pub(crate) fn big_round_loop<X: Exchange>(
         let arrivals = x.exchange(b, &mut staged)?;
         let t_drain = Instant::now();
         for group in arrivals {
-            let mut r = ByteReader::new(&group.bytes);
-            for _ in 0..group.count {
-                let (arc, algo, round, payload) = read_flight(&mut r)?;
+            for flight in group.flights().iter() {
+                let (arc, algo) = (flight.arc as usize, flight.algo);
                 let owned = arc < queues.len()
                     && ctx.of_node[arc_dst[arc] as usize] == me as u32
                     && (algo as usize) < k;
@@ -580,7 +551,7 @@ pub(crate) fn big_round_loop<X: Exchange>(
                         ),
                     });
                 }
-                let msg = (algo, round, payload);
+                let msg = (algo, flight.round, flight.payload);
                 inject(&mut queues, &mut active_arcs, &mut stats, obs, arc, msg);
             }
         }

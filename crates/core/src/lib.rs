@@ -76,6 +76,7 @@ pub mod serve;
 pub mod shard;
 pub mod synthetic;
 pub mod verify;
+pub mod wire;
 
 pub use algorithm::{
     Aid, AlgoNode, AlgoSend, AlgoSlab, BatchedSends, BlackBoxAlgorithm, BlockStep, NodeBatch,
@@ -86,8 +87,8 @@ pub use exec::{
     Unit,
 };
 pub use net::{
-    execute_plan_networked, graph_fingerprint, install_ctrl_c, plan_hash, problem_fingerprint,
-    run_worker, wire, LinkTraffic, NetConfig, NetReport, WorkerOutcome, PROTOCOL_VERSION,
+    execute_plan_networked, install_ctrl_c, plan_hash, run_worker, NetConfig, NetReport,
+    WorkerOutcome,
 };
 pub use obs::{run_traced, run_traced_live, TracedRun};
 pub use plan::cache::{PlanArtifact, SweepArtifact};
@@ -108,3 +109,4 @@ pub use serve::{
     LoadgenReport, Rejection, ServeConfig, ServeReport,
 };
 pub use shard::Partition;
+pub use wire::{graph_fingerprint, problem_fingerprint, LinkTraffic, PROTOCOL_VERSION};

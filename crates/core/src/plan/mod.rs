@@ -26,10 +26,11 @@ pub mod cache;
 pub mod diff;
 
 use crate::exec::{ExecError, Executor, ExecutorConfig, ShardReport, StepExtent, Unit};
-use crate::net::{run_coordinator, LinkTraffic, NetConfig};
+use crate::net::{run_coordinator, NetConfig};
 use crate::problem::DasProblem;
 use crate::reference::ReferenceError;
 use crate::schedule::ScheduleOutcome;
+use crate::wire::LinkTraffic;
 use das_obs::{ObsConfig, ObsReport};
 use serde::{Deserialize, Serialize};
 use std::fmt;

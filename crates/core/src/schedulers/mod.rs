@@ -108,10 +108,7 @@ pub trait Scheduler: Send + Sync {
 
     /// Stage 3 — sizes a [`SchedulePlan`] from a seeded artifact for a
     /// concrete congestion `guess` (an exact delay-span override in
-    /// big-rounds; `None` keeps the scheduler's own sizing). An explicit
-    /// guess gives the plan the scheduler's own span override
-    /// ([`crate::UniformScheduler::delay_range`] /
-    /// [`crate::PrivateScheduler::block_override`]) would, byte for byte.
+    /// big-rounds; `None` keeps the scheduler's own sizing).
     ///
     /// The default implementation serves the schedulers with no span
     /// override, whose stage 2 is the finished plan.

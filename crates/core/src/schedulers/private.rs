@@ -70,12 +70,6 @@ pub struct PrivateScheduler {
     pub phase_factor: f64,
     /// First-block-size multiplier: `L = ⌈block_factor · C / ln n⌉`.
     pub block_factor: f64,
-    /// Exact first-block size in big-rounds, overriding the
-    /// `block_factor`-derived sizing when set (the `UniformWide` ablation
-    /// law scales it by the layer count, keeping the laws' relative spans).
-    /// [`crate::doubling`] uses this to double the span in exact integer
-    /// steps instead of going through a lossy float factor.
-    pub block_override: Option<u64>,
     /// Override the number of clustering layers (default `⌈3 log₂ n⌉`).
     pub layers: Option<usize>,
     /// Run the honest distributed pre-computation protocols on the CONGEST
@@ -93,7 +87,6 @@ impl Default for PrivateScheduler {
             seed: 0x9417A7E,
             phase_factor: 2.0,
             block_factor: 1.0,
-            block_override: None,
             layers: None,
             distributed_precompute: false,
             delay_law: PrivateDelayLaw::BlockDecay,
@@ -388,12 +381,7 @@ impl Scheduler for PrivateScheduler {
         let n = problem.graph().node_count();
         let params = problem.parameters()?;
         let ln_n = (n.max(2) as f64).ln();
-        let law = self.sized_delay_law(
-            params.congestion,
-            ln_n,
-            art.layers.len(),
-            guess.or(self.block_override),
-        );
+        let law = self.sized_delay_law(params.congestion, ln_n, art.layers.len(), guess);
         // 4. One unit per (layer, algorithm): per-cluster delays from the
         // cluster's cached words, per-node truncation at the contained
         // radius.

@@ -37,11 +37,6 @@ pub struct UniformScheduler {
     pub phase_factor: f64,
     /// Delay range multiplier: range `= ⌈range_factor · C / ln n⌉` phases.
     pub range_factor: f64,
-    /// Exact delay range in big-rounds, overriding the
-    /// `range_factor`-derived sizing when set. [`crate::doubling`] uses
-    /// this to double the range in exact integer steps instead of going
-    /// through a lossy float factor.
-    pub delay_range: Option<u64>,
 }
 
 impl Default for UniformScheduler {
@@ -50,7 +45,6 @@ impl Default for UniformScheduler {
             shared_seed: 0xDA5C0DE,
             phase_factor: 3.0,
             range_factor: 1.0,
-            delay_range: None,
         }
     }
 }
@@ -172,9 +166,7 @@ impl Scheduler for UniformScheduler {
         let ln_n = (problem.graph().node_count().max(2) as f64).ln();
         let sizing = UniformSweep {
             phase_len: ceil_positive(self.phase_factor * ln_n),
-            range: self
-                .delay_range
-                .unwrap_or_else(|| ceil_positive(self.range_factor * congestion / ln_n)),
+            range: ceil_positive(self.range_factor * congestion / ln_n),
         };
         Ok(SweepArtifact::new(self.name(), SweepData::Uniform(sizing)))
     }

@@ -39,10 +39,7 @@
 //! with p50/p95/p99 latency.
 
 use crate::exec::{ExecError, ExecutorConfig};
-use crate::net::{
-    connect_with_retry, decode_reject, graph_fingerprint, wire, ByteReader, ByteWriter, FramedConn,
-    NetConfig, PROTOCOL_VERSION,
-};
+use crate::net::{connect_with_retry, NetConfig};
 use crate::plan::{execute_plan_sharded_with, SchedError};
 use crate::problem::DasProblem;
 use crate::reference::run_alone;
@@ -50,8 +47,13 @@ use crate::schedule::ScheduleOutcome;
 use crate::schedulers::Scheduler;
 use crate::synthetic::{FloodBall, RelayChain};
 use crate::verify;
+use crate::wire::{
+    self, accept_until, graph_fingerprint, Accepted, Caps, FramedConn, Greeting, JobResult,
+    Rejected, Submit, PROTOCOL_VERSION,
+};
 use das_graph::{Graph, NodeId};
 use das_obs::JobsLive;
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -96,23 +98,6 @@ pub enum JobKind {
     /// [`RelayChain`] along the job-seeded route (`source`/`depth`
     /// ignored).
     Relay,
-}
-
-impl JobKind {
-    fn to_wire(self) -> u8 {
-        match self {
-            JobKind::Flood => 0,
-            JobKind::Relay => 1,
-        }
-    }
-
-    fn from_wire(b: u8) -> Option<JobKind> {
-        match b {
-            0 => Some(JobKind::Flood),
-            1 => Some(JobKind::Relay),
-            _ => None,
-        }
-    }
 }
 
 /// A job's declared budgets, as carried in its SUBMIT frame.
@@ -210,28 +195,6 @@ pub enum JobStatus {
     BudgetMismatch,
     /// The batch failed to plan or execute; no outputs.
     ExecFailed,
-}
-
-impl JobStatus {
-    fn to_wire(self) -> u8 {
-        match self {
-            JobStatus::Ok => 0,
-            JobStatus::VerifyFailed => 1,
-            JobStatus::BudgetMismatch => 2,
-            JobStatus::ExecFailed => 3,
-        }
-    }
-
-    /// Decodes the wire byte (unknown values read as
-    /// [`JobStatus::ExecFailed`]).
-    pub fn from_wire(b: u8) -> JobStatus {
-        match b {
-            0 => JobStatus::Ok,
-            1 => JobStatus::VerifyFailed,
-            2 => JobStatus::BudgetMismatch,
-            _ => JobStatus::ExecFailed,
-        }
-    }
 }
 
 /// Tunables of the serve daemon.
@@ -334,26 +297,21 @@ struct JobQueue {
     ready: Condvar,
 }
 
-/// Waits (interruptibly) for the next frame: `Ok(None)` means the stop
-/// flag was raised, or `deadline` (when given) passed while the line was
-/// quiet. With no deadline the wait is unbounded but still stops promptly
-/// on the flag — the daemon's idle state.
-fn recv_or_stop(
+/// Waits (interruptibly) for the next frame to start arriving: `Ok(false)`
+/// means the stop flag was raised, or `deadline` (when given) passed while
+/// the line was quiet. With no deadline the wait is unbounded but still
+/// stops promptly on the flag — the daemon's idle state.
+fn readable_before_stop(
     conn: &mut FramedConn,
     net: &NetConfig,
     deadline: Option<Instant>,
-) -> Result<Option<(u8, Vec<u8>)>, ExecError> {
+) -> Result<bool, ExecError> {
     loop {
-        if net.stopped() {
-            return Ok(None);
-        }
-        if let Some(d) = deadline {
-            if Instant::now() >= d {
-                return Ok(None);
-            }
+        if net.stopped() || deadline.is_some_and(|d| Instant::now() >= d) {
+            return Ok(false);
         }
         if conn.poll_readable(STOP_POLL)? {
-            return conn.recv("serve frame").map(Some);
+            return Ok(true);
         }
     }
 }
@@ -377,6 +335,8 @@ pub fn serve(
     listener: TcpListener,
     cfg: &ServeConfig,
 ) -> Result<ServeReport, SchedError> {
+    // a listener that cannot be polled fails here, before the executor
+    // thread (which only the stop flag ends) exists
     listener.set_nonblocking(true).map_err(|e| {
         SchedError::Exec(ExecError::Net {
             detail: format!("set_nonblocking: {e}"),
@@ -391,23 +351,20 @@ pub fn serve(
     counters.publish(&cfg.net);
     std::thread::scope(|scope| {
         let executor = scope.spawn(|| executor_loop(g, scheduler, cfg, &queue, &counters));
-        while !cfg.net.stopped() {
-            match listener.accept() {
-                Ok((stream, _addr)) => {
-                    let queue = &queue;
-                    let counters = &counters;
-                    scope.spawn(move || {
-                        // per-client thread: a misbehaving client costs
-                        // only its own connection, never the daemon
-                        let _ = serve_client(g, graph_fp, stream, cfg, queue, counters);
-                    });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(10)),
-            }
-        }
+        let (queue, counters) = (&queue, &counters);
+        let _ = accept_until(
+            &listener,
+            || cfg.net.stopped(),
+            None,
+            |stream| {
+                // per-client thread: a misbehaving client costs only its own
+                // connection, never the daemon
+                scope.spawn(move || {
+                    let _ = serve_client(g, graph_fp, stream, cfg, queue, counters);
+                });
+                Ok(false)
+            },
+        );
         // wake the executor so it drains the queue and exits
         queue.ready.notify_all();
         let _ = executor.join();
@@ -433,108 +390,58 @@ fn serve_client(
     queue: &JobQueue,
     counters: &Counters,
 ) -> Result<(), ExecError> {
-    let mut reader = FramedConn::new(
-        stream.try_clone().map_err(|e| ExecError::Net {
+    let mut reader = cfg
+        .net
+        .framed(stream.try_clone().map_err(|e| ExecError::Net {
             detail: format!("clone client stream: {e}"),
-        })?,
-        &cfg.net,
-    )?;
-    let writer = Arc::new(Mutex::new(FramedConn::new(stream, &cfg.net)?));
+        })?)?;
+    let writer = Arc::new(Mutex::new(cfg.net.framed(stream)?));
 
     // HELLO → CAPS (or REJECT): same shape as the worker handshake, but
     // against the graph fingerprint only — jobs arrive later.
     let hello_deadline = Instant::now() + Duration::from_millis(cfg.net.io_timeout_ms.max(1));
-    let Some((kind, body)) = recv_or_stop(&mut reader, &cfg.net, Some(hello_deadline))? else {
+    if !readable_before_stop(&mut reader, &cfg.net, Some(hello_deadline))? {
         return Ok(());
+    }
+    let ours = Greeting {
+        version: PROTOCOL_VERSION,
+        fingerprint: graph_fp,
     };
-    if kind != wire::HELLO {
-        return Err(ExecError::Net {
-            detail: format!("expected HELLO, got frame kind {kind}"),
-        });
-    }
-    let mut r = ByteReader::new(&body);
-    let version = r.u32("HELLO version")?;
-    let client_fp = r.u64("HELLO graph fingerprint")?;
-    if version != PROTOCOL_VERSION {
-        let mut w = ByteWriter::new();
-        w.u32(wire::REJECT_VERSION);
-        w.u64(PROTOCOL_VERSION as u64);
-        w.u64(version as u64);
-        let _ = lock_writer(&writer).send(wire::REJECT, &w.buf, "serve handshake (REJECT)");
-        return Err(ExecError::VersionMismatch {
-            coordinator: PROTOCOL_VERSION,
-            worker: version,
-        });
-    }
-    if client_fp != graph_fp {
-        let mut w = ByteWriter::new();
-        w.u32(wire::REJECT_PROBLEM);
-        w.u64(graph_fp);
-        w.u64(client_fp);
-        let _ = lock_writer(&writer).send(wire::REJECT, &w.buf, "serve handshake (REJECT)");
-        return Err(ExecError::ProblemMismatch {
-            coordinator: graph_fp,
-            worker: client_fp,
-        });
-    }
-    let mut w = ByteWriter::new();
-    w.u32(PROTOCOL_VERSION);
-    w.u64(graph_fp);
-    w.u64(cfg.tape_seed);
-    w.u32(cfg.batch_max.max(1) as u32);
-    w.u32(cfg.pool_shards.max(1) as u32);
-    w.u32(cfg.capacity.max_dilation);
-    w.u64(cfg.capacity.max_congestion);
-    w.u32(cfg.capacity.max_payload_bytes);
-    lock_writer(&writer).send(wire::CAPS, &w.buf, "serve handshake (CAPS)")?;
+    reader.greet(wire::HELLO, &ours, "serve handshake (HELLO)")?;
+    let caps = Caps {
+        version: PROTOCOL_VERSION,
+        graph_fingerprint: graph_fp,
+        tape_seed: cfg.tape_seed,
+        batch_max: cfg.batch_max.max(1) as u32,
+        pool_shards: cfg.pool_shards.max(1) as u32,
+        capacity: cfg.capacity,
+    };
+    lock_writer(&writer).send(wire::CAPS, &caps.encode(), "serve handshake (CAPS)")?;
 
     let n = g.node_count();
     loop {
-        let Some((kind, body)) = recv_or_stop(&mut reader, &cfg.net, None)? else {
+        if !readable_before_stop(&mut reader, &cfg.net, None)? {
             return Ok(()); // daemon stopping
-        };
-        if kind != wire::SUBMIT {
-            return Err(ExecError::Net {
-                detail: format!("expected SUBMIT, got frame kind {kind}"),
-            });
         }
-        let mut r = ByteReader::new(&body);
-        let job_id = r.u64("SUBMIT job id")?;
-        let kind_byte = r.u8("SUBMIT kind")?;
-        let source = r.u32("SUBMIT source")?;
-        let depth = r.u32("SUBMIT depth")?;
-        let declared = Budgets {
-            dilation: r.u32("SUBMIT dilation")?,
-            congestion: r.u64("SUBMIT congestion")?,
-            payload_bytes: r.u32("SUBMIT payload")?,
-        };
-        let Some(job_kind) = JobKind::from_wire(kind_byte) else {
-            send_rejected(
-                &writer,
-                job_id,
-                &Rejection {
-                    code: wire::MALFORMED,
-                    declared: kind_byte as u64,
-                    capacity: 1,
-                },
-            );
-            counters.rejected.fetch_add(1, Ordering::SeqCst);
-            counters.publish(&cfg.net);
-            continue;
-        };
-        let spec = JobSpec {
-            job_id,
-            kind: job_kind,
-            source,
-            depth,
-            declared,
-        };
-        match admit(&spec, n, &cfg.capacity) {
-            Err(rejection) => {
-                send_rejected(&writer, job_id, &rejection);
+        let body = reader.expect(wire::SUBMIT, "serve frame")?;
+        let verdict = Submit::decode(&body)?.and_then(|spec| {
+            let job_id = spec.job_id;
+            match admit(&spec, n, &cfg.capacity) {
+                Ok(()) => Ok(spec),
+                Err(why) => Err(Rejected { job_id, why }),
+            }
+        });
+        match verdict {
+            Err(rejected) => {
+                let _ = lock_writer(&writer).send(
+                    wire::REJECTED,
+                    &rejected.encode(),
+                    "serve (REJECTED)",
+                );
                 counters.rejected.fetch_add(1, Ordering::SeqCst);
             }
-            Ok(()) => {
+            Ok(spec) => {
+                let job_id = spec.job_id;
                 let queued = {
                     let mut q = queue.jobs.lock().unwrap_or_else(|e| e.into_inner());
                     q.push_back(PendingJob {
@@ -546,10 +453,12 @@ fn serve_client(
                 queue.ready.notify_all();
                 counters.admitted.fetch_add(1, Ordering::SeqCst);
                 counters.queued.store(queued, Ordering::SeqCst);
-                let mut w = ByteWriter::new();
-                w.u64(job_id);
-                w.u64(queued);
-                let _ = lock_writer(&writer).send(wire::ACCEPTED, &w.buf, "serve (ACCEPTED)");
+                let accepted = Accepted { job_id, queued };
+                let _ = lock_writer(&writer).send(
+                    wire::ACCEPTED,
+                    &accepted.encode(),
+                    "serve (ACCEPTED)",
+                );
             }
         }
         counters.publish(&cfg.net);
@@ -558,15 +467,6 @@ fn serve_client(
 
 fn lock_writer(writer: &Arc<Mutex<FramedConn>>) -> std::sync::MutexGuard<'_, FramedConn> {
     writer.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn send_rejected(writer: &Arc<Mutex<FramedConn>>, job_id: u64, rejection: &Rejection) {
-    let mut w = ByteWriter::new();
-    w.u64(job_id);
-    w.u32(rejection.code);
-    w.u64(rejection.declared);
-    w.u64(rejection.capacity);
-    let _ = lock_writer(writer).send(wire::REJECTED, &w.buf, "serve (REJECTED)");
 }
 
 /// The batch executor: forms batches from the admitted queue, runs each
@@ -678,7 +578,15 @@ fn answer_batch(
     run: Result<(ScheduleOutcome, verify::VerifyReport), SchedError>,
     counters: &Counters,
 ) {
-    let k = batch.len();
+    let k = batch.len() as u32;
+    let answer = |job: &PendingJob, result: JobResult<'_>| {
+        let _ = lock_writer(&job.writer).send(wire::RESULT, &result.encode(), "serve (RESULT)");
+        let tally = match result.status {
+            JobStatus::Ok => &counters.completed,
+            _ => &counters.failed,
+        };
+        tally.fetch_add(1, Ordering::SeqCst);
+    };
     match run {
         Err(e) => {
             // the whole batch failed to plan or execute: typed ExecFailed
@@ -689,18 +597,18 @@ fn answer_batch(
                 .lock()
                 .unwrap_or_else(|e| e.into_inner()) = e.to_string();
             for job in batch {
-                let mut w = ByteWriter::new();
-                w.u64(job.spec.job_id);
-                w.u8(JobStatus::ExecFailed.to_wire());
-                w.u64(0);
-                w.u32(k as u32);
-                w.u64(0);
-                w.u64(0);
-                w.u32(0);
-                w.u64(0);
-                w.u32(0);
-                let _ = lock_writer(&job.writer).send(wire::RESULT, &w.buf, "serve (RESULT)");
-                counters.failed.fetch_add(1, Ordering::SeqCst);
+                let failed = JobResult {
+                    job_id: job.spec.job_id,
+                    status: JobStatus::ExecFailed,
+                    schedule_rounds: 0,
+                    batch_k: k,
+                    delivered: 0,
+                    late: 0,
+                    measured_dilation: 0,
+                    measured_congestion: 0,
+                    outputs: Cow::Borrowed(&[]),
+                };
+                answer(job, failed);
             }
         }
         Ok((outcome, report)) => {
@@ -720,32 +628,18 @@ fn answer_batch(
                 } else {
                     JobStatus::Ok
                 };
-                let mut w = ByteWriter::new();
-                w.u64(job.spec.job_id);
-                w.u8(status.to_wire());
-                w.u64(outcome.stats.engine_rounds);
-                w.u32(k as u32);
-                w.u64(outcome.stats.delivered);
-                w.u64(outcome.stats.late_messages);
-                w.u32(measured_dilation);
-                w.u64(measured_congestion);
-                let outputs = &outcome.outputs[i];
-                w.u32(outputs.len() as u32);
-                for out in outputs {
-                    match out {
-                        Some(bytes) => {
-                            w.u8(1);
-                            w.bytes(bytes);
-                        }
-                        None => w.u8(0),
-                    }
-                }
-                let _ = lock_writer(&job.writer).send(wire::RESULT, &w.buf, "serve (RESULT)");
-                if status == JobStatus::Ok {
-                    counters.completed.fetch_add(1, Ordering::SeqCst);
-                } else {
-                    counters.failed.fetch_add(1, Ordering::SeqCst);
-                }
+                let result = JobResult {
+                    job_id: job.spec.job_id,
+                    status,
+                    schedule_rounds: outcome.stats.engine_rounds,
+                    batch_k: k,
+                    delivered: outcome.stats.delivered,
+                    late: outcome.stats.late_messages,
+                    measured_dilation,
+                    measured_congestion,
+                    outputs: Cow::Borrowed(&outcome.outputs[i]),
+                };
+                answer(job, result);
             }
         }
     }
@@ -938,35 +832,16 @@ fn run_client(
     cfg: &LoadgenConfig,
     client: usize,
 ) -> Result<ClientOutcome, ExecError> {
-    let stream = connect_with_retry(connect, &cfg.net)?;
-    let mut conn = FramedConn::new(stream, &cfg.net)?;
-    let graph_fp = graph_fingerprint(g);
+    let mut conn = cfg.net.framed(connect_with_retry(connect, &cfg.net)?)?;
 
     // HELLO → CAPS
-    let mut w = ByteWriter::new();
-    w.u32(PROTOCOL_VERSION);
-    w.u64(graph_fp);
-    conn.send(wire::HELLO, &w.buf, "loadgen handshake (HELLO)")?;
-    let (kind, body) = conn.recv("loadgen handshake (CAPS)")?;
-    if kind == wire::REJECT {
-        return Err(decode_reject(&body)?);
-    }
-    if kind != wire::CAPS {
-        return Err(ExecError::Net {
-            detail: format!("expected CAPS, got frame kind {kind}"),
-        });
-    }
-    let mut r = ByteReader::new(&body);
-    let _version = r.u32("CAPS version")?;
-    let _fp = r.u64("CAPS graph fingerprint")?;
-    let tape_seed = r.u64("CAPS tape seed")?;
-    let _batch_max = r.u32("CAPS batch max")?;
-    let _pool = r.u32("CAPS pool shards")?;
-    let cap = Capacity {
-        max_dilation: r.u32("CAPS max dilation")?,
-        max_congestion: r.u64("CAPS max congestion")?,
-        max_payload_bytes: r.u32("CAPS max payload")?,
+    let hello = Greeting {
+        version: PROTOCOL_VERSION,
+        fingerprint: graph_fingerprint(g),
     };
+    conn.send(wire::HELLO, &hello.encode(), "loadgen handshake (HELLO)")?;
+    let caps = Caps::decode(&conn.expect(wire::CAPS, "loadgen handshake (CAPS)")?)?;
+    let (tape_seed, cap) = (caps.tape_seed, caps.capacity);
 
     // submit the whole stream pipelined, then collect answers
     let mut pending: std::collections::HashMap<u64, Instant> = std::collections::HashMap::new();
@@ -988,15 +863,7 @@ fn run_client(
             spec.declared.dilation = cap.max_dilation.saturating_add(1);
             expect_reject.insert(spec.job_id);
         }
-        let mut w = ByteWriter::new();
-        w.u64(spec.job_id);
-        w.u8(spec.kind.to_wire());
-        w.u32(spec.source);
-        w.u32(spec.depth);
-        w.u32(spec.declared.dilation);
-        w.u64(spec.declared.congestion);
-        w.u32(spec.declared.payload_bytes);
-        conn.send(wire::SUBMIT, &w.buf, "loadgen (SUBMIT)")?;
+        conn.send(wire::SUBMIT, &spec.encode(), "loadgen (SUBMIT)")?;
         pending.insert(spec.job_id, Instant::now());
         out.submitted += 1;
     }
@@ -1005,15 +872,12 @@ fn run_client(
     // connection's io timeout per frame)
     while !pending.is_empty() {
         let (kind, body) = conn.recv("loadgen (answers)")?;
-        let mut r = ByteReader::new(&body);
         match kind {
             wire::ACCEPTED => {
-                let _job_id = r.u64("ACCEPTED job id")?;
-                let _queued = r.u64("ACCEPTED queue depth")?;
+                Accepted::decode(&body)?;
             }
             wire::REJECTED => {
-                let job_id = r.u64("REJECTED job id")?;
-                let _code = r.u32("REJECTED code")?;
+                let Rejected { job_id, .. } = Rejected::decode(&body)?;
                 if let Some(t) = pending.remove(&job_id) {
                     out.latencies_ms.push(t.elapsed().as_secs_f64() * 1e3);
                 }
@@ -1024,28 +888,12 @@ fn run_client(
                 }
             }
             wire::RESULT => {
-                let job_id = r.u64("RESULT job id")?;
-                let status = JobStatus::from_wire(r.u8("RESULT status")?);
-                let _rounds = r.u64("RESULT schedule rounds")?;
-                let _batch_k = r.u32("RESULT batch k")?;
-                let _delivered = r.u64("RESULT delivered")?;
-                let _late = r.u64("RESULT late")?;
-                let _md = r.u32("RESULT measured dilation")?;
-                let _mc = r.u64("RESULT measured congestion")?;
-                let count = r.u32("RESULT output count")? as usize;
-                let mut outputs: Vec<Option<Vec<u8>>> = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let some = r.u8("RESULT output tag")? != 0;
-                    outputs.push(if some {
-                        Some(r.bytes("RESULT output")?.to_vec())
-                    } else {
-                        None
-                    });
-                }
+                let result = JobResult::decode(&body)?;
+                let (job_id, outputs) = (result.job_id, result.outputs.into_owned());
                 if let Some(t) = pending.remove(&job_id) {
                     out.latencies_ms.push(t.elapsed().as_secs_f64() * 1e3);
                 }
-                if status == JobStatus::Ok {
+                if result.status == JobStatus::Ok {
                     out.completed += 1;
                     if cfg.check {
                         out.check_mismatches +=
@@ -1147,22 +995,6 @@ mod tests {
     }
 
     #[test]
-    fn job_kind_and_status_round_trip_the_wire() {
-        for kind in [JobKind::Flood, JobKind::Relay] {
-            assert_eq!(JobKind::from_wire(kind.to_wire()), Some(kind));
-        }
-        assert_eq!(JobKind::from_wire(9), None);
-        for status in [
-            JobStatus::Ok,
-            JobStatus::VerifyFailed,
-            JobStatus::BudgetMismatch,
-            JobStatus::ExecFailed,
-        ] {
-            assert_eq!(JobStatus::from_wire(status.to_wire()), status);
-        }
-    }
-
-    #[test]
     fn loadgen_stream_matches_the_cli_flood_workload_formula() {
         let g = das_graph::generators::path(16);
         let cfg = LoadgenConfig {
@@ -1188,15 +1020,22 @@ mod tests {
     fn failed_batch_answers_every_job_and_keeps_the_error() {
         let g = das_graph::generators::path(6);
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let mut client = FramedConn::new(
-            TcpStream::connect(listener.local_addr().expect("addr")).expect("connect"),
-            &NetConfig::default(),
+        let net = NetConfig::default();
+        let mut client = net
+            .framed(TcpStream::connect(listener.local_addr().expect("addr")).expect("connect"))
+            .expect("client conn");
+        let mut server_side = None;
+        accept_until(
+            &listener,
+            || false,
+            None,
+            |stream| {
+                server_side = Some(net.framed(stream)?);
+                Ok(true)
+            },
         )
-        .expect("client conn");
-        let (server_side, _) = listener.accept().expect("accept");
-        let writer = Arc::new(Mutex::new(
-            FramedConn::new(server_side, &NetConfig::default()).expect("server conn"),
-        ));
+        .expect("accept");
+        let writer = Arc::new(Mutex::new(server_side.expect("server conn")));
         let batch: Vec<PendingJob> = [11u64, 12, 13]
             .iter()
             .map(|&job_id| PendingJob {
@@ -1216,14 +1055,12 @@ mod tests {
         answer_batch(&problem, &batch, Err(err.clone()), &counters);
 
         for job in &batch {
-            let (kind, body) = client.recv("test RESULT").expect("one RESULT per job");
-            assert_eq!(kind, wire::RESULT);
-            let mut r = ByteReader::new(&body);
-            assert_eq!(r.u64("job id").unwrap(), job.spec.job_id);
-            assert_eq!(
-                JobStatus::from_wire(r.u8("status").unwrap()),
-                JobStatus::ExecFailed
-            );
+            let body = client
+                .expect(wire::RESULT, "test RESULT")
+                .expect("one RESULT per job");
+            let result = JobResult::decode(&body).expect("RESULT body");
+            assert_eq!(result.job_id, job.spec.job_id);
+            assert_eq!(result.status, JobStatus::ExecFailed);
         }
         assert_eq!(counters.failed.load(Ordering::SeqCst), 3);
         assert_eq!(counters.completed.load(Ordering::SeqCst), 0);

@@ -298,6 +298,77 @@ fn worker_connect_retries_are_bounded() {
     assert!(started.elapsed() < Duration::from_secs(10));
 }
 
+/// A coordinator whose ASSIGN claims `u32::MAX` partition entries in a
+/// 40-byte frame must be refused with `TruncatedFrame` — the count is
+/// checked against the bytes that remain before anything is reserved (the
+/// worker used to ask the allocator for 16 GiB on the coordinator's word).
+#[test]
+fn lying_assign_count_is_a_truncated_frame_not_a_reservation() {
+    let g = small_graph();
+    let p = build_problem(&g);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let fake_coordinator = std::thread::spawn(move || {
+        let (mut s, _) = listener.accept().expect("accept");
+        let (kind, _) = recv_frame(&mut s);
+        assert_eq!(kind, wire::JOIN);
+        // a well-formed one-shard plan, so everything before the count holds
+        let g = small_graph();
+        let p = build_problem(&g);
+        let plan = SequentialScheduler.plan(&p, 7).expect("plan").to_json();
+        let mut assign = Vec::new();
+        assign.extend_from_slice(&0u32.to_le_bytes()); // shard
+        assign.extend_from_slice(&1u32.to_le_bytes()); // shards
+        assign.extend_from_slice(&0u64.to_le_bytes()); // full-plan hash
+        assign.extend_from_slice(&das_core::net::fnv1a(plan.as_bytes()).to_le_bytes());
+        assign.extend_from_slice(&(plan.len() as u32).to_le_bytes());
+        assign.extend_from_slice(plan.as_bytes());
+        assign.extend_from_slice(&u32::MAX.to_le_bytes()); // partition entries
+        send_frame(&mut s, wire::ASSIGN, &assign);
+        let mut sink = [0u8; 16];
+        let _ = s.read(&mut sink);
+    });
+    let net = NetConfig::default().with_io_timeout_ms(2_000);
+    let err = exec_err(run_worker(&p, &addr, &net));
+    fake_coordinator.join().expect("fake coordinator");
+    assert!(
+        matches!(err, ExecError::TruncatedFrame { .. }),
+        "expected TruncatedFrame, got {err:?}"
+    );
+}
+
+/// An ASSIGN over `max_frame_bytes` is refused by the *sender*, before the
+/// first byte, with a typed error naming the frame, its size and the
+/// limit. (It used to be shipped in full, refused by the worker, and
+/// surface on the coordinator as `WorkerDisconnected` — hiding the cause.)
+#[test]
+fn oversized_assign_is_refused_by_the_sender_with_the_cause() {
+    let g = small_graph();
+    let p = build_problem(&g);
+    let plan = SequentialScheduler.plan(&p, 7).expect("plan");
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let mut net = NetConfig::default().with_io_timeout_ms(2_000);
+    net.max_frame_bytes = 64; // JOIN fits, the plan slice does not
+    let started = Instant::now();
+    let err = std::thread::scope(|scope| {
+        let worker = scope.spawn(|| run_worker(&p, &addr, &net));
+        let err = exec_err(execute_plan_networked(&p, &plan, 1, listener, &net));
+        assert!(worker.join().expect("worker thread").is_err());
+        err
+    });
+    match err {
+        ExecError::FrameTooLarge { kind, bytes, limit } => {
+            assert_eq!((kind, limit), ("ASSIGN", 64));
+            assert!(bytes > 64);
+            let msg = err.to_string();
+            assert!(msg.contains("ASSIGN frame of"), "{msg:?}");
+        }
+        ref other => panic!("expected FrameTooLarge, got {other:?}"),
+    }
+    assert!(started.elapsed() < Duration::from_secs(10));
+}
+
 /// Every networked error variant renders a human-oriented message.
 #[test]
 fn net_error_display_is_descriptive() {

@@ -1,13 +1,13 @@
 //! Property-based neutrality of the planning stages: a plan sized from a
 //! *reused* [`das_core::PlanArtifact`] / [`das_core::SweepArtifact`] must
-//! be **byte-identical** (canonical JSON) to a fresh chain — the
-//! scheduler's full `plan()` with the corresponding override set on the
-//! scheduler — for every scheduler, graph, workload, congestion guess and
-//! sched-seed. `plan()` is a composition of the same stages, so what this
-//! pins is that an explicit guess equals the scheduler's own span
-//! override, and — by sizing/seeding one artifact for shuffled lists with
-//! repeats — that no stage mutates what it reuses. (What the doubling
-//! searches make of the split is pinned in `plan_golden.rs`.)
+//! be **byte-identical** (canonical JSON) to a fresh chain — `plan()`, or
+//! for an explicit congestion guess `size_plan` on an artifact built for
+//! that one call — for every scheduler, graph, workload, congestion guess
+//! and sched-seed. `plan()` is a composition of the same stages, so what
+//! this pins — by sizing/seeding one artifact for shuffled lists with
+//! repeats — is that no stage mutates what it reuses. (The guess-sized
+//! bytes themselves and what the doubling searches make of the split are
+//! pinned in `plan_golden.rs`.)
 
 use das_core::synthetic::{FloodBall, Prescribed, RelayChain};
 use das_core::{
@@ -87,31 +87,29 @@ fn assert_sizing_matches_scratch(g: &Graph, k: usize, seed: u64) {
             sched.name()
         );
     }
-    // guess overrides: sizing the cached artifact for `guess` must equal a
-    // from-scratch plan with the override baked into the scheduler
-    let uni = UniformScheduler::default();
-    let uni_art = uni.build_artifact(&p, seed).expect("uniform artifact");
-    let prv = PrivateScheduler::default();
-    let prv_art = prv.build_artifact(&p, seed).expect("private artifact");
-    for guess in GUESSES {
-        let mut u = uni.clone();
-        u.delay_range = Some(guess);
-        assert_eq!(
-            u.plan(&p, seed).expect("uniform plan").to_json(),
-            uni.size_plan(&p, &uni_art, Some(guess))
-                .expect("uniform sizing")
-                .to_json(),
-            "uniform sizing diverged at guess {guess}"
-        );
-        let mut pr = prv.clone();
-        pr.block_override = Some(guess);
-        assert_eq!(
-            pr.plan(&p, seed).expect("private plan").to_json(),
-            prv.size_plan(&p, &prv_art, Some(guess))
-                .expect("private sizing")
-                .to_json(),
-            "private sizing diverged at guess {guess}"
-        );
+    // guess overrides: sizing the reused artifact for `guess` must equal
+    // sizing an artifact built fresh for that one call
+    let guess_sized: [Box<dyn Scheduler>; 2] = [
+        Box::new(UniformScheduler::default()),
+        Box::new(PrivateScheduler::default()),
+    ];
+    for sched in guess_sized {
+        let reused = sched.build_artifact(&p, seed).expect("reused artifact");
+        for guess in GUESSES {
+            let fresh = sched.build_artifact(&p, seed).expect("fresh artifact");
+            assert_eq!(
+                sched
+                    .size_plan(&p, &fresh, Some(guess))
+                    .expect("fresh sizing")
+                    .to_json(),
+                sched
+                    .size_plan(&p, &reused, Some(guess))
+                    .expect("reused sizing")
+                    .to_json(),
+                "scheduler {} sizing diverged at guess {guess}",
+                sched.name()
+            );
+        }
     }
 }
 
@@ -181,18 +179,14 @@ proptest! {
 }
 
 /// The sweep split survives the private scheduler's honest distributed
-/// pre-computation (per-seed sharing re-runs the engine protocols) and its
-/// sizing overrides / ablation law.
+/// pre-computation (per-seed sharing re-runs the engine protocols), its
+/// ablation law and its layer-count override.
 #[test]
 fn sweep_covers_distributed_precompute_and_overrides() {
     let g = generators::path(10);
     let p = congested_problem(&g);
     let variants = vec![
         PrivateScheduler::default().with_distributed_precompute(true),
-        PrivateScheduler {
-            block_override: Some(3),
-            ..PrivateScheduler::default()
-        },
         PrivateScheduler::default().with_delay_law(das_core::PrivateDelayLaw::UniformWide),
         PrivateScheduler::default().with_layers(4).with_seed(0xFEED),
     ];

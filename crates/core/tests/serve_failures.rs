@@ -263,6 +263,55 @@ fn lying_declared_budget_is_caught_at_verify_not_admission() {
     assert!(started.elapsed() < Duration::from_secs(30));
 }
 
+/// A daemon whose RESULT claims `u32::MAX` outputs in a 45-byte frame must
+/// fail the loadgen client with `TruncatedFrame` — the count is checked
+/// against the bytes that remain before anything is reserved (the client
+/// used to ask the allocator for 96 GiB on the daemon's word).
+#[test]
+fn lying_result_count_is_a_truncated_frame_not_a_reservation() {
+    let g = small_graph();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let fp = graph_fingerprint(&g);
+    let rogue_daemon = std::thread::spawn(move || {
+        let (mut s, _) = listener.accept().expect("accept");
+        let (kind, _) = recv_frame(&mut s);
+        assert_eq!(kind, wire::HELLO);
+        let mut caps = Vec::new();
+        caps.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
+        caps.extend_from_slice(&fp.to_le_bytes());
+        caps.extend_from_slice(&42u64.to_le_bytes()); // tape seed
+        caps.extend_from_slice(&4u32.to_le_bytes()); // batch max
+        caps.extend_from_slice(&2u32.to_le_bytes()); // pool shards
+        caps.extend_from_slice(&256u32.to_le_bytes());
+        caps.extend_from_slice(&4096u64.to_le_bytes());
+        caps.extend_from_slice(&40u32.to_le_bytes());
+        send_frame(&mut s, wire::CAPS, &caps);
+        let (kind, submit) = recv_frame(&mut s);
+        assert_eq!(kind, wire::SUBMIT);
+        let mut result = submit[..8].to_vec(); // job id
+        result.push(0); // status: ok
+        result.extend_from_slice(&[0u8; 8 + 4 + 8 + 8 + 4 + 8]);
+        result.extend_from_slice(&u32::MAX.to_le_bytes()); // outputs
+        send_frame(&mut s, wire::RESULT, &result);
+        let mut sink = [0u8; 16];
+        let _ = s.read(&mut sink);
+    });
+    let cfg = LoadgenConfig {
+        clients: 1,
+        jobs_per_client: 1,
+        depth: 2,
+        net: das_core::NetConfig::default().with_io_timeout_ms(2_000),
+        ..LoadgenConfig::default()
+    };
+    let err = das_core::run_loadgen(&g, &addr, &cfg).expect_err("a lying daemon");
+    rogue_daemon.join().expect("rogue daemon");
+    assert!(
+        matches!(err, das_core::ExecError::TruncatedFrame { .. }),
+        "expected TruncatedFrame, got {err:?}"
+    );
+}
+
 /// A client speaking the wrong protocol version is turned away with the
 /// standard typed REJECT carrying both versions.
 #[test]

@@ -79,17 +79,17 @@ impl ObsConfig {
         }
     }
 
-    /// Whether any recording happens: requires both the `record` cargo
-    /// feature and a mode other than [`ObsMode::Off`].
+    /// Whether any recording happens: any mode other than
+    /// [`ObsMode::Off`].
     #[inline]
     pub fn enabled(&self) -> bool {
-        cfg!(feature = "record") && self.mode != ObsMode::Off
+        self.mode != ObsMode::Off
     }
 
     /// Whether trace events (not just metrics) are recorded.
     #[inline]
     pub fn events_enabled(&self) -> bool {
-        cfg!(feature = "record") && self.mode == ObsMode::Full
+        self.mode == ObsMode::Full
     }
 }
 
@@ -109,11 +109,8 @@ mod tests {
     fn off_is_disabled() {
         assert!(!ObsConfig::off().enabled());
         assert!(!ObsConfig::off().events_enabled());
-        #[cfg(feature = "record")]
-        {
-            assert!(ObsConfig::metrics().enabled());
-            assert!(!ObsConfig::metrics().events_enabled());
-            assert!(ObsConfig::full().events_enabled());
-        }
+        assert!(ObsConfig::metrics().enabled());
+        assert!(!ObsConfig::metrics().events_enabled());
+        assert!(ObsConfig::full().events_enabled());
     }
 }

@@ -7,11 +7,9 @@
 //! are allowed only as a clearly-labelled side channel (`wall_ns` event
 //! args, `wall.*` counters) that no deterministic artifact includes.
 //!
-//! The layer has three cost tiers:
+//! The layer has two cost tiers:
 //!
-//! * compile-time: the `record` cargo feature (default on) — with it off,
-//!   every probe folds to a constant no-op;
-//! * runtime: [`ObsMode::Off`] short-circuits every hook behind a single
+//! * [`ObsMode::Off`] short-circuits every hook behind a single
 //!   branch on a bool ([`ExecObs::on`]);
 //! * [`ObsMode::Metrics`] keeps counters/histograms/load profiles but skips
 //!   event allocation; [`ObsMode::Full`] records trace events too.

@@ -337,7 +337,6 @@ mod tests {
         assert!(p.finish().is_none());
     }
 
-    #[cfg(feature = "record")]
     #[test]
     fn full_probe_records_metrics_profile_and_events() {
         let mut p = ExecObs::new(&ObsConfig::full(), 2);
@@ -378,7 +377,6 @@ mod tests {
         assert_eq!(r.events[0].lane, 2);
     }
 
-    #[cfg(feature = "record")]
     #[test]
     fn metrics_mode_skips_events() {
         let mut p = ExecObs::new(&ObsConfig::metrics(), 0);
@@ -392,7 +390,6 @@ mod tests {
         assert_eq!(r.metrics.counter("exec.delivered"), 1);
     }
 
-    #[cfg(feature = "record")]
     #[test]
     fn attached_hub_sees_big_round_deltas_and_final_metrics() {
         use serde::Value;
@@ -428,7 +425,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "record")]
     #[test]
     fn event_cap_counts_drops() {
         let mut cfg = ObsConfig::full();

@@ -1,31 +1,8 @@
 //! `dasched` — command-line front end for the scheduling toolkit.
 //!
-//! ```text
-//! dasched run        --graph grid:8x8 --workload mixed:18 --scheduler private [--seed 42]
-//! dasched plan       --graph grid:8x8 --workload mixed:18 --scheduler uniform [--sched-seed 7] [--out plan.json]
-//!                    [--in plan.json] [--execute] [--shards N] [--engine row|batched]
-//!                    [--dump-outcome FILE]
-//! dasched plan       --graph grid:8x8 --workload mixed:18 --diff a.json b.json
-//! dasched trace      --graph grid:8x8 --workload mixed:18 --scheduler uniform [--sched-seed 7]
-//!                    [--shards N] [--export chrome|jsonl|text] [--top K] [--out trace.json]
-//!                    [--serve [ADDR]] [--keep-open] [--dump-outcome FILE]
-//! dasched compare    --graph path:100 --workload segments:32:14 [--seed 42]
-//! dasched carve      --graph grid:10x10 --dilation 3 [--layers 20] [--seed 42]
-//! dasched lowerbound --layers 6 --eta 64 --k 32 --p 0.12 [--seed 42]
-//! dasched mst        --graph gnp:100:0.05 [--cap 8] [--k 4] [--seed 42]
-//! dasched coordinator --graph grid:8x8 --workload mixed:18 --scheduler uniform --workers 3
-//!                    [--seed 42] [--sched-seed 7] [--listen 127.0.0.1:0] [--timeout-ms 30000]
-//!                    [--dump-outcome FILE] [--serve-obs ADDR] [--keep-open]
-//! dasched worker     --graph grid:8x8 --workload mixed:18 --connect HOST:PORT [--seed 42]
-//!                    [--timeout-ms 30000]
-//! dasched serve      --graph grid:8x8 [--scheduler uniform] [--seed 42] [--listen 127.0.0.1:0]
-//!                    [--batch 4] [--batch-wait-ms 50] [--pool 2]
-//!                    [--max-dilation N] [--max-congestion N] [--max-payload N]
-//!                    [--serve-obs ADDR] [--timeout-ms 30000]
-//! dasched loadgen    --graph grid:8x8 --connect HOST:PORT [--seed 42] [--clients 2] [--jobs 8]
-//!                    [--depth 6] [--check] [--reject-every N] [--out bench.json]
-//!                    [--dump-outputs FILE] [--timeout-ms 30000]
-//! ```
+//! Run `dasched` with no arguments for every subcommand and the flags it
+//! accepts (the `COMMANDS` table below, which is also what the parser
+//! enforces).
 //!
 //! `coordinator`/`worker` run one plan across OS processes: the
 //! coordinator listens, partitions, and relays cross-shard traffic at
@@ -75,46 +52,103 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("error: {e}");
             eprintln!();
-            eprintln!("{USAGE}");
+            eprintln!("{}", usage(args.first().map(String::as_str)));
             ExitCode::FAILURE
         }
     }
 }
 
-const USAGE: &str = "usage:
-  dasched run        --graph SPEC --workload SPEC --scheduler NAME [--seed N]
-  dasched plan       --graph SPEC --workload SPEC --scheduler NAME [--seed N] [--sched-seed N] [--out FILE]
-                     [--in FILE] [--execute] [--shards N] [--engine row|batched]
-                     [--dump-outcome FILE]
-  dasched plan       --graph SPEC --workload SPEC --diff A.json B.json
-  dasched trace      --graph SPEC --workload SPEC --scheduler NAME [--seed N] [--sched-seed N]
-                     [--shards N] [--export chrome|jsonl|text] [--top K] [--out FILE]
-                     [--serve [ADDR]] [--keep-open] [--dump-outcome FILE]
-  dasched compare    --graph SPEC --workload SPEC [--seed N]
-  dasched carve      --graph SPEC --dilation D [--layers L] [--seed N]
-  dasched lowerbound --layers L --eta E --k K --p P [--seed N]
-  dasched mst        --graph SPEC [--cap C] [--k K] [--seed N]
-  dasched coordinator --graph SPEC --workload SPEC --scheduler NAME --workers N [--seed N]
-                     [--sched-seed N] [--listen ADDR] [--timeout-ms N] [--dump-outcome FILE]
-                     [--serve-obs ADDR] [--keep-open]
-  dasched worker     --graph SPEC --workload SPEC --connect HOST:PORT [--seed N] [--timeout-ms N]
-  dasched serve      --graph SPEC [--scheduler NAME] [--seed N] [--listen ADDR] [--batch N]
-                     [--batch-wait-ms N] [--pool N]
-                     [--max-dilation N] [--max-congestion N] [--max-payload N]
-                     [--serve-obs ADDR] [--timeout-ms N]
-  dasched loadgen    --graph SPEC --connect HOST:PORT [--seed N] [--clients N] [--jobs N]
-                     [--depth N] [--check] [--reject-every N] [--out FILE]
-                     [--dump-outputs FILE] [--timeout-ms N]
+/// Every subcommand with the flags it accepts, written as usage prints
+/// them and read back by [`parse_flags`]: `--name VALUE` takes one value, a
+/// bare `--name` none, `--name [VALUE=default]` an optional one, `--name A
+/// B` two. A flag its subcommand does not list is a usage error.
+const COMMANDS: &[(&str, &str)] = &[
+    ("run", "--graph SPEC --workload SPEC --scheduler NAME [--seed N]"),
+    (
+        "plan",
+        "--graph SPEC --workload SPEC --scheduler NAME [--seed N] [--sched-seed N] [--out FILE] \
+         [--in FILE] [--execute] [--shards N] [--engine row|batched] [--dump-outcome FILE] \
+         [--dump-outputs FILE]",
+    ),
+    ("plan", "--graph SPEC --workload SPEC --diff A.json B.json"),
+    (
+        "trace",
+        "--graph SPEC --workload SPEC --scheduler NAME [--seed N] [--sched-seed N] [--shards N] \
+         [--export chrome|jsonl|text] [--top K] [--out FILE] [--serve [ADDR=127.0.0.1:0]] \
+         [--keep-open] [--dump-outcome FILE]",
+    ),
+    ("compare", "--graph SPEC --workload SPEC [--seed N]"),
+    ("carve", "--graph SPEC --dilation D [--layers L] [--seed N]"),
+    ("lowerbound", "--layers L --eta E --k K --p P [--seed N]"),
+    ("mst", "--graph SPEC [--cap C] [--k K] [--seed N]"),
+    (
+        "coordinator",
+        "--graph SPEC --workload SPEC --scheduler NAME --workers N [--seed N] [--sched-seed N] \
+         [--listen ADDR] [--timeout-ms N] [--dump-outcome FILE] [--serve-obs ADDR] [--keep-open]",
+    ),
+    (
+        "worker",
+        "--graph SPEC --workload SPEC --connect HOST:PORT [--seed N] [--timeout-ms N]",
+    ),
+    (
+        "serve",
+        "--graph SPEC [--scheduler NAME] [--seed N] [--sched-seed N] [--listen ADDR] [--batch N] \
+         [--batch-wait-ms N] [--pool N] [--max-dilation N] [--max-congestion N] [--max-payload N] \
+         [--serve-obs ADDR] [--timeout-ms N]",
+    ),
+    (
+        "loadgen",
+        "--graph SPEC --connect HOST:PORT [--seed N] [--clients N] [--jobs N] [--depth N] [--check] \
+         [--reject-every N] [--out FILE] [--dump-outputs FILE] [--timeout-ms N]",
+    ),
+];
 
+const SPECS: &str = "
 graph specs:    path:N  cycle:N  grid:RxC  gnp:N:P  tree:N:ARITY
                 expander:N:D  star:N  hypercube:D
 workload specs: mixed:K[:DEPTH]  floods:K[:DEPTH]  relays:K
                 segments:K:SEG  bfs:K[:DEPTH]  routing:K
 schedulers:     sequential  interleave  uniform  tuned  private";
 
+/// A usage line's flags: each `--name` token with the value placeholders
+/// that follow it.
+fn flag_groups(line: &'static str) -> Vec<Vec<&'static str>> {
+    let mut groups: Vec<Vec<&str>> = Vec::new();
+    for token in line.split_whitespace() {
+        match groups.last_mut() {
+            Some(group) if !token.trim_start_matches('[').starts_with("--") => group.push(token),
+            _ => groups.push(vec![token]),
+        }
+    }
+    groups
+}
+
+/// The usage text of `cmd` — of every subcommand when `cmd` is not one.
+fn usage(cmd: Option<&str>) -> String {
+    let known = |name: &str| COMMANDS.iter().any(|(c, _)| *c == name);
+    let only = cmd.filter(|name| known(name));
+    let mut out = String::from("usage:");
+    for (name, line) in COMMANDS {
+        if only.is_some_and(|only| only != *name) {
+            continue;
+        }
+        let mut row = format!("\n  dasched {name:<11}");
+        for group in flag_groups(line) {
+            let group = group.join(" ");
+            if row.len() + group.len() > 100 {
+                out += &row;
+                row = format!("\n{:21}", "");
+            }
+            row = row + " " + &group;
+        }
+        out += &row;
+    }
+    out + "\n" + SPECS
+}
+
 fn run(args: &[String]) -> Result<(), String> {
     let (cmd, rest) = args.split_first().ok_or("missing command")?;
-    let opts = parse_flags(rest)?;
+    let opts = parse_flags(cmd, rest)?;
     let seed = opt_u64(&opts, "seed")?.unwrap_or(42);
     match cmd.as_str() {
         "run" => cmd_run(&opts, seed),
@@ -128,48 +162,60 @@ fn run(args: &[String]) -> Result<(), String> {
         "worker" => cmd_worker(&opts, seed),
         "serve" => cmd_serve(&opts, seed),
         "loadgen" => cmd_loadgen(&opts, seed),
-        other => Err(format!("unknown command `{other}`")),
+        other => unreachable!("parse_flags knows no flags for `{other}`"),
     }
 }
 
 // ---------------------------------------------------------------- parsing
 
-/// Flags that take no value (present = set).
-const BOOLEAN_FLAGS: &[&str] = &["execute", "keep-open", "check"];
-
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// Parses `cmd`'s flags against its [`COMMANDS`] lines. A two-value flag
+/// `--name A B` is stored as `name-a` and `name-b`.
+fn parse_flags(cmd: &str, args: &[String]) -> Result<HashMap<String, String>, String> {
+    let lines = COMMANDS.iter().filter(|(name, _)| *name == cmd);
+    let accepted: Vec<Vec<&str>> = lines.flat_map(|(_, line)| flag_groups(line)).collect();
+    if accepted.is_empty() {
+        return Err(format!("unknown command `{cmd}`"));
+    }
     let mut out = HashMap::new();
     let mut it = args.iter().peekable();
     while let Some(flag) = it.next() {
         let name = flag
             .strip_prefix("--")
             .ok_or_else(|| format!("expected --flag, got `{flag}`"))?;
-        if BOOLEAN_FLAGS.contains(&name) {
-            out.insert(name.to_string(), "true".to_string());
-            continue;
+        let group = accepted
+            .iter()
+            .find(|group| group[0].trim_matches(['[', ']']) == flag)
+            .ok_or_else(|| format!("unknown flag --{name} for `dasched {cmd}`"))?;
+        match group[1..] {
+            [] => {
+                out.insert(name.to_string(), "true".to_string());
+            }
+            // an optional value: consume the next token only when it is
+            // not another flag
+            [value] if value.starts_with('[') => {
+                let default = value
+                    .trim_matches(['[', ']'])
+                    .split_once('=')
+                    .map(|(_, d)| d);
+                let value = it.next_if(|v| !v.starts_with("--")).map(String::as_str);
+                let value = value.or(default).unwrap_or_default();
+                out.insert(name.to_string(), value.to_string());
+            }
+            [_] => {
+                let value = it
+                    .next()
+                    .ok_or_else(|| format!("flag --{name} needs a value"))?;
+                out.insert(name.to_string(), value.clone());
+            }
+            ref values => {
+                for (suffix, _) in ('a'..).zip(values) {
+                    let value = it
+                        .next()
+                        .ok_or_else(|| format!("flag --{name} needs {} values", values.len()))?;
+                    out.insert(format!("{name}-{suffix}"), value.clone());
+                }
+            }
         }
-        // --serve takes an *optional* bind address: consume the next token
-        // only when it is not another flag, defaulting to an OS-chosen port
-        if name == "serve" {
-            let addr = match it.peek() {
-                Some(v) if !v.starts_with("--") => it.next().expect("peeked").clone(),
-                _ => "127.0.0.1:0".to_string(),
-            };
-            out.insert("serve".to_string(), addr);
-            continue;
-        }
-        // --diff is the one flag taking two values: the plan files A and B
-        if name == "diff" {
-            let a = it.next().ok_or("flag --diff needs two plan files")?;
-            let b = it.next().ok_or("flag --diff needs two plan files")?;
-            out.insert("diff-a".to_string(), a.clone());
-            out.insert("diff-b".to_string(), b.clone());
-            continue;
-        }
-        let value = it
-            .next()
-            .ok_or_else(|| format!("flag --{name} needs a value"))?;
-        out.insert(name.to_string(), value.clone());
     }
     Ok(out)
 }
@@ -1054,27 +1100,66 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let opts = parse_flags(&args).unwrap();
+        let opts = parse_flags("plan", &args).unwrap();
         assert_eq!(opts["graph"], "path:5");
         assert_eq!(opt_u64(&opts, "seed").unwrap(), Some(7));
         assert_eq!(opt_u64(&opts, "nope").unwrap(), None);
-        assert!(parse_flags(&["--x".to_string()]).is_err());
-        assert!(parse_flags(&["y".to_string()]).is_err());
+        assert!(parse_flags("plan", &["--x".to_string()]).is_err());
+        assert!(parse_flags("plan", &["y".to_string()]).is_err());
         // --execute is boolean: it consumes no value
         let args: Vec<String> = ["--execute", "--shards", "3"]
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let opts = parse_flags(&args).unwrap();
+        let opts = parse_flags("plan", &args).unwrap();
         assert_eq!(opts["execute"], "true");
         assert_eq!(opt_u64(&opts, "shards").unwrap(), Some(3));
+    }
+
+    /// Each subcommand takes the flags its usage lines list and no others:
+    /// one flag nobody has, and one that only a sibling has, per subcommand.
+    #[test]
+    fn unlisted_flags_are_usage_errors() {
+        let near_miss = [
+            ("run", "--sched-seed"),
+            ("plan", "--workers"),
+            ("trace", "--execute"),
+            ("compare", "--scheduler"),
+            ("carve", "--workload"),
+            ("lowerbound", "--graph"),
+            ("mst", "--workload"),
+            ("coordinator", "--shards"),
+            ("worker", "--workers"),
+            ("serve", "--pol"),
+            ("loadgen", "--batch"),
+        ];
+        assert_eq!(near_miss.len() + 1, COMMANDS.len(), "plan has two lines");
+        for (cmd, flag) in near_miss {
+            for flag in ["--bogus", flag] {
+                let args = [cmd, flag, "1"].map(String::from);
+                let err = run(&args).unwrap_err();
+                let expected = format!("unknown flag {flag} for `dasched {cmd}`");
+                assert_eq!(err, expected);
+            }
+            assert!(usage(Some(cmd)).contains(&format!("dasched {cmd}")));
+            assert!(!usage(Some(cmd)).contains("dasched mst") || cmd == "mst");
+        }
+        // `plan --execute --shard 3` used to run fused and say so
+        let args = ["plan", "--execute", "--shard", "3"].map(String::from);
+        assert!(run(&args).unwrap_err().contains("unknown flag --shard "));
+        assert!(run(&["frobnicate".to_string()])
+            .unwrap_err()
+            .contains("unknown command"));
+        // no subcommand to narrow to: the whole table
+        assert!(usage(Some("frobnicate")).contains("dasched mst"));
+        assert!(usage(None).lines().all(|line| line.len() <= 101));
     }
 
     #[test]
     fn serve_flag_takes_an_optional_address() {
         let mk = |args: &[&str]| {
             let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-            parse_flags(&args).unwrap()
+            parse_flags("trace", &args).unwrap()
         };
         // explicit address
         let opts = mk(&["--serve", "0.0.0.0:8080", "--shards", "2"]);
@@ -1089,7 +1174,8 @@ mod tests {
         let opts = mk(&["--serve"]);
         assert_eq!(opts["serve"], "127.0.0.1:0");
         // --serve-obs is an ordinary valued flag
-        let opts = mk(&["--serve-obs", "127.0.0.1:9000"]);
+        let args = ["--serve-obs".to_string(), "127.0.0.1:9000".to_string()];
+        let opts = parse_flags("coordinator", &args).unwrap();
         assert_eq!(opts["serve-obs"], "127.0.0.1:9000");
     }
 
@@ -1275,8 +1361,8 @@ mod tests {
         plan_with(&["--engine", "row"]).unwrap();
         plan_with(&["--engine", "batched", "--shards", "3"]).unwrap();
         // the serve daemon has one engine and no flag for it
-        let serve_usage = USAGE.split("dasched serve").nth(1).unwrap();
-        let serve_usage = serve_usage.split("dasched loadgen").next().unwrap();
+        let serve_usage = usage(Some("serve"));
+        assert!(serve_usage.contains("--pool N"), "{serve_usage}");
         assert!(!serve_usage.contains("--engine"), "{serve_usage}");
     }
 
@@ -1324,11 +1410,11 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let opts = parse_flags(&args).unwrap();
+        let opts = parse_flags("plan", &args).unwrap();
         assert_eq!(opts["diff-a"], "a.json");
         assert_eq!(opts["diff-b"], "b.json");
         assert_eq!(opt_u64(&opts, "seed").unwrap(), Some(3));
-        assert!(parse_flags(&["--diff".to_string(), "a.json".to_string()]).is_err());
+        assert!(parse_flags("plan", &["--diff".to_string(), "a.json".to_string()]).is_err());
     }
 
     #[test]

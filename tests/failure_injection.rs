@@ -45,7 +45,6 @@ fn too_short_phases_degrade_gracefully_and_visibly() {
         shared_seed: 1,
         phase_factor: 0.2,
         range_factor: 0.2,
-        delay_range: None,
     };
     let outcome = starved.run(&p).unwrap();
     let report = verify::against_references(&p, &outcome).unwrap();
