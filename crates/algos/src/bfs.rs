@@ -6,10 +6,12 @@
 //! combined protocol that runs `k` BFSs together in `O(k + h)` rounds by
 //! pipelining distance announcements smallest-first.
 
+use crate::adjacency::Adjacency;
 use das_congest::{util, Protocol, ProtocolNode, RoundContext};
 use das_core::{Aid, AlgoNode, AlgoSend, BlackBoxAlgorithm};
 use das_graph::{Graph, NodeId};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Single-source `h`-hop BFS: each node outputs `(distance, parent)` if it
 /// is within `h` hops of the source.
@@ -18,7 +20,7 @@ pub struct HopBfs {
     aid: Aid,
     source: NodeId,
     hops: u32,
-    neighbors: Vec<Vec<NodeId>>,
+    adjacency: Arc<Adjacency>,
 }
 
 impl HopBfs {
@@ -29,16 +31,14 @@ impl HopBfs {
             aid: Aid(aid),
             source,
             hops,
-            neighbors: g
-                .nodes()
-                .map(|v| g.neighbors(v).iter().map(|&(u, _)| u).collect())
-                .collect(),
+            adjacency: Adjacency::of(g),
         }
     }
 }
 
 struct HopBfsNode {
-    neighbors: Vec<NodeId>,
+    adjacency: Arc<Adjacency>,
+    me: NodeId,
     hops: u32,
     round: u32,
     dist: Option<u32>,
@@ -58,7 +58,8 @@ impl BlackBoxAlgorithm for HopBfs {
     fn create_node(&self, v: NodeId, _n: usize, _seed: u64) -> Box<dyn AlgoNode> {
         let is_source = v == self.source;
         Box::new(HopBfsNode {
-            neighbors: self.neighbors[v.index()].clone(),
+            adjacency: Arc::clone(&self.adjacency),
+            me: v,
             hops: self.hops,
             round: 0,
             dist: is_source.then_some(0),
@@ -86,7 +87,7 @@ impl AlgoNode for HopBfsNode {
         let mut out = Vec::new();
         if self.pending && self.round < self.hops {
             self.pending = false;
-            for &u in &self.neighbors {
+            for &u in self.adjacency.neighbors(self.me) {
                 out.push(AlgoSend {
                     to: u,
                     payload: (self.dist.expect("pending implies dist") as u64)

@@ -7,10 +7,12 @@
 //! forwarded, TTL `h`") whose `O(k + h)` round count the schedulers are
 //! compared against.
 
+use crate::adjacency::Adjacency;
 use das_congest::{util, Protocol, ProtocolNode, RoundContext};
 use das_core::{Aid, AlgoNode, AlgoSend, BlackBoxAlgorithm};
 use das_graph::{Graph, NodeId};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// One source broadcasting one message to its `h`-hop neighborhood, as a
 /// schedulable black box. Each node outputs a digest of the message and
@@ -20,7 +22,7 @@ pub struct SingleBroadcast {
     aid: Aid,
     source: NodeId,
     hops: u32,
-    neighbors: Vec<Vec<NodeId>>,
+    adjacency: Arc<Adjacency>,
 }
 
 impl SingleBroadcast {
@@ -32,16 +34,14 @@ impl SingleBroadcast {
             aid: Aid(aid),
             source,
             hops,
-            neighbors: g
-                .nodes()
-                .map(|v| g.neighbors(v).iter().map(|&(u, _)| u).collect())
-                .collect(),
+            adjacency: Adjacency::of(g),
         }
     }
 }
 
 struct SingleBroadcastNode {
-    neighbors: Vec<NodeId>,
+    adjacency: Arc<Adjacency>,
+    me: NodeId,
     hops: u32,
     round: u32,
     payload: Option<u64>,
@@ -61,7 +61,8 @@ impl BlackBoxAlgorithm for SingleBroadcast {
     fn create_node(&self, v: NodeId, _n: usize, seed: u64) -> Box<dyn AlgoNode> {
         let is_source = v == self.source;
         Box::new(SingleBroadcastNode {
-            neighbors: self.neighbors[v.index()].clone(),
+            adjacency: Arc::clone(&self.adjacency),
+            me: v,
             hops: self.hops,
             round: 0,
             payload: is_source.then(|| das_congest::util::seed_mix(seed, self.aid.0)),
@@ -84,7 +85,7 @@ impl AlgoNode for SingleBroadcastNode {
         if self.pending && self.round < self.hops {
             self.pending = false;
             let bytes = self.payload.expect("pending implies payload").to_le_bytes();
-            for &u in &self.neighbors {
+            for &u in self.adjacency.neighbors(self.me) {
                 out.push(AlgoSend {
                     to: u,
                     payload: bytes.to_vec(),

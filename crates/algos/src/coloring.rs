@@ -7,10 +7,12 @@
 //! makes it a good stress test for black-box scheduling: the schedulers
 //! cannot predict who sends when.
 
+use crate::adjacency::Adjacency;
 use das_core::{Aid, AlgoNode, AlgoSend, BlackBoxAlgorithm};
 use das_graph::{Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// The coloring workload: `rounds` proposal rounds over palette
 /// `0..palette`. Nodes output their color (or `u32::MAX` if still
@@ -20,7 +22,7 @@ pub struct Coloring {
     aid: Aid,
     rounds: u32,
     palette: u32,
-    neighbors: Vec<Vec<NodeId>>,
+    adjacency: Arc<Adjacency>,
 }
 
 impl Coloring {
@@ -34,10 +36,7 @@ impl Coloring {
             aid: Aid(aid),
             rounds,
             palette: g.max_degree() as u32 + 1,
-            neighbors: g
-                .nodes()
-                .map(|v| g.neighbors(v).iter().map(|&(u, _)| u).collect())
-                .collect(),
+            adjacency: Adjacency::of(g),
         }
     }
 
@@ -50,7 +49,8 @@ impl Coloring {
 const UNCOLORED: u32 = u32::MAX;
 
 struct ColoringNode {
-    neighbors: Vec<NodeId>,
+    adjacency: Arc<Adjacency>,
+    me: NodeId,
     rounds: u32,
     round: u32,
     color: u32,
@@ -74,7 +74,8 @@ impl BlackBoxAlgorithm for Coloring {
 
     fn create_node(&self, v: NodeId, _n: usize, seed: u64) -> Box<dyn AlgoNode> {
         Box::new(ColoringNode {
-            neighbors: self.neighbors[v.index()].clone(),
+            adjacency: Arc::clone(&self.adjacency),
+            me: v,
             rounds: self.rounds,
             round: 0,
             color: UNCOLORED,
@@ -119,7 +120,7 @@ impl AlgoNode for ColoringNode {
             if !conflict && self.color == UNCOLORED {
                 self.color = p;
                 // announce the decision so neighbors drop the color
-                for &u in &self.neighbors {
+                for &u in self.adjacency.neighbors(self.me) {
                     out.push(AlgoSend {
                         to: u,
                         payload: msg(1, p),
@@ -135,7 +136,7 @@ impl AlgoNode for ColoringNode {
             if !free.is_empty() {
                 let p = free[self.rng.gen_range(0..free.len())];
                 self.proposed = Some(p);
-                for &u in &self.neighbors {
+                for &u in self.adjacency.neighbors(self.me) {
                     out.push(AlgoSend {
                         to: u,
                         payload: msg(0, p),

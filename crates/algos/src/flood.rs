@@ -3,9 +3,11 @@
 //! announcements on most graphs), available both as a standalone CONGEST
 //! protocol and as a schedulable black box with a fixed round budget.
 
+use crate::adjacency::Adjacency;
 use das_congest::{util, Protocol, ProtocolNode, RoundContext};
 use das_core::{Aid, AlgoNode, AlgoSend, BlackBoxAlgorithm};
 use das_graph::{Graph, NodeId};
+use std::sync::Arc;
 
 /// Schedulable leader election: flood the minimum id for a fixed number
 /// of rounds (enough rounds = the graph diameter ⇒ everyone agrees on
@@ -17,7 +19,7 @@ pub struct LeaderElection {
     aid: Aid,
     rounds: u32,
     rank_seed: u64,
-    neighbors: Vec<Vec<NodeId>>,
+    adjacency: Arc<Adjacency>,
 }
 
 impl LeaderElection {
@@ -30,10 +32,7 @@ impl LeaderElection {
             aid: Aid(aid),
             rounds,
             rank_seed,
-            neighbors: g
-                .nodes()
-                .map(|v| g.neighbors(v).iter().map(|&(u, _)| u).collect())
-                .collect(),
+            adjacency: Adjacency::of(g),
         }
     }
 
@@ -44,7 +43,8 @@ impl LeaderElection {
 }
 
 struct LeaderNode {
-    neighbors: Vec<NodeId>,
+    adjacency: Arc<Adjacency>,
+    me: NodeId,
     rounds: u32,
     round: u32,
     best: (u64, u32),
@@ -62,7 +62,8 @@ impl BlackBoxAlgorithm for LeaderElection {
 
     fn create_node(&self, v: NodeId, _n: usize, _seed: u64) -> Box<dyn AlgoNode> {
         Box::new(LeaderNode {
-            neighbors: self.neighbors[v.index()].clone(),
+            adjacency: Arc::clone(&self.adjacency),
+            me: v,
             rounds: self.rounds,
             round: 0,
             best: (self.rank(v), v.0),
@@ -86,7 +87,7 @@ impl AlgoNode for LeaderNode {
             self.changed = false;
             let mut payload = self.best.0.to_le_bytes().to_vec();
             payload.extend_from_slice(&self.best.1.to_le_bytes());
-            for &u in &self.neighbors {
+            for &u in self.adjacency.neighbors(self.me) {
                 out.push(AlgoSend {
                     to: u,
                     payload: payload.clone(),

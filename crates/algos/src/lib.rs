@@ -29,6 +29,7 @@
 
 #![warn(missing_docs)]
 
+mod adjacency;
 pub mod aggregate;
 pub mod bfs;
 pub mod broadcast;

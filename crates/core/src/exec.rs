@@ -253,10 +253,10 @@ pub enum EngineKind {
     Columnar,
     /// The production loop (default), on every topology — fused, sharded,
     /// networked: per-arc arena queues drained in contiguous per-big-round
-    /// batches, bitset-indexed tag windows, deferred departure recording,
+    /// batches, one arrival arena per shard, deferred departure recording,
     /// machines built as node-contiguous [`crate::NodeBatch`] slabs, and
-    /// every maximal same-algorithm run of a big-round dispatched as
-    /// **one** virtual [`crate::AlgoSlab::step_block`] call. Sends are
+    /// every algorithm's steps of a big-round dispatched as **one**
+    /// virtual [`crate::AlgoSlab::step_block`] call. Sends are
     /// validated and enqueued in per-step order, which keeps the outcome
     /// byte-identical to the oracle. See `exec/big_round.rs`.
     #[default]
@@ -1381,7 +1381,17 @@ mod tests {
                         }
                     }
                 }
-                proptest::prop_assert_eq!(flat.at(b), &want[..]);
+                proptest::prop_assert_eq!(flat.triples(b).collect::<Vec<_>>(), want);
+                // runs are non-empty, ascending and disjoint within an
+                // algorithm, and maximal: none continues its predecessor
+                let runs = flat.at(b);
+                proptest::prop_assert!(runs.iter().all(|run| run.lo < run.hi));
+                for pair in runs.windows(2) {
+                    let (p, q) = (pair[0], pair[1]);
+                    proptest::prop_assert!((p.algo, p.hi) <= (q.algo, q.lo), "{:?}", pair);
+                    let continues = (p.algo, p.round, p.hi) == (q.algo, q.round, q.lo);
+                    proptest::prop_assert!(!continues, "{:?} should be one run", pair);
+                }
             }
         }
     }

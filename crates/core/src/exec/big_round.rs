@@ -1,9 +1,9 @@
 //! The production big-round loop: one body for every execution topology.
 //!
 //! [`big_round_loop`] drives **one shard** of a plan — its nodes' machines,
-//! arrival windows, and the FIFOs of the arcs it owns (an arc belongs to
-//! the shard of its *destination* node) — on the columnar structures of
-//! `exec/columnar.rs`. Everything that differs between running fused, on
+//! their buffered arrivals (one arena), and the FIFOs of the arcs it owns
+//! (an arc belongs to the shard of its *destination* node) — on the
+//! columnar structures of `exec/columnar.rs`. Everything that differs between running fused, on
 //! in-process worker threads, or as a networked worker process sits behind
 //! an [`Exchange`], and the loop is monomorphised over it:
 //!
@@ -43,7 +43,7 @@
 //! heap payload per message.
 
 use super::columnar::{
-    arc_endpoint_table, build_batches, build_departures, recycle, ColFifo, ColWindow, FlatSteps,
+    arc_endpoint_table, build_batches, build_departures, recycle, ArrivalArena, ColFifo, FlatSteps,
 };
 use super::{ExecError, ExecStats, ExecutorConfig, ShardReport, ShardStats};
 use crate::algorithm::{BatchedSends, BlackBoxAlgorithm, BlockStep};
@@ -345,19 +345,22 @@ fn inject(
 /// Runs shard `me` of the plan to completion.
 ///
 /// Machines live in one [`crate::NodeBatch`] slab per algorithm over the
-/// owned nodes; each big-round's step triples are grouped into maximal
-/// same-algorithm runs (triples are in ascending `(a, v, r)` order, so
-/// runs are contiguous and every machine appears at most once per run —
-/// the step plan is strictly increasing), and the owned part of each run
-/// executes as **one** virtual [`crate::NodeBatch::step_block`] call.
+/// owned nodes; the step table hands each big-round over as runs of
+/// consecutive nodes in ascending `(algorithm, node)` order, so one
+/// algorithm's runs are contiguous and every machine appears at most once
+/// in them (the step plan is strictly increasing), and the owned part of
+/// that block executes as **one** virtual [`crate::NodeBatch::step_block`]
+/// call.
 ///
 /// Byte-identity with the row oracle holds by construction: inboxes are
-/// only filled during drain phases, so taking a whole run's inboxes before
-/// executing any of its steps cannot change their contents; sends are
-/// validated and enqueued segment-by-segment in the run's step order,
-/// which is exactly the per-step order; and message `j` of an arc's
-/// per-big-round batch departs at `phase_start + j`, the engine round the
-/// oracle assigns it.
+/// only filled during drain phases, so taking a whole block's inboxes
+/// before executing any of its steps cannot change their contents, and
+/// each is handed over sender-sorted, the order the oracle sorts into
+/// (senders are unique per (machine, round) in an honest run, and the
+/// arena's order is total regardless); sends are validated and enqueued
+/// segment-by-segment in the block's step order, which is exactly the
+/// per-step order; and message `j` of an arc's per-big-round batch departs
+/// at `phase_start + j`, the engine round the oracle assigns it.
 ///
 /// # Errors
 /// [`ExecError::RoundCapExceeded`] when the queues have not drained by
@@ -385,14 +388,11 @@ pub(crate) fn big_round_loop<X: Exchange>(
     // machine index == local node index `li`. Seeds mix per (algorithm,
     // node), so machine state is partition-independent.
     let mut batches = build_batches(ctx.algos, ctx.seeds, &own, n);
-    // All hot-loop per-machine state is flat and indexed `a * own_n + li`,
-    // with one buffered-arrival counter per window so machines with
-    // nothing buffered never touch window memory at all.
+    // All hot-loop per-machine state is flat and indexed `a * own_n + li`:
+    // a step counter and the arena's list head, two words per machine and
+    // no heap object.
     let mut steps_done = vec![0u32; k * own_n];
-    let mut windows: Vec<ColWindow> = Vec::with_capacity(k * own_n);
-    windows.resize_with(k * own_n, ColWindow::default);
-    let mut buffered = vec![0u32; k * own_n];
-    let mut inbox: Vec<(NodeId, Vec<u8>)> = Vec::new();
+    let mut buffered = ArrivalArena::new(k * own_n);
     let mut pool: Vec<Vec<u8>> = Vec::new();
     let mut sort_scratch: Vec<(u32, u32, u32)> = Vec::new();
     // Duplicate-send detection via generation stamps: O(1) per send where
@@ -400,10 +400,10 @@ pub(crate) fn big_round_loop<X: Exchange>(
     // fan-out of a broadcast step.
     let mut sent_gen = vec![0u64; n];
     let mut gen: u64 = 0;
-    // Per-run scratch: the concatenated inboxes of the run's steps, their
-    // [`BlockStep`] descriptors, and the flat send arena.
-    let mut run_inbox: Vec<(NodeId, Vec<u8>)> = Vec::new();
-    let mut run_steps: Vec<BlockStep> = Vec::new();
+    // Per-block scratch: the concatenated inboxes of the block's steps,
+    // their [`BlockStep`] descriptors, and the flat send arena.
+    let mut block_inbox: Vec<(NodeId, Vec<u8>)> = Vec::new();
+    let mut block_steps: Vec<BlockStep> = Vec::new();
     let mut sends_buf = BatchedSends::new();
     let (arc_src, arc_dst) = arc_endpoint_table(g);
     // Full-width arc array for global indexing; a shard only ever touches
@@ -431,68 +431,68 @@ pub(crate) fn big_round_loop<X: Exchange>(
     let mut last_activity_round: u64 = 0;
     let mut b: u64 = 0;
     loop {
-        // 1. Step phase: this shard's share of each same-algorithm run of
+        // 1. Step phase: this shard's share of each algorithm's block of
         // big-round b, in the global (algorithm, node, round) order.
         let t_step = Instant::now();
-        let steps_b = flat.at(b);
+        let runs_b = flat.at(b);
         let mut i = 0usize;
-        while i < steps_b.len() {
-            let a = steps_b[i].0;
+        while i < runs_b.len() {
+            let a = runs_b[i].algo;
             let mut j = i + 1;
-            while j < steps_b.len() && steps_b[j].0 == a {
+            while j < runs_b.len() && runs_b[j].algo == a {
                 j += 1;
             }
-            // Materialize the run's inboxes up front. This is safe because
-            // no send of this big-round can reach an inbox before the next
-            // drain phase — window contents are frozen during step phases.
-            // A machine with zero buffered arrivals skips its window
-            // entirely; `reset_to` on the next push restores the ring
-            // discipline.
-            run_steps.clear();
-            debug_assert!(run_inbox.is_empty());
-            for &(_, v, r) in &steps_b[i..j] {
-                let li = local_of[v as usize];
-                if li == usize::MAX {
-                    continue;
+            // Materialize the block's inboxes up front. This is safe
+            // because no send of this big-round can reach an inbox before
+            // the next drain phase — buffered arrivals are frozen during
+            // step phases. A machine with nothing buffered never touches
+            // the arena's records.
+            block_steps.clear();
+            debug_assert!(block_inbox.is_empty());
+            for run in &runs_b[i..j] {
+                let r = run.round;
+                for v in run.lo..run.hi {
+                    let li = local_of[v as usize];
+                    if li == usize::MAX {
+                        continue;
+                    }
+                    let idx = a as usize * own_n + li;
+                    debug_assert_eq!(steps_done[idx], r, "steps execute in order");
+                    let start = block_inbox.len() as u32;
+                    if r > 0 && !buffered.is_idle(idx) {
+                        // take() appends the inbox already in canonical
+                        // sender-sorted order
+                        buffered.take(idx, r - 1, &mut block_inbox, &mut pool, &mut sort_scratch);
+                    }
+                    let len = block_inbox.len() as u32 - start;
+                    obs.on_step(len as usize);
+                    steps_done[idx] = r + 1;
+                    shard.steps += 1;
+                    block_steps.push(BlockStep {
+                        node: li as u32,
+                        round: r,
+                        inbox_start: start,
+                        inbox_len: len,
+                    });
                 }
-                let idx = a as usize * own_n + li;
-                debug_assert_eq!(steps_done[idx], r, "steps execute in order");
-                let start = run_inbox.len() as u32;
-                if r > 0 && buffered[idx] > 0 {
-                    // take() materializes the inbox already in canonical
-                    // sender-sorted order
-                    windows[idx].take(r - 1, &mut inbox, &mut pool, &mut sort_scratch);
-                    buffered[idx] -= inbox.len() as u32;
-                    run_inbox.append(&mut inbox);
-                }
-                let len = run_inbox.len() as u32 - start;
-                obs.on_step(len as usize);
-                steps_done[idx] = r + 1;
-                shard.steps += 1;
-                run_steps.push(BlockStep {
-                    node: li as u32,
-                    round: r,
-                    inbox_start: start,
-                    inbox_len: len,
-                });
             }
             i = j;
-            if run_steps.is_empty() {
+            if block_steps.is_empty() {
                 continue;
             }
             sends_buf.clear();
-            batches[a as usize].step_block(&run_steps, &run_inbox, &mut sends_buf);
+            batches[a as usize].step_block(&block_steps, &block_inbox, &mut sends_buf);
             debug_assert_eq!(
                 sends_buf.segments(),
-                run_steps.len(),
+                block_steps.len(),
                 "one send segment per executed step"
             );
-            // Validate and enqueue segment-by-segment, in the run's step
+            // Validate and enqueue segment-by-segment, in the block's step
             // order. Send-free segments are skipped outright: `gen` is
             // consulted only by the duplicate-send check, so it need only
             // be distinct per *non-empty* segment, and plans are
             // send-sparse.
-            for (si, bs) in run_steps.iter().enumerate() {
+            for (si, bs) in block_steps.iter().enumerate() {
                 if sends_buf.segment_is_empty(si) {
                     continue;
                 }
@@ -529,7 +529,7 @@ pub(crate) fn big_round_loop<X: Exchange>(
                     }
                 }
             }
-            recycle(&mut run_inbox, &mut pool);
+            recycle(&mut block_inbox, &mut pool);
         }
         shard.step_nanos += t_step.elapsed().as_nanos() as u64;
 
@@ -540,6 +540,10 @@ pub(crate) fn big_round_loop<X: Exchange>(
         let t_drain = Instant::now();
         for group in arrivals {
             for flight in group.flights().iter() {
+                // Nothing a peer says is trusted: the arc must be owned
+                // here, and what the local send path enforces per message
+                // (a round the algorithm has, a payload inside the
+                // bandwidth) holds for arrivals too.
                 let (arc, algo) = (flight.arc as usize, flight.algo);
                 let owned = arc < queues.len()
                     && ctx.of_node[arc_dst[arc] as usize] == me as u32
@@ -548,6 +552,15 @@ pub(crate) fn big_round_loop<X: Exchange>(
                     return Err(ExecError::Net {
                         detail: format!(
                             "INBOX delivered arc {arc} (algorithm {algo}) this shard does not own"
+                        ),
+                    });
+                }
+                let (round, bytes) = (flight.round, flight.payload.len());
+                if round >= ctx.algos[algo as usize].rounds() || bytes > config.message_bytes {
+                    return Err(ExecError::Net {
+                        detail: format!(
+                            "INBOX delivered a {bytes}-byte message of round {round} \
+                             (algorithm {algo}): no honest shard sends it"
                         ),
                     });
                 }
@@ -585,14 +598,7 @@ pub(crate) fn big_round_loop<X: Exchange>(
                 if late {
                     stats.late_messages += 1;
                 } else {
-                    if buffered[idx] == 0 {
-                        // first arrival since the window went idle: re-base
-                        // at the consumer's next tag (late-drop guarantees
-                        // m.round >= that tag)
-                        windows[idx].reset_to(steps_done[idx].max(1) - 1);
-                    }
-                    windows[idx].push(m.round, from, payload);
-                    buffered[idx] += 1;
+                    buffered.push(idx, m.round, from, payload);
                     stats.delivered += 1;
                 }
                 obs.on_deliver(eng, late);

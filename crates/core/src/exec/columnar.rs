@@ -17,22 +17,35 @@
 //!   because an arc delivers at most one message per engine round and
 //!   `steps_done` never changes during a drain (steps happen only in the
 //!   step phase). The deterministic clock is therefore preserved.
-//! * **Bitset tag windows** ([`ColWindow`]): per-(algorithm, node) arrival
-//!   buffers keep the row oracle's live-tag ring discipline but store
-//!   arrivals columnar (from/len metadata plus a byte arena) and track
-//!   bucket occupancy in u64 bitset words, so the common "nothing buffered
-//!   for this tag" check is a single word test that never touches bucket
-//!   memory.
+//! * **One arrival arena per shard** ([`ArrivalArena`]): where the row
+//!   oracle keeps a `TagWindow` ring per (algorithm, node), a shard keeps
+//!   one flat record vector threaded into a list per machine plus one byte
+//!   arena. A machine costs one word, an arrival no allocation, the
+//!   common "nothing buffered" check is that word, and memory follows the
+//!   messages in flight — one big-round's worth under Theorem 1.1 — not
+//!   `k · n` heap objects.
 //! * **Deferred departure recording** ([`build_departures`]): the row
 //!   oracle pays a `BTreeMap` insert per delivered message inside the hot
 //!   loop; the production loop appends flat `(algo, round, arc,
 //!   engine_round)` tuples and bulk-inserts them after the run. Keys are
 //!   unique (one canonical machine per (algorithm, node), deduplicated
 //!   sends), so insertion order cannot matter.
-//! * **Flat step table** ([`FlatSteps`]) and **machine slabs**
-//!   ([`build_batches`]): steps grouped by big-round through a counting
-//!   sort, machines built as one [`NodeBatch`] per algorithm so a whole
-//!   same-algorithm run dispatches as one virtual call.
+//! * **Run-length step table** ([`FlatSteps`]) and **machine slabs**
+//!   ([`build_batches`]): a big-round's steps stored as runs of
+//!   consecutive nodes stepping the same round of the same algorithm —
+//!   what per-algorithm or per-cluster delays produce — and machines built
+//!   as one [`NodeBatch`] per algorithm, so an algorithm's whole block of
+//!   a big-round dispatches as one virtual call.
+//!
+//! **Why the bytes cannot move.** An inbox is still exactly the arrivals
+//! filed under the consumed tag, handed over sender-sorted: the order the
+//! oracle's `inbox.sort()` produces, because senders are unique per
+//! (machine, tag) in an honest run (one canonical machine per (algorithm,
+//! node), duplicate sends rejected) — and arrival rank breaks ties, so the
+//! order is total even when a peer lies. Expanding a big-round's runs
+//! yields its steps in the oracle's ascending `(algorithm, node, round)`
+//! order. Everything else — queues, clock, lateness — is untouched by
+//! either structure.
 //!
 //! Outcome equivalence with the row oracle is enforced property-style by
 //! `tests/shard_equivalence.rs`, `tests/obs_neutrality.rs` and
@@ -112,140 +125,181 @@ impl ColFifo {
     }
 }
 
-/// One tag bucket of a [`ColWindow`]: arrivals stored columnar.
-#[derive(Default)]
-struct ColBucket {
-    /// `(sender node, payload length)` per arrival, in arrival order.
-    meta: Vec<(u32, u32)>,
-    /// Concatenated payload bytes, in arrival order.
+/// "No record": the end of a machine's list and of the free list.
+const NIL: u32 = u32::MAX;
+
+/// One buffered arrival of an [`ArrivalArena`].
+#[derive(Clone, Copy)]
+struct Arrival {
+    /// The next record of the same machine's list (of the free list once
+    /// consumed), or [`NIL`].
+    next: u32,
+    /// Algorithm round the message was sent in; step `tag + 1` consumes it.
+    tag: u32,
+    /// Sending node.
+    from: u32,
+    /// Payload span in the byte arena. A consumed record keeps `len == 0`,
+    /// so a compaction has nothing to move for it.
+    len: u32,
+    off: usize,
+}
+
+/// Every buffered arrival of one shard: the production loop's replacement
+/// for the row oracle's one `TagWindow` per (algorithm, node), which stays
+/// the specification (a property test holds the two together).
+///
+/// A machine owns one word — the head of an intrusive list threaded
+/// through a flat record vector — and nothing else, so a machine that
+/// never receives costs four bytes and one that does costs no allocation:
+/// [`ArrivalArena::push`] links a record (recycled through a free list)
+/// and appends the payload to one byte arena; [`ArrivalArena::take`]
+/// unlinks a tag's records, leaves early tags linked, and reclaims the
+/// byte arena by [`ColFifo::reclaim`]'s rule. Memory follows the peak of
+/// *live* messages, which Theorem 1.1's execution style keeps at about one
+/// big-round's worth.
+pub(super) struct ArrivalArena {
+    /// First record of each machine's list, [`NIL`] when nothing is
+    /// buffered for it. Lists run newest first.
+    head: Vec<u32>,
+    records: Vec<Arrival>,
+    /// First consumed record awaiting reuse.
+    free: u32,
+    /// Payload bytes of the live records, with dead stretches in between.
     bytes: Vec<u8>,
+    live_bytes: usize,
 }
 
-/// Columnar arrival window for one (algorithm, node) machine: the same
-/// live-tag ring discipline as the row engine's `TagWindow` (tags are
-/// consumed strictly in order; the window starts at the consumer's next
-/// tag), with bucket occupancy mirrored into u64 bitset words.
-#[derive(Default)]
-pub(super) struct ColWindow {
-    /// Smallest tag the window can currently hold.
-    base: u32,
-    /// Ring position of `base`'s bucket.
-    head: usize,
-    /// One occupancy bit per ring slot; a zero word clears 64 tags at once.
-    occupied: Vec<u64>,
-    /// Power-of-two ring of buckets (empty until the first push).
-    buckets: Vec<ColBucket>,
-}
-
-impl ColWindow {
-    /// Re-bases an **empty** window at `base`. The columnar engine skips a
-    /// window entirely (neither `take` nor bucket access) while its
-    /// buffered-arrival count is zero, which lets `base` go stale; the
-    /// first push after such a skip re-enters the ring discipline here,
-    /// using the consumer's next tag as the new base. The late-drop check
-    /// guarantees every accepted arrival's tag is `>=` that next tag.
-    #[inline]
-    pub(super) fn reset_to(&mut self, base: u32) {
-        debug_assert!(self.occupied.iter().all(|w| *w == 0), "window not empty");
-        self.base = base;
-        self.head = 0;
-    }
-
-    /// Files one arrival under `tag`. Requires `tag >= base`, which the
-    /// executor's late-drop check guarantees.
-    pub(super) fn push(&mut self, tag: u32, from: u32, payload: &[u8]) {
-        debug_assert!(tag >= self.base, "arrival below the live window");
-        let offset = (tag - self.base) as usize;
-        if offset >= self.buckets.len() {
-            self.grow(offset + 1);
+impl ArrivalArena {
+    /// An empty arena for `machines` machines.
+    pub(super) fn new(machines: usize) -> Self {
+        ArrivalArena {
+            head: vec![NIL; machines],
+            records: Vec::new(),
+            free: NIL,
+            bytes: Vec::new(),
+            live_bytes: 0,
         }
-        let pos = (self.head + offset) & (self.buckets.len() - 1);
-        self.occupied[pos >> 6] |= 1u64 << (pos & 63);
-        let bucket = &mut self.buckets[pos];
-        bucket.meta.push((from, payload.len() as u32));
-        bucket.bytes.extend_from_slice(payload);
     }
 
-    /// Moves the bucket for `tag` into `into` in canonical (sender-sorted)
-    /// order and advances the window past `tag`. Payload allocations are
-    /// drawn from and returned to `pool`; `scratch` is reusable sort
-    /// space. The occupancy word is consulted first, so an empty tag never
-    /// touches bucket memory.
+    /// Whether nothing is buffered for `machine` — one word, no record
+    /// memory touched.
+    #[inline]
+    pub(super) fn is_idle(&self, machine: usize) -> bool {
+        self.head[machine] == NIL
+    }
+
+    /// Files one arrival for `machine` under `tag`. The executor's
+    /// late-drop check guarantees the machine has not consumed `tag` yet.
+    #[inline]
+    pub(super) fn push(&mut self, machine: usize, tag: u32, from: u32, payload: &[u8]) {
+        let record = Arrival {
+            next: self.head[machine],
+            tag,
+            from,
+            len: payload.len() as u32,
+            // an empty payload must stay sliceable across arena resets
+            off: if payload.is_empty() {
+                0
+            } else {
+                self.bytes.len()
+            },
+        };
+        self.bytes.extend_from_slice(payload);
+        self.live_bytes += payload.len();
+        let slot = self.free;
+        if slot == NIL {
+            self.head[machine] = self.records.len() as u32;
+            self.records.push(record);
+        } else {
+            self.free = self.records[slot as usize].next;
+            self.records[slot as usize] = record;
+            self.head[machine] = slot;
+        }
+    }
+
+    /// Appends `machine`'s arrivals under `tag` to `into` in canonical
+    /// (sender-sorted) order and frees their records; arrivals under later
+    /// tags stay linked. Payload allocations are drawn from `pool`;
+    /// `scratch` is reusable sort space.
     ///
-    /// Sorting happens here on `(sender, offset, len)` integer triples —
-    /// senders are unique per tag (a machine sends at most one message per
-    /// round to a given target), so this is exactly the canonical
-    /// `(NodeId, payload)` order without ever comparing payload bytes.
+    /// Sorting happens on `(sender, arrival rank, record)` integer triples
+    /// — senders are unique per (machine, tag) in an honest run (a machine
+    /// sends at most one message per round to a given target), so this is
+    /// exactly the canonical `(NodeId, payload)` order without ever
+    /// comparing payload bytes; the rank keeps the order total regardless.
     pub(super) fn take(
         &mut self,
+        machine: usize,
         tag: u32,
         into: &mut Vec<(NodeId, Vec<u8>)>,
         pool: &mut Vec<Vec<u8>>,
         scratch: &mut Vec<(u32, u32, u32)>,
     ) {
-        if !into.is_empty() {
-            recycle(into, pool);
+        scratch.clear();
+        let (mut prev, mut cur) = (NIL, self.head[machine]);
+        while cur != NIL {
+            let Arrival {
+                next, tag: t, from, ..
+            } = self.records[cur as usize];
+            if t == tag {
+                if prev == NIL {
+                    self.head[machine] = next;
+                } else {
+                    self.records[prev as usize].next = next;
+                }
+                // the list runs newest first: later in the walk = earlier
+                // arrival = smaller rank
+                scratch.push((from, !(scratch.len() as u32), cur));
+            } else {
+                debug_assert!(t > tag, "tags are consumed in order");
+                prev = cur;
+            }
+            cur = next;
         }
-        debug_assert!(tag >= self.base, "tags are consumed in order");
-        if self.buckets.is_empty() {
-            self.base = tag + 1;
+        if scratch.is_empty() {
             return;
         }
-        let len = self.buckets.len();
-        let offset = (tag - self.base) as usize;
-        if offset >= len {
-            // the window never stretched to this tag: nothing is stored
-            debug_assert!(self.occupied.iter().all(|w| *w == 0));
-            self.base = tag + 1;
-            self.head = 0;
-            return;
+        scratch.sort_unstable();
+        for &(from, _, at) in scratch.iter() {
+            let record = &mut self.records[at as usize];
+            let mut buf = pool.pop().unwrap_or_default();
+            buf.clear();
+            buf.extend_from_slice(&self.bytes[record.off..record.off + record.len as usize]);
+            into.push((NodeId(from), buf));
+            self.live_bytes -= record.len as usize;
+            record.len = 0;
+            record.next = self.free;
+            self.free = at;
         }
-        let mask = len - 1;
-        for i in 0..offset {
-            debug_assert!(
-                self.buckets[(self.head + i) & mask].meta.is_empty(),
-                "skipped a live tag"
-            );
-        }
-        let pos = (self.head + offset) & mask;
-        if self.occupied[pos >> 6] & (1u64 << (pos & 63)) != 0 {
-            self.occupied[pos >> 6] &= !(1u64 << (pos & 63));
-            let bucket = &mut self.buckets[pos];
-            scratch.clear();
-            let mut off = 0u32;
-            for &(from, plen) in &bucket.meta {
-                scratch.push((from, off, plen));
-                off += plen;
-            }
-            scratch.sort_unstable();
-            for &(from, off, plen) in scratch.iter() {
-                let mut buf = pool.pop().unwrap_or_default();
-                buf.clear();
-                buf.extend_from_slice(&bucket.bytes[off as usize..(off + plen) as usize]);
-                into.push((NodeId(from), buf));
-            }
-            bucket.meta.clear();
-            bucket.bytes.clear();
-        }
-        self.head = (self.head + offset + 1) & mask;
-        self.base = tag + 1;
+        self.reclaim();
     }
 
-    fn grow(&mut self, min_len: usize) {
-        let new_len = min_len.next_power_of_two().max(4);
-        let mut new_buckets: Vec<ColBucket> = Vec::with_capacity(new_len);
-        new_buckets.resize_with(new_len, ColBucket::default);
-        let old_len = self.buckets.len();
-        for (i, slot) in new_buckets.iter_mut().enumerate().take(old_len) {
-            *slot = std::mem::take(&mut self.buckets[(self.head + i) & (old_len - 1)]);
+    /// [`ColFifo::reclaim`]'s rule for a byte arena whose dead stretches
+    /// are not a prefix: a cheap reset once nothing is live, a compaction
+    /// (live payloads copied into a fresh buffer, every live record
+    /// re-pointed, the old buffer returned) once the dead bytes outweigh
+    /// both the live ones and the record table the compaction scans — so
+    /// the byte arena stays within a constant factor of the live messages
+    /// and the scan is paid for by the bytes it frees.
+    #[inline]
+    fn reclaim(&mut self) {
+        if self.live_bytes == 0 {
+            self.bytes.clear();
+            return;
         }
-        self.buckets = new_buckets;
-        self.head = 0;
-        self.occupied = vec![0u64; new_len.div_ceil(64)];
-        for (i, b) in self.buckets.iter().enumerate() {
-            if !b.meta.is_empty() {
-                self.occupied[i >> 6] |= 1u64 << (i & 63);
+        let dead = self.bytes.len() - self.live_bytes;
+        if dead
+            > self
+                .live_bytes
+                .max(self.records.len() * std::mem::size_of::<Arrival>())
+        {
+            let mut compact = Vec::with_capacity(self.live_bytes);
+            for record in self.records.iter_mut().filter(|r| r.len > 0) {
+                let live = &self.bytes[record.off..record.off + record.len as usize];
+                record.off = compact.len();
+                compact.extend_from_slice(live);
             }
+            self.bytes = compact;
         }
     }
 }
@@ -259,32 +313,24 @@ pub(super) fn recycle(inbox: &mut Vec<(NodeId, Vec<u8>)>, pool: &mut Vec<Vec<u8>
     }
 }
 
-/// Checks a unit list against the problem's shape and, when no algorithm
-/// has two units — the dominant case: every shared-randomness scheduler
-/// emits at most one — returns each algorithm's unit index
-/// (`usize::MAX` = none).
+/// Checks a unit list against the problem's shape and returns whether no
+/// algorithm has two units — the dominant case: every shared-randomness
+/// scheduler emits at most one.
 ///
 /// # Panics
 /// Panics if units reference out-of-range algorithms, are missized, or
 /// have a zero stride: the row oracle's [`super::StepPlan::build`] checks.
-fn validate_units(
-    n: usize,
-    algos: &[Box<dyn BlackBoxAlgorithm>],
-    units: &[Unit],
-) -> Option<Vec<usize>> {
-    let mut unit_of = vec![usize::MAX; algos.len()];
+fn validate_units(n: usize, algos: &[Box<dyn BlackBoxAlgorithm>], units: &[Unit]) -> bool {
+    let mut seen = vec![false; algos.len()];
     let mut single = true;
-    for (i, u) in units.iter().enumerate() {
+    for u in units {
         assert!(u.algo < algos.len(), "unit for unknown algorithm");
         assert_eq!(u.delay.len(), n, "delay vector missized");
         assert_eq!(u.trunc.len(), n, "truncation vector missized");
         assert!(u.stride >= 1, "stride must be at least 1");
-        if unit_of[u.algo] != usize::MAX {
-            single = false;
-        }
-        unit_of[u.algo] = i;
+        single &= !std::mem::replace(&mut seen[u.algo], true);
     }
-    single.then_some(unit_of)
+    single
 }
 
 /// How far the merged step schedule of a unit list reaches, computed
@@ -303,8 +349,6 @@ fn validate_units(
 pub(crate) struct StepExtent {
     /// The last big-round with any step; `None` for a step-free plan.
     pub(crate) last: Option<u64>,
-    /// Steps in the merged schedule.
-    total: usize,
 }
 
 impl StepExtent {
@@ -312,7 +356,7 @@ impl StepExtent {
     /// Panics on a malformed unit list, exactly as [`FlatSteps::build`]
     /// and the row oracle's [`super::StepPlan::build`] do.
     pub(crate) fn of(n: usize, algos: &[Box<dyn BlackBoxAlgorithm>], units: &[Unit]) -> Self {
-        if validate_units(n, algos, units).is_some() {
+        if validate_units(n, algos, units) {
             return Self::of_single_units(n, algos, units);
         }
         let k = algos.len();
@@ -334,14 +378,10 @@ impl StepExtent {
                 }
             }
         }
-        let mut extent = StepExtent {
-            last: None,
-            total: 0,
-        };
+        let mut extent = StepExtent { last: None };
         for (&len, &e) in len_at.iter().zip(&end_at) {
             if len > 0 {
                 extent.last = extent.last.max(Some(e));
-                extent.total += len as usize;
             }
         }
         extent
@@ -349,17 +389,13 @@ impl StepExtent {
 
     /// The at-most-one-unit-per-algorithm case: no merging, no scratch.
     fn of_single_units(n: usize, algos: &[Box<dyn BlackBoxAlgorithm>], units: &[Unit]) -> Self {
-        let mut extent = StepExtent {
-            last: None,
-            total: 0,
-        };
+        let mut extent = StepExtent { last: None };
         for u in units {
             let rounds = algos[u.algo].rounds();
             for v in 0..n {
                 let len = rounds.min(u.trunc[v]) as u64;
                 if len > 0 {
                     extent.last = extent.last.max(Some(u.delay[v] + (len - 1) * u.stride));
-                    extent.total += len as usize;
                 }
             }
         }
@@ -367,185 +403,148 @@ impl StepExtent {
     }
 }
 
-/// The flat step table: `(algo, node, round)` triples grouped by big-round
-/// through a counting sort over two flat arrays — the columnar replacement
-/// for [`super::StepPlan::build`] plus the per-engine `by_big_round`
-/// regroup, whose nested `Vec<Vec<Vec<..>>>` structure costs more
-/// allocations than the entire drain loop on step-dense plans.
+/// Consecutive nodes `lo..hi` stepping the same round of the same
+/// algorithm in one big-round.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct StepRun {
+    pub(crate) algo: u32,
+    pub(crate) round: u32,
+    /// First node of the run.
+    pub(crate) lo: u32,
+    /// One past its last node.
+    pub(crate) hi: u32,
+}
+
+/// The step table, run-length encoded: per big-round, the [`StepRun`]s it
+/// executes — the production replacement for [`super::StepPlan::build`]
+/// plus the row oracle's `by_big_round` regroup. A schedule whose delays
+/// are drawn per algorithm (Theorem 1.1) or per cluster (Theorem 1.3)
+/// steps long stretches of consecutive node ids together, so the table is
+/// sized by those stretches, not by the `k · n · rounds` steps.
 ///
 /// Semantics are identical to the row builder: round `r` of algorithm `a`
 /// at node `v` executes at the earliest big-round over all eligible units,
-/// the same malformed-plan panics fire, and triples within a big-round
-/// appear in the same ascending `(a, v, r)` order (the counting sort is
-/// stable). The merged schedule at `(a, v)` is hole-free and strictly
-/// increasing by construction (see [`StepExtent`]), so its length is
-/// simply the longest unit prefix.
+/// the same malformed-plan panics fire, and a big-round's runs, expanded,
+/// are its steps in the same ascending `(a, v, r)` order. That order is
+/// also ascending `(a, lo)`: the merged schedule at `(a, v)` is hole-free
+/// and strictly increasing (see [`StepExtent`]), so a node steps an
+/// algorithm at most once per big-round and the runs of one `(big-round,
+/// algorithm)` are disjoint. Runs are maximal: no two of them are adjacent
+/// in node space with equal `(algorithm, round)`.
 pub(crate) struct FlatSteps {
-    /// All step triples, grouped by big-round.
-    steps: Vec<(u32, u32, u32)>,
-    /// `steps[offsets[b]..offsets[b + 1]]` holds big-round `b`'s triples.
+    /// All runs, grouped by big-round.
+    runs: Vec<StepRun>,
+    /// `runs[offsets[b]..offsets[b + 1]]` holds big-round `b`'s runs.
     offsets: Vec<usize>,
     /// The last big-round with any step (0 for an empty plan).
     pub(crate) last_step_round: u64,
 }
 
 impl FlatSteps {
+    /// `O(k · n + runs)` when no algorithm has two units, `O(steps)`
+    /// otherwise; either way the only step-sized scratch is one
+    /// algorithm's `earliest` table on the several-units path.
     pub(crate) fn build(n: usize, algos: &[Box<dyn BlackBoxAlgorithm>], units: &[Unit]) -> Self {
-        if let Some(unit_of) = validate_units(n, algos, units) {
-            // Fast path: `earliest` is just `delay[v] + r * stride` — no
-            // per-(a, v, r) scratch array needed.
-            let extent = StepExtent::of_single_units(n, algos, units);
-            return Self::build_single_unit(n, algos, units, &unit_of, &extent);
-        }
-        let k = algos.len();
-        // earliest[algo_off[a] + v * rounds_a + r] = earliest big-round;
-        // prefix_len[a * n + v] = the longest unit prefix there
-        let mut algo_off = vec![0usize; k + 1];
-        for a in 0..k {
-            algo_off[a + 1] = algo_off[a] + n * algos[a].rounds() as usize;
-        }
-        let mut earliest = vec![u64::MAX; algo_off[k]];
-        let mut prefix_len = vec![0u32; k * n];
+        validate_units(n, algos, units);
+        let mut units_of: Vec<Vec<&Unit>> = vec![Vec::new(); algos.len()];
         for u in units {
-            let rounds = algos[u.algo].rounds() as usize;
-            let base = algo_off[u.algo];
-            for v in 0..n {
-                let lim = (rounds as u32).min(u.trunc[v]);
-                let len = &mut prefix_len[u.algo * n + v];
-                *len = (*len).max(lim);
-                let row = &mut earliest[base + v * rounds..][..rounds];
-                for (r, slot) in row.iter_mut().take(lim as usize).enumerate() {
-                    let b = u.delay[v] + r as u64 * u.stride;
-                    if b < *slot {
-                        *slot = b;
+            units_of[u.algo].push(u);
+        }
+        // Runs are emitted as they close: algorithm by algorithm, and
+        // within one in ascending `hi` — which, its runs in one big-round
+        // being disjoint, is ascending `lo`. The stable sort by big-round
+        // below therefore leaves each big-round in `(a, lo)` order.
+        let mut emitted: Vec<(u64, StepRun)> = Vec::new();
+        // per round: the big-round and first node of the run still open
+        let mut open: Vec<(u64, u32)> = Vec::new();
+        let mut earliest: Vec<u64> = Vec::new();
+        for (a, mine) in units_of.iter().enumerate() {
+            let rounds = algos[a].rounds();
+            open.clear();
+            open.resize(rounds as usize, (u64::MAX, 0));
+            let mut close = |r: usize, (b, lo): (u64, u32), hi: usize| {
+                let (algo, round, hi) = (a as u32, r as u32, hi as u32);
+                let run = StepRun {
+                    algo,
+                    round,
+                    lo,
+                    hi,
+                };
+                emitted.push((b, run));
+            };
+            match mine[..] {
+                [] => {}
+                // One unit: a node's steps are `delay + r · stride` for `r`
+                // below its prefix length, so between neighbours only the
+                // rounds in which they differ close or open a run.
+                [u] => {
+                    let (mut delay, mut len) = (0u64, 0usize);
+                    for v in 0..=n {
+                        // one step past the last node closes what is open
+                        let (d, l) = if v < n {
+                            (u.delay[v], rounds.min(u.trunc[v]) as usize)
+                        } else {
+                            (0, 0)
+                        };
+                        let kept = if d == delay { l.min(len) } else { 0 };
+                        for (r, &slot) in open.iter().enumerate().take(len).skip(kept) {
+                            close(r, slot, v);
+                        }
+                        for (r, slot) in open.iter_mut().enumerate().take(l).skip(kept) {
+                            *slot = (d + r as u64 * u.stride, v as u32);
+                        }
+                        (delay, len) = (d, l);
+                    }
+                }
+                // Several units: the earliest eligible big-round per
+                // (node, round), then the same sweep comparing every round.
+                _ => {
+                    let rounds = rounds as usize;
+                    earliest.clear();
+                    earliest.resize(n * rounds, u64::MAX);
+                    for u in mine {
+                        for v in 0..n {
+                            let lim = (rounds as u32).min(u.trunc[v]) as usize;
+                            let row = &mut earliest[v * rounds..][..lim];
+                            for (r, slot) in row.iter_mut().enumerate() {
+                                *slot = (*slot).min(u.delay[v] + r as u64 * u.stride);
+                            }
+                        }
+                    }
+                    for v in 0..=n {
+                        for (r, slot) in open.iter_mut().enumerate() {
+                            let b = if v < n {
+                                earliest[v * rounds + r]
+                            } else {
+                                u64::MAX
+                            };
+                            if slot.0 != b {
+                                if slot.0 != u64::MAX {
+                                    close(r, *slot, v);
+                                }
+                                *slot = (b, v as u32);
+                            }
+                        }
                     }
                 }
             }
         }
-        let mut last_step_round = 0u64;
-        let mut total = 0usize;
-        for a in 0..k {
-            let rounds = algos[a].rounds() as usize;
-            for v in 0..n {
-                let len = prefix_len[a * n + v] as usize;
-                if len > 0 {
-                    let end = earliest[algo_off[a] + v * rounds + len - 1];
-                    last_step_round = last_step_round.max(end);
-                    total += len;
-                }
-            }
-        }
-        // Counting sort by big-round, stable in (a, v, r) order.
+        let last_step_round = emitted.iter().map(|e| e.0).max().unwrap_or(0);
         let mut offsets = vec![0usize; last_step_round as usize + 2];
-        for a in 0..k {
-            let rounds = algos[a].rounds() as usize;
-            let base = algo_off[a];
-            for v in 0..n {
-                for r in 0..prefix_len[a * n + v] as usize {
-                    offsets[earliest[base + v * rounds + r] as usize + 1] += 1;
-                }
-            }
+        for (b, _) in &emitted {
+            offsets[*b as usize + 1] += 1;
         }
         for i in 1..offsets.len() {
             offsets[i] += offsets[i - 1];
         }
         let mut cursor = offsets.clone();
-        let mut steps = vec![(0u32, 0u32, 0u32); total];
-        for a in 0..k {
-            let rounds = algos[a].rounds() as usize;
-            let base = algo_off[a];
-            for v in 0..n {
-                for r in 0..prefix_len[a * n + v] as usize {
-                    let b = earliest[base + v * rounds + r] as usize;
-                    steps[cursor[b]] = (a as u32, v as u32, r as u32);
-                    cursor[b] += 1;
-                }
-            }
+        let mut runs = vec![StepRun::default(); emitted.len()];
+        for (b, run) in emitted {
+            runs[cursor[b as usize]] = run;
+            cursor[b as usize] += 1;
         }
         FlatSteps {
-            steps,
-            offsets,
-            last_step_round,
-        }
-    }
-
-    /// The one-unit-per-algorithm case of [`FlatSteps::build`]: identical
-    /// output (same triples, same stable order, same extent), computed
-    /// straight from each unit's `(delay, stride, trunc)` arithmetic.
-    fn build_single_unit(
-        n: usize,
-        algos: &[Box<dyn BlackBoxAlgorithm>],
-        units: &[Unit],
-        unit_of: &[usize],
-        extent: &StepExtent,
-    ) -> Self {
-        let k = algos.len();
-        let last_step_round = extent.last.unwrap_or(0);
-        let total = extent.total;
-        let mut offsets = vec![0usize; last_step_round as usize + 2];
-        if units.iter().all(|u| u.stride == 1) {
-            // Stride-1 counting via a difference array: each (a, v)
-            // contributes one step to every big-round in the contiguous
-            // range [delay[v], delay[v] + len), so per-round counts are the
-            // running sum of O(k·n) range endpoints instead of `total`
-            // individual increments.
-            let mut diff = vec![0i64; last_step_round as usize + 2];
-            for a in 0..k {
-                if unit_of[a] == usize::MAX {
-                    continue;
-                }
-                let u = &units[unit_of[a]];
-                let rounds = algos[a].rounds();
-                for v in 0..n {
-                    let len = rounds.min(u.trunc[v]) as u64;
-                    if len > 0 {
-                        diff[u.delay[v] as usize] += 1;
-                        diff[(u.delay[v] + len) as usize] -= 1;
-                    }
-                }
-            }
-            let mut run = 0i64;
-            for b in 0..=last_step_round as usize {
-                run += diff[b];
-                offsets[b + 1] = offsets[b] + run as usize;
-            }
-        } else {
-            for a in 0..k {
-                if unit_of[a] == usize::MAX {
-                    continue;
-                }
-                let u = &units[unit_of[a]];
-                let rounds = algos[a].rounds();
-                for v in 0..n {
-                    let len = rounds.min(u.trunc[v]) as u64;
-                    for r in 0..len {
-                        offsets[(u.delay[v] + r * u.stride) as usize + 1] += 1;
-                    }
-                }
-            }
-            for i in 1..offsets.len() {
-                offsets[i] += offsets[i - 1];
-            }
-        }
-        let mut cursor = offsets.clone();
-        let mut steps = vec![(0u32, 0u32, 0u32); total];
-        for a in 0..k {
-            if unit_of[a] == usize::MAX {
-                continue;
-            }
-            let u = &units[unit_of[a]];
-            let rounds = algos[a].rounds();
-            for v in 0..n {
-                let len = rounds.min(u.trunc[v]) as u64;
-                for r in 0..len {
-                    let b = (u.delay[v] + r * u.stride) as usize;
-                    steps[cursor[b]] = (a as u32, v as u32, r as u32);
-                    cursor[b] += 1;
-                }
-            }
-        }
-        FlatSteps {
-            steps,
+            runs,
             offsets,
             last_step_round,
         }
@@ -553,18 +552,26 @@ impl FlatSteps {
 
     /// Whether the plan schedules no step at all.
     pub(crate) fn is_empty(&self) -> bool {
-        self.steps.is_empty()
+        self.runs.is_empty()
     }
 
-    /// Big-round `b`'s step triples (empty past the last step round).
+    /// Big-round `b`'s runs (empty past the last step round).
     #[inline]
-    pub(crate) fn at(&self, b: u64) -> &[(u32, u32, u32)] {
+    pub(crate) fn at(&self, b: u64) -> &[StepRun] {
         let b = b as usize;
         if b + 1 >= self.offsets.len() {
             &[]
         } else {
-            &self.steps[self.offsets[b]..self.offsets[b + 1]]
+            &self.runs[self.offsets[b]..self.offsets[b + 1]]
         }
+    }
+
+    /// Big-round `b`'s steps as `(algo, node, round)` triples, in the
+    /// order the loop executes them.
+    pub(crate) fn triples(&self, b: u64) -> impl Iterator<Item = (u32, u32, u32)> + '_ {
+        self.at(b)
+            .iter()
+            .flat_map(|run| (run.lo..run.hi).map(move |v| (run.algo, v, run.round)))
     }
 }
 
@@ -625,4 +632,85 @@ pub(super) fn build_batches(
             algo.create_nodes(nodes, n, &node_seeds)
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::TagWindow;
+    use super::*;
+
+    fn taken(arena: &mut ArrivalArena, machine: usize, tag: u32) -> Vec<(NodeId, Vec<u8>)> {
+        let mut into = Vec::new();
+        arena.take(machine, tag, &mut into, &mut Vec::new(), &mut Vec::new());
+        into
+    }
+
+    #[test]
+    fn records_are_reused_and_dead_bytes_compacted_under_a_lingering_early_tag() {
+        let mut arena = ArrivalArena::new(2);
+        // machine 1 holds an early tag for the whole test
+        arena.push(1, 9, 5, b"early");
+        for round in 0..200u32 {
+            arena.push(0, round, 3, &[round as u8; 64]);
+            arena.push(0, round, 2, &[]);
+            assert_eq!(
+                taken(&mut arena, 0, round),
+                vec![(NodeId(2), vec![]), (NodeId(3), vec![round as u8; 64])]
+            );
+            assert!(arena.is_idle(0) && !arena.is_idle(1));
+        }
+        assert_eq!(arena.records.len(), 3, "freed records are relinked");
+        assert!(arena.bytes.len() < 4 * 64, "the dead stretches are gone");
+        assert_eq!(
+            taken(&mut arena, 1, 9),
+            vec![(NodeId(5), b"early".to_vec())]
+        );
+        assert!(arena.bytes.is_empty(), "nothing live: the arena resets");
+    }
+
+    proptest::proptest! {
+        /// The row oracle's per-machine `TagWindow` is the specification:
+        /// under any interleaving of arrivals (early tags included) and
+        /// in-order takes (often of empty tags) over several machines, the
+        /// arena hands out the same inboxes, sender-sorted.
+        #[test]
+        fn arena_matches_one_tag_window_per_machine(seed: u64) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut arena = ArrivalArena::new(3);
+            let mut model: Vec<TagWindow> = (0..3).map(|_| TagWindow::default()).collect();
+            let mut next = [0u32; 3];
+            // senders are unique per (machine, tag), as in an honest run
+            let mut sent = std::collections::HashSet::new();
+            let (mut pool, mut scratch) = (Vec::new(), Vec::new());
+            let mut got = Vec::new();
+            for _ in 0..rng.gen_range(0..300) {
+                let machine = rng.gen_range(0..3usize);
+                if rng.gen_bool(0.6) {
+                    let tag = next[machine] + rng.gen_range(0..4u32);
+                    let from = rng.gen_range(0..12u32);
+                    // long payloads make the dead bytes outweigh the record
+                    // table, so compactions happen mid-run
+                    let len = [0, 3, 120][rng.gen_range(0..3usize)];
+                    let payload: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+                    if sent.insert((machine, tag, from)) {
+                        arena.push(machine, tag, from, &payload);
+                        model[machine].push(tag, NodeId(from), payload);
+                    }
+                } else {
+                    let tag = next[machine];
+                    next[machine] += 1;
+                    let mut want = Vec::new();
+                    model[machine].take(tag, &mut want);
+                    want.sort();
+                    recycle(&mut got, &mut pool);
+                    arena.take(machine, tag, &mut got, &mut pool, &mut scratch);
+                    proptest::prop_assert_eq!(&got, &want);
+                }
+                let live: usize = arena.records.iter().map(|r| r.len as usize).sum();
+                proptest::prop_assert_eq!(arena.live_bytes, live);
+                proptest::prop_assert!(arena.bytes.len() >= live);
+            }
+        }
+    }
 }

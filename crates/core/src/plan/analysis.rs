@@ -136,7 +136,7 @@ pub fn predict(
     loop {
         // big-round `b`'s steps, in the executor's (a, v, r) order
         let mut touched: Vec<usize> = Vec::new();
-        for &(a, v, r) in steps.at(b) {
+        for (a, v, r) in steps.triples(b) {
             let (a, v) = (a as usize, v as usize);
             steps_done[a][v] = r + 1;
             let per_node = &sends[a][v];

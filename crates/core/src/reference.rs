@@ -75,21 +75,43 @@ pub fn run_alone(
     // batched construction: synthetic families share route/topology state
     // across the whole slab instead of cloning it per machine
     let mut batch = algo.create_nodes(&nodes, n, &seeds);
-    let mut inboxes: Vec<Vec<(NodeId, Vec<u8>)>> = vec![Vec::new(); n];
+    // A round's messages live flat — `(to, from, payload span)` plus one
+    // byte arena — and are grouped by receiver with a stable counting sort
+    // between rounds; only the inbox being stepped is materialised, into
+    // payload buffers recycled from step to step — so the pool never
+    // outgrows one inbox and stays in cache (a pool holding a whole
+    // round's buffers measured slower than `malloc`). Nothing is
+    // allocated per round, per node or per message.
+    let mut sent: Vec<(u32, u32, usize, usize)> = Vec::new();
+    let mut sent_bytes: Vec<u8> = Vec::new();
+    // the messages being consumed: `arrived[starts[v]..starts[v + 1]]` are
+    // `v`'s, as `(from, payload span)` into `arrived_bytes`
+    let mut arrived: Vec<(u32, usize, usize)> = Vec::new();
+    let mut arrived_bytes: Vec<u8> = Vec::new();
+    let mut starts = vec![0usize; n + 2];
+    let mut inbox: Vec<(NodeId, Vec<u8>)> = Vec::new();
+    let mut pool: Vec<Vec<u8>> = Vec::new();
+    let mut sent_to: Vec<NodeId> = Vec::new();
     let mut sends = BatchedSends::new();
     let mut timed_arcs = Vec::new();
 
     for round in 0..algo.rounds() {
-        let mut next: Vec<Vec<(NodeId, Vec<u8>)>> = vec![Vec::new(); n];
-        for (v, slot) in inboxes.iter_mut().enumerate() {
+        for v in 0..n {
             let me = NodeId(v as u32);
-            let mut inbox = std::mem::take(slot);
+            pool.extend(inbox.drain(..).map(|(_, buf)| buf));
+            for &(from, off, len) in &arrived[starts[v]..starts[v + 1]] {
+                let mut buf = pool.pop().unwrap_or_default();
+                buf.clear();
+                buf.extend_from_slice(&arrived_bytes[off..off + len]);
+                inbox.push((NodeId(from), buf));
+            }
             // canonical inbox order (the scheduled executor sorts the same
-            // way, so machines see identical inboxes in both runs)
-            inbox.sort();
+            // way, so machines see identical inboxes in both runs); equal
+            // entries are indistinguishable, so an unstable sort is exact
+            inbox.sort_unstable();
             sends.clear();
             batch.step_into(v, &inbox, &mut sends);
-            let mut sent_to: Vec<NodeId> = Vec::with_capacity(sends.total_sends());
+            sent_to.clear();
             for (to, payload) in sends.segment(0) {
                 let edge = match g.find_edge(me, to) {
                     Some(e) => e,
@@ -113,10 +135,30 @@ pub fn run_alone(
                     round,
                     arc: g.arc_from(edge, me),
                 });
-                next[to.index()].push((me, payload.to_vec()));
+                sent.push((to.0, me.0, sent_bytes.len(), payload.len()));
+                sent_bytes.extend_from_slice(payload);
             }
         }
-        inboxes = next;
+        // Group this round's sends by receiver for the next round: count
+        // two slots up, so that after the prefix sum `starts[v + 1]` is
+        // where `v`'s messages begin, and after the (stable, forward)
+        // placement has advanced it, where they end.
+        starts.fill(0);
+        for &(to, ..) in &sent {
+            starts[to as usize + 2] += 1;
+        }
+        for v in 1..starts.len() {
+            starts[v] += starts[v - 1];
+        }
+        arrived.clear();
+        arrived.resize(sent.len(), (0, 0, 0));
+        for &(to, from, off, len) in &sent {
+            arrived[starts[to as usize + 1]] = (from, off, len);
+            starts[to as usize + 1] += 1;
+        }
+        sent.clear();
+        std::mem::swap(&mut arrived_bytes, &mut sent_bytes);
+        sent_bytes.clear();
     }
 
     Ok(ReferenceRun {

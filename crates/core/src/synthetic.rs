@@ -496,7 +496,8 @@ impl AlgoSlab for FloodSlab {
         Some(if self.heard_at[i] == u32::MAX {
             vec![0u8]
         } else {
-            let mut v = vec![1u8];
+            let mut v = Vec::with_capacity(1 + 4 + 8);
+            v.push(1u8);
             v.extend_from_slice(&self.heard_at[i].to_le_bytes());
             v.extend_from_slice(&self.tokens[i].to_le_bytes());
             v
@@ -530,7 +531,8 @@ impl AlgoNode for FloodNode {
     fn output(&self) -> Option<Vec<u8>> {
         Some(match self.heard_at {
             Some(r) => {
-                let mut v = vec![1u8];
+                let mut v = Vec::with_capacity(1 + 4 + 8);
+                v.push(1u8);
                 v.extend_from_slice(&r.to_le_bytes());
                 v.extend_from_slice(&self.token.to_le_bytes());
                 v

@@ -369,6 +369,78 @@ fn oversized_assign_is_refused_by_the_sender_with_the_cause() {
     assert!(started.elapsed() < Duration::from_secs(10));
 }
 
+/// A coordinator relaying an INBOX flight no honest shard can send — a
+/// round the algorithm does not have, or a payload over the bandwidth —
+/// must be refused with the typed `Net` error where it enters, like a
+/// flight for a foreign arc. (`round` used to be trusted: it became a ring
+/// offset — `1 << 30` aborted the worker on a 48 GB reservation — and
+/// `round + 2` overflowed at `u32::MAX`.)
+#[test]
+fn rogue_inbox_round_and_payload_are_refused_typed() {
+    let g = small_graph();
+    let p = build_problem(&g);
+    let rounds = p.algorithms()[0].rounds();
+    let oversized = vec![0u8; das_core::ExecutorConfig::default().message_bytes + 1];
+    let cases: [(u32, &[u8]); 4] = [
+        (rounds, &[]),
+        (1 << 30, &[]),
+        (u32::MAX, &[]),
+        (0, &oversized),
+    ];
+    for (round, payload) in cases {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let payload = payload.to_vec();
+        let rogue_coordinator = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().expect("accept");
+            let (kind, _) = recv_frame(&mut s);
+            assert_eq!(kind, wire::JOIN);
+            // an honest one-shard assignment of an honest plan...
+            let g = small_graph();
+            let p = build_problem(&g);
+            let plan = SequentialScheduler.plan(&p, 7).expect("plan").to_json();
+            let assign = wire::Assign {
+                shard: 0,
+                shards: 1,
+                plan_hash: das_core::net::fnv1a(plan.as_bytes()),
+                slice_json: wire::Hashed(plan.as_bytes()),
+                of_node: vec![0u32; g.node_count()].into(),
+            };
+            send_frame(&mut s, wire::ASSIGN, &assign.encode());
+            let (kind, _) = recv_frame(&mut s);
+            assert_eq!(kind, wire::OUTBOX);
+            // ...then one flight on an arc the worker does own
+            let arc = das_graph::Arc::from_index(0);
+            let (from, dst) = g.arc_endpoints(arc);
+            let mut flights = wire::FlightGroup::default();
+            flights.push(wire::Flight {
+                arc: 0,
+                dst: dst.0,
+                algo: 0,
+                round,
+                from: from.0,
+                payload: &payload,
+            });
+            let inbox = wire::Inbox {
+                big_round: 0,
+                flights: flights.flights(),
+            };
+            send_frame(&mut s, wire::INBOX, &inbox.encode());
+            let mut sink = [0u8; 16];
+            let _ = s.read(&mut sink);
+        });
+        let net = NetConfig::default().with_io_timeout_ms(2_000);
+        let err = exec_err(run_worker(&p, &addr, &net));
+        rogue_coordinator.join().expect("rogue coordinator");
+        match err {
+            ExecError::Net { ref detail } => {
+                assert!(detail.contains("INBOX delivered"), "{detail:?}")
+            }
+            other => panic!("round {round}: expected Net, got {other:?}"),
+        }
+    }
+}
+
 /// Every networked error variant renders a human-oriented message.
 #[test]
 fn net_error_display_is_descriptive() {
