@@ -203,6 +203,15 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
+/// The message a caught panic carried (empty when it was not a string).
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_default()
+}
+
 /// One scheduled execution of an algorithm: who runs it, when, how far.
 ///
 /// Units are the atoms of a [`crate::plan::SchedulePlan`] and serialize as
@@ -915,13 +924,8 @@ impl Executor {
                 // the panicked worker names the cause; its peers only know
                 // that their barrier was poisoned
                 Err(panic) => {
-                    let why = panic
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| panic.downcast_ref::<String>().cloned())
-                        .unwrap_or_default();
                     return Err(ExecError::Aborted {
-                        detail: format!("shard {me} panicked: {why}"),
+                        detail: format!("shard {me} panicked: {}", panic_message(&*panic)),
                     });
                 }
                 Ok(Err(e)) => failed = failed.or(Some(e)),

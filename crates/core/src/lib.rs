@@ -105,8 +105,8 @@ pub use schedulers::{
     PrivateScheduler, Scheduler, SequentialScheduler, TunedUniformScheduler, UniformScheduler,
 };
 pub use serve::{
-    admit, run_loadgen, serve, Budgets, Capacity, JobKind, JobSpec, JobStatus, LoadgenConfig,
-    LoadgenReport, Rejection, ServeConfig, ServeReport,
+    admit, run_loadgen, serve, Budgets, Capacity, Hosting, JobKind, JobSpec, JobStatus,
+    LoadgenConfig, LoadgenReport, Rejection, ServeConfig, ServeReport,
 };
 pub use shard::Partition;
 pub use wire::{graph_fingerprint, problem_fingerprint, LinkTraffic, PROTOCOL_VERSION};

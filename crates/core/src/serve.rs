@@ -15,14 +15,21 @@
 //!   [`Capacity`] — arithmetic on announced numbers only, the same class
 //!   of computation as [`crate::plan::analysis::predict`]'s precheck (no
 //!   payload is inspected, no execution happens). Over-budget jobs get a
-//!   typed REJECTED naming the violated budget.
-//! * **Batching**: admitted jobs queue until [`ServeConfig::batch_max`]
-//!   are waiting or [`ServeConfig::batch_wait_ms`] has passed; a batch of
-//!   `k` jobs becomes one [`DasProblem`] (the job id is the algorithm id,
-//!   so each job's random tape — and therefore its outputs — is
-//!   independent of which other jobs share its batch). The batch is
-//!   planned from scratch (every batch is a different problem) and
-//!   executed on the bounded in-process sharded pool.
+//!   typed REJECTED naming the violated budget; a job the graph cannot
+//!   host (a flood of depth 0 or from a node that does not exist, a relay
+//!   on a graph whose consecutive node ids are not all adjacent) gets
+//!   REJECTED(MALFORMED).
+//! * **Batching** is work-conserving: the executor waits only for the
+//!   *first* admitted job, then takes up to [`ServeConfig::batch_max`]
+//!   queued jobs at once. A job that reaches an idle daemon runs
+//!   immediately; under load, jobs queue while the previous batch runs,
+//!   so batches fill without any timer. A batch of `k` jobs becomes one
+//!   [`DasProblem`] (the job id is the algorithm id, so each job's random
+//!   tape — and therefore its outputs — is independent of which other
+//!   jobs share its batch). The batch is planned from scratch (every
+//!   batch is a different problem) and executed on the bounded
+//!   in-process sharded pool; a panic anywhere in that pipeline fails
+//!   only its own batch (`ExecFailed`), never the executor.
 //! * **Trust, then verify**: declared budgets are *not* trusted beyond
 //!   admission. After execution the server measures each job's real
 //!   dilation and congestion from its reference run and cross-checks the
@@ -32,18 +39,21 @@
 //!   ([`crate::verify::against_references`]) — the paper's correctness
 //!   criterion — so a RESULT with [`JobStatus::Ok`] carries outputs
 //!   byte-identical to a one-shot run of the same job set.
+//! * **Stage clock**: every batch is timed from its oldest job's
+//!   admission through dispatch, instantiate, references, plan, execute,
+//!   verify and answer; `GET /jobs` shows the last batch's row and the
+//!   cumulative per-stage sums (daemon-side only: no frame carries them).
 //!
 //! [`run_loadgen`] is the deterministic counterpart: N client threads
 //! submit seeded job streams, optionally re-deriving every output locally
 //! to assert the byte-identity end-to-end, and report sustained jobs/sec
 //! with p50/p95/p99 latency.
 
-use crate::exec::{ExecError, ExecutorConfig};
+use crate::exec::{panic_message, ExecError, ExecutorConfig};
 use crate::net::{connect_with_retry, NetConfig};
 use crate::plan::{execute_plan_sharded_with, SchedError};
 use crate::problem::DasProblem;
 use crate::reference::run_alone;
-use crate::schedule::ScheduleOutcome;
 use crate::schedulers::Scheduler;
 use crate::synthetic::{FloodBall, RelayChain};
 use crate::verify;
@@ -52,12 +62,13 @@ use crate::wire::{
     Rejected, Submit, PROTOCOL_VERSION,
 };
 use das_graph::{Graph, NodeId};
-use das_obs::JobsLive;
+use das_obs::{BatchStages, JobsLive};
 use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::net::{TcpListener, TcpStream};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// How often blocked serve-side waits re-check the stop flag.
@@ -133,29 +144,63 @@ pub struct JobSpec {
 pub struct Rejection {
     /// A `wire::BUDGET_*` / [`wire::MALFORMED`] code.
     pub code: u32,
-    /// The job's declared value for the violated budget.
+    /// The job's declared value for the violated budget (for `MALFORMED`,
+    /// the offending field).
     pub declared: u64,
-    /// The server's capacity for it.
+    /// The server's capacity for it (for `MALFORMED`, that field's bound).
     pub capacity: u64,
 }
 
+/// What the daemon's graph can host, computed once per daemon: admission
+/// reads these numbers, never the graph.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Hosting {
+    /// Node count: a flood's source must lie below it.
+    pub nodes: usize,
+    /// Whether nodes `0, 1, …, n−1` form a route of adjacent nodes — the
+    /// one a [`JobKind::Relay`] job runs along ([`RelayChain::new`]).
+    pub relays: bool,
+}
+
+impl Hosting {
+    /// Reads `g` once.
+    pub fn of(g: &Graph) -> Self {
+        let ids: Vec<NodeId> = g.nodes().collect();
+        Hosting {
+            nodes: ids.len(),
+            relays: !ids.is_empty() && ids.windows(2).all(|w| g.has_edge(w[0], w[1])),
+        }
+    }
+}
+
 /// Content-free admission: compares the job's declared budgets against
-/// the advertised capacity — nothing else. This is deliberately the same
-/// class of computation as [`crate::plan::analysis::predict`]'s
-/// feasibility precheck (arithmetic over announced quantities; no
-/// payloads, no execution, no engine), so rejection can never depend on
-/// job content: two jobs declaring the same budgets are admitted or
-/// refused identically.
+/// the advertised capacity, after checking that the graph can host the
+/// job at all — nothing else. This is deliberately the same class of
+/// computation as [`crate::plan::analysis::predict`]'s feasibility
+/// precheck (arithmetic over announced quantities; no payloads, no
+/// execution, no engine), so rejection can never depend on job content:
+/// two jobs declaring the same budgets are admitted or refused
+/// identically.
 ///
 /// # Errors
 /// Returns the [`Rejection`] naming the first violated budget.
-pub fn admit(spec: &JobSpec, nodes: usize, cap: &Capacity) -> Result<(), Rejection> {
-    if spec.kind == JobKind::Flood && spec.source as usize >= nodes {
-        return Err(Rejection {
+pub fn admit(spec: &JobSpec, host: &Hosting, cap: &Capacity) -> Result<(), Rejection> {
+    let malformed = |declared: u64, bound: u64| {
+        Err(Rejection {
             code: wire::MALFORMED,
-            declared: spec.source as u64,
-            capacity: nodes as u64,
-        });
+            declared,
+            capacity: bound,
+        })
+    };
+    match spec.kind {
+        JobKind::Flood if spec.source as usize >= host.nodes => {
+            return malformed(spec.source as u64, host.nodes as u64);
+        }
+        // a flood needs at least one round
+        JobKind::Flood if spec.depth == 0 => return malformed(0, 1),
+        // the largest kind this graph hosts is the flood (kind 0)
+        JobKind::Relay if !host.relays => return malformed(1, 0),
+        _ => {}
     }
     if spec.declared.dilation > cap.max_dilation {
         return Err(Rejection {
@@ -200,12 +245,9 @@ pub enum JobStatus {
 /// Tunables of the serve daemon.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Jobs per batch: arrivals are grouped into [`DasProblem`]s of at
-    /// most this size (clamped to ≥ 1).
+    /// Jobs per batch: whenever the executor is free it takes at most this
+    /// many queued jobs (clamped to ≥ 1) as one [`DasProblem`].
     pub batch_max: usize,
-    /// How long a non-full batch lingers (from its first job's arrival)
-    /// before executing anyway, in milliseconds.
-    pub batch_wait_ms: u64,
     /// Worker threads of the in-process execution pool.
     pub pool_shards: usize,
     /// Advertised per-pool admission capacity.
@@ -224,7 +266,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             batch_max: 4,
-            batch_wait_ms: 50,
             pool_shards: 2,
             capacity: Capacity::default(),
             tape_seed: 42,
@@ -260,13 +301,30 @@ struct Counters {
     completed: AtomicU64,
     failed: AtomicU64,
     batches: AtomicU64,
+    log: Mutex<BatchLog>,
+}
+
+/// What `GET /jobs` shows beyond the counts.
+#[derive(Default)]
+struct BatchLog {
     /// Display form of the error behind the most recent failed batch.
-    last_error: Mutex<String>,
+    last_error: String,
+    /// Jobs in the most recent batch.
+    last_k: u64,
+    /// The most recent batch's stages.
+    last: BatchStages,
+    /// Per-stage sums over every batch.
+    totals: BatchStages,
 }
 
 impl Counters {
+    fn log(&self) -> MutexGuard<'_, BatchLog> {
+        self.log.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn publish(&self, net: &NetConfig) {
         if let Some(hub) = &net.live {
+            let log = self.log();
             hub.publish_jobs(JobsLive {
                 queued: self.queued.load(Ordering::SeqCst),
                 admitted: self.admitted.load(Ordering::SeqCst),
@@ -274,21 +332,21 @@ impl Counters {
                 completed: self.completed.load(Ordering::SeqCst),
                 failed: self.failed.load(Ordering::SeqCst),
                 batches: self.batches.load(Ordering::SeqCst),
-                last_error: self
-                    .last_error
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .clone(),
+                last_error: log.last_error.clone(),
+                last_batch_k: log.last_k,
+                last_batch: log.last,
+                stage_totals: log.totals,
             });
         }
     }
 }
 
-/// One admitted job waiting for a batch: the spec plus the client's write
-/// half (ACCEPTED/REJECTED go out on the reader thread, RESULT on the
-/// executor thread; the mutex serializes them).
+/// One admitted job waiting for a batch: the spec, when it was admitted,
+/// and the client's write half (ACCEPTED/REJECTED go out on the reader
+/// thread, RESULT on the executor thread; the mutex serializes them).
 struct PendingJob {
     spec: JobSpec,
+    admitted: Instant,
     writer: Arc<Mutex<FramedConn>>,
 }
 
@@ -347,7 +405,7 @@ pub fn serve(
         jobs: Mutex::new(VecDeque::new()),
         ready: Condvar::new(),
     };
-    let graph_fp = graph_fingerprint(g);
+    let (graph_fp, host) = (graph_fingerprint(g), Hosting::of(g));
     counters.publish(&cfg.net);
     std::thread::scope(|scope| {
         let executor = scope.spawn(|| executor_loop(g, scheduler, cfg, &queue, &counters));
@@ -360,7 +418,7 @@ pub fn serve(
                 // per-client thread: a misbehaving client costs only its own
                 // connection, never the daemon
                 scope.spawn(move || {
-                    let _ = serve_client(g, graph_fp, stream, cfg, queue, counters);
+                    let _ = serve_client(graph_fp, host, stream, cfg, queue, counters);
                 });
                 Ok(false)
             },
@@ -383,8 +441,8 @@ pub fn serve(
 /// truncated) closes the connection without touching any counter — the
 /// clipped job was never admitted.
 fn serve_client(
-    g: &Graph,
     graph_fp: u64,
+    host: Hosting,
     stream: TcpStream,
     cfg: &ServeConfig,
     queue: &JobQueue,
@@ -418,7 +476,6 @@ fn serve_client(
     };
     lock_writer(&writer).send(wire::CAPS, &caps.encode(), "serve handshake (CAPS)")?;
 
-    let n = g.node_count();
     loop {
         if !readable_before_stop(&mut reader, &cfg.net, None)? {
             return Ok(()); // daemon stopping
@@ -426,7 +483,7 @@ fn serve_client(
         let body = reader.expect(wire::SUBMIT, "serve frame")?;
         let verdict = Submit::decode(&body)?.and_then(|spec| {
             let job_id = spec.job_id;
-            match admit(&spec, n, &cfg.capacity) {
+            match admit(&spec, &host, &cfg.capacity) {
                 Ok(()) => Ok(spec),
                 Err(why) => Err(Rejected { job_id, why }),
             }
@@ -442,10 +499,17 @@ fn serve_client(
             }
             Ok(spec) => {
                 let job_id = spec.job_id;
+                // the writer is held from the push through the ACCEPTED
+                // send: the job's RESULT needs the same lock, so it cannot
+                // overtake its ACCEPTED however soon the executor runs it
+                // (lock order: writer, then queue; the executor never
+                // holds both)
+                let mut out = lock_writer(&writer);
                 let queued = {
                     let mut q = queue.jobs.lock().unwrap_or_else(|e| e.into_inner());
                     q.push_back(PendingJob {
                         spec,
+                        admitted: Instant::now(),
                         writer: Arc::clone(&writer),
                     });
                     q.len() as u64
@@ -454,25 +518,24 @@ fn serve_client(
                 counters.admitted.fetch_add(1, Ordering::SeqCst);
                 counters.queued.store(queued, Ordering::SeqCst);
                 let accepted = Accepted { job_id, queued };
-                let _ = lock_writer(&writer).send(
-                    wire::ACCEPTED,
-                    &accepted.encode(),
-                    "serve (ACCEPTED)",
-                );
+                let _ = out.send(wire::ACCEPTED, &accepted.encode(), "serve (ACCEPTED)");
             }
         }
         counters.publish(&cfg.net);
     }
 }
 
-fn lock_writer(writer: &Arc<Mutex<FramedConn>>) -> std::sync::MutexGuard<'_, FramedConn> {
+fn lock_writer(writer: &Arc<Mutex<FramedConn>>) -> MutexGuard<'_, FramedConn> {
     writer.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// The batch executor: forms batches from the admitted queue, runs each
-/// through plan → execute → verify, and answers every job. Keeps running
-/// until the stop flag is raised *and* the queue is drained, so ACCEPTED
-/// jobs are never dropped on shutdown.
+/// The batch executor: whenever it is free, takes up to `batch_max`
+/// queued jobs as one batch, runs it through plan → execute → verify, and
+/// answers every job. It waits only for the first job — never for a batch
+/// to fill — so an idle daemon starts a job at once, and a busy one
+/// batches whatever queued while it worked. Keeps running until the stop
+/// flag is raised *and* the queue is drained, so ACCEPTED jobs are never
+/// dropped on shutdown.
 fn executor_loop(
     g: &Graph,
     scheduler: &dyn Scheduler,
@@ -481,11 +544,9 @@ fn executor_loop(
     counters: &Counters,
 ) {
     let batch_max = cfg.batch_max.max(1);
-    let linger = Duration::from_millis(cfg.batch_wait_ms);
     loop {
         let batch: Vec<PendingJob> = {
             let mut q = queue.jobs.lock().unwrap_or_else(|e| e.into_inner());
-            // wait for the first job (or for shutdown)
             while q.is_empty() {
                 if cfg.net.stopped() {
                     return;
@@ -493,21 +554,6 @@ fn executor_loop(
                 let (guard, _) = queue
                     .ready
                     .wait_timeout(q, STOP_POLL)
-                    .unwrap_or_else(|e| e.into_inner());
-                q = guard;
-            }
-            // linger for stragglers until the batch fills, the wait
-            // expires, or the daemon stops; every wake (a straggler's
-            // arrival notifies) waits only for the *remainder* of the
-            // linger, never a fresh one
-            let first_seen = Instant::now();
-            while q.len() < batch_max && !cfg.net.stopped() {
-                let Some(left) = linger.checked_sub(first_seen.elapsed()) else {
-                    break;
-                };
-                let (guard, _) = queue
-                    .ready
-                    .wait_timeout(q, left.min(STOP_POLL))
                     .unwrap_or_else(|e| e.into_inner());
                 q = guard;
             }
@@ -538,10 +584,8 @@ pub fn instantiate(spec: &JobSpec, g: &Graph) -> Box<dyn crate::BlackBoxAlgorith
     }
 }
 
-/// One batch: build the [`DasProblem`], plan it (a batch is a problem of
-/// its own, so no planning stage of an earlier batch applies to it),
-/// execute on the sharded pool, verify against references, cross-check
-/// measured budgets, and answer every job.
+/// One batch: run its pipeline with a panic fence around it, answer every
+/// job, and log where the batch's time went. `batch` is non-empty.
 fn execute_batch(
     g: &Graph,
     scheduler: &dyn Scheduler,
@@ -549,99 +593,135 @@ fn execute_batch(
     batch: Vec<PendingJob>,
     counters: &Counters,
 ) {
-    if batch.is_empty() {
-        return;
-    }
-    let algos: Vec<Box<dyn crate::BlackBoxAlgorithm>> =
-        batch.iter().map(|j| instantiate(&j.spec, g)).collect();
-    let problem = DasProblem::new(g, algos, cfg.tape_seed);
-
-    let run = problem
-        .references()
-        .map_err(SchedError::from)
-        .and_then(|_| {
-            let plan = scheduler.plan(&problem, cfg.sched_seed)?;
-            let exec_cfg = ExecutorConfig::default().with_shards(cfg.pool_shards.max(1));
-            let (outcome, _report) = execute_plan_sharded_with(&problem, &plan, &exec_cfg)?;
-            let report = verify::against_references(&problem, &outcome)?;
-            Ok((outcome, report))
-        });
-    answer_batch(&problem, &batch, run, counters);
+    let dispatched = Instant::now();
+    let mut stages = BatchStages {
+        queue_wait_us: micros(dispatched - batch[0].admitted),
+        ..BatchStages::default()
+    };
+    // a panic (a job the admission check let through, a black-box machine
+    // that asserts) fails this batch only; the executor keeps serving
+    let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        run_pipeline(g, scheduler, cfg, &batch, dispatched, &mut stages)
+    }))
+    .unwrap_or_else(|panic| {
+        Err(SchedError::Exec(ExecError::Aborted {
+            detail: format!("batch pipeline panicked: {}", panic_message(&*panic)),
+        }))
+    });
+    let answering = Instant::now();
+    answer_batch(&batch, run, counters);
+    stages.answer_us = micros(answering.elapsed());
+    let mut log = counters.log();
+    log.last_k = batch.len() as u64;
+    log.last = stages;
+    log.totals.accumulate(&stages);
 }
 
-/// Answers every job of an executed batch from the pipeline's result: a
-/// per-job verdict when it ran, [`JobStatus::ExecFailed`] for all of them
-/// (with the reason logged and kept for `GET /jobs`) when it did not.
-fn answer_batch(
-    problem: &DasProblem<'_>,
+fn micros(d: Duration) -> u64 {
+    d.as_micros() as u64
+}
+
+/// Builds the batch's [`DasProblem`], plans it (a batch is a problem of
+/// its own, so no planning stage of an earlier batch applies to it),
+/// executes on the sharded pool, verifies against references and
+/// cross-checks measured budgets: one RESULT per job, in batch order.
+/// Each stage's wall time lands in `stages`, the first one counted from
+/// `started`.
+fn run_pipeline(
+    g: &Graph,
+    scheduler: &dyn Scheduler,
+    cfg: &ServeConfig,
     batch: &[PendingJob],
-    run: Result<(ScheduleOutcome, verify::VerifyReport), SchedError>,
+    started: Instant,
+    stages: &mut BatchStages,
+) -> Result<Vec<JobResult<'static>>, SchedError> {
+    let mut lap = started;
+    let mut split = || {
+        let now = Instant::now();
+        let us = micros(now - lap);
+        lap = now;
+        us
+    };
+    let algos = batch.iter().map(|j| instantiate(&j.spec, g)).collect();
+    let problem = DasProblem::new(g, algos, cfg.tape_seed);
+    stages.instantiate_us = split();
+    let refs = problem.references()?;
+    stages.references_us = split();
+    let plan = scheduler.plan(&problem, cfg.sched_seed)?;
+    stages.plan_us = split();
+    let exec_cfg = ExecutorConfig::default().with_shards(cfg.pool_shards.max(1));
+    let (outcome, _report) = execute_plan_sharded_with(&problem, &plan, &exec_cfg)?;
+    stages.execute_us = split();
+    let report = verify::against_references(&problem, &outcome)?;
+    let k = batch.len() as u32;
+    let stats = outcome.stats;
+    let results = (batch.iter().zip(outcome.outputs).enumerate())
+        .map(|(i, (job, outputs))| {
+            // measured budgets from the job's own reference run: the
+            // declaration was only trusted for admission
+            let measured_dilation = problem.algorithms()[i].rounds();
+            let measured_congestion = refs[i].pattern.edge_loads().into_iter().max().unwrap_or(0);
+            let lied = measured_dilation > job.spec.declared.dilation
+                || measured_congestion > job.spec.declared.congestion;
+            let status = if lied {
+                JobStatus::BudgetMismatch
+            } else if report.mismatches[i] > 0 {
+                JobStatus::VerifyFailed
+            } else {
+                JobStatus::Ok
+            };
+            JobResult {
+                job_id: job.spec.job_id,
+                status,
+                schedule_rounds: stats.engine_rounds,
+                batch_k: k,
+                delivered: stats.delivered,
+                late: stats.late_messages,
+                measured_dilation,
+                measured_congestion,
+                outputs: Cow::Owned(outputs),
+            }
+        })
+        .collect();
+    stages.verify_us = split();
+    Ok(results)
+}
+
+/// Answers every job of a batch from its pipeline's result: the per-job
+/// RESULTs when it ran, [`JobStatus::ExecFailed`] for all of them (with
+/// the reason logged and kept for `GET /jobs`) when it did not.
+fn answer_batch(
+    batch: &[PendingJob],
+    run: Result<Vec<JobResult<'static>>, SchedError>,
     counters: &Counters,
 ) {
-    let k = batch.len() as u32;
-    let answer = |job: &PendingJob, result: JobResult<'_>| {
+    let results = run.unwrap_or_else(|e| {
+        // the whole batch failed to plan or execute: typed ExecFailed per
+        // job, and the daemon keeps serving
+        eprintln!("serve: batch of {} job(s) failed: {e}", batch.len());
+        counters.log().last_error = e.to_string();
+        batch
+            .iter()
+            .map(|job| JobResult {
+                job_id: job.spec.job_id,
+                status: JobStatus::ExecFailed,
+                schedule_rounds: 0,
+                batch_k: batch.len() as u32,
+                delivered: 0,
+                late: 0,
+                measured_dilation: 0,
+                measured_congestion: 0,
+                outputs: Cow::Borrowed(&[]),
+            })
+            .collect()
+    });
+    for (job, result) in batch.iter().zip(&results) {
         let _ = lock_writer(&job.writer).send(wire::RESULT, &result.encode(), "serve (RESULT)");
         let tally = match result.status {
             JobStatus::Ok => &counters.completed,
             _ => &counters.failed,
         };
         tally.fetch_add(1, Ordering::SeqCst);
-    };
-    match run {
-        Err(e) => {
-            // the whole batch failed to plan or execute: typed ExecFailed
-            // per job, and the daemon keeps serving
-            eprintln!("serve: batch of {k} job(s) failed: {e}");
-            *counters
-                .last_error
-                .lock()
-                .unwrap_or_else(|e| e.into_inner()) = e.to_string();
-            for job in batch {
-                let failed = JobResult {
-                    job_id: job.spec.job_id,
-                    status: JobStatus::ExecFailed,
-                    schedule_rounds: 0,
-                    batch_k: k,
-                    delivered: 0,
-                    late: 0,
-                    measured_dilation: 0,
-                    measured_congestion: 0,
-                    outputs: Cow::Borrowed(&[]),
-                };
-                answer(job, failed);
-            }
-        }
-        Ok((outcome, report)) => {
-            let refs = problem.references().expect("references already built");
-            for (i, job) in batch.iter().enumerate() {
-                // measured budgets from the job's own reference run: the
-                // declaration was only trusted for admission
-                let measured_dilation = problem.algorithms()[i].rounds();
-                let measured_congestion =
-                    refs[i].pattern.edge_loads().into_iter().max().unwrap_or(0);
-                let lied = measured_dilation > job.spec.declared.dilation
-                    || measured_congestion > job.spec.declared.congestion;
-                let status = if lied {
-                    JobStatus::BudgetMismatch
-                } else if report.mismatches[i] > 0 {
-                    JobStatus::VerifyFailed
-                } else {
-                    JobStatus::Ok
-                };
-                let result = JobResult {
-                    job_id: job.spec.job_id,
-                    status,
-                    schedule_rounds: outcome.stats.engine_rounds,
-                    batch_k: k,
-                    delivered: outcome.stats.delivered,
-                    late: outcome.stats.late_messages,
-                    measured_dilation,
-                    measured_congestion,
-                    outputs: Cow::Borrowed(&outcome.outputs[i]),
-                };
-                answer(job, result);
-            }
-        }
     }
 }
 
@@ -972,26 +1052,72 @@ mod tests {
             max_congestion: 20,
             max_payload_bytes: 40,
         };
-        assert_eq!(admit(&spec(10, 20, 40), 8, &cap), Ok(()));
+        let host = Hosting {
+            nodes: 8,
+            relays: true,
+        };
+        assert_eq!(admit(&spec(10, 20, 40), &host, &cap), Ok(()));
         assert_eq!(
-            admit(&spec(11, 20, 40), 8, &cap).unwrap_err().code,
+            admit(&spec(11, 20, 40), &host, &cap).unwrap_err().code,
             wire::BUDGET_DILATION
         );
         assert_eq!(
-            admit(&spec(10, 21, 40), 8, &cap).unwrap_err().code,
+            admit(&spec(10, 21, 40), &host, &cap).unwrap_err().code,
             wire::BUDGET_CONGESTION
         );
         assert_eq!(
-            admit(&spec(10, 20, 41), 8, &cap).unwrap_err().code,
+            admit(&spec(10, 20, 41), &host, &cap).unwrap_err().code,
             wire::BUDGET_PAYLOAD
         );
         // out-of-range source is malformed, not a budget violation
         let mut bad = spec(1, 1, 1);
         bad.source = 99;
-        assert_eq!(admit(&bad, 8, &cap).unwrap_err().code, wire::MALFORMED);
+        assert_eq!(admit(&bad, &host, &cap).unwrap_err().code, wire::MALFORMED);
         // relays ignore the source field entirely
         bad.kind = JobKind::Relay;
-        assert_eq!(admit(&bad, 8, &cap), Ok(()));
+        assert_eq!(admit(&bad, &host, &cap), Ok(()));
+    }
+
+    /// Jobs whose constructors would assert are refused before they can
+    /// reach the executor: a depth-0 flood anywhere, a relay on a graph
+    /// without the id-ordered route.
+    #[test]
+    fn jobs_the_graph_cannot_host_are_malformed() {
+        let cap = Capacity::default();
+        let path = Hosting::of(&das_graph::generators::path(6));
+        let grid = Hosting::of(&das_graph::generators::grid(4, 4));
+        assert_eq!(
+            (path, grid),
+            (
+                Hosting {
+                    nodes: 6,
+                    relays: true
+                },
+                Hosting {
+                    nodes: 16,
+                    relays: false
+                }
+            )
+        );
+        let mut flat = spec(1, 1, 1);
+        flat.depth = 0;
+        let refused = Rejection {
+            code: wire::MALFORMED,
+            declared: 0,
+            capacity: 1,
+        };
+        assert_eq!(admit(&flat, &path, &cap), Err(refused));
+        let relay = JobSpec {
+            kind: JobKind::Relay,
+            ..spec(1, 1, 1)
+        };
+        assert_eq!(admit(&relay, &path, &cap), Ok(()));
+        let refused = Rejection {
+            code: wire::MALFORMED,
+            declared: 1,
+            capacity: 0,
+        };
+        assert_eq!(admit(&relay, &grid, &cap), Err(refused));
     }
 
     #[test]
@@ -1018,10 +1144,86 @@ mod tests {
     /// and the reason survives for `GET /jobs` instead of being dropped.
     #[test]
     fn failed_batch_answers_every_job_and_keeps_the_error() {
+        let (mut client, batch) = pending_batch(&[11, 12, 13]);
+        let counters = Counters::default();
+        let err = SchedError::Exec(ExecError::Aborted {
+            detail: "shard 1 panicked: boom".to_string(),
+        });
+        answer_batch(&batch, Err(err.clone()), &counters);
+
+        for job in &batch {
+            let body = client
+                .expect(wire::RESULT, "test RESULT")
+                .expect("one RESULT per job");
+            let result = JobResult::decode(&body).expect("RESULT body");
+            assert_eq!(result.job_id, job.spec.job_id);
+            assert_eq!(result.status, JobStatus::ExecFailed);
+        }
+        assert_eq!(counters.failed.load(Ordering::SeqCst), 3);
+        assert_eq!(counters.completed.load(Ordering::SeqCst), 0);
+        assert_eq!(counters.log().last_error, err.to_string());
+        // ... and the published snapshot carries it
+        let hub = Arc::new(das_obs::LiveHub::new());
+        counters.publish(&NetConfig::default().with_live(Some(hub.clone())));
+        assert!(hub.render_jobs().contains("shard 1 panicked: boom"));
+    }
+
+    struct PanickingScheduler;
+
+    impl Scheduler for PanickingScheduler {
+        fn name(&self) -> &'static str {
+            "panicking"
+        }
+
+        fn plan(
+            &self,
+            _: &DasProblem<'_>,
+            _: u64,
+        ) -> Result<crate::SchedulePlan, crate::ReferenceError> {
+            panic!("planner bug")
+        }
+    }
+
+    /// A panic inside the pipeline is fenced to its batch: every job is
+    /// answered `ExecFailed`, the panic's message is kept for `GET /jobs`,
+    /// the stages that ran are logged, and the caller carries on.
+    #[test]
+    fn a_panicking_pipeline_fails_its_batch_only() {
         let g = das_graph::generators::path(6);
+        let (mut client, batch) = pending_batch(&[21, 22]);
+        let counters = Counters::default();
+        let cfg = ServeConfig::default();
+        execute_batch(&g, &PanickingScheduler, &cfg, batch, &counters);
+        for job_id in [21, 22] {
+            let body = client.expect(wire::RESULT, "test RESULT").expect("RESULT");
+            let result = JobResult::decode(&body).expect("RESULT body");
+            assert_eq!(
+                (result.job_id, result.status),
+                (job_id, JobStatus::ExecFailed)
+            );
+        }
+        assert_eq!(counters.failed.load(Ordering::SeqCst), 2);
+        let log = counters.log();
+        assert!(
+            log.last_error
+                .contains("batch pipeline panicked: planner bug"),
+            "{}",
+            log.last_error
+        );
+        assert_eq!(log.last_k, 2);
+        assert_eq!(log.totals, log.last);
+        // the plan stage never finished, so it and every later one read 0
+        assert_eq!(
+            (log.last.plan_us, log.last.execute_us, log.last.verify_us),
+            (0, 0, 0)
+        );
+    }
+
+    /// A connected client plus one pending job per id writing to it.
+    fn pending_batch(ids: &[u64]) -> (FramedConn, Vec<PendingJob>) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let net = NetConfig::default();
-        let mut client = net
+        let client = net
             .framed(TcpStream::connect(listener.local_addr().expect("addr")).expect("connect"))
             .expect("client conn");
         let mut server_side = None;
@@ -1036,38 +1238,17 @@ mod tests {
         )
         .expect("accept");
         let writer = Arc::new(Mutex::new(server_side.expect("server conn")));
-        let batch: Vec<PendingJob> = [11u64, 12, 13]
+        let batch = ids
             .iter()
             .map(|&job_id| PendingJob {
                 spec: JobSpec {
                     job_id,
                     ..spec(3, 4, 8)
                 },
+                admitted: Instant::now(),
                 writer: writer.clone(),
             })
             .collect();
-        let algos = batch.iter().map(|j| instantiate(&j.spec, &g)).collect();
-        let problem = DasProblem::new(&g, algos, 42);
-        let counters = Counters::default();
-        let err = SchedError::Exec(ExecError::Aborted {
-            detail: "shard 1 panicked: boom".to_string(),
-        });
-        answer_batch(&problem, &batch, Err(err.clone()), &counters);
-
-        for job in &batch {
-            let body = client
-                .expect(wire::RESULT, "test RESULT")
-                .expect("one RESULT per job");
-            let result = JobResult::decode(&body).expect("RESULT body");
-            assert_eq!(result.job_id, job.spec.job_id);
-            assert_eq!(result.status, JobStatus::ExecFailed);
-        }
-        assert_eq!(counters.failed.load(Ordering::SeqCst), 3);
-        assert_eq!(counters.completed.load(Ordering::SeqCst), 0);
-        assert_eq!(*counters.last_error.lock().unwrap(), err.to_string());
-        // ... and the published snapshot carries it
-        let hub = Arc::new(das_obs::LiveHub::new());
-        counters.publish(&NetConfig::default().with_live(Some(hub.clone())));
-        assert!(hub.render_jobs().contains("shard 1 panicked: boom"));
+        (client, batch)
     }
 }

@@ -888,7 +888,8 @@ pub const BUDGET_CONGESTION: u32 = 2;
 /// REJECTED code: declared payload exceeds the advertised capacity.
 pub const BUDGET_PAYLOAD: u32 = 3;
 /// REJECTED code: the SUBMIT body itself was malformed (unknown job
-/// kind, out-of-range source node).
+/// kind, out-of-range source node, a flood of depth 0, a relay the
+/// graph has no route for).
 pub const MALFORMED: u32 = 4;
 
 body! {

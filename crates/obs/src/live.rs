@@ -98,6 +98,61 @@ pub struct JobsLive {
     /// Why the most recent failed batch failed to plan or execute (the
     /// error's display form); empty while no batch has failed.
     pub last_error: String,
+    /// Jobs in the most recent batch (0 before the first).
+    pub last_batch_k: u64,
+    /// Where the most recent batch spent its time.
+    pub last_batch: BatchStages,
+    /// Per-stage sums over every batch so far.
+    pub stage_totals: BatchStages,
+}
+
+/// Wall-clock stages of one serve batch, in microseconds, in pipeline
+/// order: the oldest job's admission → dispatch, then each step of the
+/// batch up to the last RESULT sent.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct BatchStages {
+    /// The oldest job's wait from admission to dispatch.
+    pub queue_wait_us: u64,
+    /// Building the jobs' algorithms and the problem.
+    pub instantiate_us: u64,
+    /// The jobs' alone runs.
+    pub references_us: u64,
+    /// Planning the batch.
+    pub plan_us: u64,
+    /// Executing the plan on the pool.
+    pub execute_us: u64,
+    /// Verifying outputs against the alone runs.
+    pub verify_us: u64,
+    /// Encoding and sending every RESULT.
+    pub answer_us: u64,
+}
+
+impl BatchStages {
+    /// Adds `other` stage by stage.
+    pub fn accumulate(&mut self, other: &BatchStages) {
+        self.queue_wait_us += other.queue_wait_us;
+        self.instantiate_us += other.instantiate_us;
+        self.references_us += other.references_us;
+        self.plan_us += other.plan_us;
+        self.execute_us += other.execute_us;
+        self.verify_us += other.verify_us;
+        self.answer_us += other.answer_us;
+    }
+
+    /// `(name, µs)` per stage, in pipeline order, as `/jobs` renders them.
+    fn fields(&self) -> impl Iterator<Item = (String, Value)> {
+        [
+            ("queue_wait_us", self.queue_wait_us),
+            ("instantiate_us", self.instantiate_us),
+            ("references_us", self.references_us),
+            ("plan_us", self.plan_us),
+            ("execute_us", self.execute_us),
+            ("verify_us", self.verify_us),
+            ("answer_us", self.answer_us),
+        ]
+        .into_iter()
+        .map(|(name, us)| (name.into(), Value::U64(us)))
+    }
 }
 
 /// Cumulative per-lane counters, keyed by lane (shard) index.
@@ -460,9 +515,13 @@ impl LiveHub {
         serde_json::to_string(&doc).expect("net view is finite")
     }
 
-    /// `GET /jobs` body: the serve daemon's admission counters.
+    /// `GET /jobs` body: the serve daemon's admission counters, the last
+    /// batch's stage row and the cumulative stage sums.
     pub fn render_jobs(&self) -> String {
         let s = self.lock();
+        let last_batch = std::iter::once(("k".into(), Value::U64(s.jobs.last_batch_k)))
+            .chain(s.jobs.last_batch.fields())
+            .collect();
         let doc = Value::Object(vec![
             ("queued".into(), Value::U64(s.jobs.queued)),
             ("admitted".into(), Value::U64(s.jobs.admitted)),
@@ -471,6 +530,11 @@ impl LiveHub {
             ("failed".into(), Value::U64(s.jobs.failed)),
             ("batches".into(), Value::U64(s.jobs.batches)),
             ("last_error".into(), Value::Str(s.jobs.last_error.clone())),
+            ("last_batch".into(), Value::Object(last_batch)),
+            (
+                "stage_totals".into(),
+                Value::Object(s.jobs.stage_totals.fields().collect()),
+            ),
         ]);
         serde_json::to_string(&doc).expect("jobs view is finite")
     }
@@ -662,6 +726,21 @@ mod tests {
             failed: 1,
             batches: 4,
             last_error: "execution failed: boom".to_string(),
+            last_batch_k: 3,
+            last_batch: BatchStages {
+                queue_wait_us: 40,
+                instantiate_us: 5,
+                references_us: 100,
+                plan_us: 60,
+                execute_us: 300,
+                verify_us: 20,
+                answer_us: 9,
+            },
+            stage_totals: BatchStages {
+                queue_wait_us: 1_000,
+                execute_us: 1_200,
+                ..BatchStages::default()
+            },
         });
         let v: Value = serde_json::from_str(&hub.render_jobs()).unwrap();
         assert_eq!(v.get("queued").and_then(Value::as_u64), Some(2));
@@ -672,6 +751,63 @@ mod tests {
         assert_eq!(
             v.get("last_error").and_then(Value::as_str),
             Some("execution failed: boom")
+        );
+        // the last batch's row: k first, then one µs field per stage in
+        // pipeline order
+        let row = v.get("last_batch").unwrap();
+        let Value::Object(fields) = row else {
+            panic!("last_batch is an object: {row:?}")
+        };
+        let names: Vec<&str> = fields.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "k",
+                "queue_wait_us",
+                "instantiate_us",
+                "references_us",
+                "plan_us",
+                "execute_us",
+                "verify_us",
+                "answer_us"
+            ]
+        );
+        assert_eq!(row.get("k").and_then(Value::as_u64), Some(3));
+        assert_eq!(row.get("execute_us").and_then(Value::as_u64), Some(300));
+        assert_eq!(row.get("answer_us").and_then(Value::as_u64), Some(9));
+        let totals = v.get("stage_totals").unwrap();
+        assert_eq!(
+            totals.get("queue_wait_us").and_then(Value::as_u64),
+            Some(1_000)
+        );
+        assert_eq!(totals.get("verify_us").and_then(Value::as_u64), Some(0));
+    }
+
+    #[test]
+    fn stage_sums_add_stage_by_stage() {
+        let one = BatchStages {
+            queue_wait_us: 1,
+            instantiate_us: 2,
+            references_us: 3,
+            plan_us: 4,
+            execute_us: 5,
+            verify_us: 6,
+            answer_us: 7,
+        };
+        let mut sum = BatchStages::default();
+        sum.accumulate(&one);
+        sum.accumulate(&one);
+        assert_eq!(
+            sum,
+            BatchStages {
+                queue_wait_us: 2,
+                instantiate_us: 4,
+                references_us: 6,
+                plan_us: 8,
+                execute_us: 10,
+                verify_us: 12,
+                answer_us: 14,
+            }
         );
     }
 

@@ -93,8 +93,8 @@ const COMMANDS: &[(&str, &str)] = &[
     (
         "serve",
         "--graph SPEC [--scheduler NAME] [--seed N] [--sched-seed N] [--listen ADDR] [--batch N] \
-         [--batch-wait-ms N] [--pool N] [--max-dilation N] [--max-congestion N] [--max-payload N] \
-         [--serve-obs ADDR] [--timeout-ms N]",
+         [--pool N] [--max-dilation N] [--max-congestion N] [--max-payload N] [--serve-obs ADDR] \
+         [--timeout-ms N]",
     ),
     (
         "loadgen",
@@ -991,7 +991,6 @@ fn cmd_serve(opts: &HashMap<String, String>, seed: u64) -> Result<(), String> {
     }
     let cfg = ServeConfig {
         batch_max: opt_count(opts, "batch")?.unwrap_or(defaults.batch_max),
-        batch_wait_ms: opt_u64(opts, "batch-wait-ms")?.unwrap_or(defaults.batch_wait_ms),
         pool_shards: pool,
         capacity,
         tape_seed: seed,
@@ -999,9 +998,8 @@ fn cmd_serve(opts: &HashMap<String, String>, seed: u64) -> Result<(), String> {
         net,
     };
     println!(
-        "serving {} jobs/batch (wait {} ms) on {} pool shard(s), capacity: dilation {} congestion {} payload {} B",
+        "serving {} jobs/batch on {} pool shard(s), capacity: dilation {} congestion {} payload {} B",
         cfg.batch_max,
-        cfg.batch_wait_ms,
         cfg.pool_shards,
         cfg.capacity.max_dilation,
         cfg.capacity.max_congestion,
@@ -1815,6 +1813,18 @@ mod tests {
             .map(|s| s.to_string())
             .collect();
         assert!(run(&args).unwrap_err().contains("--pool must be >= 1"));
+    }
+
+    /// Batching is work-conserving: there is no linger to tune, so the
+    /// old knob is an unknown flag like any other.
+    #[test]
+    fn serve_has_no_linger_flag() {
+        let args = ["serve", "--graph", "path:8", "--batch-wait-ms", "5"].map(String::from);
+        assert_eq!(
+            run(&args).unwrap_err(),
+            "unknown flag --batch-wait-ms for `dasched serve`"
+        );
+        assert!(!usage(Some("serve")).contains("wait"));
     }
 
     #[test]
