@@ -9,8 +9,9 @@
 //!
 //! * The **coordinator** owns the plan. It accepts one connection per
 //!   shard, handshakes (protocol version + problem fingerprint), ships each
-//!   worker its slice of the [`SchedulePlan`] (guarded by a slice hash next
-//!   to the full-plan hash) plus the shard assignment, then relays
+//!   worker the [`SchedulePlan`]'s columns for the nodes that worker owns
+//!   ([`wire::PlanSlice`], guarded by a slice hash next to the full-plan
+//!   hash) plus the shard assignment, then relays
 //!   cross-shard outboxes at every big-round boundary and collects the
 //!   per-shard outcomes at the end. Stragglers that JOIN after every slot
 //!   is assigned are turned away with a typed REJECT
@@ -53,25 +54,18 @@ use crate::plan::{execute, SchedError, SchedulePlan, Topology};
 use crate::problem::DasProblem;
 use crate::schedule::ScheduleOutcome;
 use crate::shard::Partition;
-pub use crate::wire::fnv1a;
 use crate::wire::{
     self, accept_until, problem_fingerprint, Abort, Activity, ActivityTotals, Assign, Decision,
-    Done, FlightGroup, FramedConn, Greeting, Hashed, Inbox, LinkTraffic, Outbox, Reject, RoundCap,
-    PROTOCOL_VERSION,
+    Done, FlightGroup, FramedConn, Greeting, Hashed, Inbox, LinkTraffic, Outbox, PlanSlice, Reject,
+    RoundCap, PROTOCOL_VERSION,
 };
+pub use crate::wire::{fnv1a, plan_hash};
 use das_obs::{ExecObs, ObsConfig};
 use std::borrow::Cow;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
-
-/// The full-plan hash shipped in the ASSIGN frame: FNV-1a over the plan's
-/// canonical JSON bytes. It names the run across all workers; the bytes a
-/// worker actually receives are guarded by the slice hash beside it.
-pub fn plan_hash(plan: &SchedulePlan) -> u64 {
-    fnv1a(plan.to_json().as_bytes())
-}
 
 // ---------------------------------------------------------------- config
 
@@ -316,8 +310,8 @@ pub(crate) fn run_coordinator(
 
 /// Accepts and handshakes one connection per shard, in shard order: reads
 /// the JOIN, checks it, and replies with ASSIGN (or REJECT plus a typed
-/// error on mismatch). The ASSIGN carries the worker's plan slice and both
-/// hashes: the slice hash guards the shipped bytes, the full-plan hash
+/// error on mismatch). The ASSIGN carries the worker's plan columns and
+/// both hashes: the slice hash guards the shipped bytes, the full-plan hash
 /// pins the run identity across all workers. Neither a stop request
 /// (Ctrl-C) nor a missing worker can hang the wait.
 fn accept_workers(
@@ -338,16 +332,21 @@ fn accept_workers(
     let on_conn = |stream| {
         let shard = conns.len();
         let mut conn = net.framed(stream)?;
-        // each worker gets only its own slice of the plan: O(plan/s)
-        // on the wire instead of O(plan) per worker
-        let slice_json = plan.slice_for_shard(part.of_node(), shard as u32).to_json();
         conn.greet(wire::JOIN, &ours, "handshake (JOIN)")?;
         conn.set_worker(shard);
+        // each worker gets only its own nodes' columns: O(plan/s) on the
+        // wire instead of O(plan) per worker
+        let slice = PlanSlice {
+            plan,
+            of_node: part.of_node(),
+            shard: shard as u32,
+        }
+        .encode();
         let assign = Assign {
             shard: shard as u32,
             shards: s as u32,
             plan_hash,
-            slice_json: Hashed(slice_json.as_bytes()),
+            slice: Hashed(&slice),
             of_node: Cow::Borrowed(part.of_node()),
         };
         conn.send(wire::ASSIGN, &assign.encode(), "handshake (ASSIGN)")?;
@@ -550,18 +549,6 @@ pub fn run_worker(
     let body = conn.expect(wire::ASSIGN, "handshake (waiting for ASSIGN)")?;
     let assign = Assign::decode(&body)?;
     let (shard, shards) = (assign.shard as usize, assign.shards as usize);
-    let plan_json = std::str::from_utf8(assign.slice_json.0).map_err(|e| {
-        SchedError::Exec(ExecError::Net {
-            detail: format!("plan JSON is not UTF-8: {e}"),
-        })
-    })?;
-    let plan = SchedulePlan::from_json(plan_json).map_err(|e| {
-        SchedError::Exec(ExecError::Net {
-            detail: format!("plan JSON failed to parse: {e}"),
-        })
-    })?;
-    // received plans are untrusted, exactly like plans loaded from disk
-    plan.validate(problem)?;
     let part = Partition::degree_balanced(problem.graph(), shards);
     if part.shards() != shards || *assign.of_node != *part.of_node() {
         return Err(SchedError::Exec(ExecError::Net {
@@ -575,14 +562,11 @@ pub fn run_worker(
             detail: format!("assigned shard {shard} out of range for {shards} shards"),
         }));
     }
-    // the slice must be a fixed point of slicing: every scheduled step
-    // belongs to a node this shard owns (with one shard this degenerates
-    // to slice == full plan)
-    if plan.slice_for_shard(part.of_node(), shard as u32) != plan {
-        return Err(SchedError::Exec(ExecError::Net {
-            detail: "received plan slice schedules nodes outside the assigned shard".to_string(),
-        }));
-    }
+    // only the shard's own columns are on the wire, so every step the
+    // decoded plan schedules is on a node this shard owns
+    let plan = PlanSlice::decode(assign.slice.0, part.of_node(), shard as u32)?;
+    // received plans are untrusted, exactly like plans loaded from disk
+    plan.validate(problem)?;
     // the production loop over the wire exchange; the plan slice's own
     // phase length is part of its semantics
     let g = problem.graph();

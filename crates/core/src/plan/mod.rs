@@ -235,35 +235,6 @@ impl SchedulePlan {
         self.units.len()
     }
 
-    /// Restricts the plan to the nodes `shard` owns (per `of_node`, the
-    /// shard index of each node): non-owned nodes get `trunc = 0` (no
-    /// steps) and `delay = 0` (no dead weight in the JSON), owned nodes
-    /// keep their schedule byte-for-byte.
-    ///
-    /// This is what the networked coordinator ships each worker instead of
-    /// the full plan: a worker only ever steps its own nodes, its big-round
-    /// table tolerates being shorter than the global schedule, and the
-    /// termination decision is coordinator-driven from the *full* plan — so
-    /// executing a slice is byte-identical to executing the full plan on
-    /// that shard. Slicing with a one-shard partition returns a plan whose
-    /// step schedule equals the original's.
-    ///
-    /// # Panics
-    /// Panics if a unit's vectors are shorter than `of_node` (callers slice
-    /// validated plans).
-    pub fn slice_for_shard(&self, of_node: &[u32], shard: u32) -> SchedulePlan {
-        let mut sliced = self.clone();
-        for u in &mut sliced.units {
-            for (v, &owner) in of_node.iter().enumerate() {
-                if owner != shard {
-                    u.trunc[v] = 0;
-                    u.delay[v] = 0;
-                }
-            }
-        }
-        sliced
-    }
-
     /// The plan's canonical JSON form (pretty-printed, keys in declaration
     /// order): equal plans serialize byte-identically.
     ///
@@ -565,6 +536,7 @@ mod tests {
     use super::*;
     use crate::schedulers::Scheduler;
     use crate::synthetic::{FloodBall, RelayChain};
+    use crate::wire::PlanSlice;
     use crate::{
         InterleaveScheduler, PrivateScheduler, SequentialScheduler, TunedUniformScheduler,
         UniformScheduler,
@@ -624,40 +596,43 @@ mod tests {
         }
     }
 
-    #[test]
-    fn shard_slices_are_fixed_points_and_one_shard_slice_is_the_full_plan() {
-        let g = generators::path(12);
-        let p = mixed_problem(&g);
-        for sched in all_schedulers() {
-            let plan = sched.plan(&p, 9).unwrap();
-            // 1 shard owns every node, so the slice IS the plan — byte for
-            // byte, since slicing must not disturb serialization.
-            let whole = crate::shard::Partition::degree_balanced(&g, 1);
-            let s1 = plan.slice_for_shard(whole.of_node(), 0);
-            assert_eq!(s1, plan, "{}", sched.name());
-            assert_eq!(s1.to_json(), plan.to_json(), "{}", sched.name());
-            // slicing an already-sliced plan changes nothing (the worker's
-            // cross-check relies on this fixed point)
-            let part = crate::shard::Partition::degree_balanced(&g, 3);
-            for shard in 0..3u32 {
-                let slice = plan.slice_for_shard(part.of_node(), shard);
-                assert_eq!(
-                    slice.slice_for_shard(part.of_node(), shard),
-                    slice,
-                    "{}",
-                    sched.name()
-                );
-                // non-owned nodes are fully disabled in every unit
-                for u in &slice.units {
-                    for (v, &owner) in part.of_node().iter().enumerate() {
-                        if owner != shard {
-                            assert_eq!(u.trunc[v], 0, "{}", sched.name());
-                            assert_eq!(u.delay[v], 0, "{}", sched.name());
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(12))]
+
+        /// ASSIGN's columns carry exactly the shard's part of the plan:
+        /// decoded, they are the plan on owned nodes and `delay = trunc =
+        /// 0` everywhere else — and with one shard, the plan itself.
+        #[test]
+        fn plan_columns_decode_to_the_owned_part_of_the_plan(
+            n in 6usize..20,
+            sched_seed: u64
+        ) {
+            let g = generators::path(n);
+            let p = mixed_problem(&g);
+            for sched in all_schedulers() {
+                let plan = sched.plan(&p, sched_seed).unwrap();
+                for shards in [1, 2, 3, 7] {
+                    let part = crate::shard::Partition::degree_balanced(&g, shards);
+                    let of_node = part.of_node();
+                    for shard in 0..part.shards() as u32 {
+                        let slice = PlanSlice { plan: &plan, of_node, shard };
+                        let decoded =
+                            PlanSlice::decode(&slice.encode(), of_node, shard).unwrap();
+                        let mut want = plan.clone();
+                        for u in &mut want.units {
+                            let foreign = of_node.iter().enumerate().filter(|&(_, &s)| s != shard);
+                            for (v, _) in foreign {
+                                (u.delay[v], u.trunc[v]) = (0, 0);
+                            }
+                        }
+                        let name = sched.name();
+                        proptest::prop_assert_eq!(&decoded, &want, "{name} {shard}/{shards}");
+                        decoded.validate(&p).unwrap();
+                        if shards == 1 {
+                            proptest::prop_assert_eq!(&decoded, &plan);
                         }
                     }
                 }
-                // a slice still validates against the problem
-                slice.validate(&p).unwrap();
             }
         }
     }

@@ -18,6 +18,7 @@
 //! | `Option<Vec<u8>>` (a node's output) | `u8` tag, then — tag 1 — the output as bytes |
 //! | [`Flights`] | `u32` count, then the [`Flight`]s |
 //! | [`Hashed`] | `u64` FNV-1a of the bytes, then the bytes |
+//! | [`PlanSlice`] (inside ASSIGN's [`Hashed`]) | the plan header, `u32` unit count, then per unit `algo: u32, stride: u64` and one `(delay: u64, trunc: u32)` pair per owned node |
 //! | `Option<ActivityTotals>` | nothing, or the totals — see *Tails* |
 //!
 //! [`crate::net`] and [`crate::serve`] decide who sends what when; they
@@ -37,13 +38,15 @@
 //! older peer skips it, a newer peer reads it when present. [`Activity`]'s
 //! cumulative totals are the one tail today. The version moves only when a
 //! peer that ignores the change would misbehave — v2 did (ASSIGN ships a
-//! slice, not the plan).
+//! slice, not the plan), and so did v3 (the slice is binary columns, not
+//! JSON).
 
-use crate::exec::{ExecError, ExecStats, ShardStats};
+use crate::exec::{ExecError, ExecStats, ShardStats, Unit};
+use crate::plan::SchedulePlan;
 use crate::problem::DasProblem;
 use crate::serve::{Budgets, Capacity, JobKind, JobSpec, JobStatus, Rejection};
 use das_graph::NodeId;
-use das_pattern::{SimulationMap, TimedArc};
+use das_pattern::TimedArc;
 use std::borrow::Cow;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -55,7 +58,11 @@ use std::time::{Duration, Instant};
 /// v2: ASSIGN ships a per-shard plan *slice* (guarded by its own hash next
 /// to the full-plan hash) instead of the full plan, late JOINs get a typed
 /// REJECT, and the serve-path frames (HELLO/CAPS/SUBMIT/…) exist.
-pub const PROTOCOL_VERSION: u32 = 2;
+///
+/// v3: the slice is a [`PlanSlice`] — the shard's own `(delay, trunc)`
+/// columns, fixed width — instead of the plan's JSON with foreign nodes
+/// zeroed, and [`plan_hash`] hashes the same column encoding.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// The protocol name of a frame kind, for error messages.
 fn kind_name(kind: u8) -> &'static str {
@@ -423,16 +430,116 @@ body! {
         pub shard: u32,
         /// Total shards in the run.
         pub shards: u32,
-        /// FNV-1a of the *full* plan's canonical JSON: the run's identity
-        /// across workers.
+        /// [`plan_hash`] of the *full* plan: the run's identity across
+        /// workers.
         pub plan_hash: u64,
-        /// The worker's plan slice — the full plan restricted to the
-        /// shard's nodes ([`crate::SchedulePlan::slice_for_shard`]) — as
-        /// canonical JSON, guarded by its own hash.
-        pub slice_json: Hashed<'a>,
+        /// The worker's [`PlanSlice`], encoded, guarded by its own hash.
+        pub slice: Hashed<'a>,
         /// Shard index of every node.
         pub of_node: Cow<'a, [u32]>,
     }
+}
+
+/// The plan columns one shard runs, as ASSIGN ships them: the header
+/// `scheduler: String, sched_seed: u64, phase_len: u64, precompute_rounds:
+/// u64, predicted_rounds: u64`, a `u32` unit count, then per unit `algo:
+/// u32, stride: u64` and one `(delay: u64, trunc: u32)` pair per node the
+/// shard owns, in node order — `12 + 12·owned` bytes a unit. Like DONE's
+/// node list, the owned nodes never cross the wire: both ends derive them
+/// from the partition, and `decode` takes it.
+///
+/// Executing the decoded plan on its shard is byte-identical to executing
+/// the full plan there: a worker only ever steps its own nodes, its
+/// big-round table tolerates being shorter than the global schedule, and
+/// the coordinator decides termination against the *full* plan.
+#[derive(Clone, Copy, Debug)]
+pub struct PlanSlice<'a> {
+    /// The full plan; encoding reads only the shard's columns of it.
+    pub plan: &'a SchedulePlan,
+    /// Shard index of every node.
+    pub of_node: &'a [u32],
+    /// The shard whose columns are encoded.
+    pub shard: u32,
+}
+
+impl PlanSlice<'_> {
+    /// The slice's bytes.
+    pub fn encode(&self) -> Vec<u8> {
+        let PlanSlice {
+            plan,
+            of_node,
+            shard,
+        } = *self;
+        let owned = of_node.iter().filter(|&&s| s == shard).count();
+        let header = 40 + plan.scheduler.len();
+        let mut w = Vec::with_capacity(header + plan.units.len() * (12 + 12 * owned));
+        plan.scheduler.put(&mut w);
+        (plan.sched_seed, plan.phase_len).put(&mut w);
+        (plan.precompute_rounds, plan.predicted_rounds).put(&mut w);
+        (plan.units.len() as u32).put(&mut w);
+        for u in &plan.units {
+            (u.algo as u32, u.stride).put(&mut w);
+            let columns = u.delay.iter().zip(&u.trunc).zip(of_node);
+            for ((&delay, &trunc), _) in columns.filter(|&(_, &s)| s == shard) {
+                (delay, trunc).put(&mut w);
+            }
+        }
+        w
+    }
+
+    /// Reads the slice of `shard` under the partition `of_node` back into
+    /// a plan of full-length units: the shipped columns on the shard's
+    /// nodes, `delay = trunc = 0` (no steps) on every other node.
+    ///
+    /// # Errors
+    /// [`ExecError::TruncatedFrame`] on a short body, or a unit count the
+    /// body cannot hold — checked before any per-node vector is allocated.
+    pub fn decode(body: &[u8], of_node: &[u32], shard: u32) -> Result<SchedulePlan, ExecError> {
+        let r = &mut ByteReader::new(body);
+        let scheduler = String::get(r, "plan slice scheduler")?;
+        let (sched_seed, phase_len) = <(u64, u64)>::get(r, "plan slice header")?;
+        let (precompute_rounds, predicted_rounds) = <(u64, u64)>::get(r, "plan slice header")?;
+        let owned: Vec<usize> = (0..of_node.len())
+            .filter(|&v| of_node[v] == shard)
+            .collect();
+        let count = u32::get(r, "plan slice unit count")?;
+        let count = r.room_for(count as u64, 12 + 12 * owned.len(), "plan slice units")?;
+        let mut units = Vec::with_capacity(count);
+        for _ in 0..count {
+            let (algo, stride) = <(u32, u64)>::get(r, "plan slice unit")?;
+            let (mut delay, mut trunc) = (vec![0; of_node.len()], vec![0; of_node.len()]);
+            for &v in &owned {
+                (delay[v], trunc[v]) = <(u64, u32)>::get(r, "plan slice columns")?;
+            }
+            units.push(Unit {
+                algo: algo as usize,
+                delay,
+                stride,
+                trunc,
+            });
+        }
+        Ok(SchedulePlan {
+            scheduler,
+            sched_seed,
+            phase_len,
+            precompute_rounds,
+            predicted_rounds,
+            units,
+        })
+    }
+}
+
+/// The plan's identity: FNV-1a over its [`PlanSlice`] encoding with one
+/// shard owning every node. Equal plans hash equally; so does a one-shard
+/// ASSIGN's slice.
+pub fn plan_hash(plan: &SchedulePlan) -> u64 {
+    let n = plan.units.iter().map(|u| u.delay.len()).max().unwrap_or(0);
+    let one_shard = PlanSlice {
+        plan,
+        of_node: &vec![0; n],
+        shard: 0,
+    };
+    fnv1a(&one_shard.encode())
 }
 
 // ---------------------------------------------------------------- flights
@@ -645,9 +752,9 @@ pub const DONE: u8 = 8;
 /// nodes, degree, steps, delivered, cross_sent, step_nanos, drain_nanos`;
 /// then one output per (algorithm, owned node), algorithm-major; then per
 /// algorithm `count: u64` departures of `round: u32, arc: u32,
-/// engine_round: u32`. Neither the algorithm count nor the node list
-/// crosses the wire: both ends derive them from the problem and the
-/// partition, and `decode` takes them.
+/// engine_round: u32`, in strictly increasing `(round, arc)` order. Neither
+/// the algorithm count nor the node list crosses the wire: both ends derive
+/// them from the problem and the partition, and `decode` takes them.
 pub use crate::exec::ShardOutput as Done;
 
 impl Done {
@@ -690,7 +797,8 @@ impl Done {
     ///
     /// # Errors
     /// [`ExecError::TruncatedFrame`] on a short body or a count the body
-    /// cannot hold.
+    /// cannot hold; [`ExecError::Net`] on a departure run that repeats or
+    /// goes back on a `(round, arc)` key.
     pub fn decode(body: &[u8], k: usize, own: Vec<NodeId>) -> Result<Self, ExecError> {
         let r = &mut ByteReader::new(body);
         let mut word = || u64::get(r, "DONE counters");
@@ -722,15 +830,28 @@ impl Done {
             outputs.push(per_node);
         }
         let mut departures = Vec::new();
-        for _ in 0..k {
+        for algo in 0..k {
             let count = u64::get(r, "DONE departure count")?;
-            let mut map = SimulationMap::new();
-            for _ in 0..r.room_for(count, 12, "DONE departure count")? {
+            let mut run = Vec::with_capacity(r.room_for(count, 12, "DONE departure count")?);
+            for _ in 0..count {
                 let (round, (arc, engine_round)) = <(u32, (u32, u32))>::get(r, "DONE departure")?;
                 let arc = das_graph::Arc::from_index(arc as usize);
-                map.insert(TimedArc { round, arc }, engine_round);
+                let key = TimedArc { round, arc };
+                // a shard encodes its map in key order: a run that is not
+                // strictly increasing came from no honest shard
+                if run.last().is_some_and(|&(last, _)| last >= key) {
+                    return Err(ExecError::Net {
+                        detail: format!(
+                            "DONE departures of algorithm {algo} are not in strictly \
+                             increasing (round, arc) order at round {round}, arc {}",
+                            arc.index()
+                        ),
+                    });
+                }
+                run.push((key, engine_round));
             }
-            departures.push(map);
+            // sorted and distinct: one bulk build, no per-key search
+            departures.push(run.into_iter().collect());
         }
         Ok(Done {
             own,

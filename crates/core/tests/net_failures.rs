@@ -7,7 +7,8 @@
 use das_core::synthetic::Prescribed;
 use das_core::{
     execute_plan_networked, problem_fingerprint, run_worker, wire, BlackBoxAlgorithm, DasProblem,
-    ExecError, NetConfig, SchedError, Scheduler, SequentialScheduler, PROTOCOL_VERSION,
+    ExecError, NetConfig, SchedError, SchedulePlan, Scheduler, SequentialScheduler,
+    PROTOCOL_VERSION,
 };
 use das_graph::{generators, Graph};
 use std::io::{Read, Write};
@@ -50,6 +51,16 @@ fn join_body(problem: &DasProblem<'_>, version: u32) -> Vec<u8> {
     b.extend_from_slice(&version.to_le_bytes());
     b.extend_from_slice(&problem_fingerprint(problem).to_le_bytes());
     b
+}
+
+/// ASSIGN's plan columns for a run with one shard owning every node.
+fn one_shard_slice(plan: &SchedulePlan, of_node: &[u32]) -> Vec<u8> {
+    wire::PlanSlice {
+        plan,
+        of_node,
+        shard: 0,
+    }
+    .encode()
 }
 
 fn exec_err(result: Result<impl std::fmt::Debug, SchedError>) -> ExecError {
@@ -146,14 +157,23 @@ fn mismatched_plan_hash_yields_typed_error() {
         let (mut s, _) = listener.accept().expect("accept");
         let (kind, _) = recv_frame(&mut s);
         assert_eq!(kind, wire::JOIN);
-        let bogus_plan = b"{}";
+        // an honest one-shard slice of an honest plan, behind a wrong hash
+        let g = small_graph();
+        let p = build_problem(&g);
+        let plan = SequentialScheduler.plan(&p, 7).expect("plan");
+        let of_node = vec![0u32; g.node_count()];
+        let slice = one_shard_slice(&plan, &of_node);
         let mut assign = Vec::new();
         assign.extend_from_slice(&0u32.to_le_bytes()); // shard
         assign.extend_from_slice(&1u32.to_le_bytes()); // shards
-        assign.extend_from_slice(&0u64.to_le_bytes()); // full-plan hash
+        assign.extend_from_slice(&das_core::plan_hash(&plan).to_le_bytes()); // full-plan hash
         assign.extend_from_slice(&0xdead_beefu64.to_le_bytes()); // wrong slice hash
-        assign.extend_from_slice(&(bogus_plan.len() as u32).to_le_bytes());
-        assign.extend_from_slice(bogus_plan);
+        assign.extend_from_slice(&(slice.len() as u32).to_le_bytes());
+        assign.extend_from_slice(&slice);
+        assign.extend_from_slice(&(of_node.len() as u32).to_le_bytes());
+        of_node
+            .iter()
+            .for_each(|s| assign.extend_from_slice(&s.to_le_bytes()));
         send_frame(&mut s, wire::ASSIGN, &assign);
         // hold the socket open so the worker's error is the hash check,
         // not a disconnect
@@ -315,14 +335,15 @@ fn lying_assign_count_is_a_truncated_frame_not_a_reservation() {
         // a well-formed one-shard plan, so everything before the count holds
         let g = small_graph();
         let p = build_problem(&g);
-        let plan = SequentialScheduler.plan(&p, 7).expect("plan").to_json();
+        let plan = SequentialScheduler.plan(&p, 7).expect("plan");
+        let slice = one_shard_slice(&plan, &vec![0u32; g.node_count()]);
         let mut assign = Vec::new();
         assign.extend_from_slice(&0u32.to_le_bytes()); // shard
         assign.extend_from_slice(&1u32.to_le_bytes()); // shards
         assign.extend_from_slice(&0u64.to_le_bytes()); // full-plan hash
-        assign.extend_from_slice(&das_core::net::fnv1a(plan.as_bytes()).to_le_bytes());
-        assign.extend_from_slice(&(plan.len() as u32).to_le_bytes());
-        assign.extend_from_slice(plan.as_bytes());
+        assign.extend_from_slice(&das_core::net::fnv1a(&slice).to_le_bytes());
+        assign.extend_from_slice(&(slice.len() as u32).to_le_bytes());
+        assign.extend_from_slice(&slice);
         assign.extend_from_slice(&u32::MAX.to_le_bytes()); // partition entries
         send_frame(&mut s, wire::ASSIGN, &assign);
         let mut sink = [0u8; 16];
@@ -398,13 +419,15 @@ fn rogue_inbox_round_and_payload_are_refused_typed() {
             // an honest one-shard assignment of an honest plan...
             let g = small_graph();
             let p = build_problem(&g);
-            let plan = SequentialScheduler.plan(&p, 7).expect("plan").to_json();
+            let plan = SequentialScheduler.plan(&p, 7).expect("plan");
+            let of_node = vec![0u32; g.node_count()];
+            let slice = one_shard_slice(&plan, &of_node);
             let assign = wire::Assign {
                 shard: 0,
                 shards: 1,
-                plan_hash: das_core::net::fnv1a(plan.as_bytes()),
-                slice_json: wire::Hashed(plan.as_bytes()),
-                of_node: vec![0u32; g.node_count()].into(),
+                plan_hash: das_core::plan_hash(&plan),
+                slice: wire::Hashed(&slice),
+                of_node: of_node.into(),
             };
             send_frame(&mut s, wire::ASSIGN, &assign.encode());
             let (kind, _) = recv_frame(&mut s);

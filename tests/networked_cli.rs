@@ -109,6 +109,69 @@ fn coordinator_and_workers_match_fused_dump_across_processes() {
     std::fs::remove_file(fused_dump).unwrap();
 }
 
+/// A private plan on a 48×48 grid runs over two worker processes under the
+/// default network configuration, and its dump matches the fused one. Its
+/// ASSIGN once carried the plan as JSON, 85 MB per worker against the
+/// 64 MiB frame limit; the shard's own columns are ≈ 23 MB.
+#[test]
+fn private_plan_runs_networked_under_the_default_frame_limit() {
+    const PROBLEM: &[&str] = &["--graph", "grid:48x48", "--workload", "mixed:48"];
+    let dir = std::env::temp_dir().join("dasched_networked_private_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let (fused_dump, net_dump) = (dir.join("fused.txt"), dir.join("networked.txt"));
+    let fused = dasched()
+        .args(["plan"])
+        .args(PROBLEM)
+        .args(["--scheduler", "private", "--execute"])
+        .args(["--dump-outcome", fused_dump.to_str().unwrap()])
+        .stdout(Stdio::null())
+        .status()
+        .expect("run fused plan");
+    assert!(fused.success(), "fused: {fused:?}");
+    let mut coord = dasched()
+        .args(["coordinator"])
+        .args(PROBLEM)
+        .args(["--scheduler", "private", "--workers", "2"])
+        .args(["--listen", "127.0.0.1:0"])
+        .args(["--dump-outcome", net_dump.to_str().unwrap()])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn coordinator");
+    let mut reader = BufReader::new(coord.stdout.take().expect("piped stdout"));
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read listen line");
+    let addr = line
+        .trim()
+        .strip_prefix("listening on ")
+        .unwrap_or_else(|| panic!("unexpected first line: {line:?}"))
+        .to_string();
+    std::thread::spawn(move || for _ in reader.lines() {});
+    let workers: Vec<Child> = (0..2)
+        .map(|_| {
+            dasched()
+                .args(["worker"])
+                .args(PROBLEM)
+                .args(["--connect", &addr])
+                .stdout(Stdio::null())
+                .spawn()
+                .expect("spawn worker")
+        })
+        .collect();
+    let coord_out = wait_bounded(coord, "coordinator", Duration::from_secs(120));
+    assert!(coord_out.status.success(), "coordinator: {coord_out:?}");
+    for w in workers {
+        let out = wait_bounded(w, "worker", Duration::from_secs(120));
+        assert!(out.status.success(), "worker: {out:?}");
+    }
+    assert_eq!(
+        std::fs::read_to_string(&fused_dump).unwrap(),
+        std::fs::read_to_string(&net_dump).unwrap(),
+        "the networked private dump must match the fused dump"
+    );
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
 /// A coordinator whose workers never show up must exit nonzero with the
 /// typed timeout message, within (a generous multiple of) its deadline.
 #[test]

@@ -2,9 +2,11 @@
 //! typed bodies of `das_core::wire`:
 //!
 //! * **golden** — `encode(x)` equals a literal byte vector captured once
-//!   from the *parent* commit's inline packers (driven through its real
-//!   coordinator / worker / daemon / loadgen code over sockets), which is
-//!   why `PROTOCOL_VERSION` did not have to move;
+//!   from the inline packers that predate `wire.rs` (driven through their
+//!   real coordinator / worker / daemon / loadgen code over sockets). The
+//!   one exception is ASSIGN's slice, which v3 turned from plan JSON into
+//!   fixed-width columns: its literal is written out field by field in
+//!   `plan_slices_are_pinned`;
 //! * **round trip** — `decode(encode(x)) == x`;
 //! * **prefixes** — every strict prefix of `encode(x)` decodes to
 //!   `TruncatedFrame`, or, at the one documented cut of a frame with an
@@ -15,19 +17,21 @@
 use dasched::core::serve::{Budgets, Capacity, JobKind, JobSpec, JobStatus, Rejection};
 use dasched::core::synthetic::{FloodBall, RelayChain};
 use dasched::core::wire::{
-    self, check_greeting, Abort, Accepted, Activity, ActivityTotals, Assign, Caps, Decision, Done,
-    Flight, FlightGroup, Greeting, Hashed, Inbox, JobResult, Outbox, Reject, Rejected, RoundCap,
-    Submit,
+    self, check_greeting, fnv1a, plan_hash, Abort, Accepted, Activity, ActivityTotals, Assign,
+    Caps, Decision, Done, Flight, FlightGroup, Greeting, Hashed, Inbox, JobResult, Outbox,
+    PlanSlice, Reject, Rejected, RoundCap, Submit,
 };
 use dasched::core::{
     graph_fingerprint, problem_fingerprint, BlackBoxAlgorithm, DasProblem, ExecError, ExecStats,
-    ShardStats, PROTOCOL_VERSION,
+    SchedulePlan, ShardStats, Unit, PROTOCOL_VERSION,
 };
 use dasched::graph::{generators, Arc, NodeId};
 use dasched::pattern::{SimulationMap, TimedArc};
 use std::borrow::Cow;
 
+/// Bytes from hex digit pairs; whitespace between fields is ignored.
 fn unhex(hex: &str) -> Vec<u8> {
+    let hex: String = hex.split_whitespace().collect();
     (0..hex.len())
         .step_by(2)
         .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex digit pair"))
@@ -41,7 +45,7 @@ fn is_truncated<T>(decoded: &Result<T, ExecError>) -> bool {
 /// The three checks of the module docs for one frame body `$x`; `$decode`
 /// is the body's decoder as a closure over the bytes.
 macro_rules! pinned {
-    ($name:literal, $x:expr, $golden:literal, $decode:expr) => {{
+    ($name:literal, $x:expr, $golden:expr, $decode:expr) => {{
         let x = $x;
         let golden = unhex($golden);
         assert_eq!(x.encode(), golden, "{}: the layout moved", $name);
@@ -77,7 +81,83 @@ fn fingerprints_are_pinned() {
     let p = DasProblem::new(&g, algos, 7);
     assert_eq!(graph_fingerprint(&g), GRAPH_FP);
     assert_eq!(problem_fingerprint(&p), PROBLEM_FP);
-    assert_eq!(PROTOCOL_VERSION, 2);
+    assert_eq!(PROTOCOL_VERSION, 3);
+}
+
+/// A two-unit plan on four nodes: one untruncated unit, one strided and
+/// truncated.
+fn four_node_plan() -> SchedulePlan {
+    SchedulePlan {
+        scheduler: "uniform".to_string(),
+        sched_seed: 7,
+        phase_len: 3,
+        precompute_rounds: 0,
+        predicted_rounds: 9,
+        units: vec![
+            Unit {
+                algo: 0,
+                delay: vec![0, 1, 2, 3],
+                stride: 1,
+                trunc: vec![u32::MAX; 4],
+            },
+            Unit {
+                algo: 1,
+                delay: vec![4, 5, 6, 7],
+                stride: 2,
+                trunc: vec![1, 2, 3, 4],
+            },
+        ],
+    }
+}
+
+/// Shard 1's columns of [`four_node_plan`] under the partition `[0, 0, 1,
+/// 1]`: the header, the unit count, then per unit `algo, stride` and nodes
+/// 2 and 3's `(delay, trunc)`.
+const SHARD_1_SLICE: &str = "\
+    07000000756e69666f726d 0700000000000000 0300000000000000 0000000000000000 0900000000000000 \
+    02000000 \
+    00000000 0100000000000000 0200000000000000 ffffffff 0300000000000000 ffffffff \
+    01000000 0200000000000000 0600000000000000 03000000 0700000000000000 04000000";
+
+/// ASSIGN's plan columns: the literal layout, a decode that puts them back
+/// on the owned nodes and zeros everywhere else, and every strict prefix
+/// truncated. With one shard the slice is the whole plan — the bytes
+/// [`plan_hash`] hashes.
+#[test]
+fn plan_slices_are_pinned() {
+    let plan = four_node_plan();
+    let of_node = [0, 0, 1, 1];
+    let slice = PlanSlice {
+        plan: &plan,
+        of_node: &of_node,
+        shard: 1,
+    };
+    let golden = unhex(SHARD_1_SLICE);
+    assert_eq!(slice.encode(), golden, "the column layout moved");
+    let mut owned_part = plan.clone();
+    for u in &mut owned_part.units {
+        u.delay[..2].fill(0);
+        u.trunc[..2].fill(0);
+    }
+    assert_eq!(
+        PlanSlice::decode(&golden, &of_node, 1).expect("slice"),
+        owned_part
+    );
+    for cut in 0..golden.len() {
+        let decoded = PlanSlice::decode(&golden[..cut], &of_node, 1);
+        assert!(
+            is_truncated(&decoded),
+            "prefix of {cut} bytes decoded to {decoded:?}"
+        );
+    }
+    let whole = PlanSlice {
+        plan: &plan,
+        of_node: &[0; 4],
+        shard: 0,
+    }
+    .encode();
+    assert_eq!(PlanSlice::decode(&whole, &[0; 4], 0).expect("whole"), plan);
+    assert_eq!(plan_hash(&plan), fnv1a(&whole));
 }
 
 #[test]
@@ -100,17 +180,20 @@ fn handshake_frames_are_pinned() {
         "02000000c22c83a2fac37cb0",
         Greeting::decode
     );
+    let slice = unhex(SHARD_1_SLICE);
     pinned!(
         "ASSIGN",
         Assign {
             shard: 1,
             shards: 2,
             plan_hash: 0x2222,
-            slice_json: Hashed(b"{\"slice\":1}"),
+            slice: Hashed(&slice),
             of_node: Cow::Borrowed(&[0, 0, 1, 1]),
         },
-        "01000000020000002222000000000000083918c841b592d50b0000007b22736c696365223a317d\
-         0400000000000000000000000100000001000000",
+        &format!(
+            "01000000 02000000 2222000000000000 4c438bd27a6221d1 77000000 {SHARD_1_SLICE} \
+             04000000 00000000 00000000 01000000 01000000"
+        ),
         Assign::decode
     );
     // handshake_worker's two, the doorman's, and serve_client's: one layout
@@ -145,12 +228,13 @@ fn handshake_frames_are_pinned() {
 /// decoder itself — before the node list is even read.
 #[test]
 fn assign_guards_its_slice() {
+    let slice = unhex(SHARD_1_SLICE);
     let mut body = Assign {
-        shard: 0,
-        shards: 1,
+        shard: 1,
+        shards: 2,
         plan_hash: 0,
-        slice_json: Hashed(b"{}"),
-        of_node: Cow::Borrowed(&[0]),
+        slice: Hashed(&slice),
+        of_node: Cow::Borrowed(&[0, 0, 1, 1]),
     }
     .encode();
     body[16] ^= 1; // first byte of the slice hash
@@ -355,7 +439,7 @@ fn ending_frames_are_pinned() {
     };
     pinned!(
         "DONE",
-        done,
+        done.clone(),
         "08000000000000004d000000000000000b0000000000000002000000000000000100000000000000\
          04000000000000000100000000000000020000000000000003000000000000001400000000000000\
          0b000000000000000600000000000000d2040000000000002e160000000000000102000000616200\
@@ -363,6 +447,23 @@ fn ending_frames_are_pinned() {
          000000000000",
         |body| Done::decode(body, 2, own.clone())
     );
+    // An honest shard writes each departure map in key order. A repeated
+    // or backward (round, arc) key is refused typed, not merged: swap the
+    // two departures of algorithm 0, then repeat the first.
+    let golden = done.encode();
+    let first = golden.len() - 8 - 24; // algorithm 1's count, two departures
+    let (a, b) = (first..first + 12, first + 12..first + 24);
+    let mut swapped = golden.clone();
+    swapped[a.clone()].copy_from_slice(&golden[b.clone()]);
+    swapped[b.clone()].copy_from_slice(&golden[a.clone()]);
+    let mut repeated = golden.clone();
+    repeated[b].copy_from_slice(&golden[a]);
+    for rogue in [swapped, repeated] {
+        match Done::decode(&rogue, 2, own.clone()) {
+            Err(ExecError::Net { detail }) => assert!(detail.contains("strictly increasing")),
+            other => panic!("expected a typed Net error, got {other:?}"),
+        }
+    }
     pinned!(
         "ERROR",
         RoundCap {
@@ -552,13 +653,33 @@ fn lying_counts_reserve_nothing() {
         shard: 0,
         shards: 1,
         plan_hash: 0,
-        slice_json: Hashed(b""),
+        slice: Hashed(b""),
         of_node: Cow::Borrowed(&[]),
     }
     .encode();
     let at = assign.len() - 4;
     assign[at..].copy_from_slice(&max);
     assert!(is_truncated(&Assign::decode(&assign)));
+    // plan slice: u32::MAX units; then one unit whose column run — 12
+    // bytes for each of a million owned nodes — the body does not hold.
+    // Both are refused before any node-length column is allocated.
+    let empty = SchedulePlan {
+        units: Vec::new(),
+        ..four_node_plan()
+    };
+    let mut units = PlanSlice {
+        plan: &empty,
+        of_node: &[0],
+        shard: 0,
+    }
+    .encode();
+    let at = units.len() - 4;
+    units[at..].copy_from_slice(&max);
+    assert!(is_truncated(&PlanSlice::decode(&units, &[0], 0)));
+    let million = vec![0u32; 1 << 20];
+    units[at..].copy_from_slice(&1u32.to_le_bytes());
+    units.extend_from_slice(&[0u8; 12 + 12 * 4]); // algo, stride, four nodes' columns
+    assert!(is_truncated(&PlanSlice::decode(&units, &million, 0)));
     // RESULT: u32::MAX outputs
     let mut result = JobResult {
         job_id: 1,
