@@ -29,9 +29,8 @@ pub use table::Table;
 
 use das_core::verify;
 use das_core::{
-    doubling, execute_plan_networked, execute_plan_observed, execute_plan_observed_with,
-    execute_plan_sharded_observed, run_worker, DasProblem, DoublingConfig, EngineKind, ExecError,
-    ExecutorConfig, NetConfig, NetReport, SchedError, ScheduleOutcome, SchedulePlan, Scheduler,
+    doubling, execute, run_worker, DasProblem, DoublingConfig, EngineKind, ExecError, ExecOptions,
+    Executed, ExecutorConfig, NetConfig, SchedError, ScheduleOutcome, SchedulePlan, Scheduler,
     SweepArtifact, UniformScheduler,
 };
 use das_obs::{ObsConfig, ObsReport};
@@ -106,14 +105,6 @@ pub struct Trial {
     pub obs: Option<ObsReport>,
 }
 
-/// What the executor arms hand to [`finish_trial`].
-struct Executed {
-    outcome: ScheduleOutcome,
-    shard: Option<ShardSummary>,
-    net: Option<NetSummary>,
-    obs: Option<ObsReport>,
-}
-
 /// One full trial through the staged pipeline: plan with `sched_seed`,
 /// execute the plan on `executor`, verify exactly once, and record — with
 /// the plan's predicted length threaded into the record.
@@ -134,37 +125,19 @@ pub fn run_trial(spec: &TrialSpec<'_>) -> Trial {
         None => spec.scheduler.plan(problem, spec.sched_seed),
     }
     .expect("workload is model-valid");
-    let fused = |(outcome, obs)| Executed {
-        outcome,
-        shard: None,
-        net: None,
-        obs,
-    };
-    let result = match spec.executor {
+    let opts = match spec.executor {
         TrialExecutor::Oracle => {
-            let cfg = ExecutorConfig::default().with_engine(EngineKind::Row);
-            execute_plan_observed_with(problem, &plan, &spec.obs, &cfg).map(fused)
+            let row = ExecutorConfig::default().with_engine(EngineKind::Row);
+            ExecOptions::default().with_config(row)
         }
-        TrialExecutor::Fused => execute_plan_observed(problem, &plan, &spec.obs).map(fused),
-        TrialExecutor::Sharded(n) => {
-            execute_plan_sharded_observed(problem, &plan, n.max(1), &spec.obs).map(
-                |(outcome, shard, obs)| Executed {
-                    outcome,
-                    shard: Some(ShardSummary::of(&shard)),
-                    net: None,
-                    obs,
-                },
-            )
-        }
+        TrialExecutor::Fused => ExecOptions::default(),
+        TrialExecutor::Sharded(n) => ExecOptions::sharded(n),
         TrialExecutor::Networked(n) => {
-            execute_on_localhost(problem, &plan, n.max(1)).map(|(outcome, report)| Executed {
-                outcome,
-                shard: Some(ShardSummary::of(&report.shard)),
-                net: Some(NetSummary::of(&report)),
-                obs: None,
-            })
+            let done = execute_on_localhost(problem, &plan, n.max(1));
+            return finish_trial(problem, &plan, spec.sched_seed, done);
         }
     };
+    let result = execute(problem, &plan, opts.with_obs(spec.obs));
     finish_trial(problem, &plan, spec.sched_seed, result)
 }
 
@@ -174,7 +147,7 @@ fn execute_on_localhost(
     problem: &DasProblem<'_>,
     plan: &SchedulePlan,
     workers: usize,
-) -> Result<(ScheduleOutcome, NetReport), SchedError> {
+) -> Result<Executed, SchedError> {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind localhost");
     let addr = listener.local_addr().expect("local addr").to_string();
     let net = NetConfig::default();
@@ -185,7 +158,11 @@ fn execute_on_localhost(
         let handles: Vec<_> = (0..effective)
             .map(|_| scope.spawn(|| run_worker(problem, &addr, &net)))
             .collect();
-        let result = execute_plan_networked(problem, plan, workers, listener, &net);
+        let result = execute(
+            problem,
+            plan,
+            ExecOptions::networked(workers, listener, &net),
+        );
         for h in handles {
             // on a cap error both sides return the same typed error; only
             // the coordinator's copy feeds the record
@@ -196,7 +173,9 @@ fn execute_on_localhost(
 }
 
 /// Turns an execution result into the trial: verify-and-record on success,
-/// a `truncated` failure record when the engine-round cap was hit. Split
+/// with the shard and traffic summaries of the topologies that produce
+/// them, or a `truncated` failure record when the engine-round cap was hit.
+/// Split
 /// out so the cap path is unit-testable without building a diverging
 /// schedule.
 fn finish_trial(
@@ -209,8 +188,9 @@ fn finish_trial(
         Ok(done) => {
             let mut record = record_trial(problem, sched_seed, &done.outcome);
             record.predicted = Some(plan.predicted_rounds);
-            record.shard = done.shard;
-            record.net = done.net;
+            // a fused run has no shards, only a networked one has links
+            record.shard = (done.shard.shards > 0).then(|| ShardSummary::of(&done.shard));
+            record.net = (!done.traffic.is_empty()).then(|| NetSummary::of(&done.traffic));
             record.obs = done.obs.as_ref().map(|r| r.summary());
             Trial {
                 record,

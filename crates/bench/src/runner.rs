@@ -244,16 +244,17 @@ pub struct NetSummary {
 }
 
 impl NetSummary {
-    /// Condenses a [`das_core::NetReport`] into the artifact form.
-    pub fn of(report: &das_core::NetReport) -> Self {
+    /// Condenses a networked run's per-worker traffic
+    /// ([`das_core::Executed::traffic`]) into the artifact form.
+    pub fn of(traffic: &[das_core::LinkTraffic]) -> Self {
         NetSummary {
-            workers: report.traffic.len(),
-            frames_sent: report.traffic.iter().map(|t| t.frames_sent).sum(),
-            frames_received: report.traffic.iter().map(|t| t.frames_received).sum(),
-            bytes_sent: report.traffic.iter().map(|t| t.bytes_sent).sum(),
-            bytes_received: report.traffic.iter().map(|t| t.bytes_received).sum(),
-            per_worker_bytes_sent: report.traffic.iter().map(|t| t.bytes_sent).collect(),
-            per_worker_bytes_received: report.traffic.iter().map(|t| t.bytes_received).collect(),
+            workers: traffic.len(),
+            frames_sent: traffic.iter().map(|t| t.frames_sent).sum(),
+            frames_received: traffic.iter().map(|t| t.frames_received).sum(),
+            bytes_sent: traffic.iter().map(|t| t.bytes_sent).sum(),
+            bytes_received: traffic.iter().map(|t| t.bytes_received).sum(),
+            per_worker_bytes_sent: traffic.iter().map(|t| t.bytes_sent).collect(),
+            per_worker_bytes_received: traffic.iter().map(|t| t.bytes_received).collect(),
         }
     }
 }

@@ -6,7 +6,7 @@
 //! which must not race with other tests in the same process.
 
 use das_bench::workloads;
-use das_core::{execute_plan, PrivateScheduler, Scheduler, UniformScheduler};
+use das_core::{execute, ExecOptions, PrivateScheduler, Scheduler, UniformScheduler};
 use das_graph::generators;
 
 /// Planning twice with the same `(problem, sched_seed)` yields
@@ -35,16 +35,17 @@ fn planning_twice_is_byte_identical() {
 /// and on the full pool. The env-flipping runs live in one test so nothing
 /// observes the variable mid-change.
 #[test]
-fn execute_plan_is_identical_across_thread_counts() {
+fn execute_is_identical_across_thread_counts() {
     let g = generators::grid(6, 6);
     let problem = workloads::mixed_bundle(&g, 9, 6, 3);
     let plan = UniformScheduler::default()
         .plan(&problem, 5)
         .expect("model-valid");
 
-    let parallel = execute_plan(&problem, &plan);
+    let fused = || execute(&problem, &plan, ExecOptions::default()).map(|done| done.outcome);
+    let parallel = fused();
     std::env::set_var("RAYON_NUM_THREADS", "1");
-    let sequential = execute_plan(&problem, &plan);
+    let sequential = fused();
     std::env::remove_var("RAYON_NUM_THREADS");
 
     assert_eq!(

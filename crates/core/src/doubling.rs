@@ -35,7 +35,7 @@
 //! `doubling.artifact_builds` counters record the reuse.
 
 use crate::exec::ExecutorConfig;
-use crate::plan::{analysis, execute_plan_observed_with, SchedError, SchedulePlan};
+use crate::plan::{analysis, execute, ExecOptions, SchedError, SchedulePlan};
 use crate::problem::DasProblem;
 use crate::schedule::ScheduleOutcome;
 use crate::schedulers::Scheduler;
@@ -294,7 +294,9 @@ fn search(
     };
     cache.replan_cache_hits = u64::from(attempts) - 1;
     let exec_cfg = ExecutorConfig::default().with_live(cfg.live.clone());
-    let (mut outcome, exec_report) = execute_plan_observed_with(problem, &plan, obs, &exec_cfg)?;
+    let opts = ExecOptions::default().with_config(exec_cfg).with_obs(*obs);
+    let done = execute(problem, &plan, opts)?;
+    let (mut outcome, exec_report) = (done.outcome, done.obs);
     debug_assert!(
         fell_back || outcome.stats.late_messages == 0,
         "prediction is exact"

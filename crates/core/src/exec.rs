@@ -285,9 +285,10 @@ pub struct ExecutorConfig {
     /// Record message departures to build a causality-checkable
     /// [`SimulationMap`] per algorithm.
     pub record_departures: bool,
-    /// Number of shards for [`Executor::run_sharded`] (clamped to the node
-    /// count; [`Executor::run`] ignores it). The outcome is byte-identical
-    /// for every shard count — sharding changes only the parallel layout.
+    /// The shard count the compat shim for the standalone benchmark reads;
+    /// nothing else does ([`crate::Topology::Sharded`] carries the shard
+    /// count).
+    #[doc(hidden)]
     pub shards: usize,
     /// Which loop to run; outcomes are byte-identical either way (see
     /// [`EngineKind`]).
@@ -332,7 +333,8 @@ impl ExecutorConfig {
         self
     }
 
-    /// Sets the shard count for [`Executor::run_sharded`].
+    /// Sets [`ExecutorConfig::shards`].
+    #[doc(hidden)]
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
         self
@@ -570,13 +572,18 @@ impl TagWindow {
 }
 
 /// Runs a scheduled execution; see the `exec` module docs at the top of
-/// this file for the semantics.
-pub struct Executor;
+/// this file for the semantics. Reached through [`crate::plan::execute`],
+/// which validates the plan first.
+pub(crate) struct Executor;
 
 impl Executor {
     /// Executes `units` over the problem's algorithms with the given
-    /// configuration, returning outputs, stats, and (optionally) the
-    /// per-algorithm simulation maps.
+    /// configuration, returning outputs, stats, (optionally) the
+    /// per-algorithm simulation maps, and the recording at the level `obs`
+    /// asks for — `None` when recording is disabled. The outcome is
+    /// byte-identical for every `obs` setting: the probe only reads
+    /// executor state and never feeds back into it
+    /// (`tests/obs_neutrality.rs` enforces this property-style).
     ///
     /// # Errors
     /// Returns [`ExecError::RoundCapExceeded`] if the queues have not
@@ -586,30 +593,7 @@ impl Executor {
     /// Panics if the plan is malformed (missized vectors, zero stride,
     /// unknown algorithm) — plans from untrusted sources go through
     /// [`crate::SchedulePlan::validate`] first.
-    pub fn run(
-        g: &Graph,
-        algos: &[Box<dyn BlackBoxAlgorithm>],
-        seeds: &[u64],
-        units: &[Unit],
-        config: &ExecutorConfig,
-    ) -> Result<ScheduleOutcome, ExecError> {
-        Self::run_with(g, algos, seeds, units, config, &mut ExecObs::disabled())
-    }
-
-    /// Like [`Executor::run`], recording observability at the level `obs`
-    /// asks for. The outcome is byte-identical to [`Executor::run`] for
-    /// every `obs` setting — the probe only reads executor state and never
-    /// feeds back into it (`tests/obs_neutrality.rs` enforces this
-    /// property-style). Returns `None` for the report when recording is
-    /// disabled.
-    ///
-    /// # Errors
-    /// Returns [`ExecError::RoundCapExceeded`] exactly as [`Executor::run`]
-    /// does.
-    ///
-    /// # Panics
-    /// Panics on malformed plans, as [`Executor::run`] does.
-    pub fn run_observed(
+    pub(crate) fn run_observed(
         g: &Graph,
         algos: &[Box<dyn BlackBoxAlgorithm>],
         seeds: &[u64],
@@ -624,7 +608,7 @@ impl Executor {
     }
 
     /// The fused executor; `obs` hooks are self-guarded no-ops when
-    /// recording is off, so this is also [`Executor::run`]'s body. The
+    /// recording is off. The
     /// production engines run the shared big-round loop as one shard that
     /// owns every node ([`Local`] exchange). The body below is the **row**
     /// engine — the executable specification the production loop must match
@@ -817,20 +801,23 @@ impl Executor {
         })
     }
 
-    /// Executes `units` sharded: nodes are partitioned into
-    /// `config.shards` degree-balanced shards (see [`Partition`]), each
-    /// driven by its own worker thread running the production big-round
-    /// loop. Workers step their own nodes and drain the arcs they own (an
-    /// arc belongs to the shard of its *destination* node) freely within a
-    /// big-round; cross-shard messages travel through per-(shard, shard)
-    /// outboxes and enter the owner's queues only at the big-round
-    /// boundary.
+    /// Executes `units` sharded: nodes are partitioned into `shards`
+    /// degree-balanced shards (see [`Partition`]; clamped to the node
+    /// count), each driven by its own worker thread running the production
+    /// big-round loop. Workers step their own nodes and drain the arcs they
+    /// own (an arc belongs to the shard of its *destination* node) freely
+    /// within a big-round; cross-shard messages travel through
+    /// per-(shard, shard) outboxes and enter the owner's queues only at the
+    /// big-round boundary.
     ///
     /// The returned [`ScheduleOutcome`] is **byte-identical** to
-    /// [`Executor::run`] for every plan and shard count (see
-    /// `exec/big_round.rs` for why). Wall-clock and traffic measurements
-    /// that *do* depend on the partition are returned separately in the
-    /// [`ShardReport`].
+    /// [`Executor::run_observed`]'s for every plan, shard count and `obs`
+    /// setting (see `exec/big_round.rs` for why). Wall-clock and traffic
+    /// measurements that *do* depend on the partition are returned
+    /// separately in the [`ShardReport`]. Each shard worker carries its own
+    /// probe (events land on that shard's lane/track) and the per-shard
+    /// recordings merge into one report in shard order, so the report's
+    /// deterministic content is independent of thread interleaving.
     ///
     /// One dedicated thread per shard is spawned (independent of any rayon
     /// pool and of `RAYON_NUM_THREADS`), so big-round barriers cannot
@@ -847,45 +834,20 @@ impl Executor {
     /// # Panics
     /// Panics if the plan is malformed (missized vectors, zero stride,
     /// unknown algorithm).
-    pub fn run_sharded(
+    pub(crate) fn run_sharded_observed(
         g: &Graph,
         algos: &[Box<dyn BlackBoxAlgorithm>],
         seeds: &[u64],
         units: &[Unit],
         config: &ExecutorConfig,
-    ) -> Result<(ScheduleOutcome, ShardReport), ExecError> {
-        Self::run_sharded_observed(g, algos, seeds, units, config, &ObsConfig::off())
-            .map(|(outcome, report, _)| (outcome, report))
-    }
-
-    /// Like [`Executor::run_sharded`], recording observability at the level
-    /// `obs` asks for: each shard worker carries its own probe (events land
-    /// on that shard's lane/track) and the per-shard recordings merge into
-    /// one report in shard order — so the report's deterministic content is
-    /// independent of thread interleaving, and the [`ScheduleOutcome`]
-    /// stays byte-identical to [`Executor::run`] for every `obs` setting.
-    /// Returns `None` for the report when recording is disabled.
-    ///
-    /// # Errors
-    /// Exactly as [`Executor::run_sharded`].
-    ///
-    /// # Panics
-    /// Panics on malformed plans, as [`Executor::run_sharded`] does.
-    pub fn run_sharded_observed(
-        g: &Graph,
-        algos: &[Box<dyn BlackBoxAlgorithm>],
-        seeds: &[u64],
-        units: &[Unit],
-        config: &ExecutorConfig,
+        shards: usize,
         obs: &ObsConfig,
     ) -> Result<(ScheduleOutcome, ShardReport, Option<ObsReport>), ExecError> {
         if config.engine == EngineKind::Row {
-            return Err(ExecError::RowIsFusedOnly {
-                shards: config.shards,
-            });
+            return Err(ExecError::RowIsFusedOnly { shards });
         }
         let n = g.node_count();
-        let part = Partition::degree_balanced(g, config.shards);
+        let part = Partition::degree_balanced(g, shards);
         let s = part.shards();
         let flat = FlatSteps::build(n, algos, units);
         let ctx = ShardCtx {
@@ -994,19 +956,45 @@ mod tests {
     use crate::synthetic::{FloodBall, RelayChain};
     use das_graph::generators;
 
+    /// [`Executor::run_observed`] on every algorithm of `p`, unrecorded.
+    fn run(
+        p: &DasProblem<'_>,
+        units: &[Unit],
+        config: &ExecutorConfig,
+    ) -> Result<ScheduleOutcome, ExecError> {
+        let seeds: Vec<u64> = (0..p.k()).map(|i| p.algo_seed(i)).collect();
+        let off = ObsConfig::off();
+        Executor::run_observed(p.graph(), p.algorithms(), &seeds, units, config, &off)
+            .map(|(outcome, _)| outcome)
+    }
+
+    /// [`Executor::run_sharded_observed`] likewise, on `shards` shards.
+    fn run_sharded(
+        p: &DasProblem<'_>,
+        units: &[Unit],
+        config: &ExecutorConfig,
+        shards: usize,
+    ) -> Result<(ScheduleOutcome, ShardReport), ExecError> {
+        let seeds: Vec<u64> = (0..p.k()).map(|i| p.algo_seed(i)).collect();
+        let off = ObsConfig::off();
+        Executor::run_sharded_observed(
+            p.graph(),
+            p.algorithms(),
+            &seeds,
+            units,
+            config,
+            shards,
+            &off,
+        )
+        .map(|(outcome, report, _)| (outcome, report))
+    }
+
     #[test]
     fn single_algorithm_zero_delay_matches_reference() {
         let g = generators::path(8);
         let p = DasProblem::new(&g, vec![Box::new(RelayChain::new(0, &g))], 3);
         let units = vec![Unit::global(0, 0, 8)];
-        let outcome = Executor::run(
-            &g,
-            p.algorithms(),
-            &[p.algo_seed(0)],
-            &units,
-            &ExecutorConfig::default(),
-        )
-        .unwrap();
+        let outcome = run(&p, &units, &ExecutorConfig::default()).unwrap();
         let reference = &p.references().unwrap()[0];
         assert_eq!(outcome.outputs[0], reference.outputs);
         assert_eq!(outcome.stats.late_messages, 0);
@@ -1028,14 +1016,7 @@ mod tests {
             3,
         );
         let units = vec![Unit::global(0, 0, 6), Unit::global(1, 0, 6)];
-        let outcome = Executor::run(
-            &g,
-            p.algorithms(),
-            &[p.algo_seed(0), p.algo_seed(1)],
-            &units,
-            &ExecutorConfig::default(),
-        )
-        .unwrap();
+        let outcome = run(&p, &units, &ExecutorConfig::default()).unwrap();
         assert!(outcome.stats.late_messages > 0, "collision must surface");
     }
 
@@ -1052,14 +1033,7 @@ mod tests {
         );
         // delay the second by one big-round: the token trains never collide
         let units = vec![Unit::global(0, 0, 6), Unit::global(1, 1, 6)];
-        let outcome = Executor::run(
-            &g,
-            p.algorithms(),
-            &[p.algo_seed(0), p.algo_seed(1)],
-            &units,
-            &ExecutorConfig::default(),
-        )
-        .unwrap();
+        let outcome = run(&p, &units, &ExecutorConfig::default()).unwrap();
         assert_eq!(outcome.stats.late_messages, 0);
         let refs = p.references().unwrap();
         assert_eq!(outcome.outputs[0], refs[0].outputs);
@@ -1073,14 +1047,7 @@ mod tests {
         let g = generators::path(6);
         let p = DasProblem::new(&g, vec![Box::new(RelayChain::new(0, &g))], 3);
         let units = vec![Unit::global(0, 2, 6)];
-        let outcome = Executor::run(
-            &g,
-            p.algorithms(),
-            &[p.algo_seed(0)],
-            &units,
-            &ExecutorConfig::default().with_phase_len(3),
-        )
-        .unwrap();
+        let outcome = run(&p, &units, &ExecutorConfig::default().with_phase_len(3)).unwrap();
         let map = &outcome.departures.as_ref().unwrap()[0];
         let pattern = &p.references().unwrap()[0].pattern;
         das_pattern::verify_simulation(&g, pattern, map).unwrap();
@@ -1097,14 +1064,7 @@ mod tests {
             stride: 1,
             trunc: vec![3; 10],
         }];
-        let outcome = Executor::run(
-            &g,
-            p.algorithms(),
-            &[p.algo_seed(0)],
-            &units,
-            &ExecutorConfig::default(),
-        )
-        .unwrap();
+        let outcome = run(&p, &units, &ExecutorConfig::default()).unwrap();
         // nodes 0..3 heard (they step rounds 0..3), beyond never stepped
         let out = &outcome.outputs[0];
         assert_eq!(out[2].as_ref().unwrap()[0], 1);
@@ -1119,14 +1079,7 @@ mod tests {
         // canonical machine steps at the earlier one; total messages equal
         // one copy (dedup)
         let units = vec![Unit::global(0, 3, 5), Unit::global(0, 1, 5)];
-        let outcome = Executor::run(
-            &g,
-            p.algorithms(),
-            &[p.algo_seed(0)],
-            &units,
-            &ExecutorConfig::default(),
-        )
-        .unwrap();
+        let outcome = run(&p, &units, &ExecutorConfig::default()).unwrap();
         assert_eq!(outcome.stats.delivered, 4, "one copy of each message");
         assert_eq!(outcome.outputs[0], p.references().unwrap()[0].outputs);
     }
@@ -1148,8 +1101,7 @@ mod tests {
             max_engine_rounds: 3,
             ..ExecutorConfig::default()
         };
-        let seeds = [p.algo_seed(0), p.algo_seed(1)];
-        let err = Executor::run(&g, p.algorithms(), &seeds, &units, &config).unwrap_err();
+        let err = run(&p, &units, &config).unwrap_err();
         assert_eq!(
             err,
             ExecError::RoundCapExceeded {
@@ -1159,9 +1111,7 @@ mod tests {
         );
         assert!(err.to_string().contains("cap 3"));
         // the sharded path reports the identical error
-        let sharded_err =
-            Executor::run_sharded(&g, p.algorithms(), &seeds, &units, &config.with_shards(3))
-                .unwrap_err();
+        let sharded_err = run_sharded(&p, &units, &config, 3).unwrap_err();
         assert_eq!(sharded_err, err);
     }
 
@@ -1188,19 +1138,11 @@ mod tests {
             ],
             9,
         );
-        let seeds = [p.algo_seed(0), p.algo_seed(1)];
         let units = vec![Unit::global(0, 0, 16), Unit::global(1, 1, 16)];
         let config = ExecutorConfig::default().with_phase_len(2);
-        let fused = Executor::run(&g, p.algorithms(), &seeds, &units, &config).unwrap();
+        let fused = run(&p, &units, &config).unwrap();
         for shards in [1, 2, 5, 16, 64] {
-            let (sharded, report) = Executor::run_sharded(
-                &g,
-                p.algorithms(),
-                &seeds,
-                &units,
-                &config.clone().with_shards(shards),
-            )
-            .unwrap();
+            let (sharded, report) = run_sharded(&p, &units, &config, shards).unwrap();
             assert_eq!(
                 format!("{fused:?}"),
                 format!("{sharded:?}"),
@@ -1241,7 +1183,6 @@ mod tests {
             ],
             11,
         );
-        let seeds = [p.algo_seed(0), p.algo_seed(1), p.algo_seed(2)];
         let units = vec![
             Unit::global(0, 0, 16),
             Unit::global(1, 0, 16),
@@ -1249,18 +1190,9 @@ mod tests {
         ];
         for phase_len in [1, 2, 5] {
             let base = ExecutorConfig::default().with_phase_len(phase_len);
-            let row = Executor::run(
-                &g,
-                p.algorithms(),
-                &seeds,
-                &units,
-                &base.clone().with_engine(EngineKind::Row),
-            )
-            .unwrap();
-            let batched = Executor::run(
-                &g,
-                p.algorithms(),
-                &seeds,
+            let row = run(&p, &units, &base.clone().with_engine(EngineKind::Row)).unwrap();
+            let batched = run(
+                &p,
                 &units,
                 &base.clone().with_engine(EngineKind::ColumnarBatched),
             )
@@ -1285,27 +1217,13 @@ mod tests {
             3,
         );
         let units = vec![Unit::global(0, 0, 6), Unit::global(1, 0, 6)];
-        let seeds = [p.algo_seed(0), p.algo_seed(1)];
         let config = ExecutorConfig {
             max_engine_rounds: 3,
             ..ExecutorConfig::default()
         };
-        let row = Executor::run(
-            &g,
-            p.algorithms(),
-            &seeds,
-            &units,
-            &config.clone().with_engine(EngineKind::Row),
-        )
-        .unwrap_err();
-        let batched = Executor::run(
-            &g,
-            p.algorithms(),
-            &seeds,
-            &units,
-            &config.with_engine(EngineKind::ColumnarBatched),
-        )
-        .unwrap_err();
+        let row = run(&p, &units, &config.clone().with_engine(EngineKind::Row)).unwrap_err();
+        let batched =
+            run(&p, &units, &config.with_engine(EngineKind::ColumnarBatched)).unwrap_err();
         assert_eq!(row, batched);
     }
 
@@ -1321,14 +1239,7 @@ mod tests {
         }];
         let plan = StepPlan::build(&g, p.algorithms(), &units);
         assert_eq!(plan.steps(0, NodeId(0)), &[0, 3, 6]);
-        let outcome = Executor::run(
-            &g,
-            p.algorithms(),
-            &[p.algo_seed(0)],
-            &units,
-            &ExecutorConfig::default(),
-        )
-        .unwrap();
+        let outcome = run(&p, &units, &ExecutorConfig::default()).unwrap();
         assert_eq!(outcome.outputs[0], p.references().unwrap()[0].outputs);
     }
 

@@ -10,7 +10,7 @@
 //! * [`Local`] — one shard owns every node; no peer, no barrier. Every
 //!   method is an inlined constant, so the fused path pays nothing.
 //! * [`InProcess`] — worker threads of
-//!   [`super::Executor::run_sharded`]: per-(src, dst) outboxes and three
+//!   [`crate::Topology::Sharded`]: per-(src, dst) outboxes and three
 //!   barriers per big-round (outboxes complete / activity posted /
 //!   activity read).
 //! * `Wire` (in `net.rs`) — a networked worker: OUTBOX → INBOX and
@@ -196,7 +196,7 @@ impl InProcessShared {
 }
 
 /// The threaded exchange: one per shard worker of
-/// [`super::Executor::run_sharded`].
+/// [`crate::Topology::Sharded`].
 pub(crate) struct InProcess<'s> {
     me: usize,
     shared: &'s InProcessShared,

@@ -32,8 +32,9 @@
 //! ## The pipeline: plan → execute → verify
 //!
 //! Scheduling is staged. [`Scheduler::plan`] maps `(problem, sched_seed)`
-//! to a serializable [`SchedulePlan`]; the shared [`execute_plan`] realizes
-//! any plan on the engine; [`verify::against_references`] checks the
+//! to a serializable [`SchedulePlan`]; the shared [`execute`] realizes
+//! any plan on the engine — fused, sharded or networked, as its
+//! [`ExecOptions`] say; [`verify::against_references`] checks the
 //! outcome. [`Scheduler::run`] fuses the first two for convenience. The
 //! problem's `tape_seed` fixes only the algorithms' random tapes (and so
 //! the reference runs), while scheduler randomness comes from the per-plan
@@ -60,6 +61,8 @@
 #![warn(missing_docs)]
 
 mod algorithm;
+#[doc(hidden)]
+pub mod compat;
 mod exec;
 mod problem;
 mod reference;
@@ -81,22 +84,16 @@ pub mod wire;
 pub use algorithm::{
     Aid, AlgoNode, AlgoSend, AlgoSlab, BatchedSends, BlackBoxAlgorithm, BlockStep, NodeBatch,
 };
+#[doc(hidden)]
+pub use compat::*;
 pub use doubling::{DoublingConfig, DoublingOutcome, PlanCacheStats};
 pub use exec::{
-    EngineKind, ExecError, ExecStats, Executor, ExecutorConfig, ShardReport, ShardStats, StepPlan,
-    Unit,
+    EngineKind, ExecError, ExecStats, ExecutorConfig, ShardReport, ShardStats, StepPlan, Unit,
 };
-pub use net::{
-    execute_plan_networked, install_ctrl_c, plan_hash, run_worker, NetConfig, NetReport,
-    WorkerOutcome,
-};
+pub use net::{install_ctrl_c, plan_hash, run_worker, NetConfig, WorkerOutcome};
 pub use obs::{run_traced, run_traced_live, TracedRun};
 pub use plan::cache::{PlanArtifact, SweepArtifact};
-pub use plan::{
-    execute_plan, execute_plan_observed, execute_plan_observed_with, execute_plan_sharded,
-    execute_plan_sharded_observed, execute_plan_sharded_observed_with, execute_plan_sharded_with,
-    execute_plan_with, PlanError, SchedError, SchedulePlan,
-};
+pub use plan::{execute, ExecOptions, Executed, PlanError, SchedError, SchedulePlan, Topology};
 pub use problem::DasProblem;
 pub use reference::{run_alone, ReferenceError, ReferenceRun};
 pub use schedule::ScheduleOutcome;

@@ -1,8 +1,8 @@
 //! Networked coordinator/worker execution: the sharded executor's
 //! big-round barrier promoted to a real network barrier.
 //!
-//! The in-process sharded executor ([`crate::Executor::run_sharded`])
-//! proved that a DAS execution partitions cleanly at big-round boundaries:
+//! The in-process sharded executor ([`crate::Topology::Sharded`]) proved
+//! that a DAS execution partitions cleanly at big-round boundaries:
 //! within a big-round every worker touches only its own nodes and the arcs
 //! it owns, and cross-shard messages move exactly once per big-round. This
 //! module runs the same protocol over TCP, one OS process per shard:
@@ -50,7 +50,7 @@ use crate::exec::{
     big_round_loop, merge_shards, Exchange, ExecError, ExecStats, ExecutorConfig, FlatSteps,
     ShardCtx, ShardReport, ShardStats, StepExtent,
 };
-use crate::plan::{execute, SchedError, SchedulePlan, Topology};
+use crate::plan::{SchedError, SchedulePlan};
 use crate::problem::DasProblem;
 use crate::schedule::ScheduleOutcome;
 use crate::shard::Partition;
@@ -60,7 +60,7 @@ use crate::wire::{
     RoundCap, PROTOCOL_VERSION,
 };
 pub use crate::wire::{fnv1a, plan_hash};
-use das_obs::{ExecObs, ObsConfig};
+use das_obs::ExecObs;
 use std::borrow::Cow;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -147,19 +147,6 @@ impl NetConfig {
     }
 }
 
-/// What a networked execution reports beyond the (partition-independent)
-/// [`ScheduleOutcome`]: the merged [`ShardReport`] plus coordinator-side
-/// per-worker traffic, in shard order.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct NetReport {
-    /// The merged per-shard report, exactly as the in-process sharded
-    /// executor returns it.
-    pub shard: ShardReport,
-    /// Coordinator-side traffic per worker connection, in shard order
-    /// (`bytes_sent` = coordinator → worker).
-    pub traffic: Vec<LinkTraffic>,
-}
-
 /// What [`run_worker`] reports once its shard completes.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WorkerOutcome {
@@ -217,51 +204,12 @@ pub fn install_ctrl_c() -> Arc<AtomicBool> {
 
 // ---------------------------------------------------------------- coordinator
 
-/// Executes a plan over networked workers: the networked analogue of
-/// [`crate::execute_plan_sharded`], with byte-identical
-/// [`ScheduleOutcome`].
-///
-/// The coordinator waits (deadline-bounded) for one connection per shard
-/// on `listener` — `workers` is clamped to the node count exactly as the
-/// in-process partition clamps shards — then drives the big-round relay
-/// until every shard reports done.
-///
-/// # Errors
-/// [`SchedError::InvalidPlan`] if the plan fails validation, or
-/// [`SchedError::Exec`] with a typed [`ExecError`]: the usual
-/// [`ExecError::RoundCapExceeded`] (propagated from workers in lockstep),
-/// or a network failure — worker disconnect, truncated frame, handshake
-/// mismatch, deadline expiry, abort.
-pub fn execute_plan_networked(
-    problem: &DasProblem<'_>,
-    plan: &SchedulePlan,
-    workers: usize,
-    listener: TcpListener,
-    net: &NetConfig,
-) -> Result<(ScheduleOutcome, NetReport), SchedError> {
-    let topology = Topology::Networked {
-        workers,
-        listener,
-        net,
-    };
-    execute(
-        problem,
-        plan,
-        &ExecutorConfig::default(),
-        &ObsConfig::off(),
-        topology,
-    )
-    .map(|e| {
-        (
-            e.outcome,
-            NetReport {
-                shard: e.shard,
-                traffic: e.traffic,
-            },
-        )
-    })
-}
-
+/// The coordinator side of [`crate::Topology::Networked`]: waits
+/// (deadline-bounded) for one connection per shard on `listener` —
+/// `workers` is clamped to the node count exactly as the in-process
+/// partition clamps shards — then drives the big-round relay until every
+/// shard reports done. Returns the outcome, the merged shard report, and
+/// the per-worker traffic in shard order.
 pub(crate) fn run_coordinator(
     problem: &DasProblem<'_>,
     plan: &SchedulePlan,
@@ -269,7 +217,7 @@ pub(crate) fn run_coordinator(
     workers: usize,
     listener: TcpListener,
     net: &NetConfig,
-) -> Result<(ScheduleOutcome, NetReport), ExecError> {
+) -> Result<(ScheduleOutcome, ShardReport, Vec<LinkTraffic>), ExecError> {
     if workers == 0 {
         return Err(ExecError::Net {
             detail: "a networked run needs at least one worker".to_string(),
@@ -305,7 +253,7 @@ pub(crate) fn run_coordinator(
     let traffic: Vec<LinkTraffic> = conns.iter().map(|c| c.traffic.clone()).collect();
     debug_assert_eq!(traffic.len(), s);
     let (outcome, shard) = outcome;
-    Ok((outcome, NetReport { shard, traffic }))
+    Ok((outcome, shard, traffic))
 }
 
 /// Accepts and handshakes one connection per shard, in shard order: reads
@@ -404,9 +352,8 @@ fn spawn_doorman(
     })
 }
 
-/// The coordinator's relay loop plus the final merge. Mirrors
-/// [`crate::Executor::run_sharded`]'s merge exactly — the outcome is
-/// byte-identical.
+/// The coordinator's relay loop plus the final merge. Mirrors the
+/// in-process sharded merge exactly — the outcome is byte-identical.
 fn coordinator_protocol(
     problem: &DasProblem<'_>,
     plan: &SchedulePlan,

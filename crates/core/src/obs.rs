@@ -11,7 +11,7 @@
 //! [`ObsConfig::wall_clock`] is set.
 
 use crate::exec::ExecutorConfig;
-use crate::plan::{self, analysis, SchedError, SchedulePlan};
+use crate::plan::{analysis, execute, ExecOptions, SchedError, SchedulePlan};
 use crate::problem::DasProblem;
 use crate::schedule::ScheduleOutcome;
 use crate::schedulers::Scheduler;
@@ -123,18 +123,14 @@ pub fn run_traced_live(
         hub.set_phase("execute");
     }
     let t_exec = Instant::now();
-    let (outcome, shard_report, exec_report) = if shards > 1 {
-        let config = ExecutorConfig::default()
-            .with_shards(shards)
-            .with_live(live.clone());
-        let (outcome, sr, er) =
-            plan::execute_plan_sharded_observed_with(problem, &plan, obs, &config)?;
-        (outcome, Some(sr), er)
-    } else {
-        let config = ExecutorConfig::default().with_live(live.clone());
-        let (outcome, er) = plan::execute_plan_observed_with(problem, &plan, obs, &config)?;
-        (outcome, None, er)
+    let opts = match shards {
+        0 | 1 => ExecOptions::default(),
+        n => ExecOptions::sharded(n),
     };
+    let config = ExecutorConfig::default().with_live(live.clone());
+    let done = execute(problem, &plan, opts.with_config(config).with_obs(*obs))?;
+    let (outcome, exec_report) = (done.outcome, done.obs);
+    let shard_report = (done.shard.shards > 0).then_some(done.shard);
     let exec_wall_us = t_exec.elapsed().as_micros() as u64;
     if let Some(er) = &exec_report {
         report.merge(er);

@@ -209,7 +209,7 @@ pub fn predict(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::execute_plan;
+    use crate::plan::{execute, ExecOptions};
     use crate::schedulers::Scheduler;
     use crate::synthetic::RelayChain;
     use crate::{BlackBoxAlgorithm, DasProblem};
@@ -248,7 +248,7 @@ mod tests {
         ] {
             let plan = sched.plan(&p, sched.default_sched_seed()).unwrap();
             let pred = predict(&p, &plan).unwrap();
-            let outcome = execute_plan(&p, &plan).unwrap();
+            let outcome = execute(&p, &plan, ExecOptions::default()).unwrap().outcome;
             assert_eq!(
                 pred.arc_load,
                 measured_arc_load(&g, &outcome),
@@ -305,7 +305,7 @@ mod tests {
             vec![crate::Unit::global(0, 0, 6), crate::Unit::global(1, 0, 6)],
         );
         let pred = predict(&p, &plan).unwrap();
-        let outcome = execute_plan(&p, &plan).unwrap();
+        let outcome = execute(&p, &plan, ExecOptions::default()).unwrap().outcome;
         assert!(outcome.stats.late_messages > 0);
         assert!(!pred.feasible());
     }
@@ -353,7 +353,7 @@ mod tests {
             }
             let plan = crate::SchedulePlan::assemble("prop", case, 1, 0, &p, units);
             let pred = predict(&p, &plan).unwrap();
-            let outcome = execute_plan(&p, &plan).unwrap();
+            let outcome = execute(&p, &plan, ExecOptions::default()).unwrap().outcome;
             assert_eq!(
                 pred.feasible(),
                 outcome.stats.late_messages == 0,

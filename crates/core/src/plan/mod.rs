@@ -11,8 +11,9 @@
 //!    `sched_seed` into a [`SchedulePlan`]: a serializable value that can
 //!    be inspected, diffed, stored, re-executed, or analyzed *without*
 //!    paying for an engine run.
-//! 2. **execute** — [`execute_plan`] realizes any plan on the CONGEST
-//!    engine. All schedulers share this single honest executor.
+//! 2. **execute** — [`execute`] realizes any plan on the CONGEST engine,
+//!    fused, sharded or networked ([`ExecOptions`]). All schedulers share
+//!    this single honest executor.
 //! 3. **verify** — [`crate::verify::against_references`] checks the
 //!    outcome against the alone runs, as before.
 //!
@@ -25,7 +26,7 @@ pub mod analysis;
 pub mod cache;
 pub mod diff;
 
-use crate::exec::{ExecError, Executor, ExecutorConfig, ShardReport, StepExtent, Unit};
+use crate::exec::{EngineKind, ExecError, Executor, ExecutorConfig, ShardReport, StepExtent, Unit};
 use crate::net::{run_coordinator, NetConfig};
 use crate::problem::DasProblem;
 use crate::reference::ReferenceError;
@@ -178,8 +179,8 @@ impl From<ExecError> for SchedError {
 /// A plan is a pure function of `(problem, sched_seed)` for every scheduler
 /// in this crate: planning twice with the same inputs yields an identical
 /// (byte-identical once serialized) plan. Executing a plan with
-/// [`execute_plan`] on the problem it was planned for reproduces exactly
-/// the outcome of the fused [`crate::Scheduler::run`] path.
+/// [`execute`] on the problem it was planned for reproduces exactly the
+/// outcome of the fused [`crate::Scheduler::run`] path.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SchedulePlan {
     /// Name of the scheduler that produced the plan (provenance).
@@ -248,8 +249,8 @@ impl SchedulePlan {
     ///
     /// JSON well-formedness is not plan well-formedness: callers that will
     /// execute the parsed plan should also run
-    /// [`SchedulePlan::validate`] against the target problem (the
-    /// [`execute_plan`] entry points do so automatically).
+    /// [`SchedulePlan::validate`] against the target problem ([`execute`]
+    /// does so automatically).
     ///
     /// # Errors
     /// Returns the underlying JSON error on malformed input.
@@ -325,12 +326,16 @@ impl SchedulePlan {
 }
 
 /// Where a plan's shards run.
-pub(crate) enum Topology<'a> {
+pub enum Topology<'a> {
     /// One shard owning every node, on the calling thread.
     Fused,
-    /// `config.shards` in-process worker threads.
-    Sharded,
-    /// One worker process per shard, joined over `listener`.
+    /// This many in-process shard threads (clamped to the node count; 0
+    /// clamps to 1). Nodes are split into degree-balanced shards (see
+    /// [`crate::Partition`]); each thread steps its own nodes and drains
+    /// the arcs it owns, and cross-shard messages move once per big-round.
+    Sharded(usize),
+    /// One worker process per shard, joined over `listener` (see
+    /// [`crate::net`]).
     Networked {
         /// Requested worker count (clamped to the node count).
         workers: usize,
@@ -341,43 +346,131 @@ pub(crate) enum Topology<'a> {
     },
 }
 
-/// Everything one execution produced; each public entry point returns the
-/// parts it promises.
-pub(crate) struct Executed {
-    pub(crate) outcome: ScheduleOutcome,
-    /// Partition-dependent measurements (empty for [`Topology::Fused`]).
-    pub(crate) shard: ShardReport,
-    /// The merged recording, `None` when `obs` is off.
-    pub(crate) obs: Option<ObsReport>,
-    /// Coordinator-side per-worker traffic ([`Topology::Networked`] only).
-    pub(crate) traffic: Vec<LinkTraffic>,
+/// How [`execute`] runs a plan: where (`topology`), on which engine and
+/// budget (`config`), and what it records (`obs`). The default is fused,
+/// [`ExecutorConfig::default`], recording off; the builders below change
+/// one part each.
+///
+/// Taken by value: a [`Topology::Networked`] run owns its listener.
+pub struct ExecOptions<'a> {
+    /// Where the plan's shards run.
+    pub topology: Topology<'a>,
+    /// Engine, round budget, message size, departure recording, live hub.
+    /// Its `phase_len` is ignored: the plan's own phase length always wins.
+    pub config: ExecutorConfig,
+    /// Observability level; never moves an outcome. A networked run
+    /// records nothing (its workers carry no probe).
+    pub obs: ObsConfig,
 }
 
-/// The one way a plan gets executed: validate (plans are untrusted input),
-/// derive the per-algorithm seeds, run on the requested topology with the
-/// plan's own `phase_len` — part of the plan's semantics, so it always
-/// overrides `config.phase_len` — and stamp the plan's pre-computation
-/// charge on the outcome.
-pub(crate) fn execute(
+impl Default for ExecOptions<'_> {
+    fn default() -> Self {
+        ExecOptions {
+            topology: Topology::Fused,
+            config: ExecutorConfig::default(),
+            obs: ObsConfig::off(),
+        }
+    }
+}
+
+impl<'a> ExecOptions<'a> {
+    /// Runs on `shards` in-process shard threads.
+    pub fn sharded(shards: usize) -> Self {
+        ExecOptions {
+            topology: Topology::Sharded(shards),
+            ..ExecOptions::default()
+        }
+    }
+
+    /// Runs as the coordinator of `workers` networked workers that connect
+    /// to `listener`.
+    pub fn networked(workers: usize, listener: TcpListener, net: &'a NetConfig) -> Self {
+        ExecOptions {
+            topology: Topology::Networked {
+                workers,
+                listener,
+                net,
+            },
+            ..ExecOptions::default()
+        }
+    }
+
+    /// Sets the executor configuration.
+    #[must_use]
+    pub fn with_config(mut self, config: ExecutorConfig) -> Self {
+        self.config = config;
+        self
+    }
+
+    /// Sets the observability level.
+    #[must_use]
+    pub fn with_obs(mut self, obs: ObsConfig) -> Self {
+        self.obs = obs;
+        self
+    }
+}
+
+/// Everything one execution produced.
+#[derive(Debug)]
+pub struct Executed {
+    /// The outcome: byte-identical for every topology, engine and `obs`
+    /// setting.
+    pub outcome: ScheduleOutcome,
+    /// Partition-dependent measurements (empty for [`Topology::Fused`]).
+    pub shard: ShardReport,
+    /// The merged recording, `None` when `obs` is off or the run is
+    /// networked.
+    pub obs: Option<ObsReport>,
+    /// Coordinator-side per-worker traffic, in shard order
+    /// ([`Topology::Networked`] only).
+    pub traffic: Vec<LinkTraffic>,
+}
+
+/// Executes a plan on the problem's algorithms: the single shared stage 2
+/// of the plan → execute → verify pipeline, on every topology.
+///
+/// The execution is honest — per-arc FIFO queues at CONGEST bandwidth,
+/// canonical machines, late messages dropped and counted — and depends
+/// only on `(problem.tape_seed, plan)`: re-executing a stored plan
+/// reproduces the original [`ScheduleOutcome`] exactly, fused, sharded or
+/// networked. The plan is validated first (plans are untrusted input), its
+/// own `phase_len` overrides `opts.config.phase_len`, and its
+/// pre-computation charge is stamped on the outcome.
+///
+/// # Errors
+/// - [`SchedError::InvalidPlan`] if the plan fails
+///   [`SchedulePlan::validate`];
+/// - [`SchedError::Exec`] with [`ExecError::RoundCapExceeded`] if the
+///   queues have not drained by `config.max_engine_rounds` (every shard
+///   abandons in lockstep);
+/// - [`ExecError::RowIsFusedOnly`] for [`crate::EngineKind::Row`] on a
+///   sharded or networked topology;
+/// - [`ExecError::Aborted`] if a black-box machine panics on a sharded
+///   run (its peers leave their barriers instead of waiting forever);
+/// - on a networked run, [`ExecError::Net`] before any worker is accepted
+///   for a `config` the workers would not share (they run under
+///   [`ExecutorConfig::default`]), and otherwise any typed network failure
+///   — worker disconnect, truncated frame, handshake mismatch, deadline
+///   expiry, abort.
+pub fn execute(
     problem: &DasProblem<'_>,
     plan: &SchedulePlan,
-    config: &ExecutorConfig,
-    obs: &ObsConfig,
-    topology: Topology<'_>,
+    opts: ExecOptions<'_>,
 ) -> Result<Executed, SchedError> {
     plan.validate(problem)?;
     let seeds: Vec<u64> = (0..problem.k()).map(|i| problem.algo_seed(i)).collect();
-    let config = config.clone().with_phase_len(plan.phase_len);
+    let config = opts.config.with_phase_len(plan.phase_len);
+    let obs = &opts.obs;
     let (g, algos) = (problem.graph(), problem.algorithms());
     let units = &plan.units;
-    let (outcome, shard, obs, traffic) = match topology {
+    let (outcome, shard, obs, traffic) = match opts.topology {
         Topology::Fused => {
             let (outcome, obs) = Executor::run_observed(g, algos, &seeds, units, &config, obs)?;
             (outcome, ShardReport::default(), obs, Vec::new())
         }
-        Topology::Sharded => {
+        Topology::Sharded(shards) => {
             let (outcome, shard, obs) =
-                Executor::run_sharded_observed(g, algos, &seeds, units, &config, obs)?;
+                Executor::run_sharded_observed(g, algos, &seeds, units, &config, shards, obs)?;
             (outcome, shard, obs, Vec::new())
         }
         Topology::Networked {
@@ -385,9 +478,10 @@ pub(crate) fn execute(
             listener,
             net,
         } => {
-            let (outcome, report) =
+            refuse_unshared(&config, workers)?;
+            let (outcome, shard, traffic) =
                 run_coordinator(problem, plan, &config, workers, listener, net)?;
-            (outcome, report.shard, None, report.traffic)
+            (outcome, shard, None, traffic)
         }
     };
     let mut done = Executed {
@@ -400,135 +494,25 @@ pub(crate) fn execute(
     Ok(done)
 }
 
-/// Executes a plan on the problem's algorithms: the single shared stage 2
-/// of the plan → execute → verify pipeline.
-///
-/// The execution is honest — per-arc FIFO queues at CONGEST bandwidth,
-/// canonical machines, late messages dropped and counted — and depends
-/// only on `(problem.tape_seed, plan)`: re-executing a stored plan
-/// reproduces the original [`ScheduleOutcome`] exactly.
-///
-/// # Errors
-/// Returns [`SchedError::InvalidPlan`] if the plan fails
-/// [`SchedulePlan::validate`], or [`SchedError::Exec`] if the engine-round
-/// cap is hit.
-pub fn execute_plan(
-    problem: &DasProblem<'_>,
-    plan: &SchedulePlan,
-) -> Result<ScheduleOutcome, SchedError> {
-    execute_plan_with(problem, plan, &ExecutorConfig::default())
-}
-
-/// [`execute_plan`] with an explicit executor configuration (engine
-/// selection, custom round budget, message size, departure recording).
-/// The phase length always comes from the plan; `config.shards` is
-/// ignored — this is the fused entry.
-///
-/// # Errors
-/// As [`execute_plan`].
-pub fn execute_plan_with(
-    problem: &DasProblem<'_>,
-    plan: &SchedulePlan,
-    config: &ExecutorConfig,
-) -> Result<ScheduleOutcome, SchedError> {
-    execute(problem, plan, config, &ObsConfig::off(), Topology::Fused).map(|e| e.outcome)
-}
-
-/// [`execute_plan`] with observability: records metrics, load profiles,
-/// and (in full mode) trace events while executing, without perturbing the
-/// outcome — the [`ScheduleOutcome`] is byte-identical to
-/// [`execute_plan`]'s for every `obs` setting. The report is `None` when
-/// recording is disabled.
-///
-/// # Errors
-/// As [`execute_plan`].
-pub fn execute_plan_observed(
-    problem: &DasProblem<'_>,
-    plan: &SchedulePlan,
-    obs: &ObsConfig,
-) -> Result<(ScheduleOutcome, Option<ObsReport>), SchedError> {
-    execute_plan_observed_with(problem, plan, obs, &ExecutorConfig::default())
-}
-
-/// [`execute_plan_observed`] with an explicit executor configuration
-/// (engine selection, custom round budget).
-///
-/// # Errors
-/// As [`execute_plan`].
-pub fn execute_plan_observed_with(
-    problem: &DasProblem<'_>,
-    plan: &SchedulePlan,
-    obs: &ObsConfig,
-    config: &ExecutorConfig,
-) -> Result<(ScheduleOutcome, Option<ObsReport>), SchedError> {
-    execute(problem, plan, config, obs, Topology::Fused).map(|e| (e.outcome, e.obs))
-}
-
-/// Executes a plan on the sharded executor with `shards` worker threads
-/// (see [`Executor::run_sharded`]): the outcome is byte-identical to
-/// [`execute_plan`], and the returned [`ShardReport`] carries the
-/// partition-dependent measurements (per-shard wall-clock, cross-shard
-/// message counts).
-///
-/// # Errors
-/// As [`execute_plan`].
-pub fn execute_plan_sharded(
-    problem: &DasProblem<'_>,
-    plan: &SchedulePlan,
-    shards: usize,
-) -> Result<(ScheduleOutcome, ShardReport), SchedError> {
-    execute_plan_sharded_with(
-        problem,
-        plan,
-        &ExecutorConfig::default().with_shards(shards),
-    )
-}
-
-/// [`execute_plan_sharded`] with an explicit executor configuration
-/// (custom round budget); the shard count comes from `config.shards`.
-/// [`crate::EngineKind::Row`] has no sharded form and is refused with
-/// [`ExecError::RowIsFusedOnly`].
-///
-/// # Errors
-/// As [`execute_plan`].
-pub fn execute_plan_sharded_with(
-    problem: &DasProblem<'_>,
-    plan: &SchedulePlan,
-    config: &ExecutorConfig,
-) -> Result<(ScheduleOutcome, ShardReport), SchedError> {
-    execute(problem, plan, config, &ObsConfig::off(), Topology::Sharded)
-        .map(|e| (e.outcome, e.shard))
-}
-
-/// [`execute_plan_sharded`] with observability: each shard records on its
-/// own lane and the recordings merge into one report (see
-/// [`Executor::run_sharded_observed`]). The outcome stays byte-identical
-/// to [`execute_plan`] for every shard count and `obs` setting.
-///
-/// # Errors
-/// As [`execute_plan`].
-pub fn execute_plan_sharded_observed(
-    problem: &DasProblem<'_>,
-    plan: &SchedulePlan,
-    shards: usize,
-    obs: &ObsConfig,
-) -> Result<(ScheduleOutcome, ShardReport, Option<ObsReport>), SchedError> {
-    let config = ExecutorConfig::default().with_shards(shards);
-    execute_plan_sharded_observed_with(problem, plan, obs, &config)
-}
-
-/// [`execute_plan_sharded_observed`] with an explicit executor
-/// configuration (shard count, round budget).
-///
-/// # Errors
-/// As [`execute_plan_sharded_with`].
-pub fn execute_plan_sharded_observed_with(
-    problem: &DasProblem<'_>,
-    plan: &SchedulePlan,
-    obs: &ObsConfig,
-    config: &ExecutorConfig,
-) -> Result<(ScheduleOutcome, ShardReport, Option<ObsReport>), SchedError> {
-    execute(problem, plan, config, obs, Topology::Sharded).map(|e| (e.outcome, e.shard, e.obs))
+/// Networked workers execute under [`ExecutorConfig::default`] (the wire
+/// carries no configuration), so a coordinator config they would not share
+/// is refused rather than silently ignored.
+fn refuse_unshared(config: &ExecutorConfig, workers: usize) -> Result<(), ExecError> {
+    if config.engine == EngineKind::Row {
+        return Err(ExecError::RowIsFusedOnly { shards: workers });
+    }
+    let shared = ExecutorConfig::default();
+    if config.message_bytes != shared.message_bytes
+        || config.max_engine_rounds != shared.max_engine_rounds
+        || config.record_departures != shared.record_departures
+    {
+        return Err(ExecError::Net {
+            detail: "networked workers run under the default message size, round \
+                     budget and departure recording; this config changes one"
+                .to_string(),
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -542,6 +526,10 @@ mod tests {
         UniformScheduler,
     };
     use das_graph::{generators, NodeId};
+
+    fn exec_fused(p: &DasProblem<'_>, plan: &SchedulePlan) -> Result<ScheduleOutcome, SchedError> {
+        execute(p, plan, ExecOptions::default()).map(|done| done.outcome)
+    }
 
     fn mixed_problem(g: &das_graph::Graph) -> DasProblem<'_> {
         let algos: Vec<Box<dyn crate::BlackBoxAlgorithm>> = vec![
@@ -569,7 +557,7 @@ mod tests {
         for sched in all_schedulers() {
             let fused = sched.run(&p).unwrap();
             let plan = sched.plan(&p, sched.default_sched_seed()).unwrap();
-            let staged = execute_plan(&p, &plan).unwrap();
+            let staged = exec_fused(&p, &plan).unwrap();
             assert_eq!(fused.outputs, staged.outputs, "{}", sched.name());
             assert_eq!(fused.stats, staged.stats, "{}", sched.name());
             assert_eq!(fused.departures, staged.departures, "{}", sched.name());
@@ -645,8 +633,8 @@ mod tests {
             let plan = sched.plan(&p, 7).unwrap();
             let revived = SchedulePlan::from_json(&plan.to_json()).unwrap();
             assert_eq!(plan, revived, "{}", sched.name());
-            let a = execute_plan(&p, &plan).unwrap();
-            let b = execute_plan(&p, &revived).unwrap();
+            let a = exec_fused(&p, &plan).unwrap();
+            let b = exec_fused(&p, &revived).unwrap();
             assert_eq!(a.outputs, b.outputs, "{}", sched.name());
             assert_eq!(a.stats, b.stats, "{}", sched.name());
         }
@@ -659,7 +647,7 @@ mod tests {
         // sequential never spills: the predicted boundary is the measured
         // schedule length
         let plan = SequentialScheduler.plan(&p, 0).unwrap();
-        let outcome = execute_plan(&p, &plan).unwrap();
+        let outcome = exec_fused(&p, &plan).unwrap();
         assert_eq!(outcome.stats.late_messages, 0);
         assert_eq!(plan.predicted_rounds, outcome.schedule_rounds());
     }
@@ -676,7 +664,7 @@ mod tests {
         bad.phase_len = 0;
         assert_eq!(bad.validate(&p), Err(PlanError::ZeroPhaseLen));
         assert!(matches!(
-            execute_plan(&p, &bad),
+            exec_fused(&p, &bad),
             Err(SchedError::InvalidPlan(PlanError::ZeroPhaseLen))
         ));
 
@@ -738,7 +726,7 @@ mod tests {
         let mut plan = UniformScheduler::default().plan(&p, 3).unwrap();
         plan.units[0].delay[2] = 1 << 50;
         let revived = SchedulePlan::from_json(&plan.to_json()).unwrap();
-        let err = execute_plan(&p, &revived).unwrap_err();
+        let err = exec_fused(&p, &revived).unwrap_err();
         assert!(matches!(
             err,
             SchedError::InvalidPlan(PlanError::Oversized { unit: 0 })
@@ -768,40 +756,35 @@ mod tests {
         let p = DasProblem::new(&g, algos, 17);
         for sched in all_schedulers() {
             let plan = sched.plan(&p, 11).unwrap();
-            let fused = execute_plan(&p, &plan).unwrap();
+            let fused = exec_fused(&p, &plan).unwrap();
             for shards in [1, 2, 5] {
-                let (sharded, report) = execute_plan_sharded(&p, &plan, shards).unwrap();
+                let sharded = execute(&p, &plan, ExecOptions::sharded(shards)).unwrap();
                 assert_eq!(
                     format!("{fused:?}"),
-                    format!("{sharded:?}"),
+                    format!("{:?}", sharded.outcome),
                     "{} with {shards} shards",
                     sched.name()
                 );
-                assert_eq!(report.shards, shards.min(g.node_count()));
+                assert_eq!(sharded.shard.shards, shards.min(g.node_count()));
             }
         }
     }
 
     #[test]
-    fn the_plans_phase_len_wins_over_the_configs_on_every_entry() {
+    fn the_plans_phase_len_wins_over_the_configs_on_every_topology() {
         let g = generators::path(10);
         let p = mixed_problem(&g);
         let plan = UniformScheduler::default().plan(&p, 3).unwrap();
-        let expected = format!("{:?}", execute_plan(&p, &plan).unwrap());
-        let off = ObsConfig::off();
-        let other = ExecutorConfig::default()
-            .with_phase_len(plan.phase_len + 5)
-            .with_shards(2);
-        let fused = execute_plan_with(&p, &plan, &other).unwrap();
-        assert_eq!(expected, format!("{fused:?}"));
-        let (observed, _) = execute_plan_observed_with(&p, &plan, &off, &other).unwrap();
-        assert_eq!(expected, format!("{observed:?}"));
-        let (sharded, _) = execute_plan_sharded_with(&p, &plan, &other).unwrap();
-        assert_eq!(expected, format!("{sharded:?}"));
+        let expected = format!("{:?}", exec_fused(&p, &plan).unwrap());
+        let other = ExecutorConfig::default().with_phase_len(plan.phase_len + 5);
+        for opts in [ExecOptions::default(), ExecOptions::sharded(2)] {
+            let done = execute(&p, &plan, opts.with_config(other.clone())).unwrap();
+            assert_eq!(expected, format!("{:?}", done.outcome));
+        }
     }
 
     #[test]
-    fn round_cap_surfaces_through_execute_plan_with() {
+    fn round_cap_surfaces_through_execute() {
         let g = generators::path(8);
         let p = mixed_problem(&g);
         let plan = SequentialScheduler.plan(&p, 0).unwrap();
@@ -810,7 +793,7 @@ mod tests {
             ..ExecutorConfig::default()
         }
         .with_phase_len(plan.phase_len);
-        let err = execute_plan_with(&p, &plan, &config).unwrap_err();
+        let err = execute(&p, &plan, ExecOptions::default().with_config(config)).unwrap_err();
         assert!(matches!(
             err,
             SchedError::Exec(ExecError::RoundCapExceeded { cap: 2, .. })

@@ -3,7 +3,7 @@
 //!
 //! Every scheduler is a *planner*: [`Scheduler::plan`] maps `(problem,
 //! sched_seed)` to a [`SchedulePlan`], and the shared
-//! [`crate::plan::execute_plan`] realizes any plan on the engine.
+//! [`crate::plan::execute`] realizes any plan on the engine.
 //! [`Scheduler::run`] is the fused convenience path — plan with the
 //! scheduler's default seed, then execute.
 //!
@@ -23,7 +23,7 @@ pub use uniform::{
 };
 
 use crate::plan::cache::{ArtifactData, PlanArtifact, SweepArtifact, SweepData};
-use crate::plan::{execute_plan, SchedError, SchedulePlan};
+use crate::plan::{execute, ExecOptions, SchedError, SchedulePlan};
 use crate::problem::DasProblem;
 use crate::reference::ReferenceError;
 use crate::schedule::ScheduleOutcome;
@@ -185,13 +185,13 @@ pub trait Scheduler: Send + Sync {
 
     /// Schedules and executes all algorithms of `problem`: plans with
     /// [`Scheduler::default_sched_seed`] and hands the plan to
-    /// [`crate::plan::execute_plan`].
+    /// [`crate::plan::execute`], fused.
     ///
     /// # Errors
     /// Propagates a [`SchedError`]: a [`ReferenceError`] from planning, or
     /// an execution failure (e.g. the engine-round cap).
     fn run(&self, problem: &DasProblem<'_>) -> Result<ScheduleOutcome, SchedError> {
         let plan = self.plan(problem, self.default_sched_seed())?;
-        execute_plan(problem, &plan)
+        execute(problem, &plan, ExecOptions::default()).map(|done| done.outcome)
     }
 }

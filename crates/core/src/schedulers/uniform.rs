@@ -373,7 +373,10 @@ mod tests {
         let sched = UniformScheduler::default().with_seed(99);
         assert_eq!(sched.default_sched_seed(), 99);
         let via_run = sched.run(&p).unwrap();
-        let via_plan = crate::plan::execute_plan(&p, &sched.plan(&p, 99).unwrap()).unwrap();
+        let plan = sched.plan(&p, 99).unwrap();
+        let via_plan = crate::execute(&p, &plan, Default::default())
+            .unwrap()
+            .outcome;
         assert_eq!(via_run.outputs, via_plan.outputs);
         assert_eq!(via_run.stats, via_plan.stats);
     }

@@ -49,9 +49,9 @@
 //! to assert the byte-identity end-to-end, and report sustained jobs/sec
 //! with p50/p95/p99 latency.
 
-use crate::exec::{panic_message, ExecError, ExecutorConfig};
+use crate::exec::{panic_message, ExecError};
 use crate::net::{connect_with_retry, NetConfig};
-use crate::plan::{execute_plan_sharded_with, SchedError};
+use crate::plan::{execute, ExecOptions, SchedError};
 use crate::problem::DasProblem;
 use crate::reference::run_alone;
 use crate::schedulers::Scheduler;
@@ -649,8 +649,7 @@ fn run_pipeline(
     stages.references_us = split();
     let plan = scheduler.plan(&problem, cfg.sched_seed)?;
     stages.plan_us = split();
-    let exec_cfg = ExecutorConfig::default().with_shards(cfg.pool_shards.max(1));
-    let (outcome, _report) = execute_plan_sharded_with(&problem, &plan, &exec_cfg)?;
+    let outcome = execute(&problem, &plan, ExecOptions::sharded(cfg.pool_shards))?.outcome;
     stages.execute_us = split();
     let report = verify::against_references(&problem, &outcome)?;
     let k = batch.len() as u32;

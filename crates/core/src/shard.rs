@@ -1,7 +1,7 @@
 //! Graph sharding for the big-round-synchronous sharded executor.
 //!
 //! A [`Partition`] assigns every node of the network to one of `S` shards.
-//! The sharded executor ([`crate::Executor::run_sharded`]) gives each shard
+//! The sharded executor ([`crate::Topology::Sharded`]) gives each shard
 //! a worker that owns the canonical machines, inboxes, and incoming-arc
 //! FIFOs of its nodes; workers run big-rounds in lockstep and exchange
 //! cross-shard messages only at big-round boundaries. Because arrival

@@ -71,7 +71,8 @@ pub fn against_references(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{Executor, ExecutorConfig, Unit};
+    use crate::exec::Unit;
+    use crate::plan::{execute, ExecOptions, SchedulePlan};
     use crate::synthetic::RelayChain;
     use das_graph::generators;
 
@@ -87,14 +88,8 @@ mod tests {
             9,
         );
         let units = vec![Unit::global(0, 0, 6), Unit::global(1, 2, 6)];
-        let outcome = Executor::run(
-            &g,
-            p.algorithms(),
-            &[p.algo_seed(0), p.algo_seed(1)],
-            &units,
-            &ExecutorConfig::default(),
-        )
-        .unwrap();
+        let plan = SchedulePlan::assemble("hand-built", 0, 1, 0, &p, units);
+        let outcome = execute(&p, &plan, ExecOptions::default()).unwrap().outcome;
         let report = against_references(&p, &outcome).unwrap();
         assert!(report.all_correct());
         assert_eq!(report.correctness_rate(), 1.0);
@@ -112,14 +107,8 @@ mod tests {
             9,
         );
         let units = vec![Unit::global(0, 0, 6), Unit::global(1, 0, 6)];
-        let outcome = Executor::run(
-            &g,
-            p.algorithms(),
-            &[p.algo_seed(0), p.algo_seed(1)],
-            &units,
-            &ExecutorConfig::default(),
-        )
-        .unwrap();
+        let plan = SchedulePlan::assemble("hand-built", 0, 1, 0, &p, units);
+        let outcome = execute(&p, &plan, ExecOptions::default()).unwrap().outcome;
         let report = against_references(&p, &outcome).unwrap();
         assert!(!report.all_correct());
         assert!(report.total_mismatches() > 0);

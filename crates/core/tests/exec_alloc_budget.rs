@@ -7,7 +7,8 @@
 
 use das_core::synthetic::FloodBall;
 use das_core::{
-    execute_plan_with, BlackBoxAlgorithm, DasProblem, ExecutorConfig, Scheduler, UniformScheduler,
+    execute, BlackBoxAlgorithm, DasProblem, ExecOptions, ExecutorConfig, Scheduler,
+    UniformScheduler,
 };
 use das_graph::{generators, NodeId};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -68,13 +69,14 @@ fn a_fused_execution_allocates_per_output_not_per_machine() {
     let plan = UniformScheduler::default().plan(&p, 7).expect("plan");
     // departure maps are one tree entry per delivered message by design
     let config = ExecutorConfig::default().with_record_departures(false);
+    let opts = ExecOptions::default().with_config(config);
 
     COUNTING.store(true, Ordering::SeqCst);
-    let outcome = execute_plan_with(&p, &plan, &config);
+    let done = execute(&p, &plan, opts);
     COUNTING.store(false, Ordering::SeqCst);
     let allocations = ALLOCATIONS.load(Ordering::SeqCst);
 
-    let outcome = outcome.expect("executes");
+    let outcome = done.expect("executes").outcome;
     assert_eq!(outcome.stats.late_messages, 0);
     assert!(outcome.stats.delivered > 4 * n, "the floods actually flood");
     let outputs = outcome.outputs.iter().flatten().flatten().count() as u64;

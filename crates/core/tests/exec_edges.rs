@@ -2,11 +2,26 @@
 //! bookkeeping corners.
 
 use das_core::synthetic::Prescribed;
-use das_core::{BlackBoxAlgorithm, DasProblem, Executor, ExecutorConfig, StepPlan, Unit};
+use das_core::{
+    execute, BlackBoxAlgorithm, DasProblem, ExecError, ExecOptions, ExecutorConfig, SchedError,
+    ScheduleOutcome, SchedulePlan, StepPlan, Unit,
+};
 use das_graph::{generators, NodeId};
 
 fn one_hop(g: &das_graph::Graph) -> Box<dyn BlackBoxAlgorithm> {
     Box::new(Prescribed::new(0, g, &[(0, NodeId(0), NodeId(1))]))
+}
+
+/// Executes hand-built `units` fused, with big-rounds of `phase_len`.
+fn run(
+    p: &DasProblem<'_>,
+    units: Vec<Unit>,
+    phase_len: u64,
+    config: ExecutorConfig,
+) -> Result<ScheduleOutcome, SchedError> {
+    let plan = SchedulePlan::assemble("hand-built", 0, phase_len, 0, p, units);
+    let opts = ExecOptions::default().with_config(config);
+    execute(p, &plan, opts).map(|done| done.outcome)
 }
 
 #[test]
@@ -14,14 +29,7 @@ fn single_message_algorithm_executes() {
     let g = generators::path(2);
     let p = DasProblem::new(&g, vec![one_hop(&g)], 1);
     let units = vec![Unit::global(0, 0, 2)];
-    let outcome = Executor::run(
-        &g,
-        p.algorithms(),
-        &[p.algo_seed(0)],
-        &units,
-        &ExecutorConfig::default(),
-    )
-    .unwrap();
+    let outcome = run(&p, units, 1, ExecutorConfig::default()).unwrap();
     assert_eq!(outcome.stats.delivered, 1);
     assert_eq!(outcome.stats.late_messages, 0);
     assert_eq!(outcome.outputs[0], p.references().unwrap()[0].outputs);
@@ -37,14 +45,7 @@ fn fully_truncated_unit_executes_nothing() {
         stride: 1,
         trunc: vec![0; 2],
     }];
-    let outcome = Executor::run(
-        &g,
-        p.algorithms(),
-        &[p.algo_seed(0)],
-        &units,
-        &ExecutorConfig::default(),
-    )
-    .unwrap();
+    let outcome = run(&p, units, 1, ExecutorConfig::default()).unwrap();
     assert_eq!(outcome.stats.delivered, 0);
     // machines never stepped: outputs are the initial states, not the
     // reference — visible, not silent
@@ -76,14 +77,7 @@ fn huge_phase_len_still_counts_rounds_correctly() {
     let g = generators::path(2);
     let p = DasProblem::new(&g, vec![one_hop(&g)], 1);
     let units = vec![Unit::global(0, 0, 2)];
-    let outcome = Executor::run(
-        &g,
-        p.algorithms(),
-        &[p.algo_seed(0)],
-        &units,
-        &ExecutorConfig::default().with_phase_len(100),
-    )
-    .unwrap();
+    let outcome = run(&p, units, 100, ExecutorConfig::default()).unwrap();
     // 2 algo rounds * 100 rounds per big-round
     assert_eq!(outcome.schedule_rounds(), 200);
     assert_eq!(outcome.stats.phase_len, 100);
@@ -94,12 +88,11 @@ fn departures_can_be_disabled() {
     let g = generators::path(2);
     let p = DasProblem::new(&g, vec![one_hop(&g)], 1);
     let units = vec![Unit::global(0, 0, 2)];
-    let outcome = Executor::run(
-        &g,
-        p.algorithms(),
-        &[p.algo_seed(0)],
-        &units,
-        &ExecutorConfig::default().with_record_departures(false),
+    let outcome = run(
+        &p,
+        units,
+        1,
+        ExecutorConfig::default().with_record_departures(false),
     )
     .unwrap();
     assert!(outcome.departures.is_none());
@@ -149,7 +142,6 @@ impl BlackBoxAlgorithm for PanicsAtNodeZero {
 /// instead of hanging the suite.
 #[test]
 fn panicking_machine_aborts_a_sharded_run_instead_of_hanging() {
-    use das_core::{execute_plan_sharded_with, ExecError, SchedError, SchedulePlan};
     use std::time::Duration;
 
     for shards in [2usize, 3] {
@@ -158,32 +150,22 @@ fn panicking_machine_aborts_a_sharded_run_instead_of_hanging() {
             let g = generators::path(8);
             let p = DasProblem::new(&g, vec![Box::new(PanicsAtNodeZero)], 1);
             let units = vec![Unit::global(0, 0, 8)];
-            let config = ExecutorConfig::default().with_shards(shards);
-            let direct =
-                Executor::run_sharded(&g, p.algorithms(), &[p.algo_seed(0)], &units, &config)
-                    .map(|_| ());
             let plan = SchedulePlan::assemble("hand-built", 0, 1, 0, &p, units);
-            let staged = execute_plan_sharded_with(&p, &plan, &config).map(|_| ());
-            let _ = tx.send((direct, staged));
+            let staged = execute(&p, &plan, ExecOptions::sharded(shards)).map(|_| ());
+            let _ = tx.send(staged);
         });
-        let (direct, staged) = rx
+        let staged = rx
             .recv_timeout(Duration::from_secs(2))
             .unwrap_or_else(|_| panic!("{shards}-shard run did not return within 2 s"));
-        let staged = match staged.unwrap_err() {
-            SchedError::Exec(e) => e,
-            other => panic!("expected an execution error, got {other:?}"),
-        };
-        for err in [direct.unwrap_err(), staged] {
-            match err {
-                ExecError::Aborted { detail } => {
-                    assert!(detail.contains("shard "), "{detail}");
-                    assert!(
-                        detail.contains("panicked: fuse blown at node 0"),
-                        "{detail}"
-                    );
-                }
-                other => panic!("expected Aborted, got {other:?}"),
+        match staged.unwrap_err() {
+            SchedError::Exec(ExecError::Aborted { detail }) => {
+                assert!(detail.contains("shard "), "{detail}");
+                assert!(
+                    detail.contains("panicked: fuse blown at node 0"),
+                    "{detail}"
+                );
             }
+            other => panic!("expected Aborted, got {other:?}"),
         }
     }
 }

@@ -11,8 +11,8 @@
 
 use das_core::synthetic::RelayChain;
 use das_core::{
-    execute_plan, execute_plan_networked, run_traced, run_traced_live, run_worker,
-    BlackBoxAlgorithm, DasProblem, NetConfig, Scheduler, UniformScheduler,
+    execute, run_traced, run_traced_live, run_worker, BlackBoxAlgorithm, DasProblem, ExecOptions,
+    NetConfig, Scheduler, UniformScheduler,
 };
 use das_graph::generators;
 use das_obs::{LiveHub, ObsConfig, ObsServer};
@@ -113,7 +113,8 @@ fn networked_coordinator_exposes_per_worker_telemetry() {
     let g = generators::path(40);
     let p = build_problem(&g);
     let plan = UniformScheduler::default().plan(&p, 13).expect("plan");
-    let baseline = format!("{:?}", execute_plan(&p, &plan).expect("fused"));
+    let fused = execute(&p, &plan, ExecOptions::default()).expect("fused");
+    let baseline = format!("{:?}", fused.outcome);
 
     let hub = Arc::new(LiveHub::new());
     hub.set_run_info("networked", 3);
@@ -130,12 +131,12 @@ fn networked_coordinator_exposes_per_worker_telemetry() {
         })
         .collect();
     let net = NetConfig::default().with_live(Some(hub.clone()));
-    let (outcome, report) =
-        execute_plan_networked(&p, &plan, 3, listener, &net).expect("networked run");
+    let report =
+        execute(&p, &plan, ExecOptions::networked(3, listener, &net)).expect("networked run");
     for w in workers {
         w.join().expect("worker thread");
     }
-    assert_eq!(baseline, format!("{outcome:?}"));
+    assert_eq!(baseline, format!("{:?}", report.outcome));
 
     // The ACTIVITY-piggybacked totals mirror the workers' final stats...
     let profile = http_get(server.local_addr(), "/profile");
@@ -150,7 +151,7 @@ fn networked_coordinator_exposes_per_worker_telemetry() {
             s.shard
         );
     }
-    // ...and the coordinator-side link traffic matches the NetReport.
+    // ...and the coordinator-side link traffic matches the report.
     let net_body = http_get(server.local_addr(), "/net");
     assert_eq!(report.traffic.len(), 3);
     for (shard, t) in report.traffic.iter().enumerate() {

@@ -13,11 +13,10 @@
 
 use das_core::synthetic::{FloodBall, Prescribed, RelayChain};
 use das_core::{
-    execute_plan, execute_plan_networked, execute_plan_observed_with, execute_plan_sharded,
-    execute_plan_sharded_observed_with, execute_plan_sharded_with, execute_plan_with, run_worker,
-    BlackBoxAlgorithm, DasProblem, EngineKind, ExecError, ExecutorConfig, InterleaveScheduler,
-    NetConfig, NetReport, PrivateScheduler, SchedError, ScheduleOutcome, SchedulePlan, Scheduler,
-    SequentialScheduler, TunedUniformScheduler, UniformScheduler, Unit, WorkerOutcome,
+    execute, run_worker, BlackBoxAlgorithm, DasProblem, EngineKind, ExecError, ExecOptions,
+    Executed, ExecutorConfig, InterleaveScheduler, NetConfig, PrivateScheduler, SchedError,
+    ScheduleOutcome, SchedulePlan, Scheduler, SequentialScheduler, TunedUniformScheduler,
+    UniformScheduler, Unit, WorkerOutcome,
 };
 use das_graph::{generators, Graph, NodeId};
 use das_obs::ObsConfig;
@@ -71,9 +70,6 @@ fn all_schedulers() -> Vec<Box<dyn Scheduler>> {
     ]
 }
 
-/// The coordinator's result of one networked run.
-type Coordinated = Result<(ScheduleOutcome, NetReport), SchedError>;
-
 /// Runs the plan over localhost TCP: a coordinator thread (this one) plus
 /// `workers` worker threads sharing the same in-memory problem, exactly as
 /// separate processes would rebuild it from identical flags. Returns the
@@ -82,7 +78,11 @@ fn try_networked(
     p: &DasProblem<'_>,
     plan: &SchedulePlan,
     workers: usize,
-) -> (Coordinated, Vec<Result<WorkerOutcome, SchedError>>) {
+    config: &ExecutorConfig,
+) -> (
+    Result<Executed, SchedError>,
+    Vec<Result<WorkerOutcome, SchedError>>,
+) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind localhost");
     let addr = listener.local_addr().expect("local addr").to_string();
     let net = NetConfig::default().with_io_timeout_ms(20_000);
@@ -94,7 +94,8 @@ fn try_networked(
             let net = net.clone();
             handles.push(scope.spawn(move || run_worker(p, &addr, &net)));
         }
-        let result = execute_plan_networked(p, plan, workers, listener, &net);
+        let opts = ExecOptions::networked(workers, listener, &net).with_config(config.clone());
+        let result = execute(p, plan, opts);
         let joined = handles
             .into_iter()
             .map(|h| h.join().expect("worker thread"))
@@ -104,12 +105,8 @@ fn try_networked(
 }
 
 /// [`try_networked`] for runs that must succeed on both sides.
-fn run_networked(
-    p: &DasProblem<'_>,
-    plan: &SchedulePlan,
-    workers: usize,
-) -> (ScheduleOutcome, NetReport) {
-    let (result, joined) = try_networked(p, plan, workers);
+fn run_networked(p: &DasProblem<'_>, plan: &SchedulePlan, workers: usize) -> Executed {
+    let (result, joined) = try_networked(p, plan, workers, &ExecutorConfig::default());
     for w in joined {
         w.expect("worker outcome");
     }
@@ -133,21 +130,22 @@ fn assert_networked_equivalent(g: &Graph, k: usize, seed: u64) {
     let p = DasProblem::new(g, build_algos(g, k, seed), seed);
     for sched in all_schedulers() {
         let plan = sched.plan(&p, seed).expect("model-valid workload");
-        let fused = execute_plan(&p, &plan).expect("fused execution");
-        let fused_bytes = format!("{fused:?}");
+        let fused = execute(&p, &plan, ExecOptions::default()).expect("fused execution");
+        let fused_bytes = format!("{:?}", fused.outcome);
         for workers in WORKER_COUNTS {
-            let (sharded, shard_report) =
-                execute_plan_sharded(&p, &plan, workers).expect("sharded execution");
+            let sharded =
+                execute(&p, &plan, ExecOptions::sharded(workers)).expect("sharded execution");
+            let shard_report = sharded.shard;
             assert_eq!(
                 fused_bytes,
-                format!("{sharded:?}"),
+                format!("{:?}", sharded.outcome),
                 "scheduler {}: in-process sharded diverged at {workers} shards",
                 sched.name()
             );
-            let (networked, net_report) = run_networked(&p, &plan, workers);
+            let net_report = run_networked(&p, &plan, workers);
             assert_eq!(
                 fused_bytes,
-                format!("{networked:?}"),
+                format!("{:?}", net_report.outcome),
                 "scheduler {}: networked diverged at {workers} workers",
                 sched.name()
             );
@@ -192,10 +190,13 @@ fn networked_clamps_workers_to_node_count() {
     let g = generators::layered(2, 2);
     let p = DasProblem::new(&g, build_algos(&g, 2, 5), 5);
     let plan = SequentialScheduler.plan(&p, 5).expect("plan");
-    let fused = execute_plan(&p, &plan).expect("fused");
+    let fused = execute(&p, &plan, ExecOptions::default()).expect("fused");
     let n = g.node_count();
-    let (networked, report) = run_networked(&p, &plan, n + 10);
-    assert_eq!(format!("{fused:?}"), format!("{networked:?}"));
+    let report = run_networked(&p, &plan, n + 10);
+    assert_eq!(
+        format!("{:?}", fused.outcome),
+        format!("{:?}", report.outcome)
+    );
     assert_eq!(report.shard.shards, n);
 }
 
@@ -223,31 +224,30 @@ const EXCHANGES: [Via; 7] = [
     Via::Wire(3),
 ];
 
-/// Executes `plan` through `via` under `config`. The wire has no
-/// configuration surface, so `Wire` runs under the defaults whatever
-/// `config` says; every worker must fail exactly as the coordinator does.
+/// Executes `plan` through `via` under `config`. Workers run under the
+/// defaults (the wire carries no configuration), so `Wire` takes only
+/// `config`s the coordinator does not refuse. Every worker must fail
+/// exactly as the coordinator does.
 fn execute_via(
     via: Via,
     p: &DasProblem<'_>,
     plan: &SchedulePlan,
     config: &ExecutorConfig,
 ) -> Result<ScheduleOutcome, SchedError> {
-    match via {
-        Via::Local => execute_plan_with(p, plan, config),
-        Via::InProcess(shards) => {
-            execute_plan_sharded_with(p, plan, &config.clone().with_shards(shards))
-                .map(|(outcome, _)| outcome)
-        }
+    let opts = match via {
+        Via::Local => ExecOptions::default(),
+        Via::InProcess(shards) => ExecOptions::sharded(shards),
         Via::Wire(workers) => {
-            let (result, joined) = try_networked(p, plan, workers);
+            let (result, joined) = try_networked(p, plan, workers, config);
             if let Err(e) = &result {
                 for w in joined {
                     assert_eq!(w.as_ref().unwrap_err(), e, "{via:?}: worker vs coordinator");
                 }
             }
-            result.map(|(outcome, _)| outcome)
+            return result.map(|done| done.outcome);
         }
-    }
+    };
+    execute(p, plan, opts.with_config(config.clone())).map(|done| done.outcome)
 }
 
 /// Same plan, every exchange: the row oracle's bytes, and — where a probe
@@ -259,9 +259,9 @@ fn every_exchange_reproduces_the_row_oracle() {
     let defaults = ExecutorConfig::default();
     for sched in all_schedulers() {
         let plan = sched.plan(&p, 99).expect("model-valid workload");
-        let oracle = execute_plan_with(&p, &plan, &defaults.clone().with_engine(EngineKind::Row))
-            .expect("row oracle");
-        let oracle_bytes = format!("{oracle:?}");
+        let row = ExecOptions::default().with_config(defaults.clone().with_engine(EngineKind::Row));
+        let oracle = execute(&p, &plan, row).expect("row oracle");
+        let oracle_bytes = format!("{:?}", oracle.outcome);
         let mut profiles = Vec::new();
         for via in EXCHANGES {
             let outcome = execute_via(via, &p, &plan, &defaults).expect("execution");
@@ -272,23 +272,19 @@ fn every_exchange_reproduces_the_row_oracle() {
                 sched.name()
             );
             let obs = ObsConfig::full();
-            let observed = match via {
-                Via::Local => execute_plan_observed_with(&p, &plan, &obs, &defaults),
-                Via::InProcess(shards) => execute_plan_sharded_observed_with(
-                    &p,
-                    &plan,
-                    &obs,
-                    &defaults.clone().with_shards(shards),
-                )
-                .map(|(outcome, _, report)| (outcome, report)),
+            let opts = match via {
+                Via::Local => ExecOptions::default(),
+                Via::InProcess(shards) => ExecOptions::sharded(shards),
                 Via::Wire(_) => continue, // workers carry no probe
             };
-            let (outcome, report) = observed.expect("observed execution");
-            assert_eq!(oracle_bytes, format!("{outcome:?}"), "{via:?} under obs");
-            profiles.push((
-                via,
-                format!("{:?}", report.expect("recording is on").profile),
-            ));
+            let observed = execute(&p, &plan, opts.with_obs(obs)).expect("observed execution");
+            assert_eq!(
+                oracle_bytes,
+                format!("{:?}", observed.outcome),
+                "{via:?} under obs"
+            );
+            let report = observed.obs.expect("recording is on");
+            profiles.push((via, format!("{:?}", report.profile)));
         }
         for (via, profile) in &profiles[1..] {
             assert_eq!(
@@ -312,7 +308,8 @@ fn every_exchange_abandons_on_the_same_round_cap() {
         .collect();
     let p = DasProblem::new(&g, relays, 3);
     let row = |config: &ExecutorConfig, plan: &SchedulePlan| {
-        execute_plan_with(&p, plan, &config.clone().with_engine(EngineKind::Row)).unwrap_err()
+        let row = ExecOptions::default().with_config(config.clone().with_engine(EngineKind::Row));
+        execute(&p, plan, row).unwrap_err()
     };
 
     // Overloaded: two relays collide on every edge with zero delays and

@@ -6,8 +6,8 @@
 
 use das_core::synthetic::Prescribed;
 use das_core::{
-    execute_plan_networked, problem_fingerprint, run_worker, wire, BlackBoxAlgorithm, DasProblem,
-    ExecError, NetConfig, SchedError, SchedulePlan, Scheduler, SequentialScheduler,
+    execute, problem_fingerprint, run_worker, wire, BlackBoxAlgorithm, DasProblem, ExecError,
+    ExecOptions, NetConfig, SchedError, SchedulePlan, Scheduler, SequentialScheduler,
     PROTOCOL_VERSION,
 };
 use das_graph::{generators, Graph};
@@ -103,7 +103,8 @@ fn worker_killed_mid_big_round_yields_typed_disconnect() {
             // ...then die mid-big-round, before reporting activity
         }
     });
-    let err = exec_err(execute_plan_networked(&p, &plan, 1, listener, &net));
+    let opts = ExecOptions::networked(1, listener, &net);
+    let err = exec_err(execute(&p, &plan, opts));
     rogue.join().expect("rogue thread");
     match err {
         ExecError::WorkerDisconnected { shard, .. } => assert_eq!(shard, 0),
@@ -135,7 +136,8 @@ fn truncated_frame_yields_typed_error() {
         s.write_all(&clipped).expect("partial frame");
         // dropping s closes the stream mid-body
     });
-    let err = exec_err(execute_plan_networked(&p, &plan, 1, listener, &net));
+    let opts = ExecOptions::networked(1, listener, &net);
+    let err = exec_err(execute(&p, &plan, opts));
     rogue.join().expect("rogue thread");
     assert!(
         matches!(err, ExecError::TruncatedFrame { .. }),
@@ -210,7 +212,8 @@ fn version_mismatch_is_rejected_both_sides() {
         send_frame(&mut s, wire::JOIN, &join);
         recv_frame(&mut s)
     });
-    let err = exec_err(execute_plan_networked(&p, &plan, 1, listener, &net));
+    let opts = ExecOptions::networked(1, listener, &net);
+    let err = exec_err(execute(&p, &plan, opts));
     match err {
         ExecError::VersionMismatch {
             coordinator,
@@ -248,7 +251,7 @@ fn late_join_after_assignment_is_rejected_typed() {
                 scope.spawn(move || run_worker(p, &addr, &net))
             })
             .collect();
-        execute_plan_networked(&p, &plan, 1, listener, &net).expect("one-worker run");
+        execute(&p, &plan, ExecOptions::networked(1, listener, &net)).expect("one-worker run");
         workers
             .into_iter()
             .map(|h| h.join().expect("worker thread"))
@@ -279,7 +282,8 @@ fn missing_workers_time_out() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let net = NetConfig::default().with_io_timeout_ms(300);
     let started = Instant::now();
-    let err = exec_err(execute_plan_networked(&p, &plan, 2, listener, &net));
+    let opts = ExecOptions::networked(2, listener, &net);
+    let err = exec_err(execute(&p, &plan, opts));
     match err {
         ExecError::NetTimeout { during, ms } => {
             assert!(during.contains("0 of 2 joined"), "got: {during}");
@@ -374,7 +378,8 @@ fn oversized_assign_is_refused_by_the_sender_with_the_cause() {
     let started = Instant::now();
     let err = std::thread::scope(|scope| {
         let worker = scope.spawn(|| run_worker(&p, &addr, &net));
-        let err = exec_err(execute_plan_networked(&p, &plan, 1, listener, &net));
+        let opts = ExecOptions::networked(1, listener, &net);
+        let err = exec_err(execute(&p, &plan, opts));
         assert!(worker.join().expect("worker thread").is_err());
         err
     });

@@ -11,9 +11,9 @@
 
 use das_core::synthetic::{FloodBall, Prescribed, RelayChain};
 use das_core::{
-    execute_plan, execute_plan_observed, execute_plan_observed_with, execute_plan_sharded_observed,
-    BlackBoxAlgorithm, DasProblem, EngineKind, ExecutorConfig, InterleaveScheduler,
-    PrivateScheduler, Scheduler, SequentialScheduler, TunedUniformScheduler, UniformScheduler,
+    execute, BlackBoxAlgorithm, DasProblem, EngineKind, ExecOptions, ExecutorConfig,
+    InterleaveScheduler, PrivateScheduler, SchedulePlan, Scheduler, SequentialScheduler,
+    TunedUniformScheduler, UniformScheduler,
 };
 use das_graph::{generators, Graph, NodeId};
 use das_obs::ObsConfig;
@@ -60,6 +60,12 @@ fn build_algos(g: &Graph, k: usize, seed: u64) -> Vec<Box<dyn BlackBoxAlgorithm>
         .collect()
 }
 
+/// The unobserved fused outcome's bytes.
+fn baseline(p: &DasProblem<'_>, plan: &SchedulePlan) -> String {
+    let fused = execute(p, plan, ExecOptions::default()).expect("fused execution");
+    format!("{:?}", fused.outcome)
+}
+
 fn all_schedulers() -> Vec<Box<dyn Scheduler>> {
     vec![
         Box::new(SequentialScheduler),
@@ -76,12 +82,13 @@ fn assert_obs_neutral(g: &Graph, k: usize, seed: u64) {
     let p = DasProblem::new(g, build_algos(g, k, seed), seed);
     for sched in all_schedulers() {
         let plan = sched.plan(&p, seed).expect("model-valid workload");
-        let baseline = format!("{:?}", execute_plan(&p, &plan).expect("fused execution"));
+        let baseline = baseline(&p, &plan);
         for obs in obs_levels() {
-            let (fused, _) = execute_plan_observed(&p, &plan, &obs).expect("observed fused");
+            let fused =
+                execute(&p, &plan, ExecOptions::default().with_obs(obs)).expect("observed fused");
             assert_eq!(
                 baseline,
-                format!("{fused:?}"),
+                format!("{:?}", fused.outcome),
                 "scheduler {} diverged under fused obs {:?}",
                 sched.name(),
                 obs.mode
@@ -89,21 +96,21 @@ fn assert_obs_neutral(g: &Graph, k: usize, seed: u64) {
             // The row oracle must match the batched baseline under every
             // obs level too.
             let row_cfg = ExecutorConfig::default().with_engine(EngineKind::Row);
-            let (row, _) =
-                execute_plan_observed_with(&p, &plan, &obs, &row_cfg).expect("observed row");
+            let opts = ExecOptions::default().with_config(row_cfg).with_obs(obs);
+            let row = execute(&p, &plan, opts).expect("observed row");
             assert_eq!(
                 baseline,
-                format!("{row:?}"),
+                format!("{:?}", row.outcome),
                 "scheduler {} row engine diverged under fused obs {:?}",
                 sched.name(),
                 obs.mode
             );
             for shards in SHARD_COUNTS {
-                let (sharded, _, _) = execute_plan_sharded_observed(&p, &plan, shards, &obs)
+                let sharded = execute(&p, &plan, ExecOptions::sharded(shards).with_obs(obs))
                     .expect("observed sharded");
                 assert_eq!(
                     baseline,
-                    format!("{sharded:?}"),
+                    format!("{:?}", sharded.outcome),
                     "scheduler {} diverged under obs {:?} at {} shards",
                     sched.name(),
                     obs.mode,
@@ -219,13 +226,13 @@ fn wall_clock_recording_is_outcome_neutral() {
     let p = DasProblem::new(&g, build_algos(&g, 4, 7), 7);
     let sched = UniformScheduler::default();
     let plan = sched.plan(&p, 7).unwrap();
-    let baseline = format!("{:?}", execute_plan(&p, &plan).unwrap());
+    let baseline = baseline(&p, &plan);
     let mut obs = ObsConfig::full();
     obs.wall_clock = true;
     for shards in SHARD_COUNTS {
-        let (outcome, _, report) = execute_plan_sharded_observed(&p, &plan, shards, &obs).unwrap();
-        assert_eq!(baseline, format!("{outcome:?}"));
-        if let Some(r) = report {
+        let done = execute(&p, &plan, ExecOptions::sharded(shards).with_obs(obs)).unwrap();
+        assert_eq!(baseline, format!("{:?}", done.outcome));
+        if let Some(r) = done.obs {
             // wall-clock lives in the wall.* side channel, never in events
             assert!(r
                 .events

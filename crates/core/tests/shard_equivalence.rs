@@ -1,6 +1,6 @@
 //! Property-based equivalence: the sharded big-round-synchronous executor
 //! must produce the *byte-identical* outcome of the sequential (fused)
-//! `execute_plan`, for every plan, every scheduler, and every shard count —
+//! `execute`, for every plan, every scheduler, and every shard count —
 //! and the production (batched) loop, the default everywhere, must agree
 //! with the row test oracle.
 //!
@@ -10,9 +10,9 @@
 
 use das_core::synthetic::{FloodBall, Prescribed, RelayChain};
 use das_core::{
-    execute_plan, execute_plan_sharded, execute_plan_with, BlackBoxAlgorithm, DasProblem,
-    EngineKind, ExecutorConfig, InterleaveScheduler, PrivateScheduler, Scheduler,
-    SequentialScheduler, TunedUniformScheduler, UniformScheduler,
+    execute, BlackBoxAlgorithm, DasProblem, EngineKind, ExecOptions, ExecutorConfig,
+    InterleaveScheduler, PrivateScheduler, Scheduler, SequentialScheduler, TunedUniformScheduler,
+    UniformScheduler,
 };
 use das_graph::{generators, Graph, NodeId};
 use proptest::prelude::*;
@@ -122,29 +122,32 @@ fn assert_equivalent(g: &Graph, k: usize, seed: u64) {
     let p = DasProblem::new(g, build_algos(g, k, seed), seed);
     for sched in all_schedulers() {
         let plan = sched.plan(&p, seed).expect("model-valid workload");
-        let fused = execute_plan(&p, &plan).expect("fused execution");
+        let fused = execute(&p, &plan, ExecOptions::default())
+            .expect("fused execution")
+            .outcome;
         let fused_bytes = format!("{fused:?}");
         // The row engine is the reference semantics: the production loop
         // (the default) must reproduce it byte for byte.
         let row_cfg = ExecutorConfig::default().with_engine(EngineKind::Row);
-        let row = execute_plan_with(&p, &plan, &row_cfg).expect("row execution");
+        let row =
+            execute(&p, &plan, ExecOptions::default().with_config(row_cfg)).expect("row execution");
         assert_eq!(
             fused_bytes,
-            format!("{row:?}"),
+            format!("{:?}", row.outcome),
             "scheduler {}: batched fused diverged from the row engine",
             sched.name()
         );
         for shards in SHARD_COUNTS {
-            let (sharded, report) =
-                execute_plan_sharded(&p, &plan, shards).expect("sharded execution");
+            let sharded =
+                execute(&p, &plan, ExecOptions::sharded(shards)).expect("sharded execution");
             assert_eq!(
                 fused_bytes,
-                format!("{sharded:?}"),
+                format!("{:?}", sharded.outcome),
                 "scheduler {} diverged at {} shards",
                 sched.name(),
                 shards
             );
-            assert_shard_report_consistent(g, &fused, &report, shards, sched.name());
+            assert_shard_report_consistent(g, &fused, &sharded.shard, shards, sched.name());
         }
     }
 }

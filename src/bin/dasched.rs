@@ -32,11 +32,10 @@ use dasched::core::plan::analysis as plan_analysis;
 use dasched::core::plan::diff::PlanDiff;
 use dasched::core::synthetic::{FloodBall, RelayChain};
 use dasched::core::{
-    execute_plan_networked, execute_plan_sharded_with, execute_plan_with, install_ctrl_c,
-    run_loadgen, run_traced_live, run_worker, verify, BlackBoxAlgorithm, Capacity, DasProblem,
-    EngineKind, ExecutorConfig, InterleaveScheduler, LoadgenConfig, NetConfig, PrivateScheduler,
-    SchedulePlan, Scheduler, SequentialScheduler, ServeConfig, TunedUniformScheduler,
-    UniformScheduler,
+    execute, install_ctrl_c, run_loadgen, run_traced_live, run_worker, verify, BlackBoxAlgorithm,
+    Capacity, DasProblem, EngineKind, ExecOptions, ExecutorConfig, InterleaveScheduler,
+    LoadgenConfig, NetConfig, PrivateScheduler, SchedulePlan, Scheduler, SequentialScheduler,
+    ServeConfig, TunedUniformScheduler, UniformScheduler,
 };
 use dasched::graph::{generators, Graph, NodeId};
 use dasched::lowerbound::{analysis, search, HardInstance, HardInstanceParams};
@@ -475,7 +474,7 @@ fn cmd_plan(opts: &HashMap<String, String>, seed: u64) -> Result<(), String> {
         }
     );
     if opts.contains_key("execute") {
-        execute_planned(opts, engine, shards, &problem, &plan)?;
+        run_planned(opts, engine, shards, &problem, &plan)?;
     }
     match opts.get("out") {
         Some(path) => {
@@ -506,7 +505,7 @@ fn diff_plans(problem: &DasProblem<'_>, path_a: &str, path_b: &str) -> Result<()
 /// with a fused-identity check and per-shard report) on the selected
 /// engine (`--engine row|batched`, batched by default), verify, and honor
 /// `--dump-outcome`.
-fn execute_planned(
+fn run_planned(
     opts: &HashMap<String, String>,
     engine: EngineKind,
     shards: usize,
@@ -516,13 +515,16 @@ fn execute_planned(
     note_clamped("shards", shards, problem.graph().node_count());
     let config = ExecutorConfig::default().with_engine(engine);
     let t0 = std::time::Instant::now();
-    let fused = execute_plan_with(problem, plan, &config).map_err(|e| e.to_string())?;
+    let fused_opts = ExecOptions::default().with_config(config.clone());
+    let fused = execute(problem, plan, fused_opts)
+        .map_err(|e| e.to_string())?
+        .outcome;
     let fused_ms = t0.elapsed().as_secs_f64() * 1e3;
     let outcome = if shards > 1 {
         let t1 = std::time::Instant::now();
-        let (sharded, report) =
-            execute_plan_sharded_with(problem, plan, &config.clone().with_shards(shards))
-                .map_err(|e| e.to_string())?;
+        let sharded_opts = ExecOptions::sharded(shards).with_config(config);
+        let done = execute(problem, plan, sharded_opts).map_err(|e| e.to_string())?;
+        let (sharded, report) = (done.outcome, done.shard);
         let sharded_ms = t1.elapsed().as_secs_f64() * 1e3;
         println!(
             "sharded: {} shards, {} cross-shard messages, wall {sharded_ms:.1} ms (fused {fused_ms:.1} ms)",
@@ -860,8 +862,9 @@ fn cmd_coordinator(opts: &HashMap<String, String>, seed: u64) -> Result<(), Stri
         .with_stop(stop.clone())
         .with_live(obs_hub.as_ref().map(|(h, _)| h.clone()));
     let t0 = std::time::Instant::now();
-    let (outcome, report) = execute_plan_networked(&problem, &plan, workers, listener, &net)
-        .map_err(|e| e.to_string())?;
+    let net_opts = ExecOptions::networked(workers, listener, &net);
+    let report = execute(&problem, &plan, net_opts).map_err(|e| e.to_string())?;
+    let outcome = report.outcome;
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     println!(
         "networked: {} worker(s), {} cross-shard messages, wall {wall_ms:.1} ms",
@@ -1229,7 +1232,7 @@ mod tests {
 
     #[test]
     fn plan_command_dumps_json_that_round_trips() {
-        use dasched::core::{execute_plan, SchedulePlan};
+        use dasched::core::SchedulePlan;
         let dir = std::env::temp_dir().join("dasched_plan_test");
         std::fs::create_dir_all(&dir).unwrap();
         let out = dir.join("plan.json");
@@ -1259,7 +1262,9 @@ mod tests {
         let g = parse_graph("path:16", 42).unwrap();
         let algos = parse_workload("relays:3", &g, 42).unwrap();
         let problem = DasProblem::new(&g, algos, 42);
-        let replayed = execute_plan(&problem, &plan).unwrap();
+        let replayed = execute(&problem, &plan, ExecOptions::default())
+            .unwrap()
+            .outcome;
         let fused = UniformScheduler::default()
             .with_seed(9)
             .run(&problem)

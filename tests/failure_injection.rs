@@ -5,8 +5,8 @@
 
 use dasched::core::synthetic::RelayChain;
 use dasched::core::{
-    verify, BlackBoxAlgorithm, DasProblem, Executor, ExecutorConfig, Scheduler,
-    TunedUniformScheduler, UniformScheduler, Unit,
+    execute, verify, BlackBoxAlgorithm, DasProblem, ExecOptions, ScheduleOutcome, SchedulePlan,
+    Scheduler, TunedUniformScheduler, UniformScheduler, Unit,
 };
 use dasched::graph::generators;
 
@@ -17,20 +17,19 @@ fn heavy_problem(g: &dasched::graph::Graph, k: usize) -> DasProblem<'_> {
     DasProblem::new(g, algos, 3)
 }
 
+/// Every algorithm of `p` at delay 0, phase length 1: maximal collisions.
+fn all_at_once(p: &DasProblem<'_>) -> ScheduleOutcome {
+    let n = p.graph().node_count();
+    let units = (0..p.k()).map(|i| Unit::global(i, 0, n)).collect();
+    let plan = SchedulePlan::assemble("hand-built", 0, 1, 0, p, units);
+    execute(p, &plan, ExecOptions::default()).unwrap().outcome
+}
+
 #[test]
 fn zero_delays_collide_and_are_detected() {
     let g = generators::path(12);
     let p = heavy_problem(&g, 8);
-    let units: Vec<Unit> = (0..8).map(|i| Unit::global(i, 0, 12)).collect();
-    let seeds: Vec<u64> = (0..8).map(|i| p.algo_seed(i)).collect();
-    let outcome = Executor::run(
-        &g,
-        p.algorithms(),
-        &seeds,
-        &units,
-        &ExecutorConfig::default(),
-    )
-    .unwrap();
+    let outcome = all_at_once(&p);
     assert!(outcome.stats.late_messages > 0);
     let report = verify::against_references(&p, &outcome).unwrap();
     assert!(!report.all_correct(), "collisions must corrupt outputs");
@@ -90,16 +89,7 @@ fn late_messages_never_reach_machines() {
     // a schedule that forces lateness must count every dropped message
     let g = generators::path(10);
     let p = heavy_problem(&g, 6);
-    let units: Vec<Unit> = (0..6).map(|i| Unit::global(i, 0, 10)).collect();
-    let seeds: Vec<u64> = (0..6).map(|i| p.algo_seed(i)).collect();
-    let outcome = Executor::run(
-        &g,
-        p.algorithms(),
-        &seeds,
-        &units,
-        &ExecutorConfig::default(),
-    )
-    .unwrap();
+    let outcome = all_at_once(&p);
     let refs = p.references().unwrap();
     let total_expected: u64 = refs.iter().map(|r| r.pattern.message_count() as u64).sum();
     // every reference message was either delivered in time or counted late
