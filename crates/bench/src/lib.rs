@@ -158,11 +158,8 @@ fn execute_on_localhost(
         let handles: Vec<_> = (0..effective)
             .map(|_| scope.spawn(|| run_worker(problem, &addr, &net)))
             .collect();
-        let result = execute(
-            problem,
-            plan,
-            ExecOptions::networked(workers, listener, &net),
-        );
+        let opts = ExecOptions::networked(workers, listener, &net);
+        let result = execute(problem, plan, opts);
         for h in handles {
             // on a cap error both sides return the same typed error; only
             // the coordinator's copy feeds the record
@@ -175,8 +172,7 @@ fn execute_on_localhost(
 /// Turns an execution result into the trial: verify-and-record on success,
 /// with the shard and traffic summaries of the topologies that produce
 /// them, or a `truncated` failure record when the engine-round cap was hit.
-/// Split
-/// out so the cap path is unit-testable without building a diverging
+/// Split out so the cap path is unit-testable without building a diverging
 /// schedule.
 fn finish_trial(
     problem: &DasProblem<'_>,

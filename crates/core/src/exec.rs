@@ -608,11 +608,10 @@ impl Executor {
     }
 
     /// The fused executor; `obs` hooks are self-guarded no-ops when
-    /// recording is off. The
-    /// production engines run the shared big-round loop as one shard that
-    /// owns every node ([`Local`] exchange). The body below is the **row**
-    /// engine — the executable specification the production loop must match
-    /// byte-for-byte.
+    /// recording is off. The production engines run the shared big-round
+    /// loop as one shard that owns every node ([`Local`] exchange). The
+    /// body below is the **row** engine — the executable specification the
+    /// production loop must match byte-for-byte.
     fn run_with(
         g: &Graph,
         algos: &[Box<dyn BlackBoxAlgorithm>],

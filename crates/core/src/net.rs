@@ -321,8 +321,9 @@ fn accept_workers(
 /// Owns the listener for the rest of the run and turns stragglers away:
 /// any connection accepted after all shard slots are assigned gets its one
 /// frame read (best-effort) and a `REJECT_FULL` reply, which workers
-/// decode to [`ExecError::LateJoin`]. The thread exits promptly once
-/// `stop` is set.
+/// decode to [`ExecError::LateJoin`]. Once `stop` is set the thread turns
+/// away what is already queued and exits: a straggler left in the backlog
+/// would otherwise see a connection reset when the listener drops.
 fn spawn_doorman(
     listener: TcpListener,
     shards: usize,
@@ -335,20 +336,24 @@ fn spawn_doorman(
             ours: shards as u64,
             theirs: shards as u64,
         };
+        let mut turn_away = |stream| {
+            if let Ok(mut conn) = net.framed(stream) {
+                // read the straggler's JOIN so its REJECT is not lost in a
+                // half-open race; content does not matter
+                let _ = conn.recv("doorman (late JOIN)");
+                conn.reject(&full, "doorman (REJECT)");
+            }
+            Ok(false)
+        };
         let _ = accept_until(
             &listener,
             || stop.load(Ordering::SeqCst),
             None,
-            |stream| {
-                if let Ok(mut conn) = net.framed(stream) {
-                    // read the straggler's JOIN so its REJECT is not lost
-                    // in a half-open race; content does not matter
-                    let _ = conn.recv("doorman (late JOIN)");
-                    conn.reject(&full, "doorman (REJECT)");
-                }
-                Ok(false)
-            },
+            &mut turn_away,
         );
+        // one pass over the backlog: a deadline of now ends the loop at the
+        // first empty accept
+        let _ = accept_until(&listener, || false, Some(Instant::now()), &mut turn_away);
     })
 }
 
@@ -657,5 +662,35 @@ impl Exchange for Wire<'_> {
     fn abandon(&mut self, cap: u64, b: u64) {
         let error = RoundCap { cap, big_round: b }.encode();
         let _ = self.conn.send(wire::ERROR, &error, "reporting round cap");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A straggler whose JOIN is already queued when the run ends gets its
+    /// typed REJECT, not a connection reset from the dropped listener.
+    #[test]
+    fn doorman_turns_away_a_straggler_queued_before_stop() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let net = NetConfig::default().with_io_timeout_ms(5_000);
+        let addr = listener.local_addr().expect("addr");
+        let mut straggler = net
+            .framed(TcpStream::connect(addr).expect("connect"))
+            .expect("framed");
+        let join = Greeting {
+            version: PROTOCOL_VERSION,
+            fingerprint: 0,
+        };
+        straggler
+            .send(wire::JOIN, &join.encode(), "JOIN")
+            .expect("JOIN");
+        let stop = Arc::new(AtomicBool::new(true));
+        spawn_doorman(listener, 2, net, stop)
+            .join()
+            .expect("doorman thread");
+        let err = straggler.expect(wire::ASSIGN, "waiting for ASSIGN");
+        assert_eq!(err, Err(ExecError::LateJoin { shards: 2 }));
     }
 }

@@ -2,7 +2,7 @@
 //! and nowhere else.
 //!
 //! A link carries **frames** — `[u32 LE body length][u8 kind][body]`
-//! ([`FramedConn`]). Each frame kind is a constant below, and next to it
+//! (`FramedConn`). Each frame kind is a constant below, and next to it
 //! sits the one typed body that knows its layout. A body's layout *is* its
 //! declaration: `encode` writes every field in declaration order, each as
 //! its type's encoding, and `decode` reads them back — so the field list,
@@ -21,7 +21,7 @@
 //! | [`PlanSlice`] (inside ASSIGN's [`Hashed`]) | the plan header, `u32` unit count, then per unit `algo: u32, stride: u64` and one `(delay: u64, trunc: u32)` pair per owned node |
 //! | `Option<ActivityTotals>` | nothing, or the totals — see *Tails* |
 //!
-//! [`crate::net`] and [`crate::serve`] decide who sends what when; they
+//! [`crate::net`] and [`crate::serve`](mod@crate::serve) decide who sends what when; they
 //! never touch a byte.
 //!
 //! ## Decoding untrusted bodies

@@ -88,13 +88,8 @@ fn departures_can_be_disabled() {
     let g = generators::path(2);
     let p = DasProblem::new(&g, vec![one_hop(&g)], 1);
     let units = vec![Unit::global(0, 0, 2)];
-    let outcome = run(
-        &p,
-        units,
-        1,
-        ExecutorConfig::default().with_record_departures(false),
-    )
-    .unwrap();
+    let config = ExecutorConfig::default().with_record_departures(false);
+    let outcome = run(&p, units, 1, config).unwrap();
     assert!(outcome.departures.is_none());
 }
 

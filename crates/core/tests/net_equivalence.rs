@@ -226,8 +226,9 @@ const EXCHANGES: [Via; 7] = [
 
 /// Executes `plan` through `via` under `config`. Workers run under the
 /// defaults (the wire carries no configuration), so `Wire` takes only
-/// `config`s the coordinator does not refuse. Every worker must fail
-/// exactly as the coordinator does.
+/// `config`s the coordinator does not refuse — see
+/// [`the_wire_refuses_a_config_its_workers_would_not_share`]. Every worker
+/// must fail exactly as the coordinator does.
 fn execute_via(
     via: Via,
     p: &DasProblem<'_>,
@@ -359,4 +360,37 @@ fn every_exchange_abandons_on_the_same_round_cap() {
         let err = execute_via(via, &p, &too_long, &defaults).unwrap_err();
         assert_eq!(expected, err, "{via:?}");
     }
+}
+
+/// A config the workers would not share — they run under the defaults —
+/// is refused before any worker is accepted: the row oracle as
+/// `RowIsFusedOnly`, a changed round budget as a typed `Net` error. No
+/// worker is started, so a coordinator that waited for one would time out
+/// instead.
+#[test]
+fn the_wire_refuses_a_config_its_workers_would_not_share() {
+    let g = generators::path(6);
+    let p = DasProblem::new(&g, build_algos(&g, 2, 3), 3);
+    let plan = SequentialScheduler.plan(&p, 3).expect("plan");
+    let net = NetConfig::default().with_io_timeout_ms(20_000);
+    let tight = ExecutorConfig {
+        max_engine_rounds: 3,
+        ..ExecutorConfig::default()
+    };
+    let row = ExecutorConfig::default().with_engine(EngineKind::Row);
+    let started = std::time::Instant::now();
+    for config in [tight, row] {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind localhost");
+        let opts = ExecOptions::networked(1, listener, &net).with_config(config.clone());
+        match execute(&p, &plan, opts).map(|done| done.outcome) {
+            Err(SchedError::Exec(ExecError::RowIsFusedOnly { shards: 1 })) => {
+                assert_eq!(config.engine, EngineKind::Row);
+            }
+            Err(SchedError::Exec(ExecError::Net { detail })) => {
+                assert_eq!(config.max_engine_rounds, 3, "{detail}");
+            }
+            other => panic!("expected a typed refusal, got {other:?}"),
+        }
+    }
+    assert!(started.elapsed() < std::time::Duration::from_secs(5));
 }

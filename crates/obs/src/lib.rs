@@ -10,7 +10,7 @@
 //! The layer has two cost tiers:
 //!
 //! * [`ObsMode::Off`] short-circuits every hook behind a single
-//!   branch on a bool ([`ExecObs::on`]);
+//!   branch on a bool (`ExecObs`'s private `on` flag);
 //! * [`ObsMode::Metrics`] keeps counters/histograms/load profiles but skips
 //!   event allocation; [`ObsMode::Full`] records trace events too.
 //!

@@ -557,7 +557,7 @@ impl LiveHub {
         (body, s.events_total)
     }
 
-    /// Convenience around [`ShardLoad`]-bearing reports for tests.
+    /// Convenience around [`crate::ShardLoad`]-bearing reports for tests.
     pub fn shard_count(&self) -> usize {
         self.lock().shards
     }

@@ -434,10 +434,7 @@ fn cmd_plan(opts: &HashMap<String, String>, seed: u64) -> Result<(), String> {
     }
     let plan = match opts.get("in") {
         Some(path) => {
-            // deserialized plans are untrusted: validate before executing
-            let json = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-            let plan = SchedulePlan::from_json(&json).map_err(|e| e.to_string())?;
-            plan.validate(&problem).map_err(|e| e.to_string())?;
+            let plan = load_plan(&problem, path)?;
             println!("loaded plan from {path}");
             plan
         }
@@ -486,16 +483,31 @@ fn cmd_plan(opts: &HashMap<String, String>, seed: u64) -> Result<(), String> {
     Ok(())
 }
 
+/// Reads a plan file for `problem` (`plan --in`, `plan --diff`). A
+/// deserialized plan is untrusted: it is validated, and its
+/// `predicted_rounds` is derived again from its units and phase length, as
+/// [`SchedulePlan::assemble`] derives it — a hand-edited `phase_len` would
+/// otherwise leave a stale prediction behind.
+fn load_plan(problem: &DasProblem<'_>, path: &str) -> Result<SchedulePlan, String> {
+    let json = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    let plan = SchedulePlan::from_json(&json).map_err(|e| format!("{path}: {e}"))?;
+    plan.validate(problem).map_err(|e| format!("{path}: {e}"))?;
+    let (name, seed, pre) = (&plan.scheduler, plan.sched_seed, plan.precompute_rounds);
+    Ok(SchedulePlan::assemble(
+        name,
+        seed,
+        plan.phase_len,
+        pre,
+        problem,
+        plan.units,
+    ))
+}
+
 /// The `plan --diff A.json B.json` tail: load both plans, diff them
 /// unit-by-unit, and print the per-phase predicted-load comparison.
 fn diff_plans(problem: &DasProblem<'_>, path_a: &str, path_b: &str) -> Result<(), String> {
-    let load = |path: &str| -> Result<SchedulePlan, String> {
-        let json = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        SchedulePlan::from_json(&json).map_err(|e| format!("{path}: {e}"))
-    };
-    let a = load(path_a)?;
-    let b = load(path_b)?;
-    // validation happens inside `between`: deserialized plans are untrusted
+    let a = load_plan(problem, path_a)?;
+    let b = load_plan(problem, path_b)?;
     let diff = PlanDiff::between(problem, &a, &b).map_err(|e| e.to_string())?;
     print!("{}", diff.render());
     Ok(())
@@ -1271,6 +1283,34 @@ mod tests {
             .unwrap();
         assert_eq!(format!("{replayed:?}"), format!("{fused:?}"));
         std::fs::remove_file(out).unwrap();
+    }
+
+    /// A plan file's `predicted_rounds` is derived again on load: after a
+    /// hand edit of `phase_len`, the stored value is stale.
+    #[test]
+    fn loaded_plans_predict_from_their_own_phase_len() {
+        let dir = std::env::temp_dir().join("dasched_stale_prediction_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (edited, resaved) = (dir.join("edited.json"), dir.join("resaved.json"));
+        let (edited, resaved) = (edited.to_str().unwrap(), resaved.to_str().unwrap());
+        let read = |path: &str| SchedulePlan::from_json(&std::fs::read_to_string(path).unwrap());
+        let plan = |extra: &[&str]| {
+            let flags = ["plan", "--graph", "path:16", "--workload", "relays:3"];
+            let args: Vec<String> = flags.iter().chain(extra).map(|s| s.to_string()).collect();
+            run(&args)
+        };
+        plan(&["--scheduler", "uniform", "--out", edited]).unwrap();
+        let mut stale = read(edited).unwrap();
+        assert!(stale.phase_len > 1);
+        let boundary = stale.predicted_rounds / stale.phase_len;
+        stale.phase_len = 1;
+        std::fs::write(edited, stale.to_json()).unwrap();
+        plan(&["--in", edited, "--out", resaved]).unwrap();
+        let loaded = read(resaved).unwrap();
+        assert_eq!(loaded.phase_len, 1);
+        assert_eq!(loaded.predicted_rounds, boundary);
+        assert_ne!(loaded.predicted_rounds, stale.predicted_rounds);
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
