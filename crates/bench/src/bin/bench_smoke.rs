@@ -5,18 +5,12 @@
 //! current directory.
 //!
 //! Usage: `bench_smoke [trials] [base_seed] [--obs off|metrics|full]
-//! [--engine row|batched] [--dump-outcome FILE] [--dump-doubling FILE]
-//! [--wall] [--serve [ADDR]]` (defaults: 8 trials, seed 42, obs off, batched
-//! engine). `--serve` binds a live [`das_obs::ObsServer`] console (an OS
-//! port when ADDR is omitted, advertised on the `listening on ADDR`
-//! stdout line) that streams each leg's phase and the doubling leg's
-//! attempts and per-shard load — without perturbing any printed or
-//! persisted output.
-//!
-//! `--engine` selects the production loop (`batched`) or the row test
-//! oracle for the fused trials; schedule statistics and the outcome dumps
-//! are byte-identical across the two, only wall-clock may move. The
-//! sharded and networked legs always run the production loop.
+//! [--dump-outcome FILE] [--dump-doubling FILE] [--wall] [--serve [ADDR]]`
+//! (defaults: 8 trials, seed 42, obs off). `--serve` binds a live
+//! [`das_obs::ObsServer`] console (an OS port when ADDR is omitted,
+//! advertised on the `listening on ADDR` stdout line) that streams each
+//! leg's phase and the doubling leg's attempts and per-shard load —
+//! without perturbing any printed or persisted output.
 //!
 //! `--obs` sets the observability level for the fused trials; their
 //! per-trial [`das_obs::ObsSummary`] is persisted into the BENCH artifact.
@@ -46,9 +40,8 @@ const SMOKE_SHARDS: usize = 4;
 const SMOKE_WORKERS: usize = 3;
 
 const USAGE: &str = "usage: bench_smoke [trials] [base_seed] \
-                     [--obs off|metrics|full] [--engine row|batched] \
-                     [--dump-outcome FILE] [--dump-doubling FILE] [--wall] \
-                     [--serve [ADDR]]";
+                     [--obs off|metrics|full] [--dump-outcome FILE] \
+                     [--dump-doubling FILE] [--wall] [--serve [ADDR]]";
 
 fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}");
@@ -60,7 +53,6 @@ struct Args {
     trials: u64,
     base_seed: u64,
     obs: ObsConfig,
-    engine: TrialExecutor,
     dump_outcome: Option<String>,
     dump_doubling: Option<String>,
     wall: bool,
@@ -72,7 +64,6 @@ fn parse_args() -> Args {
         trials: 8,
         base_seed: 42,
         obs: ObsConfig::off(),
-        engine: TrialExecutor::Fused,
         dump_outcome: None,
         dump_doubling: None,
         wall: false,
@@ -86,14 +77,6 @@ fn parse_args() -> Args {
                 let v = it.next().unwrap_or_else(|| fail("--obs needs a value"));
                 args.obs = ObsConfig::parse(&v)
                     .unwrap_or_else(|| fail("--obs must be off, metrics, or full"));
-            }
-            "--engine" => {
-                let v = it.next().unwrap_or_else(|| fail("--engine needs a value"));
-                args.engine = match v.as_str() {
-                    "row" => TrialExecutor::Oracle,
-                    "batched" => TrialExecutor::Fused,
-                    _ => fail("--engine must be row or batched"),
-                };
             }
             "--dump-outcome" => {
                 args.dump_outcome = Some(
@@ -225,11 +208,7 @@ fn main() {
             let srv = ObsServer::bind(addr, hub.clone())
                 .unwrap_or_else(|e| fail(&format!("bind {addr}: {e}")));
             println!("listening on {}", srv.local_addr());
-            let engine = match args.engine {
-                TrialExecutor::Oracle => "row",
-                _ => "batched",
-            };
-            hub.set_run_info(engine, 1);
+            hub.set_run_info("batched", 1);
             Some(srv)
         }
         _ => None,
@@ -258,7 +237,6 @@ fn main() {
             "fused trials",
             "e01_smoke",
             TrialSpec {
-                executor: args.engine,
                 obs: args.obs,
                 ..plain
             },

@@ -29,24 +29,18 @@ pub use table::Table;
 
 use das_core::verify;
 use das_core::{
-    doubling, execute, run_worker, DasProblem, DoublingConfig, EngineKind, ExecError, ExecOptions,
-    Executed, ExecutorConfig, NetConfig, SchedError, ScheduleOutcome, SchedulePlan, Scheduler,
-    SweepArtifact, UniformScheduler,
+    doubling, execute, run_worker, DasProblem, DoublingConfig, ExecError, ExecOptions, Executed,
+    NetConfig, SchedError, ScheduleOutcome, SchedulePlan, Scheduler, SweepArtifact,
+    UniformScheduler,
 };
 use das_obs::{ObsConfig, ObsReport};
 
 /// Where a trial's plan executes. Every arm yields the byte-identical
 /// [`ScheduleOutcome`]; they differ in wall-clock and in which
 /// partition-dependent summaries the record carries.
-///
-/// The row oracle is an arm of its own rather than an engine flag beside
-/// a shard count: "row × sharded" is [`ExecError::RowIsFusedOnly`], so the
-/// spec cannot say it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TrialExecutor {
-    /// Fused, on the row test oracle.
-    Oracle,
-    /// Fused, on the production (batched) loop.
+    /// Fused: one shard on the calling thread.
     Fused,
     /// This many in-process shard threads (0 clamps to 1).
     Sharded(usize),
@@ -126,10 +120,6 @@ pub fn run_trial(spec: &TrialSpec<'_>) -> Trial {
     }
     .expect("workload is model-valid");
     let opts = match spec.executor {
-        TrialExecutor::Oracle => {
-            let row = ExecutorConfig::default().with_engine(EngineKind::Row);
-            ExecOptions::default().with_config(row)
-        }
         TrialExecutor::Fused => ExecOptions::default(),
         TrialExecutor::Sharded(n) => ExecOptions::sharded(n),
         TrialExecutor::Networked(n) => {
@@ -311,13 +301,12 @@ mod tests {
     /// exactly on the specs that produce them.
     #[test]
     fn every_spec_agrees_on_the_outcome_and_the_deterministic_record() {
-        use TrialExecutor::{Fused, Networked, Oracle, Sharded};
+        use TrialExecutor::{Fused, Networked, Sharded};
         let g = generators::path(12);
         let p = workloads::stacked_relays(&g, 6, 1);
         // executor, then the shard and worker counts its record must report
         // (0 clamps to 1 on both multi-shard arms)
         let executors = [
-            (Oracle, None, None),
             (Fused, None, None),
             (Sharded(3), Some(3), None),
             (Sharded(0), Some(1), None),

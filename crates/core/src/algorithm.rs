@@ -9,9 +9,9 @@
 //! dispatches as one [`AlgoSlab::step_block`] call. Every batched entry
 //! point has a default implementation that loops the specification tier,
 //! so an algorithm that only implements `step`/`create_node` keeps working
-//! unchanged — and the batched engine
-//! ([`crate::EngineKind::ColumnarBatched`]) stays byte-identical to the
-//! per-step engines by construction.
+//! unchanged — and the production loop ([`crate::execute`]) stays
+//! byte-identical to the per-step row oracle
+//! ([`crate::oracle::execute_row`]) by construction.
 
 use das_graph::NodeId;
 use serde::{Deserialize, Serialize};

@@ -1,10 +1,12 @@
-//! The pre-[`execute`] entry points that the standalone benchmark harness
-//! still calls by name. Each is one [`execute`] call; nothing else in the
-//! workspace may use them (CI greps for it), and they go once the
-//! benchmark moves to [`execute`].
+//! The pre-[`execute`] entry points, and the engine selector, that the
+//! standalone benchmark harness still calls by name. Each entry point is
+//! one [`execute`] call, or one [`execute_row`] call for
+//! [`EngineKind::Row`]; nothing else in the workspace may use these names
+//! (CI greps for it), and they go once the benchmark moves to [`execute`].
 
 use crate::exec::ExecutorConfig;
 use crate::net::NetConfig;
+use crate::oracle::execute_row;
 use crate::plan::{execute, ExecOptions, SchedError, SchedulePlan};
 use crate::problem::DasProblem;
 use crate::schedule::ScheduleOutcome;
@@ -13,7 +15,40 @@ use crate::ShardReport;
 use das_obs::{ObsConfig, ObsReport};
 use std::net::TcpListener;
 
-/// [`execute`], fused, under `config`.
+/// Which loop [`execute_plan_with`] runs. Outcomes are byte-identical
+/// either way.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum EngineKind {
+    /// The row oracle, [`execute_row`].
+    Row,
+    /// The production loop, exactly as [`EngineKind::ColumnarBatched`].
+    Columnar,
+    /// The production loop.
+    #[default]
+    ColumnarBatched,
+}
+
+impl ExecutorConfig {
+    /// Selects the loop [`execute_plan_with`] runs.
+    pub fn with_engine(mut self, engine: EngineKind) -> Self {
+        self.oracle = engine == EngineKind::Row;
+        self
+    }
+
+    /// Does nothing: every execution takes its phase length from the plan.
+    pub fn with_phase_len(self, _phase_len: u64) -> Self {
+        self
+    }
+
+    /// Sets the shard count [`execute_plan_sharded_with`] runs on.
+    pub fn with_shards(mut self, shards: usize) -> Self {
+        self.shards = shards.max(1);
+        self
+    }
+}
+
+/// [`execute`], fused, under `config`; [`execute_row`] after
+/// `with_engine(EngineKind::Row)`.
 ///
 /// # Errors
 /// As [`execute`].
@@ -22,12 +57,15 @@ pub fn execute_plan_with(
     plan: &SchedulePlan,
     config: &ExecutorConfig,
 ) -> Result<ScheduleOutcome, SchedError> {
+    if config.oracle {
+        return execute_row(problem, plan, config);
+    }
     let opts = ExecOptions::default().with_config(config.clone());
     execute(problem, plan, opts).map(|done| done.outcome)
 }
 
 /// [`execute`], fused, under `config`, recording at the level `obs` asks
-/// for.
+/// for. Runs the production loop whatever the engine.
 ///
 /// # Errors
 /// As [`execute`].
@@ -43,7 +81,8 @@ pub fn execute_plan_observed_with(
     execute(problem, plan, opts).map(|done| (done.outcome, done.obs))
 }
 
-/// [`execute`] on `config.shards` in-process shards, under `config`.
+/// [`execute`] on `config.shards` in-process shards, under `config`, on
+/// the production loop whatever the engine.
 ///
 /// # Errors
 /// As [`execute`].
@@ -88,4 +127,47 @@ pub fn execute_plan_networked(
         traffic: done.traffic,
     };
     Ok((done.outcome, report))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::synthetic::{FloodBall, RelayChain};
+    use crate::{Scheduler, UniformScheduler};
+    use das_graph::{generators, NodeId};
+
+    /// The standalone benchmark's path: the row engine reaches the oracle,
+    /// the other two the production loop, and the phase length it sets
+    /// moves nothing.
+    #[test]
+    fn the_benchmark_engines_reach_the_oracle_and_the_production_loop() {
+        let g = generators::path(10);
+        let algos: Vec<Box<dyn crate::BlackBoxAlgorithm>> = vec![
+            Box::new(RelayChain::new(0, &g)),
+            Box::new(RelayChain::new(1, &g)),
+            Box::new(FloodBall::new(2, &g, NodeId(0), 4)),
+        ];
+        let p = DasProblem::new(&g, algos, 17);
+        let plan = UniformScheduler::default().plan(&p, 3).unwrap();
+        let defaults = ExecutorConfig::default();
+        let row = format!("{:?}", execute_row(&p, &plan, &defaults).unwrap());
+        let production = execute(&p, &plan, ExecOptions::default()).unwrap();
+        let production = format!("{:?}", production.outcome);
+        let cases = [
+            (EngineKind::Row, &row),
+            (EngineKind::Columnar, &production),
+            (EngineKind::ColumnarBatched, &production),
+        ];
+        for (engine, want) in cases {
+            for phase_len in [plan.phase_len, plan.phase_len + 5] {
+                let config = defaults
+                    .clone()
+                    .with_engine(engine)
+                    .with_phase_len(phase_len);
+                assert_eq!(config.oracle, engine == EngineKind::Row);
+                let got = execute_plan_with(&p, &plan, &config).unwrap();
+                assert_eq!(want, &format!("{got:?}"), "{engine:?} at {phase_len}");
+            }
+        }
+    }
 }

@@ -45,8 +45,10 @@
 use super::columnar::{
     arc_endpoint_table, build_batches, build_departures, recycle, ArrivalArena, ColFifo, FlatSteps,
 };
-use super::{ExecError, ExecStats, ExecutorConfig, ShardReport, ShardStats};
+use super::{ExecError, ExecStats, ExecutorConfig, ShardReport, ShardStats, MESSAGE_BYTES};
 use crate::algorithm::{BatchedSends, BlackBoxAlgorithm, BlockStep};
+use crate::plan::SchedulePlan;
+use crate::problem::DasProblem;
 use crate::schedule::ScheduleOutcome;
 use crate::wire::{Flight, FlightGroup};
 use das_graph::{Graph, NodeId};
@@ -292,13 +294,46 @@ impl Exchange for InProcess<'_> {
 pub(crate) struct ShardCtx<'e> {
     pub(crate) g: &'e Graph,
     pub(crate) algos: &'e [Box<dyn BlackBoxAlgorithm>],
-    pub(crate) seeds: &'e [u64],
+    pub(crate) seeds: Vec<u64>,
     pub(crate) config: &'e ExecutorConfig,
+    /// Engine rounds per big-round: the plan's.
+    pub(crate) phase_len: u64,
     /// The step table (a networked worker holds only its plan slice's).
-    pub(crate) flat: &'e FlatSteps,
+    pub(crate) flat: FlatSteps,
     /// Shard index of every node.
     pub(crate) of_node: &'e [u32],
     pub(crate) shards: usize,
+}
+
+impl<'e> ShardCtx<'e> {
+    /// The inputs for running `plan` on `problem` split into `shards`
+    /// shards by `of_node`.
+    pub(crate) fn new(
+        problem: &'e DasProblem<'_>,
+        plan: &SchedulePlan,
+        config: &'e ExecutorConfig,
+        of_node: &'e [u32],
+        shards: usize,
+    ) -> Self {
+        let (g, algos) = (problem.graph(), problem.algorithms());
+        ShardCtx {
+            g,
+            algos,
+            seeds: problem.algo_seeds(),
+            config,
+            phase_len: plan.phase_len,
+            flat: FlatSteps::build(g.node_count(), algos, &plan.units),
+            of_node,
+            shards,
+        }
+    }
+
+    /// [`merge_shards`] over every shard of this run.
+    pub(crate) fn merge(&self, shards: Vec<ShardOutput>) -> (ScheduleOutcome, ShardReport) {
+        let (n, k) = (self.g.node_count(), self.algos.len());
+        let last = self.flat.last_step_round;
+        merge_shards(n, k, self.config, self.phase_len, last, shards)
+    }
 }
 
 /// What one shard hands back to be merged — and, from a networked worker,
@@ -371,7 +406,7 @@ pub(crate) fn big_round_loop<X: Exchange>(
     x: &mut X,
     obs: &mut ExecObs,
 ) -> Result<ShardOutput, ExecError> {
-    let (g, config, flat) = (ctx.g, ctx.config, ctx.flat);
+    let (g, config, flat, phase_len) = (ctx.g, ctx.config, &ctx.flat, ctx.phase_len);
     let n = g.node_count();
     let k = ctx.algos.len();
     assert_eq!(ctx.seeds.len(), k, "one seed per algorithm");
@@ -387,7 +422,7 @@ pub(crate) fn big_round_loop<X: Exchange>(
     // One slab per algorithm over the owned nodes in id order: slab-local
     // machine index == local node index `li`. Seeds mix per (algorithm,
     // node), so machine state is partition-independent.
-    let mut batches = build_batches(ctx.algos, ctx.seeds, &own, n);
+    let mut batches = build_batches(ctx.algos, &ctx.seeds, &own, n);
     // All hot-loop per-machine state is flat and indexed `a * own_n + li`:
     // a step counter and the arena's list head, two words per machine and
     // no heap object.
@@ -414,9 +449,9 @@ pub(crate) fn big_round_loop<X: Exchange>(
     let mut scratch_arcs: Vec<usize> = Vec::new();
     // Cross-shard sends of the current step phase, per destination shard.
     let mut staged: Vec<FlightGroup> = (0..ctx.shards).map(|_| FlightGroup::default()).collect();
-    obs.init(g.arc_count(), config.phase_len);
+    obs.init(g.arc_count(), phase_len);
     let mut stats = ExecStats {
-        phase_len: config.phase_len,
+        phase_len,
         ..ExecStats::default()
     };
     // Departures deferred as flat tuples; bulk-inserted after the run.
@@ -504,7 +539,7 @@ pub(crate) fn big_round_loop<X: Exchange>(
                         obs.on_invalid_send();
                         continue;
                     };
-                    if payload.len() > config.message_bytes || sent_gen[to.index()] == gen {
+                    if payload.len() > MESSAGE_BYTES || sent_gen[to.index()] == gen {
                         stats.invalid_sends += 1;
                         obs.on_invalid_send();
                         continue;
@@ -556,7 +591,7 @@ pub(crate) fn big_round_loop<X: Exchange>(
                     });
                 }
                 let (round, bytes) = (flight.round, flight.payload.len());
-                if round >= ctx.algos[algo as usize].rounds() || bytes > config.message_bytes {
+                if round >= ctx.algos[algo as usize].rounds() || bytes > MESSAGE_BYTES {
                     return Err(ExecError::Net {
                         detail: format!(
                             "INBOX delivered a {bytes}-byte message of round {round} \
@@ -577,7 +612,7 @@ pub(crate) fn big_round_loop<X: Exchange>(
         std::mem::swap(&mut active_arcs, &mut scratch_arcs);
         for &arc_idx in &scratch_arcs {
             let q = &mut queues[arc_idx];
-            let cnt = (q.len() as u64).min(config.phase_len) as usize;
+            let cnt = (q.len() as u64).min(phase_len) as usize;
             if cnt == 0 {
                 continue;
             }
@@ -612,7 +647,7 @@ pub(crate) fn big_round_loop<X: Exchange>(
             last_activity_round = last_activity_round.max(phase_start + cnt as u64);
         }
         scratch_arcs.clear();
-        engine_round += config.phase_len;
+        engine_round += phase_len;
         if engine_round > config.max_engine_rounds {
             x.abandon(config.max_engine_rounds, b);
             return Err(ExecError::RoundCapExceeded {
@@ -654,13 +689,14 @@ pub(crate) fn merge_shards(
     n: usize,
     k: usize,
     config: &ExecutorConfig,
+    phase_len: u64,
     last_step_round: u64,
     shards: Vec<ShardOutput>,
 ) -> (ScheduleOutcome, ShardReport) {
     let mut outputs: Vec<Vec<Option<Vec<u8>>>> = vec![vec![None; n]; k];
     let mut departures: Vec<SimulationMap> = vec![SimulationMap::new(); k];
     let mut stats = ExecStats {
-        phase_len: config.phase_len,
+        phase_len,
         ..ExecStats::default()
     };
     let mut last_activity_round = 0u64;
@@ -689,7 +725,7 @@ pub(crate) fn merge_shards(
     // Schedule length: last big-round boundary with any step, extended by
     // any drain tail.
     stats.engine_rounds = (last_step_round + 1)
-        .saturating_mul(config.phase_len)
+        .saturating_mul(phase_len)
         .max(last_activity_round);
     let outcome = ScheduleOutcome {
         outputs,

@@ -319,7 +319,7 @@ pub(super) fn recycle(inbox: &mut Vec<(NodeId, Vec<u8>)>, pool: &mut Vec<Vec<u8>
 ///
 /// # Panics
 /// Panics if units reference out-of-range algorithms, are missized, or
-/// have a zero stride: the row oracle's [`super::StepPlan::build`] checks.
+/// have a zero stride: the row oracle's `StepPlan::build` checks.
 fn validate_units(n: usize, algos: &[Box<dyn BlackBoxAlgorithm>], units: &[Unit]) -> bool {
     let mut seen = vec![false; algos.len()];
     let mut single = true;
@@ -354,7 +354,7 @@ pub(crate) struct StepExtent {
 impl StepExtent {
     /// # Panics
     /// Panics on a malformed unit list, exactly as [`FlatSteps::build`]
-    /// and the row oracle's [`super::StepPlan::build`] do.
+    /// and the row oracle's `StepPlan::build` do.
     pub(crate) fn of(n: usize, algos: &[Box<dyn BlackBoxAlgorithm>], units: &[Unit]) -> Self {
         if validate_units(n, algos, units) {
             return Self::of_single_units(n, algos, units);
@@ -416,8 +416,8 @@ pub(crate) struct StepRun {
 }
 
 /// The step table, run-length encoded: per big-round, the [`StepRun`]s it
-/// executes — the production replacement for [`super::StepPlan::build`]
-/// plus the row oracle's `by_big_round` regroup. A schedule whose delays
+/// executes — the production replacement for the row oracle's `StepPlan`
+/// and its `by_big_round` regroup. A schedule whose delays
 /// are drawn per algorithm (Theorem 1.1) or per cluster (Theorem 1.3)
 /// steps long stretches of consecutive node ids together, so the table is
 /// sized by those stretches, not by the `k · n · rounds` steps.
@@ -636,8 +636,8 @@ pub(super) fn build_batches(
 
 #[cfg(test)]
 mod tests {
-    use super::super::TagWindow;
     use super::*;
+    use crate::oracle::TagWindow;
 
     fn taken(arena: &mut ArrivalArena, machine: usize, tag: u32) -> Vec<(NodeId, Vec<u8>)> {
         let mut into = Vec::new();

@@ -73,6 +73,7 @@ pub mod doubling;
 pub mod net;
 pub mod newman;
 pub mod obs;
+pub mod oracle;
 pub mod plan;
 pub mod schedulers;
 pub mod serve;
@@ -88,7 +89,7 @@ pub use algorithm::{
 pub use compat::*;
 pub use doubling::{DoublingConfig, DoublingOutcome, PlanCacheStats};
 pub use exec::{
-    EngineKind, ExecError, ExecStats, ExecutorConfig, ShardReport, ShardStats, StepPlan, Unit,
+    ExecError, ExecStats, ExecutorConfig, ShardReport, ShardStats, Unit, MESSAGE_BYTES,
 };
 pub use net::{install_ctrl_c, plan_hash, run_worker, NetConfig, WorkerOutcome};
 pub use obs::{run_traced, run_traced_live, TracedRun};

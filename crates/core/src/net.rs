@@ -47,8 +47,8 @@
 //! Ctrl-C aborts the process.
 
 use crate::exec::{
-    big_round_loop, merge_shards, Exchange, ExecError, ExecStats, ExecutorConfig, FlatSteps,
-    ShardCtx, ShardReport, ShardStats, StepExtent,
+    big_round_loop, merge_shards, Exchange, ExecError, ExecStats, ExecutorConfig, ShardCtx,
+    ShardReport, ShardStats, StepExtent,
 };
 use crate::plan::{SchedError, SchedulePlan};
 use crate::problem::DasProblem;
@@ -448,7 +448,14 @@ fn coordinator_protocol(
         let body = conn.expect(wire::DONE, "collecting results")?;
         shards.push(Done::decode(&body, k, part.nodes_of(src))?);
     }
-    Ok(merge_shards(n, k, config, last_step_round, shards))
+    Ok(merge_shards(
+        n,
+        k,
+        config,
+        plan.phase_len,
+        last_step_round,
+        shards,
+    ))
 }
 
 /// Mirrors the per-link traffic counters into the live hub, if any.
@@ -519,21 +526,10 @@ pub fn run_worker(
     let plan = PlanSlice::decode(assign.slice.0, part.of_node(), shard as u32)?;
     // received plans are untrusted, exactly like plans loaded from disk
     plan.validate(problem)?;
-    // the production loop over the wire exchange; the plan slice's own
-    // phase length is part of its semantics
-    let g = problem.graph();
-    let config = ExecutorConfig::default().with_phase_len(plan.phase_len);
-    let seeds: Vec<u64> = (0..problem.k()).map(|i| problem.algo_seed(i)).collect();
-    let flat = FlatSteps::build(g.node_count(), problem.algorithms(), &plan.units);
-    let ctx = ShardCtx {
-        g,
-        algos: problem.algorithms(),
-        seeds: &seeds,
-        config: &config,
-        flat: &flat,
-        of_node: part.of_node(),
-        shards,
-    };
+    // the production loop over the wire exchange, under the defaults the
+    // coordinator checked it shares; the slice carries the phase length
+    let config = ExecutorConfig::default();
+    let ctx = ShardCtx::new(problem, &plan, &config, part.of_node(), shards);
     let mut exchange = Wire {
         conn: &mut conn,
         inbox: FlightGroup::default(),

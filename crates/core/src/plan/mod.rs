@@ -26,7 +26,7 @@ pub mod analysis;
 pub mod cache;
 pub mod diff;
 
-use crate::exec::{EngineKind, ExecError, Executor, ExecutorConfig, ShardReport, StepExtent, Unit};
+use crate::exec::{ExecError, Executor, ExecutorConfig, ShardReport, StepExtent, Unit};
 use crate::net::{run_coordinator, NetConfig};
 use crate::problem::DasProblem;
 use crate::reference::ReferenceError;
@@ -346,8 +346,8 @@ pub enum Topology<'a> {
     },
 }
 
-/// How [`execute`] runs a plan: where (`topology`), on which engine and
-/// budget (`config`), and what it records (`obs`). The default is fused,
+/// How [`execute`] runs a plan: where (`topology`), on which budget
+/// (`config`), and what it records (`obs`). The default is fused,
 /// [`ExecutorConfig::default`], recording off; the builders below change
 /// one part each.
 ///
@@ -355,8 +355,7 @@ pub enum Topology<'a> {
 pub struct ExecOptions<'a> {
     /// Where the plan's shards run.
     pub topology: Topology<'a>,
-    /// Engine, round budget, message size, departure recording, live hub.
-    /// Its `phase_len` is ignored: the plan's own phase length always wins.
+    /// Round budget, departure recording, live hub.
     pub config: ExecutorConfig,
     /// Observability level; never moves an outcome. A networked run
     /// records nothing (its workers carry no probe).
@@ -413,8 +412,8 @@ impl<'a> ExecOptions<'a> {
 /// Everything one execution produced.
 #[derive(Debug)]
 pub struct Executed {
-    /// The outcome: byte-identical for every topology, engine and `obs`
-    /// setting.
+    /// The outcome: byte-identical for every topology and `obs` setting,
+    /// and to [`crate::oracle::execute_row`]'s.
     pub outcome: ScheduleOutcome,
     /// Partition-dependent measurements (empty for [`Topology::Fused`]).
     pub shard: ShardReport,
@@ -434,8 +433,9 @@ pub struct Executed {
 /// only on `(problem.tape_seed, plan)`: re-executing a stored plan
 /// reproduces the original [`ScheduleOutcome`] exactly, fused, sharded or
 /// networked. The plan is validated first (plans are untrusted input), its
-/// own `phase_len` overrides `opts.config.phase_len`, and its
-/// pre-computation charge is stamped on the outcome.
+/// own `phase_len` sets the big-round, and its pre-computation charge is
+/// stamped on the outcome. [`crate::oracle::execute_row`] is the
+/// specification it must match byte for byte.
 ///
 /// # Errors
 /// - [`SchedError::InvalidPlan`] if the plan fails
@@ -443,8 +443,6 @@ pub struct Executed {
 /// - [`SchedError::Exec`] with [`ExecError::RoundCapExceeded`] if the
 ///   queues have not drained by `config.max_engine_rounds` (every shard
 ///   abandons in lockstep);
-/// - [`ExecError::RowIsFusedOnly`] for [`crate::EngineKind::Row`] on a
-///   sharded or networked topology;
 /// - [`ExecError::Aborted`] if a black-box machine panics on a sharded
 ///   run (its peers leave their barriers instead of waiting forever);
 /// - on a networked run, [`ExecError::Net`] before any worker is accepted
@@ -458,19 +456,15 @@ pub fn execute(
     opts: ExecOptions<'_>,
 ) -> Result<Executed, SchedError> {
     plan.validate(problem)?;
-    let seeds: Vec<u64> = (0..problem.k()).map(|i| problem.algo_seed(i)).collect();
-    let config = opts.config.with_phase_len(plan.phase_len);
-    let obs = &opts.obs;
-    let (g, algos) = (problem.graph(), problem.algorithms());
-    let units = &plan.units;
+    let (config, obs) = (&opts.config, &opts.obs);
     let (outcome, shard, obs, traffic) = match opts.topology {
         Topology::Fused => {
-            let (outcome, obs) = Executor::run_observed(g, algos, &seeds, units, &config, obs)?;
+            let (outcome, obs) = Executor::run_observed(problem, plan, config, obs)?;
             (outcome, ShardReport::default(), obs, Vec::new())
         }
         Topology::Sharded(shards) => {
             let (outcome, shard, obs) =
-                Executor::run_sharded_observed(g, algos, &seeds, units, &config, shards, obs)?;
+                Executor::run_sharded_observed(problem, plan, config, shards, obs)?;
             (outcome, shard, obs, Vec::new())
         }
         Topology::Networked {
@@ -478,9 +472,9 @@ pub fn execute(
             listener,
             net,
         } => {
-            refuse_unshared(&config, workers)?;
+            refuse_unshared(config)?;
             let (outcome, shard, traffic) =
-                run_coordinator(problem, plan, &config, workers, listener, net)?;
+                run_coordinator(problem, plan, config, workers, listener, net)?;
             (outcome, shard, None, traffic)
         }
     };
@@ -497,18 +491,14 @@ pub fn execute(
 /// Networked workers execute under [`ExecutorConfig::default`] (the wire
 /// carries no configuration), so a coordinator config they would not share
 /// is refused rather than silently ignored.
-fn refuse_unshared(config: &ExecutorConfig, workers: usize) -> Result<(), ExecError> {
-    if config.engine == EngineKind::Row {
-        return Err(ExecError::RowIsFusedOnly { shards: workers });
-    }
+fn refuse_unshared(config: &ExecutorConfig) -> Result<(), ExecError> {
     let shared = ExecutorConfig::default();
-    if config.message_bytes != shared.message_bytes
-        || config.max_engine_rounds != shared.max_engine_rounds
+    if config.max_engine_rounds != shared.max_engine_rounds
         || config.record_departures != shared.record_departures
     {
         return Err(ExecError::Net {
-            detail: "networked workers run under the default message size, round \
-                     budget and departure recording; this config changes one"
+            detail: "networked workers run under the default round budget and \
+                     departure recording; this config changes one"
                 .to_string(),
         });
     }
@@ -658,65 +648,56 @@ mod tests {
         let p = mixed_problem(&g);
         let good = SequentialScheduler.plan(&p, 0).unwrap();
         assert_eq!(good.validate(&p), Ok(()));
+        // `validate` names the fault, and both public ways to execute a
+        // plan refuse it with that same typed error — never with a panic
+        let refused = |edit: &dyn Fn(&mut SchedulePlan), want: PlanError| {
+            let mut bad = good.clone();
+            edit(&mut bad);
+            assert_eq!(bad.validate(&p), Err(want.clone()));
+            let want = SchedError::InvalidPlan(want);
+            let row = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                crate::oracle::execute_row(&p, &bad, &ExecutorConfig::default())
+            }));
+            assert_eq!(row.expect("the oracle must not panic").unwrap_err(), want);
+            assert_eq!(exec_fused(&p, &bad).unwrap_err(), want);
+        };
 
         // phase_len 0 would make the drain loop a no-op: an infinite hang
-        let mut bad = good.clone();
-        bad.phase_len = 0;
-        assert_eq!(bad.validate(&p), Err(PlanError::ZeroPhaseLen));
-        assert!(matches!(
-            exec_fused(&p, &bad),
-            Err(SchedError::InvalidPlan(PlanError::ZeroPhaseLen))
-        ));
-
-        // stride 0 would trip the StepPlan strictly-increasing assert
-        let mut bad = good.clone();
-        bad.units[1].stride = 0;
-        assert_eq!(bad.validate(&p), Err(PlanError::ZeroStride { unit: 1 }));
-
-        // unknown algorithm index
-        let mut bad = good.clone();
-        bad.units[2].algo = 9;
-        assert_eq!(
-            bad.validate(&p),
-            Err(PlanError::UnknownAlgorithm {
-                unit: 2,
-                algo: 9,
-                known: 3
-            })
+        refused(&|bad| bad.phase_len = 0, PlanError::ZeroPhaseLen);
+        // stride 0 would trip the step table's strictly-increasing assert
+        refused(
+            &|bad| bad.units[1].stride = 0,
+            PlanError::ZeroStride { unit: 1 },
         );
-
+        let unknown = PlanError::UnknownAlgorithm {
+            unit: 2,
+            algo: 9,
+            known: 3,
+        };
+        refused(&|bad| bad.units[2].algo = 9, unknown);
         // missized delay / truncation vectors
-        let mut bad = good.clone();
-        bad.units[0].delay.pop();
-        assert_eq!(
-            bad.validate(&p),
-            Err(PlanError::DelayLength {
-                unit: 0,
-                expected: 6,
-                got: 5
-            })
-        );
-        let mut bad = good.clone();
-        bad.units[0].trunc.push(1);
-        assert_eq!(
-            bad.validate(&p),
-            Err(PlanError::TruncLength {
-                unit: 0,
-                expected: 6,
-                got: 7
-            })
-        );
-
+        let delay = PlanError::DelayLength {
+            unit: 0,
+            expected: 6,
+            got: 5,
+        };
+        refused(&|bad| _ = bad.units[0].delay.pop(), delay);
+        let trunc = PlanError::TruncLength {
+            unit: 0,
+            expected: 6,
+            got: 7,
+        };
+        refused(&|bad| bad.units[0].trunc.push(1), trunc);
         // a 2^40 delay from hand-edited JSON: building the big-round table
         // would exhaust memory, so validate must reject it up front
-        let mut bad = good.clone();
-        bad.units[0].delay[3] = 1 << 40;
-        assert_eq!(bad.validate(&p), Err(PlanError::Oversized { unit: 0 }));
+        let oversized = PlanError::Oversized { unit: 0 };
+        refused(&|bad| bad.units[0].delay[3] = 1 << 40, oversized.clone());
         // ... and near-u64 values must not overflow the check itself
-        let mut bad = good.clone();
-        bad.units[0].delay[0] = u64::MAX - 1;
-        bad.units[0].stride = u64::MAX / 2;
-        assert_eq!(bad.validate(&p), Err(PlanError::Oversized { unit: 0 }));
+        let overflowing = |bad: &mut SchedulePlan| {
+            bad.units[0].delay[0] = u64::MAX - 1;
+            bad.units[0].stride = u64::MAX / 2;
+        };
+        refused(&overflowing, oversized);
     }
 
     #[test]
@@ -771,19 +752,6 @@ mod tests {
     }
 
     #[test]
-    fn the_plans_phase_len_wins_over_the_configs_on_every_topology() {
-        let g = generators::path(10);
-        let p = mixed_problem(&g);
-        let plan = UniformScheduler::default().plan(&p, 3).unwrap();
-        let expected = format!("{:?}", exec_fused(&p, &plan).unwrap());
-        let other = ExecutorConfig::default().with_phase_len(plan.phase_len + 5);
-        for opts in [ExecOptions::default(), ExecOptions::sharded(2)] {
-            let done = execute(&p, &plan, opts.with_config(other.clone())).unwrap();
-            assert_eq!(expected, format!("{:?}", done.outcome));
-        }
-    }
-
-    #[test]
     fn round_cap_surfaces_through_execute() {
         let g = generators::path(8);
         let p = mixed_problem(&g);
@@ -791,8 +759,7 @@ mod tests {
         let config = ExecutorConfig {
             max_engine_rounds: 2,
             ..ExecutorConfig::default()
-        }
-        .with_phase_len(plan.phase_len);
+        };
         let err = execute(&p, &plan, ExecOptions::default().with_config(config)).unwrap_err();
         assert!(matches!(
             err,

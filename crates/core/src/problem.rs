@@ -85,6 +85,11 @@ impl<'g> DasProblem<'g> {
         das_congest::util::seed_mix(self.tape_seed, self.algorithms[i].aid().0)
     }
 
+    /// Every algorithm's [`DasProblem::algo_seed`], in problem order.
+    pub fn algo_seeds(&self) -> Vec<u64> {
+        (0..self.k()).map(|i| self.algo_seed(i)).collect()
+    }
+
     /// The declared dilation: `max_i rounds(A_i)`.
     pub fn dilation(&self) -> u32 {
         self.algorithms

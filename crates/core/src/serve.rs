@@ -85,7 +85,8 @@ pub struct Capacity {
     pub max_dilation: u32,
     /// Largest declared per-edge congestion admitted.
     pub max_congestion: u64,
-    /// Largest declared message payload, in bytes, admitted.
+    /// Largest declared message payload, in bytes, admitted; at most
+    /// [`crate::MESSAGE_BYTES`], the most the executor carries.
     pub max_payload_bytes: u32,
 }
 
@@ -94,7 +95,7 @@ impl Default for Capacity {
         Capacity {
             max_dilation: 256,
             max_congestion: 4096,
-            max_payload_bytes: 40,
+            max_payload_bytes: crate::MESSAGE_BYTES as u32,
         }
     }
 }

@@ -4,7 +4,7 @@
 use das_core::synthetic::Prescribed;
 use das_core::{
     execute, BlackBoxAlgorithm, DasProblem, ExecError, ExecOptions, ExecutorConfig, SchedError,
-    ScheduleOutcome, SchedulePlan, StepPlan, Unit,
+    ScheduleOutcome, SchedulePlan, Unit,
 };
 use das_graph::{generators, NodeId};
 
@@ -50,26 +50,6 @@ fn fully_truncated_unit_executes_nothing() {
     // machines never stepped: outputs are the initial states, not the
     // reference — visible, not silent
     assert_ne!(outcome.outputs[0], p.references().unwrap()[0].outputs);
-}
-
-#[test]
-fn step_plan_reports_earliest_of_overlapping_units() {
-    let g = generators::path(3);
-    let p = DasProblem::new(&g, vec![one_hop(&g)], 1);
-    let units = vec![
-        Unit::global(0, 7, 3),
-        Unit {
-            algo: 0,
-            delay: vec![2, 9, 9],
-            stride: 1,
-            trunc: vec![u32::MAX; 3],
-        },
-    ];
-    let plan = StepPlan::build(&g, p.algorithms(), &units);
-    // node 0: min(7, 2) = 2; node 1: min(7, 9) = 7
-    assert_eq!(plan.steps(0, NodeId(0))[0], 2);
-    assert_eq!(plan.steps(0, NodeId(1))[0], 7);
-    assert_eq!(plan.last_big_round(), Some(7 + 1)); // round 1 at node 1: 8
 }
 
 #[test]

@@ -11,12 +11,13 @@
 //! exchange of the production loop — `Local`, `InProcess` × {1, 2, 3, 7}
 //! shards, `Wire` × {1, 3} workers — against the row oracle.
 
+use das_core::oracle::execute_row;
 use das_core::synthetic::{FloodBall, Prescribed, RelayChain};
 use das_core::{
-    execute, run_worker, BlackBoxAlgorithm, DasProblem, EngineKind, ExecError, ExecOptions,
-    Executed, ExecutorConfig, InterleaveScheduler, NetConfig, PrivateScheduler, SchedError,
-    ScheduleOutcome, SchedulePlan, Scheduler, SequentialScheduler, TunedUniformScheduler,
-    UniformScheduler, Unit, WorkerOutcome,
+    execute, run_worker, BlackBoxAlgorithm, DasProblem, ExecError, ExecOptions, Executed,
+    ExecutorConfig, InterleaveScheduler, NetConfig, PrivateScheduler, SchedError, ScheduleOutcome,
+    SchedulePlan, Scheduler, SequentialScheduler, TunedUniformScheduler, UniformScheduler, Unit,
+    WorkerOutcome,
 };
 use das_graph::{generators, Graph, NodeId};
 use das_obs::ObsConfig;
@@ -260,9 +261,8 @@ fn every_exchange_reproduces_the_row_oracle() {
     let defaults = ExecutorConfig::default();
     for sched in all_schedulers() {
         let plan = sched.plan(&p, 99).expect("model-valid workload");
-        let row = ExecOptions::default().with_config(defaults.clone().with_engine(EngineKind::Row));
-        let oracle = execute(&p, &plan, row).expect("row oracle");
-        let oracle_bytes = format!("{:?}", oracle.outcome);
+        let oracle = execute_row(&p, &plan, &defaults).expect("row oracle");
+        let oracle_bytes = format!("{oracle:?}");
         let mut profiles = Vec::new();
         for via in EXCHANGES {
             let outcome = execute_via(via, &p, &plan, &defaults).expect("execution");
@@ -308,10 +308,8 @@ fn every_exchange_abandons_on_the_same_round_cap() {
         .map(|i| Box::new(RelayChain::new(i, &g)) as Box<dyn BlackBoxAlgorithm>)
         .collect();
     let p = DasProblem::new(&g, relays, 3);
-    let row = |config: &ExecutorConfig, plan: &SchedulePlan| {
-        let row = ExecOptions::default().with_config(config.clone().with_engine(EngineKind::Row));
-        execute(&p, plan, row).unwrap_err()
-    };
+    let row =
+        |config: &ExecutorConfig, plan: &SchedulePlan| execute_row(&p, plan, config).unwrap_err();
 
     // Overloaded: two relays collide on every edge with zero delays and
     // need ~10 engine rounds; the cap allows 3. A cap is an executor
@@ -363,8 +361,7 @@ fn every_exchange_abandons_on_the_same_round_cap() {
 }
 
 /// A config the workers would not share — they run under the defaults —
-/// is refused before any worker is accepted: the row oracle as
-/// `RowIsFusedOnly`, a changed round budget as a typed `Net` error. No
+/// is refused before any worker is accepted, as a typed `Net` error. No
 /// worker is started, so a coordinator that waited for one would time out
 /// instead.
 #[test]
@@ -377,20 +374,12 @@ fn the_wire_refuses_a_config_its_workers_would_not_share() {
         max_engine_rounds: 3,
         ..ExecutorConfig::default()
     };
-    let row = ExecutorConfig::default().with_engine(EngineKind::Row);
     let started = std::time::Instant::now();
-    for config in [tight, row] {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind localhost");
-        let opts = ExecOptions::networked(1, listener, &net).with_config(config.clone());
-        match execute(&p, &plan, opts).map(|done| done.outcome) {
-            Err(SchedError::Exec(ExecError::RowIsFusedOnly { shards: 1 })) => {
-                assert_eq!(config.engine, EngineKind::Row);
-            }
-            Err(SchedError::Exec(ExecError::Net { detail })) => {
-                assert_eq!(config.max_engine_rounds, 3, "{detail}");
-            }
-            other => panic!("expected a typed refusal, got {other:?}"),
-        }
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind localhost");
+    let opts = ExecOptions::networked(1, listener, &net).with_config(tight);
+    match execute(&p, &plan, opts).map(|done| done.outcome) {
+        Err(SchedError::Exec(ExecError::Net { .. })) => {}
+        other => panic!("expected a typed refusal, got {other:?}"),
     }
     assert!(started.elapsed() < std::time::Duration::from_secs(5));
 }

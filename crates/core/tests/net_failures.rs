@@ -406,7 +406,7 @@ fn rogue_inbox_round_and_payload_are_refused_typed() {
     let g = small_graph();
     let p = build_problem(&g);
     let rounds = p.algorithms()[0].rounds();
-    let oversized = vec![0u8; das_core::ExecutorConfig::default().message_bytes + 1];
+    let oversized = vec![0u8; das_core::MESSAGE_BYTES + 1];
     let cases: [(u32, &[u8]); 4] = [
         (rounds, &[]),
         (1 << 30, &[]),

@@ -1,7 +1,6 @@
 //! The observability neutrality property: recording must NEVER perturb
-//! outcomes. For every scheduler, every shard count, both engines (the
-//! batched default and the row oracle), and every obs level, the
-//! `ScheduleOutcome` must be byte-identical to the unobserved fused
+//! outcomes. For every scheduler, every shard count, and every obs level,
+//! the `ScheduleOutcome` must be byte-identical to the unobserved fused
 //! execution — instrumentation reads the deterministic big-round clock and
 //! never feeds anything back into the engine.
 //!
@@ -11,9 +10,8 @@
 
 use das_core::synthetic::{FloodBall, Prescribed, RelayChain};
 use das_core::{
-    execute, BlackBoxAlgorithm, DasProblem, EngineKind, ExecOptions, ExecutorConfig,
-    InterleaveScheduler, PrivateScheduler, SchedulePlan, Scheduler, SequentialScheduler,
-    TunedUniformScheduler, UniformScheduler,
+    execute, BlackBoxAlgorithm, DasProblem, ExecOptions, InterleaveScheduler, PrivateScheduler,
+    SchedulePlan, Scheduler, SequentialScheduler, TunedUniformScheduler, UniformScheduler,
 };
 use das_graph::{generators, Graph, NodeId};
 use das_obs::ObsConfig;
@@ -90,18 +88,6 @@ fn assert_obs_neutral(g: &Graph, k: usize, seed: u64) {
                 baseline,
                 format!("{:?}", fused.outcome),
                 "scheduler {} diverged under fused obs {:?}",
-                sched.name(),
-                obs.mode
-            );
-            // The row oracle must match the batched baseline under every
-            // obs level too.
-            let row_cfg = ExecutorConfig::default().with_engine(EngineKind::Row);
-            let opts = ExecOptions::default().with_config(row_cfg).with_obs(obs);
-            let row = execute(&p, &plan, opts).expect("observed row");
-            assert_eq!(
-                baseline,
-                format!("{:?}", row.outcome),
-                "scheduler {} row engine diverged under fused obs {:?}",
                 sched.name(),
                 obs.mode
             );

@@ -8,11 +8,11 @@
 //! executor uses one dedicated thread per shard, so the equality must hold
 //! regardless of the ambient thread-pool width.
 
+use das_core::oracle::execute_row;
 use das_core::synthetic::{FloodBall, Prescribed, RelayChain};
 use das_core::{
-    execute, BlackBoxAlgorithm, DasProblem, EngineKind, ExecOptions, ExecutorConfig,
-    InterleaveScheduler, PrivateScheduler, Scheduler, SequentialScheduler, TunedUniformScheduler,
-    UniformScheduler,
+    execute, BlackBoxAlgorithm, DasProblem, ExecOptions, ExecutorConfig, InterleaveScheduler,
+    PrivateScheduler, Scheduler, SequentialScheduler, TunedUniformScheduler, UniformScheduler,
 };
 use das_graph::{generators, Graph, NodeId};
 use proptest::prelude::*;
@@ -128,12 +128,10 @@ fn assert_equivalent(g: &Graph, k: usize, seed: u64) {
         let fused_bytes = format!("{fused:?}");
         // The row engine is the reference semantics: the production loop
         // (the default) must reproduce it byte for byte.
-        let row_cfg = ExecutorConfig::default().with_engine(EngineKind::Row);
-        let row =
-            execute(&p, &plan, ExecOptions::default().with_config(row_cfg)).expect("row execution");
+        let row = execute_row(&p, &plan, &ExecutorConfig::default()).expect("row execution");
         assert_eq!(
             fused_bytes,
-            format!("{:?}", row.outcome),
+            format!("{row:?}"),
             "scheduler {}: batched fused diverged from the row engine",
             sched.name()
         );

@@ -19,9 +19,9 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The engine's CONGEST payload cap (`ExecutorConfig::message_bytes`
-/// default) — the "max-size payload" adversarial case.
-const MAX_PAYLOAD: usize = 40;
+/// The engine's CONGEST payload cap — the "max-size payload" adversarial
+/// case.
+const MAX_PAYLOAD: usize = das_core::MESSAGE_BYTES;
 
 /// A mixed pool of families on `g`: every vectorized slab override
 /// (relay CSR, prescribed binary-search, flood SoA) plus a family with no

@@ -28,14 +28,15 @@ use dasched::algos::broadcast::SingleBroadcast;
 use dasched::algos::mst::{EdgeWeights, MstAlgorithm};
 use dasched::algos::routing::RoutingInstance;
 use dasched::cluster::{quality, CarveConfig, Clustering};
+use dasched::core::oracle::execute_row;
 use dasched::core::plan::analysis as plan_analysis;
 use dasched::core::plan::diff::PlanDiff;
 use dasched::core::synthetic::{FloodBall, RelayChain};
 use dasched::core::{
     execute, install_ctrl_c, run_loadgen, run_traced_live, run_worker, verify, BlackBoxAlgorithm,
-    Capacity, DasProblem, EngineKind, ExecOptions, ExecutorConfig, InterleaveScheduler,
-    LoadgenConfig, NetConfig, PrivateScheduler, SchedulePlan, Scheduler, SequentialScheduler,
-    ServeConfig, TunedUniformScheduler, UniformScheduler,
+    Capacity, DasProblem, ExecOptions, ExecutorConfig, InterleaveScheduler, LoadgenConfig,
+    NetConfig, PrivateScheduler, SchedulePlan, Scheduler, SequentialScheduler, ServeConfig,
+    TunedUniformScheduler, UniformScheduler, MESSAGE_BYTES,
 };
 use dasched::graph::{generators, Graph, NodeId};
 use dasched::lowerbound::{analysis, search, HardInstance, HardInstanceParams};
@@ -66,7 +67,7 @@ const COMMANDS: &[(&str, &str)] = &[
     (
         "plan",
         "--graph SPEC --workload SPEC --scheduler NAME [--seed N] [--sched-seed N] [--out FILE] \
-         [--in FILE] [--execute] [--shards N] [--engine row|batched] [--dump-outcome FILE] \
+         [--in FILE] [--execute] [--shards N] [--oracle] [--dump-outcome FILE] \
          [--dump-outputs FILE]",
     ),
     ("plan", "--graph SPEC --workload SPEC --diff A.json B.json"),
@@ -423,8 +424,15 @@ fn cmd_run(opts: &HashMap<String, String>, seed: u64) -> Result<(), String> {
 }
 
 fn cmd_plan(opts: &HashMap<String, String>, seed: u64) -> Result<(), String> {
-    // usage errors surface before any planning work
-    let (engine, shards) = parse_engine_and_shards(opts)?;
+    // usage errors surface before any planning work: the row oracle is
+    // fused by signature, so there is no silent fallback to another loop
+    let shards = opt_count(opts, "shards")?.unwrap_or(1);
+    let oracle = opts.contains_key("oracle");
+    if oracle && shards > 1 {
+        return Err(format!(
+            "--oracle is the fused row oracle and cannot run with --shards {shards}"
+        ));
+    }
     let g = parse_graph(req(opts, "graph")?, seed)?;
     let algos = parse_workload(req(opts, "workload")?, &g, seed)?;
     let problem = DasProblem::new(&g, algos, seed);
@@ -471,7 +479,7 @@ fn cmd_plan(opts: &HashMap<String, String>, seed: u64) -> Result<(), String> {
         }
     );
     if opts.contains_key("execute") {
-        run_planned(opts, engine, shards, &problem, &plan)?;
+        run_planned(opts, oracle, shards, &problem, &plan)?;
     }
     match opts.get("out") {
         Some(path) => {
@@ -514,28 +522,28 @@ fn diff_plans(problem: &DasProblem<'_>, path_a: &str, path_b: &str) -> Result<()
 }
 
 /// The `plan --execute` tail: run the plan (sharded when `--shards N > 1`,
-/// with a fused-identity check and per-shard report) on the selected
-/// engine (`--engine row|batched`, batched by default), verify, and honor
-/// `--dump-outcome`.
+/// with a fused-identity check and per-shard report; on the row oracle
+/// with `--oracle`), verify, and honor `--dump-outcome`.
 fn run_planned(
     opts: &HashMap<String, String>,
-    engine: EngineKind,
+    oracle: bool,
     shards: usize,
     problem: &DasProblem<'_>,
     plan: &dasched::core::SchedulePlan,
 ) -> Result<(), String> {
     note_clamped("shards", shards, problem.graph().node_count());
-    let config = ExecutorConfig::default().with_engine(engine);
     let t0 = std::time::Instant::now();
-    let fused_opts = ExecOptions::default().with_config(config.clone());
-    let fused = execute(problem, plan, fused_opts)
-        .map_err(|e| e.to_string())?
-        .outcome;
+    let fused = if oracle {
+        execute_row(problem, plan, &ExecutorConfig::default())
+    } else {
+        execute(problem, plan, ExecOptions::default()).map(|done| done.outcome)
+    }
+    .map_err(|e| e.to_string())?;
     let fused_ms = t0.elapsed().as_secs_f64() * 1e3;
     let outcome = if shards > 1 {
         let t1 = std::time::Instant::now();
-        let sharded_opts = ExecOptions::sharded(shards).with_config(config);
-        let done = execute(problem, plan, sharded_opts).map_err(|e| e.to_string())?;
+        let done =
+            execute(problem, plan, ExecOptions::sharded(shards)).map_err(|e| e.to_string())?;
         let (sharded, report) = (done.outcome, done.shard);
         let sharded_ms = t1.elapsed().as_secs_f64() * 1e3;
         println!(
@@ -587,30 +595,6 @@ fn run_planned(
         println!("wrote per-job outputs to {path}");
     }
     Ok(())
-}
-
-/// Parses `--engine row|batched` and `--shards N` for `plan --execute`.
-/// `batched` is the production loop on every topology; `row` is the fused
-/// test oracle, so combining it with `--shards N > 1` is a usage error —
-/// there is no silent fallback to another engine.
-fn parse_engine_and_shards(opts: &HashMap<String, String>) -> Result<(EngineKind, usize), String> {
-    let shards = opt_count(opts, "shards")?.unwrap_or(1);
-    let engine = match opts.get("engine").map(String::as_str) {
-        None | Some("batched") => EngineKind::ColumnarBatched,
-        Some("row") if shards > 1 => {
-            return Err(format!(
-                "--engine row is the fused test oracle and cannot run with --shards {shards}"
-            ))
-        }
-        Some("row") => EngineKind::Row,
-        Some("columnar") => {
-            return Err(
-                "the columnar engine was folded into batched; use --engine row or batched".into(),
-            )
-        }
-        Some(other) => return Err(format!("unknown engine `{other}` (row or batched)")),
-    };
-    Ok((engine, shards))
 }
 
 /// Canonical per-job output dump: one line per `(job, node)` pair, keyed
@@ -965,6 +949,23 @@ fn cmd_serve(opts: &HashMap<String, String>, seed: u64) -> Result<(), String> {
             .unwrap_or("uniform"),
     )?;
     let sched_seed = opt_u64(opts, "sched-seed")?.unwrap_or_else(|| sched.default_sched_seed());
+    let mut capacity = Capacity::default();
+    if let Some(v) = opt_u32(opts, "max-dilation")? {
+        capacity.max_dilation = v;
+    }
+    if let Some(v) = opt_u64(opts, "max-congestion")? {
+        capacity.max_congestion = v;
+    }
+    if let Some(v) = opt_u32(opts, "max-payload")? {
+        // advertising more than the executor carries would admit jobs
+        // whose every larger send is then dropped as invalid
+        if v as usize > MESSAGE_BYTES {
+            return Err(format!(
+                "--max-payload must be at most {MESSAGE_BYTES}, the executor's message size"
+            ));
+        }
+        capacity.max_payload_bytes = v;
+    }
     let listen = opts
         .get("listen")
         .map(String::as_str)
@@ -994,16 +995,6 @@ fn cmd_serve(opts: &HashMap<String, String>, seed: u64) -> Result<(), String> {
         .with_stop(stop.clone())
         .with_live(obs_hub.as_ref().map(|(h, _)| h.clone()));
     let defaults = ServeConfig::default();
-    let mut capacity = Capacity::default();
-    if let Some(v) = opt_u32(opts, "max-dilation")? {
-        capacity.max_dilation = v;
-    }
-    if let Some(v) = opt_u64(opts, "max-congestion")? {
-        capacity.max_congestion = v;
-    }
-    if let Some(v) = opt_u32(opts, "max-payload")? {
-        capacity.max_payload_bytes = v;
-    }
     let cfg = ServeConfig {
         batch_max: opt_count(opts, "batch")?.unwrap_or(defaults.batch_max),
         pool_shards: pool,
@@ -1376,7 +1367,7 @@ mod tests {
     }
 
     #[test]
-    fn engine_flag_has_two_values_and_the_oracle_is_fused_only() {
+    fn oracle_flag_is_fused_only() {
         let plan_with = |extra: &[&str]| -> Result<(), String> {
             let args: Vec<String> = [
                 "plan",
@@ -1394,15 +1385,13 @@ mod tests {
             .collect();
             run(&args)
         };
-        let err = plan_with(&["--engine", "row", "--shards", "3"]).unwrap_err();
+        let err = plan_with(&["--oracle", "--shards", "3"]).unwrap_err();
         assert!(err.contains("cannot run with --shards 3"), "{err}");
-        let err = plan_with(&["--engine", "columnar"]).unwrap_err();
-        assert!(err.contains("folded into batched"), "{err}");
-        let err = plan_with(&["--engine", "quantum"]).unwrap_err();
-        assert!(err.contains("unknown engine"), "{err}");
-        // both remaining values run, the oracle fused only
-        plan_with(&["--engine", "row"]).unwrap();
-        plan_with(&["--engine", "batched", "--shards", "3"]).unwrap();
+        // there is no engine selector left to ask
+        let err = plan_with(&["--engine", "row"]).unwrap_err();
+        assert!(err.contains("unknown flag --engine"), "{err}");
+        plan_with(&["--oracle"]).unwrap();
+        plan_with(&["--shards", "3"]).unwrap();
         // the serve daemon has one engine and no flag for it
         let serve_usage = usage(Some("serve"));
         assert!(serve_usage.contains("--pool N"), "{serve_usage}");
@@ -1870,6 +1859,32 @@ mod tests {
             "unknown flag --batch-wait-ms for `dasched serve`"
         );
         assert!(!usage(Some("serve")).contains("wait"));
+    }
+
+    /// CAPS may not advertise a payload budget the executor drops.
+    #[test]
+    fn serve_payload_budget_is_capped_by_the_message_size() {
+        let serve_with = |payload: &str| {
+            let args = [
+                "serve",
+                "--graph",
+                "path:8",
+                "--max-payload",
+                payload,
+                "--pool",
+                "0",
+            ];
+            run(&args.map(String::from)).unwrap_err()
+        };
+        let err = serve_with(&(MESSAGE_BYTES + 1).to_string());
+        assert!(err.contains("--max-payload must be at most 40"), "{err}");
+        // at the cap the flag is accepted: the next usage error is --pool's
+        let err = serve_with(&MESSAGE_BYTES.to_string());
+        assert!(err.contains("--pool must be >= 1"), "{err}");
+        assert_eq!(
+            Capacity::default().max_payload_bytes as usize,
+            MESSAGE_BYTES
+        );
     }
 
     #[test]
