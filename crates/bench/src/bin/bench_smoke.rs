@@ -208,7 +208,6 @@ fn main() {
             let srv = ObsServer::bind(addr, hub.clone())
                 .unwrap_or_else(|e| fail(&format!("bind {addr}: {e}")));
             println!("listening on {}", srv.local_addr());
-            hub.set_run_info("batched", 1);
             Some(srv)
         }
         _ => None,

@@ -355,7 +355,7 @@ mod tests {
                             assert!(n.frames_sent > 0 && n.frames_received > 0, "{ctx}");
                             assert!(n.bytes_sent > 0 && n.bytes_received > 0, "{ctx}");
                         }
-                        // `enabled` is false when recording is compiled out
+                        // networked workers carry no probe
                         let records = obs.enabled() && !matches!(executor, Networked(_));
                         assert_eq!(rec.obs.is_some(), records, "{ctx}");
                         assert_eq!(rec.obs, got.obs.as_ref().map(|r| r.summary()), "{ctx}");

@@ -244,9 +244,11 @@ pub struct ExecutorConfig {
     /// Record message departures to build a causality-checkable
     /// [`das_pattern::SimulationMap`] per algorithm.
     pub record_departures: bool,
-    /// Live observability hub, if the run is being served. Probes publish
-    /// write-only snapshots into it at big-round boundaries; execution
-    /// never reads it, so outcomes stay byte-identical with or without it
+    /// Live observability hub, if the run is being served: the one place an
+    /// execution takes a hub, on every topology. It gets the run identity,
+    /// write-only probe snapshots at big-round boundaries and a
+    /// coordinator's worker telemetry; execution never reads it, so
+    /// outcomes stay byte-identical with or without it
     /// (`tests/obs_neutrality.rs` enforces this with a polling client).
     pub live: Option<std::sync::Arc<das_obs::LiveHub>>,
     /// Whether the standalone benchmark asked for the row oracle; set and

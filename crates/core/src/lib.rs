@@ -92,7 +92,7 @@ pub use exec::{
     ExecError, ExecStats, ExecutorConfig, ShardReport, ShardStats, Unit, MESSAGE_BYTES,
 };
 pub use net::{install_ctrl_c, plan_hash, run_worker, NetConfig, WorkerOutcome};
-pub use obs::{run_traced, run_traced_live, TracedRun};
+pub use obs::{run_traced, TracedRun};
 pub use plan::cache::{PlanArtifact, SweepArtifact};
 pub use plan::{execute, ExecOptions, Executed, PlanError, SchedError, SchedulePlan, Topology};
 pub use problem::DasProblem;

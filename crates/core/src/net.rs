@@ -69,8 +69,9 @@ use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------- config
 
-/// Tunables of the networked path. Every blocking wait uses
-/// `io_timeout_ms`, so no failure mode can hang either side.
+/// Connection settings of the networked path (a run's live hub is
+/// [`ExecutorConfig::live`]). Every blocking wait uses `io_timeout_ms`, so
+/// no failure mode can hang either side.
 #[derive(Clone, Debug)]
 pub struct NetConfig {
     /// Deadline for each blocking network wait (accept, read, write), in
@@ -91,12 +92,6 @@ pub struct NetConfig {
     /// the coordinator aborts all workers at the next protocol boundary
     /// and returns [`ExecError::Aborted`].
     pub stop: Option<Arc<AtomicBool>>,
-    /// Optional live hub (coordinator side): per-worker cumulative totals
-    /// piggybacked on `ACTIVITY` frames and per-link traffic snapshots are
-    /// published into it every big-round. Publication is write-only and
-    /// never adds frames or blocks the protocol, so the outcome is
-    /// byte-identical with or without a hub attached.
-    pub live: Option<Arc<das_obs::LiveHub>>,
 }
 
 impl Default for NetConfig {
@@ -107,7 +102,6 @@ impl Default for NetConfig {
             connect_backoff_ms: 250,
             max_frame_bytes: 64 << 20,
             stop: None,
-            live: None,
         }
     }
 }
@@ -122,13 +116,6 @@ impl NetConfig {
     /// Attaches a cooperative-shutdown flag.
     pub fn with_stop(mut self, stop: Arc<AtomicBool>) -> Self {
         self.stop = Some(stop);
-        self
-    }
-
-    /// Attaches a live hub for coordinator-side telemetry publication.
-    #[must_use]
-    pub fn with_live(mut self, live: Option<Arc<das_obs::LiveHub>>) -> Self {
-        self.live = live;
         self
     }
 
@@ -249,7 +236,7 @@ pub(crate) fn run_coordinator(
     let outcome = result?;
     // final authoritative snapshot: includes the DECISION and DONE
     // frames the mid-run barrier snapshots have not seen yet
-    publish_links(net, &conns);
+    publish_links(config, &conns);
     let traffic: Vec<LinkTraffic> = conns.iter().map(|c| c.traffic.clone()).collect();
     debug_assert_eq!(traffic.len(), s);
     let (outcome, shard) = outcome;
@@ -415,7 +402,7 @@ fn coordinator_protocol(
             let activity = Activity::decode(&conn.expect(wire::ACTIVITY, "collecting activity")?)?;
             expect_round("ACTIVITY", activity.big_round, b)?;
             any_active |= activity.active;
-            if let (Some(t), Some(hub)) = (activity.totals, &net.live) {
+            if let (Some(t), Some(hub)) = (activity.totals, &config.live) {
                 hub.publish_worker_totals(
                     src as u32,
                     b,
@@ -426,7 +413,7 @@ fn coordinator_protocol(
                 );
             }
         }
-        publish_links(net, conns);
+        publish_links(config, conns);
         // 4. Broadcast the termination decision — the same predicate the
         // in-process path evaluates after its post-increment (`b + 1` here
         // is the worker's incremented big-round counter).
@@ -458,9 +445,9 @@ fn coordinator_protocol(
     ))
 }
 
-/// Mirrors the per-link traffic counters into the live hub, if any.
-fn publish_links(net: &NetConfig, conns: &[FramedConn]) {
-    if let Some(hub) = &net.live {
+/// Mirrors the per-link traffic counters into the run's live hub, if any.
+fn publish_links(config: &ExecutorConfig, conns: &[FramedConn]) {
+    if let Some(hub) = &config.live {
         let links = conns
             .iter()
             .enumerate()

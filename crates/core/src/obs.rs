@@ -1,24 +1,20 @@
 //! Observed plan → execute → verify pipeline: one traced run end to end.
 //!
-//! [`run_traced`] plans, executes (fused or sharded), and verifies a
-//! problem while assembling a single [`ObsReport`]: a `Plan`-stage span
-//! carrying the prediction, the executor's per-shard recordings on the
-//! `Execute` tracks, and a `Verify`-stage marker with the mismatch counts.
-//! All of it is clocked on the deterministic big-round clock, so the trace
-//! is a pure function of `(problem, scheduler, sched_seed)` — shard count
-//! changes only which `Execute` lane an event lands on. Wall-clock stage
-//! durations are added as `wall_us` args only when
-//! [`ObsConfig::wall_clock`] is set.
+//! [`run_traced`] plans, executes on any topology, and verifies a problem
+//! while assembling a single [`ObsReport`]: a `Plan`-stage span carrying
+//! the prediction, the executor's per-shard recordings on the `Execute`
+//! tracks, and a `Verify`-stage marker with the mismatch counts. All of it
+//! is clocked on the deterministic big-round clock, so the trace is a pure
+//! function of `(problem, scheduler, sched_seed)` — shard count changes
+//! only which `Execute` lane an event lands on. Wall-clock stage durations
+//! are added as `wall_us` args only when
+//! [`das_obs::ObsConfig::wall_clock`] is set.
 
-use crate::exec::ExecutorConfig;
-use crate::plan::{analysis, execute, ExecOptions, SchedError, SchedulePlan};
+use crate::plan::{analysis, execute, ExecOptions, Executed, SchedError, SchedulePlan};
 use crate::problem::DasProblem;
-use crate::schedule::ScheduleOutcome;
 use crate::schedulers::Scheduler;
 use crate::verify::{self, VerifyReport};
-use crate::ShardReport;
-use das_obs::{LiveHub, ObsConfig, ObsReport, Stage, TraceEvent};
-use std::sync::Arc;
+use das_obs::{ObsReport, Stage, TraceEvent};
 use std::time::Instant;
 
 /// Everything a traced pipeline run produced.
@@ -26,57 +22,47 @@ use std::time::Instant;
 pub struct TracedRun {
     /// The plan that was executed.
     pub plan: SchedulePlan,
-    /// The execution outcome (byte-identical to an untraced run).
-    pub outcome: ScheduleOutcome,
-    /// Partition-dependent measurements when `shards > 1`.
-    pub shard_report: Option<ShardReport>,
+    /// The execution: its outcome (byte-identical to an untraced run's),
+    /// shard report and link traffic. Its recording has moved into
+    /// `report`, so `executed.obs` is `None`.
+    pub executed: Executed,
     /// Output verification against the reference runs.
     pub verify: VerifyReport,
     /// The assembled observability report (empty when recording is off).
     pub report: ObsReport,
 }
 
-/// Runs the full pipeline — plan, predict, execute (`shards > 1` uses the
-/// sharded executor), verify — recording one [`ObsReport`] across all
-/// three stages at the level `obs` asks for.
+/// Runs the full pipeline — plan, predict, execute, verify — on the
+/// topology, budget and observability level `opts` names, recording one
+/// [`ObsReport`] across all three stages. Prediction runs only when
+/// recording is on; a networked run records the plan and verify stages
+/// only (its workers carry no probe).
+///
+/// A live hub in `opts.config.live` sees the whole run: the phases (`plan`
+/// → `execute` → `verify` → `done`), the identity [`execute`] stamps, the
+/// executor's per-shard snapshots at big-round boundaries, and at the end
+/// the merged report, which replaces the incremental view. Serving the hub
+/// over HTTP (`das_obs::ObsServer`) while this runs never changes the
+/// outcome — publication is write-only and clocked on big-round barriers
+/// (`tests/obs_neutrality.rs` polls a live server mid-run and asserts
+/// byte-identical outcomes).
 ///
 /// # Errors
 /// Returns [`SchedError::Reference`] if planning/prediction/verification
-/// reference runs fail, [`SchedError::InvalidPlan`] for a malformed plan,
-/// or [`SchedError::Exec`] if execution exceeds its round budget.
+/// reference runs fail, and otherwise whatever [`execute`] returns.
 pub fn run_traced(
     problem: &DasProblem<'_>,
     scheduler: &dyn Scheduler,
     sched_seed: u64,
-    shards: usize,
-    obs: &ObsConfig,
+    opts: ExecOptions<'_>,
 ) -> Result<TracedRun, SchedError> {
-    run_traced_live(problem, scheduler, sched_seed, shards, obs, None)
-}
-
-/// [`run_traced`] with an optional live hub attached: the executor probes
-/// publish per-shard snapshots into `live` at big-round boundaries, phase
-/// transitions (`plan` → `execute` → `verify` → `done`) are mirrored into
-/// it, and the final merged report replaces the incremental view at the
-/// end. Serving the hub over HTTP (`das_obs::ObsServer`) while this runs
-/// never changes the outcome — publication is write-only and clocked on
-/// big-round barriers (`tests/obs_neutrality.rs` polls a live server
-/// mid-run and asserts byte-identical outcomes).
-///
-/// # Errors
-/// Exactly as [`run_traced`].
-pub fn run_traced_live(
-    problem: &DasProblem<'_>,
-    scheduler: &dyn Scheduler,
-    sched_seed: u64,
-    shards: usize,
-    obs: &ObsConfig,
-    live: Option<Arc<LiveHub>>,
-) -> Result<TracedRun, SchedError> {
-    if let Some(hub) = &live {
-        hub.set_run_info("batched", shards.max(1));
-        hub.set_phase("plan");
-    }
+    let (obs, live) = (opts.obs, opts.config.live.clone());
+    let phase = |name: &str| {
+        if let Some(hub) = &live {
+            hub.set_phase(name);
+        }
+    };
+    phase("plan");
     let t_plan = Instant::now();
     let plan = scheduler.plan(problem, sched_seed)?;
     let prediction = obs
@@ -87,19 +73,14 @@ pub fn run_traced_live(
 
     let mut report = ObsReport::new();
     if let Some(pred) = &prediction {
-        report.metrics.inc("plan.units", plan.unit_count() as u64);
-        report.metrics.inc("plan.phase_len", plan.phase_len);
-        report
-            .metrics
-            .inc("plan.precompute_rounds", plan.precompute_rounds);
-        report
-            .metrics
-            .inc("plan.predicted_rounds", plan.predicted_rounds);
-        report.metrics.inc("predict.late", pred.predicted_late);
-        report
-            .metrics
-            .inc("predict.max_arc_load", pred.max_arc_load());
-        report.metrics.inc(
+        let m = &mut report.metrics;
+        m.inc("plan.units", plan.unit_count() as u64);
+        m.inc("plan.phase_len", plan.phase_len);
+        m.inc("plan.precompute_rounds", plan.precompute_rounds);
+        m.inc("plan.predicted_rounds", plan.predicted_rounds);
+        m.inc("predict.late", pred.predicted_late);
+        m.inc("predict.max_arc_load", pred.max_arc_load());
+        m.inc(
             "predict.peak_big_round_arc_load",
             pred.peak_big_round_arc_load,
         );
@@ -119,38 +100,27 @@ pub fn run_traced_live(
         }
     }
 
-    if let Some(hub) = &live {
-        hub.set_phase("execute");
-    }
+    phase("execute");
     let t_exec = Instant::now();
-    let opts = match shards {
-        0 | 1 => ExecOptions::default(),
-        n => ExecOptions::sharded(n),
-    };
-    let config = ExecutorConfig::default().with_live(live.clone());
-    let done = execute(problem, &plan, opts.with_config(config).with_obs(*obs))?;
-    let (outcome, exec_report) = (done.outcome, done.obs);
-    let shard_report = (done.shard.shards > 0).then_some(done.shard);
+    let mut executed = execute(problem, &plan, opts)?;
     let exec_wall_us = t_exec.elapsed().as_micros() as u64;
-    if let Some(er) = &exec_report {
-        report.merge(er);
+    if let Some(er) = executed.obs.take() {
+        report.merge(&er);
     }
 
-    if let Some(hub) = &live {
-        hub.set_phase("verify");
-    }
+    phase("verify");
+    let outcome = &executed.outcome;
     let t_verify = Instant::now();
-    let verify = verify::against_references(problem, &outcome)?;
+    let verify = verify::against_references(problem, outcome)?;
     let verify_wall_us = t_verify.elapsed().as_micros() as u64;
     if obs.enabled() {
-        report
-            .metrics
-            .inc("verify.mismatches", verify.total_mismatches() as u64);
-        report.metrics.inc("verify.nodes", verify.nodes as u64);
+        let m = &mut report.metrics;
+        m.inc("verify.mismatches", verify.total_mismatches() as u64);
+        m.inc("verify.nodes", verify.nodes as u64);
         if obs.wall_clock {
-            report.metrics.inc("wall.plan_us", plan_wall_us);
-            report.metrics.inc("wall.execute_us", exec_wall_us);
-            report.metrics.inc("wall.verify_us", verify_wall_us);
+            m.inc("wall.plan_us", plan_wall_us);
+            m.inc("wall.execute_us", exec_wall_us);
+            m.inc("wall.verify_us", verify_wall_us);
         }
         if obs.events_enabled() {
             let mut e = TraceEvent::instant(
@@ -178,8 +148,7 @@ pub fn run_traced_live(
     }
     Ok(TracedRun {
         plan,
-        outcome,
-        shard_report,
+        executed,
         verify,
         report,
     })
@@ -191,6 +160,11 @@ mod tests {
     use crate::synthetic::RelayChain;
     use crate::{BlackBoxAlgorithm, UniformScheduler};
     use das_graph::generators;
+    use das_obs::ObsConfig;
+
+    fn full() -> ExecOptions<'static> {
+        ExecOptions::default().with_obs(ObsConfig::full())
+    }
 
     fn problem(g: &das_graph::Graph) -> DasProblem<'_> {
         let algos = (0..3)
@@ -204,11 +178,14 @@ mod tests {
         let g = generators::path(10);
         let p = problem(&g);
         let sched = UniformScheduler::default();
-        let traced = run_traced(&p, &sched, 3, 1, &ObsConfig::full()).unwrap();
+        let traced = run_traced(&p, &sched, 3, full()).unwrap();
         assert!(traced.verify.all_correct());
         let m = &traced.report.metrics;
         assert_eq!(m.counter("plan.units"), 3);
-        assert_eq!(m.counter("exec.delivered"), traced.outcome.stats.delivered);
+        assert_eq!(
+            m.counter("exec.delivered"),
+            traced.executed.outcome.stats.delivered
+        );
         assert_eq!(m.counter("verify.mismatches"), 0);
         // one plan span, per-big-round execute events, one verify instant.
         let stages: Vec<Stage> = traced.report.events.iter().map(|e| e.stage).collect();
@@ -229,15 +206,21 @@ mod tests {
         let g = generators::path(12);
         let p = problem(&g);
         let sched = UniformScheduler::default();
-        let fused = run_traced(&p, &sched, 7, 1, &ObsConfig::full()).unwrap();
-        let again = run_traced(&p, &sched, 7, 1, &ObsConfig::full()).unwrap();
+        let fused = run_traced(&p, &sched, 7, full()).unwrap();
+        let again = run_traced(&p, &sched, 7, full()).unwrap();
         assert_eq!(fused.report.events, again.report.events);
         assert_eq!(fused.report.metrics, again.report.metrics);
-        let sharded = run_traced(&p, &sched, 7, 3, &ObsConfig::full()).unwrap();
-        assert!(sharded.shard_report.is_some());
+        let sharded = run_traced(
+            &p,
+            &sched,
+            7,
+            ExecOptions::sharded(3).with_obs(ObsConfig::full()),
+        )
+        .unwrap();
+        assert_eq!(sharded.executed.shard.shards, 3);
         assert_eq!(
-            format!("{:?}", fused.outcome),
-            format!("{:?}", sharded.outcome),
+            format!("{:?}", fused.executed.outcome),
+            format!("{:?}", sharded.executed.outcome),
             "outcome must not depend on shard count"
         );
         // the load profile (summed over lanes) is shard-invariant too.
@@ -249,7 +232,7 @@ mod tests {
         let g = generators::path(8);
         let p = problem(&g);
         let sched = UniformScheduler::default();
-        let traced = run_traced(&p, &sched, 3, 1, &ObsConfig::off()).unwrap();
+        let traced = run_traced(&p, &sched, 3, ExecOptions::default()).unwrap();
         assert!(traced.report.events.is_empty());
         assert!(traced.report.metrics.counters.is_empty());
         assert!(traced.verify.all_correct());

@@ -341,9 +341,23 @@ pub enum Topology<'a> {
         workers: usize,
         /// Where the workers connect.
         listener: TcpListener,
-        /// Deadlines, frame limits, stop flag, live hub.
+        /// Deadlines, frame limits, stop flag.
         net: &'a NetConfig,
     },
+}
+
+impl Topology<'_> {
+    /// The run identity a live hub shows on `/status`: how shards exchange
+    /// messages (`local`, `in_process` or `wire`) and how many run on an
+    /// `n`-node graph — the partition's clamp, not the request.
+    pub(crate) fn identity(&self, n: usize) -> (&'static str, usize) {
+        let clamp = |s: usize| s.clamp(1, n.max(1));
+        match self {
+            Topology::Fused => ("local", 1),
+            Topology::Sharded(shards) => ("in_process", clamp(*shards)),
+            Topology::Networked { workers, .. } => ("wire", clamp(*workers)),
+        }
+    }
 }
 
 /// How [`execute`] runs a plan: where (`topology`), on which budget
@@ -355,7 +369,7 @@ pub enum Topology<'a> {
 pub struct ExecOptions<'a> {
     /// Where the plan's shards run.
     pub topology: Topology<'a>,
-    /// Round budget, departure recording, live hub.
+    /// Round budget, departure recording, the run's one live hub.
     pub config: ExecutorConfig,
     /// Observability level; never moves an outcome. A networked run
     /// records nothing (its workers carry no probe).
@@ -457,6 +471,10 @@ pub fn execute(
 ) -> Result<Executed, SchedError> {
     plan.validate(problem)?;
     let (config, obs) = (&opts.config, &opts.obs);
+    if let Some(hub) = &config.live {
+        let (exchange, shards) = opts.topology.identity(problem.graph().node_count());
+        hub.set_run_info(exchange, shards);
+    }
     let (outcome, shard, obs, traffic) = match opts.topology {
         Topology::Fused => {
             let (outcome, obs) = Executor::run_observed(problem, plan, config, obs)?;

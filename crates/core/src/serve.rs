@@ -51,7 +51,7 @@
 
 use crate::exec::{panic_message, ExecError};
 use crate::net::{connect_with_retry, NetConfig};
-use crate::plan::{execute, ExecOptions, SchedError};
+use crate::plan::{execute, ExecOptions, SchedError, Topology};
 use crate::problem::DasProblem;
 use crate::reference::run_alone;
 use crate::schedulers::Scheduler;
@@ -62,7 +62,7 @@ use crate::wire::{
     Rejected, Submit, PROTOCOL_VERSION,
 };
 use das_graph::{Graph, NodeId};
-use das_obs::{BatchStages, JobsLive};
+use das_obs::{BatchStages, JobsLive, LiveHub};
 use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::net::{TcpListener, TcpStream};
@@ -258,9 +258,11 @@ pub struct ServeConfig {
     pub tape_seed: u64,
     /// The scheduler seed every batch is planned with.
     pub sched_seed: u64,
-    /// Network tunables; `net.stop` is the daemon's shutdown signal and
-    /// `net.live` its optional telemetry hub.
+    /// Connection settings; `net.stop` is the daemon's shutdown signal.
     pub net: NetConfig,
+    /// Live console hub: admission counters and batch stages on `/jobs`,
+    /// the pool's identity on `/status`.
+    pub live: Option<Arc<LiveHub>>,
 }
 
 impl Default for ServeConfig {
@@ -272,6 +274,7 @@ impl Default for ServeConfig {
             tape_seed: 42,
             sched_seed: 0,
             net: NetConfig::default(),
+            live: None,
         }
     }
 }
@@ -323,8 +326,8 @@ impl Counters {
         self.log.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn publish(&self, net: &NetConfig) {
-        if let Some(hub) = &net.live {
+    fn publish(&self, live: Option<&LiveHub>) {
+        if let Some(hub) = live {
             let log = self.log();
             hub.publish_jobs(JobsLive {
                 queued: self.queued.load(Ordering::SeqCst),
@@ -407,7 +410,11 @@ pub fn serve(
         ready: Condvar::new(),
     };
     let (graph_fp, host) = (graph_fingerprint(g), Hosting::of(g));
-    counters.publish(&cfg.net);
+    if let Some(hub) = &cfg.live {
+        let (exchange, shards) = Topology::Sharded(cfg.pool_shards).identity(g.node_count());
+        hub.set_run_info(exchange, shards);
+    }
+    counters.publish(cfg.live.as_deref());
     std::thread::scope(|scope| {
         let executor = scope.spawn(|| executor_loop(g, scheduler, cfg, &queue, &counters));
         let (queue, counters) = (&queue, &counters);
@@ -522,7 +529,7 @@ fn serve_client(
                 let _ = out.send(wire::ACCEPTED, &accepted.encode(), "serve (ACCEPTED)");
             }
         }
-        counters.publish(&cfg.net);
+        counters.publish(cfg.live.as_deref());
     }
 }
 
@@ -565,7 +572,7 @@ fn executor_loop(
         };
         execute_batch(g, scheduler, cfg, batch, counters);
         counters.batches.fetch_add(1, Ordering::SeqCst);
-        counters.publish(&cfg.net);
+        counters.publish(cfg.live.as_deref());
     }
 }
 
@@ -1163,8 +1170,8 @@ mod tests {
         assert_eq!(counters.completed.load(Ordering::SeqCst), 0);
         assert_eq!(counters.log().last_error, err.to_string());
         // ... and the published snapshot carries it
-        let hub = Arc::new(das_obs::LiveHub::new());
-        counters.publish(&NetConfig::default().with_live(Some(hub.clone())));
+        let hub = LiveHub::new();
+        counters.publish(Some(&hub));
         assert!(hub.render_jobs().contains("shard 1 panicked: boom"));
     }
 

@@ -6,12 +6,13 @@
 //! write-only, so no client behaviour can wedge or perturb the engine.
 //!
 //! A second leg drives the networked coordinator with a live hub attached
-//! and asserts the per-worker telemetry (ACTIVITY-piggybacked totals and
+//! through its `ExecutorConfig` and asserts the run identity and the
+//! per-worker telemetry (ACTIVITY-piggybacked totals and
 //! coordinator-side link traffic) lands on the HTTP endpoints.
 
 use das_core::synthetic::RelayChain;
 use das_core::{
-    execute, run_traced, run_traced_live, run_worker, BlackBoxAlgorithm, DasProblem, ExecOptions,
+    execute, run_traced, run_worker, BlackBoxAlgorithm, DasProblem, ExecOptions, ExecutorConfig,
     NetConfig, Scheduler, UniformScheduler,
 };
 use das_graph::generators;
@@ -46,8 +47,8 @@ fn rogue_http_clients_cannot_wedge_or_perturb_a_live_run() {
     let g = generators::path(40);
     let p = build_problem(&g);
     let sched = UniformScheduler::default();
-    let obs = ObsConfig::full();
-    let baseline = run_traced(&p, &sched, 13, 3, &obs).expect("unserved run");
+    let sharded = || ExecOptions::sharded(3).with_obs(ObsConfig::full());
+    let baseline = run_traced(&p, &sched, 13, sharded()).expect("unserved run");
 
     let hub = Arc::new(LiveHub::new());
     let server = ObsServer::bind("127.0.0.1:0", hub.clone()).expect("bind");
@@ -84,10 +85,11 @@ fn rogue_http_clients_cannot_wedge_or_perturb_a_live_run() {
     });
 
     // The live run proceeds under fire.
-    let served = run_traced_live(&p, &sched, 13, 3, &obs, Some(hub)).expect("served run");
+    let config = ExecutorConfig::default().with_live(Some(hub));
+    let served = run_traced(&p, &sched, 13, sharded().with_config(config)).expect("served run");
     assert_eq!(
-        format!("{:?}", baseline.outcome),
-        format!("{:?}", served.outcome),
+        format!("{:?}", baseline.executed.outcome),
+        format!("{:?}", served.executed.outcome),
         "rogue clients perturbed a live run"
     );
 
@@ -117,7 +119,6 @@ fn networked_coordinator_exposes_per_worker_telemetry() {
     let baseline = format!("{:?}", fused.outcome);
 
     let hub = Arc::new(LiveHub::new());
-    hub.set_run_info("networked", 3);
     let server = ObsServer::bind("127.0.0.1:0", hub.clone()).expect("bind obs");
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind coord");
     let coord_addr = listener.local_addr().expect("addr");
@@ -130,13 +131,20 @@ fn networked_coordinator_exposes_per_worker_telemetry() {
             })
         })
         .collect();
-    let net = NetConfig::default().with_live(Some(hub.clone()));
-    let report =
-        execute(&p, &plan, ExecOptions::networked(3, listener, &net)).expect("networked run");
+    let net = NetConfig::default();
+    let config = ExecutorConfig::default().with_live(Some(hub.clone()));
+    let opts = ExecOptions::networked(3, listener, &net).with_config(config);
+    let report = execute(&p, &plan, opts).expect("networked run");
     for w in workers {
         w.join().expect("worker thread");
     }
     assert_eq!(baseline, format!("{:?}", report.outcome));
+
+    let status = http_get(server.local_addr(), "/status"); // what ran: 3 wire workers
+    assert!(
+        status.contains(r#""exchange":"wire","shards":3,"#),
+        "{status}"
+    );
 
     // The ACTIVITY-piggybacked totals mirror the workers' final stats...
     let profile = http_get(server.local_addr(), "/profile");

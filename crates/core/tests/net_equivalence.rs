@@ -9,15 +9,16 @@
 //!
 //! The conformance table at the bottom drives one plan through every
 //! exchange of the production loop — `Local`, `InProcess` × {1, 2, 3, 7}
-//! shards, `Wire` × {1, 3} workers — against the row oracle.
+//! shards, `Wire` × {1, 3} workers — against the row oracle, and the
+//! observed pipeline (`run_traced`) through the wire.
 
 use das_core::oracle::execute_row;
 use das_core::synthetic::{FloodBall, Prescribed, RelayChain};
 use das_core::{
-    execute, run_worker, BlackBoxAlgorithm, DasProblem, ExecError, ExecOptions, Executed,
-    ExecutorConfig, InterleaveScheduler, NetConfig, PrivateScheduler, SchedError, ScheduleOutcome,
-    SchedulePlan, Scheduler, SequentialScheduler, TunedUniformScheduler, UniformScheduler, Unit,
-    WorkerOutcome,
+    execute, run_traced, run_worker, verify, BlackBoxAlgorithm, DasProblem, ExecError, ExecOptions,
+    Executed, ExecutorConfig, InterleaveScheduler, NetConfig, PrivateScheduler, SchedError,
+    ScheduleOutcome, SchedulePlan, Scheduler, SequentialScheduler, TunedUniformScheduler,
+    UniformScheduler, Unit, WorkerOutcome,
 };
 use das_graph::{generators, Graph, NodeId};
 use das_obs::ObsConfig;
@@ -71,19 +72,16 @@ fn all_schedulers() -> Vec<Box<dyn Scheduler>> {
     ]
 }
 
-/// Runs the plan over localhost TCP: a coordinator thread (this one) plus
-/// `workers` worker threads sharing the same in-memory problem, exactly as
-/// separate processes would rebuild it from identical flags. Returns the
-/// coordinator's result and every worker's.
-fn try_networked(
+/// Runs `coordinate` over localhost TCP: a coordinator thread (this one)
+/// handed the networked options, plus `workers` worker threads sharing the
+/// same in-memory problem, exactly as separate processes would rebuild it
+/// from identical flags. Returns the coordinator's result and every
+/// worker's.
+fn on_the_wire<T>(
     p: &DasProblem<'_>,
-    plan: &SchedulePlan,
     workers: usize,
-    config: &ExecutorConfig,
-) -> (
-    Result<Executed, SchedError>,
-    Vec<Result<WorkerOutcome, SchedError>>,
-) {
+    coordinate: impl FnOnce(ExecOptions<'_>) -> T,
+) -> (T, Vec<Result<WorkerOutcome, SchedError>>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind localhost");
     let addr = listener.local_addr().expect("local addr").to_string();
     let net = NetConfig::default().with_io_timeout_ms(20_000);
@@ -95,8 +93,7 @@ fn try_networked(
             let net = net.clone();
             handles.push(scope.spawn(move || run_worker(p, &addr, &net)));
         }
-        let opts = ExecOptions::networked(workers, listener, &net).with_config(config.clone());
-        let result = execute(p, plan, opts);
+        let result = coordinate(ExecOptions::networked(workers, listener, &net));
         let joined = handles
             .into_iter()
             .map(|h| h.join().expect("worker thread"))
@@ -105,9 +102,9 @@ fn try_networked(
     })
 }
 
-/// [`try_networked`] for runs that must succeed on both sides.
+/// Executes `plan` over the wire; both sides must succeed.
 fn run_networked(p: &DasProblem<'_>, plan: &SchedulePlan, workers: usize) -> Executed {
-    let (result, joined) = try_networked(p, plan, workers, &ExecutorConfig::default());
+    let (result, joined) = on_the_wire(p, workers, |opts| execute(p, plan, opts));
     for w in joined {
         w.expect("worker outcome");
     }
@@ -240,7 +237,10 @@ fn execute_via(
         Via::Local => ExecOptions::default(),
         Via::InProcess(shards) => ExecOptions::sharded(shards),
         Via::Wire(workers) => {
-            let (result, joined) = try_networked(p, plan, workers, config);
+            let config = config.clone();
+            let (result, joined) = on_the_wire(p, workers, |opts| {
+                execute(p, plan, opts.with_config(config))
+            });
             if let Err(e) = &result {
                 for w in joined {
                     assert_eq!(w.as_ref().unwrap_err(), e, "{via:?}: worker vs coordinator");
@@ -276,7 +276,18 @@ fn every_exchange_reproduces_the_row_oracle() {
             let opts = match via {
                 Via::Local => ExecOptions::default(),
                 Via::InProcess(shards) => ExecOptions::sharded(shards),
-                Via::Wire(_) => continue, // workers carry no probe
+                // workers carry no probe, but the observed pipeline runs on
+                // the wire all the same, to the oracle's verdict
+                Via::Wire(workers) => {
+                    let (traced, joined) = on_the_wire(&p, workers, |opts| {
+                        run_traced(&p, sched.as_ref(), 99, opts.with_obs(obs))
+                    });
+                    assert!(joined.iter().all(Result::is_ok), "{joined:?}");
+                    let traced = traced.expect("traced over the wire");
+                    assert_eq!(oracle_bytes, format!("{:?}", traced.executed.outcome));
+                    assert_eq!(Ok(traced.verify), verify::against_references(&p, &oracle));
+                    continue;
+                }
             };
             let observed = execute(&p, &plan, opts.with_obs(obs)).expect("observed execution");
             assert_eq!(

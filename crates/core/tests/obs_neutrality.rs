@@ -149,7 +149,7 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
 /// anything back into the engine.
 #[test]
 fn live_server_polling_mid_run_is_outcome_neutral() {
-    use das_core::{run_traced, run_traced_live};
+    use das_core::{run_traced, ExecutorConfig};
     use das_obs::{LiveHub, ObsServer};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
@@ -157,9 +157,20 @@ fn live_server_polling_mid_run_is_outcome_neutral() {
     let g = generators::gnp_connected(14, 0.3, 11);
     let p = DasProblem::new(&g, build_algos(&g, 4, 11), 11);
     let sched = UniformScheduler::default();
-    let obs = ObsConfig::full();
-    for shards in [1usize, 3] {
-        let baseline = run_traced(&p, &sched, 11, shards, &obs).expect("unserved run");
+    // 20 shards on 14 nodes run as 14: `/status` shows what ran
+    for (shards, exchange, ran) in [
+        (1, "local", 1),
+        (3, "in_process", 3),
+        (20, "in_process", 14),
+    ] {
+        let opts = || {
+            let topology = match shards {
+                1 => ExecOptions::default(),
+                n => ExecOptions::sharded(n),
+            };
+            topology.with_obs(ObsConfig::full())
+        };
+        let baseline = run_traced(&p, &sched, 11, opts()).expect("unserved run");
         let hub = Arc::new(LiveHub::new());
         let server = ObsServer::bind("127.0.0.1:0", hub.clone()).expect("bind live server");
         let addr = server.local_addr();
@@ -183,22 +194,24 @@ fn live_server_polling_mid_run_is_outcome_neutral() {
                 }
             })
         };
-        let served =
-            run_traced_live(&p, &sched, 11, shards, &obs, Some(hub.clone())).expect("served run");
+        let config = ExecutorConfig::default().with_live(Some(hub.clone()));
+        let served = run_traced(&p, &sched, 11, opts().with_config(config)).expect("served run");
         stop.store(true, Ordering::SeqCst);
         let polls = poller.join().expect("poller thread");
         assert!(polls > 0, "the client must have polled at least once");
         assert_eq!(
-            format!("{:?}", baseline.outcome),
-            format!("{:?}", served.outcome),
+            format!("{:?}", baseline.executed.outcome),
+            format!("{:?}", served.executed.outcome),
             "live serving perturbed the outcome at {shards} shard(s)"
         );
         assert_eq!(baseline.report.events, served.report.events);
         assert_eq!(baseline.report.metrics, served.report.metrics);
-        let status = http_get(addr, "/status");
+        let body = http_get(addr, "/status");
+        let identity = format!(r#""exchange":"{exchange}","shards":{ran},"#);
+        assert!(body.contains(&identity), "{body}");
         assert!(
-            status.contains("\"done\":true"),
-            "hub must report done after the run: {status}"
+            body.contains("\"done\":true"),
+            "hub must report done after the run: {body}"
         );
     }
 }

@@ -6,7 +6,8 @@
 
 use das_core::synthetic::RelayChain;
 use das_core::{
-    doubling, run_traced, BlackBoxAlgorithm, DasProblem, DoublingConfig, UniformScheduler,
+    doubling, run_traced, BlackBoxAlgorithm, DasProblem, DoublingConfig, ExecOptions,
+    UniformScheduler,
 };
 use das_graph::generators;
 use das_obs::{ObsConfig, Stage, TraceEvent};
@@ -97,10 +98,8 @@ fn execute_lane_names(doc: &Value) -> BTreeSet<String> {
 fn fused_run_exports_valid_chrome_trace() {
     let g = generators::path(14);
     let p = problem(&g, 4);
-    let traced = run_traced(&p, &UniformScheduler::default(), 5, 1, &ObsConfig::full()).unwrap();
-    if !ObsConfig::full().enabled() {
-        return; // recording compiled out
-    }
+    let opts = ExecOptions::default().with_obs(ObsConfig::full());
+    let traced = run_traced(&p, &UniformScheduler::default(), 5, opts).unwrap();
     let doc = check_chrome_schema(&traced.report.to_chrome_trace());
     // fused execution runs on exactly one Execute lane
     assert_eq!(
@@ -113,10 +112,8 @@ fn fused_run_exports_valid_chrome_trace() {
 fn sharded_run_exports_one_track_per_shard() {
     let g = generators::path(14);
     let p = problem(&g, 4);
-    let traced = run_traced(&p, &UniformScheduler::default(), 5, 3, &ObsConfig::full()).unwrap();
-    if !ObsConfig::full().enabled() {
-        return;
-    }
+    let opts = ExecOptions::sharded(3).with_obs(ObsConfig::full());
+    let traced = run_traced(&p, &UniformScheduler::default(), 5, opts).unwrap();
     let doc = check_chrome_schema(&traced.report.to_chrome_trace());
     assert_eq!(
         execute_lane_names(&doc),
@@ -149,9 +146,6 @@ fn doubling_attempt_spans_cover_planning_only_once() {
     let g = generators::path(12);
     let p = problem(&g, 16); // congested: forces a multi-attempt search
     let obs = ObsConfig::full();
-    if !obs.enabled() {
-        return; // recording compiled out
-    }
 
     let cfg = DoublingConfig::default();
     let (uni, report) =
@@ -217,10 +211,8 @@ fn doubling_attempt_spans_cover_planning_only_once() {
 fn jsonl_export_is_one_valid_object_per_line() {
     let g = generators::path(12);
     let p = problem(&g, 3);
-    let traced = run_traced(&p, &UniformScheduler::default(), 5, 2, &ObsConfig::full()).unwrap();
-    if !ObsConfig::full().enabled() {
-        return;
-    }
+    let opts = ExecOptions::sharded(2).with_obs(ObsConfig::full());
+    let traced = run_traced(&p, &UniformScheduler::default(), 5, opts).unwrap();
     let jsonl = traced.report.to_jsonl();
     let lines: Vec<&str> = jsonl.lines().collect();
     assert_eq!(lines.len(), traced.report.events.len());

@@ -386,7 +386,7 @@ fn an_idle_daemon_dispatches_at_once() {
     let g = small_graph();
     let hub = Arc::new(LiveHub::new());
     let cfg = ServeConfig {
-        net: das_core::NetConfig::default().with_live(Some(hub.clone())),
+        live: Some(hub.clone()),
         ..ServeConfig::default()
     };
     assert!(cfg.batch_max > 1, "a lone job must not fill the batch");
@@ -403,6 +403,11 @@ fn an_idle_daemon_dispatches_at_once() {
     drop(s);
     let daemon = stop_and_join(&stop, handle);
     assert_eq!((daemon.completed, daemon.batches), (1, 1));
+    let status = hub.render_status(); // the pool: in-process shards, as many as run
+    assert!(
+        status.contains(r#""exchange":"in_process","shards":2,"#),
+        "{status}"
+    );
     let jobs: Value = serde_json::from_str(&hub.render_jobs()).expect("jobs JSON");
     let row = jobs.get("last_batch").expect("last batch row");
     assert_eq!(row.get("k").and_then(Value::as_u64), Some(1));

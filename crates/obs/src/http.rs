@@ -14,7 +14,7 @@
 //! | path | body |
 //! |---|---|
 //! | `GET /` | embedded HTML console (polls the JSON endpoints) |
-//! | `GET /status` | run phase, engine, shard count, big round |
+//! | `GET /status` | run phase, exchange (`local` \| `in_process` \| `wire`), effective shard count, big round |
 //! | `GET /profile` | per-shard totals, heaviest edges, per-round load |
 //! | `GET /metrics` | metrics registry as JSON; `?format=prometheus` for text exposition |
 //! | `GET /doubling` | doubling-search attempt log and counters |
@@ -299,7 +299,7 @@ mod tests {
     #[test]
     fn serves_every_endpoint() {
         let (server, hub) = test_server();
-        hub.set_run_info("batched", 2);
+        hub.set_run_info("in_process", 2);
         hub.set_phase("execute");
         hub.merge_metrics(&{
             let mut m = crate::MetricsRegistry::new();

@@ -169,7 +169,7 @@ struct LaneTotals {
 #[derive(Debug, Default)]
 struct LiveState {
     phase: String,
-    engine: String,
+    exchange: String,
     shards: usize,
     big_round: u64,
     done: bool,
@@ -221,14 +221,14 @@ impl LiveHub {
         }
     }
 
-    /// Records which engine and how many shards the run uses.
-    pub fn set_run_info(&self, engine: &str, shards: usize) {
+    /// Records the run identity `/status` shows: how its shards exchange
+    /// messages (`local`, `in_process` or `wire`) and how many shards
+    /// actually run. `das_core::execute` stamps it from the effective
+    /// topology of every execution it is handed a hub for.
+    pub fn set_run_info(&self, exchange: &str, shards: usize) {
         let mut s = self.lock();
-        s.engine = engine.to_string();
+        s.exchange = exchange.to_string();
         s.shards = shards;
-        if s.lanes.len() < shards {
-            s.lanes.resize(shards, None);
-        }
     }
 
     /// Publishes one lane's big-round delta (called by the executor probe
@@ -368,7 +368,7 @@ impl LiveHub {
         let s = self.lock();
         let doc = Value::Object(vec![
             ("phase".into(), Value::Str(s.phase.clone())),
-            ("engine".into(), Value::Str(s.engine.clone())),
+            ("exchange".into(), Value::Str(s.exchange.clone())),
             ("shards".into(), Value::U64(s.shards as u64)),
             ("big_round".into(), Value::U64(s.big_round)),
             ("done".into(), Value::Bool(s.done)),
@@ -556,11 +556,6 @@ impl LiveHub {
         }
         (body, s.events_total)
     }
-
-    /// Convenience around [`crate::ShardLoad`]-bearing reports for tests.
-    pub fn shard_count(&self) -> usize {
-        self.lock().shards
-    }
 }
 
 #[cfg(test)]
@@ -572,7 +567,7 @@ mod tests {
     #[test]
     fn status_reflects_phase_and_round() {
         let hub = LiveHub::new();
-        hub.set_run_info("batched", 3);
+        hub.set_run_info("wire", 3);
         hub.set_phase("execute");
         hub.publish_big_round(
             1,
@@ -585,7 +580,7 @@ mod tests {
         );
         let v: Value = serde_json::from_str(&hub.render_status()).unwrap();
         assert_eq!(v.get("phase").and_then(Value::as_str), Some("execute"));
-        assert_eq!(v.get("engine").and_then(Value::as_str), Some("batched"));
+        assert_eq!(v.get("exchange").and_then(Value::as_str), Some("wire"));
         assert_eq!(v.get("shards").and_then(Value::as_u64), Some(3));
         assert_eq!(v.get("big_round").and_then(Value::as_u64), Some(5));
     }

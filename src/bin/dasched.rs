@@ -32,15 +32,16 @@ use dasched::core::oracle::execute_row;
 use dasched::core::plan::analysis as plan_analysis;
 use dasched::core::plan::diff::PlanDiff;
 use dasched::core::synthetic::{FloodBall, RelayChain};
+use dasched::core::verify::{self, VerifyReport};
 use dasched::core::{
-    execute, install_ctrl_c, run_loadgen, run_traced_live, run_worker, verify, BlackBoxAlgorithm,
-    Capacity, DasProblem, ExecOptions, ExecutorConfig, InterleaveScheduler, LoadgenConfig,
-    NetConfig, PrivateScheduler, SchedulePlan, Scheduler, SequentialScheduler, ServeConfig,
+    execute, install_ctrl_c, run_loadgen, run_traced, run_worker, BlackBoxAlgorithm, Capacity,
+    DasProblem, ExecOptions, ExecutorConfig, InterleaveScheduler, LoadgenConfig, NetConfig,
+    PrivateScheduler, ScheduleOutcome, SchedulePlan, Scheduler, SequentialScheduler, ServeConfig,
     TunedUniformScheduler, UniformScheduler, MESSAGE_BYTES,
 };
 use dasched::graph::{generators, Graph, NodeId};
 use dasched::lowerbound::{analysis, search, HardInstance, HardInstanceParams};
-use dasched::obs::{LiveHub, ObsServer};
+use dasched::obs::{LiveHub, ObsConfig, ObsReport, ObsServer};
 use std::collections::HashMap;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -401,17 +402,85 @@ fn describe(problem: &DasProblem<'_>) -> Result<String, String> {
     ))
 }
 
-fn report_one(name: &str, problem: &DasProblem<'_>, s: &dyn Scheduler) -> Result<(), String> {
-    let outcome = s.run(problem).map_err(|e| e.to_string())?;
-    let rep = verify::against_references(problem, &outcome).map_err(|e| e.to_string())?;
-    println!(
-        "{name:<12} schedule {:>6} rounds  precompute {:>6}  late {:>4}  correct {:>5.1}%",
-        outcome.schedule_rounds(),
-        outcome.precompute_rounds,
-        outcome.stats.late_messages,
-        rep.correctness_rate() * 100.0
-    );
+/// Runs `s` fused at its default seed and prints its `compare` table row.
+fn report_one(
+    opts: &HashMap<String, String>,
+    name: &str,
+    problem: &DasProblem<'_>,
+    s: &dyn Scheduler,
+) -> Result<(), String> {
+    let traced = run_traced(problem, s, s.default_sched_seed(), ExecOptions::default())
+        .map_err(|e| e.to_string())?;
+    report_outcome(opts, Some(name), &traced.executed.outcome, &traced.verify)
+}
+
+/// The one execution tail of `run`, `compare`, `mst`, `plan --execute` and
+/// `coordinator`: prints a verified outcome's summary — the `compare` table
+/// row for `label`, or the `executed: …` line without one — and writes
+/// `--dump-outcome`.
+fn report_outcome(
+    opts: &HashMap<String, String>,
+    label: Option<&str>,
+    outcome: &ScheduleOutcome,
+    verify: &VerifyReport,
+) -> Result<(), String> {
+    let (rounds, late) = (outcome.schedule_rounds(), outcome.stats.late_messages);
+    let (pre, correct) = (outcome.precompute_rounds, verify.correctness_rate() * 100.0);
+    match label {
+        Some(name) => println!(
+            "{name:<12} schedule {rounds:>6} rounds  precompute {pre:>6}  late {late:>4}  \
+             correct {correct:>5.1}%"
+        ),
+        None => println!(
+            "executed: schedule {rounds} rounds, precompute {pre}, late {late}, correct {correct:.1}%"
+        ),
+    }
+    if let Some(path) = opts.get("dump-outcome") {
+        std::fs::write(path, format!("{outcome:?}")).map_err(|e| e.to_string())?;
+        println!("wrote outcome debug dump to {path}");
+    }
     Ok(())
+}
+
+/// Binds `--listen` (default `127.0.0.1:0`) and prints `listening on
+/// ADDR` — the launch contract workers, clients and scripts read the bound
+/// address from — before anything blocks.
+fn bind_listener(opts: &HashMap<String, String>) -> Result<std::net::TcpListener, String> {
+    let listen = opts.get("listen").map_or("127.0.0.1:0", String::as_str);
+    let listener =
+        std::net::TcpListener::bind(listen).map_err(|e| format!("bind {listen}: {e}"))?;
+    let addr = listener.local_addr().map_err(|e| e.to_string())?;
+    println!("listening on {addr}");
+    Ok(listener)
+}
+
+/// Binds the live console when `flag` is given: a fresh hub served over
+/// HTTP, announced as `{announce} ADDR` on stdout — the launch contract
+/// scripts read the bound address (port 0 resolved by the OS) from.
+fn bind_console(
+    opts: &HashMap<String, String>,
+    flag: &str,
+    announce: &str,
+) -> Result<(Option<Arc<LiveHub>>, Option<ObsServer>), String> {
+    let Some(addr) = opts.get(flag) else {
+        return Ok((None, None));
+    };
+    let hub = Arc::new(LiveHub::new());
+    let srv = ObsServer::bind(addr, hub.clone()).map_err(|e| format!("bind {addr}: {e}"))?;
+    println!("{announce} {}", srv.local_addr());
+    Ok((Some(hub), Some(srv)))
+}
+
+/// `--keep-open`: keeps a bound console serving after the run, until
+/// Ctrl-C.
+fn keep_open(opts: &HashMap<String, String>, server: Option<&ObsServer>) {
+    if let (Some(srv), true) = (server, opts.contains_key("keep-open")) {
+        eprintln!("run finished; serving on {} until Ctrl-C", srv.local_addr());
+        let stop = install_ctrl_c();
+        while !stop.load(std::sync::atomic::Ordering::SeqCst) {
+            std::thread::sleep(std::time::Duration::from_millis(50));
+        }
+    }
 }
 
 fn cmd_run(opts: &HashMap<String, String>, seed: u64) -> Result<(), String> {
@@ -420,7 +489,7 @@ fn cmd_run(opts: &HashMap<String, String>, seed: u64) -> Result<(), String> {
     let sched = parse_scheduler(req(opts, "scheduler")?)?;
     let problem = DasProblem::new(&g, algos, seed);
     println!("{}", describe(&problem)?);
-    report_one(sched.name(), &problem, sched.as_ref())
+    report_one(opts, sched.name(), &problem, sched.as_ref())
 }
 
 fn cmd_plan(opts: &HashMap<String, String>, seed: u64) -> Result<(), String> {
@@ -573,17 +642,7 @@ fn run_planned(
         fused
     };
     let rep = verify::against_references(problem, &outcome).map_err(|e| e.to_string())?;
-    println!(
-        "executed: schedule {} rounds, precompute {}, late {}, correct {:.1}%",
-        outcome.schedule_rounds(),
-        outcome.precompute_rounds,
-        outcome.stats.late_messages,
-        rep.correctness_rate() * 100.0
-    );
-    if let Some(path) = opts.get("dump-outcome") {
-        std::fs::write(path, format!("{outcome:?}")).map_err(|e| e.to_string())?;
-        println!("wrote outcome debug dump to {path}");
-    }
+    report_outcome(opts, None, &outcome, &rep)?;
     if let Some(path) = opts.get("dump-outputs") {
         let entries: Vec<(u64, Vec<Option<Vec<u8>>>)> = outcome
             .outputs
@@ -634,48 +693,42 @@ fn cmd_trace(opts: &HashMap<String, String>, seed: u64) -> Result<(), String> {
     note_clamped("shards", shards, problem.graph().node_count());
     let top = opt_usize(opts, "top")?.unwrap_or(10);
     let export = opts.get("export").map(String::as_str).unwrap_or("chrome");
-
-    let obs = dasched::obs::ObsConfig::full();
-    if !obs.enabled() {
-        return Err("das-obs was built without the `record` feature".into());
-    }
-    // --serve: share a live hub between the executing threads and an HTTP
-    // server; snapshots publish only at big-round barriers, so the served
-    // run's outcome stays byte-identical to an unserved one.
-    let live = opts.get("serve").map(|_| Arc::new(LiveHub::new()));
-    let server = match (opts.get("serve"), &live) {
-        (Some(addr), Some(hub)) => {
-            let srv =
-                ObsServer::bind(addr, hub.clone()).map_err(|e| format!("bind {addr}: {e}"))?;
-            // launch contract: scripts read the bound address (port 0 is
-            // resolved by the OS) from this exact stdout line
-            println!("listening on {}", srv.local_addr());
-            Some(srv)
-        }
-        _ => None,
-    };
-    let traced = run_traced_live(&problem, sched.as_ref(), sched_seed, shards, &obs, live)
-        .map_err(|e| e.to_string())?;
-    eprintln!(
-        "traced {} on {} shard(s): schedule {} rounds, precompute {}, late {}, correct {:.1}%, {} events",
-        sched.name(),
-        traced.shard_report.as_ref().map_or(1, |r| r.shards),
-        traced.outcome.schedule_rounds(),
-        traced.outcome.precompute_rounds,
-        traced.outcome.stats.late_messages,
-        traced.verify.correctness_rate() * 100.0,
-        traced.report.events.len(),
-    );
-    let body = match export {
-        "chrome" => traced.report.to_chrome_trace(),
-        "jsonl" => traced.report.to_jsonl(),
-        "text" => traced.report.hot_text(top),
+    // a usage error, so it surfaces before any planning work
+    let render: fn(&ObsReport, usize) -> String = match export {
+        "chrome" => |report, _| report.to_chrome_trace(),
+        "jsonl" => |report, _| report.to_jsonl(),
+        "text" => |report, top| report.hot_text(top),
         other => {
             return Err(format!(
                 "unknown export format `{other}` (chrome|jsonl|text)"
             ))
         }
     };
+
+    // --serve: share a live hub between the executing threads and an HTTP
+    // server; snapshots publish only at big-round barriers, so the served
+    // run's outcome stays byte-identical to an unserved one.
+    let (live, server) = bind_console(opts, "serve", "listening on")?;
+    let topology = match shards {
+        1 => ExecOptions::default(),
+        n => ExecOptions::sharded(n),
+    };
+    let config = ExecutorConfig::default().with_live(live);
+    let exec_opts = topology.with_config(config).with_obs(ObsConfig::full());
+    let traced =
+        run_traced(&problem, sched.as_ref(), sched_seed, exec_opts).map_err(|e| e.to_string())?;
+    let outcome = &traced.executed.outcome;
+    eprintln!(
+        "traced {} on {} shard(s): schedule {} rounds, precompute {}, late {}, correct {:.1}%, {} events",
+        sched.name(),
+        traced.executed.shard.shards.max(1),
+        outcome.schedule_rounds(),
+        outcome.precompute_rounds,
+        outcome.stats.late_messages,
+        traced.verify.correctness_rate() * 100.0,
+        traced.report.events.len(),
+    );
+    let body = render(&traced.report, top);
     match opts.get("out") {
         Some(path) => {
             std::fs::write(path, &body).map_err(|e| e.to_string())?;
@@ -684,19 +737,10 @@ fn cmd_trace(opts: &HashMap<String, String>, seed: u64) -> Result<(), String> {
         None => print!("{body}"),
     }
     if let Some(path) = opts.get("dump-outcome") {
-        std::fs::write(path, format!("{:?}", traced.outcome)).map_err(|e| e.to_string())?;
+        std::fs::write(path, format!("{outcome:?}")).map_err(|e| e.to_string())?;
         eprintln!("wrote outcome debug dump to {path}");
     }
-    if let Some(srv) = &server {
-        if opts.contains_key("keep-open") {
-            eprintln!("run finished; serving on {} until Ctrl-C", srv.local_addr());
-            let stop = install_ctrl_c();
-            while !stop.load(std::sync::atomic::Ordering::SeqCst) {
-                std::thread::sleep(std::time::Duration::from_millis(50));
-            }
-        }
-    }
-    drop(server);
+    keep_open(opts, server.as_ref());
     Ok(())
 }
 
@@ -707,7 +751,7 @@ fn cmd_compare(opts: &HashMap<String, String>, seed: u64) -> Result<(), String> 
     println!("{}", describe(&problem)?);
     for name in ["sequential", "interleave", "uniform", "tuned", "private"] {
         let sched = parse_scheduler(name)?;
-        report_one(name, &problem, sched.as_ref())?;
+        report_one(opts, name, &problem, sched.as_ref())?;
     }
     Ok(())
 }
@@ -798,7 +842,7 @@ fn cmd_mst(opts: &HashMap<String, String>, seed: u64) -> Result<(), String> {
         frag.0,
         frag.1
     );
-    report_one("uniform", &problem, &UniformScheduler::default())
+    report_one(opts, "uniform", &problem, &UniformScheduler::default())
 }
 
 /// Builds a [`NetConfig`] from the shared networking flags.
@@ -824,44 +868,22 @@ fn cmd_coordinator(opts: &HashMap<String, String>, seed: u64) -> Result<(), Stri
     let sched = parse_scheduler(req(opts, "scheduler")?)?;
     let sched_seed = opt_u64(opts, "sched-seed")?.unwrap_or_else(|| sched.default_sched_seed());
     let workers = opt_count(opts, "workers")?.ok_or("missing --workers")?;
-    let listen = opts
-        .get("listen")
-        .map(String::as_str)
-        .unwrap_or("127.0.0.1:0");
-    let plan = sched
-        .plan(&problem, sched_seed)
-        .map_err(|e| e.to_string())?;
-    let listener =
-        std::net::TcpListener::bind(listen).map_err(|e| format!("bind {listen}: {e}"))?;
-    let addr = listener.local_addr().map_err(|e| e.to_string())?;
-    // this line is the launch contract: workers (and scripts spawning
-    // them) read the bound address from it, so print it before blocking
-    println!("listening on {addr}");
+    let listener = bind_listener(opts)?;
     println!("{}", describe(&problem)?);
     note_clamped("workers", workers, problem.graph().node_count());
-    // --serve-obs: aggregate the workers' ACTIVITY-piggybacked telemetry
-    // and the coordinator-side link traffic behind a live HTTP endpoint.
-    let obs_hub = match opts.get("serve-obs") {
-        Some(bind) => {
-            let hub = Arc::new(LiveHub::new());
-            hub.set_run_info("networked", workers.min(problem.graph().node_count()));
-            hub.set_phase("execute");
-            let srv =
-                ObsServer::bind(bind, hub.clone()).map_err(|e| format!("bind {bind}: {e}"))?;
-            println!("obs listening on {}", srv.local_addr());
-            Some((hub, srv))
-        }
-        None => None,
-    };
-    let stop = install_ctrl_c();
-    let net = parse_net(opts)?
-        .with_stop(stop.clone())
-        .with_live(obs_hub.as_ref().map(|(h, _)| h.clone()));
+    // --serve-obs: the run's phases, the workers' ACTIVITY-piggybacked
+    // telemetry and the coordinator-side link traffic behind a live HTTP
+    // endpoint.
+    let (live, server) = bind_console(opts, "serve-obs", "obs listening on")?;
+    let net = parse_net(opts)?.with_stop(install_ctrl_c());
+    let config = ExecutorConfig::default().with_live(live);
+    let net_opts = ExecOptions::networked(workers, listener, &net).with_config(config);
+    // the wall spans the whole coordinator pipeline: plan, run, verify
     let t0 = std::time::Instant::now();
-    let net_opts = ExecOptions::networked(workers, listener, &net);
-    let report = execute(&problem, &plan, net_opts).map_err(|e| e.to_string())?;
-    let outcome = report.outcome;
+    let traced =
+        run_traced(&problem, sched.as_ref(), sched_seed, net_opts).map_err(|e| e.to_string())?;
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let report = &traced.executed;
     println!(
         "networked: {} worker(s), {} cross-shard messages, wall {wall_ms:.1} ms",
         report.shard.shards, report.shard.cross_shard_messages
@@ -881,30 +903,8 @@ fn cmd_coordinator(opts: &HashMap<String, String>, seed: u64) -> Result<(), Stri
             t.bytes_received
         );
     }
-    let rep = verify::against_references(&problem, &outcome).map_err(|e| e.to_string())?;
-    println!(
-        "executed: schedule {} rounds, precompute {}, late {}, correct {:.1}%",
-        outcome.schedule_rounds(),
-        outcome.precompute_rounds,
-        outcome.stats.late_messages,
-        rep.correctness_rate() * 100.0
-    );
-    if let Some(path) = opts.get("dump-outcome") {
-        std::fs::write(path, format!("{outcome:?}")).map_err(|e| e.to_string())?;
-        println!("wrote outcome debug dump to {path}");
-    }
-    if let Some((hub, srv)) = &obs_hub {
-        hub.set_phase("done");
-        if opts.contains_key("keep-open") {
-            println!(
-                "run finished; obs serving on {} until Ctrl-C",
-                srv.local_addr()
-            );
-            while !stop.load(std::sync::atomic::Ordering::SeqCst) {
-                std::thread::sleep(std::time::Duration::from_millis(50));
-            }
-        }
-    }
+    report_outcome(opts, None, &report.outcome, &traced.verify)?;
+    keep_open(opts, server.as_ref());
     Ok(())
 }
 
@@ -966,34 +966,13 @@ fn cmd_serve(opts: &HashMap<String, String>, seed: u64) -> Result<(), String> {
         }
         capacity.max_payload_bytes = v;
     }
-    let listen = opts
-        .get("listen")
-        .map(String::as_str)
-        .unwrap_or("127.0.0.1:0");
-    let listener =
-        std::net::TcpListener::bind(listen).map_err(|e| format!("bind {listen}: {e}"))?;
-    let addr = listener.local_addr().map_err(|e| e.to_string())?;
-    // launch contract, same as coordinator/trace: scripts read the bound
-    // address from this exact line before connecting
-    println!("listening on {addr}");
+    let listener = bind_listener(opts)?;
     let pool = opt_count(opts, "pool")?.unwrap_or(2);
     note_clamped("pool", pool, g.node_count());
-    let obs_hub = match opts.get("serve-obs") {
-        Some(bind) => {
-            let hub = Arc::new(LiveHub::new());
-            hub.set_run_info("serve", pool.min(g.node_count()));
-            hub.set_phase("serve");
-            let srv =
-                ObsServer::bind(bind, hub.clone()).map_err(|e| format!("bind {bind}: {e}"))?;
-            println!("obs listening on {}", srv.local_addr());
-            Some((hub, srv))
-        }
-        None => None,
-    };
-    let stop = install_ctrl_c();
-    let net = parse_net(opts)?
-        .with_stop(stop.clone())
-        .with_live(obs_hub.as_ref().map(|(h, _)| h.clone()));
+    let (live, _server) = bind_console(opts, "serve-obs", "obs listening on")?;
+    if let Some(hub) = &live {
+        hub.set_phase("serve");
+    }
     let defaults = ServeConfig::default();
     let cfg = ServeConfig {
         batch_max: opt_count(opts, "batch")?.unwrap_or(defaults.batch_max),
@@ -1001,7 +980,8 @@ fn cmd_serve(opts: &HashMap<String, String>, seed: u64) -> Result<(), String> {
         capacity,
         tape_seed: seed,
         sched_seed,
-        net,
+        net: parse_net(opts)?.with_stop(install_ctrl_c()),
+        live,
     };
     println!(
         "serving {} jobs/batch on {} pool shard(s), capacity: dilation {} congestion {} payload {} B",
@@ -1013,7 +993,7 @@ fn cmd_serve(opts: &HashMap<String, String>, seed: u64) -> Result<(), String> {
     );
     let report =
         dasched::core::serve(&g, sched.as_ref(), listener, &cfg).map_err(|e| e.to_string())?;
-    if let Some((hub, _)) = &obs_hub {
+    if let Some(hub) = &cfg.live {
         hub.set_phase("done");
     }
     println!(
