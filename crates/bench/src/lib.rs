@@ -8,12 +8,13 @@
 //! Seed sweeps fan across threads through [`TrialRunner`] and can be
 //! serialized to `BENCH_<experiment>.json` artifacts.
 //!
-//! Trials follow the staged pipeline ([`run_trial`]): plan with the
-//! trial's `sched_seed`, execute the plan, verify **exactly once**, and
-//! record — including the plan's predicted length, so artifacts track the
-//! plan-vs-reality gap. Because a sweep varies only scheduler randomness,
-//! the problem's reference runs are computed once and shared by every
-//! trial.
+//! A trial ([`run_trial`]) is one [`das_core::pipeline::run`] — the same
+//! plan → execute → verify pipeline the CLI and the serve daemon run: plan
+//! with the trial's `sched_seed`, execute the plan, verify **exactly
+//! once** — plus the record, including the plan's predicted length, so
+//! artifacts track the plan-vs-reality gap. Because a sweep varies only
+//! scheduler randomness, the problem's reference runs are computed once
+//! and shared by every trial.
 
 #![warn(missing_docs)]
 
@@ -27,13 +28,13 @@ pub use runner::{
 };
 pub use table::Table;
 
-use das_core::verify;
+use das_core::pipeline::{self, Failed, PlanFrom, Ran};
+use das_core::verify::{self, VerifyReport};
 use das_core::{
-    doubling, execute, run_worker, DasProblem, DoublingConfig, ExecError, ExecOptions, Executed,
-    NetConfig, SchedError, ScheduleOutcome, SchedulePlan, Scheduler, SweepArtifact,
-    UniformScheduler,
+    doubling, net, DasProblem, DoublingConfig, ExecError, ExecOptions, NetConfig, SchedError,
+    ScheduleOutcome, Scheduler, SweepArtifact, UniformScheduler,
 };
-use das_obs::{ObsConfig, ObsReport};
+use das_obs::{ObsConfig, ObsReport, Stages};
 
 /// Where a trial's plan executes. Every arm yields the byte-identical
 /// [`ScheduleOutcome`]; they differ in wall-clock and in which
@@ -99,9 +100,10 @@ pub struct Trial {
     pub obs: Option<ObsReport>,
 }
 
-/// One full trial through the staged pipeline: plan with `sched_seed`,
-/// execute the plan on `executor`, verify exactly once, and record — with
-/// the plan's predicted length threaded into the record.
+/// One full trial through [`pipeline::run`]: plan with `sched_seed`
+/// (from the sweep's artifact when there is one), execute the plan on
+/// `executor`, verify exactly once, and record — with the plan's predicted
+/// length threaded into the record.
 ///
 /// An execution that hits the engine-round cap is recorded as a
 /// `truncated` (failed) trial instead of crashing the sweep.
@@ -111,80 +113,67 @@ pub struct Trial {
 /// networking failure (which, unlike the round cap, is an environment
 /// problem rather than a schedule property).
 pub fn run_trial(spec: &TrialSpec<'_>) -> Trial {
-    let problem = spec.problem;
-    let plan = match spec.sweep {
-        Some(artifact) => spec
-            .scheduler
-            .plan_swept(problem, artifact, spec.sched_seed),
-        None => spec.scheduler.plan(problem, spec.sched_seed),
-    }
-    .expect("workload is model-valid");
-    let opts = match spec.executor {
-        TrialExecutor::Fused => ExecOptions::default(),
-        TrialExecutor::Sharded(n) => ExecOptions::sharded(n),
-        TrialExecutor::Networked(n) => {
-            let done = execute_on_localhost(problem, &plan, n.max(1));
-            return finish_trial(problem, &plan, spec.sched_seed, done);
-        }
+    let (problem, scheduler, seed) = (spec.problem, spec.scheduler, spec.sched_seed);
+    let from = match spec.sweep {
+        Some(artifact) => PlanFrom::Swept {
+            scheduler,
+            artifact,
+            seed,
+        },
+        None => PlanFrom::Scheduler { scheduler, seed },
     };
-    let result = execute(problem, &plan, opts.with_obs(spec.obs));
-    finish_trial(problem, &plan, spec.sched_seed, result)
-}
-
-/// Executes `plan` as a coordinator on this thread with `workers` worker
-/// threads connecting over an OS-assigned localhost port.
-fn execute_on_localhost(
-    problem: &DasProblem<'_>,
-    plan: &SchedulePlan,
-    workers: usize,
-) -> Result<Executed, SchedError> {
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind localhost");
-    let addr = listener.local_addr().expect("local addr").to_string();
-    let net = NetConfig::default();
-    std::thread::scope(|scope| {
-        // the coordinator clamps to the node count and waits for exactly
-        // that many connections
-        let effective = workers.min(problem.graph().node_count());
-        let handles: Vec<_> = (0..effective)
-            .map(|_| scope.spawn(|| run_worker(problem, &addr, &net)))
-            .collect();
-        let opts = ExecOptions::networked(workers, listener, &net);
-        let result = execute(problem, plan, opts);
-        for h in handles {
+    // networked workers carry no probe
+    let obs = match spec.executor {
+        TrialExecutor::Networked(_) => ObsConfig::off(),
+        _ => spec.obs,
+    };
+    let run = |opts: ExecOptions<'_>| {
+        pipeline::run(problem, from, opts.with_obs(obs), &mut Stages::default())
+    };
+    let result = match spec.executor {
+        TrialExecutor::Fused => run(ExecOptions::default()),
+        TrialExecutor::Sharded(n) => run(ExecOptions::sharded(n)),
+        TrialExecutor::Networked(n) => {
             // on a cap error both sides return the same typed error; only
             // the coordinator's copy feeds the record
-            let _ = h.join().expect("worker thread");
+            let net = NetConfig::default();
+            net::on_localhost(problem, n.max(1), &net, run)
+                .expect("bind localhost")
+                .0
         }
-        result
-    })
+    };
+    finish_trial(seed, obs.enabled(), result)
 }
 
-/// Turns an execution result into the trial: verify-and-record on success,
-/// with the shard and traffic summaries of the topologies that produce
-/// them, or a `truncated` failure record when the engine-round cap was hit.
-/// Split out so the cap path is unit-testable without building a diverging
-/// schedule.
-fn finish_trial(
-    problem: &DasProblem<'_>,
-    plan: &SchedulePlan,
-    sched_seed: u64,
-    result: Result<Executed, SchedError>,
-) -> Trial {
+/// Turns a pipeline result into the trial: the record on success, with
+/// the shard and traffic summaries of the topologies that produce them and
+/// the recording when `recorded`, or a `truncated` failure record when the
+/// engine-round cap was hit. Split out so the cap path is unit-testable
+/// without building a diverging schedule.
+fn finish_trial(sched_seed: u64, recorded: bool, result: Result<Ran, Failed>) -> Trial {
     match result {
-        Ok(done) => {
-            let mut record = record_trial(problem, sched_seed, &done.outcome);
-            record.predicted = Some(plan.predicted_rounds);
-            // a fused run has no shards, only a networked one has links
-            record.shard = (done.shard.shards > 0).then(|| ShardSummary::of(&done.shard));
-            record.net = (!done.traffic.is_empty()).then(|| NetSummary::of(&done.traffic));
-            record.obs = done.obs.as_ref().map(|r| r.summary());
+        Ok(ran) => {
+            let outcome = ran.executed.outcome;
+            let record = TrialRecord {
+                predicted: Some(ran.plan.predicted_rounds),
+                // a fused run has no shards, only a networked one has links
+                shard: (ran.executed.shard.shards > 0)
+                    .then(|| ShardSummary::of(&ran.executed.shard)),
+                net: (!ran.executed.traffic.is_empty())
+                    .then(|| NetSummary::of(&ran.executed.traffic)),
+                obs: recorded.then(|| ran.report.summary()),
+                ..outcome_record(sched_seed, &outcome, &ran.verify)
+            };
             Trial {
                 record,
-                outcome: Some(done.outcome),
-                obs: done.obs,
+                outcome: Some(outcome),
+                obs: recorded.then_some(ran.report),
             }
         }
-        Err(SchedError::Exec(ExecError::RoundCapExceeded { cap, .. })) => Trial {
+        Err(Failed {
+            error: SchedError::Exec(ExecError::RoundCapExceeded { cap, .. }),
+            plan: Some(plan),
+        }) => Trial {
             record: TrialRecord {
                 seed: sched_seed,
                 schedule: cap,
@@ -201,21 +190,19 @@ fn finish_trial(
             outcome: None,
             obs: None,
         },
-        Err(e) => panic!("trial failed to execute: {e}"),
+        Err(failed) => panic!("trial failed to execute: {failed}"),
     }
 }
 
-/// Verifies `outcome` against the problem's (cached) reference runs —
-/// the one verification of a trial — and records its outcome fields.
-fn record_trial(problem: &DasProblem<'_>, seed: u64, outcome: &ScheduleOutcome) -> TrialRecord {
-    let report = verify::against_references(problem, outcome).expect("references computable");
+/// The record of a verified outcome.
+fn outcome_record(seed: u64, outcome: &ScheduleOutcome, verify: &VerifyReport) -> TrialRecord {
     TrialRecord {
         seed,
         schedule: outcome.schedule_rounds(),
         predicted: None,
         precompute: outcome.precompute_rounds,
         late: outcome.stats.late_messages,
-        correctness: report.correctness_rate(),
+        correctness: verify.correctness_rate(),
         truncated: false,
         shard: None,
         obs: None,
@@ -243,9 +230,12 @@ pub fn run_trial_doubling(
     let (result, _) =
         doubling::uniform_with_doubling_configured(problem, &sched, &ObsConfig::off(), cfg)
             .expect("workload is model-valid");
-    let mut rec = record_trial(problem, sched_seed, &result.outcome);
-    rec.doubling = Some(DoublingSummary::of(&result));
-    rec
+    let verify =
+        verify::against_references(problem, &result.outcome).expect("references computable");
+    TrialRecord {
+        doubling: Some(DoublingSummary::of(&result)),
+        ..outcome_record(sched_seed, &result.outcome, &verify)
+    }
 }
 
 /// Success rate of a scheduler over repeated trials: the empirical version
@@ -417,13 +407,15 @@ mod tests {
         let p = workloads::stacked_relays(&g, 3, 1);
         let plan = SequentialScheduler.plan(&p, 0).unwrap();
         let trial = finish_trial(
-            &p,
-            &plan,
             5,
-            Err(SchedError::Exec(ExecError::RoundCapExceeded {
-                cap: 4,
-                big_round: 4,
-            })),
+            true,
+            Err(Failed {
+                error: SchedError::Exec(ExecError::RoundCapExceeded {
+                    cap: 4,
+                    big_round: 4,
+                }),
+                plan: Some(plan),
+            }),
         );
         assert!(trial.outcome.is_none() && trial.obs.is_none());
         let rec = trial.record;

@@ -10,8 +10,10 @@
 //! `dilation = max_i rounds(A_i)` and
 //! `congestion = max_e Σ_i (messages of A_i over e)`, produce an execution
 //! in which every node outputs, for every algorithm, exactly what it would
-//! output if that algorithm ran alone. Trivially `max(congestion,
-//! dilation)` rounds are necessary.
+//! output if that algorithm ran alone. Trivially `max(max arc load,
+//! dilation)` rounds are necessary, the max arc load being the heaviest
+//! edge *direction*'s total — at least half of `congestion`
+//! ([`das_pattern::DasParameters::trivial_lower_bound`]).
 //!
 //! ## The schedulers
 //!
@@ -35,7 +37,10 @@
 //! to a serializable [`SchedulePlan`]; the shared [`execute`] realizes
 //! any plan on the engine — fused, sharded or networked, as its
 //! [`ExecOptions`] say; [`verify::against_references`] checks the
-//! outcome. [`Scheduler::run`] fuses the first two for convenience. The
+//! outcome. [`pipeline::run`] is the three together, timed stage by stage
+//! and observed — what every entry point (the CLI, the bench harness, the
+//! serve daemon) runs. [`Scheduler::run`] fuses the first two for
+//! convenience. The
 //! problem's `tape_seed` fixes only the algorithms' random tapes (and so
 //! the reference runs), while scheduler randomness comes from the per-plan
 //! `sched_seed` — a trial sweep varying only scheduler randomness reuses
@@ -72,8 +77,8 @@ pub mod bellagio;
 pub mod doubling;
 pub mod net;
 pub mod newman;
-pub mod obs;
 pub mod oracle;
+pub mod pipeline;
 pub mod plan;
 pub mod schedulers;
 pub mod serve;
@@ -92,7 +97,6 @@ pub use exec::{
     ExecError, ExecStats, ExecutorConfig, ShardReport, ShardStats, Unit, MESSAGE_BYTES,
 };
 pub use net::{install_ctrl_c, plan_hash, run_worker, NetConfig, WorkerOutcome};
-pub use obs::{run_traced, TracedRun};
 pub use plan::cache::{PlanArtifact, SweepArtifact};
 pub use plan::{execute, ExecOptions, Executed, PlanError, SchedError, SchedulePlan, Topology};
 pub use problem::DasProblem;

@@ -50,7 +50,7 @@ use crate::exec::{
     big_round_loop, merge_shards, Exchange, ExecError, ExecStats, ExecutorConfig, ShardCtx,
     ShardReport, ShardStats, StepExtent,
 };
-use crate::plan::{SchedError, SchedulePlan};
+use crate::plan::{ExecOptions, SchedError, SchedulePlan};
 use crate::problem::DasProblem;
 use crate::schedule::ScheduleOutcome;
 use crate::shard::Partition;
@@ -646,6 +646,41 @@ impl Exchange for Wire<'_> {
         let error = RoundCap { cap, big_round: b }.encode();
         let _ = self.conn.send(wire::ERROR, &error, "reporting round cap");
     }
+}
+
+// ---------------------------------------------------------------- localhost
+
+/// Runs `coordinate` as the coordinator on this thread, handed networked
+/// options for `workers` workers on an OS-assigned localhost port, with
+/// that many honest [`run_worker`] threads (clamped to the node count, as
+/// the coordinator clamps) sharing the in-memory problem — exactly as
+/// separate processes would rebuild it from identical flags. Returns the
+/// coordinator's result and every worker's, in spawn order.
+///
+/// # Errors
+/// Only the localhost bind; the run's own failures are in the results.
+pub fn on_localhost<T>(
+    problem: &DasProblem<'_>,
+    workers: usize,
+    net: &NetConfig,
+    coordinate: impl FnOnce(ExecOptions<'_>) -> T,
+) -> std::io::Result<(T, Vec<Result<WorkerOutcome, SchedError>>)> {
+    let listener = TcpListener::bind("127.0.0.1:0")?;
+    let addr = listener.local_addr()?.to_string();
+    Ok(std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers.min(problem.graph().node_count()))
+            .map(|_| scope.spawn(|| run_worker(problem, &addr, net)))
+            .collect();
+        let result = coordinate(ExecOptions::networked(workers, listener, net));
+        let joined = handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect();
+        (result, joined)
+    }))
 }
 
 #[cfg(test)]

@@ -51,18 +51,18 @@
 
 use crate::exec::{panic_message, ExecError};
 use crate::net::{connect_with_retry, NetConfig};
-use crate::plan::{execute, ExecOptions, SchedError, Topology};
+use crate::pipeline::{self, PlanFrom, Ran};
+use crate::plan::{ExecOptions, SchedError, Topology};
 use crate::problem::DasProblem;
 use crate::reference::run_alone;
 use crate::schedulers::Scheduler;
 use crate::synthetic::{FloodBall, RelayChain};
-use crate::verify;
 use crate::wire::{
     self, accept_until, graph_fingerprint, Accepted, Caps, FramedConn, Greeting, JobResult,
     Rejected, Submit, PROTOCOL_VERSION,
 };
 use das_graph::{Graph, NodeId};
-use das_obs::{BatchStages, JobsLive, LiveHub};
+use das_obs::{micros, JobsLive, LiveHub, Stages};
 use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::net::{TcpListener, TcpStream};
@@ -305,30 +305,18 @@ struct Counters {
     completed: AtomicU64,
     failed: AtomicU64,
     batches: AtomicU64,
-    log: Mutex<BatchLog>,
-}
-
-/// What `GET /jobs` shows beyond the counts.
-#[derive(Default)]
-struct BatchLog {
-    /// Display form of the error behind the most recent failed batch.
-    last_error: String,
-    /// Jobs in the most recent batch.
-    last_k: u64,
-    /// The most recent batch's stages.
-    last: BatchStages,
-    /// Per-stage sums over every batch.
-    totals: BatchStages,
+    /// The batch log `GET /jobs` shows beyond the counts (its count
+    /// fields stay 0: the atomics above are the truth).
+    log: Mutex<JobsLive>,
 }
 
 impl Counters {
-    fn log(&self) -> MutexGuard<'_, BatchLog> {
+    fn log(&self) -> MutexGuard<'_, JobsLive> {
         self.log.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     fn publish(&self, live: Option<&LiveHub>) {
         if let Some(hub) = live {
-            let log = self.log();
             hub.publish_jobs(JobsLive {
                 queued: self.queued.load(Ordering::SeqCst),
                 admitted: self.admitted.load(Ordering::SeqCst),
@@ -336,10 +324,7 @@ impl Counters {
                 completed: self.completed.load(Ordering::SeqCst),
                 failed: self.failed.load(Ordering::SeqCst),
                 batches: self.batches.load(Ordering::SeqCst),
-                last_error: log.last_error.clone(),
-                last_batch_k: log.last_k,
-                last_batch: log.last,
-                stage_totals: log.totals,
+                ..self.log().clone()
             });
         }
     }
@@ -601,78 +586,77 @@ fn execute_batch(
     batch: Vec<PendingJob>,
     counters: &Counters,
 ) {
-    let dispatched = Instant::now();
-    let mut stages = BatchStages {
-        queue_wait_us: micros(dispatched - batch[0].admitted),
-        ..BatchStages::default()
+    let mut stages = Stages {
+        queue_wait_us: micros(batch[0].admitted.elapsed()),
+        ..Stages::default()
     };
     // a panic (a job the admission check let through, a black-box machine
     // that asserts) fails this batch only; the executor keeps serving
     let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        run_pipeline(g, scheduler, cfg, &batch, dispatched, &mut stages)
+        run_pipeline(g, scheduler, cfg, &batch, &mut stages)
     }))
     .unwrap_or_else(|panic| {
         Err(SchedError::Exec(ExecError::Aborted {
             detail: format!("batch pipeline panicked: {}", panic_message(&*panic)),
         }))
     });
-    let answering = Instant::now();
-    answer_batch(&batch, run, counters);
-    stages.answer_us = micros(answering.elapsed());
+    Stages::time(&mut stages.answer_us, || {
+        answer_batch(&batch, run, counters)
+    });
     let mut log = counters.log();
-    log.last_k = batch.len() as u64;
-    log.last = stages;
-    log.totals.accumulate(&stages);
+    log.last_batch_k = batch.len() as u64;
+    log.last_batch = stages;
+    log.stage_totals.accumulate(&stages);
 }
 
-fn micros(d: Duration) -> u64 {
-    d.as_micros() as u64
-}
-
-/// Builds the batch's [`DasProblem`], plans it (a batch is a problem of
-/// its own, so no planning stage of an earlier batch applies to it),
-/// executes on the sharded pool, verifies against references and
-/// cross-checks measured budgets: one RESULT per job, in batch order.
-/// Each stage's wall time lands in `stages`, the first one counted from
-/// `started`.
-fn run_pipeline(
-    g: &Graph,
+/// Builds the batch's [`DasProblem`] and runs it through
+/// [`pipeline::run`]: planned from scratch (a batch is a problem of its
+/// own, so no planning stage of an earlier batch applies to it), executed
+/// on the sharded pool, verified. Each stage's wall time lands in
+/// `stages`.
+fn run_pipeline<'g>(
+    g: &'g Graph,
     scheduler: &dyn Scheduler,
     cfg: &ServeConfig,
     batch: &[PendingJob],
-    started: Instant,
-    stages: &mut BatchStages,
-) -> Result<Vec<JobResult<'static>>, SchedError> {
-    let mut lap = started;
-    let mut split = || {
-        let now = Instant::now();
-        let us = micros(now - lap);
-        lap = now;
-        us
+    stages: &mut Stages,
+) -> Result<(DasProblem<'g>, Ran), SchedError> {
+    let problem = Stages::time(&mut stages.instantiate_us, || {
+        let algos = batch.iter().map(|j| instantiate(&j.spec, g)).collect();
+        DasProblem::new(g, algos, cfg.tape_seed)
+    });
+    let from = PlanFrom::Scheduler {
+        scheduler,
+        seed: cfg.sched_seed,
     };
-    let algos = batch.iter().map(|j| instantiate(&j.spec, g)).collect();
-    let problem = DasProblem::new(g, algos, cfg.tape_seed);
-    stages.instantiate_us = split();
-    let refs = problem.references()?;
-    stages.references_us = split();
-    let plan = scheduler.plan(&problem, cfg.sched_seed)?;
-    stages.plan_us = split();
-    let outcome = execute(&problem, &plan, ExecOptions::sharded(cfg.pool_shards))?.outcome;
-    stages.execute_us = split();
-    let report = verify::against_references(&problem, &outcome)?;
+    let opts = ExecOptions::sharded(cfg.pool_shards);
+    let ran = pipeline::run(&problem, from, opts, stages).map_err(|failed| failed.error)?;
+    Ok((problem, ran))
+}
+
+/// One RESULT per job of a batch that ran, in batch order, with the
+/// budgets cross-checked: each job's dilation and congestion are measured
+/// from its own reference run — the declaration was only trusted for
+/// admission.
+fn job_results(
+    batch: &[PendingJob],
+    problem: &DasProblem<'_>,
+    ran: Ran,
+) -> Vec<JobResult<'static>> {
+    // the pipeline computed (and cached) the references before planning
+    let refs = problem.references().expect("the pipeline ran on them");
     let k = batch.len() as u32;
-    let stats = outcome.stats;
-    let results = (batch.iter().zip(outcome.outputs).enumerate())
+    let stats = ran.executed.outcome.stats;
+    let outputs = ran.executed.outcome.outputs.into_iter();
+    (batch.iter().zip(outputs).enumerate())
         .map(|(i, (job, outputs))| {
-            // measured budgets from the job's own reference run: the
-            // declaration was only trusted for admission
             let measured_dilation = problem.algorithms()[i].rounds();
             let measured_congestion = refs[i].pattern.edge_loads().into_iter().max().unwrap_or(0);
             let lied = measured_dilation > job.spec.declared.dilation
                 || measured_congestion > job.spec.declared.congestion;
             let status = if lied {
                 JobStatus::BudgetMismatch
-            } else if report.mismatches[i] > 0 {
+            } else if ran.verify.mismatches[i] > 0 {
                 JobStatus::VerifyFailed
             } else {
                 JobStatus::Ok
@@ -689,9 +673,7 @@ fn run_pipeline(
                 outputs: Cow::Owned(outputs),
             }
         })
-        .collect();
-    stages.verify_us = split();
-    Ok(results)
+        .collect()
 }
 
 /// Answers every job of a batch from its pipeline's result: the per-job
@@ -699,29 +681,32 @@ fn run_pipeline(
 /// the reason logged and kept for `GET /jobs`) when it did not.
 fn answer_batch(
     batch: &[PendingJob],
-    run: Result<Vec<JobResult<'static>>, SchedError>,
+    run: Result<(DasProblem<'_>, Ran), SchedError>,
     counters: &Counters,
 ) {
-    let results = run.unwrap_or_else(|e| {
-        // the whole batch failed to plan or execute: typed ExecFailed per
-        // job, and the daemon keeps serving
-        eprintln!("serve: batch of {} job(s) failed: {e}", batch.len());
-        counters.log().last_error = e.to_string();
-        batch
-            .iter()
-            .map(|job| JobResult {
-                job_id: job.spec.job_id,
-                status: JobStatus::ExecFailed,
-                schedule_rounds: 0,
-                batch_k: batch.len() as u32,
-                delivered: 0,
-                late: 0,
-                measured_dilation: 0,
-                measured_congestion: 0,
-                outputs: Cow::Borrowed(&[]),
-            })
-            .collect()
-    });
+    let results = match run {
+        Ok((problem, ran)) => job_results(batch, &problem, ran),
+        Err(e) => {
+            // the whole batch failed to plan or execute: typed ExecFailed
+            // per job, and the daemon keeps serving
+            eprintln!("serve: batch of {} job(s) failed: {e}", batch.len());
+            counters.log().last_error = e.to_string();
+            batch
+                .iter()
+                .map(|job| JobResult {
+                    job_id: job.spec.job_id,
+                    status: JobStatus::ExecFailed,
+                    schedule_rounds: 0,
+                    batch_k: batch.len() as u32,
+                    delivered: 0,
+                    late: 0,
+                    measured_dilation: 0,
+                    measured_congestion: 0,
+                    outputs: Cow::Borrowed(&[]),
+                })
+                .collect()
+        }
+    };
     for (job, result) in batch.iter().zip(&results) {
         let _ = lock_writer(&job.writer).send(wire::RESULT, &result.encode(), "serve (RESULT)");
         let tally = match result.status {
@@ -1191,39 +1176,68 @@ mod tests {
         }
     }
 
-    /// A panic inside the pipeline is fenced to its batch: every job is
-    /// answered `ExecFailed`, the panic's message is kept for `GET /jobs`,
-    /// the stages that ran are logged, and the caller carries on.
+    /// Plans no executor accepts (a zero phase length).
+    struct ZeroPhaseScheduler;
+
+    impl Scheduler for ZeroPhaseScheduler {
+        fn name(&self) -> &'static str {
+            "zero-phase"
+        }
+
+        fn plan(
+            &self,
+            p: &DasProblem<'_>,
+            seed: u64,
+        ) -> Result<crate::SchedulePlan, crate::ReferenceError> {
+            let mut plan = crate::UniformScheduler::default().plan(p, seed)?;
+            plan.phase_len = 0;
+            Ok(plan)
+        }
+    }
+
+    /// A panic inside the pipeline, or a typed execution failure, is
+    /// fenced to its batch: every job is answered `ExecFailed`, the reason
+    /// is kept for `GET /jobs`, every stage that ran is logged and none
+    /// that did not, and the caller carries on.
     #[test]
     fn a_panicking_pipeline_fails_its_batch_only() {
         let g = das_graph::generators::path(6);
-        let (mut client, batch) = pending_batch(&[21, 22]);
-        let counters = Counters::default();
-        let cfg = ServeConfig::default();
-        execute_batch(&g, &PanickingScheduler, &cfg, batch, &counters);
-        for job_id in [21, 22] {
-            let body = client.expect(wire::RESULT, "test RESULT").expect("RESULT");
-            let result = JobResult::decode(&body).expect("RESULT body");
-            assert_eq!(
-                (result.job_id, result.status),
-                (job_id, JobStatus::ExecFailed)
-            );
+        let cases: [(&dyn Scheduler, &str, usize); 2] = [
+            // the plan stage never finished: it and every later one read 0
+            (
+                &PanickingScheduler,
+                "batch pipeline panicked: planner bug",
+                0,
+            ),
+            // planning and the (failed) execution ran, verify did not
+            (&ZeroPhaseScheduler, "invalid plan", 2),
+        ];
+        for (scheduler, error, ran_after_references) in cases {
+            let (mut client, batch) = pending_batch(&[21, 22]);
+            let counters = Counters::default();
+            execute_batch(&g, scheduler, &ServeConfig::default(), batch, &counters);
+            for job_id in [21, 22] {
+                let body = client.expect(wire::RESULT, "test RESULT").expect("RESULT");
+                let result = JobResult::decode(&body).expect("RESULT body");
+                assert_eq!(
+                    (result.job_id, result.status),
+                    (job_id, JobStatus::ExecFailed)
+                );
+            }
+            assert_eq!(counters.failed.load(Ordering::SeqCst), 2);
+            let log = counters.log();
+            assert!(log.last_error.contains(error), "{}", log.last_error);
+            assert_eq!(log.last_batch_k, 2);
+            assert_eq!(log.stage_totals, log.last_batch);
+            let s = log.last_batch;
+            assert!(s.instantiate_us > 0 && s.references_us > 0 && s.answer_us > 0);
+            for (i, us) in [s.plan_us, s.execute_us, s.verify_us]
+                .into_iter()
+                .enumerate()
+            {
+                assert_eq!(us > 0, i < ran_after_references, "{error}: {s:?}");
+            }
         }
-        assert_eq!(counters.failed.load(Ordering::SeqCst), 2);
-        let log = counters.log();
-        assert!(
-            log.last_error
-                .contains("batch pipeline panicked: planner bug"),
-            "{}",
-            log.last_error
-        );
-        assert_eq!(log.last_k, 2);
-        assert_eq!(log.totals, log.last);
-        // the plan stage never finished, so it and every later one read 0
-        assert_eq!(
-            (log.last.plan_us, log.last.execute_us, log.last.verify_us),
-            (0, 0, 0)
-        );
     }
 
     /// A connected client plus one pending job per id writing to it.

@@ -10,13 +10,15 @@
 //! per-worker telemetry (ACTIVITY-piggybacked totals and
 //! coordinator-side link traffic) lands on the HTTP endpoints.
 
+use das_core::net::on_localhost;
+use das_core::pipeline::{self, PlanFrom};
 use das_core::synthetic::RelayChain;
 use das_core::{
-    execute, run_traced, run_worker, BlackBoxAlgorithm, DasProblem, ExecOptions, ExecutorConfig,
-    NetConfig, Scheduler, UniformScheduler,
+    execute, BlackBoxAlgorithm, DasProblem, ExecOptions, ExecutorConfig, NetConfig, Scheduler,
+    UniformScheduler,
 };
 use das_graph::generators;
-use das_obs::{LiveHub, ObsConfig, ObsServer};
+use das_obs::{LiveHub, ObsConfig, ObsServer, Stages};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -46,9 +48,13 @@ fn http_get(addr: SocketAddr, path: &str) -> String {
 fn rogue_http_clients_cannot_wedge_or_perturb_a_live_run() {
     let g = generators::path(40);
     let p = build_problem(&g);
-    let sched = UniformScheduler::default();
+    let from = PlanFrom::Scheduler {
+        scheduler: &UniformScheduler::default(),
+        seed: 13,
+    };
     let sharded = || ExecOptions::sharded(3).with_obs(ObsConfig::full());
-    let baseline = run_traced(&p, &sched, 13, sharded()).expect("unserved run");
+    let traced = |opts| pipeline::run(&p, from, opts, &mut Stages::default());
+    let baseline = traced(sharded()).expect("unserved run");
 
     let hub = Arc::new(LiveHub::new());
     let server = ObsServer::bind("127.0.0.1:0", hub.clone()).expect("bind");
@@ -86,7 +92,7 @@ fn rogue_http_clients_cannot_wedge_or_perturb_a_live_run() {
 
     // The live run proceeds under fire.
     let config = ExecutorConfig::default().with_live(Some(hub));
-    let served = run_traced(&p, &sched, 13, sharded().with_config(config)).expect("served run");
+    let served = traced(sharded().with_config(config)).expect("served run");
     assert_eq!(
         format!("{:?}", baseline.executed.outcome),
         format!("{:?}", served.executed.outcome),
@@ -120,24 +126,15 @@ fn networked_coordinator_exposes_per_worker_telemetry() {
 
     let hub = Arc::new(LiveHub::new());
     let server = ObsServer::bind("127.0.0.1:0", hub.clone()).expect("bind obs");
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind coord");
-    let coord_addr = listener.local_addr().expect("addr");
-    let workers: Vec<_> = (0..3)
-        .map(|_| {
-            std::thread::spawn(move || {
-                let g = generators::path(40);
-                let p = build_problem(&g);
-                run_worker(&p, &coord_addr.to_string(), &NetConfig::default()).expect("worker")
-            })
-        })
-        .collect();
-    let net = NetConfig::default();
     let config = ExecutorConfig::default().with_live(Some(hub.clone()));
-    let opts = ExecOptions::networked(3, listener, &net).with_config(config);
-    let report = execute(&p, &plan, opts).expect("networked run");
+    let (report, workers) = on_localhost(&p, 3, &NetConfig::default(), |opts| {
+        execute(&p, &plan, opts.with_config(config))
+    })
+    .expect("bind coord");
     for w in workers {
-        w.join().expect("worker thread");
+        w.expect("worker");
     }
+    let report = report.expect("networked run");
     assert_eq!(baseline, format!("{:?}", report.outcome));
 
     let status = http_get(server.local_addr(), "/status"); // what ran: 3 wire workers

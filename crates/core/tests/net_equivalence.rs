@@ -10,18 +10,19 @@
 //! The conformance table at the bottom drives one plan through every
 //! exchange of the production loop — `Local`, `InProcess` × {1, 2, 3, 7}
 //! shards, `Wire` × {1, 3} workers — against the row oracle, and the
-//! observed pipeline (`run_traced`) through the wire.
+//! observed pipeline (`das_core::pipeline::run`) through the wire.
 
+use das_core::net::on_localhost;
 use das_core::oracle::execute_row;
+use das_core::pipeline::{self, PlanFrom};
 use das_core::synthetic::{FloodBall, Prescribed, RelayChain};
 use das_core::{
-    execute, run_traced, run_worker, verify, BlackBoxAlgorithm, DasProblem, ExecError, ExecOptions,
-    Executed, ExecutorConfig, InterleaveScheduler, NetConfig, PrivateScheduler, SchedError,
-    ScheduleOutcome, SchedulePlan, Scheduler, SequentialScheduler, TunedUniformScheduler,
-    UniformScheduler, Unit, WorkerOutcome,
+    execute, verify, BlackBoxAlgorithm, DasProblem, ExecError, ExecOptions, Executed,
+    ExecutorConfig, InterleaveScheduler, NetConfig, PrivateScheduler, SchedError, ScheduleOutcome,
+    SchedulePlan, Scheduler, SequentialScheduler, TunedUniformScheduler, UniformScheduler, Unit,
 };
 use das_graph::{generators, Graph, NodeId};
-use das_obs::ObsConfig;
+use das_obs::{ObsConfig, Stages};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::net::TcpListener;
@@ -72,39 +73,16 @@ fn all_schedulers() -> Vec<Box<dyn Scheduler>> {
     ]
 }
 
-/// Runs `coordinate` over localhost TCP: a coordinator thread (this one)
-/// handed the networked options, plus `workers` worker threads sharing the
-/// same in-memory problem, exactly as separate processes would rebuild it
-/// from identical flags. Returns the coordinator's result and every
-/// worker's.
-fn on_the_wire<T>(
-    p: &DasProblem<'_>,
-    workers: usize,
-    coordinate: impl FnOnce(ExecOptions<'_>) -> T,
-) -> (T, Vec<Result<WorkerOutcome, SchedError>>) {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind localhost");
-    let addr = listener.local_addr().expect("local addr").to_string();
-    let net = NetConfig::default().with_io_timeout_ms(20_000);
-    std::thread::scope(|scope| {
-        let effective = workers.min(p.graph().node_count());
-        let mut handles = Vec::new();
-        for _ in 0..effective {
-            let addr = addr.clone();
-            let net = net.clone();
-            handles.push(scope.spawn(move || run_worker(p, &addr, &net)));
-        }
-        let result = coordinate(ExecOptions::networked(workers, listener, &net));
-        let joined = handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread"))
-            .collect();
-        (result, joined)
-    })
+/// Connection settings of every localhost run here: generous deadlines
+/// for a loaded test machine.
+fn net() -> NetConfig {
+    NetConfig::default().with_io_timeout_ms(20_000)
 }
 
 /// Executes `plan` over the wire; both sides must succeed.
 fn run_networked(p: &DasProblem<'_>, plan: &SchedulePlan, workers: usize) -> Executed {
-    let (result, joined) = on_the_wire(p, workers, |opts| execute(p, plan, opts));
+    let (result, joined) =
+        on_localhost(p, workers, &net(), |opts| execute(p, plan, opts)).expect("bind localhost");
     for w in joined {
         w.expect("worker outcome");
     }
@@ -238,9 +216,10 @@ fn execute_via(
         Via::InProcess(shards) => ExecOptions::sharded(shards),
         Via::Wire(workers) => {
             let config = config.clone();
-            let (result, joined) = on_the_wire(p, workers, |opts| {
+            let (result, joined) = on_localhost(p, workers, &net(), |opts| {
                 execute(p, plan, opts.with_config(config))
-            });
+            })
+            .expect("bind localhost");
             if let Err(e) = &result {
                 for w in joined {
                     assert_eq!(w.as_ref().unwrap_err(), e, "{via:?}: worker vs coordinator");
@@ -279,9 +258,14 @@ fn every_exchange_reproduces_the_row_oracle() {
                 // workers carry no probe, but the observed pipeline runs on
                 // the wire all the same, to the oracle's verdict
                 Via::Wire(workers) => {
-                    let (traced, joined) = on_the_wire(&p, workers, |opts| {
-                        run_traced(&p, sched.as_ref(), 99, opts.with_obs(obs))
-                    });
+                    let from = PlanFrom::Scheduler {
+                        scheduler: sched.as_ref(),
+                        seed: 99,
+                    };
+                    let (traced, joined) = on_localhost(&p, workers, &net(), |opts| {
+                        pipeline::run(&p, from, opts.with_obs(obs), &mut Stages::default())
+                    })
+                    .expect("bind localhost");
                     assert!(joined.iter().all(Result::is_ok), "{joined:?}");
                     let traced = traced.expect("traced over the wire");
                     assert_eq!(oracle_bytes, format!("{:?}", traced.executed.outcome));

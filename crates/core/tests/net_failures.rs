@@ -4,10 +4,11 @@
 //! the error variant and that wall-clock stayed well under a generous
 //! multiple of that deadline.
 
+use das_core::net::on_localhost;
 use das_core::synthetic::Prescribed;
 use das_core::{
     execute, problem_fingerprint, run_worker, wire, BlackBoxAlgorithm, DasProblem, ExecError,
-    ExecOptions, NetConfig, SchedError, SchedulePlan, Scheduler, SequentialScheduler,
+    ExecOptions, NetConfig, SchedError, SchedulePlan, Scheduler, SequentialScheduler, Topology,
     PROTOCOL_VERSION,
 };
 use das_graph::{generators, Graph};
@@ -238,25 +239,22 @@ fn late_join_after_assignment_is_rejected_typed() {
     let g = small_graph();
     let p = build_problem(&g);
     let plan = SequentialScheduler.plan(&p, 7).expect("plan");
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr").to_string();
     let net = NetConfig::default().with_io_timeout_ms(5_000);
     let started = Instant::now();
-    let results: Vec<Result<_, SchedError>> = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..2)
-            .map(|_| {
-                let addr = addr.clone();
-                let net = net.clone();
-                let p = &p;
-                scope.spawn(move || run_worker(p, &addr, &net))
-            })
-            .collect();
-        execute(&p, &plan, ExecOptions::networked(1, listener, &net)).expect("one-worker run");
-        workers
-            .into_iter()
-            .map(|h| h.join().expect("worker thread"))
-            .collect()
-    });
+    // one honest worker for the one slot, plus a straggler racing it
+    let (straggler, mut results) = on_localhost(&p, 1, &net, |opts| {
+        let Topology::Networked { listener, .. } = &opts.topology else {
+            unreachable!("on_localhost hands out networked options")
+        };
+        let addr = listener.local_addr().expect("addr").to_string();
+        std::thread::scope(|scope| {
+            let straggler = scope.spawn(|| run_worker(&p, &addr, &net));
+            execute(&p, &plan, opts).expect("one-worker run");
+            straggler.join().expect("worker thread")
+        })
+    })
+    .expect("bind");
+    results.push(straggler);
     let won = results.iter().filter(|r| r.is_ok()).count();
     assert_eq!(won, 1, "exactly one worker may win the slot: {results:?}");
     let loser = results
@@ -371,18 +369,12 @@ fn oversized_assign_is_refused_by_the_sender_with_the_cause() {
     let g = small_graph();
     let p = build_problem(&g);
     let plan = SequentialScheduler.plan(&p, 7).expect("plan");
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr").to_string();
     let mut net = NetConfig::default().with_io_timeout_ms(2_000);
     net.max_frame_bytes = 64; // JOIN fits, the plan slice does not
     let started = Instant::now();
-    let err = std::thread::scope(|scope| {
-        let worker = scope.spawn(|| run_worker(&p, &addr, &net));
-        let opts = ExecOptions::networked(1, listener, &net);
-        let err = exec_err(execute(&p, &plan, opts));
-        assert!(worker.join().expect("worker thread").is_err());
-        err
-    });
+    let (err, workers) =
+        on_localhost(&p, 1, &net, |opts| exec_err(execute(&p, &plan, opts))).expect("bind");
+    assert!(workers[0].is_err());
     match err {
         ExecError::FrameTooLarge { kind, bytes, limit } => {
             assert_eq!((kind, limit), ("ASSIGN", 64));

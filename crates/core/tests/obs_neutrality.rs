@@ -149,14 +149,19 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
 /// anything back into the engine.
 #[test]
 fn live_server_polling_mid_run_is_outcome_neutral() {
-    use das_core::{run_traced, ExecutorConfig};
-    use das_obs::{LiveHub, ObsServer};
+    use das_core::pipeline::{self, PlanFrom};
+    use das_core::ExecutorConfig;
+    use das_obs::{LiveHub, ObsServer, Stages};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
     let g = generators::gnp_connected(14, 0.3, 11);
     let p = DasProblem::new(&g, build_algos(&g, 4, 11), 11);
-    let sched = UniformScheduler::default();
+    let from = PlanFrom::Scheduler {
+        scheduler: &UniformScheduler::default(),
+        seed: 11,
+    };
+    let traced = |opts| pipeline::run(&p, from, opts, &mut Stages::default());
     // 20 shards on 14 nodes run as 14: `/status` shows what ran
     for (shards, exchange, ran) in [
         (1, "local", 1),
@@ -170,7 +175,7 @@ fn live_server_polling_mid_run_is_outcome_neutral() {
             };
             topology.with_obs(ObsConfig::full())
         };
-        let baseline = run_traced(&p, &sched, 11, opts()).expect("unserved run");
+        let baseline = traced(opts()).expect("unserved run");
         let hub = Arc::new(LiveHub::new());
         let server = ObsServer::bind("127.0.0.1:0", hub.clone()).expect("bind live server");
         let addr = server.local_addr();
@@ -195,7 +200,7 @@ fn live_server_polling_mid_run_is_outcome_neutral() {
             })
         };
         let config = ExecutorConfig::default().with_live(Some(hub.clone()));
-        let served = run_traced(&p, &sched, 11, opts().with_config(config)).expect("served run");
+        let served = traced(opts().with_config(config)).expect("served run");
         stop.store(true, Ordering::SeqCst);
         let polls = poller.join().expect("poller thread");
         assert!(polls > 0, "the client must have polled at least once");

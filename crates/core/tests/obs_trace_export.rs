@@ -4,15 +4,24 @@
 //! `traceEvents` array, per-event `name`/`ph`/`pid`/`tid`/`ts` fields,
 //! metadata tracks naming each pipeline stage and each shard lane.
 
+use das_core::pipeline::{self, PlanFrom, Ran};
 use das_core::synthetic::RelayChain;
 use das_core::{
-    doubling, run_traced, BlackBoxAlgorithm, DasProblem, DoublingConfig, ExecOptions,
-    UniformScheduler,
+    doubling, BlackBoxAlgorithm, DasProblem, DoublingConfig, ExecOptions, UniformScheduler,
 };
 use das_graph::generators;
-use das_obs::{ObsConfig, Stage, TraceEvent};
+use das_obs::{ObsConfig, Stage, Stages, TraceEvent};
 use serde_json::Value;
 use std::collections::BTreeSet;
+
+/// One observed pipeline run of the uniform scheduler at seed 5.
+fn traced(p: &DasProblem<'_>, opts: ExecOptions<'_>) -> Ran {
+    let from = PlanFrom::Scheduler {
+        scheduler: &UniformScheduler::default(),
+        seed: 5,
+    };
+    pipeline::run(p, from, opts, &mut Stages::default()).unwrap()
+}
 
 fn problem(g: &das_graph::Graph, k: usize) -> DasProblem<'_> {
     let algos = (0..k)
@@ -99,7 +108,7 @@ fn fused_run_exports_valid_chrome_trace() {
     let g = generators::path(14);
     let p = problem(&g, 4);
     let opts = ExecOptions::default().with_obs(ObsConfig::full());
-    let traced = run_traced(&p, &UniformScheduler::default(), 5, opts).unwrap();
+    let traced = traced(&p, opts);
     let doc = check_chrome_schema(&traced.report.to_chrome_trace());
     // fused execution runs on exactly one Execute lane
     assert_eq!(
@@ -113,7 +122,7 @@ fn sharded_run_exports_one_track_per_shard() {
     let g = generators::path(14);
     let p = problem(&g, 4);
     let opts = ExecOptions::sharded(3).with_obs(ObsConfig::full());
-    let traced = run_traced(&p, &UniformScheduler::default(), 5, opts).unwrap();
+    let traced = traced(&p, opts);
     let doc = check_chrome_schema(&traced.report.to_chrome_trace());
     assert_eq!(
         execute_lane_names(&doc),
@@ -212,7 +221,7 @@ fn jsonl_export_is_one_valid_object_per_line() {
     let g = generators::path(12);
     let p = problem(&g, 3);
     let opts = ExecOptions::sharded(2).with_obs(ObsConfig::full());
-    let traced = run_traced(&p, &UniformScheduler::default(), 5, opts).unwrap();
+    let traced = traced(&p, opts);
     let jsonl = traced.report.to_jsonl();
     let lines: Vec<&str> = jsonl.lines().collect();
     assert_eq!(lines.len(), traced.report.events.len());

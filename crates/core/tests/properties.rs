@@ -74,12 +74,14 @@ proptest! {
     fn baselines_always_correct(gs in 0u64..500, ws in 0u64..500, k in 1usize..7) {
         let (g, triples) = random_problem(16, k, gs, ws);
         let p = DasProblem::new(&g, build_algos(&g, &triples, k, ws), ws);
+        let bound = p.parameters().unwrap().trivial_lower_bound();
         for s in [
             Box::new(SequentialScheduler) as Box<dyn Scheduler>,
             Box::new(InterleaveScheduler),
         ] {
             let outcome = s.run(&p).unwrap();
             prop_assert_eq!(outcome.stats.late_messages, 0);
+            prop_assert!(outcome.schedule_rounds() >= bound, "{} beat the lower bound", s.name());
             let report = verify::against_references(&p, &outcome).unwrap();
             prop_assert!(report.all_correct(), "{} failed", s.name());
         }
@@ -98,6 +100,8 @@ proptest! {
         if outcome.stats.late_messages == 0 {
             let report = verify::against_references(&p, &outcome).unwrap();
             prop_assert!(report.all_correct(), "clean but wrong");
+            let bound = p.parameters().unwrap().trivial_lower_bound();
+            prop_assert!(outcome.schedule_rounds() >= bound, "clean but below the lower bound");
             let refs = p.references().unwrap();
             for (i, map) in outcome.departures.as_ref().unwrap().iter().enumerate() {
                 prop_assert!(

@@ -103,7 +103,7 @@ pub fn pattern_failure_rate(
 }
 
 /// The paper's benchmark quantities for an instance: `(congestion,
-/// dilation, trivial lower bound C+D, the log-factor target
+/// dilation, C+D, the log-factor target
 /// (C + D·ln n / ln ln n))`.
 pub fn targets(inst: &HardInstance) -> (u64, u32, u64, u64) {
     let c = inst.congestion();

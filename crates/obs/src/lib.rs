@@ -41,7 +41,7 @@ pub mod live;
 pub use config::{ObsConfig, ObsMode};
 pub use event::{EventPhase, Stage, TraceEvent};
 pub use http::ObsServer;
-pub use live::{BatchStages, BigRoundDelta, DoublingAttempt, JobsLive, LinkLive, LiveHub};
+pub use live::{micros, BigRoundDelta, DoublingAttempt, JobsLive, LinkLive, LiveHub, Stages};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use probe::ExecObs;
 pub use profile::{sparkline, LoadProfile};

@@ -17,6 +17,7 @@ use crate::report::ObsReport;
 use serde::Value;
 use std::collections::VecDeque;
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 /// Cap on buffered live trace-event lines; older lines fall off the front
 /// (clients learn the dropped range from the `since`/`next` cursors).
@@ -101,35 +102,47 @@ pub struct JobsLive {
     /// Jobs in the most recent batch (0 before the first).
     pub last_batch_k: u64,
     /// Where the most recent batch spent its time.
-    pub last_batch: BatchStages,
+    pub last_batch: Stages,
     /// Per-stage sums over every batch so far.
-    pub stage_totals: BatchStages,
+    pub stage_totals: Stages,
 }
 
-/// Wall-clock stages of one serve batch, in microseconds, in pipeline
-/// order: the oldest job's admission → dispatch, then each step of the
-/// batch up to the last RESULT sent.
+/// Wall-clock stages of one plan → execute → verify run, in microseconds,
+/// in pipeline order: the one stage record. `das_core::pipeline::run`
+/// fills `references` through `verify`; the serve daemon adds a batch's
+/// `queue_wait` (the oldest job's admission → dispatch), `instantiate` and
+/// `answer` around it. A stage that never ran reads 0; one that ran reads
+/// at least 1 ([`Stages::time`] rounds up).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BatchStages {
+pub struct Stages {
     /// The oldest job's wait from admission to dispatch.
     pub queue_wait_us: u64,
     /// Building the jobs' algorithms and the problem.
     pub instantiate_us: u64,
-    /// The jobs' alone runs.
+    /// The algorithms' alone runs.
     pub references_us: u64,
-    /// Planning the batch.
+    /// Planning.
     pub plan_us: u64,
-    /// Executing the plan on the pool.
+    /// Executing the plan.
     pub execute_us: u64,
     /// Verifying outputs against the alone runs.
     pub verify_us: u64,
-    /// Encoding and sending every RESULT.
+    /// Building, encoding and sending every RESULT.
     pub answer_us: u64,
 }
 
-impl BatchStages {
+impl Stages {
+    /// Runs `stage` and writes its wall time into `slot` once it returns;
+    /// a stage that panics leaves `slot` as it was.
+    pub fn time<T>(slot: &mut u64, stage: impl FnOnce() -> T) -> T {
+        let started = Instant::now();
+        let out = stage();
+        *slot = micros(started.elapsed());
+        out
+    }
+
     /// Adds `other` stage by stage.
-    pub fn accumulate(&mut self, other: &BatchStages) {
+    pub fn accumulate(&mut self, other: &Stages) {
         self.queue_wait_us += other.queue_wait_us;
         self.instantiate_us += other.instantiate_us;
         self.references_us += other.references_us;
@@ -153,6 +166,12 @@ impl BatchStages {
         .into_iter()
         .map(|(name, us)| (name.into(), Value::U64(us)))
     }
+}
+
+/// `d` in whole microseconds, rounded up, so that a stage that ran never
+/// reads as one that did not.
+pub fn micros(d: Duration) -> u64 {
+    d.as_nanos().div_ceil(1_000) as u64
 }
 
 /// Cumulative per-lane counters, keyed by lane (shard) index.
@@ -722,7 +741,7 @@ mod tests {
             batches: 4,
             last_error: "execution failed: boom".to_string(),
             last_batch_k: 3,
-            last_batch: BatchStages {
+            last_batch: Stages {
                 queue_wait_us: 40,
                 instantiate_us: 5,
                 references_us: 100,
@@ -731,10 +750,10 @@ mod tests {
                 verify_us: 20,
                 answer_us: 9,
             },
-            stage_totals: BatchStages {
+            stage_totals: Stages {
                 queue_wait_us: 1_000,
                 execute_us: 1_200,
-                ..BatchStages::default()
+                ..Stages::default()
             },
         });
         let v: Value = serde_json::from_str(&hub.render_jobs()).unwrap();
@@ -780,7 +799,7 @@ mod tests {
 
     #[test]
     fn stage_sums_add_stage_by_stage() {
-        let one = BatchStages {
+        let one = Stages {
             queue_wait_us: 1,
             instantiate_us: 2,
             references_us: 3,
@@ -789,12 +808,12 @@ mod tests {
             verify_us: 6,
             answer_us: 7,
         };
-        let mut sum = BatchStages::default();
+        let mut sum = Stages::default();
         sum.accumulate(&one);
         sum.accumulate(&one);
         assert_eq!(
             sum,
-            BatchStages {
+            Stages {
                 queue_wait_us: 2,
                 instantiate_us: 4,
                 references_us: 6,

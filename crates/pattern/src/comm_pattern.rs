@@ -99,20 +99,30 @@ impl CommPattern {
     }
 }
 
-/// The two quantities every bound in the paper is stated in.
+/// The two quantities every bound in the paper is stated in, plus the
+/// per-direction load the model's capacity is counted in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DasParameters {
-    /// `congestion = max_e Σ_i c_i(e)`: the heaviest total per-edge load.
+    /// `congestion = max_e Σ_i c_i(e)`: the heaviest total per-edge load,
+    /// both directions together.
     pub congestion: u64,
     /// `dilation = max_i rounds(A_i)`: the longest single running time.
     pub dilation: u32,
+    /// The heaviest total load on one *arc* (edge direction). CONGEST
+    /// carries one message per arc per round, so this — not
+    /// `congestion`, which can be up to twice it — is the load every
+    /// schedule must spend rounds on.
+    pub max_arc_load: u64,
 }
 
 impl DasParameters {
-    /// The trivial lower bound `max(congestion, dilation)`; every schedule
-    /// needs at least this many rounds.
+    /// The trivial lower bound `max(max_arc_load, dilation)`: every
+    /// schedule needs at least this many rounds, since each arc carries
+    /// one message per round and the longest algorithm runs `dilation`
+    /// rounds alone. (`max(congestion, dilation)` is not a bound: an edge
+    /// loaded in both directions carries two messages per round.)
     pub fn trivial_lower_bound(&self) -> u64 {
-        self.congestion.max(self.dilation as u64)
+        self.max_arc_load.max(self.dilation as u64)
     }
 
     /// `congestion + dilation`, the quantity LMR-style schedules are
@@ -131,18 +141,19 @@ impl DasParameters {
 pub fn das_parameters(patterns: &[CommPattern]) -> DasParameters {
     assert!(!patterns.is_empty(), "need at least one pattern");
     let edge_count = patterns[0].edge_count();
-    let mut total = vec![0u64; edge_count];
+    let mut arc_loads = vec![0u64; 2 * edge_count];
     let mut dilation = 0u32;
     for p in patterns {
         assert_eq!(p.edge_count(), edge_count, "patterns over different graphs");
         dilation = dilation.max(p.rounds());
-        for (e, l) in p.edge_loads().into_iter().enumerate() {
-            total[e] += l;
+        for ta in p.timed_arcs() {
+            arc_loads[ta.arc.index()] += 1;
         }
     }
     DasParameters {
-        congestion: total.into_iter().max().unwrap_or(0),
+        congestion: (arc_loads.chunks(2).map(|both| both[0] + both[1]).max()).unwrap_or(0),
         dilation,
+        max_arc_load: arc_loads.into_iter().max().unwrap_or(0),
     }
 }
 
@@ -190,6 +201,17 @@ mod tests {
         assert_eq!(params.dilation, 6); // p2 runs 6 rounds
         assert_eq!(params.trivial_lower_bound(), 6);
         assert_eq!(params.sum(), 9);
+    }
+
+    /// Opposite directions of one edge are two channels: the edge's
+    /// congestion counts both, the bound only the heavier.
+    #[test]
+    fn the_bound_counts_arcs_not_edges() {
+        let p1 = CommPattern::from_timed_arcs(1, vec![ta(0, 0, true)]);
+        let p2 = CommPattern::from_timed_arcs(1, vec![ta(0, 0, false)]);
+        let params = das_parameters(&[p1, p2]);
+        assert_eq!((params.congestion, params.max_arc_load), (2, 1));
+        assert_eq!(params.trivial_lower_bound(), 1);
     }
 
     #[test]

@@ -29,19 +29,20 @@ use dasched::algos::mst::{EdgeWeights, MstAlgorithm};
 use dasched::algos::routing::RoutingInstance;
 use dasched::cluster::{quality, CarveConfig, Clustering};
 use dasched::core::oracle::execute_row;
+use dasched::core::pipeline::{self, PlanFrom};
 use dasched::core::plan::analysis as plan_analysis;
 use dasched::core::plan::diff::PlanDiff;
 use dasched::core::synthetic::{FloodBall, RelayChain};
-use dasched::core::verify::{self, VerifyReport};
+use dasched::core::verify::VerifyReport;
 use dasched::core::{
-    execute, install_ctrl_c, run_loadgen, run_traced, run_worker, BlackBoxAlgorithm, Capacity,
-    DasProblem, ExecOptions, ExecutorConfig, InterleaveScheduler, LoadgenConfig, NetConfig,
-    PrivateScheduler, ScheduleOutcome, SchedulePlan, Scheduler, SequentialScheduler, ServeConfig,
+    execute, install_ctrl_c, run_loadgen, run_worker, BlackBoxAlgorithm, Capacity, DasProblem,
+    ExecOptions, ExecutorConfig, InterleaveScheduler, LoadgenConfig, NetConfig, PrivateScheduler,
+    ScheduleOutcome, SchedulePlan, Scheduler, SequentialScheduler, ServeConfig,
     TunedUniformScheduler, UniformScheduler, MESSAGE_BYTES,
 };
 use dasched::graph::{generators, Graph, NodeId};
 use dasched::lowerbound::{analysis, search, HardInstance, HardInstanceParams};
-use dasched::obs::{LiveHub, ObsConfig, ObsReport, ObsServer};
+use dasched::obs::{LiveHub, ObsConfig, ObsReport, ObsServer, Stages};
 use std::collections::HashMap;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -402,6 +403,16 @@ fn describe(problem: &DasProblem<'_>) -> Result<String, String> {
     ))
 }
 
+/// What `--scheduler` plans with: `--sched-seed`, or the scheduler's own
+/// seed (what [`Scheduler::run`] plans with) when the flag is absent.
+fn plan_from<'s>(
+    opts: &HashMap<String, String>,
+    scheduler: &'s dyn Scheduler,
+) -> Result<PlanFrom<'s>, String> {
+    let seed = opt_u64(opts, "sched-seed")?.unwrap_or_else(|| scheduler.default_sched_seed());
+    Ok(PlanFrom::Scheduler { scheduler, seed })
+}
+
 /// Runs `s` fused at its default seed and prints its `compare` table row.
 fn report_one(
     opts: &HashMap<String, String>,
@@ -409,9 +420,15 @@ fn report_one(
     problem: &DasProblem<'_>,
     s: &dyn Scheduler,
 ) -> Result<(), String> {
-    let traced = run_traced(problem, s, s.default_sched_seed(), ExecOptions::default())
-        .map_err(|e| e.to_string())?;
-    report_outcome(opts, Some(name), &traced.executed.outcome, &traced.verify)
+    let from = plan_from(opts, s)?;
+    let ran = pipeline::run(
+        problem,
+        from,
+        ExecOptions::default(),
+        &mut Stages::default(),
+    )
+    .map_err(|e| e.to_string())?;
+    report_outcome(opts, Some(name), &ran.executed.outcome, &ran.verify)
 }
 
 /// The one execution tail of `run`, `compare`, `mst`, `plan --execute` and
@@ -590,33 +607,31 @@ fn diff_plans(problem: &DasProblem<'_>, path_a: &str, path_b: &str) -> Result<()
     Ok(())
 }
 
-/// The `plan --execute` tail: run the plan (sharded when `--shards N > 1`,
-/// with a fused-identity check and per-shard report; on the row oracle
-/// with `--oracle`), verify, and honor `--dump-outcome`.
+/// The `plan --execute` tail: run the plan through the pipeline (sharded
+/// when `--shards N > 1`, with a per-shard report), cross-check it byte for
+/// byte against a separate fused execution (`--shards N > 1`) or the row
+/// oracle (`--oracle`), and honor `--dump-outcome` — with the oracle's
+/// bytes under `--oracle`.
 fn run_planned(
     opts: &HashMap<String, String>,
     oracle: bool,
     shards: usize,
     problem: &DasProblem<'_>,
-    plan: &dasched::core::SchedulePlan,
+    plan: &SchedulePlan,
 ) -> Result<(), String> {
     note_clamped("shards", shards, problem.graph().node_count());
-    let t0 = std::time::Instant::now();
-    let fused = if oracle {
-        execute_row(problem, plan, &ExecutorConfig::default())
-    } else {
-        execute(problem, plan, ExecOptions::default()).map(|done| done.outcome)
-    }
-    .map_err(|e| e.to_string())?;
-    let fused_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let outcome = if shards > 1 {
-        let t1 = std::time::Instant::now();
-        let done =
-            execute(problem, plan, ExecOptions::sharded(shards)).map_err(|e| e.to_string())?;
-        let (sharded, report) = (done.outcome, done.shard);
-        let sharded_ms = t1.elapsed().as_secs_f64() * 1e3;
+    let topology = match shards {
+        1 => ExecOptions::default(),
+        n => ExecOptions::sharded(n),
+    };
+    let mut stages = Stages::default();
+    let ran = pipeline::run(problem, PlanFrom::Given(plan), topology, &mut stages)
+        .map_err(|e| e.to_string())?;
+    let exec_ms = stages.execute_us as f64 / 1e3;
+    let report = &ran.executed.shard;
+    if shards > 1 {
         println!(
-            "sharded: {} shards, {} cross-shard messages, wall {sharded_ms:.1} ms (fused {fused_ms:.1} ms)",
+            "sharded: {} shards, {} cross-shard messages, wall {exec_ms:.1} ms",
             report.shards, report.cross_shard_messages
         );
         for s in &report.per_shard {
@@ -632,17 +647,35 @@ fn run_planned(
                 s.drain_nanos as f64 / 1e6
             );
         }
-        if format!("{fused:?}") != format!("{sharded:?}") {
-            return Err("sharded outcome diverged from the fused execution".into());
-        }
-        println!("sharded outcome is byte-identical to the fused execution");
-        sharded
     } else {
-        println!("executed fused in {fused_ms:.1} ms");
-        fused
+        println!("executed fused in {exec_ms:.1} ms");
+    }
+    // the cross-check: a second, separate execution, compared byte for byte
+    let check = match (oracle, shards) {
+        (true, _) => Some((
+            "row oracle",
+            execute_row(problem, plan, &ExecutorConfig::default()),
+        )),
+        (false, 1) => None,
+        (false, _) => Some((
+            "fused execution",
+            execute(problem, plan, ExecOptions::default()).map(|done| done.outcome),
+        )),
     };
-    let rep = verify::against_references(problem, &outcome).map_err(|e| e.to_string())?;
-    report_outcome(opts, None, &outcome, &rep)?;
+    let mut outcome = ran.executed.outcome;
+    if let Some((against, checked)) = check {
+        let checked = checked.map_err(|e| e.to_string())?;
+        let label = if shards > 1 { "sharded" } else { "fused" };
+        if format!("{checked:?}") != format!("{outcome:?}") {
+            return Err(format!("{label} outcome diverged from the {against}"));
+        }
+        println!("{label} outcome is byte-identical to the {against}");
+        if oracle {
+            // --dump-outcome writes the oracle's own bytes
+            outcome = checked;
+        }
+    }
+    report_outcome(opts, None, &outcome, &ran.verify)?;
     if let Some(path) = opts.get("dump-outputs") {
         let entries: Vec<(u64, Vec<Option<Vec<u8>>>)> = outcome
             .outputs
@@ -688,7 +721,7 @@ fn cmd_trace(opts: &HashMap<String, String>, seed: u64) -> Result<(), String> {
     let algos = parse_workload(req(opts, "workload")?, &g, seed)?;
     let problem = DasProblem::new(&g, algos, seed);
     let sched = parse_scheduler(req(opts, "scheduler")?)?;
-    let sched_seed = opt_u64(opts, "sched-seed")?.unwrap_or_else(|| sched.default_sched_seed());
+    let from = plan_from(opts, sched.as_ref())?;
     let shards = opt_count(opts, "shards")?.unwrap_or(1);
     note_clamped("shards", shards, problem.graph().node_count());
     let top = opt_usize(opts, "top")?.unwrap_or(10);
@@ -715,8 +748,8 @@ fn cmd_trace(opts: &HashMap<String, String>, seed: u64) -> Result<(), String> {
     };
     let config = ExecutorConfig::default().with_live(live);
     let exec_opts = topology.with_config(config).with_obs(ObsConfig::full());
-    let traced =
-        run_traced(&problem, sched.as_ref(), sched_seed, exec_opts).map_err(|e| e.to_string())?;
+    let traced = pipeline::run(&problem, from, exec_opts, &mut Stages::default())
+        .map_err(|e| e.to_string())?;
     let outcome = &traced.executed.outcome;
     eprintln!(
         "traced {} on {} shard(s): schedule {} rounds, precompute {}, late {}, correct {:.1}%, {} events",
@@ -796,9 +829,9 @@ fn cmd_lowerbound(opts: &HashMap<String, String>, seed: u64) -> Result<(), Strin
         .parse()
         .map_err(|_| "--p must be a probability")?;
     let inst = HardInstance::sample(HardInstanceParams::custom(layers, eta, k, p), seed);
-    let (c, d, trivial, target) = analysis::targets(&inst);
+    let (c, d, c_plus_d, target) = analysis::targets(&inst);
     println!(
-        "hard instance: n={} C={c} D={d} trivial LB={trivial} log-factor target={target}",
+        "hard instance: n={} C={c} D={d} C+D={c_plus_d} log-factor target={target}",
         inst.graph().node_count()
     );
     for rounds in [1u32, 2, 4, 8] {
@@ -812,7 +845,7 @@ fn cmd_lowerbound(opts: &HashMap<String, String>, seed: u64) -> Result<(), Strin
     println!(
         "best greedy schedule: {} rounds (ratio to C+D: {:.2})",
         best.length,
-        best.length as f64 / trivial as f64
+        best.length as f64 / c_plus_d as f64
     );
     Ok(())
 }
@@ -866,7 +899,7 @@ fn cmd_coordinator(opts: &HashMap<String, String>, seed: u64) -> Result<(), Stri
     let algos = parse_workload(req(opts, "workload")?, &g, seed)?;
     let problem = DasProblem::new(&g, algos, seed);
     let sched = parse_scheduler(req(opts, "scheduler")?)?;
-    let sched_seed = opt_u64(opts, "sched-seed")?.unwrap_or_else(|| sched.default_sched_seed());
+    let from = plan_from(opts, sched.as_ref())?;
     let workers = opt_count(opts, "workers")?.ok_or("missing --workers")?;
     let listener = bind_listener(opts)?;
     println!("{}", describe(&problem)?);
@@ -878,11 +911,11 @@ fn cmd_coordinator(opts: &HashMap<String, String>, seed: u64) -> Result<(), Stri
     let net = parse_net(opts)?.with_stop(install_ctrl_c());
     let config = ExecutorConfig::default().with_live(live);
     let net_opts = ExecOptions::networked(workers, listener, &net).with_config(config);
-    // the wall spans the whole coordinator pipeline: plan, run, verify
-    let t0 = std::time::Instant::now();
-    let traced =
-        run_traced(&problem, sched.as_ref(), sched_seed, net_opts).map_err(|e| e.to_string())?;
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let mut stages = Stages::default();
+    let traced = pipeline::run(&problem, from, net_opts, &mut stages).map_err(|e| e.to_string())?;
+    // the wall spans the whole coordinator pipeline: references through verify
+    let wall_us = stages.references_us + stages.plan_us + stages.execute_us + stages.verify_us;
+    let wall_ms = wall_us as f64 / 1e3;
     let report = &traced.executed;
     println!(
         "networked: {} worker(s), {} cross-shard messages, wall {wall_ms:.1} ms",
