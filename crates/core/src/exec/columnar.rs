@@ -441,9 +441,11 @@ pub(crate) struct FlatSteps {
 }
 
 impl FlatSteps {
-    /// `O(k · n + runs)` when no algorithm has two units, `O(steps)`
-    /// otherwise; either way the only step-sized scratch is one
-    /// algorithm's `earliest` table on the several-units path.
+    /// `O(k · n + runs)` when no algorithm has two units. Otherwise each
+    /// algorithm with several units costs `O(units · n + s · n · rounds)`,
+    /// `s` being its count of distinct strides (1 for every in-crate
+    /// scheduler); the only step-sized scratch is one algorithm's
+    /// `earliest` and `best` tables.
     pub(crate) fn build(n: usize, algos: &[Box<dyn BlackBoxAlgorithm>], units: &[Unit]) -> Self {
         validate_units(n, algos, units);
         let mut units_of: Vec<Vec<&Unit>> = vec![Vec::new(); algos.len()];
@@ -457,7 +459,7 @@ impl FlatSteps {
         let mut emitted: Vec<(u64, StepRun)> = Vec::new();
         // per round: the big-round and first node of the run still open
         let mut open: Vec<(u64, u32)> = Vec::new();
-        let mut earliest: Vec<u64> = Vec::new();
+        let (mut earliest, mut best, mut strides) = (Vec::new(), Vec::new(), Vec::new());
         for (a, mine) in units_of.iter().enumerate() {
             let rounds = algos[a].rounds();
             open.clear();
@@ -498,16 +500,43 @@ impl FlatSteps {
                 }
                 // Several units: the earliest eligible big-round per
                 // (node, round), then the same sweep comparing every round.
+                // A unit steps round `r` at `v` in big-round `delay[v] + r ·
+                // stride` iff `r` is below its prefix length `min(rounds,
+                // trunc[v])`. So per stride only the least delay filed under
+                // each (node, prefix length) matters, and `earliest[v][r]` is
+                // `r · stride` plus the least delay of a prefix longer than
+                // `r`: a suffix minimum, not a minimum per (unit, node, round).
                 _ => {
                     let rounds = rounds as usize;
                     earliest.clear();
                     earliest.resize(n * rounds, u64::MAX);
-                    for u in mine {
+                    strides.clear();
+                    strides.extend(mine.iter().map(|u| u.stride));
+                    strides.sort_unstable();
+                    strides.dedup();
+                    for &stride in &strides {
+                        // `best[v · rounds + len − 1]`: the least delay of a
+                        // unit of this stride covering `len` rounds at `v`
+                        best.clear();
+                        best.resize(n * rounds, u64::MAX);
+                        for u in mine.iter().filter(|u| u.stride == stride) {
+                            for (v, (&d, &t)) in u.delay.iter().zip(&u.trunc).enumerate() {
+                                let len = rounds.min(t as usize);
+                                if len > 0 {
+                                    let slot = &mut best[v * rounds + len - 1];
+                                    *slot = (*slot).min(d);
+                                }
+                            }
+                        }
                         for v in 0..n {
-                            let lim = (rounds as u32).min(u.trunc[v]) as usize;
-                            let row = &mut earliest[v * rounds..][..lim];
-                            for (r, slot) in row.iter_mut().enumerate() {
-                                *slot = (*slot).min(u.delay[v] + r as u64 * u.stride);
+                            let bests = &best[v * rounds..][..rounds];
+                            let row = &mut earliest[v * rounds..][..rounds];
+                            let mut least = u64::MAX;
+                            for (r, (&b, slot)) in bests.iter().zip(row).enumerate().rev() {
+                                least = least.min(b);
+                                if least != u64::MAX {
+                                    *slot = (*slot).min(least + r as u64 * stride);
+                                }
                             }
                         }
                     }

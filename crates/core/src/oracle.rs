@@ -509,34 +509,54 @@ mod tests {
         assert_eq!(steps.last_big_round(), Some(7 + 1)); // round 1 at node 1: 8
     }
 
-    /// `k` floods of random depth on `g` and a random unit list over them:
-    /// empty plans, several units per algorithm, `trunc = 0`, strides > 1.
+    /// `k` floods of random depth on `g` and a random unit list over them.
+    /// Three draws in four have the private scheduler's shape: per
+    /// algorithm, several units (one per clustering layer) sharing one
+    /// stride, with per-node truncations in `0..=rounds`. The rest mix
+    /// strides freely: empty plans, several units per algorithm, `trunc =
+    /// 0` and `u32::MAX`, strides > 1.
     fn random_multi_unit_plan(g: &Graph, seed: u64) -> (DasProblem<'_>, Vec<Unit>) {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let n = g.node_count();
         let k = rng.gen_range(1..4usize);
-        let algos = (0..k)
+        let algos: Vec<Box<dyn BlackBoxAlgorithm>> = (0..k)
             .map(|i| {
                 let depth = rng.gen_range(1..5u32);
                 Box::new(FloodBall::new(i as u64, g, NodeId(0), depth))
                     as Box<dyn BlackBoxAlgorithm>
             })
             .collect();
-        let units = (0..rng.gen_range(0..7usize))
-            .map(|_| Unit {
-                algo: rng.gen_range(0..k),
-                delay: (0..n).map(|_| rng.gen_range(0..12u64)).collect(),
-                stride: rng.gen_range(1..4u64),
-                trunc: (0..n)
-                    .map(|_| match rng.gen_range(0..4u32) {
-                        0 => 0,
-                        1 => u32::MAX,
-                        _ => rng.gen_range(1..7u32),
-                    })
-                    .collect(),
-            })
-            .collect();
+        let units = if rng.gen_range(0..4u32) > 0 {
+            let mut units = Vec::new();
+            for (algo, a) in algos.iter().enumerate() {
+                let stride = rng.gen_range(1..4u64);
+                for _ in 0..rng.gen_range(2..6usize) {
+                    units.push(Unit {
+                        algo,
+                        delay: (0..n).map(|_| rng.gen_range(0..12u64)).collect(),
+                        stride,
+                        trunc: (0..n).map(|_| rng.gen_range(0..a.rounds() + 1)).collect(),
+                    });
+                }
+            }
+            units
+        } else {
+            (0..rng.gen_range(0..7usize))
+                .map(|_| Unit {
+                    algo: rng.gen_range(0..k),
+                    delay: (0..n).map(|_| rng.gen_range(0..12u64)).collect(),
+                    stride: rng.gen_range(1..4u64),
+                    trunc: (0..n)
+                        .map(|_| match rng.gen_range(0..4u32) {
+                            0 => 0,
+                            1 => u32::MAX,
+                            _ => rng.gen_range(1..7u32),
+                        })
+                        .collect(),
+                })
+                .collect()
+        };
         (DasProblem::new(g, algos, seed), units)
     }
 

@@ -302,23 +302,26 @@ impl SchedulePlan {
             if u.stride == 0 {
                 return Err(PlanError::ZeroStride { unit: i });
             }
+            // the unit's last big-round over all nodes, saturating at
+            // `u64::MAX` (which no budget admits), then one checked test of
+            // its engine-round boundary
             let rounds = problem.algorithms()[u.algo].rounds();
-            for v in 0..n {
-                let lim = rounds.min(u.trunc[v]) as u64;
-                if lim == 0 {
-                    continue;
-                }
-                // last big-round of this unit at v, then its engine-round
-                // boundary — both with overflow checks
-                let fits = (lim - 1)
-                    .checked_mul(u.stride)
-                    .and_then(|x| x.checked_add(u.delay[v]))
-                    .and_then(|last| last.checked_add(1))
+            let last = u
+                .delay
+                .iter()
+                .zip(&u.trunc)
+                .filter_map(|(&d, &t)| {
+                    let lim = u64::from(rounds.min(t));
+                    (lim > 0).then(|| d.saturating_add((lim - 1).saturating_mul(u.stride)))
+                })
+                .max();
+            let fits = last.is_none_or(|last| {
+                last.checked_add(1)
                     .and_then(|bigs| bigs.checked_mul(self.phase_len))
-                    .is_some_and(|engine| engine <= budget);
-                if !fits {
-                    return Err(PlanError::Oversized { unit: i });
-                }
+                    .is_some_and(|engine| engine <= budget)
+            });
+            if !fits {
+                return Err(PlanError::Oversized { unit: i });
             }
         }
         Ok(())
@@ -716,6 +719,22 @@ mod tests {
             bad.units[0].stride = u64::MAX / 2;
         };
         refused(&overflowing, oversized);
+        // a prefix of 3 rounds puts the last step at `delay + 2 · (u64::MAX
+        // / 2) = delay + u64::MAX − 1`, past u64 for this unit's delays (all
+        // ≥ 2). Wrapped, that would read as a small big-round that fits;
+        // saturated, it must be refused, as unit 1
+        let saturating = |bad: &mut SchedulePlan| {
+            assert!(bad.units[1].delay.iter().all(|&d| d >= 2));
+            bad.units[1].stride = u64::MAX / 2;
+            bad.units[1].trunc = vec![3; 6];
+        };
+        refused(&saturating, PlanError::Oversized { unit: 1 });
+        // of two oversized units, the first is named
+        let both = |bad: &mut SchedulePlan| {
+            bad.units[1].delay[0] = 1 << 40;
+            bad.units[2].delay[5] = 1 << 40;
+        };
+        refused(&both, PlanError::Oversized { unit: 1 });
     }
 
     #[test]

@@ -132,8 +132,7 @@ impl<'g> DasProblem<'g> {
     /// Propagates a [`ReferenceError`] from the reference runs.
     pub fn parameters(&self) -> Result<DasParameters, ReferenceError> {
         let refs = self.references()?;
-        let patterns: Vec<_> = refs.iter().map(|r| r.pattern.clone()).collect();
-        Ok(das_parameters(&patterns))
+        Ok(das_parameters(refs.iter().map(|r| &r.pattern)))
     }
 }
 

@@ -138,9 +138,12 @@ impl DasParameters {
 /// # Panics
 /// Panics if the patterns disagree on the number of edges, or if `patterns`
 /// is empty.
-pub fn das_parameters(patterns: &[CommPattern]) -> DasParameters {
-    assert!(!patterns.is_empty(), "need at least one pattern");
-    let edge_count = patterns[0].edge_count();
+pub fn das_parameters<'a>(patterns: impl IntoIterator<Item = &'a CommPattern>) -> DasParameters {
+    let mut patterns = patterns.into_iter().peekable();
+    let edge_count = patterns
+        .peek()
+        .expect("need at least one pattern")
+        .edge_count();
     let mut arc_loads = vec![0u64; 2 * edge_count];
     let mut dilation = 0u32;
     for p in patterns {
