@@ -27,9 +27,8 @@ mod columnar;
 
 pub use big_round::ShardOutput;
 pub(crate) use big_round::{big_round_loop, merge_shards, Exchange, ShardCtx};
-pub(crate) use columnar::{FlatSteps, StepExtent};
+pub(crate) use columnar::FlatSteps;
 
-use crate::plan::SchedulePlan;
 use crate::problem::DasProblem;
 use crate::schedule::ScheduleOutcome;
 use crate::shard::Partition;
@@ -236,7 +235,7 @@ impl Unit {
 pub const MESSAGE_BYTES: usize = 40;
 
 /// What a caller may set about one execution. The big-round length is the
-/// plan's ([`SchedulePlan::phase_len`]), never the caller's.
+/// plan's ([`crate::SchedulePlan::phase_len`]), never the caller's.
 #[derive(Clone, Debug)]
 pub struct ExecutorConfig {
     /// Hard cap on engine rounds.
@@ -309,14 +308,16 @@ pub struct ExecStats {
 
 /// Runs a scheduled execution; see the `exec` module docs at the top of
 /// this file for the semantics. Reached through [`crate::plan::execute`],
-/// which validates the plan first.
+/// which builds the step table — checking the plan — once and hands it
+/// over.
 pub(crate) struct Executor;
 
 impl Executor {
-    /// Executes `plan` fused — the shared big-round loop as one shard that
-    /// owns every node ([`Local`] exchange) — returning outputs, stats,
-    /// (optionally) the per-algorithm simulation maps, and the recording
-    /// at the level `obs` asks for — `None` when recording is disabled.
+    /// Executes a plan's step table fused — the shared big-round loop as
+    /// one shard that owns every node ([`Local`] exchange) — returning
+    /// outputs, stats, (optionally) the per-algorithm simulation maps, and
+    /// the recording at the level `obs` asks for — `None` when recording
+    /// is disabled.
     /// The outcome is byte-identical for every `obs` setting: the probe
     /// only reads executor state and never feeds back into it
     /// (`tests/obs_neutrality.rs` enforces this property-style).
@@ -324,34 +325,29 @@ impl Executor {
     /// # Errors
     /// Returns [`ExecError::RoundCapExceeded`] if the queues have not
     /// drained by `config.max_engine_rounds`.
-    ///
-    /// # Panics
-    /// Panics if the plan is malformed (missized vectors, zero stride,
-    /// unknown algorithm) — plans from untrusted sources go through
-    /// [`crate::SchedulePlan::validate`] first.
     pub(crate) fn run_observed(
         problem: &DasProblem<'_>,
-        plan: &SchedulePlan,
+        steps: &FlatSteps,
         config: &ExecutorConfig,
         obs: &ObsConfig,
     ) -> Result<(ScheduleOutcome, Option<ObsReport>), ExecError> {
         let mut probe = ExecObs::new(obs, 0);
         probe.attach_live(config.live.clone());
         let of_node = vec![0; problem.graph().node_count()];
-        let ctx = ShardCtx::new(problem, plan, config, &of_node, 1);
+        let ctx = ShardCtx::new(problem, steps, config, &of_node, 1);
         let whole = big_round_loop(&ctx, 0, &mut Local, &mut probe)?;
         let (outcome, _) = ctx.merge(vec![whole]);
         Ok((outcome, probe.finish()))
     }
 
-    /// Executes `plan` sharded: nodes are partitioned into `shards`
-    /// degree-balanced shards (see [`Partition`]; clamped to the node
-    /// count), each driven by its own worker thread running the production
-    /// big-round loop. Workers step their own nodes and drain the arcs they
-    /// own (an arc belongs to the shard of its *destination* node) freely
-    /// within a big-round; cross-shard messages travel through
-    /// per-(shard, shard) outboxes and enter the owner's queues only at the
-    /// big-round boundary.
+    /// Executes a plan's step table sharded: nodes are partitioned into
+    /// `shards` degree-balanced shards (see [`Partition`]; clamped to the
+    /// node count), each driven by its own worker thread running the
+    /// production big-round loop. Workers step their own nodes and drain
+    /// the arcs they own (an arc belongs to the shard of its *destination*
+    /// node) freely within a big-round; cross-shard messages travel
+    /// through per-(shard, shard) outboxes and enter the owner's queues
+    /// only at the big-round boundary.
     ///
     /// The returned [`ScheduleOutcome`] is **byte-identical** to
     /// [`Executor::run_observed`]'s for every plan, shard count and `obs`
@@ -372,20 +368,16 @@ impl Executor {
     /// engine-round counter, so they abandon the run in lockstep;
     /// [`ExecError::Aborted`] if a worker (a black-box machine) panics —
     /// its peers leave their barriers instead of waiting forever.
-    ///
-    /// # Panics
-    /// Panics if the plan is malformed (missized vectors, zero stride,
-    /// unknown algorithm).
     pub(crate) fn run_sharded_observed(
         problem: &DasProblem<'_>,
-        plan: &SchedulePlan,
+        steps: &FlatSteps,
         config: &ExecutorConfig,
         shards: usize,
         obs: &ObsConfig,
     ) -> Result<(ScheduleOutcome, ShardReport, Option<ObsReport>), ExecError> {
         let part = Partition::degree_balanced(problem.graph(), shards);
         let s = part.shards();
-        let ctx = ShardCtx::new(problem, plan, config, part.of_node(), s);
+        let ctx = ShardCtx::new(problem, steps, config, part.of_node(), s);
         let shared = InProcessShared::new(s);
         let joined: Vec<_> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..s)
@@ -480,6 +472,7 @@ pub struct ShardReport {
 mod tests {
     use super::*;
     use crate::algorithm::BlackBoxAlgorithm;
+    use crate::plan::SchedulePlan;
     use crate::synthetic::{FloodBall, RelayChain};
     use das_graph::{generators, NodeId};
 
@@ -488,13 +481,14 @@ mod tests {
         SchedulePlan::assemble("hand-built", 0, phase_len, 0, p, units)
     }
 
-    /// [`Executor::run_observed`], unrecorded.
+    /// [`Executor::run_observed`] on `plan`'s step table, unrecorded.
     fn run(
         p: &DasProblem<'_>,
         plan: &SchedulePlan,
         config: &ExecutorConfig,
     ) -> Result<ScheduleOutcome, ExecError> {
-        Executor::run_observed(p, plan, config, &ObsConfig::off()).map(|(outcome, _)| outcome)
+        let steps = FlatSteps::build(p, plan).unwrap();
+        Executor::run_observed(p, &steps, config, &ObsConfig::off()).map(|(outcome, _)| outcome)
     }
 
     /// [`Executor::run_sharded_observed`] likewise, on `shards` shards.
@@ -504,7 +498,8 @@ mod tests {
         config: &ExecutorConfig,
         shards: usize,
     ) -> Result<(ScheduleOutcome, ShardReport), ExecError> {
-        Executor::run_sharded_observed(p, plan, config, shards, &ObsConfig::off())
+        let steps = FlatSteps::build(p, plan).unwrap();
+        Executor::run_sharded_observed(p, &steps, config, shards, &ObsConfig::off())
             .map(|(outcome, report, _)| (outcome, report))
     }
 

@@ -47,7 +47,6 @@ use super::columnar::{
 };
 use super::{ExecError, ExecStats, ExecutorConfig, ShardReport, ShardStats, MESSAGE_BYTES};
 use crate::algorithm::{BatchedSends, BlackBoxAlgorithm, BlockStep};
-use crate::plan::SchedulePlan;
 use crate::problem::DasProblem;
 use crate::schedule::ScheduleOutcome;
 use crate::wire::{Flight, FlightGroup};
@@ -296,33 +295,30 @@ pub(crate) struct ShardCtx<'e> {
     pub(crate) algos: &'e [Box<dyn BlackBoxAlgorithm>],
     pub(crate) seeds: Vec<u64>,
     pub(crate) config: &'e ExecutorConfig,
-    /// Engine rounds per big-round: the plan's.
-    pub(crate) phase_len: u64,
-    /// The step table (a networked worker holds only its plan slice's).
-    pub(crate) flat: FlatSteps,
+    /// The step table and its phase length (a networked worker holds only
+    /// its plan slice's).
+    pub(crate) flat: &'e FlatSteps,
     /// Shard index of every node.
     pub(crate) of_node: &'e [u32],
     pub(crate) shards: usize,
 }
 
 impl<'e> ShardCtx<'e> {
-    /// The inputs for running `plan` on `problem` split into `shards`
-    /// shards by `of_node`.
+    /// The inputs for running the plan whose step table is `flat` on
+    /// `problem` split into `shards` shards by `of_node`.
     pub(crate) fn new(
         problem: &'e DasProblem<'_>,
-        plan: &SchedulePlan,
+        flat: &'e FlatSteps,
         config: &'e ExecutorConfig,
         of_node: &'e [u32],
         shards: usize,
     ) -> Self {
-        let (g, algos) = (problem.graph(), problem.algorithms());
         ShardCtx {
-            g,
-            algos,
+            g: problem.graph(),
+            algos: problem.algorithms(),
             seeds: problem.algo_seeds(),
             config,
-            phase_len: plan.phase_len,
-            flat: FlatSteps::build(g.node_count(), algos, &plan.units),
+            flat,
             of_node,
             shards,
         }
@@ -331,8 +327,7 @@ impl<'e> ShardCtx<'e> {
     /// [`merge_shards`] over every shard of this run.
     pub(crate) fn merge(&self, shards: Vec<ShardOutput>) -> (ScheduleOutcome, ShardReport) {
         let (n, k) = (self.g.node_count(), self.algos.len());
-        let last = self.flat.last_step_round;
-        merge_shards(n, k, self.config, self.phase_len, last, shards)
+        merge_shards(n, k, self.config, self.flat, shards)
     }
 }
 
@@ -406,7 +401,8 @@ pub(crate) fn big_round_loop<X: Exchange>(
     x: &mut X,
     obs: &mut ExecObs,
 ) -> Result<ShardOutput, ExecError> {
-    let (g, config, flat, phase_len) = (ctx.g, ctx.config, &ctx.flat, ctx.phase_len);
+    let (g, config, flat) = (ctx.g, ctx.config, ctx.flat);
+    let phase_len = flat.phase_len;
     let n = g.node_count();
     let k = ctx.algos.len();
     assert_eq!(ctx.seeds.len(), k, "one seed per algorithm");
@@ -684,19 +680,18 @@ pub(crate) fn big_round_loop<X: Exchange>(
 
 /// Merges per-shard outputs, consumed in shard order, into the
 /// partition-independent [`ScheduleOutcome`] plus the partition-dependent
-/// [`ShardReport`]. `last_step_round` is the full plan's.
+/// [`ShardReport`]. `steps` is the full plan's table.
 pub(crate) fn merge_shards(
     n: usize,
     k: usize,
     config: &ExecutorConfig,
-    phase_len: u64,
-    last_step_round: u64,
+    steps: &FlatSteps,
     shards: Vec<ShardOutput>,
 ) -> (ScheduleOutcome, ShardReport) {
     let mut outputs: Vec<Vec<Option<Vec<u8>>>> = vec![vec![None; n]; k];
     let mut departures: Vec<SimulationMap> = vec![SimulationMap::new(); k];
     let mut stats = ExecStats {
-        phase_len,
+        phase_len: steps.phase_len,
         ..ExecStats::default()
     };
     let mut last_activity_round = 0u64;
@@ -724,9 +719,7 @@ pub(crate) fn merge_shards(
     }
     // Schedule length: last big-round boundary with any step, extended by
     // any drain tail.
-    stats.engine_rounds = (last_step_round + 1)
-        .saturating_mul(phase_len)
-        .max(last_activity_round);
+    stats.engine_rounds = steps.schedule_rounds(last_activity_round);
     let outcome = ScheduleOutcome {
         outputs,
         stats,

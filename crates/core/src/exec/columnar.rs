@@ -52,8 +52,10 @@
 //! `tests/net_equivalence.rs`, and end-to-end by the `engine-equivalence`
 //! CI job.
 
-use super::Unit;
+use super::{ExecutorConfig, Unit};
 use crate::algorithm::{BlackBoxAlgorithm, NodeBatch};
+use crate::plan::{PlanError, SchedulePlan};
+use crate::problem::DasProblem;
 use das_graph::{Graph, NodeId};
 use das_pattern::{SimulationMap, TimedArc};
 
@@ -313,96 +315,6 @@ pub(super) fn recycle(inbox: &mut Vec<(NodeId, Vec<u8>)>, pool: &mut Vec<Vec<u8>
     }
 }
 
-/// Checks a unit list against the problem's shape and returns whether no
-/// algorithm has two units — the dominant case: every shared-randomness
-/// scheduler emits at most one.
-///
-/// # Panics
-/// Panics if units reference out-of-range algorithms, are missized, or
-/// have a zero stride: the row oracle's `StepPlan::build` checks.
-fn validate_units(n: usize, algos: &[Box<dyn BlackBoxAlgorithm>], units: &[Unit]) -> bool {
-    let mut seen = vec![false; algos.len()];
-    let mut single = true;
-    for u in units {
-        assert!(u.algo < algos.len(), "unit for unknown algorithm");
-        assert_eq!(u.delay.len(), n, "delay vector missized");
-        assert_eq!(u.trunc.len(), n, "truncation vector missized");
-        assert!(u.stride >= 1, "stride must be at least 1");
-        single &= !std::mem::replace(&mut seen[u.algo], true);
-    }
-    single
-}
-
-/// How far the merged step schedule of a unit list reaches, computed
-/// without materialising a single step — all that
-/// `SchedulePlan::assemble`'s `predicted_rounds` and the networked
-/// coordinator's termination round need.
-///
-/// Round `r` of algorithm `a` at node `v` executes at the earliest
-/// big-round over all eligible units, and a unit covers the round *prefix*
-/// `[0, min(rounds, trunc[v]))`. So the merged schedule at `(a, v)` has no
-/// holes, its length is the longest unit prefix, it is strictly increasing
-/// (`earliest[r] ≤ delay + r·stride < delay + (r+1)·stride` for every unit
-/// still eligible at `r + 1`, strides being ≥ 1), and it ends at the
-/// smallest `delay + (len − 1)·stride` among the units reaching that
-/// length — `O(units · n)` work, no per-round table.
-pub(crate) struct StepExtent {
-    /// The last big-round with any step; `None` for a step-free plan.
-    pub(crate) last: Option<u64>,
-}
-
-impl StepExtent {
-    /// # Panics
-    /// Panics on a malformed unit list, exactly as [`FlatSteps::build`]
-    /// and the row oracle's `StepPlan::build` do.
-    pub(crate) fn of(n: usize, algos: &[Box<dyn BlackBoxAlgorithm>], units: &[Unit]) -> Self {
-        if validate_units(n, algos, units) {
-            return Self::of_single_units(n, algos, units);
-        }
-        let k = algos.len();
-        let mut len_at = vec![0u32; k * n];
-        let mut end_at = vec![0u64; k * n];
-        for u in units {
-            let rounds = algos[u.algo].rounds();
-            let lens = &mut len_at[u.algo * n..][..n];
-            let ends = &mut end_at[u.algo * n..][..n];
-            for v in 0..n {
-                let len = rounds.min(u.trunc[v]);
-                if len == 0 {
-                    continue;
-                }
-                let e = u.delay[v] + u64::from(len - 1) * u.stride;
-                if len > lens[v] || (len == lens[v] && e < ends[v]) {
-                    lens[v] = len;
-                    ends[v] = e;
-                }
-            }
-        }
-        let mut extent = StepExtent { last: None };
-        for (&len, &e) in len_at.iter().zip(&end_at) {
-            if len > 0 {
-                extent.last = extent.last.max(Some(e));
-            }
-        }
-        extent
-    }
-
-    /// The at-most-one-unit-per-algorithm case: no merging, no scratch.
-    fn of_single_units(n: usize, algos: &[Box<dyn BlackBoxAlgorithm>], units: &[Unit]) -> Self {
-        let mut extent = StepExtent { last: None };
-        for u in units {
-            let rounds = algos[u.algo].rounds();
-            for v in 0..n {
-                let len = rounds.min(u.trunc[v]) as u64;
-                if len > 0 {
-                    extent.last = extent.last.max(Some(u.delay[v] + (len - 1) * u.stride));
-                }
-            }
-        }
-        extent
-    }
-}
-
 /// Consecutive nodes `lo..hi` stepping the same round of the same
 /// algorithm in one big-round.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -422,12 +334,18 @@ pub(crate) struct StepRun {
 /// steps long stretches of consecutive node ids together, so the table is
 /// sized by those stretches, not by the `k · n · rounds` steps.
 ///
+/// It is also the one reader of a plan's units: [`FlatSteps::build`]
+/// makes every check [`SchedulePlan::validate`] names, and the table
+/// answers every question about the schedule's length.
+///
 /// Semantics are identical to the row builder: round `r` of algorithm `a`
 /// at node `v` executes at the earliest big-round over all eligible units,
-/// the same malformed-plan panics fire, and a big-round's runs, expanded,
-/// are its steps in the same ascending `(a, v, r)` order. That order is
-/// also ascending `(a, lo)`: the merged schedule at `(a, v)` is hole-free
-/// and strictly increasing (see [`StepExtent`]), so a node steps an
+/// and a big-round's runs, expanded, are its steps in the same ascending
+/// `(a, v, r)` order. That order is also ascending `(a, lo)`: a unit
+/// covers the round *prefix* `[0, min(rounds, trunc[v]))`, so the merged
+/// schedule at `(a, v)` has no holes and is strictly increasing
+/// (`earliest[r] ≤ delay + r·stride < delay + (r+1)·stride` for every unit
+/// still eligible at `r + 1`, strides being ≥ 1); a node steps an
 /// algorithm at most once per big-round and the runs of one `(big-round,
 /// algorithm)` are disjoint. Runs are maximal: no two of them are adjacent
 /// in node space with equal `(algorithm, round)`.
@@ -438,20 +356,92 @@ pub(crate) struct FlatSteps {
     offsets: Vec<usize>,
     /// The last big-round with any step (0 for an empty plan).
     pub(crate) last_step_round: u64,
+    /// Engine rounds per big-round: the plan's.
+    pub(crate) phase_len: u64,
+}
+
+/// The big-round of round `r` of a unit at a node with this delay,
+/// saturating at `u64::MAX` (which no budget admits).
+#[inline]
+fn big_round_of(delay: u64, r: usize, stride: u64) -> u64 {
+    delay.saturating_add((r as u64).saturating_mul(stride))
+}
+
+/// Unit `unit`'s shape faults, in [`PlanError`]'s order.
+fn check_shape(unit: usize, u: &Unit, n: usize, known: usize) -> Result<(), PlanError> {
+    if u.algo >= known {
+        return Err(PlanError::UnknownAlgorithm {
+            unit,
+            algo: u.algo,
+            known,
+        });
+    }
+    if u.delay.len() != n {
+        return Err(PlanError::DelayLength {
+            unit,
+            expected: n,
+            got: u.delay.len(),
+        });
+    }
+    if u.trunc.len() != n {
+        return Err(PlanError::TruncLength {
+            unit,
+            expected: n,
+            got: u.trunc.len(),
+        });
+    }
+    if u.stride == 0 {
+        return Err(PlanError::ZeroStride { unit });
+    }
+    Ok(())
 }
 
 impl FlatSteps {
+    /// Checks `plan` against `problem` and files its steps, reading each
+    /// unit once.
+    ///
+    /// The checks come in [`PlanError`]'s order: a zero `phase_len` first,
+    /// then per unit, in index order, an unknown algorithm, a missized
+    /// delay or truncation vector, a zero stride, and a reach past the
+    /// default engine-round budget — the first faulty unit is named,
+    /// whatever its fault. A unit's reach is the saturating max over its
+    /// nodes of `delay + (lim − 1)·stride`, `lim = min(rounds, trunc)`,
+    /// steps an earlier unit supersedes included; it fits when `(reach +
+    /// 1)·phase_len` is within the budget. No node vector is indexed
+    /// before its unit's shape is checked, and the only allocation sized
+    /// by a delay — `offsets` — is made once every unit fits.
+    ///
     /// `O(k · n + runs)` when no algorithm has two units. Otherwise each
     /// algorithm with several units costs `O(units · n + s · n · rounds)`,
     /// `s` being its count of distinct strides (1 for every in-crate
     /// scheduler); the only step-sized scratch is one algorithm's
     /// `earliest` and `best` tables.
-    pub(crate) fn build(n: usize, algos: &[Box<dyn BlackBoxAlgorithm>], units: &[Unit]) -> Self {
-        validate_units(n, algos, units);
-        let mut units_of: Vec<Vec<&Unit>> = vec![Vec::new(); algos.len()];
-        for u in units {
-            units_of[u.algo].push(u);
+    ///
+    /// # Errors
+    /// The first [`PlanError`] found.
+    pub(crate) fn build(problem: &DasProblem<'_>, plan: &SchedulePlan) -> Result<Self, PlanError> {
+        let phase_len = plan.phase_len;
+        if phase_len == 0 {
+            return Err(PlanError::ZeroPhaseLen);
         }
+        let (n, algos) = (problem.graph().node_count(), problem.algorithms());
+        // a last step in big-round `b` fits iff `(b + 1)·phase_len ≤
+        // budget`, that is iff `b < budget / phase_len`
+        let fitting = ExecutorConfig::default().max_engine_rounds / phase_len;
+        // Units are filed up to the first misshapen one: neither its node
+        // vectors nor a later unit's are read, and only an earlier unit's
+        // reach can outrank its fault.
+        let mut misshapen = Ok(());
+        let mut units_of: Vec<Vec<(usize, &Unit)>> = vec![Vec::new(); algos.len()];
+        for (i, u) in plan.units.iter().enumerate() {
+            misshapen = check_shape(i, u, n, algos.len());
+            if misshapen.is_err() {
+                break;
+            }
+            units_of[u.algo].push((i, u));
+        }
+        // the least index of a unit reaching past the budget
+        let mut oversized = usize::MAX;
         // Runs are emitted as they close: algorithm by algorithm, and
         // within one in ascending `hi` — which, its runs in one big-round
         // being disjoint, is ascending `lo`. The stable sort by big-round
@@ -479,8 +469,8 @@ impl FlatSteps {
                 // One unit: a node's steps are `delay + r · stride` for `r`
                 // below its prefix length, so between neighbours only the
                 // rounds in which they differ close or open a run.
-                [u] => {
-                    let (mut delay, mut len) = (0u64, 0usize);
+                [(i, u)] => {
+                    let (mut delay, mut len, mut over) = (0u64, 0usize, false);
                     for v in 0..=n {
                         // one step past the last node closes what is open
                         let (d, l) = if v < n {
@@ -488,14 +478,18 @@ impl FlatSteps {
                         } else {
                             (0, 0)
                         };
+                        over |= l > 0 && big_round_of(d, l - 1, u.stride) >= fitting;
                         let kept = if d == delay { l.min(len) } else { 0 };
                         for (r, &slot) in open.iter().enumerate().take(len).skip(kept) {
                             close(r, slot, v);
                         }
                         for (r, slot) in open.iter_mut().enumerate().take(l).skip(kept) {
-                            *slot = (d + r as u64 * u.stride, v as u32);
+                            *slot = (big_round_of(d, r, u.stride), v as u32);
                         }
                         (delay, len) = (d, l);
+                    }
+                    if over {
+                        oversized = oversized.min(i);
                     }
                 }
                 // Several units: the earliest eligible big-round per
@@ -511,7 +505,7 @@ impl FlatSteps {
                     earliest.clear();
                     earliest.resize(n * rounds, u64::MAX);
                     strides.clear();
-                    strides.extend(mine.iter().map(|u| u.stride));
+                    strides.extend(mine.iter().map(|(_, u)| u.stride));
                     strides.sort_unstable();
                     strides.dedup();
                     for &stride in &strides {
@@ -519,13 +513,18 @@ impl FlatSteps {
                         // unit of this stride covering `len` rounds at `v`
                         best.clear();
                         best.resize(n * rounds, u64::MAX);
-                        for u in mine.iter().filter(|u| u.stride == stride) {
+                        for &(i, u) in mine.iter().filter(|(_, u)| u.stride == stride) {
+                            let mut over = false;
                             for (v, (&d, &t)) in u.delay.iter().zip(&u.trunc).enumerate() {
                                 let len = rounds.min(t as usize);
                                 if len > 0 {
+                                    over |= big_round_of(d, len - 1, stride) >= fitting;
                                     let slot = &mut best[v * rounds + len - 1];
                                     *slot = (*slot).min(d);
                                 }
+                            }
+                            if over {
+                                oversized = oversized.min(i);
                             }
                         }
                         for v in 0..n {
@@ -535,7 +534,7 @@ impl FlatSteps {
                             for (r, (&b, slot)) in bests.iter().zip(row).enumerate().rev() {
                                 least = least.min(b);
                                 if least != u64::MAX {
-                                    *slot = (*slot).min(least + r as u64 * stride);
+                                    *slot = (*slot).min(big_round_of(least, r, stride));
                                 }
                             }
                         }
@@ -558,6 +557,11 @@ impl FlatSteps {
                 }
             }
         }
+        // every filed unit precedes the misshapen one
+        if oversized != usize::MAX {
+            return Err(PlanError::Oversized { unit: oversized });
+        }
+        misshapen?;
         let last_step_round = emitted.iter().map(|e| e.0).max().unwrap_or(0);
         let mut offsets = vec![0usize; last_step_round as usize + 2];
         for (b, _) in &emitted {
@@ -572,16 +576,41 @@ impl FlatSteps {
             runs[cursor[b as usize]] = run;
             cursor[b as usize] += 1;
         }
-        FlatSteps {
+        Ok(FlatSteps {
             runs,
             offsets,
             last_step_round,
-        }
+            phase_len,
+        })
     }
 
     /// Whether the plan schedules no step at all.
     pub(crate) fn is_empty(&self) -> bool {
         self.runs.is_empty()
+    }
+
+    /// Engine rounds through the last step's big-round, `(last + 1) ·
+    /// phase_len` — within the budget, as `build` checked. A step-free
+    /// plan still runs big-round 0.
+    fn steps_end(&self) -> u64 {
+        (self.last_step_round + 1) * self.phase_len
+    }
+
+    /// [`SchedulePlan::predicted_rounds`]: the end of the last step's
+    /// big-round, 0 for a step-free plan.
+    pub(crate) fn predicted_rounds(&self) -> u64 {
+        if self.is_empty() {
+            0
+        } else {
+            self.steps_end()
+        }
+    }
+
+    /// A run's schedule length: the end of the last step's big-round,
+    /// extended by a drain tail whose last delivery left in engine round
+    /// `last_activity_round`.
+    pub(crate) fn schedule_rounds(&self, last_activity_round: u64) -> u64 {
+        self.steps_end().max(last_activity_round)
     }
 
     /// Big-round `b`'s runs (empty past the last step round).

@@ -47,8 +47,8 @@
 //! Ctrl-C aborts the process.
 
 use crate::exec::{
-    big_round_loop, merge_shards, Exchange, ExecError, ExecStats, ExecutorConfig, ShardCtx,
-    ShardReport, ShardStats, StepExtent,
+    big_round_loop, merge_shards, Exchange, ExecError, ExecStats, ExecutorConfig, FlatSteps,
+    ShardCtx, ShardReport, ShardStats,
 };
 use crate::plan::{ExecOptions, SchedError, SchedulePlan};
 use crate::problem::DasProblem;
@@ -195,11 +195,13 @@ pub fn install_ctrl_c() -> Arc<AtomicBool> {
 /// (deadline-bounded) for one connection per shard on `listener` —
 /// `workers` is clamped to the node count exactly as the in-process
 /// partition clamps shards — then drives the big-round relay until every
-/// shard reports done. Returns the outcome, the merged shard report, and
-/// the per-worker traffic in shard order.
+/// shard reports done. `steps` is `plan`'s step table. Returns the
+/// outcome, the merged shard report, and the per-worker traffic in shard
+/// order.
 pub(crate) fn run_coordinator(
     problem: &DasProblem<'_>,
     plan: &SchedulePlan,
+    steps: &FlatSteps,
     config: &ExecutorConfig,
     workers: usize,
     listener: TcpListener,
@@ -219,7 +221,7 @@ pub(crate) fn run_coordinator(
     // connection-refused (late-JOIN doorman).
     let doorman_stop = Arc::new(AtomicBool::new(false));
     let doorman = spawn_doorman(listener, s, net.clone(), doorman_stop.clone());
-    let result = coordinator_protocol(problem, plan, config, &part, &mut conns, net);
+    let result = coordinator_protocol(problem, steps, config, &part, &mut conns, net);
     if let Err(ref e) = result {
         // best-effort teardown so surviving workers fail fast with a
         // typed Aborted instead of waiting out their own deadlines
@@ -348,19 +350,13 @@ fn spawn_doorman(
 /// in-process sharded merge exactly — the outcome is byte-identical.
 fn coordinator_protocol(
     problem: &DasProblem<'_>,
-    plan: &SchedulePlan,
+    steps: &FlatSteps,
     config: &ExecutorConfig,
     part: &Partition,
     conns: &mut [FramedConn],
     net: &NetConfig,
 ) -> Result<(ScheduleOutcome, ShardReport), ExecError> {
-    let g = problem.graph();
-    let n = g.node_count();
-    let k = problem.k();
-    let s = part.shards();
-    let last_step_round = StepExtent::of(n, problem.algorithms(), &plan.units)
-        .last
-        .unwrap_or(0);
+    let (n, k, s) = (problem.graph().node_count(), problem.k(), part.shards());
 
     let mut b: u64 = 0;
     loop {
@@ -417,7 +413,7 @@ fn coordinator_protocol(
         // 4. Broadcast the termination decision — the same predicate the
         // in-process path evaluates after its post-increment (`b + 1` here
         // is the worker's incremented big-round counter).
-        let done = b + 1 > last_step_round && !any_active;
+        let done = b + 1 > steps.last_step_round && !any_active;
         let decision = Decision { big_round: b, done }.encode();
         for conn in conns.iter_mut() {
             conn.send(wire::DECISION, &decision, "broadcasting decision")?;
@@ -435,14 +431,7 @@ fn coordinator_protocol(
         let body = conn.expect(wire::DONE, "collecting results")?;
         shards.push(Done::decode(&body, k, part.nodes_of(src))?);
     }
-    Ok(merge_shards(
-        n,
-        k,
-        config,
-        plan.phase_len,
-        last_step_round,
-        shards,
-    ))
+    Ok(merge_shards(n, k, config, steps, shards))
 }
 
 /// Mirrors the per-link traffic counters into the run's live hub, if any.
@@ -511,12 +500,13 @@ pub fn run_worker(
     // only the shard's own columns are on the wire, so every step the
     // decoded plan schedules is on a node this shard owns
     let plan = PlanSlice::decode(assign.slice.0, part.of_node(), shard as u32)?;
-    // received plans are untrusted, exactly like plans loaded from disk
-    plan.validate(problem)?;
+    // received plans are untrusted, exactly like plans loaded from disk:
+    // building the step table checks the slice
+    let steps = FlatSteps::build(problem, &plan)?;
     // the production loop over the wire exchange, under the defaults the
     // coordinator checked it shares; the slice carries the phase length
     let config = ExecutorConfig::default();
-    let ctx = ShardCtx::new(problem, &plan, &config, part.of_node(), shards);
+    let ctx = ShardCtx::new(problem, &steps, &config, part.of_node(), shards);
     let mut exchange = Wire {
         conn: &mut conn,
         inbox: FlightGroup::default(),

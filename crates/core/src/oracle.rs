@@ -204,9 +204,9 @@ fn run(
 
 /// The per-(algorithm, node) step plan: `plan[a][v]` lists the big-round of
 /// each algorithm round `0, 1, 2, …` (a prefix of the rounds; truncation
-/// can cut it short). Production code lays steps out with the flat
-/// `FlatSteps` table instead and asks `StepExtent` when it only needs the
-/// schedule's length.
+/// can cut it short). Production code reads a plan's units only through
+/// the flat `FlatSteps` table — steps, checks and schedule length; this
+/// nested table, its asserts and its length arithmetic stay the reference.
 struct StepPlan {
     plan: Vec<Vec<Vec<u64>>>,
 }
@@ -400,8 +400,8 @@ impl TagWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{FlatSteps, StepExtent};
-    use crate::plan::{execute, ExecOptions};
+    use crate::exec::FlatSteps;
+    use crate::plan::{execute, ExecOptions, PlanError};
     use crate::synthetic::{FloodBall, Prescribed, RelayChain};
     use das_graph::generators;
 
@@ -564,15 +564,26 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
         #[test]
         fn extent_and_flat_table_match_the_row_step_plan(seed: u64, n in 1usize..9) {
+            use rand::{Rng, SeedableRng};
             let g = generators::path(n);
             let (p, units) = random_multi_unit_plan(&g, seed);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(!seed);
+            let phase_len = rng.gen_range(1..4u64);
             let row = StepPlan::build(&g, p.algorithms(), &units);
-            proptest::prop_assert_eq!(
-                StepExtent::of(n, p.algorithms(), &units).last,
-                row.last_big_round()
-            );
-            let flat = FlatSteps::build(n, p.algorithms(), &units);
-            proptest::prop_assert_eq!(flat.is_empty(), row.last_big_round().is_none());
+            let mut plan = SchedulePlan {
+                scheduler: "random".to_string(),
+                sched_seed: seed,
+                phase_len,
+                precompute_rounds: 0,
+                predicted_rounds: 0,
+                units,
+            };
+            let flat = FlatSteps::build(&p, &plan).unwrap();
+            let last = row.last_big_round();
+            proptest::prop_assert_eq!((!flat.is_empty()).then_some(flat.last_step_round), last);
+            // the row plan's own arithmetic is the reference
+            let predicted = last.map_or(0, |b| (b + 1) * phase_len);
+            proptest::prop_assert_eq!(flat.predicted_rounds(), predicted);
             for b in 0..=flat.last_step_round + 1 {
                 let mut want = Vec::new();
                 for (a, per_node) in row.plan.iter().enumerate() {
@@ -594,32 +605,23 @@ mod tests {
                     proptest::prop_assert!(!continues, "{:?} should be one run", pair);
                 }
             }
+            // One node's delay raised to at least 2^40 in a random subset of
+            // the units: the first of them that steps at that node is
+            // oversized, whichever algorithm it runs and whatever units
+            // supersede its steps.
+            let v = rng.gen_range(0..n);
+            let mut want = Ok(());
+            for (i, u) in plan.units.iter_mut().enumerate() {
+                if rng.gen_bool(0.5) {
+                    let huge = [1 << 40, rng.gen_range(1 << 40..u64::MAX), u64::MAX];
+                    u.delay[v] = huge[rng.gen_range(0..3usize)];
+                    let steps = p.algorithms()[u.algo].rounds().min(u.trunc[v]) > 0;
+                    if steps && want.is_ok() {
+                        want = Err(PlanError::Oversized { unit: i });
+                    }
+                }
+            }
+            proptest::prop_assert_eq!(FlatSteps::build(&p, &plan).map(drop), want);
         }
-    }
-
-    #[test]
-    fn extent_rejects_a_non_increasing_plan_like_the_row_builder() {
-        // stride 0 is the only way a unit list can repeat a big-round
-        let g = generators::path(3);
-        let p = DasProblem::new(&g, vec![Box::new(RelayChain::new(0, &g))], 2);
-        let units = vec![Unit {
-            algo: 0,
-            delay: vec![1; 3],
-            stride: 0,
-            trunc: vec![u32::MAX; 3],
-        }];
-        let message = |f: &dyn Fn()| {
-            let err =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).expect_err("must panic");
-            err.downcast_ref::<&str>().map(|s| s.to_string())
-        };
-        let row = message(&|| {
-            StepPlan::build(&g, p.algorithms(), &units);
-        });
-        let extent = message(&|| {
-            StepExtent::of(3, p.algorithms(), &units);
-        });
-        assert_eq!(row.as_deref(), Some("stride must be at least 1"));
-        assert_eq!(extent, row);
     }
 }

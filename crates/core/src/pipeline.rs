@@ -140,7 +140,7 @@ pub fn run(
         m.inc("plan.predicted_rounds", plan.predicted_rounds);
     }
     if obs.events_enabled() {
-        let pred = analysis::predict(problem, &plan).map_err(|e| failed(e.into()))?;
+        let pred = analysis::predict(problem, &plan).map_err(failed)?;
         let m = &mut report.metrics;
         m.inc("predict.late", pred.predicted_late);
         m.inc("predict.max_arc_load", pred.max_arc_load());

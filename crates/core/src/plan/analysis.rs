@@ -20,9 +20,8 @@
 //! without paying for the engine.
 
 use crate::exec::FlatSteps;
-use crate::plan::SchedulePlan;
+use crate::plan::{SchedError, SchedulePlan};
 use crate::problem::DasProblem;
-use crate::reference::ReferenceError;
 
 /// Predicted traffic of a plan, per arc and per big-round.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -75,20 +74,19 @@ struct Tag {
 /// communication patterns through the plan's step schedule.
 ///
 /// # Errors
-/// Propagates a [`ReferenceError`] if the reference runs fail.
-///
-/// # Panics
-/// Panics if the plan is malformed for this problem.
+/// [`SchedError::InvalidPlan`] if the plan fails
+/// [`SchedulePlan::validate`] — checked first, by building its step table
+/// — and [`SchedError::Reference`] if the reference runs fail.
 pub fn predict(
     problem: &DasProblem<'_>,
     plan: &SchedulePlan,
-) -> Result<LoadPrediction, ReferenceError> {
+) -> Result<LoadPrediction, SchedError> {
+    let steps = FlatSteps::build(problem, plan)?;
     let g = problem.graph();
     let n = g.node_count();
     let k = problem.k();
     let refs = problem.references()?;
-    let steps = FlatSteps::build(n, problem.algorithms(), &plan.units);
-    let phase_len = plan.phase_len.max(1);
+    let phase_len = steps.phase_len;
 
     // Reference sends grouped per (algorithm, source): (round, arc, dst),
     // sorted by round so each step can consume them with a cursor.
@@ -199,9 +197,7 @@ pub fn predict(
         big_round_load,
         predicted_delivered,
         predicted_late,
-        predicted_engine_rounds: (last_step_round + 1)
-            .saturating_mul(phase_len)
-            .max(last_activity_round),
+        predicted_engine_rounds: steps.schedule_rounds(last_activity_round),
         predicted_max_arc_queue,
     })
 }

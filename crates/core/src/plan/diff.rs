@@ -73,8 +73,6 @@ impl PlanDiff {
         a: &SchedulePlan,
         b: &SchedulePlan,
     ) -> Result<PlanDiff, SchedError> {
-        a.validate(problem)?;
-        b.validate(problem)?;
         let load_a = analysis::predict(problem, a)?;
         let load_b = analysis::predict(problem, b)?;
         let mut unit_diffs = Vec::new();

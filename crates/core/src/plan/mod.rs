@@ -26,7 +26,7 @@ pub mod analysis;
 pub mod cache;
 pub mod diff;
 
-use crate::exec::{ExecError, Executor, ExecutorConfig, ShardReport, StepExtent, Unit};
+use crate::exec::{ExecError, Executor, ExecutorConfig, FlatSteps, ShardReport, Unit};
 use crate::net::{run_coordinator, NetConfig};
 use crate::problem::DasProblem;
 use crate::reference::ReferenceError;
@@ -202,12 +202,13 @@ pub struct SchedulePlan {
 }
 
 impl SchedulePlan {
-    /// Assembles a plan, deriving `predicted_rounds` from the merged step
-    /// plan of `units` (earliest-wins deduplication included).
+    /// Assembles a plan, deriving `predicted_rounds` from the step table
+    /// of `units` (earliest-wins deduplication included).
     ///
     /// # Panics
-    /// Panics if `units` is malformed for the problem (wrong vector sizes
-    /// or out-of-range algorithm indices).
+    /// Panics if `units` is malformed for the problem — anything
+    /// [`SchedulePlan::validate`] refuses, an oversized unit included. No
+    /// scheduler in this crate produces such units.
     pub fn assemble(
         scheduler: &str,
         sched_seed: u64,
@@ -216,19 +217,18 @@ impl SchedulePlan {
         problem: &DasProblem<'_>,
         units: Vec<Unit>,
     ) -> Self {
-        let phase_len = phase_len.max(1);
-        let n = problem.graph().node_count();
-        let predicted_rounds = StepExtent::of(n, problem.algorithms(), &units)
-            .last
-            .map_or(0, |b| (b + 1).saturating_mul(phase_len));
-        SchedulePlan {
+        let mut plan = SchedulePlan {
             scheduler: scheduler.to_string(),
             sched_seed,
-            phase_len,
+            phase_len: phase_len.max(1),
             precompute_rounds,
-            predicted_rounds,
+            predicted_rounds: 0,
             units,
-        }
+        };
+        plan.predicted_rounds = FlatSteps::build(problem, &plan)
+            .unwrap_or_else(|e| panic!("assembled a malformed plan: {e}"))
+            .predicted_rounds();
+        plan
     }
 
     /// Total units in the plan.
@@ -265,66 +265,15 @@ impl SchedulePlan {
     /// otherwise exhaust memory building the big-round table, and a zero
     /// `phase_len` or stride would hang or panic the executor).
     ///
-    /// Every deserialize/execute entry point calls this; plans assembled
-    /// by the in-crate schedulers pass by construction.
+    /// Building the plan's step table — the one reader of a plan's units —
+    /// makes these checks, so every execute and predict entry point makes
+    /// them; plans assembled by the in-crate schedulers pass by
+    /// construction.
     ///
     /// # Errors
     /// Returns the first [`PlanError`] found.
     pub fn validate(&self, problem: &DasProblem<'_>) -> Result<(), PlanError> {
-        if self.phase_len == 0 {
-            return Err(PlanError::ZeroPhaseLen);
-        }
-        let n = problem.graph().node_count();
-        let k = problem.k();
-        let budget = ExecutorConfig::default().max_engine_rounds;
-        for (i, u) in self.units.iter().enumerate() {
-            if u.algo >= k {
-                return Err(PlanError::UnknownAlgorithm {
-                    unit: i,
-                    algo: u.algo,
-                    known: k,
-                });
-            }
-            if u.delay.len() != n {
-                return Err(PlanError::DelayLength {
-                    unit: i,
-                    expected: n,
-                    got: u.delay.len(),
-                });
-            }
-            if u.trunc.len() != n {
-                return Err(PlanError::TruncLength {
-                    unit: i,
-                    expected: n,
-                    got: u.trunc.len(),
-                });
-            }
-            if u.stride == 0 {
-                return Err(PlanError::ZeroStride { unit: i });
-            }
-            // the unit's last big-round over all nodes, saturating at
-            // `u64::MAX` (which no budget admits), then one checked test of
-            // its engine-round boundary
-            let rounds = problem.algorithms()[u.algo].rounds();
-            let last = u
-                .delay
-                .iter()
-                .zip(&u.trunc)
-                .filter_map(|(&d, &t)| {
-                    let lim = u64::from(rounds.min(t));
-                    (lim > 0).then(|| d.saturating_add((lim - 1).saturating_mul(u.stride)))
-                })
-                .max();
-            let fits = last.is_none_or(|last| {
-                last.checked_add(1)
-                    .and_then(|bigs| bigs.checked_mul(self.phase_len))
-                    .is_some_and(|engine| engine <= budget)
-            });
-            if !fits {
-                return Err(PlanError::Oversized { unit: i });
-            }
-        }
-        Ok(())
+        FlatSteps::build(problem, self).map(drop)
     }
 }
 
@@ -449,9 +398,10 @@ pub struct Executed {
 /// canonical machines, late messages dropped and counted — and depends
 /// only on `(problem.tape_seed, plan)`: re-executing a stored plan
 /// reproduces the original [`ScheduleOutcome`] exactly, fused, sharded or
-/// networked. The plan is validated first (plans are untrusted input), its
-/// own `phase_len` sets the big-round, and its pre-computation charge is
-/// stamped on the outcome. [`crate::oracle::execute_row`] is the
+/// networked. The plan's step table is built first, once — which checks
+/// the plan, untrusted input — and handed to whichever topology runs it;
+/// the plan's own `phase_len` sets the big-round, and its pre-computation
+/// charge is stamped on the outcome. [`crate::oracle::execute_row`] is the
 /// specification it must match byte for byte.
 ///
 /// # Errors
@@ -472,7 +422,7 @@ pub fn execute(
     plan: &SchedulePlan,
     opts: ExecOptions<'_>,
 ) -> Result<Executed, SchedError> {
-    plan.validate(problem)?;
+    let steps = FlatSteps::build(problem, plan)?;
     let (config, obs) = (&opts.config, &opts.obs);
     if let Some(hub) = &config.live {
         let (exchange, shards) = opts.topology.identity(problem.graph().node_count());
@@ -480,12 +430,12 @@ pub fn execute(
     }
     let (outcome, shard, obs, traffic) = match opts.topology {
         Topology::Fused => {
-            let (outcome, obs) = Executor::run_observed(problem, plan, config, obs)?;
+            let (outcome, obs) = Executor::run_observed(problem, &steps, config, obs)?;
             (outcome, ShardReport::default(), obs, Vec::new())
         }
         Topology::Sharded(shards) => {
             let (outcome, shard, obs) =
-                Executor::run_sharded_observed(problem, plan, config, shards, obs)?;
+                Executor::run_sharded_observed(problem, &steps, config, shards, obs)?;
             (outcome, shard, obs, Vec::new())
         }
         Topology::Networked {
@@ -495,7 +445,7 @@ pub fn execute(
         } => {
             refuse_unshared(config)?;
             let (outcome, shard, traffic) =
-                run_coordinator(problem, plan, config, workers, listener, net)?;
+                run_coordinator(problem, plan, &steps, config, workers, listener, net)?;
             (outcome, shard, None, traffic)
         }
     };
@@ -669,8 +619,11 @@ mod tests {
         let p = mixed_problem(&g);
         let good = SequentialScheduler.plan(&p, 0).unwrap();
         assert_eq!(good.validate(&p), Ok(()));
-        // `validate` names the fault, and both public ways to execute a
-        // plan refuse it with that same typed error — never with a panic
+        // `validate` names the fault, and every way to execute or predict a
+        // plan refuses it with that same typed error — never with a panic.
+        // The networked leg must refuse before it accepts a worker: none is
+        // started, and a short deadline makes a wait for one fail, not hang.
+        let net = NetConfig::default().with_io_timeout_ms(200);
         let refused = |edit: &dyn Fn(&mut SchedulePlan), want: PlanError| {
             let mut bad = good.clone();
             edit(&mut bad);
@@ -681,6 +634,17 @@ mod tests {
             }));
             assert_eq!(row.expect("the oracle must not panic").unwrap_err(), want);
             assert_eq!(exec_fused(&p, &bad).unwrap_err(), want);
+            let sharded = execute(&p, &bad, ExecOptions::sharded(3));
+            assert_eq!(sharded.unwrap_err(), want);
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind localhost");
+            let networked = execute(&p, &bad, ExecOptions::networked(1, listener, &net));
+            assert_eq!(networked.unwrap_err(), want);
+            assert_eq!(analysis::predict(&p, &bad).unwrap_err(), want);
+            // recording events, the pipeline predicts before it executes
+            let from = crate::pipeline::PlanFrom::Given(&bad);
+            let opts = ExecOptions::default().with_obs(ObsConfig::full());
+            let ran = crate::pipeline::run(&p, from, opts, &mut das_obs::Stages::default());
+            assert_eq!(ran.unwrap_err().error, want);
         };
 
         // phase_len 0 would make the drain loop a no-op: an infinite hang
@@ -713,6 +677,17 @@ mod tests {
         // would exhaust memory, so validate must reject it up front
         let oversized = PlanError::Oversized { unit: 0 };
         refused(&|bad| bad.units[0].delay[3] = 1 << 40, oversized.clone());
+        // the budget is inclusive: the last step's big-round may end exactly
+        // on it, but not once every big-round is one engine round longer
+        let budget = ExecutorConfig::default().max_engine_rounds;
+        let phase_len = budget / good.predicted_rounds;
+        let edge = SchedulePlan {
+            phase_len,
+            ..good.clone()
+        };
+        assert_eq!(edge.validate(&p), Ok(()));
+        let past = PlanError::Oversized { unit: 2 };
+        refused(&|bad| bad.phase_len = phase_len + 1, past);
         // ... and near-u64 values must not overflow the check itself
         let overflowing = |bad: &mut SchedulePlan| {
             bad.units[0].delay[0] = u64::MAX - 1;
@@ -735,6 +710,20 @@ mod tests {
             bad.units[2].delay[5] = 1 << 40;
         };
         refused(&both, PlanError::Oversized { unit: 1 });
+        // the first faulty unit is named, whatever its fault
+        let ordered = |bad: &mut SchedulePlan| {
+            bad.units[0].delay[3] = 1 << 40;
+            _ = bad.units[1].delay.pop();
+        };
+        refused(&ordered, PlanError::Oversized { unit: 0 });
+        // with several units per algorithm, a unit's reach counts the steps
+        // an earlier unit supersedes: unit 3 repeats unit 0, 2^40 later
+        let superseded = |bad: &mut SchedulePlan| {
+            let mut late = bad.units[0].clone();
+            late.delay.iter_mut().for_each(|d| *d += 1 << 40);
+            bad.units.push(late);
+        };
+        refused(&superseded, PlanError::Oversized { unit: 3 });
     }
 
     #[test]

@@ -28,12 +28,10 @@ pub struct ObsConfig {
     /// nondeterministic side channel. Off by default so exports are a pure
     /// function of the run.
     pub wall_clock: bool,
-    /// Cap on recorded trace events per probe; further events are counted
-    /// in `exec.events_dropped` instead of allocated.
-    pub max_events: usize,
 }
 
-/// Default cap on trace events recorded by a single probe.
+/// Cap on trace events recorded by a single probe; further events are
+/// counted in `exec.events_dropped` instead of allocated.
 pub const DEFAULT_MAX_EVENTS: usize = 1 << 16;
 
 impl Default for ObsConfig {
@@ -48,7 +46,6 @@ impl ObsConfig {
         ObsConfig {
             mode: ObsMode::Off,
             wall_clock: false,
-            max_events: DEFAULT_MAX_EVENTS,
         }
     }
 

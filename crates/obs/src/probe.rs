@@ -1,6 +1,6 @@
 //! The executor-side recording probe.
 
-use crate::config::ObsConfig;
+use crate::config::{ObsConfig, DEFAULT_MAX_EVENTS};
 use crate::event::{Stage, TraceEvent};
 use crate::live::{BigRoundDelta, LiveHub};
 use crate::metrics::{Histogram, MetricsRegistry};
@@ -21,7 +21,6 @@ pub struct ExecObs {
     full: bool,
     wall: bool,
     lane: u32,
-    max_events: usize,
     phase_len: u64,
     profile: LoadProfile,
     congestion: Histogram,
@@ -56,7 +55,6 @@ impl ExecObs {
             full: false,
             wall: false,
             lane: 0,
-            max_events: 0,
             phase_len: 1,
             profile: LoadProfile::new(),
             congestion: Histogram::default(),
@@ -91,7 +89,6 @@ impl ExecObs {
             p.full = config.events_enabled();
             p.wall = config.wall_clock;
             p.lane = lane;
-            p.max_events = config.max_events;
         }
         p
     }
@@ -278,7 +275,7 @@ impl ExecObs {
     }
 
     fn push_event(&mut self, e: TraceEvent) {
-        if self.events.len() < self.max_events {
+        if self.events.len() < DEFAULT_MAX_EVENTS {
             self.events.push(e);
         } else {
             self.events_dropped += 1;
@@ -427,16 +424,16 @@ mod tests {
 
     #[test]
     fn event_cap_counts_drops() {
-        let mut cfg = ObsConfig::full();
-        cfg.max_events = 2;
-        let mut p = ExecObs::new(&cfg, 0);
+        let mut p = ExecObs::new(&ObsConfig::full(), 0);
         p.init(1, 1);
-        for b in 0..3 {
+        // an active big-round records two events: a span and a counter
+        let big_rounds = DEFAULT_MAX_EVENTS as u64 / 2 + 2;
+        for b in 0..big_rounds {
             p.on_step(0);
             p.end_big_round(b);
         }
         let r = p.finish().unwrap();
-        assert_eq!(r.events.len(), 2);
+        assert_eq!(r.events.len(), DEFAULT_MAX_EVENTS);
         assert_eq!(r.metrics.counter("exec.events_dropped"), 4);
     }
 }
