@@ -2,7 +2,7 @@
 //! root, then tell everyone. A classic low-congestion workload (each tree
 //! edge carries exactly two messages) with dilation `2·height + 1`.
 
-use das_core::{Aid, AlgoNode, AlgoSend, BlackBoxAlgorithm};
+use das_core::{Aid, AlgoNode, BlackBoxAlgorithm, Inbox, Sends};
 use das_graph::tree::RootedTree;
 use das_graph::{Graph, NodeId};
 
@@ -73,10 +73,10 @@ impl BlackBoxAlgorithm for TreeSum {
 }
 
 impl AlgoNode for TreeSumNode {
-    fn step(&mut self, inbox: &[(NodeId, Vec<u8>)]) -> Vec<AlgoSend> {
+    fn step(&mut self, inbox: Inbox<'_>, out: &mut Sends<'_>) {
         for (from, payload) in inbox {
             let val = u64::from_le_bytes(payload[..8].try_into().expect("8-byte value"));
-            if self.children.contains(from) {
+            if self.children.contains(&from) {
                 self.acc = self.acc.wrapping_add(val);
                 self.pending_up -= 1;
             } else {
@@ -84,17 +84,13 @@ impl AlgoNode for TreeSumNode {
                 self.total = Some(val);
             }
         }
-        let mut out = Vec::new();
         // upcast: a node at depth d has all child sums by round
         // height - d; send up at exactly that round (deterministic timing)
         let up_round = self.height - self.depth;
         if self.round == up_round {
             debug_assert_eq!(self.pending_up, 0, "child sums must have arrived");
             match self.parent {
-                Some(p) => out.push(AlgoSend {
-                    to: p,
-                    payload: self.acc.to_le_bytes().to_vec(),
-                }),
+                Some(p) => out.push(p, &self.acc.to_le_bytes()),
                 None => self.total = Some(self.acc), // root
             }
         }
@@ -103,15 +99,11 @@ impl AlgoNode for TreeSumNode {
         if self.round == self.height + 1 + self.depth {
             if let Some(total) = self.total {
                 for &c in &self.children {
-                    out.push(AlgoSend {
-                        to: c,
-                        payload: total.to_le_bytes().to_vec(),
-                    });
+                    out.push(c, &total.to_le_bytes());
                 }
             }
         }
         self.round += 1;
-        out
     }
 
     fn output(&self) -> Option<Vec<u8>> {

@@ -8,7 +8,7 @@
 
 use crate::adjacency::Adjacency;
 use das_congest::{util, Protocol, ProtocolNode, RoundContext};
-use das_core::{Aid, AlgoNode, AlgoSend, BlackBoxAlgorithm};
+use das_core::{Aid, AlgoNode, BlackBoxAlgorithm, Inbox, Sends};
 use das_graph::{Graph, NodeId};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -70,13 +70,13 @@ impl BlackBoxAlgorithm for HopBfs {
 }
 
 impl AlgoNode for HopBfsNode {
-    fn step(&mut self, inbox: &[(NodeId, Vec<u8>)]) -> Vec<AlgoSend> {
+    fn step(&mut self, inbox: Inbox<'_>, out: &mut Sends<'_>) {
         // deterministic parent choice: smallest-id announcer of the first
         // round that reaches us
         let mut best: Option<NodeId> = None;
         for (from, _payload) in inbox {
-            if self.dist.is_none() && best.is_none_or(|b| *from < b) {
-                best = Some(*from);
+            if self.dist.is_none() && best.is_none_or(|b| from < b) {
+                best = Some(from);
             }
         }
         if let Some(from) = best {
@@ -84,20 +84,14 @@ impl AlgoNode for HopBfsNode {
             self.parent = Some(from);
             self.pending = true;
         }
-        let mut out = Vec::new();
         if self.pending && self.round < self.hops {
             self.pending = false;
+            let payload = u64::from(self.dist.expect("pending implies dist")).to_le_bytes();
             for &u in self.adjacency.neighbors(self.me) {
-                out.push(AlgoSend {
-                    to: u,
-                    payload: (self.dist.expect("pending implies dist") as u64)
-                        .to_le_bytes()
-                        .to_vec(),
-                });
+                out.push(u, &payload);
             }
         }
         self.round += 1;
-        out
     }
 
     fn output(&self) -> Option<Vec<u8>> {

@@ -9,7 +9,7 @@
 
 use crate::adjacency::Adjacency;
 use das_congest::{util, Protocol, ProtocolNode, RoundContext};
-use das_core::{Aid, AlgoNode, AlgoSend, BlackBoxAlgorithm};
+use das_core::{Aid, AlgoNode, BlackBoxAlgorithm, Inbox, Sends};
 use das_graph::{Graph, NodeId};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -73,7 +73,7 @@ impl BlackBoxAlgorithm for SingleBroadcast {
 }
 
 impl AlgoNode for SingleBroadcastNode {
-    fn step(&mut self, inbox: &[(NodeId, Vec<u8>)]) -> Vec<AlgoSend> {
+    fn step(&mut self, inbox: Inbox<'_>, out: &mut Sends<'_>) {
         for (_, payload) in inbox {
             if self.payload.is_none() {
                 self.payload = Some(u64::from_le_bytes(payload[..8].try_into().expect("token")));
@@ -81,19 +81,14 @@ impl AlgoNode for SingleBroadcastNode {
                 self.pending = true;
             }
         }
-        let mut out = Vec::new();
         if self.pending && self.round < self.hops {
             self.pending = false;
             let bytes = self.payload.expect("pending implies payload").to_le_bytes();
             for &u in self.adjacency.neighbors(self.me) {
-                out.push(AlgoSend {
-                    to: u,
-                    payload: bytes.to_vec(),
-                });
+                out.push(u, &bytes);
             }
         }
         self.round += 1;
-        out
     }
 
     fn output(&self) -> Option<Vec<u8>> {

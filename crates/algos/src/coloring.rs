@@ -8,7 +8,7 @@
 //! cannot predict who sends when.
 
 use crate::adjacency::Adjacency;
-use das_core::{Aid, AlgoNode, AlgoSend, BlackBoxAlgorithm};
+use das_core::{Aid, AlgoNode, BlackBoxAlgorithm, Inbox, Sends};
 use das_graph::{Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -88,14 +88,14 @@ impl BlackBoxAlgorithm for Coloring {
 }
 
 /// payload: tag byte (0 = proposal, 1 = decided) + color u32
-fn msg(tag: u8, color: u32) -> Vec<u8> {
-    let mut v = vec![tag];
-    v.extend_from_slice(&color.to_le_bytes());
+fn msg(tag: u8, color: u32) -> [u8; 5] {
+    let mut v = [tag; 5];
+    v[1..].copy_from_slice(&color.to_le_bytes());
     v
 }
 
 impl AlgoNode for ColoringNode {
-    fn step(&mut self, inbox: &[(NodeId, Vec<u8>)]) -> Vec<AlgoSend> {
+    fn step(&mut self, inbox: Inbox<'_>, out: &mut Sends<'_>) {
         // resolve last round's proposal against neighbor traffic
         let mut conflict = false;
         for (_, payload) in inbox {
@@ -115,37 +115,33 @@ impl AlgoNode for ColoringNode {
                 }
             }
         }
-        let mut out = Vec::new();
+        let mut announced = false;
         if let Some(p) = self.proposed.take() {
             if !conflict && self.color == UNCOLORED {
                 self.color = p;
                 // announce the decision so neighbors drop the color
+                let payload = msg(1, p);
                 for &u in self.adjacency.neighbors(self.me) {
-                    out.push(AlgoSend {
-                        to: u,
-                        payload: msg(1, p),
-                    });
+                    out.push(u, &payload);
+                    announced = true;
                 }
             }
         }
         // propose, if still uncolored and rounds remain
-        if self.color == UNCOLORED && self.round < self.rounds && out.is_empty() {
+        if self.color == UNCOLORED && self.round < self.rounds && !announced {
             let free: Vec<u32> = (0..self.palette)
                 .filter(|c| !self.taken.contains(c))
                 .collect();
             if !free.is_empty() {
                 let p = free[self.rng.gen_range(0..free.len())];
                 self.proposed = Some(p);
+                let payload = msg(0, p);
                 for &u in self.adjacency.neighbors(self.me) {
-                    out.push(AlgoSend {
-                        to: u,
-                        payload: msg(0, p),
-                    });
+                    out.push(u, &payload);
                 }
             }
         }
         self.round += 1;
-        out
     }
 
     fn output(&self) -> Option<Vec<u8>> {

@@ -5,7 +5,7 @@
 
 use crate::adjacency::Adjacency;
 use das_congest::{util, Protocol, ProtocolNode, RoundContext};
-use das_core::{Aid, AlgoNode, AlgoSend, BlackBoxAlgorithm};
+use das_core::{Aid, AlgoNode, BlackBoxAlgorithm, Inbox, Sends};
 use das_graph::{Graph, NodeId};
 use std::sync::Arc;
 
@@ -73,7 +73,7 @@ impl BlackBoxAlgorithm for LeaderElection {
 }
 
 impl AlgoNode for LeaderNode {
-    fn step(&mut self, inbox: &[(NodeId, Vec<u8>)]) -> Vec<AlgoSend> {
+    fn step(&mut self, inbox: Inbox<'_>, out: &mut Sends<'_>) {
         for (_, payload) in inbox {
             let rank = u64::from_le_bytes(payload[..8].try_into().expect("rank"));
             let id = u32::from_le_bytes(payload[8..12].try_into().expect("id"));
@@ -82,20 +82,16 @@ impl AlgoNode for LeaderNode {
                 self.changed = true;
             }
         }
-        let mut out = Vec::new();
         if self.changed && self.round < self.rounds {
             self.changed = false;
-            let mut payload = self.best.0.to_le_bytes().to_vec();
-            payload.extend_from_slice(&self.best.1.to_le_bytes());
+            let mut payload = [0u8; 12];
+            payload[..8].copy_from_slice(&self.best.0.to_le_bytes());
+            payload[8..].copy_from_slice(&self.best.1.to_le_bytes());
             for &u in self.adjacency.neighbors(self.me) {
-                out.push(AlgoSend {
-                    to: u,
-                    payload: payload.clone(),
-                });
+                out.push(u, &payload);
             }
         }
         self.round += 1;
-        out
     }
 
     fn output(&self) -> Option<Vec<u8>> {

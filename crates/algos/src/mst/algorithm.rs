@@ -3,7 +3,7 @@
 
 use super::fragments::{capped_boruvka, FragmentDecomposition};
 use super::weights::{EdgeWeights, UnionFind};
-use das_core::{Aid, AlgoNode, AlgoSend, BlackBoxAlgorithm};
+use das_core::{Aid, AlgoNode, BlackBoxAlgorithm, Inbox, Sends};
 use das_graph::tree::RootedTree;
 use das_graph::{Graph, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -234,16 +234,16 @@ impl MstNode {
 }
 
 impl AlgoNode for MstNode {
-    fn step(&mut self, inbox: &[(NodeId, Vec<u8>)]) -> Vec<AlgoSend> {
+    fn step(&mut self, inbox: Inbox<'_>, out: &mut Sends<'_>) {
         for (from, payload) in inbox {
             match das_congest::util::decode(payload) {
                 Some((TAG_UP, words)) => {
                     let c = decode_cand(&words);
                     self.pending.insert(c);
-                    self.child_last.insert(*from, c.w);
+                    self.child_last.insert(from, c.w);
                 }
                 Some((TAG_DONE, _)) => {
-                    self.child_done.insert(*from);
+                    self.child_done.insert(from);
                 }
                 Some((TAG_DOWN, words)) => {
                     let c = decode_cand(&words);
@@ -257,7 +257,7 @@ impl AlgoNode for MstNode {
             }
         }
 
-        let mut out = Vec::new();
+        let mut sent = false;
         let r = self.round;
         let in_upcast = r >= self.charged && r < self.charged + self.t_up;
         let in_downcast = r >= self.charged + self.t_up && r < self.total_rounds;
@@ -270,10 +270,10 @@ impl AlgoNode for MstNode {
                 self.pending.remove(&c);
                 if self.uf.union(c.fu, c.fv) {
                     match self.parent {
-                        Some(p) => out.push(AlgoSend {
-                            to: p,
-                            payload: encode_cand(TAG_UP, &c),
-                        }),
+                        Some(p) => {
+                            out.push(p, &encode_cand(TAG_UP, &c));
+                            sent = true;
+                        }
                         None => {
                             // root: this edge is in the fragment-graph MST
                             if c.u == self.me.0 || c.v == self.me.0 {
@@ -288,16 +288,13 @@ impl AlgoNode for MstNode {
             }
             // completion marker
             if !self.sent_done
-                && out.is_empty()
+                && !sent
                 && self.pending.is_empty()
                 && self.children.iter().all(|c| self.child_done.contains(c))
             {
                 self.sent_done = true;
                 if let Some(p) = self.parent {
-                    out.push(AlgoSend {
-                        to: p,
-                        payload: das_congest::util::encode(TAG_DONE, &[]),
-                    });
+                    out.push(p, &das_congest::util::encode(TAG_DONE, &[]));
                 }
             }
         } else if in_downcast {
@@ -317,18 +314,15 @@ impl AlgoNode for MstNode {
                 c
             };
             if let Some(c) = item {
+                let payload = encode_cand(TAG_DOWN, &c);
                 for &ch in &self.children {
-                    out.push(AlgoSend {
-                        to: ch,
-                        payload: encode_cand(TAG_DOWN, &c),
-                    });
+                    out.push(ch, &payload);
                 }
             }
         }
 
         self.round += 1;
         let _ = self.n_nodes;
-        out
     }
 
     fn output(&self) -> Option<Vec<u8>> {

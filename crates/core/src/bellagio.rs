@@ -21,7 +21,8 @@
 //!
 //! Cost: `O(T·log² n)` rounds total — the Meta-Theorem A.1 bound.
 
-use crate::algorithm::{AlgoNode, BatchedSends, NodeBatch};
+use crate::algorithm::{AlgoNode, BatchedSends, BlockStep, NodeBatch};
+use crate::reference::RoundMail;
 use das_cluster::{CarveConfig, Clustering, ShareConfig};
 use das_congest::util::seed_mix;
 use das_graph::{Graph, NodeId};
@@ -89,24 +90,28 @@ fn run_truncated(
     let nodes: Vec<NodeId> = (0..n).map(|v| NodeId(v as u32)).collect();
     let private_seeds: Vec<u64> = (0..n).map(|v| seed_mix(private_seed, v as u64)).collect();
     let mut batch = family.create_nodes(&nodes, n, seeds, &private_seeds);
-    let mut inboxes: Vec<Vec<(NodeId, Vec<u8>)>> = vec![Vec::new(); n];
+    // one block per round, as in `run_alone`; a truncated node's mail is
+    // dropped with the round
+    let mut mail = RoundMail::new(n);
+    let mut steps: Vec<BlockStep> = Vec::with_capacity(n);
     let mut sends = BatchedSends::new();
     for r in 0..family.rounds() {
-        let mut next: Vec<Vec<(NodeId, Vec<u8>)>> = vec![Vec::new(); n];
-        for v in 0..n {
-            if trunc.is_some_and(|t| r >= t[v]) {
-                continue;
-            }
-            let mut inbox = std::mem::take(&mut inboxes[v]);
-            inbox.sort();
-            sends.clear();
-            batch.step_into(v, &inbox, &mut sends);
-            for (to, payload) in sends.segment(0) {
-                debug_assert!(g.has_edge(NodeId(v as u32), to));
-                next[to.index()].push((NodeId(v as u32), payload.to_vec()));
+        steps.clear();
+        steps.extend(
+            (0..n)
+                .filter(|&v| trunc.is_none_or(|t| r < t[v]))
+                .map(|v| mail.step(v, r)),
+        );
+        sends.clear();
+        batch.step_block(&steps, mail.inbox(), &mut sends);
+        for (i, s) in steps.iter().enumerate() {
+            let from = NodeId(s.node);
+            for (to, payload) in sends.segment(i) {
+                debug_assert!(g.has_edge(from, to));
+                mail.post(from, to, payload);
             }
         }
-        inboxes = next;
+        mail.deliver();
     }
     (0..n).map(|v| batch.output(v)).collect()
 }
@@ -289,7 +294,7 @@ pub fn derandomize(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::AlgoSend;
+    use crate::algorithm::{Inbox, Sends};
     use das_graph::generators;
 
     /// Demo Bellagio algorithm: "is the number of distinct inputs in my
@@ -359,21 +364,16 @@ mod tests {
     }
 
     impl AlgoNode for ThresholdNode {
-        fn step(&mut self, inbox: &[(NodeId, Vec<u8>)]) -> Vec<AlgoSend> {
+        fn step(&mut self, inbox: Inbox<'_>, out: &mut Sends<'_>) {
             for (_, payload) in inbox {
                 self.acc |= u64::from_le_bytes(payload[..8].try_into().unwrap());
             }
-            let mut out = Vec::new();
             if self.round < self.h {
                 for &u in &self.neighbors {
-                    out.push(AlgoSend {
-                        to: u,
-                        payload: self.acc.to_le_bytes().to_vec(),
-                    });
+                    out.push(u, &self.acc.to_le_bytes());
                 }
             }
             self.round += 1;
-            out
         }
 
         fn output(&self) -> Option<Vec<u8>> {

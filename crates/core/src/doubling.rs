@@ -34,8 +34,8 @@
 //! [`DoublingOutcome::cache`] and the `doubling.replan_cache_hits` /
 //! `doubling.artifact_builds` counters record the reuse.
 
-use crate::exec::ExecutorConfig;
-use crate::plan::{analysis, execute, ExecOptions, SchedError, SchedulePlan};
+use crate::exec::{ExecutorConfig, FlatSteps};
+use crate::plan::{analysis, execute_steps, ExecOptions, SchedError, SchedulePlan};
 use crate::problem::DasProblem;
 use crate::schedule::ScheduleOutcome;
 use crate::schedulers::Scheduler;
@@ -246,7 +246,9 @@ fn search(
     let mut attempted_ranges = Vec::new();
     let mut detection = None;
     let mut report = obs.enabled().then(ObsReport::new);
-    let (plan, final_guess, fell_back) = loop {
+    // the accepted plan's step table, built once for its prediction and
+    // its execution
+    let (plan, steps, final_guess, fell_back) = loop {
         attempts += 1;
         let t = Instant::now();
         let plan = base.size_plan(problem, &artifact, Some(requested))?;
@@ -254,7 +256,8 @@ fn search(
         let (span, budgeted) = spans(requested, &plan);
         attempted_ranges.push(span);
         let guess = implied_congestion(budgeted, ln_n);
-        let prediction = analysis::predict(problem, &plan)?;
+        let steps = FlatSteps::build(problem, &plan)?;
+        let prediction = analysis::predict_steps(problem, &steps)?;
         record_attempt(
             &mut report,
             obs,
@@ -275,7 +278,7 @@ fn search(
             );
         }
         if prediction.feasible() {
-            break (plan, guess, false);
+            break (plan, steps, guess, false);
         }
         // rejected on the plan alone; charge what the failed attempt
         // would have cost
@@ -288,14 +291,15 @@ fn search(
             }
             let fallback = InterleaveScheduler;
             let plan = fallback.plan(problem, fallback.default_sched_seed())?;
-            break (plan, guess, true);
+            let steps = FlatSteps::build(problem, &plan)?;
+            break (plan, steps, guess, true);
         }
         requested *= 2;
     };
     cache.replan_cache_hits = u64::from(attempts) - 1;
     let exec_cfg = ExecutorConfig::default().with_live(cfg.live.clone());
     let opts = ExecOptions::default().with_config(exec_cfg).with_obs(*obs);
-    let done = execute(problem, &plan, opts)?;
+    let done = execute_steps(problem, &plan, &steps, opts)?;
     let (mut outcome, exec_report) = (done.outcome, done.obs);
     debug_assert!(
         fell_back || outcome.stats.late_messages == 0,

@@ -43,7 +43,7 @@
 //! heap payload per message.
 
 use super::columnar::{
-    arc_endpoint_table, build_batches, build_departures, recycle, ArrivalArena, ColFifo, FlatSteps,
+    arc_endpoint_table, build_batches, build_departures, ArrivalArena, ColFifo, FlatSteps,
 };
 use super::{ExecError, ExecStats, ExecutorConfig, ShardReport, ShardStats, MESSAGE_BYTES};
 use crate::algorithm::{BatchedSends, BlackBoxAlgorithm, BlockStep};
@@ -52,7 +52,7 @@ use crate::schedule::ScheduleOutcome;
 use crate::wire::{Flight, FlightGroup};
 use das_graph::{Graph, NodeId};
 use das_obs::ExecObs;
-use das_pattern::SimulationMap;
+use das_pattern::{SimulationMap, TimedArc};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
@@ -424,16 +424,14 @@ pub(crate) fn big_round_loop<X: Exchange>(
     // no heap object.
     let mut steps_done = vec![0u32; k * own_n];
     let mut buffered = ArrivalArena::new(k * own_n);
-    let mut pool: Vec<Vec<u8>> = Vec::new();
     let mut sort_scratch: Vec<(u32, u32, u32)> = Vec::new();
     // Duplicate-send detection via generation stamps: O(1) per send where
     // the row oracle scans its sent-to list, which is quadratic in the
     // fan-out of a broadcast step.
     let mut sent_gen = vec![0u64; n];
     let mut gen: u64 = 0;
-    // Per-block scratch: the concatenated inboxes of the block's steps,
-    // their [`BlockStep`] descriptors, and the flat send arena.
-    let mut block_inbox: Vec<(NodeId, Vec<u8>)> = Vec::new();
+    // Per-block scratch: the block's [`BlockStep`] descriptors and the
+    // flat send arena (the arena holds the block's inbox).
     let mut block_steps: Vec<BlockStep> = Vec::new();
     let mut sends_buf = BatchedSends::new();
     let (arc_src, arc_dst) = arc_endpoint_table(g);
@@ -450,8 +448,8 @@ pub(crate) fn big_round_loop<X: Exchange>(
         phase_len,
         ..ExecStats::default()
     };
-    // Departures deferred as flat tuples; bulk-inserted after the run.
-    let mut deferred: Vec<(u32, u32, u32, u32)> = Vec::new();
+    // Departures filed per algorithm in drain order; sorted after the run.
+    let mut filed: Vec<Vec<(TimedArc, u32)>> = vec![Vec::new(); k];
     let mut shard = ShardStats {
         shard: me,
         nodes: own_n,
@@ -473,13 +471,14 @@ pub(crate) fn big_round_loop<X: Exchange>(
             while j < runs_b.len() && runs_b[j].algo == a {
                 j += 1;
             }
-            // Materialize the block's inboxes up front. This is safe
-            // because no send of this big-round can reach an inbox before
-            // the next drain phase — buffered arrivals are frozen during
-            // step phases. A machine with nothing buffered never touches
-            // the arena's records.
+            // Take the block's inboxes up front, as spans of the arena's
+            // bytes. This is safe because no send of this big-round can
+            // reach an inbox before the next drain phase — buffered
+            // arrivals are frozen during step phases — and the arena
+            // reclaims nothing until the block has stepped. A machine with
+            // nothing buffered never touches the arena's records.
             block_steps.clear();
-            debug_assert!(block_inbox.is_empty());
+            debug_assert_eq!(buffered.taken(), 0);
             for run in &runs_b[i..j] {
                 let r = run.round;
                 for v in run.lo..run.hi {
@@ -489,13 +488,13 @@ pub(crate) fn big_round_loop<X: Exchange>(
                     }
                     let idx = a as usize * own_n + li;
                     debug_assert_eq!(steps_done[idx], r, "steps execute in order");
-                    let start = block_inbox.len() as u32;
+                    let start = buffered.taken() as u32;
                     if r > 0 && !buffered.is_idle(idx) {
                         // take() appends the inbox already in canonical
                         // sender-sorted order
-                        buffered.take(idx, r - 1, &mut block_inbox, &mut pool, &mut sort_scratch);
+                        buffered.take(idx, r - 1, &mut sort_scratch);
                     }
-                    let len = block_inbox.len() as u32 - start;
+                    let len = buffered.taken() as u32 - start;
                     obs.on_step(len as usize);
                     steps_done[idx] = r + 1;
                     shard.steps += 1;
@@ -512,12 +511,8 @@ pub(crate) fn big_round_loop<X: Exchange>(
                 continue;
             }
             sends_buf.clear();
-            batches[a as usize].step_block(&block_steps, &block_inbox, &mut sends_buf);
-            debug_assert_eq!(
-                sends_buf.segments(),
-                block_steps.len(),
-                "one send segment per executed step"
-            );
+            batches[a as usize].step_block(&block_steps, buffered.inbox(), &mut sends_buf);
+            buffered.reclaim();
             // Validate and enqueue segment-by-segment, in the block's step
             // order. Send-free segments are skipped outright: `gen` is
             // consulted only by the duplicate-send check, so it need only
@@ -530,7 +525,11 @@ pub(crate) fn big_round_loop<X: Exchange>(
                 let from = own[bs.node as usize];
                 gen += 1;
                 for (to, payload) in sends_buf.segment(si) {
-                    let Some(edge) = g.find_edge(from, to) else {
+                    // One binary search over the sender's sorted neighbours
+                    // names the edge; its endpoints are stored smaller id
+                    // first, so the arc's direction is the id order.
+                    let nbrs = g.neighbors(from);
+                    let Ok(p) = nbrs.binary_search_by_key(&to, |&(w, _)| w) else {
                         stats.invalid_sends += 1;
                         obs.on_invalid_send();
                         continue;
@@ -541,7 +540,8 @@ pub(crate) fn big_round_loop<X: Exchange>(
                         continue;
                     }
                     sent_gen[to.index()] = gen;
-                    let arc = g.arc_from(edge, from).index();
+                    let arc = 2 * nbrs[p].1.index() + usize::from(from > to);
+                    debug_assert_eq!((arc_src[arc], arc_dst[arc]), (from.0, to.0));
                     let owner = ctx.of_node[to.index()] as usize;
                     if owner == me {
                         let msg = (a, bs.round, payload);
@@ -560,7 +560,6 @@ pub(crate) fn big_round_loop<X: Exchange>(
                     }
                 }
             }
-            recycle(&mut block_inbox, &mut pool);
         }
         shard.step_nanos += t_step.elapsed().as_nanos() as u64;
 
@@ -622,7 +621,12 @@ pub(crate) fn big_round_loop<X: Exchange>(
                 off += m.len as usize;
                 let eng = phase_start + j as u64;
                 if config.record_departures {
-                    deferred.push((m.algo, m.round, arc_idx as u32, eng as u32));
+                    let arc = das_graph::Arc::from_index(arc_idx);
+                    let ta = TimedArc {
+                        round: m.round,
+                        arc,
+                    };
+                    filed[m.algo as usize].push((ta, eng as u32));
                 }
                 let idx = m.algo as usize * own_n + li;
                 let late = steps_done[idx] >= m.round + 2;
@@ -670,7 +674,7 @@ pub(crate) fn big_round_loop<X: Exchange>(
     Ok(ShardOutput {
         own,
         outputs,
-        departures: build_departures(k, &deferred),
+        departures: build_departures(filed),
         stats,
         last_activity_round,
         big_rounds: b,
@@ -680,7 +684,10 @@ pub(crate) fn big_round_loop<X: Exchange>(
 
 /// Merges per-shard outputs, consumed in shard order, into the
 /// partition-independent [`ScheduleOutcome`] plus the partition-dependent
-/// [`ShardReport`]. `steps` is the full plan's table.
+/// [`ShardReport`]. `steps` is the full plan's table. A shard that owns
+/// every node (the fused run) hands its outputs over as they are, and each
+/// algorithm's departures are merged as sorted runs — a lone shard's run
+/// moves over untouched.
 pub(crate) fn merge_shards(
     n: usize,
     k: usize,
@@ -688,7 +695,7 @@ pub(crate) fn merge_shards(
     steps: &FlatSteps,
     shards: Vec<ShardOutput>,
 ) -> (ScheduleOutcome, ShardReport) {
-    let mut outputs: Vec<Vec<Option<Vec<u8>>>> = vec![vec![None; n]; k];
+    let mut outputs: Option<Vec<Vec<Option<Vec<u8>>>>> = None;
     let mut departures: Vec<SimulationMap> = vec![SimulationMap::new(); k];
     let mut stats = ExecStats {
         phase_len: steps.phase_len,
@@ -708,11 +715,19 @@ pub(crate) fn merge_shards(
         // every shard leaves the lockstep loop at the same big-round
         stats.big_rounds = w.big_rounds;
         last_activity_round = last_activity_round.max(w.last_activity_round);
-        for (a, (outs, mut map)) in w.outputs.into_iter().zip(w.departures).enumerate() {
-            for (out, v) in outs.into_iter().zip(&w.own) {
-                outputs[a][v.index()] = out;
+        let whole = w.own.len() == n && w.own.iter().enumerate().all(|(i, v)| v.index() == i);
+        if outputs.is_none() && whole {
+            outputs = Some(w.outputs);
+        } else {
+            let merged = outputs.get_or_insert_with(|| vec![vec![None; n]; k]);
+            for (per_node, outs) in merged.iter_mut().zip(w.outputs) {
+                for (out, v) in outs.into_iter().zip(&w.own) {
+                    per_node[v.index()] = out;
+                }
             }
-            departures[a].append(&mut map);
+        }
+        for (map, run) in departures.iter_mut().zip(w.departures) {
+            *map = std::mem::take(map).merge(run);
         }
         report.cross_shard_messages += w.shard.cross_sent;
         report.per_shard.push(w.shard);
@@ -721,7 +736,7 @@ pub(crate) fn merge_shards(
     // any drain tail.
     stats.engine_rounds = steps.schedule_rounds(last_activity_round);
     let outcome = ScheduleOutcome {
-        outputs,
+        outputs: outputs.unwrap_or_else(|| vec![vec![None; n]; k]),
         stats,
         departures: config.record_departures.then_some(departures),
         precompute_rounds: 0,

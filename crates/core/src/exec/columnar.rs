@@ -23,13 +23,14 @@
 //!   arena. A machine costs one word, an arrival no allocation, the
 //!   common "nothing buffered" check is that word, and memory follows the
 //!   messages in flight — one big-round's worth under Theorem 1.1 — not
-//!   `k · n` heap objects.
-//! * **Deferred departure recording** ([`build_departures`]): the row
-//!   oracle pays a `BTreeMap` insert per delivered message inside the hot
-//!   loop; the production loop appends flat `(algo, round, arc,
-//!   engine_round)` tuples and bulk-inserts them after the run. Keys are
-//!   unique (one canonical machine per (algorithm, node), deduplicated
-//!   sends), so insertion order cannot matter.
+//!   `k · n` heap objects. Inboxes are handed out as spans of that byte
+//!   arena; no payload is copied to step a machine.
+//! * **Deferred departure recording** ([`build_departures`]): the loop
+//!   files `(key, engine_round)` pairs per algorithm and sorts each list
+//!   once after the run, which is then the algorithm's
+//!   [`SimulationMap`] as it stands. Keys are unique (one canonical
+//!   machine per (algorithm, node), deduplicated sends), so filing order
+//!   cannot matter.
 //! * **Run-length step table** ([`FlatSteps`]) and **machine slabs**
 //!   ([`build_batches`]): a big-round's steps stored as runs of
 //!   consecutive nodes stepping the same round of the same algorithm —
@@ -53,7 +54,7 @@
 //! CI job.
 
 use super::{ExecutorConfig, Unit};
-use crate::algorithm::{BlackBoxAlgorithm, NodeBatch};
+use crate::algorithm::{BlackBoxAlgorithm, Inbox, InboxBuf, InboxMsg, NodeBatch};
 use crate::plan::{PlanError, SchedulePlan};
 use crate::problem::DasProblem;
 use das_graph::{Graph, NodeId};
@@ -166,8 +167,10 @@ pub(super) struct ArrivalArena {
     records: Vec<Arrival>,
     /// First consumed record awaiting reuse.
     free: u32,
-    /// Payload bytes of the live records, with dead stretches in between.
-    bytes: Vec<u8>,
+    /// The open block's inbox: the spans taken since the last reclaim,
+    /// over the payload bytes of the live records (dead stretches in
+    /// between).
+    inbox: InboxBuf,
     live_bytes: usize,
 }
 
@@ -178,7 +181,7 @@ impl ArrivalArena {
             head: vec![NIL; machines],
             records: Vec::new(),
             free: NIL,
-            bytes: Vec::new(),
+            inbox: InboxBuf::new(),
             live_bytes: 0,
         }
     }
@@ -203,10 +206,10 @@ impl ArrivalArena {
             off: if payload.is_empty() {
                 0
             } else {
-                self.bytes.len()
+                self.inbox.bytes.len()
             },
         };
-        self.bytes.extend_from_slice(payload);
+        self.inbox.bytes.extend_from_slice(payload);
         self.live_bytes += payload.len();
         let slot = self.free;
         if slot == NIL {
@@ -219,24 +222,19 @@ impl ArrivalArena {
         }
     }
 
-    /// Appends `machine`'s arrivals under `tag` to `into` in canonical
-    /// (sender-sorted) order and frees their records; arrivals under later
-    /// tags stay linked. Payload allocations are drawn from `pool`;
-    /// `scratch` is reusable sort space.
+    /// Appends `machine`'s arrivals under `tag` to the open block's inbox
+    /// ([`ArrivalArena::inbox`]) in canonical (sender-sorted) order, as
+    /// spans of the arena's bytes, and frees their records; arrivals
+    /// under later tags stay linked. `scratch` is reusable sort space.
+    /// The spans stay valid until the next [`ArrivalArena::reclaim`]: the
+    /// caller steps the whole block that reads them first.
     ///
     /// Sorting happens on `(sender, arrival rank, record)` integer triples
     /// — senders are unique per (machine, tag) in an honest run (a machine
     /// sends at most one message per round to a given target), so this is
     /// exactly the canonical `(NodeId, payload)` order without ever
     /// comparing payload bytes; the rank keeps the order total regardless.
-    pub(super) fn take(
-        &mut self,
-        machine: usize,
-        tag: u32,
-        into: &mut Vec<(NodeId, Vec<u8>)>,
-        pool: &mut Vec<Vec<u8>>,
-        scratch: &mut Vec<(u32, u32, u32)>,
-    ) {
+    pub(super) fn take(&mut self, machine: usize, tag: u32, scratch: &mut Vec<(u32, u32, u32)>) {
         scratch.clear();
         let (mut prev, mut cur) = (NIL, self.head[machine]);
         while cur != NIL {
@@ -264,18 +262,32 @@ impl ArrivalArena {
         scratch.sort_unstable();
         for &(from, _, at) in scratch.iter() {
             let record = &mut self.records[at as usize];
-            let mut buf = pool.pop().unwrap_or_default();
-            buf.clear();
-            buf.extend_from_slice(&self.bytes[record.off..record.off + record.len as usize]);
-            into.push((NodeId(from), buf));
+            self.inbox.msgs.push(InboxMsg {
+                from: NodeId(from),
+                len: record.len,
+                off: record.off,
+            });
             self.live_bytes -= record.len as usize;
             record.len = 0;
             record.next = self.free;
             self.free = at;
         }
-        self.reclaim();
     }
 
+    /// How many messages the open block has taken so far — where the next
+    /// take's land in [`ArrivalArena::inbox`].
+    #[inline]
+    pub(super) fn taken(&self) -> usize {
+        self.inbox.len()
+    }
+
+    /// The open block's inbox: every span taken since the last reclaim.
+    #[inline]
+    pub(super) fn inbox(&self) -> Inbox<'_> {
+        self.inbox.inbox()
+    }
+
+    /// Closes the open block — its spans are dropped — and applies
     /// [`ColFifo::reclaim`]'s rule for a byte arena whose dead stretches
     /// are not a prefix: a cheap reset once nothing is live, a compaction
     /// (live payloads copied into a fresh buffer, every live record
@@ -284,12 +296,14 @@ impl ArrivalArena {
     /// the byte arena stays within a constant factor of the live messages
     /// and the scan is paid for by the bytes it frees.
     #[inline]
-    fn reclaim(&mut self) {
+    pub(super) fn reclaim(&mut self) {
+        self.inbox.msgs.clear();
+        let bytes = &mut self.inbox.bytes;
         if self.live_bytes == 0 {
-            self.bytes.clear();
+            bytes.clear();
             return;
         }
-        let dead = self.bytes.len() - self.live_bytes;
+        let dead = bytes.len() - self.live_bytes;
         if dead
             > self
                 .live_bytes
@@ -297,21 +311,12 @@ impl ArrivalArena {
         {
             let mut compact = Vec::with_capacity(self.live_bytes);
             for record in self.records.iter_mut().filter(|r| r.len > 0) {
-                let live = &self.bytes[record.off..record.off + record.len as usize];
+                let live = &bytes[record.off..record.off + record.len as usize];
                 record.off = compact.len();
                 compact.extend_from_slice(live);
             }
-            self.bytes = compact;
+            *bytes = compact;
         }
-    }
-}
-
-/// Returns an inbox's payload allocations to the pool instead of dropping
-/// them — the columnar engine's replacement for `inbox.clear()`.
-#[inline]
-pub(super) fn recycle(inbox: &mut Vec<(NodeId, Vec<u8>)>, pool: &mut Vec<Vec<u8>>) {
-    for (_, buf) in inbox.drain(..) {
-        pool.push(buf);
     }
 }
 
@@ -633,25 +638,17 @@ impl FlatSteps {
     }
 }
 
-/// Bulk-builds the per-algorithm departure maps from the deferred flat
-/// tuples. `BTreeMap`'s `FromIterator` sorts the pairs once and
-/// bulk-builds each tree bottom-up — far cheaper than the row engine's
-/// per-message tree insert, and exact because departure keys are unique
-/// (one canonical machine per (algorithm, node), deduplicated sends).
-pub(super) fn build_departures(k: usize, deferred: &[(u32, u32, u32, u32)]) -> Vec<SimulationMap> {
-    let mut per_algo: Vec<Vec<(TimedArc, u32)>> = vec![Vec::new(); k];
-    for &(a, round, arc, eng) in deferred {
-        per_algo[a as usize].push((
-            TimedArc {
-                round,
-                arc: das_graph::Arc::from_index(arc as usize),
-            },
-            eng,
-        ));
-    }
-    per_algo
+/// Sorts each algorithm's departures, filed in drain order, into its
+/// [`SimulationMap`]. Keys are unique — one canonical machine per
+/// (algorithm, node), deduplicated sends — so the sorted list is the map
+/// as it stands, with no tree insert per message.
+pub(super) fn build_departures(filed: Vec<Vec<(TimedArc, u32)>>) -> Vec<SimulationMap> {
+    filed
         .into_iter()
-        .map(|pairs| pairs.into_iter().collect())
+        .map(|mut list| {
+            list.sort_unstable_by_key(|&(ta, _)| ta);
+            SimulationMap::from_sorted(list)
+        })
         .collect()
 }
 
@@ -697,10 +694,17 @@ mod tests {
     use super::*;
     use crate::oracle::TagWindow;
 
+    /// Takes an inbox, copies it out and reclaims, as the loop does once
+    /// a block has stepped.
     fn taken(arena: &mut ArrivalArena, machine: usize, tag: u32) -> Vec<(NodeId, Vec<u8>)> {
-        let mut into = Vec::new();
-        arena.take(machine, tag, &mut into, &mut Vec::new(), &mut Vec::new());
-        into
+        arena.take(machine, tag, &mut Vec::new());
+        let owned = arena
+            .inbox()
+            .iter()
+            .map(|(from, p)| (from, p.to_vec()))
+            .collect();
+        arena.reclaim();
+        owned
     }
 
     #[test]
@@ -718,19 +722,51 @@ mod tests {
             assert!(arena.is_idle(0) && !arena.is_idle(1));
         }
         assert_eq!(arena.records.len(), 3, "freed records are relinked");
-        assert!(arena.bytes.len() < 4 * 64, "the dead stretches are gone");
+        assert!(
+            arena.inbox.bytes.len() < 4 * 64,
+            "the dead stretches are gone"
+        );
         assert_eq!(
             taken(&mut arena, 1, 9),
             vec![(NodeId(5), b"early".to_vec())]
         );
-        assert!(arena.bytes.is_empty(), "nothing live: the arena resets");
+        assert!(
+            arena.inbox.bytes.is_empty(),
+            "nothing live: the arena resets"
+        );
+    }
+
+    #[test]
+    fn departures_sort_like_a_map() {
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        for len in [0usize, 1, 7, 300, 2000] {
+            // distinct (round, arc) keys, filed in a random order
+            let mut keys: Vec<(u32, usize)> = (0..len)
+                .map(|i| (rng.gen_range(0..9u32), i * 3 + rng.gen_range(0..3usize)))
+                .collect();
+            keys.shuffle(&mut rng);
+            let list: Vec<(TimedArc, u32)> = keys
+                .iter()
+                .map(|&(round, arc)| {
+                    let arc = das_graph::Arc::from_index(arc);
+                    (TimedArc { round, arc }, rng.gen())
+                })
+                .collect();
+            let want: SimulationMap = list.iter().copied().collect();
+            let got = build_departures(vec![list, Vec::new()]);
+            assert_eq!(got, vec![want, SimulationMap::new()], "len {len}");
+        }
     }
 
     proptest::proptest! {
         /// The row oracle's per-machine `TagWindow` is the specification:
         /// under any interleaving of arrivals (early tags included) and
         /// in-order takes (often of empty tags) over several machines, the
-        /// arena hands out the same inboxes, sender-sorted.
+        /// arena hands out the same inboxes, sender-sorted — and a block of
+        /// several takes reads every span intact until the block's one
+        /// reclaim.
         #[test]
         fn arena_matches_one_tag_window_per_machine(seed: u64) {
             use rand::{Rng, SeedableRng};
@@ -740,8 +776,9 @@ mod tests {
             let mut next = [0u32; 3];
             // senders are unique per (machine, tag), as in an honest run
             let mut sent = std::collections::HashSet::new();
-            let (mut pool, mut scratch) = (Vec::new(), Vec::new());
-            let mut got = Vec::new();
+            // the inboxes the open block's spans must read as
+            let mut wanted = Vec::new();
+            let mut scratch = Vec::new();
             for _ in 0..rng.gen_range(0..300) {
                 let machine = rng.gen_range(0..3usize);
                 if rng.gen_bool(0.6) {
@@ -752,6 +789,9 @@ mod tests {
                     let len = [0, 3, 120][rng.gen_range(0..3usize)];
                     let payload: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
                     if sent.insert((machine, tag, from)) {
+                        // arrivals come in drain phases, after the block
+                        wanted.clear();
+                        arena.reclaim();
                         arena.push(machine, tag, from, &payload);
                         model[machine].push(tag, NodeId(from), payload);
                     }
@@ -761,13 +801,18 @@ mod tests {
                     let mut want = Vec::new();
                     model[machine].take(tag, &mut want);
                     want.sort();
-                    recycle(&mut got, &mut pool);
-                    arena.take(machine, tag, &mut got, &mut pool, &mut scratch);
-                    proptest::prop_assert_eq!(&got, &want);
+                    wanted.extend(want);
+                    arena.take(machine, tag, &mut scratch);
+                    let got: Vec<_> = arena.inbox().iter().map(|(f, p)| (f, p.to_vec())).collect();
+                    proptest::prop_assert_eq!(&got, &wanted);
+                    if rng.gen_bool(0.5) {
+                        wanted.clear();
+                        arena.reclaim();
+                    }
                 }
                 let live: usize = arena.records.iter().map(|r| r.len as usize).sum();
                 proptest::prop_assert_eq!(arena.live_bytes, live);
-                proptest::prop_assert!(arena.bytes.len() >= live);
+                proptest::prop_assert!(arena.inbox.bytes.len() >= live);
             }
         }
     }

@@ -88,7 +88,8 @@ pub mod verify;
 pub mod wire;
 
 pub use algorithm::{
-    Aid, AlgoNode, AlgoSend, AlgoSlab, BatchedSends, BlackBoxAlgorithm, BlockStep, NodeBatch,
+    Aid, AlgoNode, AlgoSlab, BatchedSends, BlackBoxAlgorithm, BlockStep, Inbox, InboxBuf,
+    InboxIter, NodeBatch, Sends,
 };
 #[doc(hidden)]
 pub use compat::*;

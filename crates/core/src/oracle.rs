@@ -1,14 +1,15 @@
 //! The row oracle: the executable specification of [`crate::execute`].
 //!
 //! [`execute_row`] runs a plan one message per active arc per engine round,
-//! with heap-allocated payloads, a nested per-(algorithm, node) step table
-//! and per-message departure inserts — the semantics of the `exec` module
-//! docs, written for clarity rather than speed. Every equivalence suite
+//! with heap-allocated payloads copied into an owned inbox per step, a
+//! nested per-(algorithm, node) step table and departures collected into
+//! maps by a plain sort — the semantics of the `exec` module docs, written
+//! for clarity rather than speed. Every equivalence suite
 //! compares the production loop against it byte for byte. It is fused by
 //! signature (there is no sharded or networked oracle) and records no
 //! observability.
 
-use crate::algorithm::{AlgoNode, BlackBoxAlgorithm};
+use crate::algorithm::{AlgoNode, BatchedSends, BlackBoxAlgorithm, InboxBuf, Sends};
 use crate::exec::{ExecStats, ExecutorConfig, Unit, MESSAGE_BYTES};
 use crate::plan::{SchedError, SchedulePlan};
 use crate::problem::DasProblem;
@@ -70,6 +71,7 @@ fn run(
     let mut buffers: Vec<TagWindow> = Vec::with_capacity(k * n);
     buffers.resize_with(k * n, TagWindow::default);
     let mut inbox: Vec<(NodeId, Vec<u8>)> = Vec::new();
+    let (mut inbox_buf, mut sends) = (InboxBuf::new(), BatchedSends::new());
 
     // Steps grouped by big-round: big-rounds are dense, so a flat Vec
     // indexed by `b` replaces a BTreeMap.
@@ -91,7 +93,7 @@ fn run(
         phase_len,
         ..ExecStats::default()
     };
-    let mut departures: Vec<SimulationMap> = vec![SimulationMap::new(); k];
+    let mut departed: Vec<Vec<(TimedArc, u32)>> = vec![Vec::new(); k];
     let mut engine_round: u64 = 0;
     let mut last_activity_round: u64 = 0;
 
@@ -109,31 +111,37 @@ fn run(
                 }
                 // canonical inbox order, matching the reference runner
                 inbox.sort();
-                let sends = machines[a][v].step(&inbox);
+                inbox_buf.clear();
+                for (from, payload) in &inbox {
+                    inbox_buf.push(*from, payload);
+                }
+                sends.clear();
+                machines[a][v].step(inbox_buf.inbox(), &mut Sends::new(&mut sends));
+                sends.end_segment();
                 steps_done[a][v] = r + 1;
                 let me = NodeId(v as u32);
                 let mut sent_to: Vec<NodeId> = Vec::new();
-                for s in sends {
-                    let valid = g.find_edge(me, s.to).is_some()
-                        && s.payload.len() <= MESSAGE_BYTES
-                        && !sent_to.contains(&s.to);
+                for (to, payload) in sends.segment(0) {
+                    let valid = g.find_edge(me, to).is_some()
+                        && payload.len() <= MESSAGE_BYTES
+                        && !sent_to.contains(&to);
                     if !valid {
                         stats.invalid_sends += 1;
                         continue;
                     }
-                    sent_to.push(s.to);
-                    let edge = g.find_edge(me, s.to).expect("validated");
+                    sent_to.push(to);
+                    let edge = g.find_edge(me, to).expect("validated");
                     let arc = g.arc_from(edge, me);
                     let q = &mut queues[arc.index()];
                     if q.is_empty() {
                         active_arcs.push(arc.index());
                     }
                     q.push_back(Flight {
-                        dst: s.to,
+                        dst: to,
                         algo: a as u32,
                         round: r,
                         from: me,
-                        payload: s.payload,
+                        payload: payload.to_vec(),
                     });
                     stats.max_arc_queue = stats.max_arc_queue.max(q.len());
                 }
@@ -152,13 +160,12 @@ fn run(
                 }
                 let (a, v) = (f.algo as usize, f.dst.index());
                 if config.record_departures {
-                    departures[a].insert(
-                        TimedArc {
-                            round: f.round,
-                            arc: das_graph::Arc::from_index(arc_idx),
-                        },
-                        engine_round as u32,
-                    );
+                    let arc = das_graph::Arc::from_index(arc_idx);
+                    let ta = TimedArc {
+                        round: f.round,
+                        arc,
+                    };
+                    departed[a].push((ta, engine_round as u32));
                 }
                 if steps_done[a][v] >= f.round + 2 {
                     stats.late_messages += 1;
@@ -197,7 +204,9 @@ fn run(
     Ok(ScheduleOutcome {
         outputs,
         stats,
-        departures: config.record_departures.then_some(departures),
+        departures: config
+            .record_departures
+            .then(|| departed.into_iter().map(SimulationMap::from_iter).collect()),
         precompute_rounds: 0,
     })
 }

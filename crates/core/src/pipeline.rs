@@ -11,8 +11,11 @@
 //! event lands on. Wall-clock stage durations are added, read from the
 //! stage record, only when [`das_obs::ObsConfig::wall_clock`] is set.
 
+use crate::exec::FlatSteps;
 use crate::plan::cache::SweepArtifact;
-use crate::plan::{analysis, execute, ExecOptions, Executed, SchedError, SchedulePlan};
+use crate::plan::{
+    analysis, execute, execute_steps, ExecOptions, Executed, SchedError, SchedulePlan,
+};
 use crate::problem::DasProblem;
 use crate::reference::ReferenceError;
 use crate::schedulers::Scheduler;
@@ -139,8 +142,13 @@ pub fn run(
         m.inc("plan.precompute_rounds", plan.precompute_rounds);
         m.inc("plan.predicted_rounds", plan.predicted_rounds);
     }
+    // Traced, the prediction and the execution read one step table; else
+    // `execute` builds it inside its own stage.
+    let mut steps = None;
     if obs.events_enabled() {
-        let pred = analysis::predict(problem, &plan).map_err(failed)?;
+        let table = FlatSteps::build(problem, &plan).map_err(|e| failed(e.into()))?;
+        let pred = analysis::predict_steps(problem, &table).map_err(failed)?;
+        steps = Some(table);
         let m = &mut report.metrics;
         m.inc("predict.late", pred.predicted_late);
         m.inc("predict.max_arc_load", pred.max_arc_load());
@@ -163,7 +171,10 @@ pub fn run(
     }
 
     phase("execute");
-    let executed = Stages::time(&mut stages.execute_us, || execute(problem, &plan, opts));
+    let executed = Stages::time(&mut stages.execute_us, || match &steps {
+        Some(steps) => execute_steps(problem, &plan, steps, opts),
+        None => execute(problem, &plan, opts),
+    });
     let mut executed = executed.map_err(failed)?;
     if let Some(er) = executed.obs.take() {
         report.merge(&er);

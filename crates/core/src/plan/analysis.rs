@@ -81,7 +81,18 @@ pub fn predict(
     problem: &DasProblem<'_>,
     plan: &SchedulePlan,
 ) -> Result<LoadPrediction, SchedError> {
-    let steps = FlatSteps::build(problem, plan)?;
+    predict_steps(problem, &FlatSteps::build(problem, plan)?)
+}
+
+/// [`predict`] on a plan whose step table is already built — for a caller
+/// that executes the same table afterwards.
+///
+/// # Errors
+/// [`SchedError::Reference`] if the reference runs fail.
+pub(crate) fn predict_steps(
+    problem: &DasProblem<'_>,
+    steps: &FlatSteps,
+) -> Result<LoadPrediction, SchedError> {
     let g = problem.graph();
     let n = g.node_count();
     let k = problem.k();

@@ -422,7 +422,21 @@ pub fn execute(
     plan: &SchedulePlan,
     opts: ExecOptions<'_>,
 ) -> Result<Executed, SchedError> {
-    let steps = FlatSteps::build(problem, plan)?;
+    execute_steps(problem, plan, &FlatSteps::build(problem, plan)?, opts)
+}
+
+/// [`execute`] with the plan's step table already built — for a caller
+/// that predicted the same table first. `steps` must be
+/// `FlatSteps::build(problem, plan)`'s.
+///
+/// # Errors
+/// As [`execute`], the plan check aside.
+pub(crate) fn execute_steps(
+    problem: &DasProblem<'_>,
+    plan: &SchedulePlan,
+    steps: &FlatSteps,
+    opts: ExecOptions<'_>,
+) -> Result<Executed, SchedError> {
     let (config, obs) = (&opts.config, &opts.obs);
     if let Some(hub) = &config.live {
         let (exchange, shards) = opts.topology.identity(problem.graph().node_count());
@@ -430,12 +444,12 @@ pub fn execute(
     }
     let (outcome, shard, obs, traffic) = match opts.topology {
         Topology::Fused => {
-            let (outcome, obs) = Executor::run_observed(problem, &steps, config, obs)?;
+            let (outcome, obs) = Executor::run_observed(problem, steps, config, obs)?;
             (outcome, ShardReport::default(), obs, Vec::new())
         }
         Topology::Sharded(shards) => {
             let (outcome, shard, obs) =
-                Executor::run_sharded_observed(problem, &steps, config, shards, obs)?;
+                Executor::run_sharded_observed(problem, steps, config, shards, obs)?;
             (outcome, shard, obs, Vec::new())
         }
         Topology::Networked {
@@ -445,7 +459,7 @@ pub fn execute(
         } => {
             refuse_unshared(config)?;
             let (outcome, shard, traffic) =
-                run_coordinator(problem, plan, &steps, config, workers, listener, net)?;
+                run_coordinator(problem, plan, steps, config, workers, listener, net)?;
             (outcome, shard, None, traffic)
         }
     };

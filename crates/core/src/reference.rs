@@ -1,6 +1,6 @@
 //! Alone runs: the ground truth every schedule is verified against.
 
-use crate::algorithm::{BatchedSends, BlackBoxAlgorithm};
+use crate::algorithm::{BatchedSends, BlackBoxAlgorithm, BlockStep, Inbox, InboxBuf, InboxMsg};
 use das_graph::{Graph, NodeId};
 use das_pattern::{CommPattern, TimedArc};
 use std::error::Error;
@@ -75,44 +75,24 @@ pub fn run_alone(
     // batched construction: synthetic families share route/topology state
     // across the whole slab instead of cloning it per machine
     let mut batch = algo.create_nodes(&nodes, n, &seeds);
-    // A round's messages live flat — `(to, from, payload span)` plus one
-    // byte arena — and are grouped by receiver with a stable counting sort
-    // between rounds; only the inbox being stepped is materialised, into
-    // payload buffers recycled from step to step — so the pool never
-    // outgrows one inbox and stays in cache (a pool holding a whole
-    // round's buffers measured slower than `malloc`). Nothing is
-    // allocated per round, per node or per message.
-    let mut sent: Vec<(u32, u32, usize, usize)> = Vec::new();
-    let mut sent_bytes: Vec<u8> = Vec::new();
-    // the messages being consumed: `arrived[starts[v]..starts[v + 1]]` are
-    // `v`'s, as `(from, payload span)` into `arrived_bytes`
-    let mut arrived: Vec<(u32, usize, usize)> = Vec::new();
-    let mut arrived_bytes: Vec<u8> = Vec::new();
-    let mut starts = vec![0usize; n + 2];
-    let mut inbox: Vec<(NodeId, Vec<u8>)> = Vec::new();
-    let mut pool: Vec<Vec<u8>> = Vec::new();
+    // every round is one block: all n machines step against the round's
+    // mail, and their sends are checked in node order afterwards — the
+    // first violation in (round, node) order is still the one reported
+    let mut mail = RoundMail::new(n);
+    let mut steps: Vec<BlockStep> = Vec::with_capacity(n);
     let mut sent_to: Vec<NodeId> = Vec::new();
     let mut sends = BatchedSends::new();
     let mut timed_arcs = Vec::new();
 
     for round in 0..algo.rounds() {
+        steps.clear();
+        steps.extend((0..n).map(|v| mail.step(v, round)));
+        sends.clear();
+        batch.step_block(&steps, mail.inbox(), &mut sends);
         for v in 0..n {
             let me = NodeId(v as u32);
-            pool.extend(inbox.drain(..).map(|(_, buf)| buf));
-            for &(from, off, len) in &arrived[starts[v]..starts[v + 1]] {
-                let mut buf = pool.pop().unwrap_or_default();
-                buf.clear();
-                buf.extend_from_slice(&arrived_bytes[off..off + len]);
-                inbox.push((NodeId(from), buf));
-            }
-            // canonical inbox order (the scheduled executor sorts the same
-            // way, so machines see identical inboxes in both runs); equal
-            // entries are indistinguishable, so an unstable sort is exact
-            inbox.sort_unstable();
-            sends.clear();
-            batch.step_into(v, &inbox, &mut sends);
             sent_to.clear();
-            for (to, payload) in sends.segment(0) {
+            for (to, payload) in sends.segment(v) {
                 let edge = match g.find_edge(me, to) {
                     Some(e) => e,
                     None => {
@@ -135,30 +115,10 @@ pub fn run_alone(
                     round,
                     arc: g.arc_from(edge, me),
                 });
-                sent.push((to.0, me.0, sent_bytes.len(), payload.len()));
-                sent_bytes.extend_from_slice(payload);
+                mail.post(me, to, payload);
             }
         }
-        // Group this round's sends by receiver for the next round: count
-        // two slots up, so that after the prefix sum `starts[v + 1]` is
-        // where `v`'s messages begin, and after the (stable, forward)
-        // placement has advanced it, where they end.
-        starts.fill(0);
-        for &(to, ..) in &sent {
-            starts[to as usize + 2] += 1;
-        }
-        for v in 1..starts.len() {
-            starts[v] += starts[v - 1];
-        }
-        arrived.clear();
-        arrived.resize(sent.len(), (0, 0, 0));
-        for &(to, from, off, len) in &sent {
-            arrived[starts[to as usize + 1]] = (from, off, len);
-            starts[to as usize + 1] += 1;
-        }
-        sent.clear();
-        std::mem::swap(&mut arrived_bytes, &mut sent_bytes);
-        sent_bytes.clear();
+        mail.deliver();
     }
 
     Ok(ReferenceRun {
@@ -167,9 +127,98 @@ pub fn run_alone(
     })
 }
 
+/// One synchronous round's messages, handed to the next round's steps as
+/// one block [`Inbox`]. Sends are posted flat — `(receiver, message)` plus
+/// one byte arena — and grouped by receiver with a stable counting sort
+/// when the round ends. Senders post in ascending node order and at most
+/// once per receiver, so every receiver's messages come out sender-sorted,
+/// the canonical inbox order. Nothing is allocated per round, per node or
+/// per message once the buffers have warmed up.
+pub(crate) struct RoundMail {
+    posted: Vec<(u32, InboxMsg)>,
+    posted_bytes: Vec<u8>,
+    /// The messages being consumed: `arrived.msgs[starts[v]..starts[v + 1]]`
+    /// are `v`'s.
+    arrived: InboxBuf,
+    starts: Vec<usize>,
+}
+
+impl RoundMail {
+    /// Empty mail for `n` nodes.
+    pub(crate) fn new(n: usize) -> Self {
+        RoundMail {
+            posted: Vec::new(),
+            posted_bytes: Vec::new(),
+            arrived: InboxBuf::new(),
+            starts: vec![0; n + 2],
+        }
+    }
+
+    /// Posts one message for the next round.
+    pub(crate) fn post(&mut self, from: NodeId, to: NodeId, payload: &[u8]) {
+        let msg = InboxMsg {
+            from,
+            len: payload.len() as u32,
+            off: self.posted_bytes.len(),
+        };
+        self.posted.push((to.0, msg));
+        self.posted_bytes.extend_from_slice(payload);
+    }
+
+    /// Ends the round: what was posted becomes the arrivals.
+    pub(crate) fn deliver(&mut self) {
+        // Count two slots up, so that after the prefix sum `starts[v + 1]`
+        // is where `v`'s messages begin, and after the (stable, forward)
+        // placement has advanced it, where they end.
+        let starts = &mut self.starts;
+        starts.fill(0);
+        for &(to, _) in &self.posted {
+            starts[to as usize + 2] += 1;
+        }
+        for v in 1..starts.len() {
+            starts[v] += starts[v - 1];
+        }
+        let arrived = &mut self.arrived.msgs;
+        arrived.clear();
+        arrived.resize(
+            self.posted.len(),
+            InboxMsg {
+                from: NodeId(0),
+                len: 0,
+                off: 0,
+            },
+        );
+        for &(to, msg) in &self.posted {
+            arrived[starts[to as usize + 1]] = msg;
+            starts[to as usize + 1] += 1;
+        }
+        self.posted.clear();
+        std::mem::swap(&mut self.arrived.bytes, &mut self.posted_bytes);
+        self.posted_bytes.clear();
+    }
+
+    /// Node `v`'s step of `round`, its arrivals picked out of
+    /// [`RoundMail::inbox`].
+    pub(crate) fn step(&self, v: usize, round: u32) -> BlockStep {
+        let start = self.starts[v];
+        BlockStep {
+            node: v as u32,
+            round,
+            inbox_start: start as u32,
+            inbox_len: (self.starts[v + 1] - start) as u32,
+        }
+    }
+
+    /// Every arrival of the round, as one block's inbox.
+    pub(crate) fn inbox(&self) -> Inbox<'_> {
+        self.arrived.inbox()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithm::Sends;
     use crate::synthetic::{FloodBall, Prescribed, RelayChain};
     use das_graph::generators;
 
@@ -188,6 +237,7 @@ mod tests {
             })
             .collect();
         let mut inboxes: Vec<Vec<(NodeId, Vec<u8>)>> = vec![Vec::new(); n];
+        let (mut buf, mut out) = (InboxBuf::new(), BatchedSends::new());
         let mut timed_arcs = Vec::new();
         for round in 0..algo.rounds() {
             let mut next: Vec<Vec<(NodeId, Vec<u8>)>> = vec![Vec::new(); n];
@@ -195,13 +245,20 @@ mod tests {
                 let me = NodeId(v as u32);
                 let mut inbox = std::mem::take(&mut inboxes[v]);
                 inbox.sort();
-                for s in machines[v].step(&inbox) {
-                    let edge = g.find_edge(me, s.to).expect("synthetic sends are valid");
+                buf.clear();
+                for (from, payload) in &inbox {
+                    buf.push(*from, payload);
+                }
+                out.clear();
+                machines[v].step(buf.inbox(), &mut Sends::new(&mut out));
+                out.end_segment();
+                for (to, payload) in out.segment(0) {
+                    let edge = g.find_edge(me, to).expect("synthetic sends are valid");
                     timed_arcs.push(TimedArc {
                         round,
                         arc: g.arc_from(edge, me),
                     });
-                    next[s.to.index()].push((me, s.payload));
+                    next[to.index()].push((me, payload.to_vec()));
                 }
             }
             inboxes = next;
@@ -277,7 +334,7 @@ mod tests {
 
     #[test]
     fn model_violations_detected() {
-        use crate::algorithm::{Aid, AlgoNode, AlgoSend, BlackBoxAlgorithm};
+        use crate::algorithm::{Aid, AlgoNode, BlackBoxAlgorithm};
 
         struct Bad(u8);
         struct BadNode(u8, NodeId);
@@ -293,25 +350,16 @@ mod tests {
             }
         }
         impl AlgoNode for BadNode {
-            fn step(&mut self, _inbox: &[(NodeId, Vec<u8>)]) -> Vec<AlgoSend> {
+            fn step(&mut self, _inbox: Inbox<'_>, out: &mut Sends<'_>) {
                 if self.1 != NodeId(0) {
-                    return vec![];
+                    return;
                 }
                 match self.0 {
-                    0 => vec![AlgoSend {
-                        to: NodeId(2),
-                        payload: vec![],
-                    }],
-                    _ => vec![
-                        AlgoSend {
-                            to: NodeId(1),
-                            payload: vec![],
-                        },
-                        AlgoSend {
-                            to: NodeId(1),
-                            payload: vec![],
-                        },
-                    ],
+                    0 => out.push(NodeId(2), &[]),
+                    _ => {
+                        out.push(NodeId(1), &[]);
+                        out.push(NodeId(1), &[]);
+                    }
                 }
             }
             fn output(&self) -> Option<Vec<u8>> {

@@ -7,7 +7,7 @@
 //! [`crate::verify::against_references`].
 
 use crate::algorithm::{
-    Aid, AlgoNode, AlgoSend, AlgoSlab, BatchedSends, BlackBoxAlgorithm, NodeBatch,
+    Aid, AlgoNode, AlgoSlab, BatchedSends, BlackBoxAlgorithm, Inbox, NodeBatch, Sends,
 };
 use das_graph::{Graph, NodeId};
 use std::sync::Arc;
@@ -169,7 +169,7 @@ struct RelaySlab {
 }
 
 impl AlgoSlab for RelaySlab {
-    fn step_into(&mut self, i: usize, inbox: &[(NodeId, Vec<u8>)], out: &mut BatchedSends) {
+    fn step_into(&mut self, i: usize, inbox: Inbox<'_>, out: &mut BatchedSends) {
         let mut state = self.states[i];
         for (_, payload) in inbox {
             state = mix(state, token_of(payload));
@@ -192,23 +192,21 @@ impl AlgoSlab for RelaySlab {
 }
 
 impl AlgoNode for RelayNode {
-    fn step(&mut self, inbox: &[(NodeId, Vec<u8>)]) -> Vec<AlgoSend> {
+    fn step(&mut self, inbox: Inbox<'_>, out: &mut Sends<'_>) {
         for (_, payload) in inbox {
             self.state = mix(self.state, token_of(payload));
         }
         // The node at route position r forwards the (folded) token in
         // round r; position 0 injects it in round 0.
-        let mut sends = Vec::new();
         for &pos in &self.positions {
             if pos == self.round && pos + 1 < self.route.len() {
-                sends.push(AlgoSend {
-                    to: self.route[pos + 1],
-                    payload: mix(self.state, self.aid).to_le_bytes().to_vec(),
-                });
+                out.push(
+                    self.route[pos + 1],
+                    &mix(self.state, self.aid).to_le_bytes(),
+                );
             }
         }
         self.round += 1;
-        sends
     }
 
     fn output(&self) -> Option<Vec<u8>> {
@@ -319,7 +317,7 @@ struct PrescribedSlab {
 }
 
 impl AlgoSlab for PrescribedSlab {
-    fn step_into(&mut self, i: usize, inbox: &[(NodeId, Vec<u8>)], out: &mut BatchedSends) {
+    fn step_into(&mut self, i: usize, inbox: Inbox<'_>, out: &mut BatchedSends) {
         let mut state = self.states[i];
         for (from, payload) in inbox {
             state = mix(state, mix(token_of(payload), u64::from(from.0)));
@@ -344,23 +342,18 @@ impl AlgoSlab for PrescribedSlab {
 }
 
 impl AlgoNode for PrescribedNode {
-    fn step(&mut self, inbox: &[(NodeId, Vec<u8>)]) -> Vec<AlgoSend> {
+    fn step(&mut self, inbox: Inbox<'_>, out: &mut Sends<'_>) {
         for (from, payload) in inbox {
             self.state = mix(self.state, mix(token_of(payload), from.0 as u64));
         }
-        let mut out = Vec::new();
         if let Some(list) = self.sends.get(self.round) {
             for &(from, to) in list {
                 if from == self.me {
-                    out.push(AlgoSend {
-                        to,
-                        payload: mix(self.state, self.round as u64).to_le_bytes().to_vec(),
-                    });
+                    out.push(to, &mix(self.state, self.round as u64).to_le_bytes());
                 }
             }
         }
         self.round += 1;
-        out
     }
 
     fn output(&self) -> Option<Vec<u8>> {
@@ -473,7 +466,7 @@ struct FloodSlab {
 }
 
 impl AlgoSlab for FloodSlab {
-    fn step_into(&mut self, i: usize, inbox: &[(NodeId, Vec<u8>)], out: &mut BatchedSends) {
+    fn step_into(&mut self, i: usize, inbox: Inbox<'_>, out: &mut BatchedSends) {
         for (_, payload) in inbox {
             if self.heard_at[i] == u32::MAX {
                 self.heard_at[i] = self.rounds[i];
@@ -506,7 +499,7 @@ impl AlgoSlab for FloodSlab {
 }
 
 impl AlgoNode for FloodNode {
-    fn step(&mut self, inbox: &[(NodeId, Vec<u8>)]) -> Vec<AlgoSend> {
+    fn step(&mut self, inbox: Inbox<'_>, out: &mut Sends<'_>) {
         for (_, payload) in inbox {
             if self.heard_at.is_none() {
                 self.heard_at = Some(self.round);
@@ -514,18 +507,13 @@ impl AlgoNode for FloodNode {
                 self.pending = true;
             }
         }
-        let mut out = Vec::new();
         if self.pending && self.round < self.depth {
             self.pending = false;
             for &u in &self.neighbors[self.me] {
-                out.push(AlgoSend {
-                    to: u,
-                    payload: self.token.to_le_bytes().to_vec(),
-                });
+                out.push(u, &self.token.to_le_bytes());
             }
         }
         self.round += 1;
-        out
     }
 
     fn output(&self) -> Option<Vec<u8>> {

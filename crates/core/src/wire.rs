@@ -46,7 +46,7 @@ use crate::plan::SchedulePlan;
 use crate::problem::DasProblem;
 use crate::serve::{Budgets, Capacity, JobKind, JobSpec, JobStatus, Rejection};
 use das_graph::NodeId;
-use das_pattern::TimedArc;
+use das_pattern::{SimulationMap, TimedArc};
 use std::borrow::Cow;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -850,8 +850,8 @@ impl Done {
                 }
                 run.push((key, engine_round));
             }
-            // sorted and distinct: one bulk build, no per-key search
-            departures.push(run.into_iter().collect());
+            // sorted and distinct: the run is the map as it stands
+            departures.push(SimulationMap::from_sorted(run));
         }
         Ok(Done {
             own,

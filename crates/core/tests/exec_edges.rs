@@ -83,10 +83,9 @@ struct Fuse {
 }
 
 impl das_core::AlgoNode for Fuse {
-    fn step(&mut self, _inbox: &[(NodeId, Vec<u8>)]) -> Vec<das_core::AlgoSend> {
+    fn step(&mut self, _inbox: das_core::Inbox<'_>, _out: &mut das_core::Sends<'_>) {
         self.stepped += 1;
         assert!(!(self.armed && self.stepped == 2), "fuse blown at node 0");
-        Vec::new()
     }
 
     fn output(&self) -> Option<Vec<u8>> {
@@ -142,5 +141,81 @@ fn panicking_machine_aborts_a_sharded_run_instead_of_hanging() {
             }
             other => panic!("expected Aborted, got {other:?}"),
         }
+    }
+}
+
+/// Every node sends, in round 0, an oversized payload to its first
+/// neighbour, one token to each neighbour, the same neighbour again and a
+/// non-neighbour; round 1 folds what arrived into the output.
+struct Sloppy;
+
+struct SloppyNode {
+    me: NodeId,
+    n: u32,
+    neighbours: Vec<NodeId>,
+    state: u64,
+}
+
+impl das_core::AlgoNode for SloppyNode {
+    fn step(&mut self, inbox: das_core::Inbox<'_>, out: &mut das_core::Sends<'_>) {
+        for (from, payload) in inbox {
+            self.state = self.state * 31 + u64::from(from.0) + u64::from(payload[0]);
+        }
+        if self.state != 0 {
+            return;
+        }
+        let first = self.neighbours[0];
+        out.push(first, &[7; das_core::MESSAGE_BYTES + 1]);
+        for &u in &self.neighbours {
+            out.push(u, &[self.me.0 as u8 + 1]);
+        }
+        out.push(first, &[99]);
+        out.push(NodeId((self.me.0 + 2) % self.n), &[1]);
+        self.state = 1;
+    }
+
+    fn output(&self) -> Option<Vec<u8>> {
+        Some(self.state.to_le_bytes().to_vec())
+    }
+}
+
+impl BlackBoxAlgorithm for Sloppy {
+    fn aid(&self) -> das_core::Aid {
+        das_core::Aid(0)
+    }
+
+    fn rounds(&self) -> u32 {
+        2
+    }
+
+    fn create_node(&self, v: NodeId, n: usize, _seed: u64) -> Box<dyn das_core::AlgoNode> {
+        let g = generators::path(n);
+        Box::new(SloppyNode {
+            me: v,
+            n: n as u32,
+            neighbours: g.neighbors(v).iter().map(|&(u, _)| u).collect(),
+            state: 0,
+        })
+    }
+}
+
+/// Oversized, repeated and misaddressed sends are dropped and counted, on
+/// every topology exactly as the row oracle drops them; the rest arrive.
+#[test]
+fn faulty_sends_are_dropped_and_counted_as_the_oracle_does() {
+    let g = generators::path(5);
+    let p = DasProblem::new(&g, vec![Box::new(Sloppy)], 1);
+    let plan = SchedulePlan::assemble("hand-built", 0, 2, 0, &p, vec![Unit::global(0, 0, 5)]);
+    let oracle = das_core::oracle::execute_row(&p, &plan, &ExecutorConfig::default()).unwrap();
+    // three faulty sends per node; one token per arc arrives
+    assert_eq!(oracle.stats.invalid_sends, 15);
+    assert_eq!(oracle.stats.delivered, 2 * g.edge_count() as u64);
+    for opts in [
+        ExecOptions::default(),
+        ExecOptions::sharded(2),
+        ExecOptions::sharded(3),
+    ] {
+        let outcome = execute(&p, &plan, opts).unwrap().outcome;
+        assert_eq!(format!("{outcome:?}"), format!("{oracle:?}"));
     }
 }

@@ -13,7 +13,7 @@
 
 use das_congest::util::seed_mix;
 use das_core::synthetic::{FloodBall, Prescribed, RelayChain};
-use das_core::{Aid, AlgoNode, AlgoSend, BatchedSends, BlackBoxAlgorithm, BlockStep};
+use das_core::{Aid, AlgoNode, BatchedSends, BlackBoxAlgorithm, BlockStep, Inbox, InboxBuf, Sends};
 use das_graph::{generators, Graph, NodeId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -103,24 +103,18 @@ impl BlackBoxAlgorithm for Echo {
 }
 
 impl AlgoNode for EchoNode {
-    fn step(&mut self, inbox: &[(NodeId, Vec<u8>)]) -> Vec<AlgoSend> {
+    fn step(&mut self, inbox: Inbox<'_>, out: &mut Sends<'_>) {
         for (from, payload) in inbox {
             let token = u64::from_le_bytes(payload[..8].try_into().expect("8-byte token"));
             self.state = seed_mix(self.state, seed_mix(token, u64::from(from.0)));
         }
-        let mut out = Vec::new();
         if self.round + 1 < self.rounds {
+            let payload = seed_mix(self.state, u64::from(self.round)).to_le_bytes();
             for &u in &self.neighbors {
-                out.push(AlgoSend {
-                    to: u,
-                    payload: seed_mix(self.state, u64::from(self.round))
-                        .to_le_bytes()
-                        .to_vec(),
-                });
+                out.push(u, &payload);
             }
         }
         self.round += 1;
-        out
     }
 
     fn output(&self) -> Option<Vec<u8>> {
@@ -151,6 +145,23 @@ fn random_rounds(g: &Graph, v: NodeId, t: u32, rng: &mut StdRng) -> Vec<Vec<(Nod
         .collect()
 }
 
+/// An owned inbox holding `pairs`, in their (sorted) order.
+fn inbox_of(pairs: &[(NodeId, Vec<u8>)]) -> InboxBuf {
+    let mut buf = InboxBuf::new();
+    for (from, payload) in pairs {
+        buf.push(*from, payload);
+    }
+    buf
+}
+
+/// One boxed-machine step on the messages `pairs`, its sends copied out.
+fn spec_step(m: &mut dyn AlgoNode, pairs: &[(NodeId, Vec<u8>)]) -> Vec<(NodeId, Vec<u8>)> {
+    let mut out = BatchedSends::new();
+    m.step(inbox_of(pairs).inbox(), &mut Sends::new(&mut out));
+    out.end_segment();
+    segments_of(&out).remove(0)
+}
+
 /// The spec fold: step round by round, collecting each round's sends as
 /// one segment, plus the final output.
 type Segments = Vec<Vec<(NodeId, Vec<u8>)>>;
@@ -159,15 +170,7 @@ fn fold_of_step(
     m: &mut dyn AlgoNode,
     rounds: &[Vec<(NodeId, Vec<u8>)>],
 ) -> (Segments, Option<Vec<u8>>) {
-    let segs = rounds
-        .iter()
-        .map(|inbox| {
-            m.step(inbox)
-                .into_iter()
-                .map(|s| (s.to, s.payload))
-                .collect()
-        })
-        .collect();
+    let segs = rounds.iter().map(|inbox| spec_step(m, inbox)).collect();
     (segs, m.output())
 }
 
@@ -194,7 +197,7 @@ fn assert_step_into_matches_per_node(g: &Graph, algo: &dyn BlackBoxAlgorithm, se
 
         for (r, inbox) in rounds.iter().enumerate() {
             sends.clear();
-            slab.step_into(v, inbox, &mut sends);
+            slab.step_into(v, inbox_of(inbox).inbox(), &mut sends);
             assert_eq!(
                 segments_of(&sends),
                 vec![expect[r].clone()],
@@ -228,13 +231,15 @@ fn assert_step_block_matches_per_node(g: &Graph, algo: &dyn BlackBoxAlgorithm, s
     for _ in 0..algo.rounds() {
         // mis-scheduled truncation: only a subset of nodes steps this round
         let stepping: Vec<usize> = (0..n).filter(|_| rng.gen_bool(0.8)).collect();
-        let mut flat: Vec<(NodeId, Vec<u8>)> = Vec::new();
+        let mut flat = InboxBuf::new();
         let mut steps: Vec<BlockStep> = Vec::new();
         let mut inboxes: Vec<Vec<(NodeId, Vec<u8>)>> = Vec::new();
         for &v in &stepping {
             let mut inbox = random_rounds(g, NodeId(v as u32), 1, &mut rng).remove(0);
             let start = flat.len() as u32;
-            flat.extend(inbox.iter().cloned());
+            for (from, payload) in &inbox {
+                flat.push(*from, payload);
+            }
             steps.push(BlockStep {
                 node: v as u32,
                 round: rounds_done[v],
@@ -245,7 +250,7 @@ fn assert_step_block_matches_per_node(g: &Graph, algo: &dyn BlackBoxAlgorithm, s
             inboxes.push(std::mem::take(&mut inbox));
         }
         sends.clear();
-        slab.step_block(&steps, &flat, &mut sends);
+        slab.step_block(&steps, flat.inbox(), &mut sends);
         assert_eq!(
             sends.segments(),
             steps.len(),
@@ -253,11 +258,7 @@ fn assert_step_block_matches_per_node(g: &Graph, algo: &dyn BlackBoxAlgorithm, s
             algo.aid()
         );
         for (si, &v) in stepping.iter().enumerate() {
-            let expect: Vec<(NodeId, Vec<u8>)> = spec[v]
-                .step(&inboxes[si])
-                .into_iter()
-                .map(|s| (s.to, s.payload))
-                .collect();
+            let expect = spec_step(spec[v].as_mut(), &inboxes[si]);
             let got: Vec<(NodeId, Vec<u8>)> =
                 sends.segment(si).map(|(to, p)| (to, p.to_vec())).collect();
             assert_eq!(

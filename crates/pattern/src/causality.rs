@@ -10,18 +10,178 @@
 
 use crate::comm_pattern::{CommPattern, TimedArc};
 use das_graph::{Graph, NodeId};
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Ordering;
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::ops::Index;
 
 /// A mapping from original communications to their scheduled departure
 /// rounds (over the same network edge, which is how all schedulers in this
 /// project re-time messages).
 ///
-/// An ordered map, so iteration (and `Debug` output) is deterministic —
-/// important because these maps end up inside `ScheduleOutcome`, whose
-/// byte-for-byte reproducibility across thread counts is a test invariant.
-pub type SimulationMap = BTreeMap<TimedArc, u32>;
+/// An ordered map stored flat: one vector of `(communication, departure)`
+/// pairs sorted by communication, keys distinct. Iteration and `Debug`
+/// output are those of a `BTreeMap` holding the same entries — important
+/// because these maps end up inside `ScheduleOutcome`, whose byte-for-byte
+/// reproducibility across thread counts is a test invariant. An executor
+/// that knows its departures sorts them once and hands them over with
+/// [`SimulationMap::from_sorted`]; lookups are binary searches.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct SimulationMap {
+    entries: Vec<(TimedArc, u32)>,
+}
+
+impl SimulationMap {
+    /// An empty map.
+    pub fn new() -> Self {
+        SimulationMap::default()
+    }
+
+    /// Wraps entries already sorted by strictly increasing key — no
+    /// search, no copy.
+    ///
+    /// # Panics
+    /// Panics (in debug builds) if the keys are not strictly increasing.
+    pub fn from_sorted(entries: Vec<(TimedArc, u32)>) -> Self {
+        debug_assert!(
+            entries.windows(2).all(|w| w[0].0 < w[1].0),
+            "keys must be strictly increasing"
+        );
+        SimulationMap { entries }
+    }
+
+    /// Merges two maps with disjoint keys in one linear pass; on a shared
+    /// key `other`'s departure wins, as in `BTreeMap::append`.
+    pub fn merge(self, other: SimulationMap) -> SimulationMap {
+        if self.entries.is_empty() {
+            return other;
+        }
+        if other.entries.is_empty() {
+            return self;
+        }
+        let mut entries = Vec::with_capacity(self.entries.len() + other.entries.len());
+        let (mut a, mut b) = (
+            self.entries.into_iter().peekable(),
+            other.entries.into_iter().peekable(),
+        );
+        while let (Some(x), Some(y)) = (a.peek(), b.peek()) {
+            match x.0.cmp(&y.0) {
+                Ordering::Less => entries.extend(a.next()),
+                Ordering::Greater => entries.extend(b.next()),
+                Ordering::Equal => {
+                    a.next();
+                    entries.extend(b.next());
+                }
+            }
+        }
+        entries.extend(a);
+        entries.extend(b);
+        SimulationMap { entries }
+    }
+
+    /// Number of mapped communications.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// True when nothing is mapped.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    fn find(&self, key: &TimedArc) -> Result<usize, usize> {
+        self.entries.binary_search_by(|(k, _)| k.cmp(key))
+    }
+
+    /// The departure of `key`, if mapped.
+    pub fn get(&self, key: &TimedArc) -> Option<&u32> {
+        self.find(key).ok().map(|i| &self.entries[i].1)
+    }
+
+    /// Whether `key` is mapped.
+    pub fn contains_key(&self, key: &TimedArc) -> bool {
+        self.find(key).is_ok()
+    }
+
+    /// Maps `key` to `departure`, returning the departure it replaces.
+    pub fn insert(&mut self, key: TimedArc, departure: u32) -> Option<u32> {
+        match self.find(&key) {
+            Ok(i) => Some(std::mem::replace(&mut self.entries[i].1, departure)),
+            Err(i) => {
+                self.entries.insert(i, (key, departure));
+                None
+            }
+        }
+    }
+
+    /// Unmaps `key`, returning its departure.
+    pub fn remove(&mut self, key: &TimedArc) -> Option<u32> {
+        self.find(key).ok().map(|i| self.entries.remove(i).1)
+    }
+
+    /// The entries in ascending key order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&TimedArc, &u32)> + '_ {
+        self.entries.iter().map(|(k, v)| (k, v))
+    }
+
+    /// The mapped communications in ascending order.
+    pub fn keys(&self) -> impl ExactSizeIterator<Item = &TimedArc> + '_ {
+        self.entries.iter().map(|(k, _)| k)
+    }
+}
+
+impl fmt::Debug for SimulationMap {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+impl<'a> IntoIterator for &'a SimulationMap {
+    type Item = (&'a TimedArc, &'a u32);
+    type IntoIter = std::iter::Map<
+        std::slice::Iter<'a, (TimedArc, u32)>,
+        fn(&'a (TimedArc, u32)) -> (&'a TimedArc, &'a u32),
+    >;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.entries.iter().map(|(k, v)| (k, v))
+    }
+}
+
+impl Index<&TimedArc> for SimulationMap {
+    type Output = u32;
+
+    fn index(&self, key: &TimedArc) -> &u32 {
+        self.get(key)
+            .expect("communication not in the simulation map")
+    }
+}
+
+/// Builds a map from arbitrary entries; as for a `BTreeMap`, the last of
+/// several entries with one key wins.
+impl FromIterator<(TimedArc, u32)> for SimulationMap {
+    fn from_iter<I: IntoIterator<Item = (TimedArc, u32)>>(iter: I) -> Self {
+        let mut entries: Vec<(TimedArc, u32)> = iter.into_iter().collect();
+        // stable: equal keys keep their input order, so the last one can
+        // be kept
+        entries.sort_by_key(|e| e.0);
+        let mut kept: Vec<(TimedArc, u32)> = Vec::with_capacity(entries.len());
+        for e in entries {
+            match kept.last_mut() {
+                Some(last) if last.0 == e.0 => *last = e,
+                _ => kept.push(e),
+            }
+        }
+        SimulationMap { entries: kept }
+    }
+}
+
+impl<const N: usize> From<[(TimedArc, u32); N]> for SimulationMap {
+    fn from(entries: [(TimedArc, u32); N]) -> Self {
+        entries.into_iter().collect()
+    }
+}
 
 /// Why a candidate simulation map is invalid.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -210,6 +370,37 @@ mod tests {
                 },
             ],
         )
+    }
+
+    #[test]
+    fn map_prints_and_collects_like_a_btree_map() {
+        use std::collections::BTreeMap;
+        let ta = |round: u32, arc: usize| TimedArc {
+            round,
+            arc: das_graph::Arc::from_index(arc),
+        };
+        // unsorted, with a repeated key whose last entry must win
+        let entries = [
+            (ta(2, 0), 9),
+            (ta(0, 3), 1),
+            (ta(1, 1), 4),
+            (ta(0, 3), 7),
+            (ta(0, 1), 2),
+        ];
+        let map: SimulationMap = entries.iter().copied().collect();
+        let tree: BTreeMap<TimedArc, u32> = entries.iter().copied().collect();
+        assert_eq!(format!("{map:?}"), format!("{tree:?}"));
+        assert_eq!(format!("{map:#?}"), format!("{tree:#?}"));
+        assert_eq!(map[&ta(0, 3)], 7);
+        assert!(map.iter().eq(tree.iter()));
+        assert_eq!(format!("{:?}", SimulationMap::new()), "{}");
+        // the sorted hand-over and the merge agree with the tree too
+        let sorted: Vec<_> = tree.iter().map(|(&k, &v)| (k, v)).collect();
+        assert_eq!(SimulationMap::from_sorted(sorted.clone()), map);
+        let (lo, hi) = sorted.split_at(2);
+        let merged =
+            SimulationMap::from_sorted(hi.to_vec()).merge(SimulationMap::from_sorted(lo.to_vec()));
+        assert_eq!(merged, map);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use dasched::congest::util::seed_mix;
 use dasched::core::bellagio::{derandomize, run_with_global_seed, BellagioConfig, SeededFamily};
 use dasched::core::newman::{bits_needed, find_subcollection, Collection};
-use dasched::core::{AlgoNode, AlgoSend};
+use dasched::core::{AlgoNode, Inbox, Sends};
 use dasched::graph::{generators, traversal, Graph, NodeId};
 
 /// The Bellagio family: "does my 2-ball contain >= `threshold` distinct
@@ -57,21 +57,16 @@ impl SeededFamily for ThresholdTest {
 }
 
 impl AlgoNode for ThresholdNode {
-    fn step(&mut self, inbox: &[(NodeId, Vec<u8>)]) -> Vec<AlgoSend> {
+    fn step(&mut self, inbox: Inbox<'_>, out: &mut Sends<'_>) {
         for (_, p) in inbox {
             self.acc |= u64::from_le_bytes(p[..8].try_into().unwrap());
         }
-        let mut out = Vec::new();
         if self.round < self.h {
             for &u in &self.neighbors {
-                out.push(AlgoSend {
-                    to: u,
-                    payload: self.acc.to_le_bytes().to_vec(),
-                });
+                out.push(u, &self.acc.to_le_bytes());
             }
         }
         self.round += 1;
-        out
     }
 
     fn output(&self) -> Option<Vec<u8>> {
