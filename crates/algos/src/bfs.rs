@@ -7,7 +7,7 @@
 //! pipelining distance announcements smallest-first.
 
 use crate::adjacency::Adjacency;
-use das_congest::{util, Protocol, ProtocolNode, RoundContext};
+use das_congest::{util, NodeBatch};
 use das_core::{Aid, AlgoNode, BlackBoxAlgorithm, Inbox, Sends};
 use das_graph::{Graph, NodeId};
 use std::collections::BTreeSet;
@@ -106,7 +106,10 @@ impl AlgoNode for HopBfsNode {
 /// `k` BFSs from different sources run together: every round, every node
 /// announces its best not-yet-announced `(distance, source)` entry,
 /// smallest first. The pipelining argument of Lenzen–Peleg gives `O(k + h)`
-/// rounds. Each node outputs its distance vector to the `k` sources.
+/// rounds. Each node outputs its distance vector to the `k` sources. A
+/// node with nothing left to announce sends nothing, so run
+/// [`Until::Quiet`](das_congest::Until::Quiet) the protocol stops on its
+/// own.
 pub struct KBfsProtocol {
     /// The BFS sources.
     pub sources: Vec<NodeId>,
@@ -120,36 +123,36 @@ impl KBfsProtocol {
         assert!(!sources.is_empty(), "need at least one source");
         KBfsProtocol { sources, hops }
     }
-}
 
-struct KBfsNode {
-    hops: u32,
-    /// best known distance per source index
-    dist: Vec<Option<u32>>,
-    announced: BTreeSet<usize>,
-    quiet: bool,
-}
-
-impl Protocol for KBfsProtocol {
-    fn create_node(&self, id: NodeId, _n: usize, _deg: usize) -> Box<dyn ProtocolNode> {
-        let dist = self
-            .sources
-            .iter()
-            .map(|&s| (s == id).then_some(0))
-            .collect();
-        Box::new(KBfsNode {
-            hops: self.hops,
-            dist,
-            announced: BTreeSet::new(),
-            quiet: false,
+    /// One machine per node of `g`.
+    pub fn machines(&self, g: &Graph) -> NodeBatch {
+        NodeBatch::for_graph(g, |id, neighbors| {
+            Box::new(KBfsNode {
+                neighbors,
+                hops: self.hops,
+                dist: self
+                    .sources
+                    .iter()
+                    .map(|&s| (s == id).then_some(0))
+                    .collect(),
+                announced: BTreeSet::new(),
+            })
         })
     }
 }
 
-impl ProtocolNode for KBfsNode {
-    fn round(&mut self, ctx: &mut RoundContext<'_>) {
-        for env in ctx.inbox() {
-            if let Some((11, words)) = util::decode(&env.payload) {
+struct KBfsNode {
+    neighbors: Vec<NodeId>,
+    hops: u32,
+    /// best known distance per source index
+    dist: Vec<Option<u32>>,
+    announced: BTreeSet<usize>,
+}
+
+impl AlgoNode for KBfsNode {
+    fn step(&mut self, inbox: Inbox<'_>, out: &mut Sends<'_>) {
+        for (_, payload) in inbox {
+            if let Some((11, words)) = util::decode(payload) {
                 let (src, d) = util::unpack2(words[0]);
                 let nd = d + 1;
                 let slot = &mut self.dist[src as usize];
@@ -167,19 +170,11 @@ impl ProtocolNode for KBfsNode {
             .enumerate()
             .filter(|&(i, d)| d.is_some_and(|d| d < self.hops) && !self.announced.contains(&i))
             .min_by_key(|&(i, d)| (d.expect("filtered"), i));
-        match next {
-            Some((i, d)) => {
-                self.announced.insert(i);
-                self.quiet = false;
-                let msg = util::encode(11, &[util::pack2(i as u32, d.expect("filtered"))]);
-                ctx.send_all(msg).expect("BFS announcements fit the model");
-            }
-            None => self.quiet = true,
+        if let Some((i, d)) = next {
+            self.announced.insert(i);
+            let msg = util::encode(11, &[util::pack2(i as u32, d.expect("filtered"))]);
+            out.push_all(&self.neighbors, &msg);
         }
-    }
-
-    fn is_done(&self) -> bool {
-        self.quiet
     }
 
     fn output(&self) -> Option<Vec<u8>> {
@@ -206,7 +201,7 @@ pub fn decode_kbfs_output(payload: &[u8]) -> Vec<Option<u32>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use das_congest::{Engine, EngineConfig};
+    use das_congest::{run_rounds, Until};
     use das_core::{run_alone, DasProblem, Scheduler, UniformScheduler};
     use das_graph::{generators, traversal};
 
@@ -252,20 +247,19 @@ mod tests {
         let sources: Vec<NodeId> = (0..8).map(|i| NodeId(i * 4)).collect();
         let h = 12u32;
         let proto = KBfsProtocol::new(sources.clone(), h);
-        let report = Engine::new(&g, EngineConfig::default())
-            .run(&proto)
-            .unwrap();
+        let mut batch = proto.machines(&g);
+        let ran = run_rounds(&g, &mut batch, Until::Quiet { limit: 1000 }, None).unwrap();
         for v in g.nodes() {
-            let got = decode_kbfs_output(report.outputs[v.index()].as_ref().unwrap());
+            let got = decode_kbfs_output(batch.output(v.index()).as_ref().unwrap());
             for (i, &s) in sources.iter().enumerate() {
                 let want = traversal::bfs_distances(&g, s)[v.index()].filter(|&d| d <= h);
                 assert_eq!(got[i], want, "node {v} source {s}");
             }
         }
         assert!(
-            report.rounds <= (sources.len() as u64 + h as u64) * 2,
+            ran.rounds <= (sources.len() as u32 + h) * 2,
             "rounds {} far above k + h",
-            report.rounds
+            ran.rounds
         );
     }
 }

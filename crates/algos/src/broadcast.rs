@@ -8,7 +8,7 @@
 //! compared against.
 
 use crate::adjacency::Adjacency;
-use das_congest::{util, Protocol, ProtocolNode, RoundContext};
+use das_congest::{util, NodeBatch};
 use das_core::{Aid, AlgoNode, BlackBoxAlgorithm, Inbox, Sends};
 use das_graph::{Graph, NodeId};
 use std::collections::BTreeSet;
@@ -105,7 +105,10 @@ impl AlgoNode for SingleBroadcastNode {
 /// remaining TTL allows). Runs in `O(k + h)` rounds [Topkis 1985].
 ///
 /// Message ids are the indices `0..k`; node outputs are the XOR-fold of
-/// `(id, payload)` pairs received, so completeness is checkable.
+/// `(id, payload)` pairs received, so completeness is checkable. A node
+/// that has nothing left to forward sends nothing, so run
+/// [`Until::Quiet`](das_congest::Until::Quiet) the protocol stops on its
+/// own.
 pub struct KBroadcastProtocol {
     /// (source, payload) per message.
     pub messages: Vec<(NodeId, u64)>,
@@ -132,41 +135,42 @@ impl KBroadcastProtocol {
         }
         acc
     }
+
+    /// One machine per node of `g`.
+    pub fn machines(&self, g: &Graph) -> NodeBatch {
+        NodeBatch::for_graph(g, |id, neighbors| {
+            let mut have = vec![None; self.messages.len()];
+            let mut digest = 0u64;
+            for (i, &(src, payload)) in self.messages.iter().enumerate() {
+                if src == id {
+                    have[i] = Some((payload, 0));
+                    digest ^= das_congest::util::seed_mix(payload, i as u64);
+                }
+            }
+            Box::new(KBroadcastNode {
+                neighbors,
+                hops: self.hops,
+                have,
+                sent: BTreeSet::new(),
+                digest,
+            })
+        })
+    }
 }
 
 struct KBroadcastNode {
+    neighbors: Vec<NodeId>,
     hops: u32,
     /// (message id) -> (payload, hops traveled when received).
     have: Vec<Option<(u64, u32)>>,
     sent: BTreeSet<u32>,
     digest: u64,
-    done_quiet: bool,
 }
 
-impl Protocol for KBroadcastProtocol {
-    fn create_node(&self, id: NodeId, _n: usize, _deg: usize) -> Box<dyn ProtocolNode> {
-        let mut have = vec![None; self.messages.len()];
-        let mut digest = 0u64;
-        for (i, &(src, payload)) in self.messages.iter().enumerate() {
-            if src == id {
-                have[i] = Some((payload, 0));
-                digest ^= das_congest::util::seed_mix(payload, i as u64);
-            }
-        }
-        Box::new(KBroadcastNode {
-            hops: self.hops,
-            have,
-            sent: BTreeSet::new(),
-            digest,
-            done_quiet: false,
-        })
-    }
-}
-
-impl ProtocolNode for KBroadcastNode {
-    fn round(&mut self, ctx: &mut RoundContext<'_>) {
-        for env in ctx.inbox() {
-            if let Some((9, words)) = util::decode(&env.payload) {
+impl AlgoNode for KBroadcastNode {
+    fn step(&mut self, inbox: Inbox<'_>, out: &mut Sends<'_>) {
+        for (_, payload) in inbox {
+            if let Some((9, words)) = util::decode(payload) {
                 let (id, hops) = util::unpack2(words[0]);
                 let payload = words[1];
                 if self.have[id as usize].is_none() {
@@ -184,19 +188,11 @@ impl ProtocolNode for KBroadcastNode {
                 slot.is_some_and(|(_, h)| h < self.hops) && !self.sent.contains(&(i as u32))
             })
             .map(|(i, slot)| (i as u32, slot.expect("found")));
-        match next {
-            Some((id, (payload, hops))) => {
-                self.sent.insert(id);
-                self.done_quiet = false;
-                let msg = util::encode(9, &[util::pack2(id, hops + 1), payload]);
-                ctx.send_all(msg).expect("broadcast fits the model");
-            }
-            None => self.done_quiet = true,
+        if let Some((id, (payload, hops))) = next {
+            self.sent.insert(id);
+            let msg = util::encode(9, &[util::pack2(id, hops + 1), payload]);
+            out.push_all(&self.neighbors, &msg);
         }
-    }
-
-    fn is_done(&self) -> bool {
-        self.done_quiet
     }
 
     fn output(&self) -> Option<Vec<u8>> {
@@ -207,7 +203,7 @@ impl ProtocolNode for KBroadcastNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use das_congest::{Engine, EngineConfig};
+    use das_congest::{run_rounds, Until};
     use das_core::{run_alone, DasProblem, Scheduler, SequentialScheduler};
     use das_graph::generators;
 
@@ -248,13 +244,12 @@ mod tests {
             .map(|i| (NodeId(i as u32), 1000 + i as u64))
             .collect();
         let proto = KBroadcastProtocol::new(messages, h);
-        let report = Engine::new(&g, EngineConfig::default())
-            .run(&proto)
-            .unwrap();
+        let mut batch = proto.machines(&g);
+        let ran = run_rounds(&g, &mut batch, Until::Quiet { limit: 1000 }, None).unwrap();
         // correctness: digests match the expected k-hop coverage
         for v in g.nodes() {
             let got = u64::from_le_bytes(
-                report.outputs[v.index()].as_ref().unwrap()[..8]
+                batch.output(v.index()).as_ref().unwrap()[..8]
                     .try_into()
                     .unwrap(),
             );
@@ -262,9 +257,9 @@ mod tests {
         }
         // pipelining: O(k + h), not k * h
         assert!(
-            report.rounds <= (k as u64 + h as u64) + 4,
+            ran.rounds <= k as u32 + h + 4,
             "rounds {} exceed k + h + slack",
-            report.rounds
+            ran.rounds
         );
     }
 
@@ -272,13 +267,12 @@ mod tests {
     fn k_broadcast_respects_ttl() {
         let g = generators::path(10);
         let proto = KBroadcastProtocol::new(vec![(NodeId(0), 5)], 3);
-        let report = Engine::new(&g, EngineConfig::default())
-            .run(&proto)
-            .unwrap();
+        let mut batch = proto.machines(&g);
+        run_rounds(&g, &mut batch, Until::Quiet { limit: 1000 }, None).unwrap();
         let expect_in = proto.expected_digest(&g, NodeId(3));
         assert_ne!(expect_in, 0);
-        let got3 = u64::from_le_bytes(report.outputs[3].as_ref().unwrap()[..8].try_into().unwrap());
-        let got4 = u64::from_le_bytes(report.outputs[4].as_ref().unwrap()[..8].try_into().unwrap());
+        let got3 = u64::from_le_bytes(batch.output(3).as_ref().unwrap()[..8].try_into().unwrap());
+        let got4 = u64::from_le_bytes(batch.output(4).as_ref().unwrap()[..8].try_into().unwrap());
         assert_eq!(got3, expect_in);
         assert_eq!(got4, 0, "TTL 3 must not reach node 4");
     }

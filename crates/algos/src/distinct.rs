@@ -19,7 +19,7 @@
 //! let each node adopt the estimate from a covering layer.
 
 use das_cluster::{CarveConfig, Clustering, ShareConfig};
-use das_congest::{util, Engine, EngineConfig, Protocol, ProtocolNode, RoundContext};
+use das_congest::{run_rounds, util, AlgoNode, Inbox, NodeBatch, Sends, Until};
 use das_graph::{traversal, Graph, NodeId};
 
 /// Parameters of a distinct-elements instance.
@@ -101,10 +101,50 @@ impl DistinctProtocol {
         self.total_bits().div_ceil(64)
     }
 
-    /// Engine rounds needed: one `d`-hop flood per bundle plus one readout
+    /// Rounds needed: one `d`-hop flood per bundle plus one readout
     /// round.
     pub fn rounds_needed(&self) -> u64 {
         self.bundles() as u64 * (self.config.radius as u64 + 1)
+    }
+
+    /// One machine per node of `g`.
+    pub fn machines(&self, g: &Graph) -> NodeBatch {
+        let thresholds = self.config.thresholds(self.n);
+        let iters = self.config.iters(self.n);
+        NodeBatch::for_graph(g, |id, neighbors| {
+            let (seed, x) = (self.seeds[id.index()], self.inputs[id.index()]);
+            let mut bits = Vec::with_capacity(thresholds.len() * iters);
+            for (j, &k) in thresholds.iter().enumerate() {
+                for i in 0..iters {
+                    bits.push(threshold_bit(seed, x, j as u64, i as u64, k));
+                }
+            }
+            Box::new(DistinctNode {
+                neighbors,
+                round: 0,
+                acc: bits,
+                radius: self.config.radius,
+                thresholds: thresholds.clone(),
+                iters,
+                bundles: self.bundles(),
+                eps: self.config.eps,
+            })
+        })
+    }
+
+    /// Runs the machines on `g` for [`DistinctProtocol::rounds_needed`]
+    /// rounds; returns `(per-node estimates, rounds used)`.
+    fn run(&self, g: &Graph) -> (Vec<f64>, u64) {
+        let mut batch = self.machines(g);
+        let rounds = u32::try_from(self.rounds_needed()).expect("the flood fits u32 rounds");
+        let ran = run_rounds(g, &mut batch, Until::exactly(rounds), None)
+            .expect("protocol fits the model");
+        let est = batch
+            .outputs()
+            .iter()
+            .map(|o| DistinctProtocol::decode_estimate(o.as_ref().expect("output")))
+            .collect();
+        (est, ran.rounds.into())
     }
 
     /// Decodes a node output into its distinct-count estimate.
@@ -114,39 +154,16 @@ impl DistinctProtocol {
 }
 
 struct DistinctNode {
-    /// own bits, one per (j, i) position
-    bits: Vec<bool>,
-    /// OR-accumulated bits
+    neighbors: Vec<NodeId>,
+    /// Rounds stepped so far.
+    round: u64,
+    /// OR-accumulated bits, starting from the node's own
     acc: Vec<bool>,
     radius: u32,
     thresholds: Vec<f64>,
     iters: usize,
     bundles: usize,
     eps: f64,
-}
-
-impl Protocol for DistinctProtocol {
-    fn create_node(&self, id: NodeId, _n: usize, _deg: usize) -> Box<dyn ProtocolNode> {
-        let thresholds = self.config.thresholds(self.n);
-        let iters = self.config.iters(self.n);
-        let seed = self.seeds[id.index()];
-        let x = self.inputs[id.index()];
-        let mut bits = Vec::with_capacity(thresholds.len() * iters);
-        for (j, &k) in thresholds.iter().enumerate() {
-            for i in 0..iters {
-                bits.push(threshold_bit(seed, x, j as u64, i as u64, k));
-            }
-        }
-        Box::new(DistinctNode {
-            acc: bits.clone(),
-            bits,
-            radius: self.config.radius,
-            thresholds,
-            iters,
-            bundles: self.bundles(),
-            eps: self.config.eps,
-        })
-    }
 }
 
 impl DistinctNode {
@@ -162,16 +179,16 @@ impl DistinctNode {
     }
 }
 
-impl ProtocolNode for DistinctNode {
-    fn round(&mut self, ctx: &mut RoundContext<'_>) {
+impl AlgoNode for DistinctNode {
+    fn step(&mut self, inbox: Inbox<'_>, out: &mut Sends<'_>) {
         let period = self.radius as u64 + 1;
-        let t = ctx.round();
+        let t = self.round;
+        self.round += 1;
         let b = (t / period) as usize;
         let step = t % period;
         // fold arrivals of the active bundle (sent in the previous round)
-        let arrive_b = if step == 0 && b > 0 { b - 1 } else { b };
-        for env in ctx.inbox() {
-            if let Some((30, words)) = util::decode(&env.payload) {
+        for (_, payload) in inbox {
+            if let Some((30, words)) = util::decode(payload) {
                 let (bb, _) = util::unpack2(words[0]);
                 let mask = words[1];
                 let base = bb as usize * 64;
@@ -185,15 +202,10 @@ impl ProtocolNode for DistinctNode {
                 }
             }
         }
-        let _ = arrive_b;
         if b < self.bundles && step < self.radius as u64 {
             let msg = util::encode(30, &[util::pack2(b as u32, 0), self.bundle_mask(b)]);
-            ctx.send_all(msg).expect("bundle fits the model");
+            out.push_all(&self.neighbors, &msg);
         }
-    }
-
-    fn is_done(&self) -> bool {
-        false // fixed-rounds protocol
     }
 
     fn output(&self) -> Option<Vec<u8>> {
@@ -209,7 +221,6 @@ impl ProtocolNode for DistinctNode {
                 break;
             }
         }
-        let _ = &self.bits;
         Some(estimate.to_le_bytes().to_vec())
     }
 }
@@ -237,24 +248,12 @@ pub fn estimate_shared(
     config: &DistinctConfig,
     shared_seed: u64,
 ) -> (Vec<f64>, u64) {
-    let proto = DistinctProtocol::new(
+    DistinctProtocol::new(
         inputs.to_vec(),
         vec![shared_seed; g.node_count()],
         config.clone(),
-    );
-    let rounds = proto.rounds_needed();
-    let cfg = EngineConfig::default()
-        .with_fixed_rounds(rounds)
-        .with_record(false);
-    let report = Engine::new(g, cfg)
-        .run(&proto)
-        .expect("protocol fits the model");
-    let est = report
-        .outputs
-        .iter()
-        .map(|o| DistinctProtocol::decode_estimate(o.as_ref().expect("output")))
-        .collect();
-    (est, report.rounds)
+    )
+    .run(g)
 }
 
 /// Result of the private-randomness (Bellagio-derandomized) run.
@@ -295,21 +294,13 @@ pub fn estimate_private(
             .iter()
             .map(|ws| ws.iter().fold(0u64, |acc, &w| util::seed_mix(acc, w)))
             .collect();
-        let proto = DistinctProtocol::new(inputs.to_vec(), seeds, config.clone());
-        let rounds = proto.rounds_needed();
-        let cfg = EngineConfig::default()
-            .with_fixed_rounds(rounds)
-            .with_record(false);
-        let report = Engine::new(g, cfg)
-            .run(&proto)
-            .expect("protocol fits the model");
-        total_rounds += report.rounds;
+        let (layer_estimates, rounds) =
+            DistinctProtocol::new(inputs.to_vec(), seeds, config.clone()).run(g);
+        total_rounds += rounds;
         for v in g.nodes() {
             if estimates[v.index()].is_none() && layer.contained_radius[v.index()] >= config.radius
             {
-                estimates[v.index()] = Some(DistinctProtocol::decode_estimate(
-                    report.outputs[v.index()].as_ref().expect("output"),
-                ));
+                estimates[v.index()] = Some(layer_estimates[v.index()]);
             }
         }
     }

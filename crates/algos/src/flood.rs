@@ -4,7 +4,7 @@
 //! protocol and as a schedulable black box with a fixed round budget.
 
 use crate::adjacency::Adjacency;
-use das_congest::{util, Protocol, ProtocolNode, RoundContext};
+use das_congest::{util, NodeBatch};
 use das_core::{Aid, AlgoNode, BlackBoxAlgorithm, Inbox, Sends};
 use das_graph::{Graph, NodeId};
 use std::sync::Arc;
@@ -101,47 +101,43 @@ impl AlgoNode for LeaderNode {
     }
 }
 
-/// Standalone min-id flood protocol with self-termination (for round
-/// measurements: converges in `diameter + O(1)` rounds).
+/// Standalone min-id flood protocol: a node sends only when its minimum
+/// improved, so run [`Until::Quiet`](das_congest::Until::Quiet) it stops
+/// on its own (for round measurements: converges in `diameter + O(1)`
+/// rounds).
 pub struct MinIdProtocol;
 
-struct MinIdNode {
-    best: u32,
-    changed: bool,
-    quiet: bool,
-}
-
-impl Protocol for MinIdProtocol {
-    fn create_node(&self, id: NodeId, _n: usize, _deg: usize) -> Box<dyn ProtocolNode> {
-        Box::new(MinIdNode {
-            best: id.0,
-            changed: true,
-            quiet: false,
+impl MinIdProtocol {
+    /// One machine per node of `g`.
+    pub fn machines(&self, g: &Graph) -> NodeBatch {
+        NodeBatch::for_graph(g, |id, neighbors| {
+            Box::new(MinIdNode {
+                neighbors,
+                best: id.0,
+                changed: true,
+            })
         })
     }
 }
 
-impl ProtocolNode for MinIdNode {
-    fn round(&mut self, ctx: &mut RoundContext<'_>) {
-        for env in ctx.inbox() {
-            let v = u32::from_le_bytes(env.payload[..4].try_into().expect("id"));
+struct MinIdNode {
+    neighbors: Vec<NodeId>,
+    best: u32,
+    changed: bool,
+}
+
+impl AlgoNode for MinIdNode {
+    fn step(&mut self, inbox: Inbox<'_>, out: &mut Sends<'_>) {
+        for (_, payload) in inbox {
+            let v = u32::from_le_bytes(payload[..4].try_into().expect("id"));
             if v < self.best {
                 self.best = v;
                 self.changed = true;
             }
         }
-        if self.changed {
-            self.changed = false;
-            self.quiet = false;
-            ctx.send_all(self.best.to_le_bytes().to_vec())
-                .expect("min-id flood fits the model");
-        } else {
-            self.quiet = true;
+        if std::mem::take(&mut self.changed) {
+            out.push_all(&self.neighbors, &self.best.to_le_bytes());
         }
-    }
-
-    fn is_done(&self) -> bool {
-        self.quiet
     }
 
     fn output(&self) -> Option<Vec<u8>> {
@@ -152,7 +148,7 @@ impl ProtocolNode for MinIdNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use das_congest::{Engine, EngineConfig};
+    use das_congest::{run_rounds, Until};
     use das_core::{run_alone, DasProblem, Scheduler, UniformScheduler};
     use das_graph::{generators, traversal};
 
@@ -198,19 +194,13 @@ mod tests {
     #[test]
     fn protocol_converges_in_diameter_plus_constant() {
         let g = generators::gnp_connected(60, 0.06, 11);
-        let diam = traversal::diameter(&g).unwrap() as u64;
-        let rep = Engine::new(&g, EngineConfig::default())
-            .run(&MinIdProtocol)
-            .unwrap();
-        for out in &rep.outputs {
+        let diam = traversal::diameter(&g).unwrap();
+        let mut batch = MinIdProtocol.machines(&g);
+        let ran = run_rounds(&g, &mut batch, Until::Quiet { limit: 1000 }, None).unwrap();
+        for out in &batch.outputs() {
             assert_eq!(out.as_deref(), Some(&0u32.to_le_bytes()[..]));
         }
-        assert!(
-            rep.rounds <= diam + 3,
-            "{} vs diameter {}",
-            rep.rounds,
-            diam
-        );
+        assert!(ran.rounds <= diam + 3, "{} vs diameter {diam}", ran.rounds);
     }
 
     #[test]

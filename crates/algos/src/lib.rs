@@ -23,9 +23,11 @@
 //!   shared-randomness form and the locally-shared (Bellagio
 //!   derandomization) form.
 //!
-//! Everything here implements [`das_core::BlackBoxAlgorithm`] (so it can be
-//! scheduled) and/or [`das_congest::Protocol`] (so it runs standalone with
-//! honest round counts).
+//! The schedulable units implement [`das_core::BlackBoxAlgorithm`]. The
+//! combined classical protocols (`KBroadcastProtocol`, `KBfsProtocol`,
+//! `MinIdProtocol`, `DistinctProtocol`) build [`das_congest::AlgoNode`]
+//! machines instead, one per node, and run standalone in
+//! [`das_congest::run_rounds`] with honest round counts.
 
 #![warn(missing_docs)]
 

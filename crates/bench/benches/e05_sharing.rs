@@ -34,7 +34,7 @@ fn table() {
         for layer in cl.layers() {
             let want = share_layer_centralized(layer, &chunks);
             let (got, r, delivered) =
-                das_cluster::share::share_layer_distributed(&g, layer, &chunks, &share_cfg, 3);
+                das_cluster::share::share_layer_distributed(&g, layer, &chunks, &share_cfg);
             all_delivered &= delivered && got == want;
             rounds = r;
         }
@@ -67,8 +67,7 @@ fn bench(c: &mut Criterion) {
     let chunks = das_cluster::share::center_chunks(64, share_cfg.chunks, 17);
     c.bench_function("e05/share_layer_distributed_n64", |b| {
         b.iter(|| {
-            das_cluster::share::share_layer_distributed(&g, &cl.layers()[0], &chunks, &share_cfg, 3)
-                .1
+            das_cluster::share::share_layer_distributed(&g, &cl.layers()[0], &chunks, &share_cfg).1
         })
     });
     c.bench_function("e05/kwise_generator_1000_values", |b| {

@@ -7,7 +7,7 @@ use das_algos::bfs::KBfsProtocol;
 use das_algos::broadcast::KBroadcastProtocol;
 use das_algos::routing::RoutingInstance;
 use das_bench::Table;
-use das_congest::{Engine, EngineConfig};
+use das_congest::{run_rounds, Until};
 use das_core::{verify, DasProblem, Scheduler, UniformScheduler};
 use das_graph::{generators, NodeId};
 
@@ -18,10 +18,8 @@ fn broadcast_table() {
     let mut t = Table::new(&["k", "h", "rounds", "k+h", "ratio"]);
     for k in [4usize, 8, 16, 32] {
         let msgs: Vec<(NodeId, u64)> = (0..k).map(|i| (NodeId(i as u32), i as u64)).collect();
-        let proto = KBroadcastProtocol::new(msgs, h);
-        let rep = Engine::new(&g, EngineConfig::default())
-            .run(&proto)
-            .unwrap();
+        let mut batch = KBroadcastProtocol::new(msgs, h).machines(&g);
+        let rep = run_rounds(&g, &mut batch, Until::Quiet { limit: 1000 }, None).unwrap();
         t.row_owned(vec![
             k.to_string(),
             h.to_string(),
@@ -40,10 +38,8 @@ fn bfs_table() {
     let mut t = Table::new(&["k", "h", "rounds", "k+h", "ratio"]);
     for k in [2usize, 4, 8, 16] {
         let sources: Vec<NodeId> = (0..k).map(|i| NodeId((i * 5 % 81) as u32)).collect();
-        let proto = KBfsProtocol::new(sources, h);
-        let rep = Engine::new(&g, EngineConfig::default())
-            .run(&proto)
-            .unwrap();
+        let mut batch = KBfsProtocol::new(sources, h).machines(&g);
+        let rep = run_rounds(&g, &mut batch, Until::Quiet { limit: 1000 }, None).unwrap();
         t.row_owned(vec![
             k.to_string(),
             h.to_string(),
@@ -90,8 +86,8 @@ fn bench(c: &mut Criterion) {
     c.bench_function("e10/kbfs_8sources_n81", |b| {
         let proto = KBfsProtocol::new(sources.clone(), 16);
         b.iter(|| {
-            Engine::new(&g, EngineConfig::default())
-                .run(&proto)
+            let mut batch = proto.machines(&g);
+            run_rounds(&g, &mut batch, Until::Quiet { limit: 1000 }, None)
                 .unwrap()
                 .rounds
         })

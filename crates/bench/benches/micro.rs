@@ -1,45 +1,37 @@
-//! Micro-benchmarks of the substrates: engine round throughput, PRG
+//! Micro-benchmarks of the substrates: CONGEST round throughput, PRG
 //! evaluation, field arithmetic, carving, and the scheduled executor.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use das_bench::{workloads, TrialRunner};
-use das_congest::{Engine, EngineConfig, Protocol, ProtocolNode, RoundContext};
+use das_congest::{run_rounds, AlgoNode, Inbox, NodeBatch, Sends, Until};
 use das_core::{Scheduler, SequentialScheduler, UniformScheduler};
 use das_graph::{generators, NodeId};
 use das_prg::{field::PrimeField, primes, KWiseGenerator};
 
-/// Every node floods one counter every round — worst-case engine load.
-struct Firehose(u64);
+/// Every node floods one counter every round — the round loop's
+/// worst-case load.
 struct FirehoseNode {
-    rounds: u64,
+    neighbors: Vec<NodeId>,
     t: u64,
 }
-impl Protocol for Firehose {
-    fn create_node(&self, _id: NodeId, _n: usize, _deg: usize) -> Box<dyn ProtocolNode> {
-        Box::new(FirehoseNode {
-            rounds: self.0,
-            t: 0,
-        })
-    }
-}
-impl ProtocolNode for FirehoseNode {
-    fn round(&mut self, ctx: &mut RoundContext<'_>) {
-        if self.t < self.rounds {
-            ctx.send_all(self.t.to_le_bytes().to_vec()).unwrap();
-        }
+impl AlgoNode for FirehoseNode {
+    fn step(&mut self, _inbox: Inbox<'_>, out: &mut Sends<'_>) {
+        out.push_all(&self.neighbors, &self.t.to_le_bytes());
         self.t += 1;
     }
-    fn is_done(&self) -> bool {
-        self.t > self.rounds
+    fn output(&self) -> Option<Vec<u8>> {
+        None
     }
 }
 
 fn bench(c: &mut Criterion) {
     let g = generators::grid(16, 16);
-    c.bench_function("micro/engine_firehose_20rounds_n256", |b| {
+    c.bench_function("micro/run_rounds_firehose_20rounds_n256", |b| {
         b.iter(|| {
-            Engine::new(&g, EngineConfig::default().with_record(false))
-                .run(&Firehose(20))
+            let mut batch = NodeBatch::for_graph(&g, |_, neighbors| {
+                Box::new(FirehoseNode { neighbors, t: 0 })
+            });
+            run_rounds(&g, &mut batch, Until::exactly(20), None)
                 .unwrap()
                 .messages
         })

@@ -1,7 +1,7 @@
 //! Property (4) of Lemma 4.2: each node learns a radius around it that is
 //! fully contained in its cluster, via a flood from cluster boundaries.
 
-use das_congest::{util, Protocol, ProtocolNode, RoundContext};
+use das_congest::{run_rounds, util, AlgoNode, Inbox, NodeBatch, Sends, Until};
 use das_graph::{Graph, NodeId};
 use std::collections::VecDeque;
 
@@ -64,63 +64,66 @@ impl BoundaryProtocol {
         BoundaryProtocol { keys, cap }
     }
 
-    /// Engine rounds the protocol needs.
-    pub fn rounds_needed(&self) -> u64 {
-        self.cap as u64 + 2
+    /// Rounds the protocol needs.
+    pub fn rounds_needed(&self) -> u32 {
+        self.cap + 2
+    }
+
+    /// One machine per node of `g`.
+    pub fn machines(&self, g: &Graph) -> NodeBatch {
+        NodeBatch::for_graph(g, |id, neighbors| {
+            Box::new(BoundaryNode {
+                neighbors,
+                round: 0,
+                key: self.keys[id.index()],
+                cap: self.cap,
+                dist: None,
+                forwarded: false,
+            })
+        })
     }
 }
 
 struct BoundaryNode {
+    neighbors: Vec<NodeId>,
+    /// Rounds stepped so far.
+    round: u32,
     key: (u64, u32),
     cap: u32,
     dist: Option<u32>,
     forwarded: bool,
 }
 
-impl Protocol for BoundaryProtocol {
-    fn create_node(&self, id: NodeId, _n: usize, _deg: usize) -> Box<dyn ProtocolNode> {
-        Box::new(BoundaryNode {
-            key: self.keys[id.index()],
-            cap: self.cap,
-            dist: None,
-            forwarded: false,
-        })
-    }
-}
-
-impl ProtocolNode for BoundaryNode {
-    fn round(&mut self, ctx: &mut RoundContext<'_>) {
-        let t = ctx.round();
+impl AlgoNode for BoundaryNode {
+    fn step(&mut self, inbox: Inbox<'_>, out: &mut Sends<'_>) {
+        let t = self.round;
+        self.round += 1;
         if t == 0 {
             let payload = util::encode(TAG_LABEL, &[self.key.0, self.key.1 as u64]);
-            ctx.send_all(payload)
-                .expect("label exchange fits the model");
+            out.push_all(&self.neighbors, &payload);
             return;
         }
         if t == 1 {
-            let foreign = ctx.inbox().iter().any(|env| {
-                matches!(util::decode(&env.payload),
+            let foreign = inbox.iter().any(|(_, payload)| {
+                matches!(util::decode(payload),
                          Some((TAG_LABEL, words)) if (words[0], words[1] as u32) != self.key)
             });
             if foreign {
                 self.dist = Some(0);
                 self.forwarded = true;
-                ctx.send_all(util::encode(TAG_BOUNDARY, &[]))
-                    .expect("boundary flood fits the model");
+                out.push_all(&self.neighbors, &util::encode(TAG_BOUNDARY, &[]));
             }
             return;
         }
-        let heard = ctx
-            .inbox()
+        let heard = inbox
             .iter()
-            .any(|env| util::peek_tag(&env.payload) == Some(TAG_BOUNDARY));
+            .any(|(_, payload)| util::peek_tag(payload) == Some(TAG_BOUNDARY));
         if heard && self.dist.is_none() {
-            self.dist = Some((t - 1) as u32);
+            self.dist = Some(t - 1);
         }
-        if heard && !self.forwarded && t <= self.cap as u64 {
+        if heard && !self.forwarded && t <= self.cap {
             self.forwarded = true;
-            ctx.send_all(util::encode(TAG_BOUNDARY, &[]))
-                .expect("boundary flood fits the model");
+            out.push_all(&self.neighbors, &util::encode(TAG_BOUNDARY, &[]));
         }
     }
 
@@ -148,18 +151,15 @@ pub fn boundary_distances_distributed(
     cap: u32,
 ) -> (Vec<u32>, u64) {
     let proto = BoundaryProtocol::new(center, |c| labels[c.index()], cap);
-    let cfg = das_congest::EngineConfig::default()
-        .with_fixed_rounds(proto.rounds_needed())
-        .with_record(false);
-    let report = das_congest::Engine::new(g, cfg)
-        .run(&proto)
+    let mut batch = proto.machines(g);
+    let ran = run_rounds(g, &mut batch, Until::exactly(proto.rounds_needed()), None)
         .expect("boundary protocol respects the model");
-    let dists = report
-        .outputs
+    let dists = batch
+        .outputs()
         .iter()
         .map(|o| decode_boundary_output(o.as_ref().expect("every node outputs")).min(cap))
         .collect();
-    (dists, report.rounds)
+    (dists, ran.rounds.into())
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! distributed smallest-label flood with fake initial hop-counts.
 
 use crate::radius::TruncatedExponential;
-use das_congest::{util, Protocol, ProtocolNode, RoundContext};
+use das_congest::{run_rounds, util, AlgoNode, Inbox, NodeBatch, Sends, Until};
 use das_graph::{Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -110,8 +110,8 @@ pub fn carve_layer_centralized(g: &Graph, params: &LayerParams) -> Vec<NodeId> {
 /// message can never escape its center's ball. After `H` rounds each node
 /// outputs the smallest `(label, id)` it heard: its cluster center.
 ///
-/// Run it with [`das_congest::Engine`] configured for
-/// `fixed_rounds = H + 1`; outputs decode as `(label, center)` via
+/// Run its [`CarvingProtocol::machines`] with [`das_congest::run_rounds`]
+/// for exactly `H + 1` rounds; outputs decode as `(label, center)` via
 /// `decode_carve_output`.
 pub struct CarvingProtocol {
     params: LayerParams,
@@ -123,14 +123,34 @@ impl CarvingProtocol {
         CarvingProtocol { params }
     }
 
-    /// The number of engine rounds the protocol needs: `H + 1` (one extra
+    /// The number of rounds the protocol needs: `H + 1` (one extra
     /// round to absorb messages sent in round `H`).
-    pub fn rounds_needed(&self) -> u64 {
-        self.params.horizon as u64 + 1
+    pub fn rounds_needed(&self) -> u32 {
+        self.params.horizon + 1
+    }
+
+    /// One machine per node of `g`.
+    pub fn machines(&self, g: &Graph) -> NodeBatch {
+        let horizon = self.params.horizon;
+        NodeBatch::for_graph(g, |id, neighbors| {
+            let r = self.params.radius[id.index()];
+            Box::new(CarvingNode {
+                neighbors,
+                round: 0,
+                own_key: (self.params.label[id.index()], id.0),
+                own_hop: horizon - r.min(horizon),
+                best_received: None,
+                horizon,
+                forwarded: None,
+            })
+        })
     }
 }
 
 struct CarvingNode {
+    neighbors: Vec<NodeId>,
+    /// Rounds stepped so far.
+    round: u32,
     /// Own (label, id) — competes for the cluster choice from round 0.
     own_key: (u64, u32),
     /// Own initial hop-count `H − r(v)`; the own message becomes eligible
@@ -145,26 +165,13 @@ struct CarvingNode {
     forwarded: Option<(u64, u32)>,
 }
 
-impl Protocol for CarvingProtocol {
-    fn create_node(&self, id: NodeId, _n: usize, _deg: usize) -> Box<dyn ProtocolNode> {
-        let r = self.params.radius[id.index()];
-        let own_hop = self.params.horizon - r.min(self.params.horizon);
-        Box::new(CarvingNode {
-            own_key: (self.params.label[id.index()], id.0),
-            own_hop,
-            best_received: None,
-            horizon: self.params.horizon,
-            forwarded: None,
-        })
-    }
-}
-
-impl ProtocolNode for CarvingNode {
-    fn round(&mut self, ctx: &mut RoundContext<'_>) {
-        // Engine round t corresponds to the paper's round i = t + 1.
-        let i = (ctx.round() + 1) as u32;
-        for env in ctx.inbox() {
-            if let Some((TAG_CARVE, words)) = util::decode(&env.payload) {
+impl AlgoNode for CarvingNode {
+    fn step(&mut self, inbox: Inbox<'_>, out: &mut Sends<'_>) {
+        // Round t corresponds to the paper's round i = t + 1.
+        self.round += 1;
+        let i = self.round;
+        for (_, payload) in inbox {
+            if let Some((TAG_CARVE, words)) = util::decode(payload) {
                 let key = (words[1], words[2] as u32);
                 if self.best_received.is_none_or(|b| key < b) {
                     self.best_received = Some(key);
@@ -184,8 +191,7 @@ impl ProtocolNode for CarvingNode {
             if self.forwarded.is_none_or(|f| (label, center) < f) {
                 self.forwarded = Some((label, center));
                 let payload = util::encode(TAG_CARVE, &[i as u64, label, center as u64]);
-                ctx.send_all(payload)
-                    .expect("carving stays within the model");
+                out.push_all(&self.neighbors, &payload);
             }
         }
     }
@@ -208,26 +214,17 @@ pub fn decode_carve_output(payload: &[u8]) -> (u64, NodeId) {
 
 /// Runs the distributed carving on `g` and returns (per-node center,
 /// rounds used).
-pub fn carve_layer_distributed(
-    g: &Graph,
-    params: &LayerParams,
-    engine_seed: u64,
-) -> (Vec<NodeId>, u64) {
+pub fn carve_layer_distributed(g: &Graph, params: &LayerParams) -> (Vec<NodeId>, u64) {
     let proto = CarvingProtocol::new(params.clone());
-    let rounds = proto.rounds_needed();
-    let cfg = das_congest::EngineConfig::default()
-        .with_fixed_rounds(rounds)
-        .with_record(false)
-        .with_seed(engine_seed);
-    let report = das_congest::Engine::new(g, cfg)
-        .run(&proto)
+    let mut batch = proto.machines(g);
+    let ran = run_rounds(g, &mut batch, Until::exactly(proto.rounds_needed()), None)
         .expect("carving respects the CONGEST model");
-    let centers = report
-        .outputs
+    let centers = batch
+        .outputs()
         .iter()
         .map(|o| decode_carve_output(o.as_ref().expect("every node outputs")).1)
         .collect();
-    (centers, report.rounds)
+    (centers, ran.rounds.into())
 }
 
 #[cfg(test)]
@@ -382,7 +379,7 @@ mod tests {
             for seed in 0..5u64 {
                 let params = params_for(g, 3.0, 24, seed * 31 + gi as u64);
                 let want = carve_layer_centralized(g, &params);
-                let (got, rounds) = carve_layer_distributed(g, &params, 7);
+                let (got, rounds) = carve_layer_distributed(g, &params);
                 assert_eq!(got, want, "graph {gi} seed {seed}");
                 assert_eq!(rounds, params.horizon as u64 + 1);
             }
@@ -401,7 +398,7 @@ mod tests {
         for v in g.nodes() {
             assert_eq!(centers[v.index()], v);
         }
-        let (dist_centers, _) = carve_layer_distributed(&g, &params, 0);
+        let (dist_centers, _) = carve_layer_distributed(&g, &params);
         assert_eq!(dist_centers, centers);
     }
 
@@ -415,7 +412,7 @@ mod tests {
         for v in g.nodes() {
             assert_eq!(centers[v.index()], NodeId(3));
         }
-        let (dist_centers, _) = carve_layer_distributed(&g, &params, 0);
+        let (dist_centers, _) = carve_layer_distributed(&g, &params);
         assert_eq!(dist_centers, centers);
     }
 
@@ -424,10 +421,10 @@ mod tests {
         let g = generators::path(3);
         let params = params_for(&g, 2.0, 8, 5);
         let proto = CarvingProtocol::new(params.clone());
-        let cfg = das_congest::EngineConfig::default().with_fixed_rounds(proto.rounds_needed());
-        let rep = das_congest::Engine::new(&g, cfg).run(&proto).unwrap();
+        let mut batch = proto.machines(&g);
+        run_rounds(&g, &mut batch, Until::exactly(proto.rounds_needed()), None).unwrap();
         for v in g.nodes() {
-            let (label, center) = decode_carve_output(rep.outputs[v.index()].as_ref().unwrap());
+            let (label, center) = decode_carve_output(batch.output(v.index()).as_ref().unwrap());
             assert_eq!(label, params.label[center.index()]);
         }
     }

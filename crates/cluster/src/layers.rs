@@ -148,7 +148,8 @@ impl Clustering {
     }
 
     /// Builds the clustering by honestly running the distributed carving
-    /// and boundary protocols on the CONGEST engine, measuring rounds.
+    /// and boundary protocols in CONGEST rounds
+    /// ([`das_congest::run_rounds`]), measuring rounds.
     pub fn carve_distributed(g: &Graph, config: &CarveConfig, seed: u64) -> Self {
         Self::carve(g, config, seed, true)
     }
@@ -161,7 +162,7 @@ impl Clustering {
         for l in 0..config.num_layers {
             let params = LayerParams::generate(n, &law, config.horizon, seed_mix(seed, l as u64));
             let (center, carve_rounds) = if distributed {
-                carve_layer_distributed(g, &params, seed_mix(seed, 1000 + l as u64))
+                carve_layer_distributed(g, &params)
             } else {
                 (
                     carve_layer_centralized(g, &params),

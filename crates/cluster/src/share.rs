@@ -9,7 +9,7 @@
 //! its own center's complete seed.
 
 use crate::layers::Layer;
-use das_congest::{util, Protocol, ProtocolNode, RoundContext};
+use das_congest::{run_rounds, util, AlgoNode, Inbox, NodeBatch, Sends, Until};
 use das_graph::{Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -39,7 +39,7 @@ impl ShareConfig {
         }
     }
 
-    /// Engine rounds the sharing protocol needs per layer.
+    /// Rounds the sharing protocol needs per layer.
     pub fn rounds_needed(&self) -> u64 {
         self.horizon as u64 + self.slack as u64 + 1
     }
@@ -105,6 +105,36 @@ impl SharingProtocol {
             config,
         }
     }
+
+    /// One machine per node of `g`.
+    pub fn machines(&self, g: &Graph) -> NodeBatch {
+        NodeBatch::for_graph(g, |id, neighbors| {
+            let my_label = self.layer.label[id.index()];
+            let mut pending = BTreeMap::new();
+            let mut collected = BTreeMap::new();
+            if self.layer.is_center(id) {
+                let r = self.layer.params.radius[id.index()].min(self.layer.params.horizon);
+                let h0 = self.layer.params.horizon - r;
+                let label = self.layer.params.label[id.index()];
+                for (sub, &data) in self.chunks_of[id.index()].iter().enumerate() {
+                    pending.insert((label, sub as u32), (h0, data));
+                    if my_label == label {
+                        collected.insert(sub as u32, data);
+                    }
+                }
+            }
+            Box::new(SharingNode {
+                neighbors,
+                round: 0,
+                my_label,
+                horizon: self.config.horizon,
+                pending,
+                sent: HashSet::new(),
+                collected,
+                chunk_count: self.config.chunks as u32,
+            })
+        })
+    }
 }
 
 /// Pipelining priority key: `(label, sub-label)`. At every node, the
@@ -116,6 +146,9 @@ impl SharingProtocol {
 type MsgKey = (u64, u32);
 
 struct SharingNode {
+    neighbors: Vec<NodeId>,
+    /// Rounds stepped so far.
+    round: u32,
     /// My cluster's label — I keep chunks that carry it.
     my_label: u64,
     horizon: u32,
@@ -131,39 +164,13 @@ struct SharingNode {
     chunk_count: u32,
 }
 
-impl Protocol for SharingProtocol {
-    fn create_node(&self, id: NodeId, _n: usize, _deg: usize) -> Box<dyn ProtocolNode> {
-        let my_label = self.layer.label[id.index()];
-        let mut pending = BTreeMap::new();
-        let mut collected = BTreeMap::new();
-        if self.layer.is_center(id) {
-            let r = self.layer.params.radius[id.index()].min(self.layer.params.horizon);
-            let h0 = self.layer.params.horizon - r;
-            let label = self.layer.params.label[id.index()];
-            for (sub, &data) in self.chunks_of[id.index()].iter().enumerate() {
-                pending.insert((label, sub as u32), (h0, data));
-                if my_label == label {
-                    collected.insert(sub as u32, data);
-                }
-            }
-        }
-        Box::new(SharingNode {
-            my_label,
-            horizon: self.config.horizon,
-            pending,
-            sent: HashSet::new(),
-            collected,
-            chunk_count: self.config.chunks as u32,
-        })
-    }
-}
-
-impl ProtocolNode for SharingNode {
-    fn round(&mut self, ctx: &mut RoundContext<'_>) {
-        // Engine round t is the paper's round i = t + 1 (as in the carving).
-        let i = (ctx.round() + 1) as u32;
-        for env in ctx.inbox() {
-            if let Some((TAG_SHARE, words)) = util::decode(&env.payload) {
+impl AlgoNode for SharingNode {
+    fn step(&mut self, inbox: Inbox<'_>, out: &mut Sends<'_>) {
+        // Round t is the paper's round i = t + 1 (as in the carving).
+        self.round += 1;
+        let i = self.round;
+        for (_, payload) in inbox {
+            if let Some((TAG_SHARE, words)) = util::decode(payload) {
                 let (hop, sub) = util::unpack2(words[0]);
                 let label = words[1];
                 let data = words[2];
@@ -190,8 +197,7 @@ impl ProtocolNode for SharingNode {
             let (hop, data) = self.pending.remove(&key).expect("key just found");
             self.sent.insert(key);
             let payload = util::encode(TAG_SHARE, &[util::pack2(hop + 1, sub), label, data]);
-            ctx.send_all(payload)
-                .expect("sharing stays within the model");
+            out.push_all(&self.neighbors, &payload);
         }
     }
 
@@ -211,19 +217,15 @@ pub fn share_layer_distributed(
     layer: &Layer,
     chunks_of: &[Vec<u64>],
     config: &ShareConfig,
-    engine_seed: u64,
 ) -> (Vec<Vec<u64>>, u64, bool) {
     let proto = SharingProtocol::new(layer.clone(), chunks_of.to_vec(), config.clone());
-    let cfg = das_congest::EngineConfig::default()
-        .with_fixed_rounds(config.rounds_needed())
-        .with_record(false)
-        .with_seed(engine_seed);
-    let report = das_congest::Engine::new(g, cfg)
-        .run(&proto)
+    let mut batch = proto.machines(g);
+    let rounds = u32::try_from(config.rounds_needed()).expect("a layer's sharing fits u32 rounds");
+    let ran = run_rounds(g, &mut batch, Until::exactly(rounds), None)
         .expect("sharing respects the model");
     let mut all = true;
-    let seeds = report
-        .outputs
+    let seeds = batch
+        .outputs()
         .iter()
         .map(|o| {
             let (tag, words) = util::decode(o.as_ref().expect("every node outputs"))
@@ -235,7 +237,7 @@ pub fn share_layer_distributed(
             words
         })
         .collect();
-    (seeds, report.rounds, all)
+    (seeds, ran.rounds.into(), all)
 }
 
 #[cfg(test)]
@@ -252,8 +254,7 @@ mod tests {
         let mut ok = true;
         for layer in cl.layers() {
             let want = share_layer_centralized(layer, &chunks);
-            let (got, rounds, delivered) =
-                share_layer_distributed(g, layer, &chunks, &share_cfg, 3);
+            let (got, rounds, delivered) = share_layer_distributed(g, layer, &chunks, &share_cfg);
             ok &= delivered && got == want;
             assert_eq!(rounds, share_cfg.rounds_needed());
         }
@@ -301,7 +302,7 @@ mod tests {
         let share_cfg = ShareConfig::for_graph(&g, cfg.horizon);
         let chunks = center_chunks(25, share_cfg.chunks, 8);
         let layer = &cl.layers()[0];
-        let (got, _, delivered) = share_layer_distributed(&g, layer, &chunks, &share_cfg, 1);
+        let (got, _, delivered) = share_layer_distributed(&g, layer, &chunks, &share_cfg);
         assert!(delivered);
         for v in g.nodes() {
             for u in g.nodes() {

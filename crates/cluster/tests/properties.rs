@@ -82,7 +82,7 @@ proptest! {
         for layer in cl.layers() {
             let want = share_layer_centralized(layer, &chunks);
             let (got, _, delivered) =
-                das_cluster::share::share_layer_distributed(&g, layer, &chunks, &share_cfg, 1);
+                das_cluster::share::share_layer_distributed(&g, layer, &chunks, &share_cfg);
             prop_assert!(delivered, "sharing under-delivered");
             prop_assert_eq!(&got, &want);
             // same-cluster members agree

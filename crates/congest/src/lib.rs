@@ -1,82 +1,70 @@
 //! # das-congest
 //!
-//! A synchronous, deterministic simulator for the **CONGEST model** of
-//! distributed computing [Peleg 2000]: the network is an undirected graph,
-//! computation proceeds in lockstep rounds, and in each round every node may
-//! send one `O(log n)`-bit message to each of its neighbors.
+//! The **CONGEST model** of distributed computing [Peleg 2000]: the
+//! network is an undirected graph, computation proceeds in lockstep
+//! rounds, and in each round every node may send one `O(log n)`-bit
+//! message to each of its neighbors.
 //!
-//! This crate is the substrate the `dasched` schedulers run on. It enforces
-//! the model honestly:
+//! This crate holds the model and nothing else:
 //!
-//! * at most **one message per edge per direction per round**;
-//! * every message at most [`EngineConfig::message_bytes`] bytes;
-//! * nodes only ever talk to graph neighbors;
-//! * each node owns a **private** seeded RNG stream (no shared randomness —
-//!   exactly the setting of Theorem 1.3 of the paper).
+//! * machine I/O — a machine ([`AlgoNode`], or a whole slab of them,
+//!   [`AlgoSlab`] / [`NodeBatch`]) reads one round's messages as a
+//!   borrowed, sender-sorted [`Inbox`] and writes its sends through
+//!   [`Sends`] into a [`BatchedSends`] arena;
+//! * the one round loop, [`run_rounds`], which runs a [`NodeBatch`] for
+//!   exactly `T` rounds (optionally truncated per node) or until a round
+//!   in which nobody sent, and optionally records every message's
+//!   `(round, arc)`;
+//! * the bandwidth, [`MESSAGE_BYTES`], and the model violations
+//!   [`run_rounds`] refuses ([`ReferenceError`]): a send to a
+//!   non-neighbor, two sends to one neighbor in a round, a payload over
+//!   the bandwidth.
 //!
-//! Protocols implement [`Protocol`] (a per-node state-machine factory) and
-//! are driven by [`Engine::run`], which also records the *communication
-//! pattern* (which edges carried messages in which rounds) for congestion and
-//! dilation accounting.
+//! There is no shared randomness anywhere: a machine's random tape is a
+//! private seed fixed when it is built.
 //!
 //! ```
-//! use das_congest::{Engine, EngineConfig, Protocol, ProtocolNode, RoundContext};
+//! use das_congest::{run_rounds, AlgoNode, Inbox, NodeBatch, Sends, Until};
 //! use das_graph::{generators, NodeId};
 //!
 //! /// Each node floods the smallest id it has seen (leader election).
-//! struct MinIdFlood;
-//! struct MinIdNode { best: u32, changed: bool, quiet: bool }
+//! struct MinIdNode { neighbors: Vec<NodeId>, best: u32, changed: bool }
 //!
-//! impl Protocol for MinIdFlood {
-//!     fn create_node(&self, id: NodeId, _n: usize, _deg: usize) -> Box<dyn ProtocolNode> {
-//!         Box::new(MinIdNode { best: id.0, changed: true, quiet: false })
-//!     }
-//! }
-//!
-//! impl ProtocolNode for MinIdNode {
-//!     fn round(&mut self, ctx: &mut RoundContext<'_>) {
-//!         for env in ctx.inbox().to_vec() {
-//!             let v = u32::from_le_bytes(env.payload[..4].try_into().unwrap());
+//! impl AlgoNode for MinIdNode {
+//!     fn step(&mut self, inbox: Inbox<'_>, out: &mut Sends<'_>) {
+//!         for (_, payload) in inbox {
+//!             let v = u32::from_le_bytes(payload[..4].try_into().unwrap());
 //!             if v < self.best { self.best = v; self.changed = true; }
 //!         }
-//!         if self.changed {
-//!             self.changed = false;
-//!             self.quiet = false;
-//!             let msg = self.best.to_le_bytes().to_vec();
-//!             ctx.send_all(msg).unwrap();
-//!         } else {
-//!             self.quiet = true;
+//!         if std::mem::take(&mut self.changed) {
+//!             out.push_all(&self.neighbors, &self.best.to_le_bytes());
 //!         }
 //!     }
-//!     fn is_done(&self) -> bool { self.quiet }
 //!     fn output(&self) -> Option<Vec<u8>> { Some(self.best.to_le_bytes().to_vec()) }
 //! }
 //!
 //! let g = generators::path(8);
-//! let report = Engine::new(&g, EngineConfig::default())
-//!     .run(&MinIdFlood)
-//!     .unwrap();
+//! let mut batch = NodeBatch::from_boxed(g.nodes().map(|v| {
+//!     let neighbors = g.neighbors(v).iter().map(|&(u, _)| u).collect();
+//!     Box::new(MinIdNode { neighbors, best: v.0, changed: true }) as Box<dyn AlgoNode>
+//! }).collect());
+//! // runs until a round in which nobody sent
+//! let ran = run_rounds(&g, &mut batch, Until::Quiet { limit: 100 }, None).unwrap();
+//! assert_eq!(ran.rounds, 9);
 //! // every node learned the minimum id, 0
-//! for v in g.nodes() {
-//!     assert_eq!(report.outputs[v.index()].as_deref(), Some(&0u32.to_le_bytes()[..]));
+//! for out in batch.outputs() {
+//!     assert_eq!(out.as_deref(), Some(&0u32.to_le_bytes()[..]));
 //! }
 //! ```
 
 #![warn(missing_docs)]
 
-mod ctx;
-mod engine;
-mod error;
-mod message;
-mod node;
-mod recorder;
+mod io;
+mod rounds;
 
-pub mod trace;
 pub mod util;
 
-pub use ctx::RoundContext;
-pub use engine::{Engine, EngineConfig, ExecutionReport};
-pub use error::CongestError;
-pub use message::{Envelope, Payload};
-pub use node::{Protocol, ProtocolNode};
-pub use recorder::{Recording, RoundRecord};
+pub use io::{
+    AlgoNode, AlgoSlab, BatchedSends, BlockStep, Inbox, InboxBuf, InboxIter, NodeBatch, Sends,
+};
+pub use rounds::{run_rounds, ReferenceError, Tally, Until, MESSAGE_BYTES};

@@ -4,8 +4,6 @@
 //! of machine words. These helpers pack/unpack small tagged tuples of `u64`
 //! words into byte payloads.
 
-use crate::message::Payload;
-
 /// Encodes a tag byte followed by `words` little-endian `u64`s.
 ///
 /// ```
@@ -15,7 +13,7 @@ use crate::message::Payload;
 /// assert_eq!(tag, 3);
 /// assert_eq!(words, vec![7, 9]);
 /// ```
-pub fn encode(tag: u8, words: &[u64]) -> Payload {
+pub fn encode(tag: u8, words: &[u64]) -> Vec<u8> {
     let mut out = Vec::with_capacity(1 + 8 * words.len());
     out.push(tag);
     for w in words {

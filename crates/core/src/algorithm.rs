@@ -1,6 +1,9 @@
 //! The black-box algorithm interface (the paper's §2 execution format).
 //!
-//! The contract has two tiers and one I/O pair. The *specification tier*
+//! A [`BlackBoxAlgorithm`] is a factory for per-node machines. The machines
+//! and their I/O — [`AlgoNode`], the batched tier [`AlgoSlab`] /
+//! [`NodeBatch`], [`Inbox`] and [`Sends`] — are the CONGEST model's own,
+//! defined in `das_congest` and re-exported here. The *specification tier*
 //! is [`AlgoNode::step`]: one virtual call per (algorithm, node, round),
 //! exactly the paper's format. The *batched tier* is opt-in and exists
 //! purely for throughput: [`BlackBoxAlgorithm::create_nodes`] builds a
@@ -12,17 +15,10 @@
 //! unchanged — and the production loop ([`crate::execute`]) stays
 //! byte-identical to the per-step row oracle
 //! ([`crate::oracle::execute_row`]) by construction.
-//!
-//! Both tiers read and write the same way. A step reads a borrowed
-//! [`Inbox`] — `(sender, payload)` spans, sender-sorted, lying in the
-//! engine's own arrival buffer — and writes its sends into a
-//! [`BatchedSends`] arena, one segment per step. A boxed machine writes
-//! through [`Sends`], which can only append to its own step's segment; a
-//! slab, which holds every machine of its block, writes the block's
-//! segments itself. Neither direction copies a payload into a buffer of
-//! its own or allocates per message, whichever tier the algorithm
-//! implements.
 
+pub use das_congest::{
+    AlgoNode, AlgoSlab, BatchedSends, BlockStep, Inbox, InboxBuf, InboxIter, NodeBatch, Sends,
+};
 use das_graph::NodeId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -41,421 +37,6 @@ impl fmt::Debug for Aid {
 impl fmt::Display for Aid {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "A{}", self.0)
-    }
-}
-
-/// One message of an [`Inbox`]: its sender and where its payload lies in
-/// the inbox's byte buffer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct InboxMsg {
-    pub(crate) from: NodeId,
-    pub(crate) len: u32,
-    pub(crate) off: usize,
-}
-
-/// What a machine received for one round: `(sender, payload)` pairs sorted
-/// by sender, borrowed straight from the engine's buffers — no payload is
-/// copied to hand an inbox over.
-///
-/// The order is the canonical one every engine agrees on: ascending
-/// sender, which is total because a sender delivers at most one message
-/// per round to a given machine. Inside [`AlgoSlab::step_block`] one inbox
-/// holds the whole block's messages and [`Inbox::of`] cuts out each step's.
-///
-/// Two words — the buffer the messages lie in and their range in it,
-/// packed — so that a step that is not inlined receives its inbox in two
-/// registers, as it would a slice, and not through the stack.
-#[derive(Clone, Copy)]
-pub struct Inbox<'a> {
-    buf: &'a InboxBuf,
-    /// `lo << 32 | len`: the messages are `buf.msgs[lo..lo + len]`.
-    span: u64,
-}
-
-impl<'a> Inbox<'a> {
-    /// The messages in sender order.
-    #[inline]
-    pub fn iter(&self) -> InboxIter<'a> {
-        let (lo, len) = ((self.span >> 32) as usize, self.span as u32 as usize);
-        // an empty inbox, most steps' on a sparse plan, reads no buffer
-        let msgs = if len == 0 {
-            [].iter()
-        } else {
-            self.buf.msgs[lo..lo + len].iter()
-        };
-        InboxIter {
-            msgs,
-            buf: self.buf,
-        }
-    }
-
-    /// The part of a block's inbox that `step` consumes.
-    ///
-    /// # Panics
-    /// Panics if `step`'s messages do not all lie in this inbox.
-    #[inline]
-    pub fn of(&self, step: &BlockStep) -> Inbox<'a> {
-        let (lo, len) = (self.span >> 32, self.span as u32);
-        assert!(
-            u64::from(step.inbox_start) + u64::from(step.inbox_len) <= u64::from(len),
-            "a step's messages lie in its block's inbox"
-        );
-        Inbox {
-            buf: self.buf,
-            span: (lo + u64::from(step.inbox_start)) << 32 | u64::from(step.inbox_len),
-        }
-    }
-}
-
-impl fmt::Debug for Inbox<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
-    }
-}
-
-impl<'a> IntoIterator for Inbox<'a> {
-    type Item = (NodeId, &'a [u8]);
-    type IntoIter = InboxIter<'a>;
-
-    #[inline]
-    fn into_iter(self) -> InboxIter<'a> {
-        self.iter()
-    }
-}
-
-/// The messages of an [`Inbox`], in sender order.
-#[derive(Clone)]
-pub struct InboxIter<'a> {
-    msgs: std::slice::Iter<'a, InboxMsg>,
-    buf: &'a InboxBuf,
-}
-
-impl<'a> Iterator for InboxIter<'a> {
-    type Item = (NodeId, &'a [u8]);
-
-    #[inline]
-    fn next(&mut self) -> Option<Self::Item> {
-        let m = self.msgs.next()?;
-        Some((m.from, &self.buf.bytes[m.off..m.off + m.len as usize]))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.msgs.size_hint()
-    }
-}
-
-impl ExactSizeIterator for InboxIter<'_> {}
-
-/// The buffer every [`Inbox`] borrows from: messages pushed in sender
-/// order, then lent out as an [`Inbox`]. Engines keep one per block —
-/// the executor's arrival arena and the reference runner's round mail
-/// hold theirs in place, their payloads never copied into another.
-#[derive(Clone, Debug, Default)]
-pub struct InboxBuf {
-    pub(crate) msgs: Vec<InboxMsg>,
-    /// Payload bytes the messages point into (an engine may keep bytes
-    /// here that no message of the current block names).
-    pub(crate) bytes: Vec<u8>,
-}
-
-impl InboxBuf {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        InboxBuf::default()
-    }
-
-    /// Appends one message; callers push in ascending sender order.
-    pub fn push(&mut self, from: NodeId, payload: &[u8]) {
-        self.msgs.push(InboxMsg {
-            from,
-            len: payload.len() as u32,
-            off: self.bytes.len(),
-        });
-        self.bytes.extend_from_slice(payload);
-    }
-
-    /// Number of messages pushed since the last clear — where the next
-    /// one lands in a block's inbox.
-    pub fn len(&self) -> usize {
-        self.msgs.len()
-    }
-
-    /// True when nothing was pushed since the last clear.
-    pub fn is_empty(&self) -> bool {
-        self.msgs.is_empty()
-    }
-
-    /// Empties the buffer, keeping its capacity.
-    pub fn clear(&mut self) {
-        self.msgs.clear();
-        self.bytes.clear();
-    }
-
-    /// The pushed messages as an inbox.
-    #[inline]
-    pub fn inbox(&self) -> Inbox<'_> {
-        Inbox {
-            buf: self,
-            span: self.msgs.len() as u64,
-        }
-    }
-}
-
-/// Flat, reusable send arena every machine writes into: payload bytes live
-/// in one buffer, sends are grouped into *segments* (one segment per
-/// executed step, in execution order), and nothing is allocated per send
-/// once the arena has warmed up.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct BatchedSends {
-    /// One entry per send: destination, payload offset, payload length.
-    meta: Vec<(NodeId, u32, u32)>,
-    /// All payload bytes, back to back.
-    bytes: Vec<u8>,
-    /// Exclusive end index into `meta` for each closed segment.
-    bounds: Vec<u32>,
-}
-
-impl BatchedSends {
-    /// An empty arena.
-    pub fn new() -> Self {
-        BatchedSends::default()
-    }
-
-    /// Appends one send to the currently open segment.
-    pub fn push(&mut self, to: NodeId, payload: &[u8]) {
-        let off = self.bytes.len() as u32;
-        self.bytes.extend_from_slice(payload);
-        self.meta.push((to, off, payload.len() as u32));
-    }
-
-    /// Closes the current segment (even if it received no sends). Every
-    /// executed step must close exactly one segment, in execution order.
-    pub fn end_segment(&mut self) {
-        self.bounds.push(self.meta.len() as u32);
-    }
-
-    /// Number of closed segments.
-    pub fn segments(&self) -> usize {
-        self.bounds.len()
-    }
-
-    /// Total sends across all segments (open tail included).
-    pub fn total_sends(&self) -> usize {
-        self.meta.len()
-    }
-
-    /// Whether closed segment `i` holds no sends — a constant-time check
-    /// engines use to skip validation work for send-free steps.
-    pub fn segment_is_empty(&self, i: usize) -> bool {
-        let start = if i == 0 { 0 } else { self.bounds[i - 1] };
-        self.bounds[i] == start
-    }
-
-    /// Iterates the sends of closed segment `i` in push order.
-    pub fn segment(&self, i: usize) -> impl Iterator<Item = (NodeId, &[u8])> + '_ {
-        let end = self.bounds[i] as usize;
-        let start = if i == 0 {
-            0
-        } else {
-            self.bounds[i - 1] as usize
-        };
-        self.meta[start..end]
-            .iter()
-            .map(move |&(to, off, len)| (to, &self.bytes[off as usize..(off + len) as usize]))
-    }
-
-    /// Clears the arena for reuse, keeping its capacity.
-    pub fn clear(&mut self) {
-        self.meta.clear();
-        self.bytes.clear();
-        self.bounds.clear();
-    }
-}
-
-/// One boxed machine's step's view of the send arena: it can append sends
-/// and nothing else, so a machine can neither close, clear nor read the
-/// segments of the other machines its step shares the arena with.
-///
-/// ```compile_fail,E0599
-/// fn sloppy(out: &mut das_core::Sends<'_>) {
-///     out.end_segment(); // only the engine closes a step's segment
-/// }
-/// ```
-pub struct Sends<'a> {
-    arena: &'a mut BatchedSends,
-}
-
-impl<'a> Sends<'a> {
-    /// A writer appending to `arena`'s open segment; the caller closes it
-    /// once the step is done.
-    pub fn new(arena: &'a mut BatchedSends) -> Self {
-        Sends { arena }
-    }
-
-    /// Sends `payload` to `to` this round.
-    #[inline]
-    pub fn push(&mut self, to: NodeId, payload: &[u8]) {
-        self.arena.push(to, payload);
-    }
-}
-
-/// The per-node state machine of one algorithm — the paper's format:
-/// *"when this algorithm is run alone, in each round each node knows what
-/// to send in the next round"*, as a function of the node's input, its
-/// random tape (fixed at creation), and the messages received so far.
-///
-/// The scheduler calls [`AlgoNode::step`] exactly `rounds()` times, in
-/// order. Implementations must be deterministic: same construction + same
-/// inboxes ⇒ same sends and output. The scheduler may deliver an
-/// *incomplete* inbox if it has mis-scheduled — the machine cannot detect
-/// this (it does not know its communication pattern a priori) and will
-/// simply compute on; correctness is the scheduler's burden.
-///
-/// Machines are `Send` so whole executions can move to worker threads.
-pub trait AlgoNode: Send {
-    /// Executes one algorithm round: `inbox` holds the messages this node
-    /// received from the previous round's sends, and this round's sends
-    /// go to `out`.
-    fn step(&mut self, inbox: Inbox<'_>, out: &mut Sends<'_>);
-
-    /// The node's output once all rounds have been stepped (`None` if this
-    /// node produces no output for this algorithm).
-    fn output(&self) -> Option<Vec<u8>>;
-}
-
-/// One step of a [`NodeBatch`] inside an [`AlgoSlab::step_block`] call:
-/// which slab-local machine to step, the algorithm round it is at, and
-/// which messages of the block's [`Inbox`] are its own ([`Inbox::of`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BlockStep {
-    /// Slab-local machine index (position in the `nodes` slice the slab
-    /// was created from — **not** a graph [`NodeId`]).
-    pub node: u32,
-    /// Algorithm round this step executes (0-based; informational — slabs
-    /// track their own round counters, this must match them).
-    pub round: u32,
-    /// Index of this step's first message in the block's inbox.
-    pub inbox_start: u32,
-    /// Length of this step's inbox.
-    pub inbox_len: u32,
-}
-
-/// A node-contiguous slab of machines for one algorithm: the state of all
-/// machines in one place, stepped without per-node `Box<dyn>` dispatch.
-///
-/// The slab is the batched tier the engine drives. A whole block of steps
-/// (distinct machines, one step each) dispatches as **one**
-/// virtual [`AlgoSlab::step_block`] call; sends land in a flat
-/// [`BatchedSends`] arena — one segment per step, in block order — so the
-/// caller can validate and enqueue them in exactly the per-step engines'
-/// order, which is what keeps the batched engine byte-identical.
-pub trait AlgoSlab: Send {
-    /// Steps machine `i` once with `inbox` and appends its sends to `out`
-    /// as exactly one closed segment.
-    fn step_into(&mut self, i: usize, inbox: Inbox<'_>, out: &mut BatchedSends);
-
-    /// Executes a block of steps against the block's inbox, appending
-    /// exactly `steps.len()` segments to `out`, in block order. Machines
-    /// within a block are distinct, so execution order cannot change any
-    /// machine's state trajectory. The default loops
-    /// [`AlgoSlab::step_into`] (a direct call on the concrete type).
-    fn step_block(&mut self, steps: &[BlockStep], inbox: Inbox<'_>, out: &mut BatchedSends) {
-        for s in steps {
-            self.step_into(s.node as usize, inbox.of(s), out);
-        }
-    }
-
-    /// The output of machine `i` once all its rounds have been stepped.
-    fn output(&self, i: usize) -> Option<Vec<u8>>;
-}
-
-/// All machines of one algorithm over a node set, built in one pass by
-/// [`BlackBoxAlgorithm::create_nodes`]: a `Box<dyn AlgoSlab>` plus its
-/// machine count. One heap allocation per (algorithm, node set) instead
-/// of one per (algorithm, node).
-pub struct NodeBatch {
-    slab: Box<dyn AlgoSlab>,
-    len: usize,
-}
-
-impl NodeBatch {
-    /// Wraps a slab holding `len` machines.
-    pub fn new(slab: Box<dyn AlgoSlab>, len: usize) -> Self {
-        NodeBatch { slab, len }
-    }
-
-    /// Wraps already-built boxed machines in the default slab — the bridge
-    /// for factories that only implement a per-node constructor.
-    pub fn from_boxed(machines: Vec<Box<dyn AlgoNode>>) -> Self {
-        let len = machines.len();
-        NodeBatch::new(Box::new(BoxedSlab { machines }), len)
-    }
-
-    /// Number of machines in the batch.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the batch holds no machines.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Steps machine `i` once (see [`AlgoSlab::step_into`]).
-    ///
-    /// # Panics
-    /// Panics if the slab did not close exactly one segment.
-    pub fn step_into(&mut self, i: usize, inbox: Inbox<'_>, out: &mut BatchedSends) {
-        let before = out.segments();
-        self.slab.step_into(i, inbox, out);
-        assert_segments(out, before, 1);
-    }
-
-    /// Executes a block of steps as one virtual call (see
-    /// [`AlgoSlab::step_block`]).
-    ///
-    /// # Panics
-    /// Panics if the slab did not close exactly one segment per step:
-    /// segment `i` is charged to `steps[i]`'s machine, so one segment too
-    /// many or too few would charge every later send to the wrong sender.
-    pub fn step_block(&mut self, steps: &[BlockStep], inbox: Inbox<'_>, out: &mut BatchedSends) {
-        let before = out.segments();
-        self.slab.step_block(steps, inbox, out);
-        assert_segments(out, before, steps.len());
-    }
-
-    /// The output of machine `i`.
-    pub fn output(&self, i: usize) -> Option<Vec<u8>> {
-        self.slab.output(i)
-    }
-}
-
-/// Checks that a slab closed `steps` segments on top of the `before` it
-/// found — once per block, whatever the build.
-fn assert_segments(out: &BatchedSends, before: usize, steps: usize) {
-    assert!(
-        out.segments() == before + steps,
-        "a slab closed {} send segments for {steps} steps (one per step)",
-        out.segments() as i64 - before as i64
-    );
-}
-
-/// The default slab: one boxed [`AlgoNode`] per machine, stepped through
-/// the specification tier. Used by algorithms that don't override
-/// [`BlackBoxAlgorithm::create_nodes`]. A boxed machine reads and writes
-/// the slab's own buffers, so it costs no copy either way.
-struct BoxedSlab {
-    machines: Vec<Box<dyn AlgoNode>>,
-}
-
-impl AlgoSlab for BoxedSlab {
-    fn step_into(&mut self, i: usize, inbox: Inbox<'_>, out: &mut BatchedSends) {
-        self.machines[i].step(inbox, &mut Sends::new(out));
-        out.end_segment();
-    }
-
-    fn output(&self, i: usize) -> Option<Vec<u8>> {
-        self.machines[i].output()
     }
 }
 
@@ -509,94 +90,5 @@ mod tests {
     fn aid_ordering() {
         assert!(Aid(1) < Aid(2));
         assert_eq!(Aid(5), Aid(5));
-    }
-
-    /// Steps machine 0 and closes one segment too many.
-    struct OverClosing;
-
-    impl AlgoSlab for OverClosing {
-        fn step_into(&mut self, _i: usize, _inbox: Inbox<'_>, out: &mut BatchedSends) {
-            out.push(NodeId(1), &[1]);
-            out.end_segment();
-            out.end_segment();
-        }
-
-        fn output(&self, _i: usize) -> Option<Vec<u8>> {
-            None
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "closed 4 send segments for 2 steps")]
-    fn a_slab_closing_a_segment_too_many_is_refused() {
-        let mut batch = NodeBatch::new(Box::new(OverClosing), 2);
-        let steps: Vec<BlockStep> = (0..2)
-            .map(|node| BlockStep {
-                node,
-                round: 0,
-                inbox_start: 0,
-                inbox_len: 0,
-            })
-            .collect();
-        let mut out = BatchedSends::new();
-        out.end_segment(); // an earlier step's segment is not counted
-        batch.step_block(&steps, InboxBuf::new().inbox(), &mut out);
-    }
-
-    fn step_over(inbox_start: u32, inbox_len: u32) -> BlockStep {
-        BlockStep {
-            node: 0,
-            round: 0,
-            inbox_start,
-            inbox_len,
-        }
-    }
-
-    #[test]
-    fn an_inbox_cuts_steps_out_of_its_own_messages_only() {
-        let mut buf = InboxBuf::new();
-        for (from, payload) in [(1, &b"a"[..]), (2, b""), (5, b"xyz")] {
-            buf.push(NodeId(from), payload);
-        }
-        let block = buf.inbox();
-        let tail: Vec<_> = block.of(&step_over(1, 2)).iter().collect();
-        assert_eq!(tail, vec![(NodeId(2), &b""[..]), (NodeId(5), &b"xyz"[..])]);
-        // a cut of a cut is relative to it
-        let last: Vec<_> = block
-            .of(&step_over(1, 2))
-            .of(&step_over(1, 1))
-            .iter()
-            .collect();
-        assert_eq!(last, vec![(NodeId(5), &b"xyz"[..])]);
-        let reach_past =
-            std::panic::catch_unwind(|| block.of(&step_over(1, 1)).of(&step_over(0, 2)));
-        assert!(
-            reach_past.is_err(),
-            "a step's inbox cannot read its neighbours'"
-        );
-    }
-
-    #[test]
-    fn batched_sends_segments_round_trip() {
-        let mut out = BatchedSends::new();
-        out.push(NodeId(1), &[1, 2, 3]);
-        out.push(NodeId(2), &[]);
-        out.end_segment();
-        out.end_segment(); // empty segment
-        out.push(NodeId(3), &[9]);
-        out.end_segment();
-        assert_eq!(out.segments(), 3);
-        assert_eq!(out.total_sends(), 3);
-        let s0: Vec<_> = out.segment(0).collect();
-        assert_eq!(
-            s0,
-            vec![(NodeId(1), &[1u8, 2, 3][..]), (NodeId(2), &[][..])]
-        );
-        assert_eq!(out.segment(1).count(), 0);
-        let s2: Vec<_> = out.segment(2).collect();
-        assert_eq!(s2, vec![(NodeId(3), &[9u8][..])]);
-        out.clear();
-        assert_eq!(out.segments(), 0);
-        assert_eq!(out.total_sends(), 0);
     }
 }

@@ -21,10 +21,10 @@
 //!
 //! Cost: `O(T·log² n)` rounds total — the Meta-Theorem A.1 bound.
 
-use crate::algorithm::{AlgoNode, BatchedSends, BlockStep, NodeBatch};
-use crate::reference::RoundMail;
+use crate::algorithm::{AlgoNode, NodeBatch};
 use das_cluster::{CarveConfig, Clustering, ShareConfig};
 use das_congest::util::seed_mix;
+use das_congest::{run_rounds, ReferenceError, Until};
 use das_graph::{Graph, NodeId};
 use std::collections::HashMap;
 
@@ -85,45 +85,30 @@ fn run_truncated(
     seeds: &[u64],
     trunc: Option<&[u32]>,
     private_seed: u64,
-) -> Vec<Option<Vec<u8>>> {
+) -> Result<Vec<Option<Vec<u8>>>, ReferenceError> {
     let n = g.node_count();
     let nodes: Vec<NodeId> = (0..n).map(|v| NodeId(v as u32)).collect();
     let private_seeds: Vec<u64> = (0..n).map(|v| seed_mix(private_seed, v as u64)).collect();
     let mut batch = family.create_nodes(&nodes, n, seeds, &private_seeds);
-    // one block per round, as in `run_alone`; a truncated node's mail is
-    // dropped with the round
-    let mut mail = RoundMail::new(n);
-    let mut steps: Vec<BlockStep> = Vec::with_capacity(n);
-    let mut sends = BatchedSends::new();
-    for r in 0..family.rounds() {
-        steps.clear();
-        steps.extend(
-            (0..n)
-                .filter(|&v| trunc.is_none_or(|t| r < t[v]))
-                .map(|v| mail.step(v, r)),
-        );
-        sends.clear();
-        batch.step_block(&steps, mail.inbox(), &mut sends);
-        for (i, s) in steps.iter().enumerate() {
-            let from = NodeId(s.node);
-            for (to, payload) in sends.segment(i) {
-                debug_assert!(g.has_edge(from, to));
-                mail.post(from, to, payload);
-            }
-        }
-        mail.deliver();
-    }
-    (0..n).map(|v| batch.output(v)).collect()
+    let until = Until::Rounds {
+        rounds: family.rounds(),
+        cap: trunc,
+    };
+    run_rounds(g, &mut batch, until, None)?;
+    Ok(batch.outputs())
 }
 
 /// Runs the family in the shared-randomness model (every node holds the
 /// same seed) — the baseline the derandomization is checked against.
+///
+/// # Errors
+/// The family's first CONGEST-model violation.
 pub fn run_with_global_seed(
     g: &Graph,
     family: &dyn SeededFamily,
     shared_seed: u64,
     private_seed: u64,
-) -> Vec<Option<Vec<u8>>> {
+) -> Result<Vec<Option<Vec<u8>>>, ReferenceError> {
     run_truncated(
         g,
         family,
@@ -231,11 +216,14 @@ pub fn plan_derandomization(
 
 /// Executes a derandomization plan: one truncated run per layer with the
 /// planned per-cluster seeds, then the majority vote over covering layers.
+///
+/// # Errors
+/// The family's first CONGEST-model violation in any layer's run.
 pub fn execute_derandomization(
     g: &Graph,
     family: &dyn SeededFamily,
     plan: &DerandomizationPlan,
-) -> BellagioOutcome {
+) -> Result<BellagioOutcome, ReferenceError> {
     let n = g.node_count();
     let t_rounds = plan.t_rounds;
 
@@ -248,7 +236,7 @@ pub fn execute_derandomization(
             &plan.layer_seeds[l],
             Some(&layer.contained_radius),
             plan.private_seed,
-        );
+        )?;
         layer_outputs.push(outputs);
     }
 
@@ -273,21 +261,24 @@ pub fn execute_derandomization(
         outputs[v.index()] = winner;
     }
 
-    BellagioOutcome {
+    Ok(BellagioOutcome {
         outputs,
         layer_outputs,
         coverage: covered as f64 / n as f64,
         total_rounds: plan.total_rounds,
-    }
+    })
 }
 
 /// Derandomizes a Bellagio family per Meta-Theorem A.1: plans, then
 /// executes.
+///
+/// # Errors
+/// The family's first CONGEST-model violation.
 pub fn derandomize(
     g: &Graph,
     family: &dyn SeededFamily,
     config: &BellagioConfig,
-) -> BellagioOutcome {
+) -> Result<BellagioOutcome, ReferenceError> {
     execute_derandomization(g, family, &plan_derandomization(g, family, config))
 }
 
@@ -408,7 +399,7 @@ mod tests {
         let mut canonical_votes = 0usize;
         let trials = 20;
         for s in 0..trials {
-            let out = run_with_global_seed(&g, &fam, 1000 + s, 7);
+            let out = run_with_global_seed(&g, &fam, 1000 + s, 7).unwrap();
             let all_canon = g
                 .nodes()
                 .all(|v| out[v.index()].as_deref() == Some(&canon[v.index()..=v.index()]));
@@ -426,7 +417,7 @@ mod tests {
         let inputs: Vec<u64> = (0..25).map(|v| seed_mix(3, (v % 12) as u64)).collect();
         let fam = ThresholdTest::new(&g, inputs.clone(), 2, 4.0);
         let canon = canonical_bits(&g, &inputs, 2, 4.0);
-        let outcome = derandomize(&g, &fam, &BellagioConfig::default());
+        let outcome = derandomize(&g, &fam, &BellagioConfig::default()).unwrap();
         assert!(outcome.coverage >= 0.9, "coverage {}", outcome.coverage);
         let mut ok = 0usize;
         let mut total = 0usize;
@@ -450,8 +441,8 @@ mod tests {
         let fam = ThresholdTest::new(&g, inputs, 2, 4.0);
         let cfg = BellagioConfig::default();
         let plan = plan_derandomization(&g, &fam, &cfg);
-        let staged = execute_derandomization(&g, &fam, &plan);
-        let fused = derandomize(&g, &fam, &cfg);
+        let staged = execute_derandomization(&g, &fam, &plan).unwrap();
+        let fused = derandomize(&g, &fam, &cfg).unwrap();
         assert_eq!(staged.outputs, fused.outputs);
         assert_eq!(staged.layer_outputs, fused.layer_outputs);
         assert_eq!(staged.total_rounds, fused.total_rounds);
@@ -463,7 +454,7 @@ mod tests {
         let g = generators::grid(6, 6);
         let inputs: Vec<u64> = (0..36).map(|v| seed_mix(4, v as u64)).collect();
         let fam = ThresholdTest::new(&g, inputs, 2, 3.0);
-        let outcome = derandomize(&g, &fam, &BellagioConfig::default());
+        let outcome = derandomize(&g, &fam, &BellagioConfig::default()).unwrap();
         let n = 36f64;
         let t = fam.rounds() as f64;
         let budget = t * n.ln() * n.ln();
@@ -471,5 +462,45 @@ mod tests {
         // the constant is dominated by the carving (3 log2 n layers, each
         // H + boundary rounds); just pin it to a sane band
         assert!(ratio > 1.0 && ratio < 200.0, "ratio {ratio}");
+    }
+
+    /// Every node sends to node 2, which is no neighbour of node 0.
+    struct Stray;
+    struct StrayNode;
+
+    impl SeededFamily for Stray {
+        fn rounds(&self) -> u32 {
+            1
+        }
+
+        fn create_node(&self, _: NodeId, _: usize, _: u64, _: u64) -> Box<dyn AlgoNode> {
+            Box::new(StrayNode)
+        }
+    }
+
+    impl AlgoNode for StrayNode {
+        fn step(&mut self, _: Inbox<'_>, out: &mut Sends<'_>) {
+            out.push(NodeId(2), &[1]);
+        }
+
+        fn output(&self) -> Option<Vec<u8>> {
+            None
+        }
+    }
+
+    #[test]
+    fn a_send_across_a_non_edge_is_refused() {
+        let g = generators::path(3);
+        let err = ReferenceError::NotNeighbor {
+            from: NodeId(0),
+            to: NodeId(2),
+            round: 0,
+        };
+        assert_eq!(run_with_global_seed(&g, &Stray, 1, 2).unwrap_err(), err);
+        // a layer may truncate node 0 to no rounds; someone still strays
+        assert!(matches!(
+            derandomize(&g, &Stray, &BellagioConfig::default()),
+            Err(ReferenceError::NotNeighbor { to: NodeId(2), .. })
+        ));
     }
 }

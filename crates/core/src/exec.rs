@@ -229,11 +229,6 @@ impl Unit {
     }
 }
 
-/// The CONGEST payload cap in bytes: a send whose payload is longer is
-/// dropped and counted as invalid. The scheduler's header (algorithm id and
-/// round) is extra, as the paper allows.
-pub const MESSAGE_BYTES: usize = 40;
-
 /// What a caller may set about one execution. The big-round length is the
 /// plan's ([`crate::SchedulePlan::phase_len`]), never the caller's.
 #[derive(Clone, Debug)]

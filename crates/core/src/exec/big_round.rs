@@ -45,11 +45,12 @@
 use super::columnar::{
     arc_endpoint_table, build_batches, build_departures, ArrivalArena, ColFifo, FlatSteps,
 };
-use super::{ExecError, ExecStats, ExecutorConfig, ShardReport, ShardStats, MESSAGE_BYTES};
+use super::{ExecError, ExecStats, ExecutorConfig, ShardReport, ShardStats};
 use crate::algorithm::{BatchedSends, BlackBoxAlgorithm, BlockStep};
 use crate::problem::DasProblem;
 use crate::schedule::ScheduleOutcome;
 use crate::wire::{Flight, FlightGroup};
+use das_congest::MESSAGE_BYTES;
 use das_graph::{Graph, NodeId};
 use das_obs::ExecObs;
 use das_pattern::{SimulationMap, TimedArc};

@@ -54,7 +54,7 @@
 //! CI job.
 
 use super::{ExecutorConfig, Unit};
-use crate::algorithm::{BlackBoxAlgorithm, Inbox, InboxBuf, InboxMsg, NodeBatch};
+use crate::algorithm::{BlackBoxAlgorithm, Inbox, InboxBuf, NodeBatch};
 use crate::plan::{PlanError, SchedulePlan};
 use crate::problem::DasProblem;
 use das_graph::{Graph, NodeId};
@@ -206,10 +206,10 @@ impl ArrivalArena {
             off: if payload.is_empty() {
                 0
             } else {
-                self.inbox.bytes.len()
+                self.inbox.bytes_mut().len()
             },
         };
-        self.inbox.bytes.extend_from_slice(payload);
+        self.inbox.bytes_mut().extend_from_slice(payload);
         self.live_bytes += payload.len();
         let slot = self.free;
         if slot == NIL {
@@ -262,11 +262,7 @@ impl ArrivalArena {
         scratch.sort_unstable();
         for &(from, _, at) in scratch.iter() {
             let record = &mut self.records[at as usize];
-            self.inbox.msgs.push(InboxMsg {
-                from: NodeId(from),
-                len: record.len,
-                off: record.off,
-            });
+            self.inbox.push_span(NodeId(from), record.off, record.len);
             self.live_bytes -= record.len as usize;
             record.len = 0;
             record.next = self.free;
@@ -297,14 +293,12 @@ impl ArrivalArena {
     /// and the scan is paid for by the bytes it frees.
     #[inline]
     pub(super) fn reclaim(&mut self) {
-        self.inbox.msgs.clear();
-        let bytes = &mut self.inbox.bytes;
+        // the spans go, the bytes stay: live records point into them
+        let mut bytes = std::mem::take(self.inbox.bytes_mut());
+        self.inbox.clear();
         if self.live_bytes == 0 {
             bytes.clear();
-            return;
-        }
-        let dead = bytes.len() - self.live_bytes;
-        if dead
+        } else if bytes.len() - self.live_bytes
             > self
                 .live_bytes
                 .max(self.records.len() * std::mem::size_of::<Arrival>())
@@ -315,8 +309,9 @@ impl ArrivalArena {
                 record.off = compact.len();
                 compact.extend_from_slice(live);
             }
-            *bytes = compact;
+            bytes = compact;
         }
+        *self.inbox.bytes_mut() = bytes;
     }
 }
 
@@ -723,7 +718,7 @@ mod tests {
         }
         assert_eq!(arena.records.len(), 3, "freed records are relinked");
         assert!(
-            arena.inbox.bytes.len() < 4 * 64,
+            arena.inbox.bytes_mut().len() < 4 * 64,
             "the dead stretches are gone"
         );
         assert_eq!(
@@ -731,7 +726,7 @@ mod tests {
             vec![(NodeId(5), b"early".to_vec())]
         );
         assert!(
-            arena.inbox.bytes.is_empty(),
+            arena.inbox.bytes_mut().is_empty(),
             "nothing live: the arena resets"
         );
     }
@@ -812,7 +807,7 @@ mod tests {
                 }
                 let live: usize = arena.records.iter().map(|r| r.len as usize).sum();
                 proptest::prop_assert_eq!(arena.live_bytes, live);
-                proptest::prop_assert!(arena.inbox.bytes.len() >= live);
+                proptest::prop_assert!(arena.inbox.bytes_mut().len() >= live);
             }
         }
     }

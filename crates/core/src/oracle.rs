@@ -10,10 +10,11 @@
 //! observability.
 
 use crate::algorithm::{AlgoNode, BatchedSends, BlackBoxAlgorithm, InboxBuf, Sends};
-use crate::exec::{ExecStats, ExecutorConfig, Unit, MESSAGE_BYTES};
+use crate::exec::{ExecStats, ExecutorConfig, Unit};
 use crate::plan::{SchedError, SchedulePlan};
 use crate::problem::DasProblem;
 use crate::schedule::ScheduleOutcome;
+use das_congest::MESSAGE_BYTES;
 use das_graph::{Graph, NodeId};
 use das_pattern::{SimulationMap, TimedArc};
 

@@ -1,48 +1,10 @@
 //! Alone runs: the ground truth every schedule is verified against.
 
-use crate::algorithm::{BatchedSends, BlackBoxAlgorithm, BlockStep, Inbox, InboxBuf, InboxMsg};
+use crate::algorithm::BlackBoxAlgorithm;
+pub use das_congest::ReferenceError;
+use das_congest::{run_rounds, Until};
 use das_graph::{Graph, NodeId};
-use das_pattern::{CommPattern, TimedArc};
-use std::error::Error;
-use std::fmt;
-
-/// Ways an algorithm can violate the CONGEST model in its alone run.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ReferenceError {
-    /// A machine addressed a non-neighbor.
-    NotNeighbor {
-        /// Sender.
-        from: NodeId,
-        /// Intended recipient.
-        to: NodeId,
-        /// Algorithm round.
-        round: u32,
-    },
-    /// A machine sent two messages to the same neighbor in one round.
-    DuplicateSend {
-        /// Sender.
-        from: NodeId,
-        /// Recipient.
-        to: NodeId,
-        /// Algorithm round.
-        round: u32,
-    },
-}
-
-impl fmt::Display for ReferenceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ReferenceError::NotNeighbor { from, to, round } => {
-                write!(f, "round {round}: {from} sent to non-neighbor {to}")
-            }
-            ReferenceError::DuplicateSend { from, to, round } => {
-                write!(f, "round {round}: {from} sent twice to {to}")
-            }
-        }
-    }
-}
-
-impl Error for ReferenceError {}
+use das_pattern::CommPattern;
 
 /// The result of running one algorithm alone: per-node outputs and the
 /// communication pattern (which yields its congestion/dilation
@@ -55,13 +17,14 @@ pub struct ReferenceRun {
     pub pattern: CommPattern,
 }
 
-/// Runs `algo` alone on `g` with per-node seeds derived from `seed`,
-/// producing the reference outputs and communication pattern.
+/// Runs `algo` alone on `g` for its `rounds()` rounds with per-node seeds
+/// derived from `seed`, producing the reference outputs and communication
+/// pattern.
 ///
 /// # Errors
 /// Returns a [`ReferenceError`] if the algorithm violates the CONGEST
-/// model (sends to a non-neighbor, or twice to the same neighbor in one
-/// round).
+/// model (sends to a non-neighbor, twice to the same neighbor in one
+/// round, or more than [`crate::MESSAGE_BYTES`] bytes).
 pub fn run_alone(
     g: &Graph,
     algo: &dyn BlackBoxAlgorithm,
@@ -75,152 +38,26 @@ pub fn run_alone(
     // batched construction: synthetic families share route/topology state
     // across the whole slab instead of cloning it per machine
     let mut batch = algo.create_nodes(&nodes, n, &seeds);
-    // every round is one block: all n machines step against the round's
-    // mail, and their sends are checked in node order afterwards — the
-    // first violation in (round, node) order is still the one reported
-    let mut mail = RoundMail::new(n);
-    let mut steps: Vec<BlockStep> = Vec::with_capacity(n);
-    let mut sent_to: Vec<NodeId> = Vec::new();
-    let mut sends = BatchedSends::new();
     let mut timed_arcs = Vec::new();
-
-    for round in 0..algo.rounds() {
-        steps.clear();
-        steps.extend((0..n).map(|v| mail.step(v, round)));
-        sends.clear();
-        batch.step_block(&steps, mail.inbox(), &mut sends);
-        for v in 0..n {
-            let me = NodeId(v as u32);
-            sent_to.clear();
-            for (to, payload) in sends.segment(v) {
-                let edge = match g.find_edge(me, to) {
-                    Some(e) => e,
-                    None => {
-                        return Err(ReferenceError::NotNeighbor {
-                            from: me,
-                            to,
-                            round,
-                        })
-                    }
-                };
-                if sent_to.contains(&to) {
-                    return Err(ReferenceError::DuplicateSend {
-                        from: me,
-                        to,
-                        round,
-                    });
-                }
-                sent_to.push(to);
-                timed_arcs.push(TimedArc {
-                    round,
-                    arc: g.arc_from(edge, me),
-                });
-                mail.post(me, to, payload);
-            }
-        }
-        mail.deliver();
-    }
-
+    run_rounds(
+        g,
+        &mut batch,
+        Until::exactly(algo.rounds()),
+        Some(&mut timed_arcs),
+    )?;
     Ok(ReferenceRun {
-        outputs: (0..n).map(|v| batch.output(v)).collect(),
+        outputs: batch.outputs(),
         pattern: CommPattern::from_timed_arcs(g.edge_count(), timed_arcs),
     })
-}
-
-/// One synchronous round's messages, handed to the next round's steps as
-/// one block [`Inbox`]. Sends are posted flat — `(receiver, message)` plus
-/// one byte arena — and grouped by receiver with a stable counting sort
-/// when the round ends. Senders post in ascending node order and at most
-/// once per receiver, so every receiver's messages come out sender-sorted,
-/// the canonical inbox order. Nothing is allocated per round, per node or
-/// per message once the buffers have warmed up.
-pub(crate) struct RoundMail {
-    posted: Vec<(u32, InboxMsg)>,
-    posted_bytes: Vec<u8>,
-    /// The messages being consumed: `arrived.msgs[starts[v]..starts[v + 1]]`
-    /// are `v`'s.
-    arrived: InboxBuf,
-    starts: Vec<usize>,
-}
-
-impl RoundMail {
-    /// Empty mail for `n` nodes.
-    pub(crate) fn new(n: usize) -> Self {
-        RoundMail {
-            posted: Vec::new(),
-            posted_bytes: Vec::new(),
-            arrived: InboxBuf::new(),
-            starts: vec![0; n + 2],
-        }
-    }
-
-    /// Posts one message for the next round.
-    pub(crate) fn post(&mut self, from: NodeId, to: NodeId, payload: &[u8]) {
-        let msg = InboxMsg {
-            from,
-            len: payload.len() as u32,
-            off: self.posted_bytes.len(),
-        };
-        self.posted.push((to.0, msg));
-        self.posted_bytes.extend_from_slice(payload);
-    }
-
-    /// Ends the round: what was posted becomes the arrivals.
-    pub(crate) fn deliver(&mut self) {
-        // Count two slots up, so that after the prefix sum `starts[v + 1]`
-        // is where `v`'s messages begin, and after the (stable, forward)
-        // placement has advanced it, where they end.
-        let starts = &mut self.starts;
-        starts.fill(0);
-        for &(to, _) in &self.posted {
-            starts[to as usize + 2] += 1;
-        }
-        for v in 1..starts.len() {
-            starts[v] += starts[v - 1];
-        }
-        let arrived = &mut self.arrived.msgs;
-        arrived.clear();
-        arrived.resize(
-            self.posted.len(),
-            InboxMsg {
-                from: NodeId(0),
-                len: 0,
-                off: 0,
-            },
-        );
-        for &(to, msg) in &self.posted {
-            arrived[starts[to as usize + 1]] = msg;
-            starts[to as usize + 1] += 1;
-        }
-        self.posted.clear();
-        std::mem::swap(&mut self.arrived.bytes, &mut self.posted_bytes);
-        self.posted_bytes.clear();
-    }
-
-    /// Node `v`'s step of `round`, its arrivals picked out of
-    /// [`RoundMail::inbox`].
-    pub(crate) fn step(&self, v: usize, round: u32) -> BlockStep {
-        let start = self.starts[v];
-        BlockStep {
-            node: v as u32,
-            round,
-            inbox_start: start as u32,
-            inbox_len: (self.starts[v + 1] - start) as u32,
-        }
-    }
-
-    /// Every arrival of the round, as one block's inbox.
-    pub(crate) fn inbox(&self) -> Inbox<'_> {
-        self.arrived.inbox()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::Sends;
+    use crate::algorithm::{Aid, AlgoNode, BatchedSends, Inbox, InboxBuf, Sends};
     use crate::synthetic::{FloodBall, Prescribed, RelayChain};
     use das_graph::generators;
+    use das_pattern::TimedArc;
 
     /// The pre-slab reference loop: per-node boxed machines stepped through
     /// the specification tier. Kept as the oracle the batched construction
@@ -332,49 +169,101 @@ mod tests {
         assert!(r.outputs[5].is_some());
     }
 
+    /// Node 0 breaks the model in round `at` as `kind` says: 0 addresses
+    /// a non-neighbour, 1 sends twice to node 1, 2 sends node 1 one byte
+    /// over [`crate::MESSAGE_BYTES`].
+    struct Bad {
+        kind: u8,
+        at: u32,
+    }
+    struct BadNode {
+        kind: u8,
+        at: u32,
+        me: NodeId,
+        round: u32,
+    }
+    impl BlackBoxAlgorithm for Bad {
+        fn aid(&self) -> Aid {
+            Aid(0)
+        }
+        fn rounds(&self) -> u32 {
+            2
+        }
+        fn create_node(&self, me: NodeId, _n: usize, _s: u64) -> Box<dyn AlgoNode> {
+            let (kind, at) = (self.kind, self.at);
+            Box::new(BadNode {
+                kind,
+                at,
+                me,
+                round: 0,
+            })
+        }
+    }
+    impl AlgoNode for BadNode {
+        fn step(&mut self, _inbox: Inbox<'_>, out: &mut Sends<'_>) {
+            self.round += 1;
+            if self.me != NodeId(0) || self.round - 1 != self.at {
+                return;
+            }
+            match self.kind {
+                0 => out.push(NodeId(2), &[]),
+                1 => {
+                    out.push(NodeId(1), &[]);
+                    out.push(NodeId(1), &[]);
+                }
+                _ => out.push(NodeId(1), &[0; crate::MESSAGE_BYTES + 1]),
+            }
+        }
+        fn output(&self) -> Option<Vec<u8>> {
+            None
+        }
+    }
+
     #[test]
     fn model_violations_detected() {
-        use crate::algorithm::{Aid, AlgoNode, BlackBoxAlgorithm};
-
-        struct Bad(u8);
-        struct BadNode(u8, NodeId);
-        impl BlackBoxAlgorithm for Bad {
-            fn aid(&self) -> Aid {
-                Aid(0)
-            }
-            fn rounds(&self) -> u32 {
-                1
-            }
-            fn create_node(&self, v: NodeId, _n: usize, _s: u64) -> Box<dyn AlgoNode> {
-                Box::new(BadNode(self.0, v))
-            }
-        }
-        impl AlgoNode for BadNode {
-            fn step(&mut self, _inbox: Inbox<'_>, out: &mut Sends<'_>) {
-                if self.1 != NodeId(0) {
-                    return;
-                }
-                match self.0 {
-                    0 => out.push(NodeId(2), &[]),
-                    _ => {
-                        out.push(NodeId(1), &[]);
-                        out.push(NodeId(1), &[]);
-                    }
-                }
-            }
-            fn output(&self) -> Option<Vec<u8>> {
-                None
-            }
-        }
-
         let g = generators::path(3);
-        assert!(matches!(
-            run_alone(&g, &Bad(0), 0),
-            Err(ReferenceError::NotNeighbor { .. })
-        ));
-        assert!(matches!(
-            run_alone(&g, &Bad(1), 0),
-            Err(ReferenceError::DuplicateSend { .. })
-        ));
+        let (from, to, round) = (NodeId(0), NodeId(1), 0);
+        assert_eq!(
+            run_alone(&g, &Bad { kind: 0, at: 0 }, 0).unwrap_err(),
+            ReferenceError::NotNeighbor {
+                from,
+                to: NodeId(2),
+                round
+            }
+        );
+        assert_eq!(
+            run_alone(&g, &Bad { kind: 1, at: 0 }, 0).unwrap_err(),
+            ReferenceError::DuplicateSend { from, to, round }
+        );
+        assert_eq!(
+            run_alone(&g, &Bad { kind: 2, at: 0 }, 0).unwrap_err(),
+            ReferenceError::MessageTooLarge {
+                from,
+                to,
+                round,
+                size: crate::MESSAGE_BYTES + 1
+            }
+        );
+    }
+
+    #[test]
+    fn an_oversized_payload_fails_the_reference_not_the_schedule() {
+        use crate::{verify, DasProblem, Scheduler, SequentialScheduler};
+        // a 2-round algorithm whose one message, in round 1, is 41 bytes:
+        // every executor drops it as invalid, so an alone run that kept
+        // it would blame the schedule for the missing delivery
+        let g = generators::path(3);
+        let bad = Bad { kind: 2, at: 1 };
+        let err = ReferenceError::MessageTooLarge {
+            from: NodeId(0),
+            to: NodeId(1),
+            round: 1,
+            size: 41,
+        };
+        assert_eq!(run_alone(&g, &bad, 0).unwrap_err(), err);
+        let p = DasProblem::new(&g, vec![Box::new(bad) as Box<dyn BlackBoxAlgorithm>], 0);
+        let outcome = SequentialScheduler.run(&p).unwrap();
+        assert_eq!(outcome.stats.invalid_sends, 1);
+        assert_eq!(verify::against_references(&p, &outcome).unwrap_err(), err);
     }
 }

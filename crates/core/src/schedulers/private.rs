@@ -178,13 +178,8 @@ impl PrivateScheduler {
         let mut layer_seeds: LayerSeeds = Vec::with_capacity(clustering.layers().len());
         for layer in clustering.layers() {
             let seeds = if self.distributed_precompute {
-                let (held, rounds, delivered) = das_cluster::share::share_layer_distributed(
-                    g,
-                    layer,
-                    &chunks,
-                    &share_cfg,
-                    seed_mix(sched_seed, 0x5A),
-                );
+                let (held, rounds, delivered) =
+                    das_cluster::share::share_layer_distributed(g, layer, &chunks, &share_cfg);
                 assert!(delivered, "sharing under-provisioned: raise the slack");
                 precompute_rounds += rounds;
                 let at = |c: &NodeId| held[c.index()].clone();

@@ -15,8 +15,8 @@
 //!   event allocation; [`ObsMode::Full`] records trace events too.
 //!
 //! Outputs: a [`MetricsRegistry`] (counters + fixed-bucket histograms), a
-//! [`LoadProfile`] (per-round and per-edge load, generalizing the congest
-//! crate's `TraceSummary`), and a [`TraceEvent`] stream exportable as JSONL,
+//! [`LoadProfile`] (per-round and per-edge load, with peak, top-K and
+//! sparkline views), and a [`TraceEvent`] stream exportable as JSONL,
 //! Chrome `trace_events` JSON (loadable in Perfetto — one track per shard,
 //! one process per pipeline stage), or a plain-text top-K hot report.
 //!

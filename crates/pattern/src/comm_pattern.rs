@@ -1,6 +1,5 @@
 //! Communication patterns and the `congestion`/`dilation` parameters.
 
-use das_congest::Recording;
 use das_graph::{Arc, Graph, NodeId};
 use serde::{Deserialize, Serialize};
 
@@ -26,25 +25,9 @@ pub struct CommPattern {
 }
 
 impl CommPattern {
-    /// Builds a pattern from an engine recording.
-    pub fn from_recording(rec: &Recording) -> Self {
-        let mut timed_arcs = Vec::with_capacity(rec.message_count() as usize);
-        for (round, rr) in rec.round_records().iter().enumerate() {
-            for &arc in &rr.arcs {
-                timed_arcs.push(TimedArc {
-                    round: round as u32,
-                    arc,
-                });
-            }
-        }
-        CommPattern {
-            edge_count: rec.edge_count(),
-            timed_arcs,
-        }
-    }
-
-    /// Builds a pattern directly from timed arcs (used by synthetic
-    /// workloads and the lower-bound instance generator).
+    /// Builds a pattern from timed arcs: those `das_congest::run_rounds`
+    /// records for an alone run, or a synthetic workload's or the
+    /// lower-bound instance generator's.
     pub fn from_timed_arcs(edge_count: usize, mut timed_arcs: Vec<TimedArc>) -> Self {
         timed_arcs.sort_unstable();
         timed_arcs.dedup();
@@ -223,26 +206,6 @@ mod tests {
         assert_eq!(p.rounds(), 0);
         assert_eq!(p.message_count(), 0);
         assert_eq!(p.edge_loads(), vec![0, 0, 0]);
-    }
-
-    #[test]
-    fn from_recording_matches_counts() {
-        use das_congest::{Recording, RoundRecord};
-        let rec = Recording::new(
-            2,
-            vec![
-                RoundRecord {
-                    arcs: vec![Arc::new(EdgeId(0), Direction::Forward)],
-                },
-                RoundRecord {
-                    arcs: vec![Arc::new(EdgeId(1), Direction::Backward)],
-                },
-            ],
-        );
-        let p = CommPattern::from_recording(&rec);
-        assert_eq!(p.message_count(), 2);
-        assert_eq!(p.rounds(), 2);
-        assert_eq!(p.edge_loads(), vec![1, 1]);
     }
 
     #[test]

@@ -6,15 +6,15 @@
 //! A `T`-round algorithm's communications form a subgraph of the
 //! *time-expanded graph* `G × [T]` ([`TimeExpandedGraph`]): there is an edge
 //! from copy `v_i` to copy `u_{i+1}` iff the algorithm sends a message from
-//! `v` to `u` in round `i`. [`CommPattern`] captures that footprint (it is
-//! produced directly from a [`das_congest::Recording`]), and
+//! `v` to `u` in round `i`. [`CommPattern`] captures that footprint (built
+//! from the [`TimedArc`]s an alone run records), and
 //! [`causality`] provides the causal-precedence relation and the checker for
 //! valid *simulations* — mappings into a longer time span that preserve
 //! causal precedence.
 //!
 //! The aggregate quantities the whole paper is parameterized by live here
 //! too: [`das_parameters`] computes `congestion` and `dilation` of a set of
-//! algorithms from their recordings.
+//! algorithms from their patterns.
 
 #![warn(missing_docs)]
 

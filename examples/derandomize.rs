@@ -10,6 +10,7 @@
 use dasched::congest::util::seed_mix;
 use dasched::core::bellagio::{derandomize, run_with_global_seed, BellagioConfig, SeededFamily};
 use dasched::core::newman::{bits_needed, find_subcollection, Collection};
+use dasched::core::ReferenceError;
 use dasched::core::{AlgoNode, Inbox, Sends};
 use dasched::graph::{generators, traversal, Graph, NodeId};
 
@@ -88,7 +89,7 @@ fn canonical(g: &Graph, inputs: &[u64], h: u32, threshold: f64) -> Vec<u8> {
         .collect()
 }
 
-fn main() {
+fn main() -> Result<(), ReferenceError> {
     let g = generators::grid(6, 6);
     let n = g.node_count();
     let inputs: Vec<u64> = (0..n).map(|v| seed_mix(12, (v % 14) as u64)).collect();
@@ -116,8 +117,8 @@ fn main() {
     let full: Vec<u64> = (0..trials).map(|s| 500 + s).collect();
     let per_seed: Vec<f64> = full
         .iter()
-        .map(|&s| canonical_rate(&run_with_global_seed(&g, &fam, s, 1)))
-        .collect();
+        .map(|&s| run_with_global_seed(&g, &fam, s, 1).map(|out| canonical_rate(&out)))
+        .collect::<Result<_, _>>()?;
     let avg = per_seed.iter().sum::<f64>() / trials as f64;
     println!(
         "Bellagio check: avg canonical-output rate over {trials} global seeds = {:.1}%",
@@ -125,7 +126,10 @@ fn main() {
     );
 
     // 1. Newman: shrink the seed space
-    let oracle = |_x: u64, s: u64| canonical_rate(&run_with_global_seed(&g, &fam, s, 1)) == 1.0;
+    let oracle = |_x: u64, s: u64| {
+        let out = run_with_global_seed(&g, &fam, s, 1).expect("every seed ran above");
+        canonical_rate(&out) == 1.0
+    };
     let collection = Collection {
         is_canonical: &oracle,
         seeds: &full,
@@ -142,7 +146,7 @@ fn main() {
     }
 
     // 2. Meta-Theorem A.1: remove the sharing assumption entirely
-    let outcome = derandomize(&g, &fam, &BellagioConfig::default());
+    let outcome = derandomize(&g, &fam, &BellagioConfig::default())?;
     let adopted = outcome.outputs.to_vec();
     println!(
         "Meta-Thm A.1: coverage {:.0}%, canonical rate {:.1}%, total {} rounds \
@@ -152,4 +156,5 @@ fn main() {
         outcome.total_rounds,
         outcome.layer_outputs.len()
     );
+    Ok(())
 }

@@ -12,7 +12,7 @@
 //! | Module | Crate | Contents |
 //! |---|---|---|
 //! | [`graph`] | `das-graph` | topologies, BFS, trees |
-//! | [`congest`] | `das-congest` | the CONGEST round engine |
+//! | [`congest`] | `das-congest` | the CONGEST model: machine I/O, the one round loop, the bandwidth |
 //! | [`pattern`] | `das-pattern` | time-expanded graphs, congestion/dilation, causality |
 //! | [`prg`] | `das-prg` | `GF(p)`, `k`-wise independence, delay laws |
 //! | [`cluster`] | `das-cluster` | ball carving + in-cluster randomness sharing |

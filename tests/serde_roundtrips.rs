@@ -1,8 +1,8 @@
 //! Serialization round-trips for the data-structure types (graphs,
-//! patterns, recordings) — they are meant to be persisted and diffed
+//! patterns, recorded arcs) — they are meant to be persisted and diffed
 //! across experiment runs.
 
-use dasched::congest::{Engine, EngineConfig};
+use dasched::congest::{run_rounds, Until};
 use dasched::core::run_alone;
 use dasched::core::synthetic::FloodBall;
 use dasched::graph::{generators, Arc, Direction, EdgeId, NodeId};
@@ -51,14 +51,13 @@ fn comm_pattern_roundtrip() {
 }
 
 #[test]
-fn recording_roundtrip() {
+fn recorded_arcs_roundtrip() {
     let g = generators::path(6);
-    let proto = dasched::algos::flood::MinIdProtocol;
-    let rec = Engine::new(&g, EngineConfig::default())
-        .run(&proto)
-        .unwrap()
-        .recording;
-    let json = serde_json::to_string(&rec).unwrap();
-    let back: dasched::congest::Recording = serde_json::from_str(&json).unwrap();
-    assert_eq!(rec, back);
+    let mut batch = dasched::algos::flood::MinIdProtocol.machines(&g);
+    let mut arcs = Vec::new();
+    run_rounds(&g, &mut batch, Until::Quiet { limit: 100 }, Some(&mut arcs)).unwrap();
+    assert!(!arcs.is_empty());
+    let json = serde_json::to_string(&arcs).unwrap();
+    let back: Vec<TimedArc> = serde_json::from_str(&json).unwrap();
+    assert_eq!(arcs, back);
 }

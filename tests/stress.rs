@@ -1,20 +1,18 @@
 //! Larger-scale stress tests. Run with `cargo test -- --ignored` (they
 //! take seconds to minutes; the default suite stays fast).
 
-use dasched::congest::{Engine, EngineConfig};
+use dasched::congest::{run_rounds, Until};
 use dasched::core::synthetic::FloodBall;
 use dasched::core::{verify, BlackBoxAlgorithm, DasProblem, Scheduler, UniformScheduler};
 use dasched::graph::{generators, NodeId};
 
 #[test]
-#[ignore = "stress: ~1k-node engine run"]
-fn engine_scales_to_thousand_nodes() {
+#[ignore = "stress: ~1k-node round loop"]
+fn round_loop_scales_to_thousand_nodes() {
     let g = generators::gnp_connected(1000, 0.006, 3);
-    let proto = dasched::algos::flood::MinIdProtocol;
-    let rep = Engine::new(&g, EngineConfig::default().with_record(false))
-        .run(&proto)
-        .unwrap();
-    for out in &rep.outputs {
+    let mut batch = dasched::algos::flood::MinIdProtocol.machines(&g);
+    run_rounds(&g, &mut batch, Until::Quiet { limit: 1000 }, None).unwrap();
+    for out in &batch.outputs() {
         assert_eq!(out.as_deref(), Some(&0u32.to_le_bytes()[..]));
     }
 }
