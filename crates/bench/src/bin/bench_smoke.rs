@@ -19,14 +19,15 @@
 //! dumps between `--obs full` and
 //! `--obs off` runs to enforce that recording never perturbs outcomes.
 //! `--wall` opts into wall-clock reporting (the `ObsConfig::wall_clock`
-//! side channel plus the printed timing splits); without it every line
+//! side channel plus each leg's printed wall time); without it every line
 //! this binary prints is deterministic, so CI can diff whole outputs
 //! without flaking on timing noise.
 
 use das_bench::{
-    run_trial, run_trial_doubling, workloads, TrialAggregate, TrialExecutor, TrialRunner, TrialSpec,
+    run_trial, workloads, Trial, TrialAggregate, TrialExecutor, TrialPlan, TrialRunner, TrialSpec,
 };
-use das_core::{doubling, DasProblem, DoublingConfig, Scheduler, UniformScheduler};
+use das_core::doubling::Search;
+use das_core::{Scheduler, UniformScheduler};
 use das_obs::{LiveHub, ObsConfig, ObsServer};
 use std::path::Path;
 use std::sync::Arc;
@@ -123,7 +124,7 @@ fn parse_args() -> Args {
 /// The deterministic clause of one leg's `wrote FILE (…)` line: what this
 /// way of running the trial adds to the plain one.
 fn describe(spec: &TrialSpec<'_>, agg: &TrialAggregate) -> String {
-    match (spec.executor, spec.sweep) {
+    match (spec.executor, spec.plan) {
         (TrialExecutor::Sharded(shards), _) => format!("{shards} shards"),
         (TrialExecutor::Networked(workers), _) => {
             let traffic = agg.records[0]
@@ -139,8 +140,10 @@ fn describe(spec: &TrialSpec<'_>, agg: &TrialAggregate) -> String {
                 traffic.bytes_received,
             )
         }
-        (_, Some(_)) => format!("one shared sweep artifact over {} trials", agg.trials),
-        (_, None) => {
+        (_, TrialPlan::Swept { .. }) => {
+            format!("one shared sweep artifact over {} trials", agg.trials)
+        }
+        (_, _) => {
             let predicted = agg
                 .predicted_schedule
                 .as_ref()
@@ -160,24 +163,19 @@ fn describe(spec: &TrialSpec<'_>, agg: &TrialAggregate) -> String {
     }
 }
 
-/// Runs every doubling trial once more and writes the search's full
-/// deterministic state — outcome bytes plus the search shape, but *not*
-/// the wall-clocked cache stats — so CI can compare its sha256 with the
-/// committed `ci/doubling_golden.sha256` (taken from the
+/// Writes every doubling trial's full deterministic state — the search
+/// shape plus the outcome bytes, but no wall clock — so CI can compare its
+/// sha256 with the committed `ci/doubling_golden.sha256` (taken from the
 /// replan-from-scratch search before that path was removed).
-fn dump_doubling_outcomes(
-    path: &str,
-    runner: &TrialRunner,
-    problem: &DasProblem<'_>,
-    cfg: &DoublingConfig,
-) {
+fn dump_doubling_outcomes(path: &str, trials: &[Trial]) {
     let mut dump = String::new();
-    for t in 0..runner.trials() {
-        let seed = runner.trial_seed(t);
-        let sched = UniformScheduler::default().with_seed(seed);
-        let (r, _) =
-            doubling::uniform_with_doubling_configured(problem, &sched, &ObsConfig::off(), cfg)
-                .expect("workload is model-valid");
+    for t in trials {
+        let r = t
+            .record
+            .doubling
+            .as_ref()
+            .expect("doubling trials carry the search");
+        let outcome = t.outcome.as_ref().expect("smoke trials stay under the cap");
         dump.push_str(&format!(
             "guess={} attempts={} rejected={} wasted={} ranges={:?} fell_back={} {:?}\n",
             r.final_guess,
@@ -186,7 +184,7 @@ fn dump_doubling_outcomes(
             r.wasted_rounds,
             r.attempted_ranges,
             r.fell_back,
-            r.outcome,
+            outcome,
         ));
     }
     std::fs::write(path, dump).expect("write doubling dump");
@@ -244,7 +242,10 @@ fn main() {
             "swept trials",
             "e01_smoke_swept",
             TrialSpec {
-                sweep: Some(&artifact),
+                plan: TrialPlan::Swept {
+                    scheduler: &sched,
+                    artifact: &artifact,
+                },
                 ..plain
             },
         ),
@@ -324,12 +325,26 @@ fn main() {
     phase("doubling trials");
     let dg = das_graph::generators::path(24);
     let dbl_problem = workloads::stacked_relays(&dg, 16, 7);
-    let cfg = DoublingConfig::default().with_live(live.clone());
+    let dbl_spec = TrialSpec {
+        plan: TrialPlan::Doubling(Search::Uniform(&sched)),
+        live: live.as_ref(),
+        ..TrialSpec::new(&sched, &dbl_problem, 0)
+    };
     let dbl_clock = Instant::now();
-    let dbl = runner.aggregate("e01_smoke_doubling", "uniform+doubling", |seed| {
-        run_trial_doubling(&UniformScheduler::default(), &dbl_problem, seed, &cfg)
+    let trials = runner.run_trials(|sched_seed| {
+        run_trial(&TrialSpec {
+            sched_seed,
+            ..dbl_spec
+        })
     });
     let dbl_ms = dbl_clock.elapsed().as_secs_f64() * 1e3;
+    let records = trials.iter().map(|t| t.record.clone()).collect();
+    let dbl = TrialAggregate::from_records(
+        "e01_smoke_doubling",
+        "uniform+doubling",
+        args.base_seed,
+        records,
+    );
     let dbl_path = dbl
         .write(Path::new("."))
         .expect("write doubling BENCH artifact");
@@ -338,65 +353,41 @@ fn main() {
         "doubling smoke run produced wrong outputs (correctness {})",
         dbl.mean_correctness
     );
-    let summaries: Vec<_> = dbl
+    let searches: Vec<_> = dbl
         .records
         .iter()
         .map(|r| {
             r.doubling
                 .as_ref()
-                .expect("doubling trials carry a summary")
+                .expect("doubling trials carry the search")
         })
         .collect();
-    let hits: u64 = summaries.iter().map(|d| d.replan_cache_hits).sum();
-    let builds: u64 = summaries.iter().map(|d| d.artifact_builds).sum();
-    let max_attempts = summaries.iter().map(|d| d.attempts).max().unwrap_or(0);
+    let hits: u64 = searches.iter().map(|d| d.cache.replan_cache_hits).sum();
+    let builds: u64 = searches.iter().map(|d| d.cache.artifact_builds).sum();
+    let max_attempts = searches.iter().map(|d| d.attempts).max().unwrap_or(0);
     assert!(
         max_attempts > 1,
         "the doubling smoke instance must force a multi-attempt search"
     );
     assert!(hits > 0, "a multi-attempt search must record cache hits");
-    for d in &summaries {
-        assert_eq!(d.artifact_builds, 1, "the artifact is built exactly once");
+    for d in &searches {
+        assert_eq!(
+            d.cache.artifact_builds, 1,
+            "the artifact is built exactly once"
+        );
     }
-    if args.wall {
-        println!(
-            "wrote {} ({} artifact builds, {} re-size hits, max attempts {}, wall {:.1} ms)",
-            dbl_path.display(),
-            builds,
-            hits,
-            max_attempts,
-            dbl_ms,
-        );
-        // one extra search at the base seed to surface the planning
-        // wall-time split the deterministic artifact deliberately omits
-        let probe_sched = UniformScheduler::default().with_seed(args.base_seed);
-        let (probe, _) = doubling::uniform_with_doubling_configured(
-            &dbl_problem,
-            &probe_sched,
-            &ObsConfig::off(),
-            &cfg,
-        )
-        .expect("workload is model-valid");
-        println!(
-            "doubling planning wall (seed {}): {:.1} µs over {} build(s), {:.1} µs over {} re-size(s)",
-            args.base_seed,
-            probe.cache.build_nanos as f64 / 1e3,
-            probe.cache.artifact_builds,
-            probe.cache.size_nanos as f64 / 1e3,
-            probe.cache.replan_cache_hits,
-        );
+    let wall = if args.wall {
+        format!(", wall {dbl_ms:.1} ms")
     } else {
-        println!(
-            "wrote {} ({} artifact builds, {} re-size hits, max attempts {})",
-            dbl_path.display(),
-            builds,
-            hits,
-            max_attempts,
-        );
-    }
+        String::new()
+    };
+    println!(
+        "wrote {} ({builds} artifact builds, {hits} re-size hits, max attempts {max_attempts}{wall})",
+        dbl_path.display(),
+    );
 
     if let Some(dump) = &args.dump_doubling {
-        dump_doubling_outcomes(dump, &runner, &dbl_problem, &cfg);
+        dump_doubling_outcomes(dump, &trials);
     }
     phase("done");
 }

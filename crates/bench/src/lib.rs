@@ -10,9 +10,10 @@
 //!
 //! A trial ([`run_trial`]) is one [`das_core::pipeline::run`] — the same
 //! plan → execute → verify pipeline the CLI and the serve daemon run: plan
-//! with the trial's `sched_seed`, execute the plan, verify **exactly
-//! once** — plus the record, including the plan's predicted length, so
-//! artifacts track the plan-vs-reality gap. Because a sweep varies only
+//! with the trial's `sched_seed` (from scratch, from a sweep's artifact, or
+//! by the doubling search), execute the plan, verify **exactly once** —
+//! plus the record, including the plan's predicted length, so artifacts
+//! track the plan-vs-reality gap. Because a sweep varies only
 //! scheduler randomness, the problem's reference runs are computed once
 //! and shared by every trial.
 
@@ -23,18 +24,19 @@ pub mod table;
 pub mod workloads;
 
 pub use runner::{
-    DoublingSummary, NetSummary, ShardSummary, SummaryStats, TrialAggregate, TrialRecord,
-    TrialRunner,
+    NetSummary, ShardSummary, SummaryStats, TrialAggregate, TrialRecord, TrialRunner,
 };
 pub use table::Table;
 
+use das_core::doubling::Search;
 use das_core::pipeline::{self, Failed, PlanFrom, Ran};
-use das_core::verify::{self, VerifyReport};
+use das_core::verify::VerifyReport;
 use das_core::{
-    doubling, net, DasProblem, DoublingConfig, ExecError, ExecOptions, NetConfig, SchedError,
-    ScheduleOutcome, Scheduler, SweepArtifact, UniformScheduler,
+    net, DasProblem, ExecError, ExecOptions, ExecutorConfig, NetConfig, SchedError,
+    ScheduleOutcome, Scheduler, SweepArtifact,
 };
-use das_obs::{ObsConfig, ObsReport, Stages};
+use das_obs::{LiveHub, ObsConfig, ObsReport, Stages};
+use std::sync::Arc;
 
 /// Where a trial's plan executes. Every arm yields the byte-identical
 /// [`ScheduleOutcome`]; they differ in wall-clock and in which
@@ -52,25 +54,44 @@ pub enum TrialExecutor {
     Networked(usize),
 }
 
+/// Where a trial's plan comes from: [`PlanFrom`] without the seed, which
+/// the trial supplies.
+#[derive(Clone, Copy)]
+pub enum TrialPlan<'a> {
+    /// Planned from scratch by this scheduler.
+    Scratch(&'a dyn Scheduler),
+    /// Derived from the seed-independent planning prefix
+    /// ([`Scheduler::build_sweep_artifact`]) built once per sweep; the plan
+    /// is byte-identical to [`TrialPlan::Scratch`]'s.
+    Swept {
+        /// The scheduler that built `artifact`.
+        scheduler: &'a dyn Scheduler,
+        /// The sweep's shared planning prefix.
+        artifact: &'a SweepArtifact,
+    },
+    /// Found by the doubling search over this scheduler's plans, without
+    /// knowing `congestion` ([`PlanFrom::Doubling`], default cap).
+    Doubling(Search<'a>),
+}
+
 /// Everything that defines one trial.
 #[derive(Clone, Copy)]
 pub struct TrialSpec<'a> {
-    /// The scheduler under test.
-    pub scheduler: &'a dyn Scheduler,
+    /// Where the plan comes from, and so the scheduler under test.
+    pub plan: TrialPlan<'a>,
     /// The problem; a sweep shares one, so its reference runs are computed
     /// once.
     pub problem: &'a DasProblem<'a>,
     /// The scheduler randomness — the only thing a sweep varies.
     pub sched_seed: u64,
-    /// The seed-independent planning prefix
-    /// ([`Scheduler::build_sweep_artifact`]) to derive the plan from, built
-    /// once per sweep; `None` plans from scratch. The plan is byte-identical
-    /// either way.
-    pub sweep: Option<&'a SweepArtifact>,
     /// Where the plan executes.
     pub executor: TrialExecutor,
     /// Observability level of the execution; never moves an outcome.
     pub obs: ObsConfig,
+    /// Live hub the run publishes into ([`ExecutorConfig::live`]): its
+    /// phases, the executor's snapshots and a search's attempts. Write-only,
+    /// so it never moves an outcome either.
+    pub live: Option<&'a Arc<LiveHub>>,
 }
 
 impl<'a> TrialSpec<'a> {
@@ -78,12 +99,12 @@ impl<'a> TrialSpec<'a> {
     /// production loop, unobserved.
     pub fn new(scheduler: &'a dyn Scheduler, problem: &'a DasProblem<'a>, sched_seed: u64) -> Self {
         TrialSpec {
-            scheduler,
+            plan: TrialPlan::Scratch(scheduler),
             problem,
             sched_seed,
-            sweep: None,
             executor: TrialExecutor::Fused,
             obs: ObsConfig::off(),
+            live: None,
         }
     }
 }
@@ -100,10 +121,10 @@ pub struct Trial {
     pub obs: Option<ObsReport>,
 }
 
-/// One full trial through [`pipeline::run`]: plan with `sched_seed`
-/// (from the sweep's artifact when there is one), execute the plan on
-/// `executor`, verify exactly once, and record — with the plan's predicted
-/// length threaded into the record.
+/// One full trial through [`pipeline::run`]: plan with `sched_seed` from
+/// the spec's source, execute the plan on `executor`, verify exactly once,
+/// and record — with the plan's predicted length and a doubling search's
+/// facts threaded into the record.
 ///
 /// An execution that hits the engine-round cap is recorded as a
 /// `truncated` (failed) trial instead of crashing the sweep.
@@ -113,22 +134,32 @@ pub struct Trial {
 /// networking failure (which, unlike the round cap, is an environment
 /// problem rather than a schedule property).
 pub fn run_trial(spec: &TrialSpec<'_>) -> Trial {
-    let (problem, scheduler, seed) = (spec.problem, spec.scheduler, spec.sched_seed);
-    let from = match spec.sweep {
-        Some(artifact) => PlanFrom::Swept {
+    let (problem, seed) = (spec.problem, spec.sched_seed);
+    let from = match spec.plan {
+        TrialPlan::Scratch(scheduler) => PlanFrom::Scheduler { scheduler, seed },
+        TrialPlan::Swept {
+            scheduler,
+            artifact,
+        } => PlanFrom::Swept {
             scheduler,
             artifact,
             seed,
         },
-        None => PlanFrom::Scheduler { scheduler, seed },
+        TrialPlan::Doubling(search) => PlanFrom::Doubling {
+            search,
+            seed,
+            cap: None,
+        },
     };
+    let config = ExecutorConfig::default().with_live(spec.live.cloned());
     // networked workers carry no probe
     let obs = match spec.executor {
         TrialExecutor::Networked(_) => ObsConfig::off(),
         _ => spec.obs,
     };
     let run = |opts: ExecOptions<'_>| {
-        pipeline::run(problem, from, opts.with_obs(obs), &mut Stages::default())
+        let opts = opts.with_config(config.clone()).with_obs(obs);
+        pipeline::run(problem, from, opts, &mut Stages::default())
     };
     let result = match spec.executor {
         TrialExecutor::Fused => run(ExecOptions::default()),
@@ -146,9 +177,9 @@ pub fn run_trial(spec: &TrialSpec<'_>) -> Trial {
 }
 
 /// Turns a pipeline result into the trial: the record on success, with
-/// the shard and traffic summaries of the topologies that produce them and
-/// the recording when `recorded`, or a `truncated` failure record when the
-/// engine-round cap was hit. Split out so the cap path is unit-testable
+/// the shard and traffic summaries of the topologies that produce them,
+/// the search facts of a doubling plan and the recording when `recorded`,
+/// or a `truncated` failure record when the engine-round cap was hit. Split out so the cap path is unit-testable
 /// without building a diverging schedule.
 fn finish_trial(sched_seed: u64, recorded: bool, result: Result<Ran, Failed>) -> Trial {
     match result {
@@ -162,6 +193,7 @@ fn finish_trial(sched_seed: u64, recorded: bool, result: Result<Ran, Failed>) ->
                 net: (!ran.executed.traffic.is_empty())
                     .then(|| NetSummary::of(&ran.executed.traffic)),
                 obs: recorded.then(|| ran.report.summary()),
+                doubling: ran.search,
                 ..outcome_record(sched_seed, &outcome, &ran.verify)
             };
             Trial {
@@ -211,33 +243,6 @@ fn outcome_record(seed: u64, outcome: &ScheduleOutcome, verify: &VerifyReport) -
     }
 }
 
-/// One full trial of the congestion-*oblivious* pipeline: run the uniform
-/// scheduler through the doubling search (the trial's `sched_seed`
-/// becoming the shared seed), verify the final outcome exactly once, and
-/// record — with the search's [`DoublingSummary`] (attempts, fallback,
-/// plan-cache counters) threaded into the record. A search over plans on
-/// a concrete scheduler, so not a [`TrialSpec`].
-///
-/// # Panics
-/// Panics if the workload violates the CONGEST model.
-pub fn run_trial_doubling(
-    scheduler: &UniformScheduler,
-    problem: &DasProblem<'_>,
-    sched_seed: u64,
-    cfg: &DoublingConfig,
-) -> TrialRecord {
-    let sched = scheduler.clone().with_seed(sched_seed);
-    let (result, _) =
-        doubling::uniform_with_doubling_configured(problem, &sched, &ObsConfig::off(), cfg)
-            .expect("workload is model-valid");
-    let verify =
-        verify::against_references(problem, &result.outcome).expect("references computable");
-    TrialRecord {
-        doubling: Some(DoublingSummary::of(&result)),
-        ..outcome_record(sched_seed, &result.outcome, &verify)
-    }
-}
-
 /// Success rate of a scheduler over repeated trials: the empirical version
 /// of the paper's "with high probability".
 ///
@@ -262,7 +267,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use das_core::{PrivateScheduler, SequentialScheduler};
+    use das_core::doubling::SearchFacts;
+    use das_core::{PlanCacheStats, PrivateScheduler, SequentialScheduler, UniformScheduler};
     use das_graph::generators;
 
     #[test]
@@ -285,7 +291,7 @@ mod tests {
         assert_eq!(rec.correctness, 1.0);
     }
 
-    /// Every way to say "this trial" — executor × obs × sweep — is the same
+    /// Every way to say "this trial" — executor × obs × plan source — is the same
     /// trial: identical outcome bytes and deterministic record fields, with
     /// the partition-, transport- and recording-dependent summaries present
     /// exactly on the specs that produce them.
@@ -312,15 +318,19 @@ mod tests {
             assert_eq!(want.record.correctness, 1.0);
             for (executor, shards, workers) in executors {
                 for obs in [ObsConfig::off(), ObsConfig::full()] {
-                    for sweep in [None, Some(&artifact)] {
+                    let swept = TrialPlan::Swept {
+                        scheduler: sched,
+                        artifact: &artifact,
+                    };
+                    for plan in [TrialPlan::Scratch(sched), swept] {
                         let ctx = format!(
                             "{} on {executor:?}, obs {:?}, swept {}",
                             sched.name(),
                             obs.mode,
-                            sweep.is_some()
+                            matches!(plan, TrialPlan::Swept { .. })
                         );
                         let got = run_trial(&TrialSpec {
-                            sweep,
+                            plan,
                             executor,
                             obs,
                             ..plain
@@ -369,32 +379,35 @@ mod tests {
     fn doubling_trial_records_the_search() {
         let g = generators::path(12);
         let p = workloads::stacked_relays(&g, 16, 1); // forces several attempts
-        let rec = run_trial_doubling(
-            &UniformScheduler::default(),
-            &p,
-            5,
-            &DoublingConfig::default(),
-        );
-        // every outcome field is what the replan-from-scratch search (the
-        // reference path, since removed) recorded for this trial
+        let sched = UniformScheduler::default();
+        let plan = TrialPlan::Doubling(Search::Uniform(&sched));
+        let spec = TrialSpec::new(&sched, &p, 5);
+        let rec = run_trial(&TrialSpec { plan, ..spec }).record;
+        // every outcome and search field is what the replan-from-scratch
+        // search (the reference path, since removed) recorded for this
+        // trial; the prediction and the ranges were added when the search
+        // became a plan source
         let want = TrialRecord {
             seed: 5,
             schedule: 168,
-            predicted: None,
+            predicted: Some(168),
             precompute: 244,
             late: 0,
             correctness: 1.0,
             truncated: false,
             shard: None,
             obs: None,
-            doubling: Some(DoublingSummary {
+            doubling: Some(SearchFacts {
                 attempts: 3,
                 rejected_by_precheck: 2,
                 final_guess: 33,
                 wasted_rounds: 244,
+                attempted_ranges: vec![2, 5, 11],
                 fell_back: false,
-                artifact_builds: 1,
-                replan_cache_hits: 2,
+                cache: PlanCacheStats {
+                    artifact_builds: 1,
+                    replan_cache_hits: 2,
+                },
             }),
             net: None,
         };

@@ -19,6 +19,7 @@
 //! assert_eq!(lengths, TrialRunner::new(42, 8).run_trials(|seed| seed % 10));
 //! ```
 
+use das_core::SearchFacts;
 use das_obs::ObsSummary;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -128,12 +129,12 @@ pub struct TrialRecord {
     /// Absent in older artifacts and in unobserved trials.
     #[serde(default)]
     pub obs: Option<ObsSummary>,
-    /// Doubling-search summary, when the trial ran a congestion-doubling
-    /// search instead of a single plan. Deterministic counters only (the
-    /// cache's wall clocks stay out of the artifact). Absent in older
-    /// artifacts and in non-doubling trials.
+    /// What the doubling search did, when the trial's plan came from one.
+    /// Deterministic counters only (the search's wall clocks stay out of
+    /// the artifact). Absent in older artifacts and in non-doubling
+    /// trials.
     #[serde(default)]
-    pub doubling: Option<DoublingSummary>,
+    pub doubling: Option<SearchFacts>,
     /// Coordinator-side traffic totals, when the trial ran over the
     /// networked coordinator/worker path. Absent in older artifacts and in
     /// in-process trials.
@@ -147,45 +148,6 @@ impl TrialRecord {
     /// event).
     pub fn success(&self) -> bool {
         self.late == 0 && !self.truncated
-    }
-}
-
-/// What one doubling search did, recorded into the artifact: the search
-/// shape (attempts, the final guess, whether it gave up) and the plan
-/// artifact cache's deterministic counters. Every field is a pure function
-/// of the schedule — no wall clocks — so artifacts stay byte-identical
-/// across thread counts.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct DoublingSummary {
-    /// Attempts made (including the successful or given-up one).
-    pub attempts: u32,
-    /// Attempts rejected by the plan-level precheck.
-    pub rejected_by_precheck: u32,
-    /// The last attempt's implied congestion guess.
-    pub final_guess: u64,
-    /// Rounds charged to failed attempts.
-    pub wasted_rounds: u64,
-    /// Whether the search gave up and fell back to the interleave
-    /// baseline.
-    pub fell_back: bool,
-    /// Guess-independent plan artifact builds (1 per search).
-    pub artifact_builds: u64,
-    /// Attempts planned by re-sizing the cached artifact.
-    pub replan_cache_hits: u64,
-}
-
-impl DoublingSummary {
-    /// Condenses a [`das_core::DoublingOutcome`] into the artifact form.
-    pub fn of(outcome: &das_core::DoublingOutcome) -> Self {
-        DoublingSummary {
-            attempts: outcome.attempts,
-            rejected_by_precheck: outcome.rejected_by_precheck,
-            final_guess: outcome.final_guess,
-            wasted_rounds: outcome.wasted_rounds,
-            fell_back: outcome.fell_back,
-            artifact_builds: outcome.cache.artifact_builds,
-            replan_cache_hits: outcome.cache.replan_cache_hits,
-        }
     }
 }
 
@@ -394,6 +356,7 @@ impl TrialAggregate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use das_core::PlanCacheStats;
 
     fn record(seed: u64, schedule: u64, late: u64) -> TrialRecord {
         TrialRecord {
@@ -493,14 +456,17 @@ mod tests {
     #[test]
     fn doubling_summary_roundtrips_in_records() {
         let mut rec = record(1, 10, 0);
-        rec.doubling = Some(DoublingSummary {
+        rec.doubling = Some(SearchFacts {
             attempts: 3,
             rejected_by_precheck: 2,
             final_guess: 24,
             wasted_rounds: 90,
+            attempted_ranges: vec![2, 5, 11],
             fell_back: false,
-            artifact_builds: 1,
-            replan_cache_hits: 2,
+            cache: PlanCacheStats {
+                artifact_builds: 1,
+                replan_cache_hits: 2,
+            },
         });
         let agg = TrialAggregate::from_records("t", "s", 0, vec![rec]);
         let back: TrialAggregate = serde_json::from_str(&agg.to_json()).unwrap();
@@ -509,7 +475,7 @@ mod tests {
             back.records[0]
                 .doubling
                 .as_ref()
-                .map(|d| d.replan_cache_hits),
+                .map(|d| d.cache.replan_cache_hits),
             Some(2)
         );
     }

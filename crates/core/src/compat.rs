@@ -1,18 +1,23 @@
-//! The pre-[`execute`] entry points, and the engine selector, that the
-//! standalone benchmark harness still calls by name. Each entry point is
-//! one [`execute`] call, or one [`execute_row`] call for
-//! [`EngineKind::Row`]; nothing else in the workspace may use these names
-//! (CI greps for it), and they go once the benchmark moves to [`execute`].
+//! The pre-[`execute`] entry points, the engine selector and the doubling
+//! search's old entry point, that the standalone benchmark harness still
+//! calls by name. Each entry point is one [`execute`] call, one
+//! [`execute_row`] call for [`EngineKind::Row`], or one [`pipeline::run`]
+//! call for the search; nothing else in the workspace may use these names
+//! (CI greps for it), and they go once the benchmark moves to [`execute`]
+//! and [`PlanFrom::Doubling`].
 
+use crate::doubling::{PlanCacheStats, Search};
 use crate::exec::ExecutorConfig;
 use crate::net::NetConfig;
 use crate::oracle::execute_row;
+use crate::pipeline::{self, PlanFrom};
 use crate::plan::{execute, ExecOptions, SchedError, SchedulePlan};
 use crate::problem::DasProblem;
 use crate::schedule::ScheduleOutcome;
+use crate::schedulers::Scheduler;
 use crate::wire::LinkTraffic;
-use crate::ShardReport;
-use das_obs::{ObsConfig, ObsReport};
+use crate::{ShardReport, UniformScheduler};
+use das_obs::{ObsConfig, ObsReport, Stages};
 use std::net::TcpListener;
 
 /// Which loop [`execute_plan_with`] runs. Outcomes are byte-identical
@@ -127,6 +132,54 @@ pub fn execute_plan_networked(
         traffic: done.traffic,
     };
     Ok((done.outcome, report))
+}
+
+/// The give-up cap of [`uniform_with_doubling_configured`].
+#[derive(Clone, Debug, Default)]
+pub struct DoublingConfig {
+    /// [`PlanFrom::Doubling`]'s `cap`.
+    pub cap_override: Option<u64>,
+}
+
+/// What [`uniform_with_doubling_configured`] reports.
+#[derive(Debug)]
+pub struct DoublingOutcome {
+    /// The executed outcome.
+    pub outcome: ScheduleOutcome,
+    /// [`crate::doubling::SearchFacts::attempts`].
+    pub attempts: u32,
+    /// [`crate::doubling::SearchFacts::rejected_by_precheck`].
+    pub rejected_by_precheck: u32,
+    /// [`crate::doubling::SearchFacts::cache`].
+    pub cache: PlanCacheStats,
+}
+
+/// [`pipeline::run`] with [`PlanFrom::Doubling`] over `base` at its own
+/// seed, fused, recording at the level `obs` asks for.
+///
+/// # Errors
+/// As [`pipeline::run`].
+pub fn uniform_with_doubling_configured(
+    problem: &DasProblem<'_>,
+    base: &UniformScheduler,
+    obs: &ObsConfig,
+    cfg: &DoublingConfig,
+) -> Result<(DoublingOutcome, Option<ObsReport>), SchedError> {
+    let from = PlanFrom::Doubling {
+        search: Search::Uniform(base),
+        seed: base.default_sched_seed(),
+        cap: cfg.cap_override,
+    };
+    let opts = ExecOptions::default().with_obs(*obs);
+    let ran = pipeline::run(problem, from, opts, &mut Stages::default()).map_err(|f| f.error)?;
+    let search = ran.search.expect("a doubling run reports its search");
+    let outcome = DoublingOutcome {
+        outcome: ran.executed.outcome,
+        attempts: search.attempts,
+        rejected_by_precheck: search.rejected_by_precheck,
+        cache: search.cache,
+    };
+    Ok((outcome, obs.enabled().then_some(ran.report)))
 }
 
 #[cfg(test)]

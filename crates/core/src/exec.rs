@@ -235,9 +235,6 @@ impl Unit {
 pub struct ExecutorConfig {
     /// Hard cap on engine rounds.
     pub max_engine_rounds: u64,
-    /// Record message departures to build a causality-checkable
-    /// [`das_pattern::SimulationMap`] per algorithm.
-    pub record_departures: bool,
     /// Live observability hub, if the run is being served: the one place an
     /// execution takes a hub, on every topology. It gets the run identity,
     /// write-only probe snapshots at big-round boundaries and a
@@ -259,7 +256,6 @@ impl Default for ExecutorConfig {
     fn default() -> Self {
         ExecutorConfig {
             max_engine_rounds: 10_000_000,
-            record_departures: true,
             live: None,
             oracle: false,
             shards: 1,
@@ -271,12 +267,6 @@ impl ExecutorConfig {
     /// Attaches a live observability hub for the run to publish into.
     pub fn with_live(mut self, live: Option<std::sync::Arc<das_obs::LiveHub>>) -> Self {
         self.live = live;
-        self
-    }
-
-    /// Enables or disables departure recording.
-    pub fn with_record_departures(mut self, record: bool) -> Self {
-        self.record_departures = record;
         self
     }
 }

@@ -328,7 +328,7 @@ impl<'e> ShardCtx<'e> {
     /// [`merge_shards`] over every shard of this run.
     pub(crate) fn merge(&self, shards: Vec<ShardOutput>) -> (ScheduleOutcome, ShardReport) {
         let (n, k) = (self.g.node_count(), self.algos.len());
-        merge_shards(n, k, self.config, self.flat, shards)
+        merge_shards(n, k, self.flat, shards)
     }
 }
 
@@ -621,14 +621,12 @@ pub(crate) fn big_round_loop<X: Exchange>(
                 let payload = &q.bytes[off..off + m.len as usize];
                 off += m.len as usize;
                 let eng = phase_start + j as u64;
-                if config.record_departures {
-                    let arc = das_graph::Arc::from_index(arc_idx);
-                    let ta = TimedArc {
-                        round: m.round,
-                        arc,
-                    };
-                    filed[m.algo as usize].push((ta, eng as u32));
-                }
+                let arc = das_graph::Arc::from_index(arc_idx);
+                let ta = TimedArc {
+                    round: m.round,
+                    arc,
+                };
+                filed[m.algo as usize].push((ta, eng as u32));
                 let idx = m.algo as usize * own_n + li;
                 let late = steps_done[idx] >= m.round + 2;
                 if late {
@@ -692,7 +690,6 @@ pub(crate) fn big_round_loop<X: Exchange>(
 pub(crate) fn merge_shards(
     n: usize,
     k: usize,
-    config: &ExecutorConfig,
     steps: &FlatSteps,
     shards: Vec<ShardOutput>,
 ) -> (ScheduleOutcome, ShardReport) {
@@ -739,7 +736,7 @@ pub(crate) fn merge_shards(
     let outcome = ScheduleOutcome {
         outputs: outputs.unwrap_or_else(|| vec![vec![None; n]; k]),
         stats,
-        departures: config.record_departures.then_some(departures),
+        departures: Some(departures),
         precompute_rounds: 0,
     };
     (outcome, report)

@@ -1,7 +1,7 @@
 //! The columnar data structures the production big-round loop
 //! (`exec/big_round.rs`) runs on.
 //!
-//! Semantics are identical to the row oracle in `exec.rs` — same big-round
+//! Semantics are identical to the row oracle in `oracle.rs` — same big-round
 //! clock, same per-arc FIFO order, same lateness rule — but the data layout
 //! is columnar and deliveries are batched:
 //!

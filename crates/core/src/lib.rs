@@ -94,7 +94,7 @@ pub use algorithm::{
 #[doc(hidden)]
 pub use compat::*;
 pub use das_congest::MESSAGE_BYTES;
-pub use doubling::{DoublingConfig, DoublingOutcome, PlanCacheStats};
+pub use doubling::{PlanCacheStats, SearchFacts};
 pub use exec::{ExecError, ExecStats, ExecutorConfig, ShardReport, ShardStats, Unit};
 pub use net::{install_ctrl_c, plan_hash, run_worker, NetConfig, WorkerOutcome};
 pub use plan::cache::{PlanArtifact, SweepArtifact};

@@ -431,7 +431,7 @@ fn coordinator_protocol(
         let body = conn.expect(wire::DONE, "collecting results")?;
         shards.push(Done::decode(&body, k, part.nodes_of(src))?);
     }
-    Ok(merge_shards(n, k, config, steps, shards))
+    Ok(merge_shards(n, k, steps, shards))
 }
 
 /// Mirrors the per-link traffic counters into the run's live hub, if any.

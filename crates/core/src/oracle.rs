@@ -160,14 +160,12 @@ fn run(
                     active_arcs.push(arc_idx);
                 }
                 let (a, v) = (f.algo as usize, f.dst.index());
-                if config.record_departures {
-                    let arc = das_graph::Arc::from_index(arc_idx);
-                    let ta = TimedArc {
-                        round: f.round,
-                        arc,
-                    };
-                    departed[a].push((ta, engine_round as u32));
-                }
+                let arc = das_graph::Arc::from_index(arc_idx);
+                let ta = TimedArc {
+                    round: f.round,
+                    arc,
+                };
+                departed[a].push((ta, engine_round as u32));
                 if steps_done[a][v] >= f.round + 2 {
                     stats.late_messages += 1;
                 } else {
@@ -205,9 +203,7 @@ fn run(
     Ok(ScheduleOutcome {
         outputs,
         stats,
-        departures: config
-            .record_departures
-            .then(|| departed.into_iter().map(SimulationMap::from_iter).collect()),
+        departures: Some(departed.into_iter().map(SimulationMap::from_iter).collect()),
         precompute_rounds: 0,
     })
 }

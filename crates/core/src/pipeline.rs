@@ -1,23 +1,24 @@
 //! The plan → execute → verify pipeline: every entry point's one run.
 //!
-//! [`run`] computes the alone-run references, plans (or takes a given
-//! plan), executes on any topology, and verifies, timing each stage into
-//! one [`Stages`] record. When `opts.obs` records, it also assembles a
-//! single [`ObsReport`]: a `Plan`-stage span carrying the prediction, the
-//! executor's per-shard recordings on the `Execute` tracks, and a
-//! `Verify`-stage marker with the mismatch counts. All of it is clocked on
-//! the deterministic big-round clock, so the trace is a pure function of
-//! `(problem, plan)` — shard count changes only which `Execute` lane an
-//! event lands on. Wall-clock stage durations are added, read from the
+//! [`run`] computes the alone-run references, plans (from scratch, from a
+//! sweep's artifact, by the doubling search, or takes a given plan),
+//! executes on any topology, and verifies, timing each stage into one
+//! [`Stages`] record. When `opts.obs` records, it also assembles a single
+//! [`ObsReport`]: a `Plan`-stage span carrying the prediction (one per
+//! attempt for a doubling search), the executor's per-shard recordings on
+//! the `Execute` tracks, and a `Verify`-stage marker with the mismatch
+//! counts. All of it is clocked on the deterministic big-round clock, so
+//! the trace is a pure function of `(problem, plan)` — shard count changes
+//! only which `Execute` lane an event lands on. Wall-clock stage durations are added, read from the
 //! stage record, only when [`das_obs::ObsConfig::wall_clock`] is set.
 
+use crate::doubling::{Search, SearchFacts};
 use crate::exec::FlatSteps;
 use crate::plan::cache::SweepArtifact;
 use crate::plan::{
     analysis, execute, execute_steps, ExecOptions, Executed, SchedError, SchedulePlan,
 };
 use crate::problem::DasProblem;
-use crate::reference::ReferenceError;
 use crate::schedulers::Scheduler;
 use crate::verify::{self, VerifyReport};
 use das_obs::{ObsReport, Stage, Stages, TraceEvent};
@@ -46,6 +47,21 @@ pub enum PlanFrom<'a> {
     },
     /// A plan made earlier (loaded from a file, say); executed as given.
     Given(&'a SchedulePlan),
+    /// Found by the doubling search ([`crate::doubling`]) without knowing
+    /// `congestion`: one artifact, re-sized per attempt until the plan's
+    /// prediction has no late message, or the interleave baseline once the
+    /// guess passes the cap. The accepted plan carries the search's whole
+    /// charge in `precompute_rounds`; [`Ran::search`] says what it did.
+    Doubling {
+        /// The scheduler the search re-sizes.
+        search: Search<'a>,
+        /// The `sched_seed` of the one artifact every attempt re-sizes.
+        seed: u64,
+        /// Overrides the give-up cap (default `k · dilation · max-degree`,
+        /// a trivial congestion upper bound); a tiny cap forces the
+        /// fallback.
+        cap: Option<u64>,
+    },
 }
 
 /// Everything one pipeline run produced.
@@ -61,6 +77,8 @@ pub struct Ran {
     pub verify: VerifyReport,
     /// The assembled observability report (empty when recording is off).
     pub report: ObsReport,
+    /// What the doubling search did, for [`PlanFrom::Doubling`].
+    pub search: Option<SearchFacts>,
 }
 
 /// Why a pipeline run stopped, with the plan when planning finished — a
@@ -83,15 +101,18 @@ impl fmt::Display for Failed {
 /// topology, budget and observability level `opts` names. Each stage's
 /// wall time lands in `stages` as soon as the stage returns, so a run that
 /// fails or panics part-way leaves the stages that ran recorded. Recording
-/// adds the `plan.*` and `verify.*` counters; the prediction
-/// (`predict.*`) and the plan span only when `obs` records events. A
-/// networked run records the plan and verify stages only (its workers
-/// carry no probe).
+/// adds the `plan.*` and `verify.*` counters (and a doubling search's
+/// `doubling.*`); the prediction (`predict.*`) and the plan span only when
+/// `obs` records events. A doubling search predicts every attempt anyway:
+/// `predict.*` is its accepted attempt's, and its attempt spans replace the
+/// plan span. A networked run records the plan and verify stages only (its
+/// workers carry no probe).
 ///
 /// A live hub in `opts.config.live` sees the whole run: the phases (`plan`
 /// → `execute` → `verify` → `done`), the identity [`execute`] stamps, the
 /// executor's per-shard snapshots at big-round boundaries, and at the end
-/// the merged report, which replaces the incremental view. Serving the hub
+/// the merged report, which replaces the incremental view; a doubling
+/// search publishes each attempt's verdict into it. Serving the hub
 /// over HTTP (`das_obs::ObsServer`) while this runs never changes the
 /// outcome — publication is write-only and clocked on big-round barriers
 /// (`tests/obs_neutrality.rs` polls a live server mid-run and asserts
@@ -113,20 +134,29 @@ pub fn run(
             hub.set_phase(name);
         }
     };
-    let unplanned = |e: ReferenceError| Failed {
-        error: e.into(),
-        plan: None,
-    };
+    let unplanned = |error: SchedError| Failed { error, plan: None };
     phase("plan");
-    Stages::time(&mut stages.references_us, || problem.references()).map_err(unplanned)?;
-    let plan = Stages::time(&mut stages.plan_us, || match from {
-        PlanFrom::Scheduler { scheduler, seed } => scheduler.plan(problem, seed),
-        PlanFrom::Swept {
-            scheduler,
-            artifact,
-            seed,
-        } => scheduler.plan_swept(problem, artifact, seed),
-        PlanFrom::Given(plan) => Ok(plan.clone()),
+    Stages::time(&mut stages.references_us, || problem.references())
+        .map_err(|e| unplanned(e.into()))?;
+    let mut report = ObsReport::new();
+    // a search hands over the step table and prediction of the plan it took
+    let (plan, mut steps, mut pred, search) = Stages::time(&mut stages.plan_us, || {
+        let plan = match from {
+            PlanFrom::Scheduler { scheduler, seed } => scheduler.plan(problem, seed)?,
+            PlanFrom::Swept {
+                scheduler,
+                artifact,
+                seed,
+            } => scheduler.plan_swept(problem, artifact, seed)?,
+            PlanFrom::Given(plan) => plan.clone(),
+            PlanFrom::Doubling { search, seed, cap } => {
+                let live = live.as_deref();
+                let (plan, steps, pred, facts) =
+                    search.run(problem, seed, cap, &obs, live, &mut report)?;
+                return Ok((plan, Some(steps), pred, Some(facts)));
+            }
+        };
+        Ok((plan, None, None, None))
     })
     .map_err(unplanned)?;
     let failed = |error: SchedError| Failed {
@@ -134,7 +164,6 @@ pub fn run(
         plan: Some(plan.clone()),
     };
 
-    let mut report = ObsReport::new();
     if obs.enabled() {
         let m = &mut report.metrics;
         m.inc("plan.units", plan.unit_count() as u64);
@@ -143,31 +172,35 @@ pub fn run(
         m.inc("plan.predicted_rounds", plan.predicted_rounds);
     }
     // Traced, the prediction and the execution read one step table; else
-    // `execute` builds it inside its own stage.
-    let mut steps = None;
+    // `execute` builds it inside its own stage. A search has built both.
     if obs.events_enabled() {
-        let table = FlatSteps::build(problem, &plan).map_err(|e| failed(e.into()))?;
-        let pred = analysis::predict_steps(problem, &table).map_err(failed)?;
-        steps = Some(table);
-        let m = &mut report.metrics;
-        m.inc("predict.late", pred.predicted_late);
-        m.inc("predict.max_arc_load", pred.max_arc_load());
-        m.inc(
-            "predict.peak_big_round_arc_load",
-            pred.peak_big_round_arc_load,
-        );
-        // The plan span covers the pre-computation charge the schedule
-        // pays before its first big-round.
-        let name = plan.scheduler.as_str();
-        let mut e = TraceEvent::span(Stage::Plan, 0, name, 0, plan.precompute_rounds)
-            .arg("units", plan.unit_count() as u64)
-            .arg("phase_len", plan.phase_len)
-            .arg("predicted_rounds", plan.predicted_rounds)
-            .arg("predicted_late", pred.predicted_late);
-        if obs.wall_clock {
-            e = e.arg("wall_us", stages.plan_us);
+        if search.is_none() {
+            let table = FlatSteps::build(problem, &plan).map_err(|e| failed(e.into()))?;
+            let p = analysis::predict_steps(problem, &table).map_err(failed)?;
+            steps = Some(table);
+            // The plan span covers the pre-computation charge the schedule
+            // pays before its first big-round.
+            let name = plan.scheduler.as_str();
+            let mut e = TraceEvent::span(Stage::Plan, 0, name, 0, plan.precompute_rounds)
+                .arg("units", plan.unit_count() as u64)
+                .arg("phase_len", plan.phase_len)
+                .arg("predicted_rounds", plan.predicted_rounds)
+                .arg("predicted_late", p.predicted_late);
+            if obs.wall_clock {
+                e = e.arg("wall_us", stages.plan_us);
+            }
+            report.push_event(e);
+            pred = Some(p);
         }
-        report.push_event(e);
+        if let Some(pred) = &pred {
+            let m = &mut report.metrics;
+            m.inc("predict.late", pred.predicted_late);
+            m.inc("predict.max_arc_load", pred.max_arc_load());
+            m.inc(
+                "predict.peak_big_round_arc_load",
+                pred.peak_big_round_arc_load,
+            );
+        }
     }
 
     phase("execute");
@@ -176,6 +209,8 @@ pub fn run(
         None => execute(problem, &plan, opts),
     });
     let mut executed = executed.map_err(failed)?;
+    let accepted = search.as_ref().is_some_and(|s| !s.fell_back);
+    debug_assert!(!accepted || executed.outcome.stats.late_messages == 0);
     if let Some(er) = executed.obs.take() {
         report.merge(&er);
     }
@@ -225,6 +260,7 @@ pub fn run(
         executed,
         verify,
         report,
+        search,
     })
 }
 

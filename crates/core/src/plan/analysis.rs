@@ -84,6 +84,13 @@ pub fn predict(
     predict_steps(problem, &FlatSteps::build(problem, plan)?)
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Predictions made on this thread, for tests that pin how often a run
+    /// predicts.
+    pub(crate) static PREDICTIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// [`predict`] on a plan whose step table is already built — for a caller
 /// that executes the same table afterwards.
 ///
@@ -97,6 +104,8 @@ pub(crate) fn predict_steps(
     let n = g.node_count();
     let k = problem.k();
     let refs = problem.references()?;
+    #[cfg(test)]
+    PREDICTIONS.with(|n| n.set(n.get() + 1));
     let phase_len = steps.phase_len;
 
     // Reference sends grouped per (algorithm, source): (round, arc, dst),

@@ -478,12 +478,10 @@ pub(crate) fn execute_steps(
 /// is refused rather than silently ignored.
 fn refuse_unshared(config: &ExecutorConfig) -> Result<(), ExecError> {
     let shared = ExecutorConfig::default();
-    if config.max_engine_rounds != shared.max_engine_rounds
-        || config.record_departures != shared.record_departures
-    {
+    if config.max_engine_rounds != shared.max_engine_rounds {
         return Err(ExecError::Net {
-            detail: "networked workers run under the default round budget and \
-                     departure recording; this config changes one"
+            detail: "networked workers run under the default round budget; \
+                     this config changes it"
                 .to_string(),
         });
     }

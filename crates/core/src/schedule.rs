@@ -10,9 +10,11 @@ pub struct ScheduleOutcome {
     pub outputs: Vec<Vec<Option<Vec<u8>>>>,
     /// Execution statistics (schedule length, late messages, …).
     pub stats: ExecStats,
-    /// Per-algorithm simulation maps (message → scheduled departure round),
-    /// when recording was enabled; feed to
-    /// [`das_pattern::verify_simulation`].
+    /// Per-algorithm simulation maps (message → scheduled departure round);
+    /// feed to [`das_pattern::verify_simulation`]. Every execution records
+    /// them, so this is always `Some`: the `Option` stays because the
+    /// outcome's `{:?}` bytes are pinned (CI's outcome dumps and the
+    /// doubling and plan goldens hash them).
     pub departures: Option<Vec<SimulationMap>>,
     /// CONGEST rounds spent in pre-computation before the schedule ran
     /// (clustering + randomness sharing for the private scheduler; 0 for

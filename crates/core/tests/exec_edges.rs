@@ -63,16 +63,6 @@ fn huge_phase_len_still_counts_rounds_correctly() {
     assert_eq!(outcome.stats.phase_len, 100);
 }
 
-#[test]
-fn departures_can_be_disabled() {
-    let g = generators::path(2);
-    let p = DasProblem::new(&g, vec![one_hop(&g)], 1);
-    let units = vec![Unit::global(0, 0, 2)];
-    let config = ExecutorConfig::default().with_record_departures(false);
-    let outcome = run(&p, units, 1, config).unwrap();
-    assert!(outcome.departures.is_none());
-}
-
 /// A black box whose node 0 panics in its second step; every other
 /// machine is silent.
 struct PanicsAtNodeZero;

@@ -10,8 +10,10 @@
 //! The conformance table at the bottom drives one plan through every
 //! exchange of the production loop — `Local`, `InProcess` × {1, 2, 3, 7}
 //! shards, `Wire` × {1, 3} workers — against the row oracle, and the
-//! observed pipeline (`das_core::pipeline::run`) through the wire.
+//! observed pipeline (`das_core::pipeline::run`) through the wire, and the
+//! doubling search through the pipeline on every exchange.
 
+use das_core::doubling::Search;
 use das_core::net::on_localhost;
 use das_core::oracle::execute_row;
 use das_core::pipeline::{self, PlanFrom};
@@ -289,6 +291,58 @@ fn every_exchange_reproduces_the_row_oracle() {
                 "scheduler {}: {via:?} merged a different load profile",
                 sched.name()
             );
+        }
+    }
+}
+
+/// The doubling search is a plan source like any other: on every exchange
+/// it makes the same attempts, accepts the same plan and executes it to the
+/// same bytes, for both searches.
+#[test]
+fn every_exchange_runs_the_same_doubling_search() {
+    let g = generators::path(12);
+    let relays: Vec<Box<dyn BlackBoxAlgorithm>> = (0..16)
+        .map(|i| Box::new(RelayChain::new(i, &g)) as Box<dyn BlackBoxAlgorithm>)
+        .collect();
+    let p = DasProblem::new(&g, relays, 3); // congested: several attempts
+    let (uniform, private) = (UniformScheduler::default(), PrivateScheduler::default());
+    let searches = [
+        (Search::Uniform(&uniform), uniform.default_sched_seed()),
+        (Search::Private(&private), private.default_sched_seed()),
+    ];
+    for (search, seed) in searches {
+        let from = PlanFrom::Doubling {
+            search,
+            seed,
+            cap: None,
+        };
+        let run = |opts: ExecOptions<'_>| pipeline::run(&p, from, opts, &mut Stages::default());
+        let mut want = None;
+        for via in [
+            Via::Local,
+            Via::InProcess(2),
+            Via::InProcess(3),
+            Via::Wire(1),
+            Via::Wire(3),
+        ] {
+            let ran = match via {
+                Via::Local => run(ExecOptions::default()),
+                Via::InProcess(shards) => run(ExecOptions::sharded(shards)),
+                Via::Wire(workers) => {
+                    let (ran, joined) = on_localhost(&p, workers, &net(), run).expect("bind");
+                    assert!(joined.iter().all(Result::is_ok), "{joined:?}");
+                    ran
+                }
+            };
+            let ran = ran.expect("doubling run");
+            assert!(ran.verify.all_correct(), "{via:?}");
+            let search = ran.search.expect("a doubling run reports its search");
+            assert!(search.attempts > 1, "{via:?}: the instance forces doubling");
+            let got = (format!("{:?}", ran.executed.outcome), search);
+            match &want {
+                None => want = Some(got),
+                Some(want) => assert_eq!(want, &got, "{via:?}"),
+            }
         }
     }
 }

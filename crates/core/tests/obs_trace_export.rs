@@ -4,10 +4,11 @@
 //! `traceEvents` array, per-event `name`/`ph`/`pid`/`tid`/`ts` fields,
 //! metadata tracks naming each pipeline stage and each shard lane.
 
+use das_core::doubling::Search;
 use das_core::pipeline::{self, PlanFrom, Ran};
 use das_core::synthetic::RelayChain;
 use das_core::{
-    doubling, BlackBoxAlgorithm, DasProblem, DoublingConfig, ExecOptions, UniformScheduler,
+    BlackBoxAlgorithm, DasProblem, ExecOptions, PrivateScheduler, Scheduler, UniformScheduler,
 };
 use das_graph::generators;
 use das_obs::{ObsConfig, Stage, Stages, TraceEvent};
@@ -156,11 +157,18 @@ fn doubling_attempt_spans_cover_planning_only_once() {
     let p = problem(&g, 16); // congested: forces a multi-attempt search
     let obs = ObsConfig::full();
 
-    let cfg = DoublingConfig::default();
-    let (uni, report) =
-        doubling::uniform_with_doubling_configured(&p, &UniformScheduler::default(), &obs, &cfg)
-            .unwrap();
-    let r = report.expect("recording enabled");
+    let (uniform, private) = (UniformScheduler::default(), PrivateScheduler::default());
+    let run = |search, seed| {
+        let from = PlanFrom::Doubling {
+            search,
+            seed,
+            cap: None,
+        };
+        let opts = ExecOptions::default().with_obs(obs);
+        let ran = pipeline::run(&p, from, opts, &mut Stages::default()).unwrap();
+        (ran.search.unwrap(), ran.executed.outcome, ran.report)
+    };
+    let (uni, _, r) = run(Search::Uniform(&uniform), uniform.default_sched_seed());
     let spans: Vec<&TraceEvent> = r.events.iter().filter(|e| e.stage == Stage::Plan).collect();
     assert!(uni.attempts > 1, "instance must force the search to double");
     assert_eq!(spans.len(), uni.attempts as usize);
@@ -190,14 +198,7 @@ fn doubling_attempt_spans_cover_planning_only_once() {
     // the report still round-trips through the Chrome exporter
     check_chrome_schema(&r.to_chrome_trace());
 
-    let (prv, report) = doubling::private_with_doubling_configured(
-        &p,
-        &das_core::PrivateScheduler::default(),
-        &obs,
-        &cfg,
-    )
-    .unwrap();
-    let r = report.expect("recording enabled");
+    let (prv, prv_outcome, r) = run(Search::Private(&private), private.default_sched_seed());
     let spans: Vec<&TraceEvent> = r.events.iter().filter(|e| e.stage == Stage::Plan).collect();
     assert_eq!(spans.len(), prv.attempts as usize);
     for (i, e) in spans.iter().enumerate() {
@@ -211,7 +212,7 @@ fn doubling_attempt_spans_cover_planning_only_once() {
     assert_eq!(accepted.name, "attempt accepted");
     assert_eq!(
         accepted.dur,
-        prv.outcome.precompute_rounds - prv.wasted_rounds,
+        prv_outcome.precompute_rounds - prv.wasted_rounds,
         "the accepted private span covers exactly the once-charged pre-computation"
     );
 }

@@ -14,16 +14,16 @@
 //! *intended* plan change, run with `--nocapture`: the failure message
 //! lists every `(case, actual)` pair.
 
-use das_core::doubling::{private_with_doubling_configured, uniform_with_doubling_configured};
+use das_core::doubling::Search;
 use das_core::net::fnv1a;
+use das_core::pipeline::{self, PlanFrom, Ran};
 use das_core::synthetic::{FloodBall, RelayChain};
 use das_core::{
-    BlackBoxAlgorithm, DasProblem, DoublingConfig, DoublingOutcome, InterleaveScheduler,
-    PrivateDelayLaw, PrivateScheduler, Scheduler, SequentialScheduler, TunedUniformScheduler,
-    UniformScheduler,
+    BlackBoxAlgorithm, DasProblem, ExecOptions, InterleaveScheduler, PrivateDelayLaw,
+    PrivateScheduler, Scheduler, SequentialScheduler, TunedUniformScheduler, UniformScheduler,
 };
 use das_graph::{generators, Graph, NodeId};
-use das_obs::ObsConfig;
+use das_obs::Stages;
 
 const SCHED_SEED: u64 = 7;
 
@@ -142,7 +142,11 @@ fn plan_bytes_are_pinned_on_a_gnp() {
 /// One search's verdict on one line: what it decided, what it charged, and
 /// a hash of everything it executed (the final `ScheduleOutcome`'s debug
 /// dump: outputs, stats, departures).
-fn search_line(r: &DoublingOutcome) -> String {
+fn search_line(ran: &Ran) -> String {
+    let (r, outcome) = (
+        ran.search.as_ref().expect("a search"),
+        &ran.executed.outcome,
+    );
     format!(
         "attempts={} ranges={:?} final_guess={} wasted={} fell_back={} precompute={} outcome={:#018x}",
         r.attempts,
@@ -150,8 +154,8 @@ fn search_line(r: &DoublingOutcome) -> String {
         r.final_guess,
         r.wasted_rounds,
         r.fell_back,
-        r.outcome.precompute_rounds,
-        fnv1a(format!("{:?}", r.outcome).as_bytes()),
+        outcome.precompute_rounds,
+        fnv1a(format!("{outcome:?}").as_bytes()),
     )
 }
 
@@ -165,30 +169,25 @@ fn doubling_searches_are_pinned() {
         .map(|i| Box::new(RelayChain::new(i, &g)) as Box<dyn BlackBoxAlgorithm>)
         .collect();
     let p = DasProblem::new(&g, algos, 3);
-    let obs = ObsConfig::off();
-    let search = DoublingConfig::default();
-    let forced_fallback = DoublingConfig {
-        cap_override: Some(1),
-        ..DoublingConfig::default()
+    let (search, forced_fallback) = (None, Some(1));
+    let (uniform, private) = (UniformScheduler::default(), PrivateScheduler::default());
+    let run = |search, seed, cap| {
+        let from = PlanFrom::Doubling { search, seed, cap };
+        pipeline::run(&p, from, ExecOptions::default(), &mut Stages::default())
+            .expect("model-valid workload")
     };
-    let uniform = |cfg| {
-        let sched = UniformScheduler::default();
-        uniform_with_doubling_configured(&p, &sched, &obs, cfg).expect("model-valid workload")
-    };
-    let private = |cfg| {
-        let sched = PrivateScheduler::default();
-        private_with_doubling_configured(&p, &sched, &obs, cfg).expect("model-valid workload")
-    };
+    let uniform = |cap| run(Search::Uniform(&uniform), uniform.default_sched_seed(), cap);
+    let private = |cap| run(Search::Private(&private), private.default_sched_seed(), cap);
     let got = [
-        ("uniform", search_line(&uniform(&search).0)),
-        ("private", search_line(&private(&search).0)),
+        ("uniform", search_line(&uniform(search))),
+        ("private", search_line(&private(search))),
         (
             "uniform/forced_fallback",
-            search_line(&uniform(&forced_fallback).0),
+            search_line(&uniform(forced_fallback)),
         ),
         (
             "private/forced_fallback",
-            search_line(&private(&forced_fallback).0),
+            search_line(&private(forced_fallback)),
         ),
     ];
     let want = [
