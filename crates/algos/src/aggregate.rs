@@ -2,7 +2,7 @@
 //! root, then tell everyone. A classic low-congestion workload (each tree
 //! edge carries exactly two messages) with dilation `2·height + 1`.
 
-use das_core::{Aid, AlgoNode, BlackBoxAlgorithm, Inbox, Sends};
+use das_core::{Aid, AlgoNode, BlackBoxAlgorithm, Inbox, OutputSink, Sends};
 use das_graph::tree::RootedTree;
 use das_graph::{Graph, NodeId};
 
@@ -106,8 +106,10 @@ impl AlgoNode for TreeSumNode {
         self.round += 1;
     }
 
-    fn output(&self) -> Option<Vec<u8>> {
-        self.total.map(|t| t.to_le_bytes().to_vec())
+    fn output(&self, out: &mut OutputSink<'_>) {
+        if let Some(t) = self.total {
+            out.put(&t.to_le_bytes());
+        }
     }
 }
 

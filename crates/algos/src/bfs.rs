@@ -8,7 +8,7 @@
 
 use crate::adjacency::Adjacency;
 use das_congest::{util, NodeBatch};
-use das_core::{Aid, AlgoNode, BlackBoxAlgorithm, Inbox, Sends};
+use das_core::{Aid, AlgoNode, BlackBoxAlgorithm, Inbox, OutputSink, Sends};
 use das_graph::{Graph, NodeId};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -94,12 +94,11 @@ impl AlgoNode for HopBfsNode {
         self.round += 1;
     }
 
-    fn output(&self) -> Option<Vec<u8>> {
-        self.dist.map(|d| {
-            let mut v = d.to_le_bytes().to_vec();
-            v.extend_from_slice(&self.parent.map_or(u32::MAX, |p| p.0).to_le_bytes());
-            v
-        })
+    fn output(&self, out: &mut OutputSink<'_>) {
+        if let Some(d) = self.dist {
+            out.put(&d.to_le_bytes());
+            out.put(&self.parent.map_or(u32::MAX, |p| p.0).to_le_bytes());
+        }
     }
 }
 
@@ -177,13 +176,13 @@ impl AlgoNode for KBfsNode {
         }
     }
 
-    fn output(&self) -> Option<Vec<u8>> {
+    fn output(&self, out: &mut OutputSink<'_>) {
         let words: Vec<u64> = self
             .dist
             .iter()
             .map(|d| d.map_or(u64::MAX, |d| d as u64))
             .collect();
-        Some(util::encode(11, &words))
+        out.put(&util::encode(11, &words));
     }
 }
 
@@ -249,8 +248,9 @@ mod tests {
         let proto = KBfsProtocol::new(sources.clone(), h);
         let mut batch = proto.machines(&g);
         let ran = run_rounds(&g, &mut batch, Until::Quiet { limit: 1000 }, None).unwrap();
+        let outputs = batch.outputs();
         for v in g.nodes() {
-            let got = decode_kbfs_output(batch.output(v.index()).as_ref().unwrap());
+            let got = decode_kbfs_output(outputs[v.index()].as_ref().unwrap());
             for (i, &s) in sources.iter().enumerate() {
                 let want = traversal::bfs_distances(&g, s)[v.index()].filter(|&d| d <= h);
                 assert_eq!(got[i], want, "node {v} source {s}");

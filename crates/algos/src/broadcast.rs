@@ -9,7 +9,7 @@
 
 use crate::adjacency::Adjacency;
 use das_congest::{util, NodeBatch};
-use das_core::{Aid, AlgoNode, BlackBoxAlgorithm, Inbox, Sends};
+use das_core::{Aid, AlgoNode, BlackBoxAlgorithm, Inbox, OutputSink, Sends};
 use das_graph::{Graph, NodeId};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -91,12 +91,11 @@ impl AlgoNode for SingleBroadcastNode {
         self.round += 1;
     }
 
-    fn output(&self) -> Option<Vec<u8>> {
-        self.payload.map(|p| {
-            let mut v = p.to_le_bytes().to_vec();
-            v.extend_from_slice(&self.heard_at.expect("heard").to_le_bytes());
-            v
-        })
+    fn output(&self, out: &mut OutputSink<'_>) {
+        if let Some(p) = self.payload {
+            out.put(&p.to_le_bytes());
+            out.put(&self.heard_at.expect("heard").to_le_bytes());
+        }
     }
 }
 
@@ -195,8 +194,8 @@ impl AlgoNode for KBroadcastNode {
         }
     }
 
-    fn output(&self) -> Option<Vec<u8>> {
-        Some(self.digest.to_le_bytes().to_vec())
+    fn output(&self, out: &mut OutputSink<'_>) {
+        out.put(&self.digest.to_le_bytes());
     }
 }
 
@@ -247,9 +246,10 @@ mod tests {
         let mut batch = proto.machines(&g);
         let ran = run_rounds(&g, &mut batch, Until::Quiet { limit: 1000 }, None).unwrap();
         // correctness: digests match the expected k-hop coverage
+        let outputs = batch.outputs();
         for v in g.nodes() {
             let got = u64::from_le_bytes(
-                batch.output(v.index()).as_ref().unwrap()[..8]
+                outputs[v.index()].as_ref().unwrap()[..8]
                     .try_into()
                     .unwrap(),
             );
@@ -271,8 +271,9 @@ mod tests {
         run_rounds(&g, &mut batch, Until::Quiet { limit: 1000 }, None).unwrap();
         let expect_in = proto.expected_digest(&g, NodeId(3));
         assert_ne!(expect_in, 0);
-        let got3 = u64::from_le_bytes(batch.output(3).as_ref().unwrap()[..8].try_into().unwrap());
-        let got4 = u64::from_le_bytes(batch.output(4).as_ref().unwrap()[..8].try_into().unwrap());
+        let outputs = batch.outputs();
+        let got3 = u64::from_le_bytes(outputs[3].as_ref().unwrap()[..8].try_into().unwrap());
+        let got4 = u64::from_le_bytes(outputs[4].as_ref().unwrap()[..8].try_into().unwrap());
         assert_eq!(got3, expect_in);
         assert_eq!(got4, 0, "TTL 3 must not reach node 4");
     }

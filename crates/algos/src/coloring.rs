@@ -8,7 +8,7 @@
 //! cannot predict who sends when.
 
 use crate::adjacency::Adjacency;
-use das_core::{Aid, AlgoNode, BlackBoxAlgorithm, Inbox, Sends};
+use das_core::{Aid, AlgoNode, BlackBoxAlgorithm, Inbox, OutputSink, Sends};
 use das_graph::{Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -144,8 +144,8 @@ impl AlgoNode for ColoringNode {
         self.round += 1;
     }
 
-    fn output(&self) -> Option<Vec<u8>> {
-        Some(self.color.to_le_bytes().to_vec())
+    fn output(&self, out: &mut OutputSink<'_>) {
+        out.put(&self.color.to_le_bytes());
     }
 }
 

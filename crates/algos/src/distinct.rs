@@ -19,7 +19,7 @@
 //! let each node adopt the estimate from a covering layer.
 
 use das_cluster::{CarveConfig, Clustering, ShareConfig};
-use das_congest::{run_rounds, util, AlgoNode, Inbox, NodeBatch, Sends, Until};
+use das_congest::{run_rounds, util, AlgoNode, Inbox, NodeBatch, OutputSink, Sends, Until};
 use das_graph::{traversal, Graph, NodeId};
 
 /// Parameters of a distinct-elements instance.
@@ -208,7 +208,7 @@ impl AlgoNode for DistinctNode {
         }
     }
 
-    fn output(&self) -> Option<Vec<u8>> {
+    fn output(&self, out: &mut OutputSink<'_>) {
         // ones per threshold; estimate = first threshold where the OR
         // majority drops below 1/2
         let mut estimate = *self.thresholds.last().expect("non-empty");
@@ -221,7 +221,7 @@ impl AlgoNode for DistinctNode {
                 break;
             }
         }
-        Some(estimate.to_le_bytes().to_vec())
+        out.put(&estimate.to_le_bytes());
     }
 }
 

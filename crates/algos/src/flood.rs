@@ -5,7 +5,7 @@
 
 use crate::adjacency::Adjacency;
 use das_congest::{util, NodeBatch};
-use das_core::{Aid, AlgoNode, BlackBoxAlgorithm, Inbox, Sends};
+use das_core::{Aid, AlgoNode, BlackBoxAlgorithm, Inbox, OutputSink, Sends};
 use das_graph::{Graph, NodeId};
 use std::sync::Arc;
 
@@ -94,10 +94,9 @@ impl AlgoNode for LeaderNode {
         self.round += 1;
     }
 
-    fn output(&self) -> Option<Vec<u8>> {
-        let mut v = self.best.0.to_le_bytes().to_vec();
-        v.extend_from_slice(&self.best.1.to_le_bytes());
-        Some(v)
+    fn output(&self, out: &mut OutputSink<'_>) {
+        out.put(&self.best.0.to_le_bytes());
+        out.put(&self.best.1.to_le_bytes());
     }
 }
 
@@ -140,8 +139,8 @@ impl AlgoNode for MinIdNode {
         }
     }
 
-    fn output(&self) -> Option<Vec<u8>> {
-        Some(self.best.to_le_bytes().to_vec())
+    fn output(&self, out: &mut OutputSink<'_>) {
+        out.put(&self.best.to_le_bytes());
     }
 }
 

@@ -3,7 +3,7 @@
 
 use super::fragments::{capped_boruvka, FragmentDecomposition};
 use super::weights::{EdgeWeights, UnionFind};
-use das_core::{Aid, AlgoNode, BlackBoxAlgorithm, Inbox, Sends};
+use das_core::{Aid, AlgoNode, BlackBoxAlgorithm, Inbox, OutputSink, Sends};
 use das_graph::tree::RootedTree;
 use das_graph::{Graph, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -325,10 +325,9 @@ impl AlgoNode for MstNode {
         let _ = self.n_nodes;
     }
 
-    fn output(&self) -> Option<Vec<u8>> {
-        let mut out = self.incident_xor.to_le_bytes().to_vec();
-        out.extend_from_slice(&self.incident_count.to_le_bytes());
-        Some(out)
+    fn output(&self, out: &mut OutputSink<'_>) {
+        out.put(&self.incident_xor.to_le_bytes());
+        out.put(&self.incident_count.to_le_bytes());
     }
 }
 

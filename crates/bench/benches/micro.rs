@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use das_bench::{workloads, TrialRunner};
-use das_congest::{run_rounds, AlgoNode, Inbox, NodeBatch, Sends, Until};
+use das_congest::{run_rounds, AlgoNode, Inbox, NodeBatch, OutputSink, Sends, Until};
 use das_core::{Scheduler, SequentialScheduler, UniformScheduler};
 use das_graph::{generators, NodeId};
 use das_prg::{field::PrimeField, primes, KWiseGenerator};
@@ -19,9 +19,7 @@ impl AlgoNode for FirehoseNode {
         out.push_all(&self.neighbors, &self.t.to_le_bytes());
         self.t += 1;
     }
-    fn output(&self) -> Option<Vec<u8>> {
-        None
-    }
+    fn output(&self, _out: &mut OutputSink<'_>) {}
 }
 
 fn bench(c: &mut Criterion) {

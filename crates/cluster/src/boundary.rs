@@ -1,7 +1,7 @@
 //! Property (4) of Lemma 4.2: each node learns a radius around it that is
 //! fully contained in its cluster, via a flood from cluster boundaries.
 
-use das_congest::{run_rounds, util, AlgoNode, Inbox, NodeBatch, Sends, Until};
+use das_congest::{run_rounds, util, AlgoNode, Inbox, NodeBatch, OutputSink, Sends, Until};
 use das_graph::{Graph, NodeId};
 use std::collections::VecDeque;
 
@@ -127,11 +127,11 @@ impl AlgoNode for BoundaryNode {
         }
     }
 
-    fn output(&self) -> Option<Vec<u8>> {
-        Some(util::encode(
+    fn output(&self, out: &mut OutputSink<'_>) {
+        out.put(&util::encode(
             TAG_BOUNDARY,
             &[self.dist.unwrap_or(self.cap) as u64],
-        ))
+        ));
     }
 }
 

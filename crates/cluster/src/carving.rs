@@ -2,7 +2,7 @@
 //! distributed smallest-label flood with fake initial hop-counts.
 
 use crate::radius::TruncatedExponential;
-use das_congest::{run_rounds, util, AlgoNode, Inbox, NodeBatch, Sends, Until};
+use das_congest::{run_rounds, util, AlgoNode, Inbox, NodeBatch, OutputSink, Sends, Until};
 use das_graph::{Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -196,12 +196,12 @@ impl AlgoNode for CarvingNode {
         }
     }
 
-    fn output(&self) -> Option<Vec<u8>> {
+    fn output(&self, out: &mut OutputSink<'_>) {
         let best = match self.best_received {
             Some(b) if b < self.own_key => b,
             _ => self.own_key,
         };
-        Some(util::encode(TAG_CARVE, &[best.0, best.1 as u64]))
+        out.put(&util::encode(TAG_CARVE, &[best.0, best.1 as u64]));
     }
 }
 
@@ -423,8 +423,8 @@ mod tests {
         let proto = CarvingProtocol::new(params.clone());
         let mut batch = proto.machines(&g);
         run_rounds(&g, &mut batch, Until::exactly(proto.rounds_needed()), None).unwrap();
-        for v in g.nodes() {
-            let (label, center) = decode_carve_output(batch.output(v.index()).as_ref().unwrap());
+        for out in batch.outputs() {
+            let (label, center) = decode_carve_output(out.as_ref().unwrap());
             assert_eq!(label, params.label[center.index()]);
         }
     }

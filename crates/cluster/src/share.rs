@@ -9,7 +9,7 @@
 //! its own center's complete seed.
 
 use crate::layers::Layer;
-use das_congest::{run_rounds, util, AlgoNode, Inbox, NodeBatch, Sends, Until};
+use das_congest::{run_rounds, util, AlgoNode, Inbox, NodeBatch, OutputSink, Sends, Until};
 use das_graph::{Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -201,12 +201,12 @@ impl AlgoNode for SharingNode {
         }
     }
 
-    fn output(&self) -> Option<Vec<u8>> {
+    fn output(&self, out: &mut OutputSink<'_>) {
         let mut words = Vec::with_capacity(self.collected.len());
         for sub in 0..self.chunk_count {
             words.push(self.collected.get(&sub).copied().unwrap_or(u64::MAX));
         }
-        Some(util::encode(TAG_SHARE, &words))
+        out.put(&util::encode(TAG_SHARE, &words));
     }
 }
 

@@ -19,8 +19,14 @@
 //! segments itself. Neither direction copies a payload into a buffer of
 //! its own or allocates per message, whichever tier the machine
 //! implements.
+//!
+//! Outputs go the same way: a machine writes its output through an
+//! [`OutputSink`] into the engine's [`Outputs`] arena — one byte buffer for
+//! every (algorithm, node) of a run — and never hands back a buffer of its
+//! own.
 
 use das_graph::{Graph, NodeId};
+use std::convert::Infallible;
 use std::fmt;
 
 /// One message of an [`Inbox`]: its sender and where its payload lies in
@@ -306,6 +312,298 @@ impl<'a> Sends<'a> {
     }
 }
 
+/// Marks an [`Outputs`] entry whose machine wrote nothing.
+const NO_OUTPUT: u32 = 1 << 31;
+
+/// Every machine's output of a run in one arena: one byte buffer, and one
+/// entry per (algorithm, node) naming its bytes in it or saying that the
+/// machine wrote nothing.
+///
+/// The layout is canonical — row-major in (algorithm, node) order, each
+/// entry's bytes right after the previous entry's — so two arenas holding
+/// the same outputs are equal field for field, however they were filled,
+/// and `==` is a plain comparison. `{:?}` prints what the nested
+/// `Vec<Vec<Option<Vec<u8>>>>` of the same outputs prints.
+///
+/// An arena is filled once, entry by entry in that order, by
+/// [`Outputs::build`]: each entry is written through an [`OutputSink`],
+/// the way a step writes its sends through [`Sends`].
+///
+/// ```
+/// use das_congest::Outputs;
+///
+/// // two algorithms over three nodes; node 1 of algorithm 0 outputs nothing
+/// let outs = Outputs::build(2, 3, |a, v, out| {
+///     if (a, v) != (0, 1) {
+///         out.put(&[a as u8, v as u8]);
+///     }
+/// });
+/// assert_eq!(outs.get(1, 2), Some(&[1u8, 2][..]));
+/// assert_eq!(outs.get(0, 1), None);
+/// assert_eq!(
+///     format!("{outs:?}"),
+///     "[[Some([0, 0]), None, Some([0, 2])], [Some([1, 0]), Some([1, 1]), Some([1, 2])]]"
+/// );
+/// ```
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct Outputs {
+    rows: usize,
+    nodes: usize,
+    /// Per entry, in (algorithm, node) order: where its bytes end in
+    /// `bytes`, with [`NO_OUTPUT`] set when the machine wrote nothing (its
+    /// bytes are then empty).
+    ends: Vec<u32>,
+    bytes: Vec<u8>,
+}
+
+impl Outputs {
+    /// The most output bytes one arena holds, all entries together.
+    pub const MAX_BYTES: usize = NO_OUTPUT as usize - 1;
+
+    /// The arena of `rows` algorithms over `nodes` nodes whose entry
+    /// `(a, v)` is what `fill(a, v, sink)` writes; `fill` is called once
+    /// per entry, in (algorithm, node) order.
+    ///
+    /// # Panics
+    /// Panics if the outputs exceed [`Outputs::MAX_BYTES`] in total.
+    pub fn build(
+        rows: usize,
+        nodes: usize,
+        mut fill: impl FnMut(usize, usize, &mut OutputSink<'_>),
+    ) -> Outputs {
+        let filled = Outputs::try_build(rows, nodes, |a, v, out| {
+            fill(a, v, out);
+            Ok::<(), Infallible>(())
+        });
+        match filled {
+            Ok(outputs) => outputs,
+            Err(never) => match never {},
+        }
+    }
+
+    /// [`Outputs::build`] with a `fill` that can fail: the first error
+    /// ends the build and is returned.
+    ///
+    /// # Errors
+    /// Whatever `fill` fails with.
+    ///
+    /// # Panics
+    /// Panics if the outputs exceed [`Outputs::MAX_BYTES`] in total.
+    pub fn try_build<E>(
+        rows: usize,
+        nodes: usize,
+        mut fill: impl FnMut(usize, usize, &mut OutputSink<'_>) -> Result<(), E>,
+    ) -> Result<Outputs, E> {
+        let mut ends = Vec::with_capacity(rows * nodes);
+        let mut bytes = Vec::new();
+        for a in 0..rows {
+            for v in 0..nodes {
+                let mut sink = OutputSink::new(&mut bytes);
+                fill(a, v, &mut sink)?;
+                let written = sink.written;
+                assert!(
+                    bytes.len() <= Outputs::MAX_BYTES,
+                    "a run's outputs exceed {} bytes",
+                    Outputs::MAX_BYTES
+                );
+                let end = bytes.len() as u32;
+                ends.push(if written { end } else { end | NO_OUTPUT });
+            }
+        }
+        Ok(Outputs {
+            rows,
+            nodes,
+            ends,
+            bytes,
+        })
+    }
+
+    /// Number of algorithms (rows).
+    pub fn len(&self) -> usize {
+        self.rows
+    }
+
+    /// True when the arena holds no algorithm.
+    pub fn is_empty(&self) -> bool {
+        self.rows == 0
+    }
+
+    /// The output of algorithm `a` at node `v` (`None` if its machine
+    /// wrote nothing).
+    ///
+    /// # Panics
+    /// Panics if `a` or `v` is out of range.
+    pub fn get(&self, a: usize, v: usize) -> Option<&[u8]> {
+        self.row(a).get(v)
+    }
+
+    /// Algorithm `a`'s outputs at every node.
+    ///
+    /// # Panics
+    /// Panics if `a` is out of range.
+    pub fn row(&self, a: usize) -> OutputRow<'_> {
+        assert!(a < self.rows, "algorithm {a} of {}", self.rows);
+        let lo = a * self.nodes;
+        OutputRow {
+            start: if lo == 0 {
+                0
+            } else {
+                span_end(self.ends[lo - 1])
+            },
+            ends: &self.ends[lo..lo + self.nodes],
+            bytes: &self.bytes,
+        }
+    }
+
+    /// Every algorithm's row, in algorithm order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = OutputRow<'_>> + '_ {
+        (0..self.rows).map(|a| self.row(a))
+    }
+}
+
+impl fmt::Debug for Outputs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Where an entry's bytes end, its [`NO_OUTPUT`] mark cleared.
+#[inline]
+fn span_end(end: u32) -> usize {
+    (end & !NO_OUTPUT) as usize
+}
+
+/// One algorithm's outputs at every node: a row of an [`Outputs`] arena.
+/// Two rows are equal when they hold the same outputs, whatever arenas
+/// they lie in; `{:?}` prints what the `Vec<Option<Vec<u8>>>` of the same
+/// outputs prints.
+#[derive(Clone, Copy)]
+pub struct OutputRow<'a> {
+    /// Where the row's first entry's bytes start.
+    start: usize,
+    ends: &'a [u32],
+    bytes: &'a [u8],
+}
+
+impl<'a> OutputRow<'a> {
+    /// Number of nodes.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True when the row covers no node.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The output at node `v` (`None` if its machine wrote nothing).
+    ///
+    /// # Panics
+    /// Panics if `v` is out of range.
+    pub fn get(&self, v: usize) -> Option<&'a [u8]> {
+        let end = self.ends[v];
+        let start = if v == 0 {
+            self.start
+        } else {
+            span_end(self.ends[v - 1])
+        };
+        (end & NO_OUTPUT == 0).then(|| &self.bytes[start..end as usize])
+    }
+
+    /// The outputs in node order.
+    pub fn iter(&self) -> OutputRowIter<'a> {
+        OutputRowIter {
+            start: self.start,
+            ends: self.ends.iter(),
+            bytes: self.bytes,
+        }
+    }
+
+    /// The outputs, each copied into a buffer of its own.
+    pub fn to_vec(&self) -> Vec<Option<Vec<u8>>> {
+        self.iter().map(|out| out.map(<[u8]>::to_vec)).collect()
+    }
+}
+
+impl fmt::Debug for OutputRow<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl PartialEq for OutputRow<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for OutputRow<'_> {}
+
+impl<'a> IntoIterator for OutputRow<'a> {
+    type Item = Option<&'a [u8]>;
+    type IntoIter = OutputRowIter<'a>;
+
+    fn into_iter(self) -> OutputRowIter<'a> {
+        self.iter()
+    }
+}
+
+/// The outputs of an [`OutputRow`], in node order.
+#[derive(Clone)]
+pub struct OutputRowIter<'a> {
+    start: usize,
+    ends: std::slice::Iter<'a, u32>,
+    bytes: &'a [u8],
+}
+
+impl<'a> Iterator for OutputRowIter<'a> {
+    type Item = Option<&'a [u8]>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        let end = *self.ends.next()?;
+        let start = std::mem::replace(&mut self.start, span_end(end));
+        Some((end & NO_OUTPUT == 0).then(|| &self.bytes[start..end as usize]))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.ends.size_hint()
+    }
+}
+
+impl ExactSizeIterator for OutputRowIter<'_> {}
+
+/// One machine's view of the output arena while it writes its output: it
+/// can append bytes and nothing else. Writing nothing means the machine
+/// has no output; `put(&[])` means an empty one; several puts append.
+///
+/// ```compile_fail,E0599
+/// fn sloppy(out: &mut das_congest::OutputSink<'_>) {
+///     out.clear(); // a machine can only append to its own output
+/// }
+/// ```
+pub struct OutputSink<'a> {
+    bytes: &'a mut Vec<u8>,
+    written: bool,
+}
+
+impl<'a> OutputSink<'a> {
+    /// A writer appending to `bytes`.
+    fn new(bytes: &'a mut Vec<u8>) -> Self {
+        OutputSink {
+            bytes,
+            written: false,
+        }
+    }
+
+    /// Appends `bytes` to this machine's output (and makes it present).
+    #[inline]
+    pub fn put(&mut self, bytes: &[u8]) {
+        self.bytes.extend_from_slice(bytes);
+        self.written = true;
+    }
+}
+
 /// The per-node state machine of one algorithm — the paper's format:
 /// *"when this algorithm is run alone, in each round each node knows what
 /// to send in the next round"*, as a function of the node's input, its
@@ -325,9 +623,9 @@ pub trait AlgoNode: Send {
     /// go to `out`.
     fn step(&mut self, inbox: Inbox<'_>, out: &mut Sends<'_>);
 
-    /// The node's output once all rounds have been stepped (`None` if this
-    /// node produces no output for this algorithm).
-    fn output(&self) -> Option<Vec<u8>>;
+    /// Writes the node's output once all rounds have been stepped. Writing
+    /// nothing means this node produces no output for this algorithm.
+    fn output(&self, out: &mut OutputSink<'_>);
 }
 
 /// One step of a [`NodeBatch`] inside an [`AlgoSlab::step_block`] call:
@@ -372,8 +670,9 @@ pub trait AlgoSlab: Send {
         }
     }
 
-    /// The output of machine `i` once all its rounds have been stepped.
-    fn output(&self, i: usize) -> Option<Vec<u8>>;
+    /// Writes the output of machine `i` once all its rounds have been
+    /// stepped (see [`AlgoNode::output`]).
+    fn output(&self, i: usize, out: &mut OutputSink<'_>);
 }
 
 /// All machines of one algorithm over a node set, built in one pass: a
@@ -443,14 +742,27 @@ impl NodeBatch {
         assert_segments(out, before, steps.len());
     }
 
-    /// The output of machine `i`.
-    pub fn output(&self, i: usize) -> Option<Vec<u8>> {
-        self.slab.output(i)
+    /// Writes the output of machine `i` (see [`AlgoSlab::output`]).
+    pub fn output(&self, i: usize, out: &mut OutputSink<'_>) {
+        self.slab.output(i, out);
     }
 
-    /// Every machine's output, in machine order.
+    /// Every machine's output, in machine order, each in a buffer of its
+    /// own — for a caller that keeps one machine set's outputs apart, as
+    /// an alone run does. An executor writes into one [`Outputs`] arena
+    /// instead.
     pub fn outputs(&self) -> Vec<Option<Vec<u8>>> {
-        (0..self.len).map(|i| self.slab.output(i)).collect()
+        // one scratch buffer for every machine, so each output is copied
+        // into a buffer of its exact size, once
+        let mut scratch = Vec::new();
+        (0..self.len)
+            .map(|i| {
+                scratch.clear();
+                let mut sink = OutputSink::new(&mut scratch);
+                self.slab.output(i, &mut sink);
+                sink.written.then(|| scratch.to_vec())
+            })
+            .collect()
     }
 }
 
@@ -478,8 +790,8 @@ impl AlgoSlab for BoxedSlab {
         out.end_segment();
     }
 
-    fn output(&self, i: usize) -> Option<Vec<u8>> {
-        self.machines[i].output()
+    fn output(&self, i: usize, out: &mut OutputSink<'_>) {
+        self.machines[i].output(out);
     }
 }
 
@@ -497,9 +809,7 @@ mod tests {
             out.end_segment();
         }
 
-        fn output(&self, _i: usize) -> Option<Vec<u8>> {
-            None
-        }
+        fn output(&self, _i: usize, _out: &mut OutputSink<'_>) {}
     }
 
     #[test]
@@ -550,6 +860,96 @@ mod tests {
             reach_past.is_err(),
             "a step's inbox cannot read its neighbours'"
         );
+    }
+
+    /// The arena holding `nested`'s outputs, written entry by entry.
+    fn arena_of(nested: &[Vec<Option<Vec<u8>>>], nodes: usize) -> Outputs {
+        Outputs::build(nested.len(), nodes, |a, v, out| {
+            if let Some(bytes) = &nested[a][v] {
+                out.put(bytes);
+            }
+        })
+    }
+
+    #[test]
+    fn outputs_print_and_read_as_the_nested_vectors() {
+        let table: Vec<Vec<Vec<Option<Vec<u8>>>>> = vec![
+            vec![],
+            vec![vec![], vec![]],
+            vec![vec![Some(vec![])]],
+            vec![
+                vec![Some(vec![1, 2, 3]), None, Some(vec![]), Some(vec![255])],
+                vec![None, None, None, None],
+                vec![Some(vec![]), Some(vec![7; 13]), None, Some(vec![0, 0])],
+            ],
+        ];
+        for nested in &table {
+            let nodes = nested.first().map_or(0, Vec::len);
+            let outs = arena_of(nested, nodes);
+            assert_eq!(format!("{outs:?}"), format!("{nested:?}"));
+            assert_eq!(format!("{outs:#?}"), format!("{nested:#?}"));
+            assert_eq!(outs.len(), nested.len());
+            for (a, per_node) in nested.iter().enumerate() {
+                let row = outs.row(a);
+                assert_eq!(row.to_vec(), *per_node);
+                assert_eq!(format!("{row:?}"), format!("{per_node:?}"));
+                for (v, want) in per_node.iter().enumerate() {
+                    assert_eq!(outs.get(a, v), want.as_deref());
+                    assert_eq!(row.get(v), want.as_deref());
+                }
+            }
+        }
+        // k = 0 of any width is the empty list; n = 0 rows are empty lists
+        assert_eq!(format!("{:?}", Outputs::build(0, 5, |_, _, _| ())), "[]");
+        assert_eq!(
+            format!("{:?}", Outputs::build(2, 0, |_, _, _| ())),
+            "[[], []]"
+        );
+    }
+
+    #[test]
+    fn an_empty_output_is_not_a_missing_one() {
+        let empty = Outputs::build(1, 1, |_, _, out| out.put(&[]));
+        let missing = Outputs::build(1, 1, |_, _, _| ());
+        assert_eq!(empty.get(0, 0), Some(&[][..]));
+        assert_eq!(missing.get(0, 0), None);
+        assert_ne!(empty, missing);
+        assert_ne!(empty.row(0), missing.row(0));
+        // several puts append to one output
+        let two = Outputs::build(1, 2, |_, v, out| {
+            out.put(&[v as u8]);
+            out.put(&[9]);
+        });
+        assert_eq!(
+            two.row(0).to_vec(),
+            vec![Some(vec![0, 9]), Some(vec![1, 9])]
+        );
+    }
+
+    #[test]
+    fn equal_rows_of_different_arenas_compare_equal() {
+        let nested = vec![
+            vec![Some(vec![5]), None],
+            vec![Some(vec![1, 2]), Some(vec![])],
+        ];
+        let outs = arena_of(&nested, 2);
+        let alone = arena_of(&nested[1..], 2);
+        assert_eq!(outs.row(1), alone.row(0));
+        assert_ne!(outs.row(0), alone.row(0));
+        assert_eq!(outs.iter().count(), 2);
+    }
+
+    #[test]
+    fn a_failing_fill_ends_the_build() {
+        let failed = Outputs::try_build(2, 3, |a, v, out| {
+            out.put(&[1]);
+            if (a, v) == (1, 0) {
+                Err(format!("entry {a}, {v}"))
+            } else {
+                Ok(())
+            }
+        });
+        assert_eq!(failed, Err("entry 1, 0".to_string()));
     }
 
     #[test]

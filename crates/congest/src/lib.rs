@@ -10,7 +10,8 @@
 //! * machine I/O — a machine ([`AlgoNode`], or a whole slab of them,
 //!   [`AlgoSlab`] / [`NodeBatch`]) reads one round's messages as a
 //!   borrowed, sender-sorted [`Inbox`] and writes its sends through
-//!   [`Sends`] into a [`BatchedSends`] arena;
+//!   [`Sends`] into a [`BatchedSends`] arena, and its output through an
+//!   [`OutputSink`] into an [`Outputs`] arena;
 //! * the one round loop, [`run_rounds`], which runs a [`NodeBatch`] for
 //!   exactly `T` rounds (optionally truncated per node) or until a round
 //!   in which nobody sent, and optionally records every message's
@@ -24,7 +25,7 @@
 //! private seed fixed when it is built.
 //!
 //! ```
-//! use das_congest::{run_rounds, AlgoNode, Inbox, NodeBatch, Sends, Until};
+//! use das_congest::{run_rounds, AlgoNode, Inbox, NodeBatch, OutputSink, Sends, Until};
 //! use das_graph::{generators, NodeId};
 //!
 //! /// Each node floods the smallest id it has seen (leader election).
@@ -40,7 +41,7 @@
 //!             out.push_all(&self.neighbors, &self.best.to_le_bytes());
 //!         }
 //!     }
-//!     fn output(&self) -> Option<Vec<u8>> { Some(self.best.to_le_bytes().to_vec()) }
+//!     fn output(&self, out: &mut OutputSink<'_>) { out.put(&self.best.to_le_bytes()) }
 //! }
 //!
 //! let g = generators::path(8);
@@ -65,6 +66,7 @@ mod rounds;
 pub mod util;
 
 pub use io::{
-    AlgoNode, AlgoSlab, BatchedSends, BlockStep, Inbox, InboxBuf, InboxIter, NodeBatch, Sends,
+    AlgoNode, AlgoSlab, BatchedSends, BlockStep, Inbox, InboxBuf, InboxIter, NodeBatch, OutputRow,
+    OutputRowIter, OutputSink, Outputs, Sends,
 };
 pub use rounds::{run_rounds, ReferenceError, Tally, Until, MESSAGE_BYTES};

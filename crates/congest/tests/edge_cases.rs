@@ -2,7 +2,8 @@
 //! sizes, model violations and termination corners.
 
 use das_congest::{
-    run_rounds, AlgoNode, Inbox, NodeBatch, ReferenceError, Sends, Tally, Until, MESSAGE_BYTES,
+    run_rounds, AlgoNode, Inbox, NodeBatch, OutputSink, ReferenceError, Sends, Tally, Until,
+    MESSAGE_BYTES,
 };
 use das_graph::{generators, Graph, GraphBuilder, NodeId};
 use das_pattern::CommPattern;
@@ -23,9 +24,7 @@ impl AlgoNode for OneShot {
             out.push_all(&self.neighbors, &vec![0u8; self.size]);
         }
     }
-    fn output(&self) -> Option<Vec<u8>> {
-        None
-    }
+    fn output(&self, _out: &mut OutputSink<'_>) {}
 }
 
 fn one_shot(g: &Graph, size: usize) -> NodeBatch {
@@ -44,9 +43,7 @@ impl AlgoNode for Chatter {
     fn step(&mut self, _inbox: Inbox<'_>, out: &mut Sends<'_>) {
         out.push_all(&self.0, &[7]);
     }
-    fn output(&self) -> Option<Vec<u8>> {
-        None
-    }
+    fn output(&self, _out: &mut OutputSink<'_>) {}
 }
 
 fn chatter(g: &Graph) -> NodeBatch {
@@ -72,8 +69,8 @@ impl AlgoNode for MinFlood {
             out.push_all(&self.neighbors, &self.best.to_le_bytes());
         }
     }
-    fn output(&self) -> Option<Vec<u8>> {
-        Some(self.best.to_le_bytes().to_vec())
+    fn output(&self, out: &mut OutputSink<'_>) {
+        out.put(&self.best.to_le_bytes());
     }
 }
 
@@ -230,9 +227,7 @@ impl AlgoNode for Violator {
             }
         }
     }
-    fn output(&self) -> Option<Vec<u8>> {
-        None
-    }
+    fn output(&self, _out: &mut OutputSink<'_>) {}
 }
 
 #[test]
@@ -299,8 +294,8 @@ impl AlgoNode for Senders {
         // a hub's neighbours must not reach it in ascending order by luck
         out.push_all(&self.neighbors, &[]);
     }
-    fn output(&self) -> Option<Vec<u8>> {
-        Some(self.seen.clone())
+    fn output(&self, out: &mut OutputSink<'_>) {
+        out.put(&self.seen);
     }
 }
 
@@ -316,9 +311,10 @@ fn inboxes_list_senders_in_ascending_order() {
     run_rounds(&g, &mut batch, Until::exactly(3), None).unwrap();
     let spokes: Vec<u8> = (1..9).collect();
     // the hub saw every spoke in rounds 1 and 2, in id order
-    assert_eq!(batch.output(0).unwrap(), [spokes.clone(), spokes].concat());
-    for v in 1..9 {
-        assert_eq!(batch.output(v).unwrap(), [0, 0]);
+    let outputs = batch.outputs();
+    assert_eq!(outputs[0], Some([spokes.clone(), spokes].concat()));
+    for out in &outputs[1..9] {
+        assert_eq!(*out, Some(vec![0, 0]));
     }
 }
 
@@ -330,8 +326,8 @@ impl AlgoNode for Counter {
         // mail to a truncated node is dropped, not an error
         out.push(NodeId(0), &[]);
     }
-    fn output(&self) -> Option<Vec<u8>> {
-        Some(vec![self.0])
+    fn output(&self, out: &mut OutputSink<'_>) {
+        out.put(&[self.0]);
     }
 }
 

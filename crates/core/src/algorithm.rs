@@ -2,7 +2,8 @@
 //!
 //! A [`BlackBoxAlgorithm`] is a factory for per-node machines. The machines
 //! and their I/O — [`AlgoNode`], the batched tier [`AlgoSlab`] /
-//! [`NodeBatch`], [`Inbox`] and [`Sends`] — are the CONGEST model's own,
+//! [`NodeBatch`], [`Inbox`], [`Sends`] and the output arena [`Outputs`]
+//! with its [`OutputSink`] — are the CONGEST model's own,
 //! defined in `das_congest` and re-exported here. The *specification tier*
 //! is [`AlgoNode::step`]: one virtual call per (algorithm, node, round),
 //! exactly the paper's format. The *batched tier* is opt-in and exists
@@ -17,7 +18,8 @@
 //! ([`crate::oracle::execute_row`]) by construction.
 
 pub use das_congest::{
-    AlgoNode, AlgoSlab, BatchedSends, BlockStep, Inbox, InboxBuf, InboxIter, NodeBatch, Sends,
+    AlgoNode, AlgoSlab, BatchedSends, BlockStep, Inbox, InboxBuf, InboxIter, NodeBatch, OutputRow,
+    OutputSink, Outputs, Sends,
 };
 use das_graph::NodeId;
 use serde::{Deserialize, Serialize};

@@ -285,7 +285,7 @@ pub fn derandomize(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::{Inbox, Sends};
+    use crate::algorithm::{Inbox, OutputSink, Sends};
     use das_graph::generators;
 
     /// Demo Bellagio algorithm: "is the number of distinct inputs in my
@@ -367,10 +367,10 @@ mod tests {
             self.round += 1;
         }
 
-        fn output(&self) -> Option<Vec<u8>> {
+        fn output(&self, out: &mut OutputSink<'_>) {
             // majority of the OR bits decides
             let ones = self.acc.count_ones();
-            Some(vec![(ones > self.iters / 2) as u8])
+            out.put(&[(ones > self.iters / 2) as u8]);
         }
     }
 
@@ -483,9 +483,7 @@ mod tests {
             out.push(NodeId(2), &[1]);
         }
 
-        fn output(&self) -> Option<Vec<u8>> {
-            None
-        }
+        fn output(&self, _out: &mut OutputSink<'_>) {}
     }
 
     #[test]

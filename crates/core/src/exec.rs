@@ -495,7 +495,7 @@ mod tests {
         let units = vec![Unit::global(0, 0, 8)];
         let outcome = run(&p, &plan(&p, units, 1), &ExecutorConfig::default()).unwrap();
         let reference = &p.references().unwrap()[0];
-        assert_eq!(outcome.outputs[0], reference.outputs);
+        assert_eq!(outcome.outputs.row(0).to_vec(), reference.outputs);
         assert_eq!(outcome.stats.late_messages, 0);
         // one message per round, phase 1: 7 rounds of activity
         assert_eq!(outcome.stats.delivered, 7);
@@ -535,8 +535,8 @@ mod tests {
         let outcome = run(&p, &plan(&p, units, 1), &ExecutorConfig::default()).unwrap();
         assert_eq!(outcome.stats.late_messages, 0);
         let refs = p.references().unwrap();
-        assert_eq!(outcome.outputs[0], refs[0].outputs);
-        assert_eq!(outcome.outputs[1], refs[1].outputs);
+        assert_eq!(outcome.outputs.row(0).to_vec(), refs[0].outputs);
+        assert_eq!(outcome.outputs.row(1).to_vec(), refs[1].outputs);
         // length: second relay starts at big-round 1, runs 5 rounds
         assert_eq!(outcome.stats.engine_rounds, 6);
     }
@@ -565,9 +565,9 @@ mod tests {
         }];
         let outcome = run(&p, &plan(&p, units, 1), &ExecutorConfig::default()).unwrap();
         // nodes 0..3 heard (they step rounds 0..3), beyond never stepped
-        let out = &outcome.outputs[0];
-        assert_eq!(out[2].as_ref().unwrap()[0], 1);
-        assert_eq!(out[6].as_ref().unwrap()[0], 0);
+        let out = outcome.outputs.row(0);
+        assert_eq!(out.get(2).unwrap()[0], 1);
+        assert_eq!(out.get(6).unwrap()[0], 0);
     }
 
     #[test]
@@ -580,7 +580,10 @@ mod tests {
         let units = vec![Unit::global(0, 3, 5), Unit::global(0, 1, 5)];
         let outcome = run(&p, &plan(&p, units, 1), &ExecutorConfig::default()).unwrap();
         assert_eq!(outcome.stats.delivered, 4, "one copy of each message");
-        assert_eq!(outcome.outputs[0], p.references().unwrap()[0].outputs);
+        assert_eq!(
+            outcome.outputs.row(0).to_vec(),
+            p.references().unwrap()[0].outputs
+        );
     }
 
     #[test]

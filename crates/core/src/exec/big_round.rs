@@ -46,7 +46,7 @@ use super::columnar::{
     arc_endpoint_table, build_batches, build_departures, ArrivalArena, ColFifo, FlatSteps,
 };
 use super::{ExecError, ExecStats, ExecutorConfig, ShardReport, ShardStats};
-use crate::algorithm::{BatchedSends, BlackBoxAlgorithm, BlockStep};
+use crate::algorithm::{BatchedSends, BlackBoxAlgorithm, BlockStep, OutputRow, Outputs};
 use crate::problem::DasProblem;
 use crate::schedule::ScheduleOutcome;
 use crate::wire::{Flight, FlightGroup};
@@ -338,10 +338,10 @@ impl<'e> ShardCtx<'e> {
 pub struct ShardOutput {
     /// Owned nodes, ascending (the local index space).
     pub own: Vec<NodeId>,
-    /// `outputs[a][local]` for the owned nodes.
-    pub outputs: Vec<Vec<Option<Vec<u8>>>>,
+    /// The owned nodes' outputs, `outputs.get(a, local)`.
+    pub outputs: Outputs,
     /// Per algorithm, the engine round each message on an owned arc
-    /// departed in (empty unless departures are recorded).
+    /// departed in.
     pub departures: Vec<SimulationMap>,
     /// Counters only; the merged schedule length is derived from
     /// `last_activity_round`.
@@ -666,10 +666,7 @@ pub(crate) fn big_round_loop<X: Exchange>(
     }
 
     shard.delivered = stats.delivered;
-    let outputs = batches
-        .iter()
-        .map(|batch| (0..own_n).map(|li| batch.output(li)).collect())
-        .collect();
+    let outputs = Outputs::build(k, own_n, |a, li, out| batches[a].output(li, out));
     Ok(ShardOutput {
         own,
         outputs,
@@ -691,9 +688,9 @@ pub(crate) fn merge_shards(
     n: usize,
     k: usize,
     steps: &FlatSteps,
-    shards: Vec<ShardOutput>,
+    mut shards: Vec<ShardOutput>,
 ) -> (ScheduleOutcome, ShardReport) {
-    let mut outputs: Option<Vec<Vec<Option<Vec<u8>>>>> = None;
+    let outputs = merge_outputs(n, k, &mut shards);
     let mut departures: Vec<SimulationMap> = vec![SimulationMap::new(); k];
     let mut stats = ExecStats {
         phase_len: steps.phase_len,
@@ -713,17 +710,6 @@ pub(crate) fn merge_shards(
         // every shard leaves the lockstep loop at the same big-round
         stats.big_rounds = w.big_rounds;
         last_activity_round = last_activity_round.max(w.last_activity_round);
-        let whole = w.own.len() == n && w.own.iter().enumerate().all(|(i, v)| v.index() == i);
-        if outputs.is_none() && whole {
-            outputs = Some(w.outputs);
-        } else {
-            let merged = outputs.get_or_insert_with(|| vec![vec![None; n]; k]);
-            for (per_node, outs) in merged.iter_mut().zip(w.outputs) {
-                for (out, v) in outs.into_iter().zip(&w.own) {
-                    per_node[v.index()] = out;
-                }
-            }
-        }
         for (map, run) in departures.iter_mut().zip(w.departures) {
             *map = std::mem::take(map).merge(run);
         }
@@ -734,10 +720,109 @@ pub(crate) fn merge_shards(
     // any drain tail.
     stats.engine_rounds = steps.schedule_rounds(last_activity_round);
     let outcome = ScheduleOutcome {
-        outputs: outputs.unwrap_or_else(|| vec![vec![None; n]; k]),
+        outputs,
         stats,
         departures: Some(departures),
         precompute_rounds: 0,
     };
     (outcome, report)
+}
+
+/// The shards' outputs in the canonical (algorithm, node) arena. A lone
+/// shard owning every node hands its arena over untouched; otherwise each
+/// entry is copied from the shard owning its node — partitions interleave,
+/// so the shard arenas cannot simply be concatenated. A node no shard
+/// owns has no output.
+fn merge_outputs(n: usize, k: usize, shards: &mut [ShardOutput]) -> Outputs {
+    if let [lone] = shards {
+        let whole = lone.own.len() == n && lone.own.iter().enumerate().all(|(i, v)| v.index() == i);
+        if whole {
+            return std::mem::take(&mut lone.outputs);
+        }
+    }
+    // (shard, local index) of every node
+    let mut owner = vec![(usize::MAX, 0); n];
+    for (s, w) in shards.iter().enumerate() {
+        for (li, v) in w.own.iter().enumerate() {
+            owner[v.index()] = (s, li);
+        }
+    }
+    // every shard's row of the algorithm being filled
+    let (mut rows, mut rows_of) = (Vec::with_capacity(shards.len()), usize::MAX);
+    Outputs::build(k, n, |a, v, out| {
+        if a != rows_of {
+            rows.clear();
+            rows.extend(shards.iter().map(|w| w.outputs.row(a)));
+            rows_of = a;
+        }
+        let (s, li) = owner[v];
+        if let Some(bytes) = rows.get(s).and_then(|row: &OutputRow<'_>| row.get(li)) {
+            out.put(bytes);
+        }
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::algorithm::{Aid, AlgoNode, BlackBoxAlgorithm, Inbox, OutputSink, Sends};
+    use crate::synthetic::FloodBall;
+    use crate::{execute, DasProblem, ExecOptions, Scheduler, UniformScheduler};
+    use das_graph::{generators, NodeId};
+
+    /// One silent round; then node `v` outputs nothing if `v ≡ 0`, an empty
+    /// output if `v ≡ 1` and its id if `v ≡ 2 (mod 3)`, so every shard's
+    /// arena interleaves all three kinds of entry.
+    struct Mixed;
+
+    struct MixedNode(NodeId);
+
+    impl AlgoNode for MixedNode {
+        fn step(&mut self, _inbox: Inbox<'_>, _out: &mut Sends<'_>) {}
+
+        fn output(&self, out: &mut OutputSink<'_>) {
+            match self.0 .0 % 3 {
+                0 => {}
+                1 => out.put(&[]),
+                _ => out.put(&self.0 .0.to_le_bytes()),
+            }
+        }
+    }
+
+    impl BlackBoxAlgorithm for Mixed {
+        fn aid(&self) -> Aid {
+            Aid(1)
+        }
+
+        fn rounds(&self) -> u32 {
+            1
+        }
+
+        fn create_node(&self, v: NodeId, _n: usize, _seed: u64) -> Box<dyn AlgoNode> {
+            Box::new(MixedNode(v))
+        }
+    }
+
+    #[test]
+    fn merged_outputs_equal_the_fused_arena() {
+        let g = generators::grid(5, 5);
+        let algos: Vec<Box<dyn BlackBoxAlgorithm>> = vec![
+            Box::new(FloodBall::new(0, &g, NodeId(3), 4)),
+            Box::new(Mixed),
+            Box::new(FloodBall::new(2, &g, NodeId(17), 2)),
+        ];
+        let p = DasProblem::new(&g, algos, 5);
+        let plan = UniformScheduler::default().plan(&p, 7).expect("plan");
+        let fused = execute(&p, &plan, ExecOptions::default())
+            .expect("fused")
+            .outcome;
+        assert_eq!(fused.outputs.get(1, 3), None);
+        assert_eq!(fused.outputs.get(1, 4), Some(&[][..]));
+        assert_eq!(fused.outputs.get(1, 5), Some(&5u32.to_le_bytes()[..]));
+        for shards in [2, 3] {
+            let merged = execute(&p, &plan, ExecOptions::sharded(shards)).expect("sharded");
+            assert_eq!(merged.shard.shards, shards);
+            assert_eq!(merged.outcome.outputs, fused.outputs, "{shards} shards");
+            assert_eq!(format!("{:?}", merged.outcome), format!("{fused:?}"));
+        }
+    }
 }

@@ -89,7 +89,7 @@ pub mod wire;
 
 pub use algorithm::{
     Aid, AlgoNode, AlgoSlab, BatchedSends, BlackBoxAlgorithm, BlockStep, Inbox, InboxBuf,
-    InboxIter, NodeBatch, Sends,
+    InboxIter, NodeBatch, OutputRow, OutputSink, Outputs, Sends,
 };
 #[doc(hidden)]
 pub use compat::*;

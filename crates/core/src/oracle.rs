@@ -9,7 +9,7 @@
 //! signature (there is no sharded or networked oracle) and records no
 //! observability.
 
-use crate::algorithm::{AlgoNode, BatchedSends, BlackBoxAlgorithm, InboxBuf, Sends};
+use crate::algorithm::{AlgoNode, BatchedSends, BlackBoxAlgorithm, InboxBuf, Outputs, Sends};
 use crate::exec::{ExecStats, ExecutorConfig, Unit};
 use crate::plan::{SchedError, SchedulePlan};
 use crate::problem::DasProblem;
@@ -196,10 +196,7 @@ fn run(
         .saturating_mul(phase_len)
         .max(last_activity_round);
 
-    let outputs = machines
-        .iter()
-        .map(|per_node| per_node.iter().map(|m| m.output()).collect())
-        .collect();
+    let outputs = Outputs::build(k, n, |a, v, out| machines[a][v].output(out));
     Ok(ScheduleOutcome {
         outputs,
         stats,
@@ -491,7 +488,10 @@ mod tests {
         let steps = StepPlan::build(&g, p.algorithms(), &units);
         assert_eq!(steps.plan[0][0], [0, 3, 6]);
         let outcome = execute_row(&p, &plan(&p, units, 1), &ExecutorConfig::default()).unwrap();
-        assert_eq!(outcome.outputs[0], p.references().unwrap()[0].outputs);
+        assert_eq!(
+            outcome.outputs.row(0).to_vec(),
+            p.references().unwrap()[0].outputs
+        );
     }
 
     #[test]

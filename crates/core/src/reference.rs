@@ -54,7 +54,9 @@ pub fn run_alone(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::{Aid, AlgoNode, BatchedSends, Inbox, InboxBuf, Sends};
+    use crate::algorithm::{
+        Aid, AlgoNode, BatchedSends, Inbox, InboxBuf, NodeBatch, OutputSink, Sends,
+    };
     use crate::synthetic::{FloodBall, Prescribed, RelayChain};
     use das_graph::generators;
     use das_pattern::TimedArc;
@@ -101,7 +103,7 @@ mod tests {
             inboxes = next;
         }
         ReferenceRun {
-            outputs: machines.iter().map(|m| m.output()).collect(),
+            outputs: NodeBatch::from_boxed(machines).outputs(),
             pattern: CommPattern::from_timed_arcs(g.edge_count(), timed_arcs),
         }
     }
@@ -214,9 +216,7 @@ mod tests {
                 _ => out.push(NodeId(1), &[0; crate::MESSAGE_BYTES + 1]),
             }
         }
-        fn output(&self) -> Option<Vec<u8>> {
-            None
-        }
+        fn output(&self, _out: &mut OutputSink<'_>) {}
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! The result of a scheduled execution.
 
+use crate::algorithm::Outputs;
 use crate::exec::ExecStats;
 use das_pattern::SimulationMap;
 
 /// Everything a scheduler run produces.
 #[derive(Clone, Debug)]
 pub struct ScheduleOutcome {
-    /// Per-algorithm, per-node outputs: `outputs[a][v]`.
-    pub outputs: Vec<Vec<Option<Vec<u8>>>>,
+    /// Per-algorithm, per-node outputs: `outputs.get(a, v)`.
+    pub outputs: Outputs,
     /// Execution statistics (schedule length, late messages, …).
     pub stats: ExecStats,
     /// Per-algorithm simulation maps (message → scheduled departure round);
@@ -41,7 +42,7 @@ mod tests {
     #[test]
     fn totals_add_up() {
         let o = ScheduleOutcome {
-            outputs: vec![],
+            outputs: Outputs::default(),
             stats: ExecStats {
                 engine_rounds: 100,
                 ..ExecStats::default()

@@ -49,6 +49,7 @@
 //! to assert the byte-identity end-to-end, and report sustained jobs/sec
 //! with p50/p95/p99 latency.
 
+use crate::algorithm::OutputRow;
 use crate::exec::{panic_message, ExecError};
 use crate::net::{connect_with_retry, NetConfig};
 use crate::pipeline::{self, PlanFrom, Ran};
@@ -58,12 +59,11 @@ use crate::reference::run_alone;
 use crate::schedulers::Scheduler;
 use crate::synthetic::{FloodBall, RelayChain};
 use crate::wire::{
-    self, accept_until, graph_fingerprint, Accepted, Caps, FramedConn, Greeting, JobResult,
-    Rejected, Submit, PROTOCOL_VERSION,
+    self, accept_until, graph_fingerprint, Accepted, Caps, FramedConn, Greeting, JobOutputs,
+    JobResult, Rejected, Submit, PROTOCOL_VERSION,
 };
 use das_graph::{Graph, NodeId};
 use das_obs::{micros, JobsLive, LiveHub, Stages};
-use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::net::{TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
@@ -638,18 +638,18 @@ fn run_pipeline<'g>(
 /// budgets cross-checked: each job's dilation and congestion are measured
 /// from its own reference run — the declaration was only trusted for
 /// admission.
-fn job_results(
+fn job_results<'r>(
     batch: &[PendingJob],
     problem: &DasProblem<'_>,
-    ran: Ran,
-) -> Vec<JobResult<'static>> {
+    ran: &'r Ran,
+) -> Vec<JobResult<'r>> {
     // the pipeline computed (and cached) the references before planning
     let refs = problem.references().expect("the pipeline ran on them");
     let k = batch.len() as u32;
-    let stats = ran.executed.outcome.stats;
-    let outputs = ran.executed.outcome.outputs.into_iter();
-    (batch.iter().zip(outputs).enumerate())
-        .map(|(i, (job, outputs))| {
+    let outcome = &ran.executed.outcome;
+    let stats = &outcome.stats;
+    (batch.iter().enumerate())
+        .map(|(i, job)| {
             let measured_dilation = problem.algorithms()[i].rounds();
             let measured_congestion = refs[i].pattern.edge_loads().into_iter().max().unwrap_or(0);
             let lied = measured_dilation > job.spec.declared.dilation
@@ -670,7 +670,7 @@ fn job_results(
                 late: stats.late_messages,
                 measured_dilation,
                 measured_congestion,
-                outputs: Cow::Owned(outputs),
+                outputs: JobOutputs::of(&outcome.outputs, i),
             }
         })
         .collect()
@@ -684,8 +684,8 @@ fn answer_batch(
     run: Result<(DasProblem<'_>, Ran), SchedError>,
     counters: &Counters,
 ) {
-    let results = match run {
-        Ok((problem, ran)) => job_results(batch, &problem, ran),
+    let results = match &run {
+        Ok((problem, ran)) => job_results(batch, problem, ran),
         Err(e) => {
             // the whole batch failed to plan or execute: typed ExecFailed
             // per job, and the daemon keeps serving
@@ -702,7 +702,7 @@ fn answer_batch(
                     late: 0,
                     measured_dilation: 0,
                     measured_congestion: 0,
-                    outputs: Cow::Borrowed(&[]),
+                    outputs: JobOutputs::none(),
                 })
                 .collect()
         }
@@ -784,7 +784,7 @@ pub struct LoadgenReport {
     /// Per-job outputs of every [`JobStatus::Ok`] RESULT, as
     /// `(job_id, per-node outputs)`, sorted by job id — for byte-identity
     /// diffs against a one-shot run.
-    pub outputs: Vec<(u64, Vec<Option<Vec<u8>>>)>,
+    pub outputs: Vec<(u64, JobOutputs<'static>)>,
 }
 
 /// The generated job stream: one entry per `(client, j)` pair. Public so
@@ -895,7 +895,7 @@ struct ClientOutcome {
     failed: u64,
     check_mismatches: u64,
     latencies_ms: Vec<f64>,
-    outputs: Vec<(u64, Vec<Option<Vec<u8>>>)>,
+    outputs: Vec<(u64, JobOutputs<'static>)>,
 }
 
 fn run_client(
@@ -969,7 +969,7 @@ fn run_client(
                     out.completed += 1;
                     if cfg.check {
                         out.check_mismatches +=
-                            check_outputs(g, cfg, client, job_id, tape_seed, &outputs);
+                            check_outputs(g, cfg, client, job_id, tape_seed, outputs.row());
                     }
                     out.outputs.push((job_id, outputs));
                 } else {
@@ -995,7 +995,7 @@ fn check_outputs(
     client: usize,
     job_id: u64,
     tape_seed: u64,
-    got: &[Option<Vec<u8>>],
+    got: OutputRow<'_>,
 ) -> u64 {
     let j = (job_id as usize).wrapping_sub(client * cfg.jobs_per_client);
     let spec = loadgen_job(g, cfg, client, j);
@@ -1015,7 +1015,7 @@ fn check_outputs(
         .outputs
         .iter()
         .zip(got)
-        .filter(|(a, b)| a != b)
+        .filter(|(want, have)| want.as_deref() != *have)
         .count() as u64
 }
 

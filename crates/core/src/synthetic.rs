@@ -7,7 +7,7 @@
 //! [`crate::verify::against_references`].
 
 use crate::algorithm::{
-    Aid, AlgoNode, AlgoSlab, BatchedSends, BlackBoxAlgorithm, Inbox, NodeBatch, Sends,
+    Aid, AlgoNode, AlgoSlab, BatchedSends, BlackBoxAlgorithm, Inbox, NodeBatch, OutputSink, Sends,
 };
 use das_graph::{Graph, NodeId};
 use std::sync::Arc;
@@ -186,8 +186,8 @@ impl AlgoSlab for RelaySlab {
         out.end_segment();
     }
 
-    fn output(&self, i: usize) -> Option<Vec<u8>> {
-        Some(self.states[i].to_le_bytes().to_vec())
+    fn output(&self, i: usize, out: &mut OutputSink<'_>) {
+        out.put(&self.states[i].to_le_bytes());
     }
 }
 
@@ -209,8 +209,8 @@ impl AlgoNode for RelayNode {
         self.round += 1;
     }
 
-    fn output(&self) -> Option<Vec<u8>> {
-        Some(self.state.to_le_bytes().to_vec())
+    fn output(&self, out: &mut OutputSink<'_>) {
+        out.put(&self.state.to_le_bytes());
     }
 }
 
@@ -336,8 +336,8 @@ impl AlgoSlab for PrescribedSlab {
         out.end_segment();
     }
 
-    fn output(&self, i: usize) -> Option<Vec<u8>> {
-        Some(self.states[i].to_le_bytes().to_vec())
+    fn output(&self, i: usize, out: &mut OutputSink<'_>) {
+        out.put(&self.states[i].to_le_bytes());
     }
 }
 
@@ -356,8 +356,8 @@ impl AlgoNode for PrescribedNode {
         self.round += 1;
     }
 
-    fn output(&self) -> Option<Vec<u8>> {
-        Some(self.state.to_le_bytes().to_vec())
+    fn output(&self, out: &mut OutputSink<'_>) {
+        out.put(&self.state.to_le_bytes());
     }
 }
 
@@ -485,16 +485,13 @@ impl AlgoSlab for FloodSlab {
         out.end_segment();
     }
 
-    fn output(&self, i: usize) -> Option<Vec<u8>> {
-        Some(if self.heard_at[i] == u32::MAX {
-            vec![0u8]
-        } else {
-            let mut v = Vec::with_capacity(1 + 4 + 8);
-            v.push(1u8);
-            v.extend_from_slice(&self.heard_at[i].to_le_bytes());
-            v.extend_from_slice(&self.tokens[i].to_le_bytes());
-            v
-        })
+    fn output(&self, i: usize, out: &mut OutputSink<'_>) {
+        let heard_at = self.heard_at[i];
+        flood_output(
+            out,
+            (heard_at != u32::MAX).then_some(heard_at),
+            self.tokens[i],
+        );
     }
 }
 
@@ -516,17 +513,22 @@ impl AlgoNode for FloodNode {
         self.round += 1;
     }
 
-    fn output(&self) -> Option<Vec<u8>> {
-        Some(match self.heard_at {
-            Some(r) => {
-                let mut v = Vec::with_capacity(1 + 4 + 8);
-                v.push(1u8);
-                v.extend_from_slice(&r.to_le_bytes());
-                v.extend_from_slice(&self.token.to_le_bytes());
-                v
-            }
-            None => vec![0u8],
-        })
+    fn output(&self, out: &mut OutputSink<'_>) {
+        flood_output(out, self.heard_at, self.token);
+    }
+}
+
+/// A flood machine's output: `0` if it never heard the token, else `1`,
+/// the round it heard it in and the token.
+#[inline]
+fn flood_output(out: &mut OutputSink<'_>, heard_at: Option<u32>, token: u64) {
+    match heard_at {
+        Some(r) => {
+            out.put(&[1]);
+            out.put(&r.to_le_bytes());
+            out.put(&token.to_le_bytes());
+        }
+        None => out.put(&[0]),
     }
 }
 

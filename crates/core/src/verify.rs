@@ -56,12 +56,12 @@ pub fn against_references(
     let nodes = problem.graph().node_count();
     let mismatches = refs
         .iter()
-        .zip(&outcome.outputs)
+        .zip(outcome.outputs.iter())
         .map(|(r, got)| {
             r.outputs
                 .iter()
                 .zip(got)
-                .filter(|(want, have)| want != have)
+                .filter(|(want, have)| want.as_deref() != *have)
                 .count()
         })
         .collect();

@@ -15,7 +15,8 @@
 //! | `&[u8]`, `String` | `u32` length, then the bytes (a `String` is read lossily) |
 //! | `Cow<[T]>` | `u32` count, then the entries |
 //! | `(A, B)`, a nested struct | its parts, in order |
-//! | `Option<Vec<u8>>` (a node's output) | `u8` tag, then — tag 1 — the output as bytes |
+//! | `Option<&[u8]>` (a node's output) | `u8` tag, then — tag 1 — the output as bytes |
+//! | [`JobOutputs`] | `u32` count, then the outputs |
 //! | [`Flights`] | `u32` count, then the [`Flight`]s |
 //! | [`Hashed`] | `u64` FNV-1a of the bytes, then the bytes |
 //! | [`PlanSlice`] (inside ASSIGN's [`Hashed`]) | the plan header, `u32` unit count, then per unit `algo: u32, stride: u64` and one `(delay: u64, trunc: u32)` pair per owned node |
@@ -41,6 +42,7 @@
 //! slice, not the plan), and so did v3 (the slice is binary columns, not
 //! JSON).
 
+use crate::algorithm::{OutputRow, Outputs};
 use crate::exec::{ExecError, ExecStats, ShardStats, Unit};
 use crate::plan::SchedulePlan;
 use crate::problem::DasProblem;
@@ -198,24 +200,55 @@ impl<'a, A: Field<'a>, B: Field<'a>> Field<'a> for (A, B) {
     }
 }
 
-/// One node's output, in DONE and RESULT alike.
-impl Field<'_> for Option<Vec<u8>> {
+/// One node's output, in DONE and RESULT alike; decoding borrows the bytes
+/// from the body, and the caller files them into its [`Outputs`] arena.
+impl<'a> Field<'a> for Option<&'a [u8]> {
     const MIN_BYTES: usize = 1;
     fn put(&self, w: &mut Vec<u8>) {
         match self {
             Some(bytes) => {
                 1u8.put(w);
-                bytes.as_slice().put(w);
+                bytes.put(w);
             }
             None => 0u8.put(w),
         }
     }
-    fn get(r: &mut ByteReader<'_>, what: &'static str) -> Result<Self, ExecError> {
+    fn get(r: &mut ByteReader<'a>, what: &'static str) -> Result<Self, ExecError> {
         Ok(match u8::get(r, what)? {
             0 => None,
-            _ => Some(<&[u8]>::get(r, what)?.to_vec()),
+            _ => Some(<&[u8]>::get(r, what)?),
         })
     }
+}
+
+/// Reads `rows` × `nodes` outputs, algorithm-major, into one arena. The
+/// entry count is held against the bytes that remain (one tag byte each)
+/// before the arena reserves anything, and outputs too large for one arena
+/// are refused before they reach its limit.
+fn get_outputs(
+    r: &mut ByteReader<'_>,
+    rows: usize,
+    nodes: usize,
+    what: &'static str,
+) -> Result<Outputs, ExecError> {
+    let entries = (rows as u64).saturating_mul(nodes as u64);
+    r.room_for(entries, <Option<&[u8]>>::MIN_BYTES, what)?;
+    let mut total = 0;
+    Outputs::try_build(rows, nodes, |_, _, out| {
+        if let Some(bytes) = <Option<&[u8]>>::get(r, what)? {
+            total += bytes.len();
+            if total > Outputs::MAX_BYTES {
+                return Err(ExecError::Net {
+                    detail: format!(
+                        "{what} exceed the {} bytes one arena holds",
+                        Outputs::MAX_BYTES
+                    ),
+                });
+            }
+            out.put(bytes);
+        }
+        Ok(())
+    })
 }
 
 /// Gives a struct the layout "every listed field, in order".
@@ -820,15 +853,7 @@ impl Done {
             step_nanos: word()?,
             drain_nanos: word()?,
         };
-        let mut outputs = Vec::new();
-        for _ in 0..k {
-            let mut per_node =
-                Vec::with_capacity(r.room_for(own.len() as u64, 1, "DONE outputs")?);
-            for _ in 0..own.len() {
-                per_node.push(Field::get(r, "DONE output")?);
-            }
-            outputs.push(per_node);
-        }
+        let outputs = get_outputs(r, k, own.len(), "DONE outputs")?;
         let mut departures = Vec::new();
         for algo in 0..k {
             let count = u64::get(r, "DONE departure count")?;
@@ -1078,7 +1103,89 @@ body! {
         /// The job's congestion, measured from its reference run.
         pub measured_congestion: u64,
         /// The job's output at every node.
-        pub outputs: Cow<'a, [Option<Vec<u8>>]>,
+        pub outputs: JobOutputs<'a>,
+    }
+}
+
+/// One job's output at every node, as RESULT carries it: a row of the
+/// batch's [`Outputs`] arena, borrowed where the batch ran and owned — a
+/// one-row arena — where a RESULT was decoded. Two are equal when they
+/// hold the same outputs.
+#[derive(Clone)]
+pub struct JobOutputs<'a> {
+    arena: Cow<'a, Outputs>,
+    row: usize,
+}
+
+impl<'a> JobOutputs<'a> {
+    /// Job `row`'s outputs in a batch's arena.
+    ///
+    /// # Panics
+    /// Panics if `row` is out of range.
+    pub fn of(arena: &'a Outputs, row: usize) -> Self {
+        assert!(
+            row < arena.len(),
+            "job {row} of a {}-job batch",
+            arena.len()
+        );
+        JobOutputs {
+            arena: Cow::Borrowed(arena),
+            row,
+        }
+    }
+
+    /// No node at all: what a failed batch answers.
+    pub fn none() -> JobOutputs<'static> {
+        JobOutputs::owned(Outputs::build(1, 0, |_, _, _| ()))
+    }
+
+    /// The outputs of a one-row arena.
+    fn owned(arena: Outputs) -> JobOutputs<'static> {
+        JobOutputs {
+            arena: Cow::Owned(arena),
+            row: 0,
+        }
+    }
+
+    /// These outputs, no longer borrowing a batch's arena (a borrowed
+    /// arena is cloned; a decoded one is already owned).
+    pub fn into_owned(self) -> JobOutputs<'static> {
+        JobOutputs {
+            arena: Cow::Owned(self.arena.into_owned()),
+            row: self.row,
+        }
+    }
+
+    /// The outputs, in node order.
+    pub fn row(&self) -> OutputRow<'_> {
+        self.arena.row(self.row)
+    }
+}
+
+impl std::fmt::Debug for JobOutputs<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.row().fmt(f)
+    }
+}
+
+impl PartialEq for JobOutputs<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.row() == other.row()
+    }
+}
+
+impl Eq for JobOutputs<'_> {}
+
+impl<'a> Field<'a> for JobOutputs<'a> {
+    const MIN_BYTES: usize = 4;
+    fn put(&self, w: &mut Vec<u8>) {
+        let row = self.row();
+        (row.len() as u32).put(w);
+        row.iter().for_each(|output| output.put(w));
+    }
+    fn get(r: &mut ByteReader<'a>, what: &'static str) -> Result<Self, ExecError> {
+        let count = u32::get(r, what)?;
+        Ok(JobOutputs::owned(get_outputs(r, 1, count as usize, what)?))
     }
 }
 

@@ -32,7 +32,10 @@ fn single_message_algorithm_executes() {
     let outcome = run(&p, units, 1, ExecutorConfig::default()).unwrap();
     assert_eq!(outcome.stats.delivered, 1);
     assert_eq!(outcome.stats.late_messages, 0);
-    assert_eq!(outcome.outputs[0], p.references().unwrap()[0].outputs);
+    assert_eq!(
+        outcome.outputs.row(0).to_vec(),
+        p.references().unwrap()[0].outputs
+    );
 }
 
 #[test]
@@ -49,7 +52,10 @@ fn fully_truncated_unit_executes_nothing() {
     assert_eq!(outcome.stats.delivered, 0);
     // machines never stepped: outputs are the initial states, not the
     // reference — visible, not silent
-    assert_ne!(outcome.outputs[0], p.references().unwrap()[0].outputs);
+    assert_ne!(
+        outcome.outputs.row(0).to_vec(),
+        p.references().unwrap()[0].outputs
+    );
 }
 
 #[test]
@@ -78,9 +84,7 @@ impl das_core::AlgoNode for Fuse {
         assert!(!(self.armed && self.stepped == 2), "fuse blown at node 0");
     }
 
-    fn output(&self) -> Option<Vec<u8>> {
-        None
-    }
+    fn output(&self, _out: &mut das_core::OutputSink<'_>) {}
 }
 
 impl BlackBoxAlgorithm for PanicsAtNodeZero {
@@ -164,8 +168,8 @@ impl das_core::AlgoNode for SloppyNode {
         self.state = 1;
     }
 
-    fn output(&self) -> Option<Vec<u8>> {
-        Some(self.state.to_le_bytes().to_vec())
+    fn output(&self, out: &mut das_core::OutputSink<'_>) {
+        out.put(&self.state.to_le_bytes());
     }
 }
 

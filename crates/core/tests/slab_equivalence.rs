@@ -13,7 +13,10 @@
 
 use das_congest::util::seed_mix;
 use das_core::synthetic::{FloodBall, Prescribed, RelayChain};
-use das_core::{Aid, AlgoNode, BatchedSends, BlackBoxAlgorithm, BlockStep, Inbox, InboxBuf, Sends};
+use das_core::{
+    Aid, AlgoNode, BatchedSends, BlackBoxAlgorithm, BlockStep, Inbox, InboxBuf, OutputSink,
+    Outputs, Sends,
+};
 use das_graph::{generators, Graph, NodeId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -117,8 +120,8 @@ impl AlgoNode for EchoNode {
         self.round += 1;
     }
 
-    fn output(&self) -> Option<Vec<u8>> {
-        Some(self.state.to_le_bytes().to_vec())
+    fn output(&self, out: &mut OutputSink<'_>) {
+        out.put(&self.state.to_le_bytes());
     }
 }
 
@@ -171,7 +174,13 @@ fn fold_of_step(
     rounds: &[Vec<(NodeId, Vec<u8>)>],
 ) -> (Segments, Option<Vec<u8>>) {
     let segs = rounds.iter().map(|inbox| spec_step(m, inbox)).collect();
-    (segs, m.output())
+    (segs, written(|out| m.output(out)))
+}
+
+/// The output `write` writes, copied out (`None` if it writes nothing).
+fn written(write: impl Fn(&mut OutputSink<'_>)) -> Option<Vec<u8>> {
+    let outputs = Outputs::build(1, 1, |_, _, out| write(out));
+    outputs.get(0, 0).map(<[u8]>::to_vec)
 }
 
 fn segments_of(b: &BatchedSends) -> Segments {
@@ -206,7 +215,7 @@ fn assert_step_into_matches_per_node(g: &Graph, algo: &dyn BlackBoxAlgorithm, se
             );
         }
         assert_eq!(
-            slab.output(v),
+            written(|out| slab.output(v, out)),
             expect_out,
             "aid {:?} node {v}: slab output diverged",
             algo.aid()
@@ -271,8 +280,8 @@ fn assert_step_block_matches_per_node(g: &Graph, algo: &dyn BlackBoxAlgorithm, s
     }
     for (v, machine) in spec.iter().enumerate() {
         assert_eq!(
-            slab.output(v),
-            machine.output(),
+            written(|out| slab.output(v, out)),
+            written(|out| machine.output(out)),
             "aid {:?} node {v}: outputs diverged after blocked stepping",
             algo.aid()
         );

@@ -11,7 +11,7 @@ use dasched::congest::util::seed_mix;
 use dasched::core::bellagio::{derandomize, run_with_global_seed, BellagioConfig, SeededFamily};
 use dasched::core::newman::{bits_needed, find_subcollection, Collection};
 use dasched::core::ReferenceError;
-use dasched::core::{AlgoNode, Inbox, Sends};
+use dasched::core::{AlgoNode, Inbox, OutputSink, Sends};
 use dasched::graph::{generators, traversal, Graph, NodeId};
 
 /// The Bellagio family: "does my 2-ball contain >= `threshold` distinct
@@ -70,8 +70,8 @@ impl AlgoNode for ThresholdNode {
         self.round += 1;
     }
 
-    fn output(&self) -> Option<Vec<u8>> {
-        Some(vec![(self.acc.count_ones() > self.iters / 2) as u8])
+    fn output(&self, out: &mut OutputSink<'_>) {
+        out.put(&[(self.acc.count_ones() > self.iters / 2) as u8]);
     }
 }
 

@@ -36,8 +36,8 @@ use dasched::core::synthetic::{FloodBall, RelayChain};
 use dasched::core::verify::VerifyReport;
 use dasched::core::{
     execute, install_ctrl_c, run_loadgen, run_worker, BlackBoxAlgorithm, Capacity, DasProblem,
-    ExecOptions, ExecutorConfig, InterleaveScheduler, LoadgenConfig, NetConfig, PrivateScheduler,
-    ScheduleOutcome, SchedulePlan, Scheduler, SequentialScheduler, ServeConfig,
+    ExecOptions, ExecutorConfig, InterleaveScheduler, LoadgenConfig, NetConfig, OutputRow,
+    PrivateScheduler, ScheduleOutcome, SchedulePlan, Scheduler, SequentialScheduler, ServeConfig,
     TunedUniformScheduler, UniformScheduler, MESSAGE_BYTES,
 };
 use dasched::graph::{generators, Graph, NodeId};
@@ -677,13 +677,10 @@ fn run_planned(
     }
     report_outcome(opts, None, &outcome, &ran.verify)?;
     if let Some(path) = opts.get("dump-outputs") {
-        let entries: Vec<(u64, Vec<Option<Vec<u8>>>)> = outcome
-            .outputs
-            .iter()
-            .enumerate()
-            .map(|(i, outs)| (problem.algorithms()[i].aid().0, outs.clone()))
-            .collect();
-        std::fs::write(path, render_outputs(&entries)).map_err(|e| e.to_string())?;
+        let entries = (problem.algorithms().iter())
+            .zip(outcome.outputs.iter())
+            .map(|(algo, row)| (algo.aid().0, row));
+        std::fs::write(path, render_outputs(entries)).map_err(|e| e.to_string())?;
         println!("wrote per-job outputs to {path}");
     }
     Ok(())
@@ -692,7 +689,7 @@ fn run_planned(
 /// Canonical per-job output dump: one line per `(job, node)` pair, keyed
 /// by algorithm/job id so a served run and a one-shot run of the same job
 /// set diff byte-identically regardless of batching.
-fn render_outputs(entries: &[(u64, Vec<Option<Vec<u8>>>)]) -> String {
+fn render_outputs<'a>(entries: impl IntoIterator<Item = (u64, OutputRow<'a>)>) -> String {
     let mut out = String::new();
     for (aid, outputs) in entries {
         for (v, bytes) in outputs.iter().enumerate() {
@@ -1092,7 +1089,8 @@ fn cmd_loadgen(opts: &HashMap<String, String>, seed: u64) -> Result<(), String> 
         println!("wrote bench point to {path}");
     }
     if let Some(path) = opts.get("dump-outputs") {
-        std::fs::write(path, render_outputs(&report.outputs)).map_err(|e| e.to_string())?;
+        let entries = (report.outputs.iter()).map(|(job, outputs)| (*job, outputs.row()));
+        std::fs::write(path, render_outputs(entries)).map_err(|e| e.to_string())?;
         println!("wrote per-job outputs to {path}");
     }
     if report.failed > 0 {
@@ -1110,6 +1108,7 @@ fn cmd_loadgen(opts: &HashMap<String, String>, seed: u64) -> Result<(), String> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dasched::core::Outputs;
 
     #[test]
     fn flag_parsing() {
@@ -1902,12 +1901,14 @@ mod tests {
 
     #[test]
     fn render_outputs_is_canonical() {
-        let entries = vec![
-            (0u64, vec![Some(vec![0xab, 0x01]), None]),
-            (1u64, vec![None, Some(vec![])]),
-        ];
+        let nested = [vec![Some(vec![0xab, 0x01]), None], vec![None, Some(vec![])]];
+        let outputs = Outputs::build(2, 2, |a, v, out| {
+            if let Some(bytes) = &nested[a][v] {
+                out.put(bytes);
+            }
+        });
         assert_eq!(
-            render_outputs(&entries),
+            render_outputs([0u64, 1].into_iter().zip(outputs.iter())),
             "job=0 node=0 out=ab01\njob=0 node=1 out=-\n\
              job=1 node=0 out=-\njob=1 node=1 out=\n"
         );

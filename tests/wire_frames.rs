@@ -12,22 +12,89 @@
 //!   `TruncatedFrame`, or, at the one documented cut of a frame with an
 //!   optional tail (ACTIVITY's bare flag), to the tail-less body. Never a
 //!   panic, and — the lying-count cases — never a reservation larger than
-//!   the body.
+//!   the body (where a lie could only show in the allocator, the test asks
+//!   it: this binary's global allocator notes the largest block a watched
+//!   thread requests).
 
 use dasched::core::serve::{Budgets, Capacity, JobKind, JobSpec, JobStatus, Rejection};
 use dasched::core::synthetic::{FloodBall, RelayChain};
 use dasched::core::wire::{
     self, check_greeting, fnv1a, plan_hash, Abort, Accepted, Activity, ActivityTotals, Assign,
-    Caps, Decision, Done, Flight, FlightGroup, Greeting, Hashed, Inbox, JobResult, Outbox,
-    PlanSlice, Reject, Rejected, RoundCap, Submit,
+    Caps, Decision, Done, Flight, FlightGroup, Greeting, Hashed, Inbox, JobOutputs, JobResult,
+    Outbox, PlanSlice, Reject, Rejected, RoundCap, Submit,
 };
 use dasched::core::{
     graph_fingerprint, problem_fingerprint, BlackBoxAlgorithm, DasProblem, ExecError, ExecStats,
-    SchedulePlan, ShardStats, Unit, PROTOCOL_VERSION,
+    Outputs, SchedulePlan, ShardStats, Unit, PROTOCOL_VERSION,
 };
 use dasched::graph::{generators, Arc, NodeId};
 use dasched::pattern::{SimulationMap, TimedArc};
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::borrow::Cow;
+use std::cell::Cell;
+
+thread_local! {
+    /// The largest block this thread has requested since it started being
+    /// watched, `None` while it is not.
+    static LARGEST: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// Notes a request of `size` bytes if this thread is watched.
+fn note(size: usize) {
+    // `try_with`: a thread being torn down may still allocate
+    let _ = LARGEST.try_with(|largest| {
+        if let Some(seen) = largest.get() {
+            largest.set(Some(seen.max(size)));
+        }
+    });
+}
+
+/// The system allocator, noting every `alloc` and `realloc` size.
+struct Watched;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, whose
+// contract is the one the caller upholds; the note touches only a
+// thread-local `Cell`, never memory the allocator manages, and allocates
+// nothing.
+unsafe impl GlobalAlloc for Watched {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: `layout` is the caller's, passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator with
+        // this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: as for `dealloc`; `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Watched = Watched;
+
+/// What `f` returns, and the largest block it requested on this thread.
+fn largest_allocation<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.set(Some(0));
+    let out = f();
+    (out, LARGEST.replace(None).unwrap_or(0))
+}
+
+/// The outputs arena holding `nested[a][v]` at `(a, v)`.
+fn arena(nested: &[Vec<Option<Vec<u8>>>]) -> Outputs {
+    let nodes = nested.first().map_or(0, Vec::len);
+    Outputs::build(nested.len(), nodes, |a, v, out| {
+        if let Some(bytes) = &nested[a][v] {
+            out.put(bytes);
+        }
+    })
+}
 
 /// Bytes from hex digit pairs; whitespace between fields is ignored.
 fn unhex(hex: &str) -> Vec<u8> {
@@ -409,10 +476,10 @@ fn ending_frames_are_pinned() {
     };
     let done = Done {
         own: own.clone(),
-        outputs: vec![
+        outputs: arena(&[
             vec![Some(b"ab".to_vec()), None],
             vec![None, Some(Vec::new())],
-        ],
+        ]),
         departures: vec![
             SimulationMap::from([(departed(0, 2), 5), (departed(1, 0), 9)]),
             SimulationMap::new(),
@@ -583,14 +650,14 @@ fn serve_frames_are_pinned() {
         "07000000000000000400000009000000000000000100000000000000",
         Rejected::decode
     );
-    let outputs: Vec<Option<Vec<u8>>> = [
+    let outputs = arena(&[[
         "01010000008571b3423945e7e1",
         "010000000005b2f568106e733f",
         "01010000008571b3423945e7e1",
         "0102000000e021701702724b8c",
     ]
     .map(|output| Some(unhex(output)))
-    .to_vec();
+    .to_vec()]);
     let ok = JobResult {
         job_id: 5,
         status: JobStatus::Ok,
@@ -600,7 +667,7 @@ fn serve_frames_are_pinned() {
         late: 0,
         measured_dilation: 3,
         measured_congestion: 2,
-        outputs: Cow::Borrowed(&outputs),
+        outputs: JobOutputs::of(&outputs, 0),
     };
     pinned!(
         "RESULT",
@@ -622,7 +689,7 @@ fn serve_frames_are_pinned() {
             late: 0,
             measured_dilation: 0,
             measured_congestion: 0,
-            outputs: Cow::Borrowed(&[]),
+            outputs: JobOutputs::none(),
         },
         "0b000000000000000300000000000000000300000000000000000000000000000000000000000000\
          00000000000000000000000000",
@@ -690,7 +757,7 @@ fn lying_counts_reserve_nothing() {
         late: 0,
         measured_dilation: 0,
         measured_congestion: 0,
-        outputs: Cow::Borrowed(&[]),
+        outputs: JobOutputs::none(),
     }
     .encode();
     let at = result.len() - 4;
@@ -716,4 +783,18 @@ fn lying_counts_reserve_nothing() {
     // ... and more owned nodes than the body has bytes left
     let own: Vec<NodeId> = (0..1000).map(NodeId).collect();
     assert!(is_truncated(&Done::decode(&[0u8; 14 * 8], 1, own)));
+    // ... and an output whose length word runs past the body: refused
+    // when the word is read, before a byte of it is copied or reserved
+    let mut done = vec![0u8; 14 * 8];
+    done.push(1); // tag: an output follows
+    done.extend_from_slice(&max);
+    done.extend_from_slice(b"abc");
+    let own = vec![NodeId(0), NodeId(1)];
+    let (decoded, largest) = largest_allocation(|| Done::decode(&done, 2, own));
+    assert!(is_truncated(&decoded), "{decoded:?}");
+    assert!(
+        largest <= done.len(),
+        "decoding a {}-byte DONE body asked for a {largest}-byte block",
+        done.len()
+    );
 }
